@@ -46,6 +46,15 @@ def _load_host(args, doc=None):
                              "catalog name h4/kc2/k)" % ref)
 
 
+def int_list(text):
+    """argparse type of a comma-separated list of integers, e.g. -1,0,2."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % text) from None
+
+
 def _emit(doc, as_json):
     if as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -205,24 +214,22 @@ def cmd_galois(args):
 
 def cmd_suite(args):
     field = field_from_spec(args.field)
-    t_values = (tuple(int(x) for x in args.t_values.split(","))
-                if args.t_values else T_DEFAULT)
 
     def progress(name, ok, ms):
         if not args.json:
             print("%s  %s (%.0f ms)" % ("PASS" if ok else "FAIL", name, ms))
             sys.stdout.flush()
 
-    overall, details = run_suite(field, t_values, args.seed,
+    overall, details = run_suite(field, args.t_values, args.seed,
                                  progress=progress)
     if args.json:
-        print(json.dumps(suite_json(overall, details, field, t_values,
+        print(json.dumps(suite_json(overall, details, field, args.t_values,
                                     args.seed),
                          indent=2, sort_keys=True))
     else:
         n_fail = len(overall.failures())
         print("seed=%d field=%s t_values=%s" % (args.seed, field.spec(),
-                                                list(t_values)))
+                                                list(args.t_values)))
         print("%d criteria, %d failed" % (len(overall.checks), n_fail))
     return 0 if overall.ok else 1
 
@@ -233,8 +240,7 @@ def cmd_catalog(args):
             print(name)
         return 0
     field = field_from_spec(args.field)
-    t = int(args.param) if args.param is not None else None
-    entry = cat.get_entry(args.name, field, t)
+    entry = cat.get_entry(args.name, field, args.param)
     _emit(io_json.to_json_of(entry.payload), True)
     return 0
 
@@ -289,7 +295,8 @@ def build_parser():
 
     sp = sub.add_parser("suite", help="run all acceptance criteria")
     sp.add_argument("--field", default="Q")
-    sp.add_argument("--t-values", dest="t_values")
+    sp.add_argument("--t-values", dest="t_values", type=int_list,
+                    default=T_DEFAULT)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_suite)
@@ -297,7 +304,7 @@ def build_parser():
     sp = sub.add_parser("catalog", help="list or export built-in entries")
     sp.add_argument("action", choices=["list", "export"])
     sp.add_argument("name", nargs="?")
-    sp.add_argument("--param")
+    sp.add_argument("--param", type=int)
     sp.add_argument("--field", default="Q")
     sp.set_defaults(fn=cmd_catalog)
     return p

@@ -1,18 +1,28 @@
 """Exact field scalars: ℚ (arbitrary precision rationals) and prime fields F_p.
 
-Scalars are plain objects supporting +, -, *, /, ==, bool (bool(x) is False
-iff x == 0).  Rationals are gmpy2.mpq when available, fractions.Fraction
-otherwise; F_p elements are tiny wrapper objects around residues.  All
-arithmetic is exact and equality is decidable, which turns every identity in
-this package into a yes/no check with no tolerances.
+Scalars are plain objects supporting +, -, *, ==, bool (bool(x) is False iff
+x == 0).  Division goes through ``Field.div`` only, never the ``/``
+operator.  All arithmetic is exact and equality is decidable, which turns
+every identity in this package into a yes/no check with no tolerances.
+
+ℚ is int-first: a rational is a Python ``int`` whenever it is integral, and
+a ``fractions.Fraction`` only when a division leaves a denominator.  The
+structure tensors are mostly 0s and ±1s, so almost all arithmetic runs on
+small ints.  ``Rationals.div`` is the one place that builds a Fraction, and
+it returns the plain numerator when the denominator is 1, so ``int / int``
+never makes a float.  Mixing the two types is exact (int ⊂ Fraction in
+Python's numeric tower), and ``==``, ``hash`` and ``str`` agree between an
+int and the equal Fraction: ``Fraction(2) == 2``, both hash alike, and both
+print as ``2``.  Reports, JSON documents and set/dict keys are therefore the
+same whichever of the two types a value happens to have.
+
+F_p elements are tiny wrapper objects around residues.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _RAT
+import operator
+from fractions import Fraction as _RAT
 
 
 class FieldError(ValueError):
@@ -58,14 +68,35 @@ class FpElem:
         return "FpElem(%d, p=%d)" % (self.v, self.p)
 
 
-def _is_prime(p):
-    if p < 2:
+# Miller–Rabin with the first thirteen prime bases is exact below this
+# bound, the least strong pseudoprime to all of them (Sorenson and Webster,
+# 2015; OEIS A014233).  The bases 2…37 alone are exact only below
+# 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic primality of n < MAX_PRIME (Miller–Rabin)."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -87,8 +118,12 @@ class Field:
     def fmt(self, x):
         raise NotImplementedError
 
+    def div(self, a, b):
+        """Exact quotient a / b; ZeroDivisionError when b == 0."""
+        return a / b
+
     def ratio(self, num, den):
-        return self.from_int(num) / self.from_int(den)
+        return self.div(self.from_int(num), self.from_int(den))
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec() == other.spec()
@@ -100,22 +135,29 @@ class Field:
         return "Field(%s)" % self.spec()
 
 
+def _int_first(q):
+    """The int equal to the Fraction q when q is integral, else q."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rationals(Field):
     kind = "Q"
     char = 0
 
-    def __init__(self):
-        self.zero = _RAT(0)
-        self.one = _RAT(1)
+    zero = 0
+    one = 1
 
     def spec(self):
         return "Q"
 
     def from_int(self, k):
-        return _RAT(k)
+        return operator.index(k)
+
+    def div(self, a, b):
+        return _int_first(_RAT(a, b))
 
     def parse(self, s):
-        return _RAT(str(s))
+        return _int_first(_RAT(str(s)))
 
     def fmt(self, x):
         return str(x)
@@ -123,6 +165,9 @@ class Rationals(Field):
 
 class PrimeField(Field):
     def __init__(self, p):
+        if p >= MAX_PRIME:
+            raise FieldError("p = %d is too large: primality is decided only "
+                             "below %d" % (p, MAX_PRIME))
         if not _is_prime(p):
             raise FieldError("%d is not prime" % p)
         self.kind = "Fp"
@@ -141,7 +186,7 @@ class PrimeField(Field):
         s = str(s)
         if "/" in s:
             num, den = s.split("/")
-            return self.from_int(int(num)) / self.from_int(int(den))
+            return self.div(self.from_int(int(num)), self.from_int(int(den)))
         return self.from_int(int(s))
 
     def fmt(self, x):
@@ -156,5 +201,9 @@ def field_from_spec(spec):
     if spec == "Q":
         return QQ
     if spec.startswith("Fp:"):
-        return PrimeField(int(spec[3:]))
+        try:
+            p = int(spec[3:])
+        except ValueError:
+            raise FieldError("bad prime in field spec %r" % (spec,)) from None
+        return PrimeField(p)
     raise FieldError("unknown field spec %r" % (spec,))

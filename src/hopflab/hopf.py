@@ -10,7 +10,7 @@ and the unit/counit are coordinate (co)vectors of length n.
 from __future__ import annotations
 
 from .linalg import (Matrix, Tensor, apply_rowmap, check_dim, mat_mul)
-from .report import CheckReport, equal_vectors
+from .report import CheckReport
 
 
 class HopfAlgebra:

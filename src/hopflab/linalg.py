@@ -143,7 +143,7 @@ def mat_vec(m, x):
     return out
 
 
-def _echelon(rows, ncols):
+def _echelon(rows, ncols, field):
     """In-place forward elimination; returns list of pivot (row, col)."""
     pivots = []
     pr = 0
@@ -164,7 +164,7 @@ def _echelon(rows, ncols):
             fr = rows[r][pc]
             if not fr:
                 continue
-            mlt = fr / fp
+            mlt = field.div(fr, fp)
             rr = rows[r]
             rp = rows[pr]
             for c in range(pc, ncols):
@@ -179,17 +179,17 @@ def _echelon(rows, ncols):
 def rank(m):
     """Row rank by exact Gaussian elimination."""
     rows = [row[:] for row in m.data]
-    return len(_echelon(rows, m.cols))
+    return len(_echelon(rows, m.cols, m.field))
 
 
 def _rref(rows, ncols, field):
     """Reduce to reduced row echelon form; returns pivot columns."""
-    pivots = _echelon(rows, ncols)
+    pivots = _echelon(rows, ncols, field)
     one = field.one
     for pr, pc in reversed(pivots):
         fp = rows[pr][pc]
         if fp != one:
-            inv = one / fp
+            inv = field.div(one, fp)
             row = rows[pr]
             for c in range(pc, ncols):
                 if row[c]:
@@ -240,12 +240,10 @@ def solve(m, b):
     piv_cols = _rref(rows, nc + k, field)
     if any(pc >= nc for pc in piv_cols):
         return None
-    zero = field.zero
     out = Matrix.zeros(field, nc, k)
     for r, pc in enumerate(piv_cols):
         for j in range(k):
             out.data[pc][j] = rows[r][nc + j]
-    del zero
     return out
 
 
@@ -389,7 +387,7 @@ def span_matrix(field, vectors, dim):
 def row_space_echelon(field, vectors, dim):
     """Echelon basis of the span of the given row vectors."""
     rows = [list(v) for v in vectors]
-    _echelon(rows, dim)
+    _echelon(rows, dim, field)
     return [r for r in rows if any(r)]
 
 

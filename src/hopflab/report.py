@@ -118,10 +118,3 @@ class timed_check:
                                     self.witness, self.detail, ms))
         return False
 
-
-def equal_vectors(lhs, rhs):
-    """Index of the first differing coordinate, or None when equal."""
-    for i, (x, y) in enumerate(zip(lhs, rhs)):
-        if x != y:
-            return i
-    return None

@@ -1,0 +1,87 @@
+"""Scalar layer: int-first ℚ, the one exact division path, F_p primality."""
+
+import time
+from fractions import Fraction
+
+import pytest
+
+from hopflab import fields
+from hopflab.fields import (QQ, FieldError, PrimeField, _is_prime,
+                            field_from_spec)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_rationals_are_int_first():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_int(-3)) is int
+    assert fields._RAT is Fraction
+
+
+def test_div_integral_quotient_is_int():
+    q = QQ.div(4, 2)
+    assert type(q) is int and q == 2
+
+
+def test_div_non_integral_quotient_is_fraction():
+    assert QQ.div(1, 2) == Fraction(1, 2)
+    assert QQ.div(Fraction(1, 2), Fraction(1, 4)) == 2
+    assert type(QQ.div(Fraction(1, 2), Fraction(1, 4))) is int
+
+
+def test_div_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+def test_parse_integral_is_int():
+    q = QQ.parse("6/3")
+    assert type(q) is int and q == 2
+    assert QQ.parse("-1/2") == Fraction(-1, 2)
+
+
+def test_int_and_fraction_agree_on_eq_hash_str():
+    q = QQ.div(6, 3)
+    f = Fraction(2)
+    assert q == f and hash(q) == hash(f) and str(q) == str(f)
+
+
+def test_prime_field_parse_quotient():
+    f5 = PrimeField(5)
+    assert f5.parse("1/2") == f5.from_int(3)
+    with pytest.raises(ZeroDivisionError):
+        f5.parse("1/5")
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(5000):
+        assert _is_prime(n) == trial_division(n), n
+
+
+def test_large_mersenne_prime_accepted_quickly():
+    t0 = time.perf_counter()
+    f = PrimeField(2 ** 61 - 1)
+    assert time.perf_counter() - t0 < 0.5
+    assert f.spec() == "Fp:%d" % (2 ** 61 - 1)
+
+
+@pytest.mark.parametrize("n", [561, 3215031751])
+def test_pseudoprimes_rejected(n):
+    # 561 is a Carmichael number; 3215031751 = 151·751·28351 is a strong
+    # pseudoprime to the bases 2, 3, 5 and 7.
+    assert not trial_division(n)
+    with pytest.raises(FieldError, match="not prime"):
+        PrimeField(n)
+
+
+def test_prime_beyond_exact_bound_rejected():
+    with pytest.raises(FieldError, match="too large"):
+        PrimeField(fields.MAX_PRIME)
+
+
+@pytest.mark.parametrize("spec", ["Fp:abc", "Fp:", "Fp:4", "R"])
+def test_bad_field_spec_is_field_error(spec):
+    with pytest.raises(FieldError):
+        field_from_spec(spec)

@@ -145,3 +145,24 @@ def test_cli_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out
     assert "h4" in out and "unit_object" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--t-values", "a,b"],
+    ["catalog", "export", "sigma_t", "--param", "x"],
+])
+def test_cli_non_integer_option_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
+def test_cli_prime_too_large_exit2(capsys):
+    p = 2 ** 61 - 1
+    assert main(["catalog", "export", "h4", "--field", "Fp:%d" % p]) == 0
+    capsys.readouterr()
+    assert main(["catalog", "export", "h4", "--field",
+                 "Fp:%d" % (2 ** 89 - 1)]) == 2
+    assert "too large" in capsys.readouterr().err

@@ -32,10 +32,14 @@ def rank_oracle(m, order):
         fp = rows[rk][pc]
         for r in range(rk + 1, len(rows)):
             if rows[r][pc]:
-                mult = rows[r][pc] / fp
+                mult = m.field.div(rows[r][pc], fp)
                 rows[r] = [a - b * mult for a, b in zip(rows[r], rows[rk])]
         rk += 1
     return rk
+
+
+def assert_no_floats(m):
+    assert not any(isinstance(x, float) for x in m.entries)
 
 
 def rand_matrix(rng, field, rows, cols, lo=-5, hi=5):
@@ -120,7 +124,9 @@ def test_rank_nullity_random(rows, cols, seed, fkind):
     field = {"Q": QQ, "F5": PrimeField(5), "F13": PrimeField(13)}[fkind]
     rng = random.Random(seed)
     m = rand_matrix(rng, field, rows, cols)
-    assert rank(m) + kernel_basis(m).cols == cols
+    ker = kernel_basis(m)
+    assert rank(m) + ker.cols == cols
+    assert_no_floats(ker)
 
 
 @settings(max_examples=30, deadline=None)
@@ -133,6 +139,7 @@ def test_solve_multiply_back_random(n, seed):
     x = solve(m, b)
     assert x is not None
     assert mat_mul(m, x) == b
+    assert_no_floats(x)
 
 
 def test_contract_matrix_vector():
