@@ -1,12 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 all requested checks pass, 1 a check failed, 2 input error.
+Exit codes: 0 all requested checks pass, 1 a check failed, 2 input error,
+141 (128 + SIGPIPE, as the shell reports a writer killed by it) when the
+reader of stdout went away before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .fields import QQ, FieldError, field_from_spec
@@ -313,7 +316,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # `hopflab suite | head -1`: stdout's reader is gone.  Send what is
+        # still buffered to devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (io_json.InputError, FieldError, DimensionError, KeyError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

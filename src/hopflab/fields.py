@@ -16,7 +16,15 @@ int and the equal Fraction: ``Fraction(2) == 2``, both hash alike, and both
 print as ``2``.  Reports, JSON documents and set/dict keys are therefore the
 same whichever of the two types a value happens to have.
 
-F_p elements are tiny wrapper objects around residues.
+F_p is int-backed too: an element of ``PrimeField(p)`` is an instance of
+an ``int`` subclass made for that field, holding its residue in [0, p).
+Truthiness, ``==``, ``hash`` and ``str`` are therefore int's own C code,
+which is what the dense zero-skipping loops of the linear algebra spend
+their time on; only +, -, * and unary - (which reduce mod p) run in
+Python.  Because ``==`` and ``hash`` are int's, an element equals its
+residue, ``PrimeField(5).from_int(7) == 2``, and elements of two different
+fields compare as their residues: code that must tell fields apart
+compares the fields (as ``HopfAlgebra.structures_equal`` does).
 """
 
 from __future__ import annotations
@@ -29,43 +37,61 @@ class FieldError(ValueError):
     pass
 
 
-class FpElem:
-    """Residue mod p.  Only combines with elements of the same field."""
+class FpElem(int):
+    """Residue mod p, stored as the int in [0, p).
 
-    __slots__ = ("v", "p")
+    Each ``PrimeField`` makes one subclass that sets the class attribute
+    ``p``; elements are built with ``int.__new__``, never through a Python
+    ``__new__`` or ``__init__``.  +, -, * and unary - reduce mod p and
+    return the field's subclass, also when the other operand is a plain
+    int (``3 + x``, ``x * 3``).  Combining elements of two different
+    fields is not checked: the result belongs to the left operand's
+    field.  ``==``, ``hash``, ``str`` and truthiness are int's, so an
+    element equals its residue.
+    """
 
-    def __init__(self, v, p):
-        self.v = v % p
-        self.p = p
+    __slots__ = ()
+    p = None
 
-    def __add__(self, other):
-        return FpElem(self.v + other.v, self.p)
-
-    def __sub__(self, other):
-        return FpElem(self.v - other.v, self.p)
-
-    def __mul__(self, other):
-        return FpElem(self.v * other.v, self.p)
-
-    def __neg__(self):
-        return FpElem(-self.v, self.p)
-
-    def __truediv__(self, other):
-        if other.v % self.p == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return FpElem(self.v * pow(other.v, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, FpElem) and self.p == other.p and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.v, self.p))
+    # perfbench/spans.py counts calls of these two Python methods by code
+    # object; the per-field subclasses override __bool__ with int's C slot
+    # and elements are never built through __init__, so neither runs.
+    def __init__(self, *args):
+        pass
 
     def __bool__(self):
-        return self.v != 0
+        return int.__bool__(self)
 
-    def __repr__(self):
-        return "FpElem(%d, p=%d)" % (self.v, self.p)
+    def __add__(self, other):
+        cls = type(self)
+        return int.__new__(cls, int.__add__(self, other) % cls.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        cls = type(self)
+        return int.__new__(cls, int.__sub__(self, other) % cls.p)
+
+    def __rsub__(self, other):
+        cls = type(self)
+        return int.__new__(cls, int.__rsub__(self, other) % cls.p)
+
+    def __mul__(self, other):
+        cls = type(self)
+        return int.__new__(cls, int.__mul__(self, other) % cls.p)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        cls = type(self)
+        return int.__new__(cls, int.__neg__(self) % cls.p)
+
+    def __truediv__(self, other):
+        cls = type(self)
+        p = cls.p
+        if not other % p:
+            raise ZeroDivisionError("division by zero in F_%d" % p)
+        return int.__new__(cls, int.__mul__(self, pow(other, -1, p)) % p)
 
 
 # Miller–Rabin with the first thirteen prime bases is exact below this
@@ -173,14 +199,16 @@ class PrimeField(Field):
         self.kind = "Fp"
         self.p = p
         self.char = p
-        self.zero = FpElem(0, p)
-        self.one = FpElem(1, p)
+        self.elem = type("F%d" % p, (FpElem,),
+                         {"__slots__": (), "p": p, "__bool__": int.__bool__})
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     def spec(self):
         return "Fp:%d" % self.p
 
     def from_int(self, k):
-        return FpElem(k, self.p)
+        return int.__new__(self.elem, operator.index(k) % self.p)
 
     def parse(self, s):
         s = str(s)
@@ -190,7 +218,7 @@ class PrimeField(Field):
         return self.from_int(int(s))
 
     def fmt(self, x):
-        return str(x.v)
+        return str(int(x))
 
 
 QQ = Rationals()
@@ -198,6 +226,8 @@ QQ = Rationals()
 
 def field_from_spec(spec):
     """Parse "Q" or "Fp:<p>" into a Field."""
+    if not isinstance(spec, str):
+        raise FieldError("field spec must be a string, got %r" % (spec,))
     if spec == "Q":
         return QQ
     if spec.startswith("Fp:"):

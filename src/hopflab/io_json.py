@@ -96,10 +96,20 @@ def _sparse_to_matrix(field, rows, cols, entries, what):
 
 
 def _vector(field, vals, n, what):
+    if not isinstance(vals, list):
+        raise InputError("%s must be a list of %d scalars" % (what, n))
     if len(vals) != n:
         raise InputError("%s has length %d, expected %d"
                          % (what, len(vals), n))
     return [_parse_scalar(field, v) for v in vals]
+
+
+def _square(field, rows, n, what):
+    """The n×n matrix given as a list of n rows of n scalars."""
+    if not isinstance(rows, list) or len(rows) != n:
+        raise InputError("%s must be %dx%d" % (what, n, n))
+    return Matrix(field, n, n,
+                  [_vector(field, r, n, "%s row" % what) for r in rows])
 
 
 def hopf_to_json(h):
@@ -141,15 +151,9 @@ def hopf_from_json(doc, verify=True, strict=True):
                                "comult")
     unit = _vector(field, doc["unit"], n, "unit")
     counit = _vector(field, doc["counit"], n, "counit")
-    anti = doc["antipode"]
-    if len(anti) != n or any(len(r) != n for r in anti):
-        raise InputError("antipode must be %dx%d" % (n, n))
-    s = Matrix(field, n, n, [[_parse_scalar(field, v) for v in row]
-                             for row in anti])
+    s = _square(field, doc["antipode"], n, "antipode")
     if "antipode_inv" in doc:
-        s_inv = Matrix(field, n, n,
-                       [[_parse_scalar(field, v) for v in row]
-                        for row in doc["antipode_inv"]])
+        s_inv = _square(field, doc["antipode_inv"], n, "antipode_inv")
         ident = Matrix.identity(field, n)
         if (mat_mul(s, s_inv) != ident or mat_mul(s_inv, s) != ident) \
                 and strict:
@@ -269,14 +273,19 @@ def yd_from_json(doc, host):
 
 
 def load_document(path):
+    """The JSON object stored in the file at path."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise InputError("malformed JSON in %s: line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg))
+    if not isinstance(doc, dict):
+        raise InputError("%s holds a JSON %s, expected an object"
+                         % (path, type(doc).__name__))
+    return doc
 
 
 def to_json_of(obj):

@@ -109,12 +109,6 @@ def mat_mul(a, b):
     return Matrix(a.field, a.rows, b.cols, out)
 
 
-def mat_sub(a, b):
-    return Matrix(a.field, a.rows, a.cols,
-                  [[x - y for x, y in zip(ra, rb)]
-                   for ra, rb in zip(a.data, b.data)])
-
-
 def apply_rowmap(vec, m):
     """Image of the coordinate vector under the row-as-image map m (v·M)."""
     zero = m.field.zero
@@ -288,9 +282,6 @@ class Tensor:
     def at(self, *idx):
         return self.data[self.flat_index(idx)]
 
-    def set_at(self, value, *idx):
-        self.data[self.flat_index(idx)] = value
-
     def __eq__(self, other):
         return (isinstance(other, Tensor) and self.shape == other.shape
                 and self.data == other.data)
@@ -352,36 +343,6 @@ def contract(a, b, pairs):
                      + sum(v * so[len(ia) + i] for i, v in enumerate(ib)))
             out.data[off_o] = acc
     return out
-
-
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c, v):
-    return [c * x for x in v]
-
-
-def vec_is_zero(v):
-    return not any(v)
-
-
-def add_into(acc, coeff, vec):
-    """acc += coeff * vec, skipping zeros; acc is a mutable list."""
-    if not coeff:
-        return
-    for i, x in enumerate(vec):
-        if x:
-            acc[i] = acc[i] + coeff * x
-
-
-def span_matrix(field, vectors, dim):
-    """Matrix whose rows are the given coordinate vectors (may be empty)."""
-    return Matrix(field, len(vectors), dim, [list(v) for v in vectors])
 
 
 def row_space_echelon(field, vectors, dim):

@@ -1,9 +1,12 @@
-"""Scalar layer: int-first ℚ, the one exact division path, F_p primality."""
+"""Scalar layer: int-first ℚ, the one exact division path, F_p residues
+and primality."""
 
+import operator
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hopflab import fields
 from hopflab.fields import (QQ, FieldError, PrimeField, _is_prime,
@@ -81,7 +84,62 @@ def test_prime_beyond_exact_bound_rejected():
         PrimeField(fields.MAX_PRIME)
 
 
-@pytest.mark.parametrize("spec", ["Fp:abc", "Fp:", "Fp:4", "R"])
+@pytest.mark.parametrize("spec", ["Fp:abc", "Fp:", "Fp:4", "R", 5, None])
 def test_bad_field_spec_is_field_error(spec):
     with pytest.raises(FieldError):
         field_from_spec(spec)
+
+
+PRIMES = (2, 5, 13, 2 ** 61 - 1)
+FIELDS = {p: PrimeField(p) for p in PRIMES}
+OPS = [operator.add, operator.sub, operator.mul]
+
+
+def assert_residue(f, x, expected):
+    assert type(x) is f.elem and 0 <= x < f.p and x == expected % f.p
+
+
+@given(st.sampled_from(PRIMES), st.integers(), st.integers())
+def test_fp_ops_agree_with_int_arithmetic_mod_p(p, a, b):
+    f = FIELDS[p]
+    x, y = f.from_int(a), f.from_int(b)
+    assert_residue(f, x, a)
+    for op in OPS:
+        assert_residue(f, op(x, y), op(a, b))
+        assert_residue(f, op(a, y), op(a, b))
+        assert_residue(f, op(x, b), op(a, b))
+    assert_residue(f, -x, -a)
+    if b % p:
+        assert_residue(f, f.div(x, y), a * pow(b, -1, p))
+    assert bool(x) == (a % p != 0)
+
+
+def test_fp_mixed_int_operands_reduce():
+    f5 = PrimeField(5)
+    four = f5.from_int(4)
+    for x in (3 + four, four * 3, 3 * four, four + 3, 3 - four, four - 7):
+        assert type(x) is f5.elem and 0 <= x < 5
+    assert (3 + four, four * 3, 3 - four) == (2, 2, 4)
+
+
+def test_fp_elements_are_their_residues():
+    f5 = PrimeField(5)
+    assert f5.from_int(7) == 2 and hash(f5.from_int(7)) == hash(2)
+    assert str(f5.from_int(-1)) == "4"
+    assert f5.fmt(f5.from_int(-1)) == "4"
+    assert not f5.zero and f5.one and not any([f5.zero, f5.from_int(10)])
+
+
+def test_fp_div_by_zero_raises():
+    f5 = PrimeField(5)
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero in F_5$"):
+        f5.div(f5.one, f5.zero)
+    with pytest.raises(ZeroDivisionError):
+        f5.div(f5.one, f5.from_int(10))
+
+
+def test_fp_bad_scalar_message_names_the_scalar():
+    from hopflab.io_json import InputError, _parse_scalar
+    with pytest.raises(InputError, match=r"^bad scalar '2/5': division by "
+                                         r"zero in F_5$"):
+        _parse_scalar(PrimeField(5), "2/5")

@@ -1,9 +1,13 @@
 """JSON round trips and the CLI surface (exit codes, determinism)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hopflab
 from hopflab import catalog as cat
 from hopflab import io_json
 from hopflab.cli import main
@@ -166,3 +170,38 @@ def test_cli_prime_too_large_exit2(capsys):
     assert main(["catalog", "export", "h4", "--field",
                  "Fp:%d" % (2 ** 89 - 1)]) == 2
     assert "too large" in capsys.readouterr().err
+
+
+H4_DOC = io_json.hopf_to_json(cat.sweedler_h4(QQ, verify=False))
+
+
+@pytest.mark.parametrize("doc", [
+    {**H4_DOC, "field": 5},
+    [H4_DOC],
+    {**H4_DOC, "unit": "1000"},
+    {**H4_DOC, "antipode_inv": H4_DOC["antipode_inv"][:3]},
+], ids=["field_not_string", "array_document", "unit_not_list",
+        "antipode_inv_3_rows"])
+def test_cli_malformed_document_exit2(tmp_path, doc, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_cli_closed_stdout_is_quiet():
+    # Like `hopflab catalog list | head -0`: the read end of stdout is
+    # closed before the command writes anything.
+    r, w = os.pipe()
+    os.close(r)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(hopflab.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopflab.cli", "catalog", "list"],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
