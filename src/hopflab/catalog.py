@@ -283,7 +283,7 @@ def regular_galois_algebra(host, verify=True):
     mult = Tensor.zeros(f, (n, n, n))
     for i in range(n):
         for j in range(n):
-            row = host.mul_basis(j, i)
+            row = host.mul.dense_row(j, i)
             for k in range(n):
                 mult.data[(i * n + j) * n + k] = row[k]
     coaction = Tensor(f, (n, n, n), list(host.comult.data))
@@ -291,8 +291,8 @@ def regular_galois_algebra(host, verify=True):
     for i in range(n):
         for p in range(n):
             acc = [f.zero] * n
-            for a, b, c in host.delta(i):
-                v = host.mul_vec(host.mul_basis(b, p), host.Sinv_basis(a))
+            for a, b, c in host.delta.terms(i):
+                v = host.mul_vec(host.mul.dense_row(b, p), host.Sinv_basis(a))
                 for k, x in enumerate(v):
                     if x:
                         acc[k] = acc[k] + c * x

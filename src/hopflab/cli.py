@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .fields import QQ, FieldError, field_from_spec
+from .fields import FieldError, field_from_spec
 from .linalg import DimensionError
 from .report import CheckReport, VerificationError
 from . import catalog as cat
@@ -20,12 +20,10 @@ from . import io_json
 from .hopf import verify_hopf_axioms
 from .twist import (TwoCocycle, DualCocycle, LazyOneCocycle, deform,
                     deform_dual, verify_two_cocycle, verify_dual_cocycle,
-                    is_lazy, is_lazy_dual)
+                    is_lazy)
 from .quasitriangular import CqtStructure, QtStructure, verify_cqt, verify_qt
-from .yd import (YdAlgebra, YdModule, azumaya_check, verify_yd,
-                 verify_yd_algebra)
-from .galois import (bimodule_actions, build_hr, galois_maps, unit_object,
-                     wedge)
+from .yd import YdAlgebra, azumaya_check, verify_yd, verify_yd_algebra
+from .galois import bimodule_actions, build_hr, galois_maps, wedge
 from .suite import T_DEFAULT, run_suite, suite_json
 
 

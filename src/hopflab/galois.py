@@ -9,15 +9,16 @@ Subspace bases are stored as Matrix columns; span comparisons are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .hopf import HopfAlgebra, dual_hopf
-from .linalg import (Matrix, Tensor, apply_rowmap, in_span, kernel_basis,
-                     mat_mul, rank, row_space_echelon, same_span, solve)
-from .report import CheckReport, VerificationError
+from .hopf import dual_hopf
+from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, in_span,
+                     kernel_basis, mat_mul, rank, same_span, solve)
+from .report import CheckReport, VerificationError, first_mismatch
 from .twist import deform
 from .yd import (YdAlgebra, YdMap, YdModule, is_yd_map, quantum_commutative,
                  sigma_algebra, sigma_module, verify_yd, verify_yd_algebra,
-                 yd_tensor, _dense)
+                 yd_tensor)
 
 
 @dataclass
@@ -36,6 +37,15 @@ class Subspace:
         return in_span(self.basis.field, vec,
                        [list(v) for v in self.column_vectors()],
                        self.ambient_dim)
+
+    def coordinates(self, vec):
+        """Coordinates of vec in the basis, or None if vec is not in the
+        span."""
+        sol = solve(self.basis, Matrix(self.basis.field, self.ambient_dim, 1,
+                                       [[x] for x in vec]))
+        if sol is None:
+            return None
+        return [row[0] for row in sol.data]
 
     def equals(self, other):
         return (self.ambient_dim == other.ambient_dim
@@ -130,7 +140,7 @@ def build_hr(c, verify=True):
 
     star = Tensor.zeros(f, (n, n, n))
     for i in range(n):
-        di = h.delta(i)
+        di = h.delta.terms(i)
         for j in range(n):
             acc = [f.zero] * n
             # h⋆l = Σ l₂h₂ R(S⁻¹(l₃)l₁ ⊗ h₁), h = e_i, l = e_j
@@ -144,7 +154,7 @@ def build_hr(c, verify=True):
                     if not scal:
                         continue
                     w = w1 * w2 * scal
-                    for k, cm in h.mul_sparse(l2, h2):
+                    for k, cm in h.mul.row(l2, h2):
                         acc[k] = acc[k] + w * cm
             base = (i * n + j) * n
             for k in range(n):
@@ -193,23 +203,24 @@ def verify_braided_hopf(bh):
     n = h.dim
     f = h.field
     alg = bh.underlying
-    bad = None
-    for i in range(n):
+    e = h.basis_vec
+
+    def antipode(i):
         left = [f.zero] * n
         right = [f.zero] * n
-        for a, b, c in h.delta(i):
-            left_v = alg.mul_vec(bh.braided_antipode.data[a], h.basis_vec(b))
+        for a, b, c in h.delta.terms(i):
+            left_v = alg.mul_vec(bh.braided_antipode.data[a], e(b))
             for k, cv in enumerate(left_v):
                 if cv:
                     left[k] = left[k] + c * cv
-            right_v = alg.mul_vec(h.basis_vec(a), bh.braided_antipode.data[b])
+            right_v = alg.mul_vec(e(a), bh.braided_antipode.data[b])
             for k, cv in enumerate(right_v):
                 if cv:
                     right[k] = right[k] + c * cv
         want = [h.counit[i] * x for x in h.unit]
-        if left != want or right != want:
-            bad = (i,)
-            break
+        return (left, right), (want, want)
+
+    bad = first_mismatch((range(n),), antipode)
     rep.add("braided_antipode", bad is None, bad,
             "⋆∘(S_R⊗id)∘Δ = ηε = ⋆∘(id⊗S_R)∘Δ")
     return rep
@@ -231,12 +242,9 @@ def bimodule_actions(bh, mod, verify=True):
         for p in range(m):
             # h−▷m = Σ S⁻¹(h₂) ▷₁ (h₁·m)
             acc = [f.zero] * m
-            for a, b, w in h.delta(i):
-                u = mod.act_row(a, p)
-                for q0, x in enumerate(u):
-                    if not x:
-                        continue
-                    for q, k, c0 in mod.coact(q0):
+            for a, b, w in h.delta.terms(i):
+                for q0, x in mod.act.row(a, p):
+                    for q, k, c0 in mod.coact.terms(q0):
                         scal = f.zero
                         for t, cv in enumerate(h.Sinv_basis(b)):
                             if cv and c.r.data[t][k]:
@@ -252,8 +260,8 @@ def bimodule_actions(bh, mod, verify=True):
         for p in range(m):
             acc = [f.zero] * m
             for (a, b, c3, d), w in h.copower(i, 4):
-                for q0, k, c0 in mod.coact(p):
-                    u = h.mul_vec(h.mul_basis(c3, k), h.Sinv_basis(a))
+                for q0, k, c0 in mod.coact.terms(p):
+                    u = h.mul_vec(h.mul.dense_row(c3, k), h.Sinv_basis(a))
                     scal = f.zero
                     for t, cv in enumerate(u):
                         if not cv:
@@ -265,10 +273,8 @@ def bimodule_actions(bh, mod, verify=True):
                         scal = scal + cv * inner
                     if not scal:
                         continue
-                    arow = mod.act_row(b, q0)
-                    for q in range(m):
-                        if arow[q]:
-                            acc[q] = acc[q] + w * c0 * scal * arow[q]
+                    for q, x in mod.act.row(b, q0):
+                        acc[q] = acc[q] + w * c0 * scal * x
             base = (i * m + p) * m
             for q in range(m):
                 if left.data[base + q] != acc[q]:
@@ -281,12 +287,9 @@ def bimodule_actions(bh, mod, verify=True):
         for p in range(m):
             # m◁−h = Σ S(h₁) ▷₂ (h₂·m)
             acc = [f.zero] * m
-            for a, b, w in h.delta(i):
-                u = mod.act_row(b, p)
+            for a, b, w in h.delta.terms(i):
                 sa = h.S_basis(a)
-                for q0, x in enumerate(u):
-                    if not x:
-                        continue
+                for q0, x in mod.act.row(b, p):
                     for t, cv in enumerate(sa):
                         if not cv:
                             continue
@@ -304,18 +307,16 @@ def bimodule_actions(bh, mod, verify=True):
         for p in range(m):
             acc = [f.zero] * m
             for (a, b, c3, d), w in h.copower(i, 4):
-                for q0, k, c0 in mod.coact(p):
-                    u = h.mul_vec(h.mul_basis(d, k), h.Sinv_basis(b))
+                for q0, k, c0 in mod.coact.terms(p):
+                    u = h.mul_vec(h.mul.dense_row(d, k), h.Sinv_basis(b))
                     scal = f.zero
                     for t, cv in enumerate(u):
                         if cv and c.r.data[t][a]:
                             scal = scal + cv * c.r.data[t][a]
                     if not scal:
                         continue
-                    arow = mod.act_row(c3, q0)
-                    for q in range(m):
-                        if arow[q]:
-                            acc[q] = acc[q] + w * c0 * scal * arow[q]
+                    for q, x in mod.act.row(c3, q0):
+                        acc[q] = acc[q] + w * c0 * scal * x
             base = (i * m + p) * m
             for q in range(m):
                 if right.data[base + q] != acc[q]:
@@ -333,96 +334,30 @@ def verify_bimodule(bh, b):
     """Left/right 𝓗_R-module axioms for ⋆ and their commutation."""
     rep = CheckReport()
     h = bh.host
-    n = h.dim
-    f = h.field
     mod = b.module
-    m = mod.dim
-    star = bh.underlying
+    star = bh.underlying.mul.dense_row
+    left, right = Bilinear(b.left_hr), Bilinear(b.right_hr)
+    e, hs, ms = mod.basis_vec, range(h.dim), range(mod.dim)
 
-    def act_t(tensor, i, vec):
-        out = [f.zero] * m
-        for p, x in enumerate(vec):
-            if not x:
-                continue
-            base = (i * m + p) * m
-            for q in range(m):
-                v = tensor.data[base + q]
-                if v:
-                    out[q] = out[q] + x * v
-        return out
-
-    def act_vec_t(tensor, hvec, vec):
-        out = [f.zero] * m
-        for i, hx in enumerate(hvec):
-            if not hx:
-                continue
-            u = act_t(tensor, i, vec)
-            for q in range(m):
-                if u[q]:
-                    out[q] = out[q] + hx * u[q]
-        return out
-
-    bad = None
-    for p in range(m):
-        if act_vec_t(b.left_hr, h.unit, mod.basis_vec(p)) != mod.basis_vec(p):
-            bad = (p,)
-            break
+    bad = first_mismatch((ms,), lambda p: (left.apply(h.unit, e(p)), e(p)))
     if bad is None:
-        for i in range(n):
-            for j in range(n):
-                sij = star.mul_vec(h.basis_vec(i), h.basis_vec(j))
-                for p in range(m):
-                    lhs = act_vec_t(b.left_hr, sij, mod.basis_vec(p))
-                    rhs = act_t(b.left_hr, i,
-                                act_t(b.left_hr, j, mod.basis_vec(p)))
-                    if lhs != rhs:
-                        bad = (i, j, p)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
+            left.apply(star(i, j), e(p)),
+            left.apply_basis(i, left.apply_basis(j, e(p)))))
     rep.add("left_action_for_star", bad is None, bad,
             "(h⋆l)−▷m = h−▷(l−▷m)")
 
-    bad = None
-    for p in range(m):
-        if act_vec_t(b.right_hr, h.unit, mod.basis_vec(p)) != mod.basis_vec(p):
-            bad = (p,)
-            break
+    bad = first_mismatch((ms,), lambda p: (right.apply(h.unit, e(p)), e(p)))
     if bad is None:
-        for i in range(n):
-            for j in range(n):
-                sij = star.mul_vec(h.basis_vec(i), h.basis_vec(j))
-                for p in range(m):
-                    lhs = act_vec_t(b.right_hr, sij, mod.basis_vec(p))
-                    rhs = act_t(b.right_hr, j,
-                                act_t(b.right_hr, i, mod.basis_vec(p)))
-                    if lhs != rhs:
-                        bad = (i, j, p)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
+            right.apply(star(i, j), e(p)),
+            right.apply_basis(j, right.apply_basis(i, e(p)))))
     rep.add("right_action_for_star", bad is None, bad,
             "m◁−(h⋆l) = (m◁−h)◁−l")
 
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            for p in range(m):
-                lhs = act_t(b.right_hr, j,
-                            act_t(b.left_hr, i, mod.basis_vec(p)))
-                rhs = act_t(b.left_hr, i,
-                            act_t(b.right_hr, j, mod.basis_vec(p)))
-                if lhs != rhs:
-                    bad = (i, j, p)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
+        right.apply_basis(j, left.apply_basis(i, e(p))),
+        left.apply_basis(i, right.apply_basis(j, e(p)))))
     rep.add("bimodule_commutation", bad is None, bad,
             "(h−▷m)◁−l = h−▷(m◁−l)")
     return rep
@@ -434,7 +369,7 @@ def _stacked_kernel(f, rows, dim):
     return kernel_basis(Matrix(f, len(rows), dim, rows))
 
 
-def coinvariants(bh, b, side, cross_check=True):
+def coinvariants(bh, b, side):
     """M_◇ (side="right", from −▷) or _◇M (side="left", from ◁−).
 
     Cross-checked against the action-equality characterization
@@ -451,24 +386,20 @@ def coinvariants(bh, b, side, cross_check=True):
         for q in range(m):
             row = [tensor.data[(i * m + p) * m + q] for p in range(m)]
             if h.counit[i]:
-                row = list(row)
                 row[q] = row[q] - h.counit[i]
             rows.append(row)
-    ker = _stacked_kernel(f, rows, m)
-    sub = Subspace(m, ker)
-    if cross_check:
-        cmp_tensor = (act1_tensor(bh.cqt, mod.coaction) if side == "right"
-                      else b.act2)
-        rows2 = []
-        for i in range(n):
-            for q in range(m):
-                rows2.append([mod.action.data[(i * m + p) * m + q]
-                              - cmp_tensor.data[(i * m + p) * m + q]
-                              for p in range(m)])
-        ker2 = _stacked_kernel(f, rows2, m)
-        if not sub.equals(Subspace(m, ker2)):
-            raise VerificationError(
-                "Lemma-3.1 characterization disagrees (side=%s)" % side)
+    sub = Subspace(m, _stacked_kernel(f, rows, m))
+    cmp_tensor = (act1_tensor(bh.cqt, mod.coaction) if side == "right"
+                  else b.act2)
+    rows2 = []
+    for i in range(n):
+        for q in range(m):
+            rows2.append([mod.action.data[(i * m + p) * m + q]
+                          - cmp_tensor.data[(i * m + p) * m + q]
+                          for p in range(m)])
+    if not sub.equals(Subspace(m, _stacked_kernel(f, rows2, m))):
+        raise VerificationError(
+            "Lemma-3.1 characterization disagrees (side=%s)" % side)
     return sub
 
 
@@ -511,13 +442,13 @@ def wedge(cqt, ma, mb, verify=True):
     rows = []
     for i in range(n):
         ops = {}
-        for a, b, c in h.delta(i):
+        for a, b, c in h.delta.terms(i):
             for p in range(da):
-                u1 = ma.act_row(a, p)
+                u1 = ma.act.dense_row(a, p)
                 u2 = [a2_a.data[(a * da + p) * da + t] for t in range(da)]
                 for q in range(db):
                     v1 = [a1_b.data[(b * db + q) * db + t] for t in range(db)]
-                    v2 = mb.act_row(b, q)
+                    v2 = mb.act.dense_row(b, q)
                     src = p * db + q
                     for p1 in range(da):
                         x1, x2 = u1[p1], u2[p1]
@@ -547,29 +478,20 @@ def wedge(cqt, ma, mb, verify=True):
 
     tens = yd_tensor(ma, mb)
 
-    def express(vec):
-        rhs = Matrix(f, dim, 1, [[x] for x in vec])
-        sol = solve(sub.basis, rhs)
-        if sol is None:
-            raise VerificationError("wedge is not closed under the structure")
-        return [sol.data[j][0] for j in range(wd)]
-
+    unclosed = "wedge is not closed under the structure"
     action = Tensor.zeros(f, (n, wd, wd))
     for i in range(n):
         for j, w in enumerate(basis_vecs):
             # form A: Σ h₁·m ⊗ h₂▷₁n
             amb = [f.zero] * dim
             amb_b = [f.zero] * dim
-            for a, b, c in h.delta(i):
+            for a, b, c in h.delta.terms(i):
                 for src, x in enumerate(w):
                     if not x:
                         continue
                     p, q = divmod(src, db)
-                    u1 = ma.act_row(a, p)
-                    for p1 in range(da):
-                        if not u1[p1]:
-                            continue
-                        w1 = c * x * u1[p1]
+                    for p1, x1 in ma.act.row(a, p):
+                        w1 = c * x * x1
                         for q1 in range(db):
                             v = a1_b.data[(b * db + q) * db + q1]
                             if v:
@@ -580,15 +502,14 @@ def wedge(cqt, ma, mb, verify=True):
                         if not x2:
                             continue
                         w2 = c * x * x2
-                        v2 = mb.act_row(b, q)
-                        for q1 in range(db):
-                            if v2[q1]:
-                                amb_b[p1 * db + q1] = amb_b[p1 * db + q1] \
-                                    + w2 * v2[q1]
+                        for q1, y in mb.act.row(b, q):
+                            amb_b[p1 * db + q1] = amb_b[p1 * db + q1] + w2 * y
             if amb != amb_b:
                 raise VerificationError(
                     "the two wedge actions disagree at (%d, %d)" % (i, j))
-            coords = express(amb)
+            coords = sub.coordinates(amb)
+            if coords is None:
+                raise VerificationError(unclosed)
             for t in range(wd):
                 action.data[(i * wd + j) * wd + t] = coords[t]
 
@@ -598,13 +519,15 @@ def wedge(cqt, ma, mb, verify=True):
         for src, x in enumerate(w):
             if not x:
                 continue
-            for q2, k, c in tens.coact(src):
+            for q2, k, c in tens.coact.terms(src):
                 acc[(q2, k)] = acc.get((q2, k), f.zero) + x * c
         per_k = {}
         for (q2, k), val in acc.items():
             per_k.setdefault(k, [f.zero] * dim)[q2] = val
         for k, amb in per_k.items():
-            coords = express(amb)
+            coords = sub.coordinates(amb)
+            if coords is None:
+                raise VerificationError(unclosed)
             for t in range(wd):
                 coaction.data[(j * wd + t) * n + k] = coords[t]
 
@@ -643,19 +566,11 @@ def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None,
 
     # η⁻¹ restricted intertwines σ̲(M∧N) with σ̲M∧σ̲N
     swmod = sigma_module(s, wmod, host_s, verify=False)
-    wd = sub.dim
-    restr = Matrix.zeros(f, wd, sub_s.dim)
-    ok = True
-    for j in range(wd):
-        amb = apply_rowmap(sub.column_vectors()[j], eta_inv)
-        sol = solve(sub_s.basis, Matrix(f, dim, 1, [[x] for x in amb]))
-        if sol is None:
-            ok = False
-            break
-        for t in range(sub_s.dim):
-            restr.data[j][t] = sol.data[t][0]
+    coords = [sub_s.coordinates(v) for v in image]
+    ok = None not in coords
     rep.add("eta_inv_restricts", ok)
     if ok:
+        restr = Matrix(f, sub.dim, sub_s.dim, coords)
         rep.merge(is_yd_map(YdMap(swmod, wmod_s, restr)), prefix="wedge_")
 
     if alga is not None and algb is not None:
@@ -664,18 +579,10 @@ def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None,
         salga = sigma_algebra(s, alga, host_s, verify=False)
         salgb = sigma_algebra(s, algb, host_s, verify=False)
         prod_s = braided_product(salga, salgb, cqt=cqt_s, verify=False)
-        bad = None
-        for u in range(dim):
-            eu = apply_rowmap(prod.module.basis_vec(u), eta_inv)
-            for v in range(dim):
-                ev = apply_rowmap(prod.module.basis_vec(v), eta_inv)
-                lhs = apply_rowmap(_dense(sprod, u, v), eta_inv)
-                rhs = prod_s.mul_vec(eu, ev)
-                if lhs != rhs:
-                    bad = (u, v)
-                    break
-            if bad:
-                break
+        # η⁻¹(e_u) is row u of the row-as-image matrix
+        bad = first_mismatch((range(dim),) * 2, lambda u, v: (
+            apply_rowmap(sprod.mul.dense_row(u, v), eta_inv),
+            prod_s.mul_vec(eta_inv.data[u], eta_inv.data[v])))
         rep.add("eta_inv_algebra_map", bad is None, bad,
                 "η⁻¹: σ̲(A#_RB) → σ̲A#_{R^σ}σ̲B")
     return rep
@@ -693,22 +600,13 @@ def wedge_algebra(cqt, alga, algb, verify=True):
     sub, wmod = wedge(cqt, alga.module, algb.module, verify=False)
     prod = braided_product(alga, algb, cqt=cqt, verify=False)
     wd = sub.dim
-    dim = sub.ambient_dim
-
-    def express(vec):
-        sol = solve(sub.basis, Matrix(f, dim, 1, [[x] for x in vec]))
-        if sol is None:
-            raise VerificationError("wedge is not closed as an algebra")
-        return [sol.data[j][0] for j in range(wd)]
-
     basis_vecs = sub.column_vectors()
-    mult = Tensor.zeros(f, (wd, wd, wd))
-    for i, u in enumerate(basis_vecs):
-        for j, v in enumerate(basis_vecs):
-            coords = express(prod.mul_vec(u, v))
-            for t in range(wd):
-                mult.data[(i * wd + j) * wd + t] = coords[t]
-    unit_coords = express(list(prod.unit))
+    coords = [sub.coordinates(prod.mul_vec(u, v))
+              for u in basis_vecs for v in basis_vecs]
+    unit_coords = sub.coordinates(prod.unit)
+    if unit_coords is None or None in coords:
+        raise VerificationError("wedge is not closed as an algebra")
+    mult = Tensor(f, (wd, wd, wd), [x for c in coords for x in c])
     out = YdAlgebra(wmod, mult, unit_coords)
     if verify:
         verify_yd_algebra(out).require("wedge_algebra")
@@ -735,8 +633,8 @@ def unit_object(host, verify=True):
         # left H*-action of δ_i dualized through the basis pairing
         for j in range(n):
             acc = [f.zero] * n
-            for a, b, c in hd.delta(i):
-                u = hd.mul_vec(hd.mul_basis(b, j), hd.Sinv_basis(a))
+            for a, b, c in hd.delta.terms(i):
+                u = hd.mul_vec(hd.mul.dense_row(b, j), hd.Sinv_basis(a))
                 for q, cv in enumerate(u):
                     if cv:
                         acc[q] = acc[q] + c * cv
@@ -797,7 +695,6 @@ def verify_unit_deformation(s, host_s=None):
     σ̲(I) → I^σ."""
     rep = CheckReport()
     h = s.host
-    f = h.field
     n = h.dim
     if host_s is None:
         host_s = deform(s, verify=False)
@@ -810,16 +707,9 @@ def verify_unit_deformation(s, host_s=None):
     rep.merge(is_yd_map(YdMap(si.module, i_s.module, chi_star)),
               prefix="chi_star_")
 
-    bad = None
-    for p in range(n):
-        for q in range(n):
-            lhs = apply_rowmap(_dense(si, p, q), chi_star)
-            rhs = i_s.mul_vec(chi_star.data[p], chi_star.data[q])
-            if lhs != rhs:
-                bad = (p, q)
-                break
-        if bad:
-            break
+    bad = first_mismatch((range(n),) * 2, lambda p, q: (
+        apply_rowmap(si.mul.dense_row(p, q), chi_star),
+        i_s.mul_vec(chi_star.data[p], chi_star.data[q])))
     rep.add("chi_star_algebra_map", bad is None, bad)
     rep.add("chi_star_unital",
             apply_rowmap(si.unit, chi_star) == i_s.unit)
@@ -845,7 +735,7 @@ def phi_psi_xi(s, alg):
                         if k2 != j:
                             continue
                         u = h.mul_vec(h.Sinv_basis(k3), h.basis_vec(k1))
-                        for q, k4, c0 in mod.coact(p):
+                        for q, k4, c0 in mod.coact.terms(p):
                             scal = f.zero
                             for t, cv in enumerate(u):
                                 if cv and mat2.data[k4][t]:
@@ -868,7 +758,7 @@ def phi_psi_xi(s, alg):
                         if k2 != j:
                             continue
                         u = h.mul_vec(h.Sinv_basis(k3), h.basis_vec(k1))
-                        for q, k4, c0 in mod.coact(p):
+                        for q, k4, c0 in mod.coact.terms(p):
                             scal = f.zero
                             for t, cv in enumerate(u):
                                 if cv and mat2.data[t][k4]:
@@ -893,7 +783,7 @@ def phi_psi_xi(s, alg):
                         s1 = s1 + cv * s.sigma.data[t][a]
                 if not s1:
                     continue
-                for q, k1, c0 in mod.coact(p):
+                for q, k1, c0 in mod.coact.terms(p):
                     s2 = f.zero
                     for t, cv in enumerate(h.Sinv_basis(c)):
                         if cv and s.sigma_inv.data[t][k1]:
@@ -902,7 +792,7 @@ def phi_psi_xi(s, alg):
                         row[q * n + d] = row[q * n + d] + w * c0 * s1 * s2
             row2 = xi_inv.data[p * n + i]
             for (a, b, c), w in ((idx, w) for idx, w in h.copower(i, 3)):
-                for q, k1, c0 in mod.coact(p):
+                for q, k1, c0 in mod.coact.terms(p):
                     u = h.mul_vec(h.Sinv_basis(a), h.basis_vec(k1))
                     scal = f.zero
                     for t, cv in enumerate(u):
@@ -951,19 +841,9 @@ def _beta_quotient_bijective(f, beta, rels, rep, tag):
     onto = rk == target
     rep.add(tag + "_surjective", onto, None,
             "rank %d of %d" % (rk, target))
-    bad = None
-    for idx, rvec in enumerate(rels):
-        img = [f.zero] * target
-        for src, v in enumerate(rvec):
-            if not v:
-                continue
-            row = beta.data[src]
-            for t in range(target):
-                if row[t]:
-                    img[t] = img[t] + v * row[t]
-        if any(img):
-            bad = (idx,)
-            break
+    zero = [f.zero] * target
+    bad = first_mismatch((range(len(rels)),), lambda i: (
+        apply_rowmap(rels[i], beta), zero))
     rep.add(tag + "_relations_in_kernel", bad is None, bad)
     rel_rank = rank(Matrix(f, len(rels), m2, rels)) if rels else 0
     ker_dim = m2 - rk
@@ -979,7 +859,6 @@ def galois_maps(bh, b, alg):
     f = h.field
     n = h.dim
     m = alg.dim
-    mod = alg.module
 
     sub_r = coinvariants(bh, b, "right")
     sub_l = coinvariants(bh, b, "left")
@@ -995,7 +874,7 @@ def galois_maps(bh, b, alg):
                     c0 = b.left_hr.data[(i * m + p) * m + q]
                     if not c0:
                         continue
-                    for y, cm in alg.mul_sparse(q, r):
+                    for y, cm in alg.mul.row(q, r):
                         row[y * n + i] = row[y * n + i] + c0 * cm
     rels_r = _relations(alg, sub_r.column_vectors())
     right_ok = _beta_quotient_bijective(f, beta_r, rels_r, rep, "beta_r")
@@ -1009,7 +888,7 @@ def galois_maps(bh, b, alg):
                     c0 = b.right_hr.data[(i * m + p) * m + q]
                     if not c0:
                         continue
-                    for y, cm in alg.mul_sparse(r, q):
+                    for y, cm in alg.mul.row(r, q):
                         row[i * m + y] = row[i * m + y] + c0 * cm
     rels_l = _relations(alg, sub_l.column_vectors())
     left_ok = _beta_quotient_bijective(f, beta_l, rels_l, rep, "beta_l")
@@ -1053,8 +932,8 @@ def comodule_beta(alg):
     for p in range(m):
         for r in range(m):
             row = beta.data[p * m + r]
-            for q, k, c in mod.coact(r):
-                for y, cm in alg.mul_sparse(p, q):
+            for q, k, c in mod.coact.terms(r):
+                for y, cm in alg.mul.row(p, q):
                     row[y * n + k] = row[y * n + k] + c * cm
     return beta
 
@@ -1131,103 +1010,65 @@ def mu_action_and_pi(alg, verify=True):
 
     tables = [triple_table(a) for a in pi_vecs]
 
-    def express_pi(vec):
-        sol = solve(pi_sub.basis, Matrix(f, m, 1, [[x] for x in vec]))
-        if sol is None:
-            return None
-        return [sol.data[j][0] for j in range(pd)]
+    def act_by(coeffs, a_idx):
+        """Σ coeffs[p·m+r] v_p·a·v_r for the a_idx-th basis vector a."""
+        acc = [f.zero] * m
+        tab = tables[a_idx]
+        for src, v in enumerate(coeffs):
+            if not v:
+                continue
+            p, r = divmod(src, m)
+            for t, w in enumerate(tab[p][r]):
+                if w:
+                    acc[t] = acc[t] + v * w
+        return acc
 
-    bad = None
-    for j in range(ker.cols):
-        kvec = ker.column(j)
-        for a_idx in range(pd):
-            acc = [f.zero] * m
-            tab = tables[a_idx]
-            for src, v in enumerate(kvec):
-                if not v:
-                    continue
-                p, r = divmod(src, m)
-                w = tab[p][r]
-                for t in range(m):
-                    if w[t]:
-                        acc[t] = acc[t] + v * w[t]
-            if any(acc):
-                bad = (j, a_idx)
-                break
-        if bad:
-            break
+    zero = [f.zero] * m
+    kernel = [ker.column(j) for j in range(ker.cols)]
+    bad = first_mismatch((range(ker.cols), range(pd)), lambda j, a_idx: (
+        act_by(kernel[j], a_idx), zero))
     rep.add("mu_action_well_defined", bad is None, bad,
             "preimage perturbations act by zero on π(A)")
 
-    action = Tensor.zeros(f, (n, pd, pd))
-    closed = None
-    for k in range(n):
-        for a_idx in range(pd):
-            acc = [f.zero] * m
-            tab = tables[a_idx]
-            for src in range(m * m):
-                v = part.data[src][k]
-                if not v:
-                    continue
-                p, r = divmod(src, m)
-                w = tab[p][r]
-                for t in range(m):
-                    if w[t]:
-                        acc[t] = acc[t] + v * w[t]
-            coords = express_pi(acc)
-            if coords is None:
-                closed = (k, a_idx)
-                break
-            for t in range(pd):
-                action.data[(k * pd + a_idx) * pd + t] = coords[t]
-        if closed:
-            break
-    rep.add("mu_action_lands_in_pi", closed is None, closed)
-    if closed:
-        raise VerificationError("MU action leaves the centralizer")
+    def closed_under(name, space, vec_at, error):
+        """Coordinates in π(A) of vec_at(*idx), keyed by idx; check `name`
+        fails, and error is raised, if one of the vectors is outside π(A)."""
+        coords = {idx: pi_sub.coordinates(vec_at(*idx))
+                  for idx in product(*space)}
+        bad = first_mismatch(space, lambda *idx: (coords[idx] is None, False))
+        rep.add(name, bad is None, bad)
+        if bad is not None:
+            raise VerificationError(error)
+        return coords
 
-    coaction = Tensor.zeros(f, (pd, pd, n))
-    closed = None
-    for a_idx, avec in enumerate(pi_vecs):
-        per_k = {}
-        for p, x in enumerate(avec):
-            if not x:
-                continue
-            for q, k, c in mod.coact(p):
-                key = k
-                vec = per_k.setdefault(key, [f.zero] * m)
-                vec[q] = vec[q] + x * c
-        for k, amb in per_k.items():
-            coords = express_pi(amb)
-            if coords is None:
-                closed = (a_idx, k)
-                break
-            for t in range(pd):
-                coaction.data[(a_idx * pd + t) * n + k] = coords[t]
-        if closed:
-            break
-    rep.add("pi_subcomodule", closed is None, closed)
-    if closed:
-        raise VerificationError("π(A) is not a subcomodule")
+    parts = [part.column(k) for k in range(n)]
+    acts = closed_under("mu_action_lands_in_pi", (range(n), range(pd)),
+                        lambda k, a_idx: act_by(parts[k], a_idx),
+                        "MU action leaves the centralizer")
+    action = Tensor(f, (n, pd, pd), [x for c in acts.values() for x in c])
 
-    mult = Tensor.zeros(f, (pd, pd, pd))
-    closed = None
-    for a_idx, avec in enumerate(pi_vecs):
-        for b_idx, bvec in enumerate(pi_vecs):
-            prod = alg.mul_vec(avec, bvec)
-            coords = express_pi(prod)
-            if coords is None:
-                closed = (a_idx, b_idx)
-                break
-            for t in range(pd):
-                mult.data[(a_idx * pd + b_idx) * pd + t] = coords[t]
-        if closed:
-            break
-    rep.add("pi_subalgebra", closed is None, closed)
-    if closed:
-        raise VerificationError("π(A) is not a subalgebra")
+    def coaction_part(a_idx, k):
+        """The v⊗e_k component of ρ(a) as a vector v."""
+        vec = [f.zero] * m
+        for p, x in enumerate(pi_vecs[a_idx]):
+            if x:
+                for q, k2, c in mod.coact.terms(p):
+                    if k2 == k:
+                        vec[q] = vec[q] + x * c
+        return vec
 
-    unit_coords = express_pi(list(alg.unit))
+    coacts = closed_under("pi_subcomodule", (range(pd), range(n)),
+                          coaction_part, "π(A) is not a subcomodule")
+    coaction = Tensor(f, (pd, pd, n), [coacts[a_idx, k][t]
+                                       for a_idx in range(pd)
+                                       for t in range(pd) for k in range(n)])
+
+    prods = closed_under("pi_subalgebra", (range(pd), range(pd)),
+                         lambda a, b: alg.mul_vec(pi_vecs[a], pi_vecs[b]),
+                         "π(A) is not a subalgebra")
+    mult = Tensor(f, (pd, pd, pd), [x for c in prods.values() for x in c])
+
+    unit_coords = pi_sub.coordinates(alg.unit)
     if unit_coords is None:
         raise VerificationError("unit is not in π(A)")
 

@@ -4,13 +4,15 @@ Structure tensors follow the index conventions
     mult[i,j,k]   = coefficient of e_k in e_i·e_j
     comult[i,j,k] = coefficient of e_j⊗e_k in Δ(e_i)
     antipode.data[i][j] = coefficient of e_j in S(e_i)   (row-as-image)
-and the unit/counit are coordinate (co)vectors of length n.
+and the unit/counit are coordinate (co)vectors of length n.  h.mul and
+h.delta read mult and comult through the sparse kernel linalg.Bilinear.
 """
 
 from __future__ import annotations
 
-from .linalg import (Matrix, Tensor, apply_rowmap, check_dim, mat_mul)
-from .report import CheckReport
+from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, check_dim,
+                     mat_mul)
+from .report import CheckReport, first_mismatch
 
 
 class HopfAlgebra:
@@ -32,60 +34,12 @@ class HopfAlgebra:
         self.antipode = antipode
         self.antipode_inv = antipode_inv
         self.name = name
-        self._mult_rows = None
-        self._mult_sparse = None
-        self._delta = None
+        self.mul = Bilinear(mult)
+        self.delta = Bilinear(comult)
         self._copower = {}
 
-    # -- cached sparse/dense views ------------------------------------
-
-    def mul_basis(self, i, j):
-        """Dense coordinate vector of e_i·e_j."""
-        if self._mult_rows is None:
-            n = self.dim
-            d = self.mult.data
-            self._mult_rows = [[d[(i2 * n + j2) * n:(i2 * n + j2) * n + n]
-                                for j2 in range(n)] for i2 in range(n)]
-        return self._mult_rows[i][j]
-
-    def mul_sparse(self, i, j):
-        if self._mult_sparse is None:
-            n = self.dim
-            self._mult_sparse = [[None] * n for _ in range(n)]
-        row = self._mult_sparse[i][j]
-        if row is None:
-            row = [(k, c) for k, c in enumerate(self.mul_basis(i, j)) if c]
-            self._mult_sparse[i][j] = row
-        return row
-
     def mul_vec(self, u, v):
-        out = [self.field.zero] * self.dim
-        for i, x in enumerate(u):
-            if not x:
-                continue
-            for j, y in enumerate(v):
-                if not y:
-                    continue
-                xy = x * y
-                for k, c in self.mul_sparse(i, j):
-                    out[k] = out[k] + xy * c
-        return out
-
-    def delta(self, i):
-        """Sparse Δ(e_i) as [(j, k, coeff)]."""
-        if self._delta is None:
-            n = self.dim
-            d = self.comult.data
-            self._delta = []
-            for i2 in range(n):
-                terms = []
-                for j in range(n):
-                    for k in range(n):
-                        c = d[(i2 * n + j) * n + k]
-                        if c:
-                            terms.append((j, k, c))
-                self._delta.append(terms)
-        return self._delta[i]
+        return self.mul.apply(u, v)
 
     def copower(self, i, k):
         """Sparse Δ^(k-1)(e_i) as [(index_tuple_of_len_k, coeff)].
@@ -102,7 +56,7 @@ class HopfAlgebra:
             for i2 in range(self.dim):
                 terms = []
                 for idx, c in prev[i2]:
-                    for j, k2, c2 in self.delta(idx[-1]):
+                    for j, k2, c2 in self.delta.terms(idx[-1]):
                         terms.append((idx[:-1] + (j, k2), c * c2))
                 per_basis.append(terms)
             self._copower[k] = per_basis
@@ -151,136 +105,95 @@ def verify_hopf_axioms(h):
     n = h.dim
     f = h.field
     zero = f.zero
+    mul, delta, e = h.mul, h.delta, h.basis_vec
+    every = range(n)
 
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = h.mul_vec(h.mul_basis(i, j), h.basis_vec(k))
-                rhs = h.mul_vec(h.basis_vec(i), h.mul_basis(j, k))
-                if lhs != rhs:
-                    bad = (i, j, k)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = first_mismatch((every,) * 3, lambda i, j, k: (
+        h.mul_vec(mul.dense_row(i, j), e(k)),
+        h.mul_vec(e(i), mul.dense_row(j, k))))
     rep.add("associativity", bad is None, bad)
 
-    bad = None
-    for i in range(n):
-        v = h.basis_vec(i)
-        if h.mul_vec(h.unit, v) != v or h.mul_vec(v, h.unit) != v:
-            bad = (i,)
-            break
+    bad = first_mismatch((every,), lambda i: (
+        (h.mul_vec(h.unit, e(i)), h.mul_vec(e(i), h.unit)), (e(i), e(i))))
     rep.add("unit", bad is None, bad)
 
-    bad = None
-    for i in range(n):
+    def coassociativity(i):
         lhs = {}
         rhs = {}
-        for j, k, c in h.delta(i):
-            for a, b, c2 in h.delta(j):
+        for j, k, c in delta.terms(i):
+            for a, b, c2 in delta.terms(j):
                 key = (a, b, k)
                 lhs[key] = lhs.get(key, zero) + c * c2
-            for a, b, c2 in h.delta(k):
+            for a, b, c2 in delta.terms(k):
                 key = (j, a, b)
                 rhs[key] = rhs.get(key, zero) + c * c2
-        keys = set(lhs) | set(rhs)
-        for key in keys:
-            if lhs.get(key, zero) != rhs.get(key, zero):
-                bad = (i,) + key
-                break
-        if bad:
-            break
+        return lhs, rhs
+
+    bad = first_mismatch((every,), coassociativity)
     rep.add("coassociativity", bad is None, bad)
 
-    bad = None
-    for i in range(n):
+    def counit(i):
         left = [zero] * n
         right = [zero] * n
-        for j, k, c in h.delta(i):
+        for j, k, c in delta.terms(i):
             if h.counit[j]:
                 left[k] = left[k] + c * h.counit[j]
             if h.counit[k]:
                 right[j] = right[j] + c * h.counit[k]
-        if left != h.basis_vec(i) or right != h.basis_vec(i):
-            bad = (i,)
-            break
+        return (left, right), (e(i), e(i))
+
+    bad = first_mismatch((every,), counit)
     rep.add("counit", bad is None, bad)
 
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            lhs = {}
-            for k, c in h.mul_sparse(i, j):
-                for a, b, c2 in h.delta(k):
-                    key = (a, b)
-                    lhs[key] = lhs.get(key, zero) + c * c2
-            rhs = {}
-            for a1, b1, c1 in h.delta(i):
-                for a2, b2, c2 in h.delta(j):
-                    for a, ca in h.mul_sparse(a1, a2):
-                        for b, cb in h.mul_sparse(b1, b2):
-                            key = (a, b)
-                            rhs[key] = rhs.get(key, zero) + c1 * c2 * ca * cb
-            keys = set(lhs) | set(rhs)
-            for key in keys:
-                if lhs.get(key, zero) != rhs.get(key, zero):
-                    bad = (i, j) + key
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    def comult_of_product(i, j):
+        lhs = {}
+        for k, c in mul.row(i, j):
+            for a, b, c2 in delta.terms(k):
+                key = (a, b)
+                lhs[key] = lhs.get(key, zero) + c * c2
+        rhs = {}
+        for a1, b1, c1 in delta.terms(i):
+            for a2, b2, c2 in delta.terms(j):
+                for a, ca in mul.row(a1, a2):
+                    for b, cb in mul.row(b1, b2):
+                        key = (a, b)
+                        rhs[key] = rhs.get(key, zero) + c1 * c2 * ca * cb
+        return lhs, rhs
+
+    bad = first_mismatch((every,) * 2, comult_of_product)
     if bad is None:
         du = {}
         for j, x in enumerate(h.unit):
             if not x:
                 continue
-            for a, b, c in h.delta(j):
+            for a, b, c in delta.terms(j):
                 du[(a, b)] = du.get((a, b), zero) + x * c
-        for a in range(n):
-            for b in range(n):
-                want = h.unit[a] * h.unit[b]
-                if du.get((a, b), zero) != want:
-                    bad = (a, b)
-                    break
-            if bad:
-                break
+        bad = first_mismatch((every,) * 2, lambda a, b: (
+            du.get((a, b), zero), h.unit[a] * h.unit[b]))
     rep.add("comult_algebra_map", bad is None, bad)
 
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            if h.counit_of(h.mul_basis(i, j)) != h.counit[i] * h.counit[j]:
-                bad = (i, j)
-                break
-        if bad:
-            break
-    if bad is None and h.counit_of(h.unit) != f.one:
-        bad = ()
+    bad = first_mismatch((every,) * 2, lambda i, j: (
+        h.counit_of(mul.dense_row(i, j)), h.counit[i] * h.counit[j]))
+    if bad is None:
+        bad = first_mismatch((), lambda: (h.counit_of(h.unit), f.one))
     rep.add("counit_algebra_map", bad is None, bad)
 
-    bad = None
-    for i in range(n):
+    def antipode(i):
         left = [zero] * n
         right = [zero] * n
-        for j, k, c in h.delta(i):
-            sj = h.S_basis(j)
-            for t, c2 in enumerate(sj):
+        for j, k, c in delta.terms(i):
+            for t, c2 in enumerate(h.S_basis(j)):
                 if c2:
-                    for a, cm in h.mul_sparse(t, k):
+                    for a, cm in mul.row(t, k):
                         left[a] = left[a] + c * c2 * cm
-            sk = h.S_basis(k)
-            for t, c2 in enumerate(sk):
+            for t, c2 in enumerate(h.S_basis(k)):
                 if c2:
-                    for a, cm in h.mul_sparse(j, t):
+                    for a, cm in mul.row(j, t):
                         right[a] = right[a] + c * c2 * cm
         want = [h.counit[i] * x for x in h.unit]
-        if left != want or right != want:
-            bad = (i,)
-            break
+        return (left, right), (want, want)
+
+    bad = first_mismatch((every,), antipode)
     rep.add("antipode", bad is None, bad)
 
     ident = Matrix.identity(f, n)
@@ -367,49 +280,36 @@ def hopf_map_checks(src, dst, m, rep=None, prefix=""):
     """
     if rep is None:
         rep = CheckReport()
-    n1, n2 = src.dim, dst.dim
     zero = dst.field.zero
-    bad = None
-    for i in range(n1):
-        for j in range(n1):
-            lhs = apply_rowmap(src.mul_basis(i, j), m)
-            rhs = dst.mul_vec(m.data[i], m.data[j])
-            if lhs != rhs:
-                bad = (i, j)
-                break
-        if bad:
-            break
+    every = range(src.dim)
+    bad = first_mismatch((every,) * 2, lambda i, j: (
+        apply_rowmap(src.mul.dense_row(i, j), m),
+        dst.mul_vec(m.data[i], m.data[j])))
     rep.add(prefix + "map_mult", bad is None, bad)
     rep.add(prefix + "map_unit",
             apply_rowmap(src.unit, m) == dst.unit)
-    bad = None
-    for i in range(n1):
-        lhs = {}
-        for j, k, c in src.delta(i):
+
+    def comult(i):
+        lhs = [[zero] * dst.dim for _ in range(dst.dim)]
+        for j, k, c in src.delta.terms(i):
             for a, ca in enumerate(m.data[j]):
                 if not ca:
                     continue
                 for b, cb in enumerate(m.data[k]):
                     if cb:
-                        key = (a, b)
-                        lhs[key] = lhs.get(key, zero) + c * ca * cb
-        rhs = {}
+                        lhs[a][b] = lhs[a][b] + c * ca * cb
+        rhs = [[zero] * dst.dim for _ in range(dst.dim)]
         for t, c in enumerate(m.data[i]):
             if not c:
                 continue
-            for a, b, c2 in dst.delta(t):
-                key = (a, b)
-                rhs[key] = rhs.get(key, zero) + c * c2
-        keys = set(lhs) | set(rhs)
-        if any(lhs.get(kk, zero) != rhs.get(kk, zero) for kk in keys):
-            bad = (i,)
-            break
+            for a, b, c2 in dst.delta.terms(t):
+                rhs[a][b] = rhs[a][b] + c * c2
+        return lhs, rhs
+
+    bad = first_mismatch((every,), comult)
     rep.add(prefix + "map_comult", bad is None, bad)
-    bad = None
-    for i in range(n1):
-        if dst.counit_of(m.data[i]) != src.counit[i]:
-            bad = (i,)
-            break
+    bad = first_mismatch((every,), lambda i: (
+        dst.counit_of(m.data[i]), src.counit[i]))
     rep.add(prefix + "map_counit", bad is None, bad)
     rep.add(prefix + "map_antipode",
             mat_mul(src.antipode, m) == mat_mul(m, dst.antipode))

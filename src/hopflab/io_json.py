@@ -27,7 +27,6 @@ import json
 from .fields import field_from_spec
 from .hopf import HopfAlgebra, verify_hopf_axioms
 from .linalg import Matrix, Tensor, check_dim, mat_inverse, mat_mul
-from .report import VerificationError
 
 
 class InputError(ValueError):
@@ -41,15 +40,20 @@ def _parse_scalar(field, v):
         raise InputError("bad scalar %r: %s" % (v, exc))
 
 
-def _sparse_to_tensor(field, shape, triples, what):
+def _sparse_to_tensor(field, shape, entries, what):
+    """The tensor of the given shape from a list of [index, ..., scalar]
+    entries; repeated indices add up.  A matrix is the two-index case."""
+    if not isinstance(entries, list):
+        raise InputError("%s must be a list of entries" % what)
     t = Tensor.zeros(field, shape)
     strides = t.strides()
-    for entry in triples:
-        if len(entry) != len(shape) + 1:
-            raise InputError("%s entry %r has wrong arity" % (what, entry))
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != len(shape) + 1:
+            raise InputError("%s entry %r is not a list of %d indices and "
+                             "a scalar" % (what, entry, len(shape)))
         *idx, val = entry
-        for pos, (i, s) in enumerate(zip(idx, shape)):
-            if not isinstance(i, int) or not 0 <= i < s:
+        for i, s in zip(idx, shape):
+            if type(i) is not int or not 0 <= i < s:
                 raise InputError("%s index %r out of range" % (what, entry))
         flat = sum(i * s for i, s in zip(idx, strides))
         t.data[flat] = t.data[flat] + _parse_scalar(field, val)
@@ -80,19 +84,6 @@ def _matrix_sparse(field, m):
             if m.data[i][j]:
                 out.append([i, j, field.fmt(m.data[i][j])])
     return out
-
-
-def _sparse_to_matrix(field, rows, cols, entries, what):
-    m = Matrix.zeros(field, rows, cols)
-    for entry in entries:
-        if len(entry) != 3:
-            raise InputError("%s entry %r has wrong arity" % (what, entry))
-        i, j, val = entry
-        if not (isinstance(i, int) and isinstance(j, int)
-                and 0 <= i < rows and 0 <= j < cols):
-            raise InputError("%s index %r out of range" % (what, entry))
-        m.data[i][j] = m.data[i][j] + _parse_scalar(field, val)
-    return m
 
 
 def _vector(field, vals, n, what):
@@ -142,10 +133,16 @@ def hopf_from_json(doc, verify=True, strict=True):
         n = doc["dim"]
     except KeyError as exc:
         raise InputError("missing key %s" % exc)
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InputError("bad dimension %r" % (n,))
     check_dim(n)
-    names = doc.get("basis") or ["e%d" % i for i in range(n)]
+    names = doc.get("basis", ["e%d" % i for i in range(n)])
+    if not (isinstance(names, list) and len(names) == n
+            and all(isinstance(nm, str) for nm in names)):
+        raise InputError("basis must be a list of %d names" % n)
+    name = doc.get("name", "H")
+    if not isinstance(name, str):
+        raise InputError("name must be a string")
     mult = _sparse_to_tensor(field, (n, n, n), doc.get("mult", []), "mult")
     comult = _sparse_to_tensor(field, (n, n, n), doc.get("comult", []),
                                "comult")
@@ -165,7 +162,7 @@ def hopf_from_json(doc, verify=True, strict=True):
                 raise InputError("antipode is not invertible")
             s_inv = Matrix.zeros(field, n, n)
     h = HopfAlgebra(field, n, names, mult, unit, comult, counit, s, s_inv,
-                    name=doc.get("name", "H"))
+                    name=name)
     if verify:
         verify_hopf_axioms(h).require("hopf axioms at load")
     return h
@@ -212,19 +209,15 @@ def functional_from_json(doc, host):
     n = host.dim
     kind = doc.get("kind")
     if kind == "one_cocycle":
-        mu = [f.zero] * n
-        for entry in doc.get("entries", []):
-            if len(entry) != 2:
-                raise InputError("one_cocycle entry %r" % (entry,))
-            i, v = entry
-            if not isinstance(i, int) or not 0 <= i < n:
-                raise InputError("one_cocycle index %r" % (entry,))
-            mu[i] = mu[i] + _parse_scalar(f, v)
-        return twist.lazy_one_cocycle(host, mu)
-    mat = _sparse_to_matrix(f, n, n, doc.get("entries", []), kind or "entry")
-    inv = None
-    if "inverse" in doc:
-        inv = _sparse_to_matrix(f, n, n, doc["inverse"], "inverse")
+        mu = _sparse_to_tensor(f, (n,), doc.get("entries", []), kind)
+        return twist.lazy_one_cocycle(host, mu.data)
+
+    def matrix(entries, what):
+        t = _sparse_to_tensor(f, (n, n), entries, what)
+        return Matrix(f, n, n, [t.data[i * n:i * n + n] for i in range(n)])
+
+    mat = matrix(doc.get("entries", []), kind or "entry")
+    inv = matrix(doc["inverse"], "inverse") if "inverse" in doc else None
     if kind == "cocycle":
         return twist.two_cocycle(host, mat, inv)
     if kind == "dual_cocycle":
@@ -258,7 +251,7 @@ def yd_from_json(doc, host):
     f = host.field
     n = host.dim
     m = doc.get("dim")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise InputError("bad module dimension %r" % (m,))
     check_dim(m)
     action = _sparse_to_tensor(f, (n, m, m), doc.get("action", []), "action")

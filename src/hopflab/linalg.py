@@ -10,6 +10,8 @@ Conventions used throughout the package:
 * ``kernel_basis``/``solve`` use the usual column-vector reading m·x = b.
 * The basis vector e_i⊗e_j of a tensor square has flat index i·n₂ + j;
   all tensor data is row-major over its shape.
+* ``Bilinear`` is the one sparse structure-tensor kernel: the products,
+  actions, coproducts and coactions of all structures are read through it.
 
 Dimensions are capped by HOPFLAB_MAX_DIM (default 64).
 """
@@ -275,13 +277,6 @@ class Tensor:
             st[i] = st[i + 1] * self.shape[i + 1]
         return st
 
-    def flat_index(self, idx):
-        st = self.strides()
-        return sum(i * s for i, s in zip(idx, st))
-
-    def at(self, *idx):
-        return self.data[self.flat_index(idx)]
-
     def __eq__(self, other):
         return (isinstance(other, Tensor) and self.shape == other.shape
                 and self.data == other.data)
@@ -290,59 +285,77 @@ class Tensor:
         return "Tensor%s" % (self.shape,)
 
 
-def contract(a, b, pairs):
-    """Contract tensors along the given (axis-of-a, axis-of-b) pairs.
+class Bilinear:
+    """The sparse structure-tensor kernel over a 3-tensor t[i,j,k].
 
-    Output shape is the uncontracted axes of a followed by those of b, in
-    order.  No pairs means the outer product.
+    t is read as the bilinear map (e_i, e_j) ↦ Σ_k t[i,j,k] e_k (a product
+    or an action) and as the linear map e_i ↦ Σ t[i,j,k] e_j⊗e_k (a
+    coproduct or a coaction).  Each table is built once, on first use, and
+    the tensor must not change after that; callers must not change the
+    lists it returns.
     """
-    for ax_a, ax_b in pairs:
-        if a.shape[ax_a] != b.shape[ax_b]:
-            raise DimensionError(
-                "contracted axes disagree: %d vs %d"
-                % (a.shape[ax_a], b.shape[ax_b]))
-    con_a = [p[0] for p in pairs]
-    con_b = [p[1] for p in pairs]
-    free_a = [ax for ax in range(len(a.shape)) if ax not in con_a]
-    free_b = [ax for ax in range(len(b.shape)) if ax not in con_b]
-    out_shape = [a.shape[ax] for ax in free_a] + [b.shape[ax] for ax in free_b]
-    out = Tensor.zeros(a.field, out_shape)
-    sa, sb = a.strides(), b.strides()
-    so = out.strides()
+    __slots__ = ("tensor", "_zeros", "_dense", "_rows", "_terms")
 
-    con_dims = [a.shape[ax] for ax in con_a]
+    def __init__(self, tensor):
+        self.tensor = tensor
+        self._zeros = [tensor.field.zero] * tensor.shape[2]
+        self._dense = None
+        self._rows = None
+        self._terms = None
 
-    def iter_multi(dims):
-        idx = [0] * len(dims)
-        while True:
-            yield idx
-            for pos in range(len(dims) - 1, -1, -1):
-                idx[pos] += 1
-                if idx[pos] < dims[pos]:
-                    break
-                idx[pos] = 0
-            else:
-                return
+    def _dense_table(self):
+        """dense[i][j] = t[i,j,:] as a list."""
+        if self._dense is None:
+            n0, n1, n2 = self.tensor.shape
+            d = self.tensor.data
+            self._dense = [[d[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]
+                            for j in range(n1)] for i in range(n0)]
+        return self._dense
 
-    zero = a.field.zero
-    free_dims_a = [a.shape[ax] for ax in free_a]
-    free_dims_b = [b.shape[ax] for ax in free_b]
-    for ia in iter_multi(free_dims_a) if free_dims_a else [[]]:
-        base_a = sum(v * sa[ax] for v, ax in zip(ia, free_a))
-        for ib in iter_multi(free_dims_b) if free_dims_b else [[]]:
-            base_b = sum(v * sb[ax] for v, ax in zip(ib, free_b))
-            acc = zero
-            for ic in iter_multi(con_dims) if con_dims else [[]]:
-                off_a = base_a + sum(v * sa[ax] for v, ax in zip(ic, con_a))
-                off_b = base_b + sum(v * sb[ax] for v, ax in zip(ic, con_b))
-                x = a.data[off_a]
-                y = b.data[off_b]
-                if x and y:
-                    acc = acc + x * y
-            off_o = (sum(v * so[i] for i, v in enumerate(ia))
-                     + sum(v * so[len(ia) + i] for i, v in enumerate(ib)))
-            out.data[off_o] = acc
-    return out
+    def _table(self):
+        """rows[i][j] = [(k, c)] over the nonzero t[i,j,k], k ascending."""
+        if self._rows is None:
+            self._rows = [[[(k, c) for k, c in enumerate(row) if c]
+                           for row in rows] for rows in self._dense_table()]
+        return self._rows
+
+    def dense_row(self, i, j):
+        """t[i,j,:] as a dense list."""
+        return (self._dense or self._dense_table())[i][j]
+
+    def row(self, i, j):
+        """t[i,j,:] as [(k, c)] over its nonzero entries."""
+        return (self._rows or self._table())[i][j]
+
+    def terms(self, i):
+        """t[i,:,:] as [(j, k, c)] over its nonzero entries, j-major."""
+        if self._terms is None:
+            self._terms = [[(j, k, c) for j, row in enumerate(rows)
+                            for k, c in row] for rows in self._table()]
+        return self._terms[i]
+
+    def apply(self, u, v):
+        """Σ u_i v_j t[i,j,:] for coordinate vectors u and v."""
+        rows = self._rows or self._table()
+        out = self._zeros[:]
+        for i, x in enumerate(u):
+            if not x:
+                continue
+            ri = rows[i]
+            for j, y in enumerate(v):
+                if not y:
+                    continue
+                xy = x * y
+                for k, c in ri[j]:
+                    out[k] = out[k] + xy * c
+        return out
+
+    def apply_basis(self, i, v):
+        """Σ v_j t[i,j,:], that is apply(e_i, v)."""
+        field = self.tensor.field
+        e = [field.zero] * self.tensor.shape[0]
+        e[i] = field.one
+        return self.apply(e, v)
 
 
 def row_space_echelon(field, vectors, dim):

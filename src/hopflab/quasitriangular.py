@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 from .hopf import HopfAlgebra
 from .linalg import Matrix, Tensor
-from .report import CheckReport, VerificationError
-from .twist import (TwoCocycle, DualCocycle, conv_inverse2, convolve2,
-                    eps_eps, eval2, hh_inverse, hh_mul, hh_one, deform,
-                    deform_dual)
+from .report import CheckReport, VerificationError, first_mismatch
+from .twist import (conv_inverse2, convolve2, eps_eps, eval2, hh_inverse,
+                    hh_mul, deform, deform_dual)
 
 
 @dataclass
@@ -53,146 +52,116 @@ def verify_cqt(c):
     n = h.dim
     f = h.field
     r = c.r
+    e, every = h.basis_vec, range(n)
     rep = CheckReport()
 
-    bad = None
-    for i in range(n):
-        if (eval2(r, h.basis_vec(i), h.unit) != h.counit[i]
-                or eval2(r, h.unit, h.basis_vec(i)) != h.counit[i]):
-            bad = (i,)
-            break
+    bad = first_mismatch((every,), lambda i: (
+        (eval2(r, e(i), h.unit), eval2(r, h.unit, e(i))),
+        (h.counit[i], h.counit[i])))
     rep.add("CQT1", bad is None, bad)
 
     ee = eps_eps(h)
     rep.add("invertible",
             convolve2(h, r, c.r_inv) == ee and convolve2(h, c.r_inv, r) == ee)
 
-    bad = None
-    for g in range(n):
-        dg = h.delta(g)
-        for x in range(n):
-            for l in range(n):
-                lhs = f.zero
-                for k, cm in h.mul_sparse(x, l):
-                    v = r.data[g][k]
-                    if v:
-                        lhs = lhs + cm * v
-                rhs = f.zero
-                for a, b, ca in dg:
-                    v1 = r.data[a][l]
-                    if v1:
-                        v2 = r.data[b][x]
-                        if v2:
-                            rhs = rhs + ca * v1 * v2
-                if lhs != rhs:
-                    bad = (g, x, l)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    def cqt2(g, x, l):
+        lhs = f.zero
+        for k, cm in h.mul.row(x, l):
+            v = r.data[g][k]
+            if v:
+                lhs = lhs + cm * v
+        rhs = f.zero
+        for a, b, ca in h.delta.terms(g):
+            v1 = r.data[a][l]
+            if v1:
+                v2 = r.data[b][x]
+                if v2:
+                    rhs = rhs + ca * v1 * v2
+        return lhs, rhs
+
+    bad = first_mismatch((every,) * 3, cqt2)
     rep.add("CQT2", bad is None, bad, "R(g⊗hl) = ΣR(g1⊗l)R(g2⊗h)")
 
-    bad = None
-    for g in range(n):
-        dg = h.delta(g)
-        for x in range(n):
-            for l in range(n):
-                lhs = f.zero
-                for k, cm in h.mul_sparse(x, l):
-                    v = r.data[k][g]
-                    if v:
-                        lhs = lhs + cm * v
-                rhs = f.zero
-                for a, b, ca in dg:
-                    v1 = r.data[x][a]
-                    if v1:
-                        v2 = r.data[l][b]
-                        if v2:
-                            rhs = rhs + ca * v1 * v2
-                if lhs != rhs:
-                    bad = (g, x, l)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    def cqt3(g, x, l):
+        lhs = f.zero
+        for k, cm in h.mul.row(x, l):
+            v = r.data[k][g]
+            if v:
+                lhs = lhs + cm * v
+        rhs = f.zero
+        for a, b, ca in h.delta.terms(g):
+            v1 = r.data[x][a]
+            if v1:
+                v2 = r.data[l][b]
+                if v2:
+                    rhs = rhs + ca * v1 * v2
+        return lhs, rhs
+
+    bad = first_mismatch((every,) * 3, cqt3)
     rep.add("CQT3", bad is None, bad, "R(hl⊗g) = ΣR(h⊗g1)R(l⊗g2)")
 
-    bad = None
-    for g in range(n):
-        for x in range(n):
-            lhs = [f.zero] * n
-            rhs = [f.zero] * n
-            for a, b, ca in h.delta(g):
-                for cc, d, cd in h.delta(x):
-                    w = ca * cd
-                    v = r.data[a][cc]
-                    if v:
-                        for k, cm in h.mul_sparse(b, d):
-                            lhs[k] = lhs[k] + w * v * cm
-                    v2 = r.data[b][d]
-                    if v2:
-                        for k, cm in h.mul_sparse(cc, a):
-                            rhs[k] = rhs[k] + w * v2 * cm
-            if lhs != rhs:
-                bad = (g, x)
-                break
-        if bad:
-            break
+    def cqt4(g, x):
+        lhs = [f.zero] * n
+        rhs = [f.zero] * n
+        for a, b, ca in h.delta.terms(g):
+            for cc, d, cd in h.delta.terms(x):
+                w = ca * cd
+                v = r.data[a][cc]
+                if v:
+                    for k, cm in h.mul.row(b, d):
+                        lhs[k] = lhs[k] + w * v * cm
+                v2 = r.data[b][d]
+                if v2:
+                    for k, cm in h.mul.row(cc, a):
+                        rhs[k] = rhs[k] + w * v2 * cm
+        return lhs, rhs
+
+    bad = first_mismatch((every,) * 2, cqt4)
     rep.add("CQT4", bad is None, bad,
             "ΣR(g1⊗h1)g2h2 = ΣR(g2⊗h2)h1g1")
 
-    bad = None
-    for g in range(n):
-        for x in range(n):
-            lhs = [f.zero] * n
-            for a, b, ca in h.delta(g):
-                v = r.data[b][x]
-                if v:
-                    lhs[a] = lhs[a] + ca * v
-            rhs = [f.zero] * n
-            for (x1, x2, x3), w in h.copower(x, 3):
-                for a, b, ca in h.delta(g):
-                    v = r.data[a][x2]
-                    if not v:
-                        continue
-                    vec = h.mul_vec(h.S_basis(x1), h.basis_vec(b))
-                    vec = h.mul_vec(vec, h.basis_vec(x3))
-                    for k, cv in enumerate(vec):
-                        if cv:
-                            rhs[k] = rhs[k] + w * ca * v * cv
-            if lhs != rhs:
-                bad = (g, x)
-                break
-        if bad:
-            break
+    def cqt4_prime(g, x):
+        lhs = [f.zero] * n
+        for a, b, ca in h.delta.terms(g):
+            v = r.data[b][x]
+            if v:
+                lhs[a] = lhs[a] + ca * v
+        rhs = [f.zero] * n
+        for (x1, x2, x3), w in h.copower(x, 3):
+            for a, b, ca in h.delta.terms(g):
+                v = r.data[a][x2]
+                if not v:
+                    continue
+                vec = h.mul_vec(h.S_basis(x1), e(b))
+                vec = h.mul_vec(vec, e(x3))
+                for k, cv in enumerate(vec):
+                    if cv:
+                        rhs[k] = rhs[k] + w * ca * v * cv
+        return lhs, rhs
+
+    bad = first_mismatch((every,) * 2, cqt4_prime)
     rep.add("CQT4'", bad is None, bad,
             "Σg1R(g2⊗h) = ΣR(g1⊗h2)S(h1)g2h3")
 
-    bad = None
-    for g in range(n):
-        for x in range(n):
-            lhs = [f.zero] * n
-            for a, b, ca in h.delta(x):
-                v = r.data[g][b]
-                if v:
-                    lhs[a] = lhs[a] + ca * v
-            rhs = [f.zero] * n
-            for (g1, g2, g3), w in h.copower(g, 3):
-                for a, b, ca in h.delta(x):
-                    v = r.data[g2][a]
-                    if not v:
-                        continue
-                    vec = h.mul_vec(h.mul_basis(g3, b), h.Sinv_basis(g1))
-                    for k, cv in enumerate(vec):
-                        if cv:
-                            rhs[k] = rhs[k] + w * ca * v * cv
-            if lhs != rhs:
-                bad = (g, x)
-                break
-        if bad:
-            break
+    def cqt4_second(g, x):
+        lhs = [f.zero] * n
+        for a, b, ca in h.delta.terms(x):
+            v = r.data[g][b]
+            if v:
+                lhs[a] = lhs[a] + ca * v
+        rhs = [f.zero] * n
+        for (g1, g2, g3), w in h.copower(g, 3):
+            for a, b, ca in h.delta.terms(x):
+                v = r.data[g2][a]
+                if not v:
+                    continue
+                vec = h.mul_vec(h.mul.dense_row(g3, b), h.Sinv_basis(g1))
+                for k, cv in enumerate(vec):
+                    if cv:
+                        rhs[k] = rhs[k] + w * ca * v * cv
+        return lhs, rhs
+
+    bad = first_mismatch((every,) * 2, cqt4_second)
     rep.add("CQT4''", bad is None, bad,
             "Σh1R(g⊗h2) = ΣR(g2⊗h1)g3h2S⁻¹(g1)")
     return rep
@@ -205,29 +174,24 @@ def verify_qt(q):
     f = h.field
     rr = q.rr
     rep = CheckReport()
+    terms = [(i, j, rr.data[i][j]) for i in range(n) for j in range(n)
+             if rr.data[i][j]]
 
-    def nz(m):
-        return [(i, j, m.data[i][j]) for i in range(n) for j in range(n)
-                if m.data[i][j]]
+    def qt1():
+        lhs = {}
+        for i, j, x in terms:
+            for a, b, c in h.delta.terms(i):
+                key = (a, b, j)
+                lhs[key] = lhs.get(key, f.zero) + x * c
+        rhs = {}
+        for i, j, x in terms:
+            for p, qq, y in terms:
+                for k, cm in h.mul.row(j, qq):
+                    key = (i, p, k)
+                    rhs[key] = rhs.get(key, f.zero) + x * y * cm
+        return lhs, rhs
 
-    terms = nz(rr)
-
-    lhs = {}
-    for i, j, x in terms:
-        for a, b, c in h.delta(i):
-            key = (a, b, j)
-            lhs[key] = lhs.get(key, f.zero) + x * c
-    rhs = {}
-    for i, j, x in terms:
-        for p, qq, y in terms:
-            for k, cm in h.mul_sparse(j, qq):
-                key = (i, p, k)
-                rhs[key] = rhs.get(key, f.zero) + x * y * cm
-    bad = None
-    for key in set(lhs) | set(rhs):
-        if lhs.get(key, f.zero) != rhs.get(key, f.zero):
-            bad = key
-            break
+    bad = first_mismatch((), qt1)
     rep.add("QT1", bad is None, bad, "ΣΔ(ℛ1)⊗ℛ2 = Σℛ1⊗r1⊗ℛ2r2")
 
     left = [f.zero] * n
@@ -239,37 +203,32 @@ def verify_qt(q):
             right[i] = right[i] + h.counit[j] * x
     rep.add("QT2", left == h.unit and right == h.unit)
 
-    lhs = {}
-    for i, j, x in terms:
-        for a, b, c in h.delta(j):
-            key = (i, a, b)
-            lhs[key] = lhs.get(key, f.zero) + x * c
-    rhs = {}
-    for i, j, x in terms:
-        for p, qq, y in terms:
-            for k, cm in h.mul_sparse(i, p):
-                key = (k, qq, j)
-                rhs[key] = rhs.get(key, f.zero) + x * y * cm
-    bad = None
-    for key in set(lhs) | set(rhs):
-        if lhs.get(key, f.zero) != rhs.get(key, f.zero):
-            bad = key
-            break
+    def qt3():
+        lhs = {}
+        for i, j, x in terms:
+            for a, b, c in h.delta.terms(j):
+                key = (i, a, b)
+                lhs[key] = lhs.get(key, f.zero) + x * c
+        rhs = {}
+        for i, j, x in terms:
+            for p, qq, y in terms:
+                for k, cm in h.mul.row(i, p):
+                    key = (k, qq, j)
+                    rhs[key] = rhs.get(key, f.zero) + x * y * cm
+        return lhs, rhs
+
+    bad = first_mismatch((), qt3)
     rep.add("QT3", bad is None, bad, "Σℛ1⊗Δ(ℛ2) = Σℛ1r1⊗r2⊗ℛ2")
 
-    bad = None
-    for i in range(n):
+    def qt4(i):
         lhs = Matrix.zeros(f, n, n)
-        for a, b, c in h.delta(i):
-            lhs.data[b][a] = lhs.data[b][a] + c
-        lhs = hh_mul(h, lhs, rr)
         rhs = Matrix.zeros(f, n, n)
-        for a, b, c in h.delta(i):
+        for a, b, c in h.delta.terms(i):
+            lhs.data[b][a] = lhs.data[b][a] + c
             rhs.data[a][b] = rhs.data[a][b] + c
-        rhs = hh_mul(h, rr, rhs)
-        if lhs != rhs:
-            bad = (i,)
-            break
+        return hh_mul(h, lhs, rr), hh_mul(h, rr, rhs)
+
+    bad = first_mismatch((range(n),), qt4)
     rep.add("QT4", bad is None, bad, "Δcop(h)ℛ = ℛΔ(h)")
     return rep
 

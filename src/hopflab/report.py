@@ -1,9 +1,10 @@
-"""Pass/fail reports with witnesses, shared by every verifier."""
+"""Pass/fail reports with witnesses, shared by every verifier, and the one
+identity-checking loop that finds those witnesses."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from itertools import product
 
 
 @dataclass
@@ -90,31 +91,23 @@ class VerificationError(RuntimeError):
     """A structure failed a verification that its user required to pass."""
 
 
-class timed_check:
-    """Context manager adding one timed Check to a report."""
+def first_mismatch(space, sides):
+    """The first index tuple at which the two sides of an identity differ,
+    or None when they agree everywhere.
 
-    def __init__(self, report, name):
-        self.report = report
-        self.name = name
-        self.passed = False
-        self.witness = None
-        self.detail = ""
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def set(self, passed, witness=None, detail=""):
-        self.passed = passed
-        self.witness = witness
-        self.detail = detail
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            return False
-        ms = (time.perf_counter() - self.t0) * 1000.0
-        self.report.add_check(Check(self.name,
-                                    "pass" if self.passed else "fail",
-                                    self.witness, self.detail, ms))
-        return False
-
+    space is a sequence of index ranges walked like nested for-loops
+    (itertools.product order; an empty space is the one tuple ()), and
+    sides(*idx) returns (lhs, rhs).  Dict sides are sparse coordinates with
+    absent keys read as 0; their witness is idx followed by the first key of
+    set(lhs) | set(rhs) whose coefficients differ.  The witness () is falsy,
+    so staged checks are chained with `is None`.
+    """
+    for idx in product(*space):
+        lhs, rhs = sides(*idx)
+        if type(lhs) is dict:
+            for key in set(lhs) | set(rhs):
+                if lhs.get(key, 0) != rhs.get(key, 0):
+                    return idx + key
+        elif lhs != rhs:
+            return idx
+    return None

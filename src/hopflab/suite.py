@@ -23,11 +23,10 @@ from .twist import (convolve2, conv_inverse2, deform, deform_dual,
                     verify_two_cocycle, coboundary_from, lazy_one_cocycle)
 from .quasitriangular import (deform_cqt, deform_qt, verify_cqt, verify_qt,
                               yd_from_comodule)
-from .yd import (azumaya_check, braiding, eta, is_yd_map, quantum_commutative,
-                 sigma_algebra, sigma_module, theta_module, theta_phi,
-                 verify_braided_functor, verify_theta_braided, verify_yd,
-                 verify_yd_algebra, yd_tensor, zeta_iso, zeta_triangle,
-                 YdAlgebra, YdMap, random_yd_map, yd_hom_basis)
+from .yd import (azumaya_check, eta, is_yd_map, quantum_commutative,
+                 sigma_algebra, sigma_module, verify_braided_functor,
+                 verify_theta_braided, verify_yd_algebra, zeta_iso,
+                 zeta_triangle, YdAlgebra, YdMap, random_yd_map, yd_hom_basis)
 from .galois import (bimodule_actions, build_hr, chi_maps, comodule_galois,
                      galois_maps, mu_action_and_pi, phi_psi_xi, unit_object,
                      verify_sigma_coinvariants, verify_sigma_wedge,
@@ -237,7 +236,7 @@ def criterion_08_coboundary_zeta(ctx):
     for i in range(n):
         for q in range(n):
             row = [f.zero] * n
-            for a, b, c in h4.delta(i):
+            for a, b, c in h4.delta.terms(i):
                 if b == q:
                     row[a] = row[a] + c
                 if a == q:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .hopf import HopfAlgebra, verify_hopf_axioms
 from .linalg import Matrix, Tensor, mat_inverse, solve
-from .report import CheckReport, VerificationError
+from .report import CheckReport, VerificationError, first_mismatch
 
 
 # -- scalar-functional helpers ---------------------------------------------
@@ -53,9 +53,9 @@ def convolve2(h, f, g):
         raise ValueError("functional shape mismatch")
     out = Matrix.zeros(h.field, n, n)
     for x in range(n):
-        dx = h.delta(x)
+        dx = h.delta.terms(x)
         for y in range(n):
-            dy = h.delta(y)
+            dy = h.delta.terms(y)
             acc = h.field.zero
             for a, b, ca in dx:
                 for c, d, cd in dy:
@@ -75,8 +75,8 @@ def conv_operator2(h, f):
     for x in range(n):
         for y in range(n):
             row = op.data[x * n + y]
-            for a, b, ca in h.delta(x):
-                for c, d, cd in h.delta(y):
+            for a, b, ca in h.delta.terms(x):
+                for c, d, cd in h.delta.terms(y):
                     fv = f.data[a][c]
                     if fv:
                         row[b * n + d] = row[b * n + d] + ca * cd * fv
@@ -104,7 +104,7 @@ def conv_inverse1(h, mu):
     n = h.dim
     op = Matrix.zeros(h.field, n, n)
     for x in range(n):
-        for a, b, c in h.delta(x):
+        for a, b, c in h.delta.terms(x):
             if mu[a]:
                 op.data[x][b] = op.data[x][b] + c * mu[a]
     rhs = Matrix(h.field, n, 1, [[e] for e in h.counit])
@@ -114,7 +114,7 @@ def conv_inverse1(h, mu):
     nu = [sol.data[i][0] for i in range(n)]
     for x in range(n):
         acc = h.field.zero
-        for a, b, c in h.delta(x):
+        for a, b, c in h.delta.terms(x):
             if nu[a] and mu[b]:
                 acc = acc + c * nu[a] * mu[b]
         if acc != h.counit[x]:
@@ -150,148 +150,120 @@ def verify_two_cocycle(c):
     """Normalization, the cocycle identity, invertibility, and the three
     derived identities that must follow from them."""
     h = c.host
-    n = h.dim
     f = h.field
     rep = CheckReport()
     sig, inv = c.sigma, c.sigma_inv
+    e, every = h.basis_vec, range(h.dim)
 
     ok = eval2(sig, h.unit, h.unit) == f.one
-    bad = None
-    for i in range(n):
-        ei = h.basis_vec(i)
-        if (eval2(sig, ei, h.unit) != h.counit[i]
-                or eval2(sig, h.unit, ei) != h.counit[i]):
-            bad = (i,)
-            break
+    bad = first_mismatch((every,), lambda i: (
+        (eval2(sig, e(i), h.unit), eval2(sig, h.unit, e(i))),
+        (h.counit[i], h.counit[i])))
     rep.add("normalization", bad is None and ok, bad)
 
     ee = eps_eps(h)
     rep.add("convolution_inverse",
             convolve2(h, sig, inv) == ee and convolve2(h, inv, sig) == ee)
 
-    def sweedler2(i):
-        return h.delta(i)
+    sweedler2 = h.delta.terms
 
     # Eq-style identity checks walk all basis triples (g, h, l).
-    bad = None
-    for g in range(n):
-        for x in range(n):
-            for l in range(n):
-                lhs = f.zero
-                for a, b, ca in sweedler2(g):
-                    for cc, d, cd in sweedler2(x):
-                        s1 = sig.data[a][cc]
-                        if not s1:
-                            continue
-                        prod = h.mul_sparse(b, d)
-                        for k, cm in prod:
-                            s2 = sig.data[k][l]
-                            if s2:
-                                lhs = lhs + ca * cd * cm * s1 * s2
-                rhs = f.zero
-                for a, b, ca in sweedler2(x):
-                    for cc, d, cd in sweedler2(l):
-                        s1 = sig.data[a][cc]
-                        if not s1:
-                            continue
-                        for k, cm in h.mul_sparse(b, d):
-                            s2 = sig.data[g][k]
-                            if s2:
-                                rhs = rhs + ca * cd * cm * s1 * s2
-                if lhs != rhs:
-                    bad = (g, x, l)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    def cocycle_identity(g, x, l):
+        lhs = f.zero
+        for a, b, ca in sweedler2(g):
+            for cc, d, cd in sweedler2(x):
+                s1 = sig.data[a][cc]
+                if not s1:
+                    continue
+                for k, cm in h.mul.row(b, d):
+                    s2 = sig.data[k][l]
+                    if s2:
+                        lhs = lhs + ca * cd * cm * s1 * s2
+        rhs = f.zero
+        for a, b, ca in sweedler2(x):
+            for cc, d, cd in sweedler2(l):
+                s1 = sig.data[a][cc]
+                if not s1:
+                    continue
+                for k, cm in h.mul.row(b, d):
+                    s2 = sig.data[g][k]
+                    if s2:
+                        rhs = rhs + ca * cd * cm * s1 * s2
+        return lhs, rhs
+
+    bad = first_mismatch((every,) * 3, cocycle_identity)
     rep.add("cocycle_identity", bad is None, bad)
 
-    bad = None
-    for g in range(n):
-        for x in range(n):
-            for l in range(n):
-                lhs = f.zero
-                # Σ σ(g1 h1 ⊗ l1) σ⁻¹(g2 ⊗ h2 l2)
-                for a, b, ca in sweedler2(g):
-                    for cc, d, cd in sweedler2(x):
-                        for e1, e2, ce in sweedler2(l):
-                            for k1, cm1 in h.mul_sparse(a, cc):
-                                s1 = sig.data[k1][e1]
-                                if not s1:
-                                    continue
-                                for k2, cm2 in h.mul_sparse(d, e2):
-                                    s2 = inv.data[b][k2]
-                                    if s2:
-                                        lhs = lhs + (ca * cd * ce * cm1 * cm2
-                                                     * s1 * s2)
-                rhs = f.zero
-                # Σ σ⁻¹(g ⊗ h1) σ(h2 ⊗ l)
-                for cc, d, cd in sweedler2(x):
-                    s1 = inv.data[g][cc]
-                    if not s1:
-                        continue
-                    s2 = sig.data[d][l]
-                    if s2:
-                        rhs = rhs + cd * s1 * s2
-                if lhs != rhs:
-                    bad = (g, x, l)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    def mixed_identity(g, x, l):
+        lhs = f.zero
+        # Σ σ(g1 h1 ⊗ l1) σ⁻¹(g2 ⊗ h2 l2)
+        for a, b, ca in sweedler2(g):
+            for cc, d, cd in sweedler2(x):
+                for e1, e2, ce in sweedler2(l):
+                    for k1, cm1 in h.mul.row(a, cc):
+                        s1 = sig.data[k1][e1]
+                        if not s1:
+                            continue
+                        for k2, cm2 in h.mul.row(d, e2):
+                            s2 = inv.data[b][k2]
+                            if s2:
+                                lhs = lhs + (ca * cd * ce * cm1 * cm2
+                                             * s1 * s2)
+        rhs = f.zero
+        # Σ σ⁻¹(g ⊗ h1) σ(h2 ⊗ l)
+        for cc, d, cd in sweedler2(x):
+            s1 = inv.data[g][cc]
+            if not s1:
+                continue
+            s2 = sig.data[d][l]
+            if s2:
+                rhs = rhs + cd * s1 * s2
+        return lhs, rhs
+
+    bad = first_mismatch((every,) * 3, mixed_identity)
     rep.add("mixed_identity", bad is None, bad,
             "σ(g1h1⊗l1)σ⁻¹(g2⊗h2l2) = σ⁻¹(g⊗h1)σ(h2⊗l)")
 
-    bad = None
-    for g in range(n):
-        for x in range(n):
-            for l in range(n):
-                lhs = f.zero
-                # Σ σ⁻¹(g1 h1 ⊗ l) σ⁻¹(g2 ⊗ h2)
-                for a, b, ca in sweedler2(g):
-                    for cc, d, cd in sweedler2(x):
-                        for k, cm in h.mul_sparse(a, cc):
-                            s1 = inv.data[k][l]
-                            if s1:
-                                s2 = inv.data[b][d]
-                                if s2:
-                                    lhs = lhs + ca * cd * cm * s1 * s2
-                rhs = f.zero
-                # Σ σ⁻¹(g ⊗ h1 l1) σ⁻¹(h2 ⊗ l2)
-                for cc, d, cd in sweedler2(x):
-                    for e1, e2, ce in sweedler2(l):
-                        for k, cm in h.mul_sparse(cc, e1):
-                            s1 = inv.data[g][k]
-                            if s1:
-                                s2 = inv.data[d][e2]
-                                if s2:
-                                    rhs = rhs + cd * ce * cm * s1 * s2
-                if lhs != rhs:
-                    bad = (g, x, l)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    def inverse_cocycle_identity(g, x, l):
+        lhs = f.zero
+        # Σ σ⁻¹(g1 h1 ⊗ l) σ⁻¹(g2 ⊗ h2)
+        for a, b, ca in sweedler2(g):
+            for cc, d, cd in sweedler2(x):
+                for k, cm in h.mul.row(a, cc):
+                    s1 = inv.data[k][l]
+                    if s1:
+                        s2 = inv.data[b][d]
+                        if s2:
+                            lhs = lhs + ca * cd * cm * s1 * s2
+        rhs = f.zero
+        # Σ σ⁻¹(g ⊗ h1 l1) σ⁻¹(h2 ⊗ l2)
+        for cc, d, cd in sweedler2(x):
+            for e1, e2, ce in sweedler2(l):
+                for k, cm in h.mul.row(cc, e1):
+                    s1 = inv.data[g][k]
+                    if s1:
+                        s2 = inv.data[d][e2]
+                        if s2:
+                            rhs = rhs + cd * ce * cm * s1 * s2
+        return lhs, rhs
+
+    bad = first_mismatch((every,) * 3, inverse_cocycle_identity)
     rep.add("inverse_cocycle_identity", bad is None, bad,
             "σ⁻¹(g1h1⊗l)σ⁻¹(g2⊗h2) = σ⁻¹(g⊗h1l1)σ⁻¹(h2⊗l2)")
 
-    bad = None
-    for x in range(n):
+    def antipode_pairing(x):
         acc = f.zero
         for idx, w in h.copower(x, 4):
             a, b, cc, d = idx
-            s1 = eval2(sig, h.basis_vec(a), h.S_basis(b))
+            s1 = eval2(sig, e(a), h.S_basis(b))
             if not s1:
                 continue
-            s2 = eval2(inv, h.S_basis(cc), h.basis_vec(d))
+            s2 = eval2(inv, h.S_basis(cc), e(d))
             if s2:
                 acc = acc + w * s1 * s2
-        if acc != h.counit[x]:
-            bad = (x,)
-            break
+        return acc, h.counit[x]
+
+    bad = first_mismatch((every,), antipode_pairing)
     rep.add("antipode_pairing", bad is None, bad,
             "σ(h1⊗S(h2))σ⁻¹(S(h3)⊗h4) = ε(h)")
     return rep
@@ -318,7 +290,7 @@ def deform(c, verify=True):
                     if not s2:
                         continue
                     w = w1 * w2 * s1 * s2
-                    for k, cm in h.mul_sparse(b, e):
+                    for k, cm in h.mul.row(b, e):
                         acc[k] = acc[k] + w * cm
             base = (i * n + j) * n
             for k in range(n):
@@ -370,27 +342,24 @@ def is_lazy(c):
     n = h.dim
     f = h.field
     sig = c.sigma
-    lazy = True
-    for i in range(n):
-        for j in range(n):
-            lhs = [f.zero] * n
-            rhs = [f.zero] * n
-            for a, b, ca in h.delta(i):
-                for cc, d, cd in h.delta(j):
-                    w = ca * cd
-                    s1 = sig.data[a][cc]
-                    if s1:
-                        for k, cm in h.mul_sparse(b, d):
-                            lhs[k] = lhs[k] + w * s1 * cm
-                    s2 = sig.data[b][d]
-                    if s2:
-                        for k, cm in h.mul_sparse(a, cc):
-                            rhs[k] = rhs[k] + w * s2 * cm
-            if lhs != rhs:
-                lazy = False
-                break
-        if not lazy:
-            break
+
+    def commutes(i, j):
+        lhs = [f.zero] * n
+        rhs = [f.zero] * n
+        for a, b, ca in h.delta.terms(i):
+            for cc, d, cd in h.delta.terms(j):
+                w = ca * cd
+                s1 = sig.data[a][cc]
+                if s1:
+                    for k, cm in h.mul.row(b, d):
+                        lhs[k] = lhs[k] + w * s1 * cm
+                s2 = sig.data[b][d]
+                if s2:
+                    for k, cm in h.mul.row(a, cc):
+                        rhs[k] = rhs[k] + w * s2 * cm
+        return lhs, rhs
+
+    lazy = first_mismatch((range(n),) * 2, commutes) is None
     same_mult = deform(c, verify=False).mult == h.mult
     if lazy != same_mult:
         raise VerificationError(
@@ -441,7 +410,7 @@ def lazy_one_cocycle(host, mu, mu_inv=None):
     for i in range(n):
         lhs = [f.zero] * n
         rhs = [f.zero] * n
-        for a, b, c in host.delta(i):
+        for a, b, c in host.delta.terms(i):
             if mu[a]:
                 lhs[b] = lhs[b] + c * mu[a]
             if mu[b]:
@@ -465,14 +434,14 @@ def coboundary_from(mu):
     for i in range(n):
         for j in range(n):
             acc = f.zero
-            for a, b, ca in h.delta(i):
+            for a, b, ca in h.delta.terms(i):
                 if not mu.mu[a]:
                     continue
-                for cc, d, cd in h.delta(j):
+                for cc, d, cd in h.delta.terms(j):
                     if not mu.mu[cc]:
                         continue
                     w = ca * cd * mu.mu[a] * mu.mu[cc]
-                    for k, cm in h.mul_sparse(b, d):
+                    for k, cm in h.mul.row(b, d):
                         if mu.mu_inv[k]:
                             acc = acc + w * cm * mu.mu_inv[k]
             sig.data[i][j] = acc
@@ -498,14 +467,14 @@ def hh_mul(h, a, b):
                 continue
             for k in range(n):
                 rb = b.data[k]
-                left = h.mul_sparse(i, k)
+                left = h.mul.row(i, k)
                 for l in range(n):
                     y = rb[l]
                     if not y:
                         continue
                     xy = x * y
                     for p, cl in left:
-                        for q, cr in h.mul_sparse(j, l):
+                        for q, cr in h.mul.row(j, l):
                             od[p][q] = od[p][q] + xy * cl * cr
     return out
 
@@ -532,9 +501,9 @@ def hh_inverse(h, a):
             if not x:
                 continue
             for k in range(n):
-                for p, cl in h.mul_sparse(i, k):
+                for p, cl in h.mul.row(i, k):
                     for l in range(n):
-                        for q, cr in h.mul_sparse(j, l):
+                        for q, cr in h.mul.row(j, l):
                             op.data[p * n + q][k * n + l] = \
                                 op.data[p * n + q][k * n + l] + x * cl * cr
     one = hh_one(h)
@@ -562,10 +531,10 @@ def hhh_mul(h, a, b):
     for i, j, k, x in nz_a:
         for p, q, r, y in nz_b:
             xy = x * y
-            for a1, c1 in h.mul_sparse(i, p):
-                for a2, c2 in h.mul_sparse(j, q):
+            for a1, c1 in h.mul.row(i, p):
+                for a2, c2 in h.mul.row(j, q):
                     c12 = c1 * c2
-                    for a3, c3 in h.mul_sparse(k, r):
+                    for a3, c3 in h.mul.row(k, r):
                         idx = (a1 * n + a2) * n + a3
                         out[idx] = out[idx] + xy * c12 * c3
     return out
@@ -610,7 +579,7 @@ def _delta_leg1(h, m):
             x = m.data[i][j]
             if not x:
                 continue
-            for a, b, c in h.delta(i):
+            for a, b, c in h.delta.terms(i):
                 out[(a * n + b) * n + j] = out[(a * n + b) * n + j] + x * c
     return out
 
@@ -624,7 +593,7 @@ def _delta_leg2(h, m):
             x = m.data[i][j]
             if not x:
                 continue
-            for a, b, c in h.delta(j):
+            for a, b, c in h.delta.terms(j):
                 out[(i * n + a) * n + b] = out[(i * n + a) * n + b] + x * c
     return out
 
@@ -650,11 +619,8 @@ def verify_dual_cocycle(d):
     rep = CheckReport()
     lhs = hhh_mul(h, _embed12(h, d.theta), _delta_leg1(h, d.theta))
     rhs = hhh_mul(h, _embed23(h, d.theta), _delta_leg2(h, d.theta))
-    bad = None
-    for i in range(n ** 3):
-        if lhs[i] != rhs[i]:
-            bad = (i // (n * n), (i // n) % n, i % n)
-            break
+    bad = first_mismatch((range(n),) * 3, lambda a, b, c: (
+        lhs[(a * n + b) * n + c], rhs[(a * n + b) * n + c]))
     rep.add("dual_pentagon", bad is None, bad)
 
     f = h.field
@@ -687,7 +653,7 @@ def deform_dual(d, verify=True):
     comult = Tensor.zeros(f, (n, n, n))
     for i in range(n):
         di = Matrix.zeros(f, n, n)
-        for a, b, c in h.delta(i):
+        for a, b, c in h.delta.terms(i):
             di.data[a][b] = di.data[a][b] + c
         new = hh_mul(h, d.theta, hh_mul(h, di, d.theta_inv))
         for a in range(n):
@@ -719,7 +685,7 @@ def deform_dual(d, verify=True):
                             if t:
                                 acc[k] = acc[k] + w * t
                         # θ¹ S((θ⁻¹)¹ h θ²) (θ⁻¹)²
-                        u = h.mul_vec(h.mul_basis(c, i), h.basis_vec(b))
+                        u = h.mul_vec(h.mul.dense_row(c, i), h.basis_vec(b))
                         u = h.apply_S(u)
                         u = h.mul_vec(h.basis_vec(a), u)
                         u = h.mul_vec(u, h.basis_vec(e))
@@ -746,14 +712,14 @@ def is_lazy_dual(d):
     h = d.host
     n = h.dim
     f = h.field
-    lazy = True
-    for i in range(n):
+
+    def commutes(i):
         di = Matrix.zeros(f, n, n)
-        for a, b, c in h.delta(i):
+        for a, b, c in h.delta.terms(i):
             di.data[a][b] = di.data[a][b] + c
-        if hh_mul(h, d.theta, di) != hh_mul(h, di, d.theta):
-            lazy = False
-            break
+        return hh_mul(h, d.theta, di), hh_mul(h, di, d.theta)
+
+    lazy = first_mismatch((range(n),), commutes) is None
     same = deform_dual(d, verify=False).comult == h.comult
     if lazy != same:
         raise VerificationError("dual laziness and Δ_θ = Δ disagree")

@@ -8,6 +8,8 @@ Tensor conventions (m = module dimension, n = host dimension):
     coaction[p,q,k] = coefficient of v_q⊗e_k in ρ(v_p)
 The tensor product M⊗N carries h·(m⊗n) = Σ h₁·m ⊗ h₂·n and
 ρ(m⊗n) = Σ (m₀⊗n₀) ⊗ n₁m₁; basis index of v_p⊗w_q is p·dim(N)+q.
+mod.act, mod.coact and alg.mul read action, coaction and product through
+the sparse kernel linalg.Bilinear.
 Linear maps are stored row-as-image; mat_mul(A, B) is "apply A, then B".
 """
 
@@ -15,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hopf import HopfAlgebra
-from .linalg import (Matrix, Tensor, kernel_basis, mat_mul, rank)
-from .report import CheckReport, VerificationError
-from .twist import TwoCocycle, DualCocycle, deform, deform_dual
+from .linalg import Bilinear, Matrix, Tensor, kernel_basis, mat_mul, rank
+from .report import CheckReport, VerificationError, first_mismatch
+from .twist import deform, deform_dual
 
 
 class YdModule:
@@ -29,62 +30,16 @@ class YdModule:
         self.dim = dim
         self.action = action
         self.coaction = coaction
-        self._act_rows = None
-        self._coact = None
+        self.act = Bilinear(action)
+        self.coact = Bilinear(coaction)
         self._coact2 = None
-
-    def act_row(self, i, p):
-        """Dense vector e_i·v_p."""
-        if self._act_rows is None:
-            m = self.dim
-            d = self.action.data
-            self._act_rows = [[d[(i2 * m + p2) * m:(i2 * m + p2) * m + m]
-                               for p2 in range(m)]
-                              for i2 in range(self.host.dim)]
-        return self._act_rows[i][p]
 
     def act_vec(self, hvec, mvec):
         """(Σ hvec_i e_i)·(Σ mvec_p v_p)."""
-        out = [self.host.field.zero] * self.dim
-        for i, x in enumerate(hvec):
-            if not x:
-                continue
-            for p, y in enumerate(mvec):
-                if not y:
-                    continue
-                xy = x * y
-                row = self.act_row(i, p)
-                for q in range(self.dim):
-                    if row[q]:
-                        out[q] = out[q] + xy * row[q]
-        return out
+        return self.act.apply(hvec, mvec)
 
     def act_basis_vec(self, i, mvec):
-        out = [self.host.field.zero] * self.dim
-        for p, y in enumerate(mvec):
-            if not y:
-                continue
-            row = self.act_row(i, p)
-            for q in range(self.dim):
-                if row[q]:
-                    out[q] = out[q] + y * row[q]
-        return out
-
-    def coact(self, p):
-        """Sparse ρ(v_p) as [(q, k, coeff)]."""
-        if self._coact is None:
-            m, n = self.dim, self.host.dim
-            d = self.coaction.data
-            self._coact = []
-            for p2 in range(m):
-                terms = []
-                for q in range(m):
-                    for k in range(n):
-                        c = d[(p2 * m + q) * n + k]
-                        if c:
-                            terms.append((q, k, c))
-                self._coact.append(terms)
-        return self._coact[p]
+        return self.act.apply_basis(i, mvec)
 
     def coact2(self, p):
         """Sparse (ρ⊗id)ρ(v_p) as [(q, k1, k2, coeff)] (m₀⊗m₁⊗m₂)."""
@@ -92,8 +47,8 @@ class YdModule:
             self._coact2 = []
             for p2 in range(self.dim):
                 terms = []
-                for q0, k2, c0 in self.coact(p2):
-                    for q1, k1, c1 in self.coact(q0):
+                for q0, k2, c0 in self.coact.terms(p2):
+                    for q1, k1, c1 in self.coact.terms(q0):
                         terms.append((q1, k1, k2, c0 * c1))
                 self._coact2.append(terms)
         return self._coact2[p]
@@ -119,7 +74,7 @@ class YdAlgebra:
         self.module = module
         self.mult = mult
         self.unit = list(unit)
-        self._mult_sparse = None
+        self.mul = Bilinear(mult)
 
     @property
     def host(self):
@@ -129,30 +84,8 @@ class YdAlgebra:
     def dim(self):
         return self.module.dim
 
-    def mul_sparse(self, p, q):
-        if self._mult_sparse is None:
-            self._mult_sparse = [[None] * self.dim for _ in range(self.dim)]
-        row = self._mult_sparse[p][q]
-        if row is None:
-            m = self.dim
-            base = (p * m + q) * m
-            row = [(k, c) for k, c in
-                   enumerate(self.mult.data[base:base + m]) if c]
-            self._mult_sparse[p][q] = row
-        return row
-
     def mul_vec(self, u, v):
-        out = [self.host.field.zero] * self.dim
-        for p, x in enumerate(u):
-            if not x:
-                continue
-            for q, y in enumerate(v):
-                if not y:
-                    continue
-                xy = x * y
-                for k, c in self.mul_sparse(p, q):
-                    out[k] = out[k] + xy * c
-        return out
+        return self.mul.apply(u, v)
 
     def structures_equal(self, other):
         return (self.module.structures_equal(other.module)
@@ -169,138 +102,93 @@ class YdMap:
     matrix: Matrix  # row-as-image
 
 
-def verify_yd(mod, check_eq2=True):
+def verify_yd(mod):
     """Module and comodule axioms plus the crossed compatibility; the
     equivalent S⁻¹-form is recomputed independently as a cross-check."""
     h = mod.host
-    n = h.dim
     m = mod.dim
-    f = h.field
-    zero = f.zero
+    zero = h.field.zero
+    act, coact, e = mod.act, mod.coact, mod.basis_vec
+    hs, ms = range(h.dim), range(m)
     rep = CheckReport()
 
-    bad = None
-    for p in range(m):
-        if mod.act_vec(h.unit, mod.basis_vec(p)) != mod.basis_vec(p):
-            bad = (p,)
-            break
+    bad = first_mismatch((ms,), lambda p: (mod.act_vec(h.unit, e(p)), e(p)))
     if bad is None:
-        for i in range(n):
-            for j in range(n):
-                for p in range(m):
-                    lhs = mod.act_vec(h.mul_basis(i, j), mod.basis_vec(p))
-                    rhs = mod.act_basis_vec(i, mod.act_row(j, p))
-                    if lhs != rhs:
-                        bad = (i, j, p)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
+            mod.act_vec(h.mul.dense_row(i, j), e(p)),
+            mod.act_basis_vec(i, act.dense_row(j, p))))
     rep.add("module_axioms", bad is None, bad)
 
-    bad = None
-    for p in range(m):
+    def counit(p):
         acc = [zero] * m
-        for q, k, c in mod.coact(p):
+        for q, k, c in coact.terms(p):
             if h.counit[k]:
                 acc[q] = acc[q] + c * h.counit[k]
-        if acc != mod.basis_vec(p):
-            bad = (p,)
-            break
+        return acc, e(p)
+
+    def coassociativity(p):
+        lhs = {}
+        for q0, k, c in coact.terms(p):
+            for q1, k1, c1 in coact.terms(q0):
+                key = (q1, k1, k)
+                lhs[key] = lhs.get(key, zero) + c * c1
+        rhs = {}
+        for q0, k, c in coact.terms(p):
+            for a, b, c2 in h.delta.terms(k):
+                key = (q0, a, b)
+                rhs[key] = rhs.get(key, zero) + c * c2
+        return lhs, rhs
+
+    bad = first_mismatch((ms,), counit)
     if bad is None:
-        for p in range(m):
-            lhs = {}
-            for q0, k, c in mod.coact(p):
-                for q1, k1, c1 in mod.coact(q0):
-                    key = (q1, k1, k)
-                    lhs[key] = lhs.get(key, zero) + c * c1
-            rhs = {}
-            for q0, k, c in mod.coact(p):
-                for a, b, c2 in h.delta(k):
-                    key = (q0, a, b)
-                    rhs[key] = rhs.get(key, zero) + c * c2
-            for key in set(lhs) | set(rhs):
-                if lhs.get(key, zero) != rhs.get(key, zero):
-                    bad = (p,) + key
-                    break
-            if bad:
-                break
+        bad = first_mismatch((ms,), coassociativity)
     rep.add("comodule_axioms", bad is None, bad)
 
-    bad = None
-    for i in range(n):
-        di = h.delta(i)
-        for p in range(m):
-            lhs = {}
-            for a, b, ca in di:
-                for q0, k, c0 in mod.coact(p):
-                    row = mod.act_row(a, q0)
-                    for q in range(m):
-                        if not row[q]:
-                            continue
-                        w = ca * c0 * row[q]
-                        for k2, cm in h.mul_sparse(b, k):
-                            key = (q, k2)
-                            lhs[key] = lhs.get(key, zero) + w * cm
-            rhs = {}
-            for a, b, ca in di:
-                row = mod.act_row(b, p)
-                for q0 in range(m):
-                    if not row[q0]:
-                        continue
-                    w = ca * row[q0]
-                    for q, k, c0 in mod.coact(q0):
-                        for k2, cm in h.mul_sparse(k, a):
-                            key = (q, k2)
-                            rhs[key] = rhs.get(key, zero) + w * c0 * cm
-            for key in set(lhs) | set(rhs):
-                if lhs.get(key, zero) != rhs.get(key, zero):
-                    bad = (i, p) + key
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    def compatibility(i, p):
+        di = h.delta.terms(i)
+        lhs = {}
+        for a, b, ca in di:
+            for q0, k, c0 in coact.terms(p):
+                for q, x in act.row(a, q0):
+                    w = ca * c0 * x
+                    for k2, cm in h.mul.row(b, k):
+                        key = (q, k2)
+                        lhs[key] = lhs.get(key, zero) + w * cm
+        rhs = {}
+        for a, b, ca in di:
+            for q0, x in act.row(b, p):
+                w = ca * x
+                for q, k, c0 in coact.terms(q0):
+                    for k2, cm in h.mul.row(k, a):
+                        key = (q, k2)
+                        rhs[key] = rhs.get(key, zero) + w * c0 * cm
+        return lhs, rhs
+
+    bad = first_mismatch((hs, ms), compatibility)
     rep.add("yd_compatibility", bad is None, bad,
             "Σh1·m0⊗h2m1 = Σ(h2·m)0⊗(h2·m)1h1")
 
-    if check_eq2:
-        bad = None
-        for i in range(n):
-            for p in range(m):
-                lhs = {}
-                row = mod.act_row(i, p)
-                for q0 in range(m):
-                    if not row[q0]:
-                        continue
-                    for q, k, c0 in mod.coact(q0):
-                        key = (q, k)
-                        lhs[key] = lhs.get(key, zero) + row[q0] * c0
-                rhs = {}
-                for (a, b, c3), w in mod.host.copower(i, 3):
-                    for q0, k, c0 in mod.coact(p):
-                        arow = mod.act_row(b, q0)
-                        for q in range(m):
-                            if not arow[q]:
-                                continue
-                            w2 = w * c0 * arow[q]
-                            vec = h.mul_vec(h.mul_basis(c3, k),
-                                            h.Sinv_basis(a))
-                            for k2, cv in enumerate(vec):
-                                if cv:
-                                    key = (q, k2)
-                                    rhs[key] = rhs.get(key, zero) + w2 * cv
-                for key in set(lhs) | set(rhs):
-                    if lhs.get(key, zero) != rhs.get(key, zero):
-                        bad = (i, p) + key
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        rep.add("yd_compatibility_sinv_form", bad is None, bad,
-                "ρ(h·m) = Σh2·m0⊗h3m1S⁻¹(h1)")
+    def compatibility_sinv(i, p):
+        lhs = {}
+        for q0, x in act.row(i, p):
+            for q, k, c0 in coact.terms(q0):
+                key = (q, k)
+                lhs[key] = lhs.get(key, zero) + x * c0
+        rhs = {}
+        for (a, b, c3), w in h.copower(i, 3):
+            for q0, k, c0 in coact.terms(p):
+                for q, x in act.row(b, q0):
+                    w2 = w * c0 * x
+                    vec = h.mul_vec(h.mul.dense_row(c3, k), h.Sinv_basis(a))
+                    for k2, cv in enumerate(vec):
+                        if cv:
+                            key = (q, k2)
+                            rhs[key] = rhs.get(key, zero) + w2 * cv
+        return lhs, rhs
+
+    bad = first_mismatch((hs, ms), compatibility_sinv)
+    rep.add("yd_compatibility_sinv_form", bad is None, bad,
+            "ρ(h·m) = Σh2·m0⊗h3m1S⁻¹(h1)")
     return rep
 
 
@@ -309,131 +197,72 @@ def verify_yd_algebra(alg):
     algebra, and right H^op-comodule algebra axioms."""
     rep = verify_yd(alg.module)
     h = alg.host
-    n = h.dim
     m = alg.dim
-    f = h.field
-    zero = f.zero
+    zero = h.field.zero
     mod = alg.module
+    mul, e = alg.mul, mod.basis_vec
+    hs, ms = range(h.dim), range(m)
 
-    bad = None
-    for p in range(m):
-        bp = alg.module.basis_vec(p)
-        if (alg.mul_vec(alg.unit, bp) != bp
-                or alg.mul_vec(bp, alg.unit) != bp):
-            bad = (p,)
-            break
+    bad = first_mismatch((ms,), lambda p: (
+        (alg.mul_vec(alg.unit, e(p)), alg.mul_vec(e(p), alg.unit)),
+        (e(p), e(p))))
     if bad is None:
-        for p in range(m):
-            for q in range(m):
-                pq = [c for c in _dense(alg, p, q)]
-                for r in range(m):
-                    lhs = alg.mul_vec(pq, alg.module.basis_vec(r))
-                    rhs = alg.mul_vec(alg.module.basis_vec(p),
-                                      _dense_vec(alg, q, r))
-                    if lhs != rhs:
-                        bad = (p, q, r)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        bad = first_mismatch((ms,) * 3, lambda p, q, r: (
+            alg.mul_vec(mul.dense_row(p, q), e(r)),
+            alg.mul_vec(e(p), mul.dense_row(q, r))))
     rep.add("algebra_axioms", bad is None, bad)
 
-    bad = None
-    for i in range(n):
-        di = h.delta(i)
-        for p in range(m):
-            for q in range(m):
-                lhs = mod.act_basis_vec(i, _dense(alg, p, q))
-                rhs = [zero] * m
-                for a, b, ca in di:
-                    u = mod.act_row(a, p)
-                    v = mod.act_row(b, q)
-                    w = alg.mul_vec(u, v)
-                    for k in range(m):
-                        if w[k]:
-                            rhs[k] = rhs[k] + ca * w[k]
-                if lhs != rhs:
-                    bad = (i, p, q)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    def module_algebra(i, p, q):
+        rhs = [zero] * m
+        for a, b, ca in h.delta.terms(i):
+            w = alg.mul_vec(mod.act.dense_row(a, p), mod.act.dense_row(b, q))
+            for k in range(m):
+                if w[k]:
+                    rhs[k] = rhs[k] + ca * w[k]
+        return mod.act_basis_vec(i, mul.dense_row(p, q)), rhs
+
+    bad = first_mismatch((hs, ms, ms), module_algebra)
     if bad is None:
-        for i in range(n):
-            lhs = mod.act_basis_vec(i, alg.unit)
-            rhs = [h.counit[i] * x for x in alg.unit]
-            if lhs != rhs:
-                bad = (i,)
-                break
+        bad = first_mismatch((hs,), lambda i: (
+            mod.act_basis_vec(i, alg.unit),
+            [h.counit[i] * x for x in alg.unit]))
     rep.add("module_algebra", bad is None, bad,
             "h·(ab) = Σ(h1·a)(h2·b), h·1 = ε(h)1")
 
-    bad = None
-    for p in range(m):
-        for q in range(m):
-            lhs = {}
-            for k2, c in enumerate(_dense(alg, p, q)):
-                if not c:
-                    continue
-                for q2, k, c2 in mod.coact(k2):
-                    key = (q2, k)
-                    lhs[key] = lhs.get(key, zero) + c * c2
-            rhs = {}
-            for p0, k1, c1 in mod.coact(p):
-                for q0, k2, c2 in mod.coact(q):
-                    w = c1 * c2
-                    prod = alg.mul_sparse(p0, q0)
-                    for k3, cm in h.mul_sparse(k2, k1):
-                        for t, ct in prod:
-                            key = (t, k3)
-                            rhs[key] = rhs.get(key, zero) + w * cm * ct
-            for key in set(lhs) | set(rhs):
-                if lhs.get(key, zero) != rhs.get(key, zero):
-                    bad = (p, q) + key
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    def comodule_algebra(p, q):
+        lhs = {}
+        for k2, c in mul.row(p, q):
+            for q2, k, c2 in mod.coact.terms(k2):
+                key = (q2, k)
+                lhs[key] = lhs.get(key, zero) + c * c2
+        rhs = {}
+        for p0, k1, c1 in mod.coact.terms(p):
+            for q0, k2, c2 in mod.coact.terms(q):
+                w = c1 * c2
+                prod = mul.row(p0, q0)
+                for k3, cm in h.mul.row(k2, k1):
+                    for t, ct in prod:
+                        key = (t, k3)
+                        rhs[key] = rhs.get(key, zero) + w * cm * ct
+        return lhs, rhs
+
+    def unit_coaction():
+        lhs = [[zero] * h.dim for _ in ms]
+        rhs = [[zero] * h.dim for _ in ms]
+        for p, x in enumerate(alg.unit):
+            if x:
+                for q, k, c in mod.coact.terms(p):
+                    lhs[q][k] = lhs[q][k] + x * c
+                for k, u in enumerate(h.unit):
+                    rhs[p][k] = rhs[p][k] + x * u
+        return lhs, rhs
+
+    bad = first_mismatch((ms, ms), comodule_algebra)
     if bad is None:
-        want = {}
-        for q0, k, c in _coact_vec(mod, alg.unit):
-            want[(q0, k)] = want.get((q0, k), zero) + c
-        ref = {}
-        for q0, x in enumerate(alg.unit):
-            if not x:
-                continue
-            for k, u in enumerate(h.unit):
-                if u:
-                    ref[(q0, k)] = ref.get((q0, k), zero) + x * u
-        if any(want.get(k2, zero) != ref.get(k2, zero)
-               for k2 in set(want) | set(ref)):
-            bad = ()
+        bad = first_mismatch((), unit_coaction)
     rep.add("comodule_algebra", bad is None, bad,
             "ρ(ab) = Σa0b0⊗b1a1, ρ(1) = 1⊗1")
     return rep
-
-
-def _dense(alg, p, q):
-    m = alg.dim
-    base = (p * m + q) * m
-    return alg.mult.data[base:base + m]
-
-
-def _dense_vec(alg, q, r):
-    return _dense(alg, q, r)
-
-
-def _coact_vec(mod, vec):
-    terms = []
-    for p, x in enumerate(vec):
-        if not x:
-            continue
-        for q, k, c in mod.coact(p):
-            terms.append((q, k, x * c))
-    return terms
 
 
 # -- tensor products and the braiding ---------------------------------------
@@ -447,30 +276,25 @@ def yd_tensor(ma, mb):
     dim = da * db
     action = Tensor.zeros(f, (n, dim, dim))
     for i in range(n):
-        for a, b, c in h.delta(i):
+        for a, b, c in h.delta.terms(i):
             for p in range(da):
-                rp = ma.act_row(a, p)
+                rp = ma.act.row(a, p)
                 for q in range(db):
-                    rq = mb.act_row(b, q)
-                    src = p * db + q
-                    for p2 in range(da):
-                        if not rp[p2]:
-                            continue
-                        w = c * rp[p2]
-                        for q2 in range(db):
-                            if rq[q2]:
-                                action.data[(i * dim + src) * dim
-                                            + p2 * db + q2] = \
-                                    action.data[(i * dim + src) * dim
-                                                + p2 * db + q2] + w * rq[q2]
+                    rq = mb.act.row(b, q)
+                    base = (i * dim + p * db + q) * dim
+                    for p2, x in rp:
+                        w = c * x
+                        for q2, y in rq:
+                            idx = base + p2 * db + q2
+                            action.data[idx] = action.data[idx] + w * y
     coaction = Tensor.zeros(f, (dim, dim, n))
     for p in range(da):
         for q in range(db):
             src = p * db + q
-            for p0, k1, c1 in ma.coact(p):
-                for q0, k2, c2 in mb.coact(q):
+            for p0, k1, c1 in ma.coact.terms(p):
+                for q0, k2, c2 in mb.coact.terms(q):
                     w = c1 * c2
-                    for k, cm in h.mul_sparse(k2, k1):
+                    for k, cm in h.mul.row(k2, k1):
                         idx = (src * dim + p0 * db + q0) * n + k
                         coaction.data[idx] = coaction.data[idx] + w * cm
     return YdModule(h, dim, action, coaction)
@@ -486,11 +310,9 @@ def braiding(ma, mb):
     for p in range(da):
         for q in range(db):
             row = mat.data[p * db + q]
-            for q0, k, c in mb.coact(q):
-                arow = ma.act_row(k, p)
-                for p1 in range(da):
-                    if arow[p1]:
-                        row[q0 * da + p1] = row[q0 * da + p1] + c * arow[p1]
+            for q0, k, c in mb.coact.terms(q):
+                for p1, x in ma.act.row(k, p):
+                    row[q0 * da + p1] = row[q0 * da + p1] + c * x
     return YdMap(yd_tensor(ma, mb), yd_tensor(mb, ma), mat)
 
 
@@ -504,29 +326,18 @@ def is_yd_map(f_map, rep=None, prefix=""):
         raise VerificationError("yd map between different hosts")
     mt = f_map.matrix
     zero = h.field.zero
-    bad = None
-    for i in range(h.dim):
-        for p in range(src.dim):
-            lhs = [zero] * dst.dim
-            arow = src.act_row(i, p)
-            for q, x in enumerate(arow):
-                if not x:
-                    continue
-                for t, y in enumerate(mt.data[q]):
-                    if y:
-                        lhs[t] = lhs[t] + x * y
-            rhs = dst.act_basis_vec(i, mt.data[p])
-            if lhs != rhs:
-                bad = (i, p)
-                break
-        if bad:
-            break
-    rep.add(prefix + "h_linear", bad is None, bad)
 
-    bad = None
-    for p in range(src.dim):
+    def linear(i, p):
+        lhs = [zero] * dst.dim
+        for q, x in src.act.row(i, p):
+            for t, y in enumerate(mt.data[q]):
+                if y:
+                    lhs[t] = lhs[t] + x * y
+        return lhs, dst.act_basis_vec(i, mt.data[p])
+
+    def colinear(p):
         lhs = {}
-        for q, k, c in src.coact(p):
+        for q, k, c in src.coact.terms(p):
             for t, y in enumerate(mt.data[q]):
                 if y:
                     key = (t, k)
@@ -535,15 +346,14 @@ def is_yd_map(f_map, rep=None, prefix=""):
         for t, y in enumerate(mt.data[p]):
             if not y:
                 continue
-            for q, k, c in dst.coact(t):
+            for q, k, c in dst.coact.terms(t):
                 key = (q, k)
                 rhs[key] = rhs.get(key, zero) + y * c
-        for key in set(lhs) | set(rhs):
-            if lhs.get(key, zero) != rhs.get(key, zero):
-                bad = (p,) + key
-                break
-        if bad:
-            break
+        return lhs, rhs
+
+    bad = first_mismatch((range(h.dim), range(src.dim)), linear)
+    rep.add(prefix + "h_linear", bad is None, bad)
+    bad = first_mismatch((range(src.dim),), colinear)
     rep.add(prefix + "h_colinear", bad is None, bad)
     return rep
 
@@ -567,16 +377,13 @@ def sigma_module(s, mod, host_s=None, verify=True):
         for p in range(m):
             acc = [f.zero] * m
             for (a, b, c3), w in h.copower(i, 3):
-                for q0, k0, c0 in mod.coact(p):
+                for q0, k0, c0 in mod.coact.terms(p):
                     s2 = inv.data[c3][k0]
                     if not s2:
                         continue
-                    row = mod.act_row(b, q0)
-                    for q1 in range(m):
-                        if not row[q1]:
-                            continue
-                        w2 = w * c0 * s2 * row[q1]
-                        for q2, k2, c2 in mod.coact(q1):
+                    for q1, x in mod.act.row(b, q0):
+                        w2 = w * c0 * s2 * x
+                        for q2, k2, c2 in mod.coact.terms(q1):
                             s1 = sig.data[k2][a]
                             if s1:
                                 acc[q2] = acc[q2] + w2 * c2 * s1
@@ -593,7 +400,7 @@ def sigma_module(s, mod, host_s=None, verify=True):
                     s2 = inv.data[e][k2]
                     if not s2:
                         continue
-                    vec = h.mul_vec(h.mul_basis(d, k1), h.Sinv_basis(b))
+                    vec = h.mul_vec(h.mul.dense_row(d, k1), h.Sinv_basis(b))
                     s1 = f.zero
                     for t, cv in enumerate(vec):
                         if cv and sig.data[t][a]:
@@ -601,10 +408,8 @@ def sigma_module(s, mod, host_s=None, verify=True):
                     if not s1:
                         continue
                     w2 = w * c0 * s1 * s2
-                    row = mod.act_row(c3, q0)
-                    for q in range(m):
-                        if row[q]:
-                            acc[q] = acc[q] + w2 * row[q]
+                    for q, x in mod.act.row(c3, q0):
+                        acc[q] = acc[q] + w2 * x
             base = (i * m + p) * m
             for q in range(m):
                 if action.data[base + q] != acc[q]:
@@ -634,8 +439,8 @@ def eta(s, ma, mb, host_s=None):
         for q in range(db):
             row = mat.data[p * db + q]
             row2 = mat_inv.data[p * db + q]
-            for p0, k1, c1 in ma.coact(p):
-                for q0, k2, c2 in mb.coact(q):
+            for p0, k1, c1 in ma.coact.terms(p):
+                for q0, k2, c2 in mb.coact.terms(q):
                     w = c1 * c2
                     v = s.sigma_inv.data[k2][k1]
                     if v:
@@ -688,13 +493,13 @@ def sigma_algebra(s, alg, host_s=None, verify=True):
     for p in range(m):
         for q in range(m):
             acc = [f.zero] * m
-            for p0, k1, c1 in mod.coact(p):
-                for q0, k2, c2 in mod.coact(q):
+            for p0, k1, c1 in mod.coact.terms(p):
+                for q0, k2, c2 in mod.coact.terms(q):
                     v = s.sigma_inv.data[k2][k1]
                     if not v:
                         continue
                     w = c1 * c2 * v
-                    for t, cm in alg.mul_sparse(p0, q0):
+                    for t, cm in alg.mul.row(p0, q0):
                         acc[t] = acc[t] + w * cm
             base = (p * m + q) * m
             for t in range(m):
@@ -717,7 +522,7 @@ def zeta_iso(mu, mod, cob=None, host_s=None):
         host_s = deform(cob, verify=False)
     mat = Matrix.zeros(f, m, m)
     for p in range(m):
-        for q, k, c in mod.coact(p):
+        for q, k, c in mod.coact.terms(p):
             if mu.mu[k]:
                 mat.data[p][q] = mat.data[p][q] + c * mu.mu[k]
     smod = sigma_module(cob, mod, host_s, verify=False)
@@ -779,19 +584,13 @@ def theta_module(d, mod, host_t=None, verify=True):
                         if not y:
                             continue
                         w = x * y
-                        u = mod.act_row(e, p)
-                        for q0 in range(m):
-                            if not u[q0]:
-                                continue
-                            w2 = w * u[q0]
-                            for q1, k, cc in mod.coact(q0):
-                                arow = mod.act_row(a, q1)
-                                hvec = h.mul_vec(h.mul_basis(b, k),
+                        for q0, u in mod.act.row(e, p):
+                            w2 = w * u
+                            for q1, k, cc in mod.coact.terms(q0):
+                                hvec = h.mul_vec(h.mul.dense_row(b, k),
                                                  h.basis_vec(c))
-                                for q2 in range(m):
-                                    if not arow[q2]:
-                                        continue
-                                    w3 = w2 * cc * arow[q2]
+                                for q2, v in mod.act.row(a, q1):
+                                    w3 = w2 * cc * v
                                     for k2, cv in enumerate(hvec):
                                         if cv:
                                             key = (p, q2, k2)
@@ -812,10 +611,10 @@ def theta_module(d, mod, host_t=None, verify=True):
                             continue
                         w = x * y
                         for (e1, e2, e3), wd in h.copower(e, 3):
-                            first = h.mul_basis(a, e2)
-                            for q0, k0, c0 in mod.coact(p):
+                            first = h.mul.dense_row(a, e2)
+                            for q0, k0, c0 in mod.coact.terms(p):
                                 u = mod.act_vec(first, mod.basis_vec(q0))
-                                hvec = h.mul_vec(h.mul_basis(b, e3),
+                                hvec = h.mul_vec(h.mul.dense_row(b, e3),
                                                  h.mul_vec(h.basis_vec(k0),
                                                            h.mul_vec(
                                                                h.Sinv_basis(e1),
@@ -829,10 +628,10 @@ def theta_module(d, mod, host_t=None, verify=True):
                                             key = (p, q2, k2)
                                             co2[key] = co2.get(key, zero) \
                                                 + w3 * cv
-    for key in set(co) | set(co2):
-        if co.get(key, zero) != co2.get(key, zero):
-            raise VerificationError(
-                "the two ρ_θ expressions disagree at %r" % (key,))
+    key = first_mismatch((), lambda: (co, co2))
+    if key is not None:
+        raise VerificationError(
+            "the two ρ_θ expressions disagree at %r" % (key,))
 
     coaction = Tensor.zeros(f, (m, m, n))
     for (p, q, k), v in co.items():
@@ -861,16 +660,11 @@ def theta_phi(d, ma, mb, host_t=None):
                     y = d.theta_inv.data[c][e]
                     if not y:
                         continue
-                    u = ma.act_row(c, p)
-                    v = mb.act_row(e, q)
-                    for p1 in range(da):
-                        if not u[p1]:
-                            continue
-                        w = y * u[p1]
-                        for q1 in range(db):
-                            if v[q1]:
-                                row[p1 * db + q1] = row[p1 * db + q1] \
-                                    + w * v[q1]
+                    v = mb.act.row(e, q)
+                    for p1, x in ma.act.row(c, p):
+                        w = y * x
+                        for q1, z in v:
+                            row[p1 * db + q1] = row[p1 * db + q1] + w * z
     if host_t is None:
         host_t = deform_dual(d, verify=False)
     ta = theta_module(d, ma, host_t, verify=False)
@@ -917,8 +711,8 @@ def theta_algebra(d, alg, host_t=None, verify=True):
                     y = d.theta_inv.data[c][e]
                     if not y:
                         continue
-                    u = mod.act_row(c, p)
-                    v = mod.act_row(e, q)
+                    u = mod.act.dense_row(c, p)
+                    v = mod.act.dense_row(e, q)
                     w = alg.mul_vec(u, v)
                     for t in range(m):
                         if w[t]:
@@ -959,13 +753,10 @@ def braided_product(alga, algb, cqt=None, verify=True):
                 for s2 in range(db):
                     src2 = r * db + s2
                     acc = {}
-                    for r0, k, c in moda.coact(r):
-                        u = [x for x in _dense(alga, p, r0)]
-                        act_b = modb.act_row(k, q)
-                        v = algb.mul_vec(act_b, modb.basis_vec(s2))
-                        for p1, x in enumerate(u):
-                            if not x:
-                                continue
+                    for r0, k, c in moda.coact.terms(r):
+                        v = algb.mul_vec(modb.act.dense_row(k, q),
+                                         modb.basis_vec(s2))
+                        for p1, x in alga.mul.row(p, r0):
                             w = c * x
                             for q1, y in enumerate(v):
                                 if y:
@@ -997,8 +788,8 @@ def h_opposite(alg, verify=True):
     for p in range(m):
         for q in range(m):
             acc = [f.zero] * m
-            for q0, k, c in mod.coact(q):
-                u = mod.act_row(k, p)
+            for q0, k, c in mod.coact.terms(q):
+                u = mod.act.dense_row(k, p)
                 v = alg.mul_vec(mod.basis_vec(q0), u)
                 for t in range(m):
                     if v[t]:
@@ -1041,7 +832,7 @@ def end_algebra(mod, verify=True):
 
     action = Tensor.zeros(f, (n, dim, dim))
     for i in range(n):
-        for a, b, ca in h.delta(i):
+        for a, b, ca in h.delta.terms(i):
             sb = h.S_basis(b)
             for p in range(m):
                 for q in range(m):
@@ -1052,12 +843,9 @@ def end_algebra(mod, verify=True):
                         if not sv[p]:
                             continue
                         w = ca * sv[p]
-                        u = mod.act_row(a, q)
-                        for q2 in range(m):
-                            if u[q2]:
-                                idx = (i * dim + src) * dim + r * m + q2
-                                action.data[idx] = action.data[idx] \
-                                    + w * u[q2]
+                        for q2, x in mod.act.row(a, q):
+                            idx = (i * dim + src) * dim + r * m + q2
+                            action.data[idx] = action.data[idx] + w * x
 
     coaction = Tensor.zeros(f, (dim, dim, n))
     for p in range(m):
@@ -1065,10 +853,10 @@ def end_algebra(mod, verify=True):
             src = p * m + q
             # Σ f₀(v_r)⊗f₁ = Σ coact[r,p,k]·coact[q,q',l] v_q'⊗S⁻¹(e_k)e_l
             for r in range(m):
-                for p2, k, c1 in mod.coact(r):
+                for p2, k, c1 in mod.coact.terms(r):
                     if p2 != p:
                         continue
-                    for q2, l, c2 in mod.coact(q):
+                    for q2, l, c2 in mod.coact.terms(q):
                         w = c1 * c2
                         hv = h.mul_vec(h.Sinv_basis(k), h.basis_vec(l))
                         for k2, cv in enumerate(hv):
@@ -1083,23 +871,9 @@ def end_algebra(mod, verify=True):
 
 
 def quantum_commutative(alg):
-    """ab = Σ b₀ (b₁·a) on all basis pairs."""
-    mod = alg.module
-    m = alg.dim
-    f = alg.host.field
-    for p in range(m):
-        for q in range(m):
-            lhs = _dense(alg, p, q)
-            rhs = [f.zero] * m
-            for q0, k, c in mod.coact(q):
-                u = mod.act_row(k, p)
-                v = alg.mul_vec(mod.basis_vec(q0), u)
-                for t in range(m):
-                    if v[t]:
-                        rhs[t] = rhs[t] + c * v[t]
-            if list(lhs) != rhs:
-                return False
-    return True
+    """ab = Σ b₀ (b₁·a) on all basis pairs, that is A equals its
+    H-opposite."""
+    return h_opposite(alg, verify=False).mult == alg.mult
 
 
 def generating_set(alg):
@@ -1155,10 +929,10 @@ def azumaya_check(alg):
             row = fmat.data[p * m + q]
             # F(a#b̄)(x) = Σ a x₀ (x₁·b)
             for x in range(m):
-                for x0, k, c in mod.coact(x):
+                for x0, k, c in mod.coact.terms(x):
                     u = alg.mul_vec(mod.basis_vec(p),
                                     alg.mul_vec(mod.basis_vec(x0),
-                                                mod.act_row(k, q)))
+                                                mod.act.dense_row(k, q)))
                     for y in range(m):
                         if u[y]:
                             row[x * m + y] = row[x * m + y] + c * u[y]
@@ -1169,9 +943,9 @@ def azumaya_check(alg):
             row = gmat.data[p * m + q]
             # G(ā#b)(x) = Σ a₀ (a₁·x) b
             for x in range(m):
-                for p0, k, c in mod.coact(p):
+                for p0, k, c in mod.coact.terms(p):
                     u = alg.mul_vec(mod.basis_vec(p0),
-                                    alg.mul_vec(mod.act_row(k, x),
+                                    alg.mul_vec(mod.act.dense_row(k, x),
                                                 mod.basis_vec(q)))
                     for y in range(m):
                         if u[y]:
@@ -1191,9 +965,9 @@ def azumaya_check(alg):
         for r, xc in enumerate(gvec_a):
             if not xc:
                 continue
-            for r0, k, c in mod.coact(r):
-                u = _dense(alg, p, r0)
-                w = bar.mul_vec(mod.act_row(k, q), gvec_b)
+            for r0, k, c in mod.coact.terms(r):
+                u = alg.mul.dense_row(p, r0)
+                w = bar.mul_vec(mod.act.dense_row(k, q), gvec_b)
                 cx0 = xc * c
                 for p1, x in enumerate(u):
                     if not x:
@@ -1234,37 +1008,26 @@ def azumaya_check(alg):
     pairs = [(alg.module.basis_vec(g), list(alg.unit)) for g in gens_a]
     pairs += [(list(alg.unit), alg.module.basis_vec(g)) for g in gens_b]
 
-    bad = None
-    for gi, (ga, gb) in enumerate(pairs):
-        gflat = {}
+    def flat(ga, gb):
+        """a#b̄ for coordinate vectors a, b, as {p·m+q: coefficient}."""
+        out = {}
         for p, x in enumerate(ga):
             if not x:
                 continue
             for q, y in enumerate(gb):
                 if y:
-                    gflat[p * m + q] = x * y
-        fg = f_of(gflat)
-        for u_idx in range(dim):
-            prod = sharp_with_basis(u_idx, ga, gb)
-            lhs = f_of(prod)
-            # product in End(A) is composition: (f·g)(x) = f(g(x))
-            rhs = mat_mul(fg, f_rows[u_idx])
-            if lhs != rhs:
-                bad = (u_idx, gi)
-                break
-        if bad:
-            break
-    rep.add("F_algebra_map", bad is None, bad,
-            "checked against %d generators" % len(pairs))
+                    out[p * m + q] = x * y
+        return out
 
-    unit_flat = {}
-    for p, x in enumerate(alg.unit):
-        if not x:
-            continue
-        for q, y in enumerate(alg.unit):
-            if y:
-                unit_flat[p * m + q] = x * y
-    rep.add("F_unital", f_of(unit_flat) == Matrix.identity(f, m))
+    f_gens = [f_of(flat(ga, gb)) for ga, gb in pairs]
+    # product in End(A) is composition: (f·g)(x) = f(g(x))
+    bad = first_mismatch((range(len(pairs)), range(dim)), lambda gi, u: (
+        f_of(sharp_with_basis(u, *pairs[gi])), mat_mul(f_gens[gi], f_rows[u])))
+    # the witness is (basis index, generator index)
+    rep.add("F_algebra_map", bad is None, bad and bad[::-1],
+            "checked against %d generators" % len(pairs))
+    rep.add("F_unital",
+            f_of(flat(alg.unit, alg.unit)) == Matrix.identity(f, m))
 
     nonzero = any(alg.unit)
     rep.add("is_azumaya", nonzero and rank_f == dim and rank_g == dim)
@@ -1285,12 +1048,11 @@ def yd_hom_basis(ma, mb):
     rows = []
     for i in range(n):
         for p in range(da):
-            arow = ma.act_row(i, p)
+            arow = ma.act.row(i, p)
             for t in range(db):
                 coeffs = [f.zero] * unknowns
-                for q, x in enumerate(arow):
-                    if x:
-                        coeffs[q * db + t] = coeffs[q * db + t] + x
+                for q, x in arow:
+                    coeffs[q * db + t] = coeffs[q * db + t] + x
                 for t2 in range(db):
                     c = mb.action.data[(i * db + t2) * db + t]
                     if c:
@@ -1300,7 +1062,7 @@ def yd_hom_basis(ma, mb):
         for t in range(db):
             for k in range(n):
                 coeffs = [f.zero] * unknowns
-                for q, k2, c in ma.coact(p):
+                for q, k2, c in ma.coact.terms(p):
                     if k2 == k:
                         coeffs[q * db + t] = coeffs[q * db + t] + c
                 for q2 in range(db):

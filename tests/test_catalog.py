@@ -10,14 +10,14 @@ from hopflab import catalog as cat
 
 def test_h4_multiplication_table(h4):
     # h·g = -gh
-    assert h4.mul_basis(2, 1) == [QQ.zero, QQ.zero, QQ.zero, -QQ.one]
+    assert h4.mul.dense_row(2, 1) == [QQ.zero, QQ.zero, QQ.zero, -QQ.one]
     # g·h = gh, g·gh = h, gh·g = -h
-    assert h4.mul_basis(1, 2)[3] == QQ.one
-    assert h4.mul_basis(1, 3)[2] == QQ.one
-    assert h4.mul_basis(3, 1)[2] == -QQ.one
+    assert h4.mul.dense_row(1, 2)[3] == QQ.one
+    assert h4.mul.dense_row(1, 3)[2] == QQ.one
+    assert h4.mul.dense_row(3, 1)[2] == -QQ.one
     # h² = 0 and (gh)² = 0
-    assert not any(h4.mul_basis(2, 2))
-    assert not any(h4.mul_basis(3, 3))
+    assert not any(h4.mul.dense_row(2, 2))
+    assert not any(h4.mul.dense_row(3, 3))
 
 
 def test_h4_antipode_square_is_minus_one_on_h(h4):

@@ -73,15 +73,15 @@ def test_iterated_coproduct_order_independent(h4):
     lhs = {}
     rhs = {}
     for i in range(n):
-        for j, k, c in h4.delta(i):
-            for a, b, c2 in h4.delta(j):
+        for j, k, c in h4.delta.terms(i):
+            for a, b, c2 in h4.delta.terms(j):
                 lhs[(i, a, b, k)] = lhs.get((i, a, b, k), QQ.zero) + c * c2
-            for a, b, c2 in h4.delta(k):
+            for a, b, c2 in h4.delta.terms(k):
                 rhs[(i, j, a, b)] = rhs.get((i, j, a, b), QQ.zero) + c * c2
     assert lhs == rhs
     t3 = iterated_coproduct(h4, 3)
     for (i, a, b, c), v in lhs.items():
-        assert t3.at(i, (a * n + b) * n + c) == v
+        assert t3.data[i * n ** 3 + (a * n + b) * n + c] == v
 
 
 def test_op_cop_identity_when_no_flip(h4):
@@ -109,7 +109,7 @@ def test_antipode_axiom_vector_form(h4):
     # m∘(S⊗id)∘Δ = unit∘ε checked directly as n→n maps
     for i in range(4):
         acc = [QQ.zero] * 4
-        for j, k, c in h4.delta(i):
+        for j, k, c in h4.delta.terms(i):
             v = h4.mul_vec(h4.S_basis(j), h4.basis_vec(k))
             for t, x in enumerate(v):
                 acc[t] = acc[t] + c * x

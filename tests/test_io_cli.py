@@ -180,8 +180,16 @@ H4_DOC = io_json.hopf_to_json(cat.sweedler_h4(QQ, verify=False))
     [H4_DOC],
     {**H4_DOC, "unit": "1000"},
     {**H4_DOC, "antipode_inv": H4_DOC["antipode_inv"][:3]},
+    {**H4_DOC, "mult": 5},
+    {**H4_DOC, "comult": 5},
+    {**H4_DOC, "basis": 5},
+    {**H4_DOC, "mult": [5]},
+    {**H4_DOC, "mult": H4_DOC["mult"] + [[True, True, 0, "0"]]},
+    {**H4_DOC, "name": [1]},
 ], ids=["field_not_string", "array_document", "unit_not_list",
-        "antipode_inv_3_rows"])
+        "antipode_inv_3_rows", "mult_not_list", "comult_not_list",
+        "basis_not_list", "mult_entry_not_list", "mult_index_bool",
+        "name_not_string"])
 def test_cli_malformed_document_exit2(tmp_path, doc, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))

@@ -1,4 +1,5 @@
-"""Exact linear algebra kernel: rank/kernel/solve/contract.
+"""Exact linear algebra kernel: rank/kernel/solve and the sparse
+structure-tensor kernel Bilinear.
 
 The rank oracle is a second, independent elimination with permuted row
 order; solve and kernel are checked by multiplying back.
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopflab.fields import QQ, PrimeField
-from hopflab.linalg import (DimensionError, Matrix, Tensor, contract,
+from hopflab.linalg import (Bilinear, DimensionError, Matrix, Tensor,
                             kernel_basis, mat_mul, mat_vec, rank, solve)
 from hopflab.catalog import sweedler_h4, sigma_t
 
@@ -142,53 +143,34 @@ def test_solve_multiply_back_random(n, seed):
     assert_no_floats(x)
 
 
-def test_contract_matrix_vector():
-    rng = random.Random(1)
-    a = Tensor(QQ, (3, 4), [QQ.from_int(rng.randint(-3, 3))
-                            for _ in range(12)])
-    v = Tensor(QQ, (4,), [QQ.from_int(rng.randint(-3, 3)) for _ in range(4)])
-    out = contract(a, v, [(1, 0)])
-    assert out.shape == (3,)
-    for i in range(3):
-        want = sum((a.at(i, j) * v.at(j) for j in range(4)), QQ.zero)
-        assert out.at(i) == want
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 10 ** 6))
+def test_bilinear_matches_dense_definition(n0, n1, n2, seed):
+    rng = random.Random(seed)
+    field = PrimeField(7)
 
+    def rand_vec(n):
+        return [field.from_int(rng.choice([0, 0, 1, -2, 3])) for _ in range(n)]
 
-def test_contract_counit_axiom_gives_identity():
-    h4 = sweedler_h4(QQ)
-    eps = Tensor(QQ, (4,), list(h4.counit))
-    out = contract(h4.comult, eps, [(2, 0)])
-    assert out.shape == (4, 4)
-    ident = Matrix.identity(QQ, 4)
-    assert [out.at(i, j) for i in range(4) for j in range(4)] == \
-        ident.entries
+    t = Tensor(field, (n0, n1, n2), rand_vec(n0 * n1 * n2))
+    kernel = Bilinear(t)
 
+    def entry(i, j, k):
+        return t.data[(i * n1 + j) * n2 + k]
 
-def test_contract_no_pairs_is_outer_product():
-    a = Tensor(QQ, (2,), [QQ.one, QQ.from_int(2)])
-    b = Tensor(QQ, (3,), [QQ.from_int(k) for k in (1, 0, -1)])
-    out = contract(a, b, [])
-    assert out.shape == (2, 3)
-    assert out.at(1, 2) == QQ.from_int(-2)
-
-
-def test_contract_two_steps_equal_one():
-    rng = random.Random(9)
-    a = Tensor(QQ, (2, 3), [QQ.from_int(rng.randint(-3, 3))
-                            for _ in range(6)])
-    b = Tensor(QQ, (3, 2), [QQ.from_int(rng.randint(-3, 3))
-                            for _ in range(6)])
-    c = Tensor(QQ, (2, 2), [QQ.from_int(rng.randint(-3, 3))
-                            for _ in range(4)])
-    ab = contract(a, b, [(1, 0)])      # shape (2, 2)
-    ab_c = contract(ab, c, [(1, 0)])   # contract over disjoint axes stepwise
-    bc = contract(b, c, [(1, 0)])
-    a_bc = contract(a, bc, [(1, 0)])
-    assert ab_c == a_bc
-
-
-def test_contract_shape_mismatch():
-    a = Tensor(QQ, (2, 3), [QQ.zero] * 6)
-    b = Tensor(QQ, (2, 2), [QQ.zero] * 4)
-    with pytest.raises(DimensionError):
-        contract(a, b, [(1, 0)])
+    u, v = rand_vec(n0), rand_vec(n1)
+    assert kernel.apply(u, v) == [
+        sum((u[i] * v[j] * entry(i, j, k) for i in range(n0)
+             for j in range(n1)), field.zero) for k in range(n2)]
+    for i in range(n0):
+        assert kernel.apply_basis(i, v) == [
+            sum((v[j] * entry(i, j, k) for j in range(n1)), field.zero)
+            for k in range(n2)]
+        assert kernel.terms(i) == [(j, k, entry(i, j, k)) for j in range(n1)
+                                   for k in range(n2) if entry(i, j, k)]
+        for j in range(n1):
+            dense = [entry(i, j, k) for k in range(n2)]
+            assert kernel.dense_row(i, j) == dense
+            assert kernel.row(i, j) == [(k, c) for k, c in enumerate(dense)
+                                        if c]

@@ -116,8 +116,8 @@ def test_yd_from_comodule_kc2_hand_contraction(kc2):
     coaction = Tensor(QQ, (2, 2, 2), list(kc2.comult.data))
     mod = yd_from_comodule(c, coaction)
     # g acts on basis vector g by R(g⊗g) = -1
-    assert mod.act_row(1, 1) == [QQ.zero, -QQ.one]
-    assert mod.act_row(1, 0) == [QQ.one, QQ.zero]
+    assert mod.act.dense_row(1, 1) == [QQ.zero, -QQ.one]
+    assert mod.act.dense_row(1, 0) == [QQ.one, QQ.zero]
 
 
 def test_yd_from_module_trivial_rr(kc2):
@@ -127,7 +127,7 @@ def test_yd_from_module_trivial_rr(kc2):
     mod = yd_from_module(q, action)
     # trivial coaction a ↦ a⊗1
     for p in range(2):
-        assert mod.coact(p) == [(p, 0, QQ.one)]
+        assert mod.coact.terms(p) == [(p, 0, QQ.one)]
 
 
 def test_yd_from_module_regular_h4(h4):

@@ -161,12 +161,12 @@ def test_character_coboundary_on_h4(h4):
     for i in range(n):
         for j in range(n):
             acc = QQ.zero
-            for a, b, ca in h4.delta(i):
-                for c, d, cd in h4.delta(j):
+            for a, b, ca in h4.delta.terms(i):
+                for c, d, cd in h4.delta.terms(j):
                     if not (mu[a] and mu[c]):
                         continue
                     w = ca * cd * mu[a] * mu[c]
-                    prod = h4.mul_basis(b, d)
+                    prod = h4.mul.dense_row(b, d)
                     for k, x in enumerate(prod):
                         if x and mu_inv[k]:
                             acc = acc + w * x * mu_inv[k]
