@@ -262,14 +262,6 @@ def trivial_algebra(host):
     return _yd.YdAlgebra(m, Tensor(f, (1, 1, 1), [f.one]), [f.one])
 
 
-def regular_module_qt(q):
-    """H with the left regular action and the ℛ-induced coaction."""
-    host = q.host
-    n = host.dim
-    action = Tensor(host.field, (n, n, n), list(host.mult.data))
-    return _cqt.yd_from_module(q, action)
-
-
 def regular_galois_algebra(host, verify=True):
     """(H, opposite multiplication) as a right H^op-comodule algebra with
     coaction Δ and the adjoint action h·a = Σ h₂ a S⁻¹(h₁).
@@ -323,10 +315,6 @@ class CatalogEntry:
     payload: object
     provenance: str
     kind: str
-
-
-def _needs_t(build):
-    return build
 
 
 _T_DEFAULT = 1

@@ -3,6 +3,12 @@ actions and coinvariants, the generalized cotensor product, the unit object,
 the isomorphism witnesses χ/φ/ψ/ξ, Galois-extension decisions and the
 Miyashita-Ulbrich action on centralizers.
 
+Structures are read through the sparse kernel linalg.Bilinear (h.mul,
+h.delta, mod.act, mod.coact, alg.mul, and b.left/b.right for −▷ and ◁−).
+R, σ and σ⁻¹ are paired with vectors only by twist.eval2.  The R-induced
+action ▷₁ is quasitriangular.yd_from_comodule.  ▷₂, −▷, ◁− and the wedge
+action are each computed in two displayed forms, and report.require_agree
+raises at the first index where they differ.
 Subspace bases are stored as Matrix columns; span comparisons are exact.
 """
 
@@ -14,11 +20,13 @@ from itertools import product
 from .hopf import dual_hopf
 from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, in_span,
                      kernel_basis, mat_mul, rank, same_span, solve)
-from .report import CheckReport, VerificationError, first_mismatch
-from .twist import deform
-from .yd import (YdAlgebra, YdMap, YdModule, is_yd_map, quantum_commutative,
-                 sigma_algebra, sigma_module, verify_yd, verify_yd_algebra,
-                 yd_tensor)
+from .quasitriangular import deform_cqt, yd_from_comodule
+from .report import (CheckReport, VerificationError, first_mismatch,
+                     require_agree)
+from .twist import deform, eval2
+from .yd import (YdAlgebra, YdMap, YdModule, agreed_tensor, braided_product,
+                 eta, is_yd_map, quantum_commutative, sigma_algebra,
+                 sigma_module, verify_yd, verify_yd_algebra, yd_tensor)
 
 
 @dataclass
@@ -76,59 +84,21 @@ class BimoduleActions:
     right_hr: Tensor            # m ◁− h
     act2: Tensor                # h ▷₂ m
 
+    def __post_init__(self):
+        self.left = Bilinear(self.left_hr)
+        self.right = Bilinear(self.right_hr)
 
-def act1_tensor(c, coaction):
-    """h▷₁m = Σ m₀ R(h⊗m₁) from a coaction tensor."""
+
+def act2_tensor(c, mod):
+    """h▷₂m = Σ m₀ R(S(m₁)⊗h); the S⁻¹ form Σ m₀ R(m₁⊗S⁻¹(h)) must agree."""
     h = c.host
-    n = h.dim
-    f = h.field
-    m = coaction.shape[0]
-    out = Tensor.zeros(f, (n, m, m))
-    for i in range(n):
-        ri = c.r.data[i]
-        for p in range(m):
-            for q in range(m):
-                acc = f.zero
-                for k in range(n):
-                    x = coaction.data[(p * m + q) * n + k]
-                    if x and ri[k]:
-                        acc = acc + x * ri[k]
-                out.data[(i * m + p) * m + q] = acc
-    return out
-
-
-def act2_tensor(c, coaction):
-    """h▷₂m = Σ m₀ R(S(m₁)⊗h); the S⁻¹ form is asserted equal."""
-    h = c.host
-    n = h.dim
-    f = h.field
-    m = coaction.shape[0]
-    out = Tensor.zeros(f, (n, m, m))
-    for i in range(n):
-        for p in range(m):
-            for q in range(m):
-                acc = f.zero
-                acc2 = f.zero
-                for k in range(n):
-                    x = coaction.data[(p * m + q) * n + k]
-                    if not x:
-                        continue
-                    s1 = f.zero
-                    for t, cv in enumerate(h.S_basis(k)):
-                        if cv and c.r.data[t][i]:
-                            s1 = s1 + cv * c.r.data[t][i]
-                    acc = acc + x * s1
-                    s2 = f.zero
-                    for t, cv in enumerate(h.Sinv_basis(i)):
-                        if cv and c.r.data[k][t]:
-                            s2 = s2 + cv * c.r.data[k][t]
-                    acc2 = acc2 + x * s2
-                if acc != acc2:
-                    raise VerificationError(
-                        "the two ▷₂ expressions disagree at (%d,%d,%d)"
-                        % (i, p, q))
-                out.data[(i * m + p) * m + q] = acc
-    return out
+    ms = range(mod.dim)
+    rho = [[mod.coact.dense_row(p, q) for q in ms] for p in ms]
+    s_rho = [[h.apply_S(v) for v in row] for row in rho]
+    return agreed_tensor(
+        "▷₂", h.field, (h.dim, mod.dim, mod.dim),
+        lambda i, p: [eval2(c.r, v, i) for v in s_rho[p]],
+        lambda i, p: [eval2(c.r, v, h.Sinv_basis(i)) for v in rho[p]])
 
 
 def build_hr(c, verify=True):
@@ -137,61 +107,53 @@ def build_hr(c, verify=True):
     h = c.host
     n = h.dim
     f = h.field
+    e, hs = h.basis_vec, range(n)
 
-    star = Tensor.zeros(f, (n, n, n))
-    for i in range(n):
-        di = h.delta.terms(i)
-        for j in range(n):
-            acc = [f.zero] * n
-            # h⋆l = Σ l₂h₂ R(S⁻¹(l₃)l₁ ⊗ h₁), h = e_i, l = e_j
-            for (l1, l2, l3), w2 in h.copower(j, 3):
-                u = h.mul_vec(h.Sinv_basis(l3), h.basis_vec(l1))
-                for h1, h2, w1 in di:
-                    scal = f.zero
-                    for t, cv in enumerate(u):
-                        if cv and c.r.data[t][h1]:
-                            scal = scal + cv * c.r.data[t][h1]
-                    if not scal:
-                        continue
-                    w = w1 * w2 * scal
-                    for k, cm in h.mul.row(l2, h2):
-                        acc[k] = acc[k] + w * cm
-            base = (i * n + j) * n
-            for k in range(n):
-                star.data[base + k] = acc[k]
+    def star(i, j):
+        # h⋆l = Σ l₂h₂ R(S⁻¹(l₃)l₁ ⊗ h₁), h = e_i, l = e_j
+        acc = [f.zero] * n
+        for (l1, l2, l3), w2 in h.copower(j, 3):
+            u = h.mul_vec(h.Sinv_basis(l3), e(l1))
+            for h1, h2, w1 in h.delta.terms(i):
+                scal = eval2(c.r, u, h1)
+                if not scal:
+                    continue
+                w = w1 * w2 * scal
+                for k, cm in h.mul.row(l2, h2):
+                    acc[k] = acc[k] + w * cm
+        return acc
 
     ss = mat_mul(h.antipode, h.antipode)  # S² (apply S twice)
-    s_r = Matrix.zeros(f, n, n)
-    for i in range(n):
-        acc = [f.zero] * n
+
+    def s_r(i):
         # S_R(h) = Σ S(h₂) R(S²(h₃)S(h₁) ⊗ h₄)
+        acc = [f.zero] * n
         for (a, b, c3, d), w in h.copower(i, 4):
-            u = h.mul_vec(ss.data[c3], h.S_basis(a))
-            scal = f.zero
-            for t, cv in enumerate(u):
-                if cv and c.r.data[t][d]:
-                    scal = scal + cv * c.r.data[t][d]
+            scal = eval2(c.r, h.mul_vec(ss.data[c3], h.S_basis(a)), d)
             if not scal:
                 continue
             for k, cv in enumerate(h.S_basis(b)):
                 if cv:
                     acc[k] = acc[k] + w * scal * cv
-        s_r.data[i] = acc
+        return acc
 
-    coaction = Tensor.zeros(f, (n, n, n))
-    for i in range(n):
-        # adjoint: ρ(h) = Σ h₂ ⊗ S(h₁)h₃
+    def adjoint(i):
+        # ρ(h) = Σ h₂ ⊗ S(h₁)h₃, one row per h₂
+        rows = [[f.zero] * n for _ in hs]
         for (a, b, c3), w in h.copower(i, 3):
-            u = h.mul_vec(h.S_basis(a), h.basis_vec(c3))
-            for k, cv in enumerate(u):
+            row = rows[b]
+            for k, cv in enumerate(h.mul_vec(h.S_basis(a), e(c3))):
                 if cv:
-                    coaction.data[(i * n + b) * n + k] = \
-                        coaction.data[(i * n + b) * n + k] + w * cv
+                    row[k] = row[k] + w * cv
+        return rows
 
-    action = act1_tensor(c, coaction)
-    mod = YdModule(h, n, action, coaction)
-    alg = YdAlgebra(mod, star, list(h.unit))
-    bh = BraidedHopf(c, alg, s_r)
+    mod = yd_from_comodule(c, Tensor.from_rows(f, (n, n, n),
+                                               [adjoint(i) for i in hs]),
+                           verify=False)
+    star_t = Tensor.from_rows(f, (n, n, n),
+                              [[star(i, j) for j in hs] for i in hs])
+    bh = BraidedHopf(c, YdAlgebra(mod, star_t, list(h.unit)),
+                     Matrix(f, n, n, [s_r(i) for i in hs]))
     if verify:
         verify_braided_hopf(bh).require("build_hr")
     return bh
@@ -227,104 +189,69 @@ def verify_braided_hopf(bh):
 
 
 def bimodule_actions(bh, mod, verify=True):
-    """The 𝓗_R-bimodule structure of a YD module: −▷, ◁− and ▷₂."""
+    """The 𝓗_R-bimodule structure of a YD module: −▷, ◁− and ▷₂, each
+    action checked against its expanded form."""
     h = bh.host
-    c = bh.cqt
+    r = bh.cqt.r
     if not mod.host.structures_equal(h):
         raise VerificationError("bimodule_actions: host mismatch")
-    n = h.dim
     f = h.field
     m = mod.dim
-    a2 = act2_tensor(c, mod.coaction)
+    shape = (h.dim, m, m)
+    sinv = h.Sinv_basis
+    a2 = act2_tensor(bh.cqt, mod)
+    act2 = Bilinear(a2)
 
-    left = Tensor.zeros(f, (n, m, m))
-    for i in range(n):
-        for p in range(m):
-            # h−▷m = Σ S⁻¹(h₂) ▷₁ (h₁·m)
-            acc = [f.zero] * m
-            for a, b, w in h.delta.terms(i):
-                for q0, x in mod.act.row(a, p):
-                    for q, k, c0 in mod.coact.terms(q0):
-                        scal = f.zero
-                        for t, cv in enumerate(h.Sinv_basis(b)):
-                            if cv and c.r.data[t][k]:
-                                scal = scal + cv * c.r.data[t][k]
-                        if scal:
-                            acc[q] = acc[q] + w * x * c0 * scal
-            base = (i * m + p) * m
-            for q in range(m):
-                left.data[base + q] = acc[q]
+    def left(i, p):
+        # h−▷m = Σ S⁻¹(h₂) ▷₁ (h₁·m)
+        acc = [f.zero] * m
+        for a, b, w in h.delta.terms(i):
+            for q0, x in mod.act.row(a, p):
+                for q, k, c0 in mod.coact.terms(q0):
+                    scal = eval2(r, sinv(b), k)
+                    if scal:
+                        acc[q] = acc[q] + w * x * c0 * scal
+        return acc
 
-    # cross-check the expanded form Σ(h₂·m₀) R(S⁻¹(h₄)⊗h₃m₁S⁻¹(h₁))
-    for i in range(n):
-        for p in range(m):
-            acc = [f.zero] * m
-            for (a, b, c3, d), w in h.copower(i, 4):
-                for q0, k, c0 in mod.coact.terms(p):
-                    u = h.mul_vec(h.mul.dense_row(c3, k), h.Sinv_basis(a))
-                    scal = f.zero
-                    for t, cv in enumerate(u):
-                        if not cv:
-                            continue
-                        inner = f.zero
-                        for t2, cv2 in enumerate(h.Sinv_basis(d)):
-                            if cv2 and c.r.data[t2][t]:
-                                inner = inner + cv2 * c.r.data[t2][t]
-                        scal = scal + cv * inner
-                    if not scal:
-                        continue
-                    for q, x in mod.act.row(b, q0):
-                        acc[q] = acc[q] + w * c0 * scal * x
-            base = (i * m + p) * m
-            for q in range(m):
-                if left.data[base + q] != acc[q]:
-                    raise VerificationError(
-                        "the two −▷ expressions disagree at (%d,%d,%d)"
-                        % (i, p, q))
+    def left_expanded(i, p):
+        # Σ(h₂·m₀) R(S⁻¹(h₄)⊗h₃m₁S⁻¹(h₁))
+        acc = [f.zero] * m
+        for (a, b, c3, d), w in h.copower(i, 4):
+            for q0, k, c0 in mod.coact.terms(p):
+                scal = eval2(r, sinv(d),
+                             h.mul_vec(h.mul.dense_row(c3, k), sinv(a)))
+                if not scal:
+                    continue
+                for q, x in mod.act.row(b, q0):
+                    acc[q] = acc[q] + w * c0 * scal * x
+        return acc
 
-    right = Tensor.zeros(f, (n, m, m))
-    for i in range(n):
-        for p in range(m):
-            # m◁−h = Σ S(h₁) ▷₂ (h₂·m)
-            acc = [f.zero] * m
-            for a, b, w in h.delta.terms(i):
-                sa = h.S_basis(a)
-                for q0, x in mod.act.row(b, p):
-                    for t, cv in enumerate(sa):
-                        if not cv:
-                            continue
-                        arow = a2.data
-                        for q in range(m):
-                            v = arow[(t * m + q0) * m + q]
-                            if v:
-                                acc[q] = acc[q] + w * x * cv * v
-            base = (i * m + p) * m
-            for q in range(m):
-                right.data[base + q] = acc[q]
+    def right(i, p):
+        # m◁−h = Σ S(h₁) ▷₂ (h₂·m)
+        acc = [f.zero] * m
+        for a, b, w in h.delta.terms(i):
+            v = act2.apply(h.S_basis(a), mod.act.dense_row(b, p))
+            for q, x in enumerate(v):
+                if x:
+                    acc[q] = acc[q] + w * x
+        return acc
 
-    # cross-check the expanded form Σ(h₃·m₀) R(h₄m₁S⁻¹(h₂)⊗h₁)
-    for i in range(n):
-        for p in range(m):
-            acc = [f.zero] * m
-            for (a, b, c3, d), w in h.copower(i, 4):
-                for q0, k, c0 in mod.coact.terms(p):
-                    u = h.mul_vec(h.mul.dense_row(d, k), h.Sinv_basis(b))
-                    scal = f.zero
-                    for t, cv in enumerate(u):
-                        if cv and c.r.data[t][a]:
-                            scal = scal + cv * c.r.data[t][a]
-                    if not scal:
-                        continue
-                    for q, x in mod.act.row(c3, q0):
-                        acc[q] = acc[q] + w * c0 * scal * x
-            base = (i * m + p) * m
-            for q in range(m):
-                if right.data[base + q] != acc[q]:
-                    raise VerificationError(
-                        "the two ◁− expressions disagree at (%d,%d,%d)"
-                        % (i, p, q))
+    def right_expanded(i, p):
+        # Σ(h₃·m₀) R(h₄m₁S⁻¹(h₂)⊗h₁)
+        acc = [f.zero] * m
+        for (a, b, c3, d), w in h.copower(i, 4):
+            for q0, k, c0 in mod.coact.terms(p):
+                scal = eval2(r, h.mul_vec(h.mul.dense_row(d, k), sinv(b)), a)
+                if not scal:
+                    continue
+                for q, x in mod.act.row(c3, q0):
+                    acc[q] = acc[q] + w * c0 * scal * x
+        return acc
 
-    b = BimoduleActions(mod, left, right, a2)
+    b = BimoduleActions(mod,
+                        agreed_tensor("−▷", f, shape, left, left_expanded),
+                        agreed_tensor("◁−", f, shape, right, right_expanded),
+                        a2)
     if verify:
         verify_bimodule(bh, b).require("bimodule_actions")
     return b
@@ -336,7 +263,7 @@ def verify_bimodule(bh, b):
     h = bh.host
     mod = b.module
     star = bh.underlying.mul.dense_row
-    left, right = Bilinear(b.left_hr), Bilinear(b.right_hr)
+    left, right = b.left, b.right
     e, hs, ms = mod.basis_vec, range(h.dim), range(mod.dim)
 
     bad = first_mismatch((ms,), lambda p: (left.apply(h.unit, e(p)), e(p)))
@@ -369,6 +296,13 @@ def _stacked_kernel(f, rows, dim):
     return kernel_basis(Matrix(f, len(rows), dim, rows))
 
 
+def _null_space(f, dim, image):
+    """{x : Σ_p x_p·image(p) = 0} ⊆ k^dim, for dense vectors image(p)."""
+    cols = [image(p) for p in range(dim)]
+    return Subspace(dim, _stacked_kernel(f, [list(r) for r in zip(*cols)],
+                                         dim))
+
+
 def coinvariants(bh, b, side):
     """M_◇ (side="right", from −▷) or _◇M (side="left", from ◁−).
 
@@ -377,27 +311,26 @@ def coinvariants(bh, b, side):
     """
     mod = b.module
     h = mod.host
-    f = h.field
-    n = h.dim
-    m = mod.dim
-    rows = []
-    tensor = b.left_hr if side == "right" else b.right_hr
-    for i in range(n):
-        for q in range(m):
-            row = [tensor.data[(i * m + p) * m + q] for p in range(m)]
-            if h.counit[i]:
-                row[q] = row[q] - h.counit[i]
-            rows.append(row)
-    sub = Subspace(m, _stacked_kernel(f, rows, m))
-    cmp_tensor = (act1_tensor(bh.cqt, mod.coaction) if side == "right"
-                  else b.act2)
-    rows2 = []
-    for i in range(n):
-        for q in range(m):
-            rows2.append([mod.action.data[(i * m + p) * m + q]
-                          - cmp_tensor.data[(i * m + p) * m + q]
-                          for p in range(m)])
-    if not sub.equals(Subspace(m, _stacked_kernel(f, rows2, m))):
+    hs = range(h.dim)
+    if side == "right":
+        act = b.left
+        other = yd_from_comodule(bh.cqt, mod.coaction, verify=False).act
+    else:
+        act, other = b.right, Bilinear(b.act2)
+
+    def minus_counit(p):
+        out = []
+        for i in hs:
+            row = list(act.dense_row(i, p))
+            row[p] = row[p] - h.counit[i]
+            out.extend(row)
+        return out
+
+    sub = _null_space(h.field, mod.dim, minus_counit)
+    sub2 = _null_space(h.field, mod.dim, lambda p: [
+        x - y for i in hs
+        for x, y in zip(mod.act.dense_row(i, p), other.dense_row(i, p))])
+    if not sub.equals(sub2):
         raise VerificationError(
             "Lemma-3.1 characterization disagrees (side=%s)" % side)
     return sub
@@ -405,7 +338,6 @@ def coinvariants(bh, b, side):
 
 def verify_sigma_coinvariants(s, cqt, mod, host_s=None, cqt_s=None):
     """Coinvariant subspaces agree before and after the deformation."""
-    from .quasitriangular import deform_cqt
     rep = CheckReport()
     bh = build_hr(cqt, verify=False)
     b = bimodule_actions(bh, mod, verify=False)
@@ -429,109 +361,49 @@ def verify_sigma_coinvariants(s, cqt, mod, host_s=None, cqt_s=None):
 def wedge(cqt, ma, mb, verify=True):
     """M∧N ⊆ M⊗N with its induced YD structure.
 
-    Membership: Σ h₁·mᵢ ⊗ h₂▷₁nᵢ = Σ h₁▷₂mᵢ ⊗ h₂·nᵢ for all h.
+    Membership: Σ h₁·mᵢ ⊗ h₂▷₁nᵢ = Σ h₁▷₂mᵢ ⊗ h₂·nᵢ for all h; the two
+    sides are the diagonal actions of M⊗(N, ▷₁) and (M, ▷₂)⊗N.
     """
     h = cqt.host
     f = h.field
     n = h.dim
-    da, db = ma.dim, mb.dim
-    dim = da * db
-    a1_b = act1_tensor(cqt, mb.coaction)
-    a2_a = act2_tensor(cqt, ma.coaction)
-
-    rows = []
-    for i in range(n):
-        ops = {}
-        for a, b, c in h.delta.terms(i):
-            for p in range(da):
-                u1 = ma.act.dense_row(a, p)
-                u2 = [a2_a.data[(a * da + p) * da + t] for t in range(da)]
-                for q in range(db):
-                    v1 = [a1_b.data[(b * db + q) * db + t] for t in range(db)]
-                    v2 = mb.act.dense_row(b, q)
-                    src = p * db + q
-                    for p1 in range(da):
-                        x1, x2 = u1[p1], u2[p1]
-                        for q1 in range(db):
-                            val = f.zero
-                            if x1 and v1[q1]:
-                                val = val + x1 * v1[q1]
-                            if x2 and v2[q1]:
-                                val = val - x2 * v2[q1]
-                            if val:
-                                key = (p1 * db + q1, src)
-                                ops[key] = ops.get(key, f.zero) + c * val
-        for out in range(dim):
-            row = [f.zero] * dim
-            touched = False
-            for (o, src), val in ops.items():
-                if o == out:
-                    row[src] = row[src] + val
-                    touched = True
-            if touched:
-                rows.append(row)
-    ker = _stacked_kernel(f, rows, dim)
-    sub = Subspace(dim, ker)
-
+    hs = range(n)
+    dim = ma.dim * mb.dim
+    side_a = yd_tensor(ma, yd_from_comodule(cqt, mb.coaction, verify=False))
+    side_b = yd_tensor(YdModule(h, ma.dim, act2_tensor(cqt, ma), ma.coaction),
+                       mb)
+    sub = _null_space(f, dim, lambda src: [
+        x - y for i in hs for x, y in zip(side_a.act.dense_row(i, src),
+                                          side_b.act.dense_row(i, src))])
+    vecs = sub.column_vectors()
     wd = sub.dim
-    basis_vecs = sub.column_vectors()
+    ws = range(wd)
 
-    tens = yd_tensor(ma, mb)
+    def coords(vec):
+        out = sub.coordinates(vec)
+        if out is None:
+            raise VerificationError("wedge is not closed under the structure")
+        return out
 
-    unclosed = "wedge is not closed under the structure"
-    action = Tensor.zeros(f, (n, wd, wd))
-    for i in range(n):
-        for j, w in enumerate(basis_vecs):
-            # form A: Σ h₁·m ⊗ h₂▷₁n
-            amb = [f.zero] * dim
-            amb_b = [f.zero] * dim
-            for a, b, c in h.delta.terms(i):
-                for src, x in enumerate(w):
-                    if not x:
-                        continue
-                    p, q = divmod(src, db)
-                    for p1, x1 in ma.act.row(a, p):
-                        w1 = c * x * x1
-                        for q1 in range(db):
-                            v = a1_b.data[(b * db + q) * db + q1]
-                            if v:
-                                amb[p1 * db + q1] = amb[p1 * db + q1] + w1 * v
-                    u2 = a2_a.data
-                    for p1 in range(da):
-                        x2 = u2[(a * da + p) * da + p1]
-                        if not x2:
-                            continue
-                        w2 = c * x * x2
-                        for q1, y in mb.act.row(b, q):
-                            amb_b[p1 * db + q1] = amb_b[p1 * db + q1] + w2 * y
-            if amb != amb_b:
-                raise VerificationError(
-                    "the two wedge actions disagree at (%d, %d)" % (i, j))
-            coords = sub.coordinates(amb)
-            if coords is None:
-                raise VerificationError(unclosed)
-            for t in range(wd):
-                action.data[(i * wd + j) * wd + t] = coords[t]
+    form_a = [[side_a.act.apply_basis(i, w) for w in vecs] for i in hs]
+    form_b = [[side_b.act.apply_basis(i, w) for w in vecs] for i in hs]
+    require_agree("wedge-action", (hs, ws),
+                  lambda i, j: (form_a[i][j], form_b[i][j]))
+    action = Tensor.from_rows(f, (n, wd, wd),
+                              [[coords(v) for v in row] for row in form_a])
 
-    coaction = Tensor.zeros(f, (wd, wd, n))
-    for j, w in enumerate(basis_vecs):
-        acc = {}
+    def coaction(w):
+        # ρ(w) in M⊗N (the coaction of side_a is that of M⊗N), by e_k
+        per_k = [[f.zero] * dim for _ in hs]
         for src, x in enumerate(w):
-            if not x:
-                continue
-            for q2, k, c in tens.coact.terms(src):
-                acc[(q2, k)] = acc.get((q2, k), f.zero) + x * c
-        per_k = {}
-        for (q2, k), val in acc.items():
-            per_k.setdefault(k, [f.zero] * dim)[q2] = val
-        for k, amb in per_k.items():
-            coords = sub.coordinates(amb)
-            if coords is None:
-                raise VerificationError(unclosed)
-            for t in range(wd):
-                coaction.data[(j * wd + t) * n + k] = coords[t]
+            if x:
+                for q, k, c in side_a.coact.terms(src):
+                    per_k[k][q] = per_k[k][q] + x * c
+        cs = [coords(v) if any(v) else [f.zero] * wd for v in per_k]
+        return [[cs[k][t] for k in hs] for t in ws]
 
-    out = YdModule(h, wd, action, coaction)
+    out = YdModule(h, wd, action, Tensor.from_rows(
+        f, (wd, wd, n), [coaction(w) for w in vecs]))
     if verify:
         verify_yd(out).require("wedge module")
     return sub, out
@@ -541,8 +413,6 @@ def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None,
                        host_s=None, cqt_s=None):
     """Lemma 3.4 span equality with η⁻¹ intertwining; with algebras,
     additionally the Prop-3.5 algebra-map property of η⁻¹."""
-    from .quasitriangular import deform_cqt
-    from .yd import eta, braided_product
     rep = CheckReport()
     h = cqt.host
     f = h.field
@@ -594,7 +464,6 @@ def wedge_algebra(cqt, alga, algb, verify=True):
     The wedge subspace must be closed under the braided product and contain
     1#1; both are verified by solving against the wedge basis.
     """
-    from .yd import braided_product
     h = cqt.host
     f = h.field
     sub, wmod = wedge(cqt, alga.module, algb.module, verify=False)
@@ -621,25 +490,24 @@ def unit_object(host, verify=True):
     hd = dual_hopf(host)
     n = host.dim
     f = host.field
-    action = Tensor.zeros(f, (n, n, n))
-    for i in range(n):
-        for j in range(n):
-            # e_i·δ_j = Σ_a mult[a,i,j] δ_a
-            for a in range(n):
-                action.data[(i * n + j) * n + a] = \
-                    host.mult.data[(a * n + i) * n + j]
-    coaction = Tensor.zeros(f, (n, n, n))
-    for i in range(n):
-        # left H*-action of δ_i dualized through the basis pairing
-        for j in range(n):
-            acc = [f.zero] * n
-            for a, b, c in hd.delta.terms(i):
-                u = hd.mul_vec(hd.mul.dense_row(b, j), hd.Sinv_basis(a))
-                for q, cv in enumerate(u):
-                    if cv:
-                        acc[q] = acc[q] + c * cv
-            for q in range(n):
-                coaction.data[(j * n + q) * n + i] = acc[q]
+    hs = range(n)
+
+    def dual_action(i, j):
+        # δ_i acting on δ_j, dualized through the basis pairing
+        acc = [f.zero] * n
+        for a, b, c in hd.delta.terms(i):
+            u = hd.mul_vec(hd.mul.dense_row(b, j), hd.Sinv_basis(a))
+            for q, cv in enumerate(u):
+                if cv:
+                    acc[q] = acc[q] + c * cv
+        return acc
+
+    dual = [[dual_action(i, j) for j in hs] for i in hs]
+    # e_i·δ_j = Σ_a mult[a,i,j] δ_a
+    action = Tensor.from_rows(f, (n, n, n), [
+        [[host.mul.dense_row(a, i)[j] for a in hs] for j in hs] for i in hs])
+    coaction = Tensor.from_rows(f, (n, n, n), [
+        [[dual[i][j][q] for i in hs] for q in hs] for j in hs])
     mod = YdModule(host, n, action, coaction)
     alg = YdAlgebra(mod, Tensor(f, (n, n, n), list(hd.mult.data)),
                     list(hd.unit))
@@ -655,35 +523,29 @@ def chi_maps(s):
     h = s.host
     n = h.dim
     f = h.field
-    chi = Matrix.zeros(f, n, n)
-    for i in range(n):
+    e, sinv = h.basis_vec, h.Sinv_basis
+
+    def chi(i):
         acc = [f.zero] * n
         for (a, b, c, d), w in h.copower(i, 4):
-            u = h.mul_vec(h.Sinv_basis(c), h.basis_vec(a))
-            scal = f.zero
-            for t, cv in enumerate(u):
-                if cv and s.sigma_inv.data[d][t]:
-                    scal = scal + cv * s.sigma_inv.data[d][t]
+            scal = eval2(s.sigma_inv, d, h.mul_vec(sinv(c), e(a)))
             if scal:
                 acc[b] = acc[b] + w * scal
-        chi.data[i] = acc
-    chi_inv = Matrix.zeros(f, n, n)
-    for i in range(n):
+        return acc
+
+    def chi_inv(i):
         acc = [f.zero] * n
-        for (a, b, c, d, e), w in h.copower(i, 5):
-            s1 = f.zero
-            for t, cv in enumerate(h.Sinv_basis(e)):
-                if cv and s.sigma_inv.data[t][a]:
-                    s1 = s1 + cv * s.sigma_inv.data[t][a]
+        for (a, b, c, d, e5), w in h.copower(i, 5):
+            s1 = eval2(s.sigma_inv, sinv(e5), a)
             if not s1:
                 continue
-            s2 = f.zero
-            for t, cv in enumerate(h.Sinv_basis(d)):
-                if cv and s.sigma.data[t][c]:
-                    s2 = s2 + cv * s.sigma.data[t][c]
+            s2 = eval2(s.sigma, sinv(d), c)
             if s2:
                 acc[b] = acc[b] + w * s1 * s2
-        chi_inv.data[i] = acc
+        return acc
+
+    chi = Matrix(f, n, n, [chi(i) for i in range(n)])
+    chi_inv = Matrix(f, n, n, [chi_inv(i) for i in range(n)])
     ident = Matrix.identity(f, n)
     if mat_mul(chi, chi_inv) != ident or mat_mul(chi_inv, chi) != ident:
         raise VerificationError("χ and χ⁻¹ are not mutually inverse")
@@ -724,82 +586,47 @@ def phi_psi_xi(s, alg):
     f = h.field
     mod = alg.module
     m = mod.dim
+    e, sinv, hs = h.basis_vec, h.Sinv_basis, range(n)
 
-    def build_phi(mat2):
-        out = Matrix.zeros(f, m * n, m * n)
+    def spread(mat, w, pairing, at_row, at_col):
+        """mat[at_row(p)][at_col(q)] += w·c·pairing[k] over the terms
+        c v_q⊗e_k of ρ(v_p), for every p."""
         for p in range(m):
-            for j in range(n):
-                row = out.data[p * n + j]
-                for k in range(n):
-                    for (k1, k2, k3), w in h.copower(k, 3):
-                        if k2 != j:
-                            continue
-                        u = h.mul_vec(h.Sinv_basis(k3), h.basis_vec(k1))
-                        for q, k4, c0 in mod.coact.terms(p):
-                            scal = f.zero
-                            for t, cv in enumerate(u):
-                                if cv and mat2.data[k4][t]:
-                                    scal = scal + cv * mat2.data[k4][t]
-                            if scal:
-                                row[q * n + k] = row[q * n + k] \
-                                    + w * c0 * scal
+            row = mat.data[at_row(p)]
+            for q, k, c in mod.coact.terms(p):
+                if pairing[k]:
+                    row[at_col(q)] = row[at_col(q)] + w * c * pairing[k]
+
+    def build(mat2, psi):
+        """φ on M⊗H pairs mat2(m₁ ⊗ S⁻¹(k₃)k₁); ψ on H⊗M is the same map
+        with the pairing transposed, mat2(S⁻¹(k₃)k₁ ⊗ m₁)."""
+        at = (lambda p, j: j * m + p) if psi else (lambda p, j: p * n + j)
+        out = Matrix.zeros(f, m * n, m * n)
+        for k in hs:
+            for (k1, j, k3), w in h.copower(k, 3):
+                u = h.mul_vec(sinv(k3), e(k1))
+                pairing = [eval2(mat2, u, t) if psi else eval2(mat2, t, u)
+                           for t in hs]
+                spread(out, w, pairing, lambda p: at(p, j),
+                       lambda q: at(q, k))
         return out
 
-    phi = build_phi(s.sigma)
-    phi_inv = build_phi(s.sigma_inv)
-
-    def build_psi(mat2):
-        out = Matrix.zeros(f, n * m, n * m)
-        for j in range(n):
-            for p in range(m):
-                row = out.data[j * m + p]
-                for k in range(n):
-                    for (k1, k2, k3), w in h.copower(k, 3):
-                        if k2 != j:
-                            continue
-                        u = h.mul_vec(h.Sinv_basis(k3), h.basis_vec(k1))
-                        for q, k4, c0 in mod.coact.terms(p):
-                            scal = f.zero
-                            for t, cv in enumerate(u):
-                                if cv and mat2.data[t][k4]:
-                                    scal = scal + cv * mat2.data[t][k4]
-                            if scal:
-                                row[k * m + q] = row[k * m + q] \
-                                    + w * c0 * scal
-        return out
-
-    psi = build_psi(s.sigma)
-    psi_inv = build_psi(s.sigma_inv)
+    phi, phi_inv = build(s.sigma, False), build(s.sigma_inv, False)
+    psi, psi_inv = build(s.sigma, True), build(s.sigma_inv, True)
 
     xi = Matrix.zeros(f, m * n, m * n)
     xi_inv = Matrix.zeros(f, m * n, m * n)
-    for p in range(m):
-        for i in range(n):
-            row = xi.data[p * n + i]
-            for (a, b, c, d), w in h.copower(i, 4):
-                s1 = f.zero
-                for t, cv in enumerate(h.Sinv_basis(b)):
-                    if cv and s.sigma.data[t][a]:
-                        s1 = s1 + cv * s.sigma.data[t][a]
-                if not s1:
-                    continue
-                for q, k1, c0 in mod.coact.terms(p):
-                    s2 = f.zero
-                    for t, cv in enumerate(h.Sinv_basis(c)):
-                        if cv and s.sigma_inv.data[t][k1]:
-                            s2 = s2 + cv * s.sigma_inv.data[t][k1]
-                    if s2:
-                        row[q * n + d] = row[q * n + d] + w * c0 * s1 * s2
-            row2 = xi_inv.data[p * n + i]
-            for (a, b, c), w in ((idx, w) for idx, w in h.copower(i, 3)):
-                for q, k1, c0 in mod.coact.terms(p):
-                    u = h.mul_vec(h.Sinv_basis(a), h.basis_vec(k1))
-                    scal = f.zero
-                    for t, cv in enumerate(u):
-                        if cv and s.sigma_inv.data[b][t]:
-                            scal = scal + cv * s.sigma_inv.data[b][t]
-                    if scal:
-                        row2[q * n + c] = row2[q * n + c] + w * c0 * scal
+    for i in hs:
+        for (a, b, c, d), w in h.copower(i, 4):
+            s1 = eval2(s.sigma, sinv(b), a)
+            if s1:
+                spread(xi, w * s1,
+                       [eval2(s.sigma_inv, sinv(c), t) for t in hs],
+                       lambda p: p * n + i, lambda q: q * n + d)
+        for (a, b, c), w in h.copower(i, 3):
+            spread(xi_inv, w, [eval2(s.sigma_inv, b, h.mul_vec(sinv(a), e(t)))
+                               for t in hs],
+                   lambda p: p * n + i, lambda q: q * n + c)
 
     for name, a, b in (("phi", phi, phi_inv), ("psi", psi, psi_inv),
                        ("xi", xi, xi_inv)):
@@ -865,33 +692,32 @@ def galois_maps(bh, b, alg):
     rep.add("coinvariants_computed", True, None,
             "dim right %d, left %d" % (sub_r.dim, sub_l.dim))
 
-    beta_r = Matrix.zeros(f, m * m, m * n)
-    for p in range(m):
-        for r in range(m):
-            row = beta_r.data[p * m + r]
-            for i in range(n):
-                for q in range(m):
-                    c0 = b.left_hr.data[(i * m + p) * m + q]
-                    if not c0:
-                        continue
-                    for y, cm in alg.mul.row(q, r):
-                        row[y * n + i] = row[y * n + i] + c0 * cm
-    rels_r = _relations(alg, sub_r.column_vectors())
-    right_ok = _beta_quotient_bijective(f, beta_r, rels_r, rep, "beta_r")
+    def beta_r(p, r):
+        # β_r(a⊗b) = Σ_i (e_i−▷a)b ⊗ e_i
+        row = [f.zero] * (m * n)
+        for i in range(n):
+            for q, c0 in b.left.row(i, p):
+                for y, cm in alg.mul.row(q, r):
+                    row[y * n + i] = row[y * n + i] + c0 * cm
+        return row
 
-    beta_l = Matrix.zeros(f, m * m, n * m)
-    for r in range(m):
-        for p in range(m):
-            row = beta_l.data[r * m + p]
-            for i in range(n):
-                for q in range(m):
-                    c0 = b.right_hr.data[(i * m + p) * m + q]
-                    if not c0:
-                        continue
-                    for y, cm in alg.mul.row(r, q):
-                        row[i * m + y] = row[i * m + y] + c0 * cm
-    rels_l = _relations(alg, sub_l.column_vectors())
-    left_ok = _beta_quotient_bijective(f, beta_l, rels_l, rep, "beta_l")
+    def beta_l(r, p):
+        # β_l(b⊗a) = Σ_i e_i ⊗ b(a◁−e_i)
+        row = [f.zero] * (n * m)
+        for i in range(n):
+            for q, c0 in b.right.row(i, p):
+                for y, cm in alg.mul.row(r, q):
+                    row[i * m + y] = row[i * m + y] + c0 * cm
+        return row
+
+    # row u·m+v of each β is the image of v_u⊗v_v
+    ms2 = [(u, v) for u in range(m) for v in range(m)]
+    right_ok = _beta_quotient_bijective(
+        f, Matrix(f, m * m, m * n, [beta_r(u, v) for u, v in ms2]),
+        _relations(alg, sub_r.column_vectors()), rep, "beta_r")
+    left_ok = _beta_quotient_bijective(
+        f, Matrix(f, m * m, n * m, [beta_l(u, v) for u, v in ms2]),
+        _relations(alg, sub_l.column_vectors()), rep, "beta_l")
 
     triv_r = sub_r.dim == 1 and sub_r.contains(alg.unit)
     triv_l = sub_l.dim == 1 and sub_l.contains(alg.unit)
@@ -905,20 +731,16 @@ def galois_maps(bh, b, alg):
 
 def comodule_coinvariants(alg):
     """A₀ = {a : ρ(a) = a⊗1} from the coaction alone."""
-    mod = alg.module
     h = alg.host
-    f = h.field
-    n = h.dim
-    m = alg.dim
-    rows = []
-    for q in range(m):
-        for k in range(n):
-            row = [mod.coaction.data[(p * m + q) * n + k] for p in range(m)]
-            row = list(row)
-            if h.unit[k]:
-                row[q] = row[q] - h.unit[k]
-            rows.append(row)
-    return Subspace(m, _stacked_kernel(f, rows, m))
+    coact, ms = alg.module.coact.dense_row, range(alg.dim)
+
+    def rho_minus_one(p):
+        # ρ(v_p) − v_p⊗1, flattened over (q, k)
+        rows = [coact(p, q) for q in ms]
+        rows[p] = [x - u for x, u in zip(rows[p], h.unit)]
+        return [x for row in rows for x in row]
+
+    return _null_space(h.field, alg.dim, rho_minus_one)
 
 
 def comodule_beta(alg):

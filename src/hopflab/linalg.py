@@ -271,6 +271,15 @@ class Tensor:
             size *= s
         return cls(field, shape, [field.zero] * size)
 
+    @classmethod
+    def from_rows(cls, field, shape, rows):
+        """The 3-tensor t with t[i,j,:] = rows[i][j]."""
+        data = []
+        for r in rows:
+            for row in r:
+                data += row
+        return cls(field, shape, data)
+
     def strides(self):
         st = [1] * len(self.shape)
         for i in range(len(self.shape) - 2, -1, -1):

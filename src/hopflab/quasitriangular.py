@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import HopfAlgebra
-from .linalg import Matrix, Tensor
+from .linalg import Bilinear, Matrix, Tensor
 from .report import CheckReport, VerificationError, first_mismatch
 from .twist import (conv_inverse2, convolve2, eps_eps, eval2, hh_inverse,
                     hh_mul, deform, deform_dual)
@@ -56,7 +56,7 @@ def verify_cqt(c):
     rep = CheckReport()
 
     bad = first_mismatch((every,), lambda i: (
-        (eval2(r, e(i), h.unit), eval2(r, h.unit, e(i))),
+        (eval2(r, i, h.unit), eval2(r, h.unit, i)),
         (h.counit[i], h.counit[i])))
     rep.add("CQT1", bad is None, bad)
 
@@ -281,27 +281,16 @@ def deform_qt(q, d, verify=True):
 
 def yd_from_comodule(c, coaction, verify=True):
     """YD module on a right comodule via the R-induced action
-    h▷₁m = Σ m₀ R(h⊗m₁)."""
+    h▷₁m = Σ m₀ R(h⊗m₁); every ▷₁ is computed here."""
     from . import yd as _yd
     h = c.host
     n = h.dim
-    f = h.field
     m = coaction.shape[0]
     assert coaction.shape == (m, m, n)
-    action = Tensor.zeros(f, (n, m, m))
-    cd = coaction.data
-    for i in range(n):
-        ri = c.r.data[i]
-        for p in range(m):
-            base_in = p * m * n
-            for q in range(m):
-                acc = f.zero
-                row = base_in + q * n
-                for k in range(n):
-                    x = cd[row + k]
-                    if x and ri[k]:
-                        acc = acc + x * ri[k]
-                action.data[(i * m + p) * m + q] = acc
+    coact, ms = Bilinear(coaction).dense_row, range(m)
+    action = Tensor.from_rows(h.field, (n, m, m), [
+        [[eval2(c.r, i, coact(p, q)) for q in ms] for p in ms]
+        for i in range(n)])
     mod = _yd.YdModule(h, m, action, coaction)
     if verify:
         _yd.verify_yd(mod).require("yd_from_comodule")
@@ -314,24 +303,20 @@ def yd_from_module(q, action, verify=True):
     from . import yd as _yd
     h = q.host
     n = h.dim
-    f = h.field
     m = action.shape[1]
     assert action.shape == (n, m, m)
-    coaction = Tensor.zeros(f, (m, m, n))
-    ad = action.data
-    for p in range(m):
-        for i in range(n):
-            for j in range(n):
-                x = q.rr.data[i][j]
-                if not x:
-                    continue
-                base = (j * m + p) * m
-                for qx in range(m):
-                    v = ad[base + qx]
-                    if v:
-                        coaction.data[(p * m + qx) * n + i] = \
-                            coaction.data[(p * m + qx) * n + i] + x * v
-    mod = _yd.YdModule(h, m, action, coaction)
+    f = h.field
+    act, hs, ms = Bilinear(action), range(n), range(m)
+
+    def coaction(p):
+        v = [f.zero] * m
+        v[p] = f.one
+        # images[i] = Σ_j ℛ[i][j] e_j·v_p, the coefficient vector of e_i
+        images = [act.apply(q.rr.data[i], v) for i in hs]
+        return [[images[i][qx] for i in hs] for qx in ms]
+
+    mod = _yd.YdModule(h, m, action, Tensor.from_rows(
+        f, (m, m, n), [coaction(p) for p in ms]))
     if verify:
         _yd.verify_yd(mod).require("yd_from_module")
     return mod

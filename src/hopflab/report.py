@@ -1,5 +1,6 @@
 """Pass/fail reports with witnesses, shared by every verifier, and the one
-identity-checking loop that finds those witnesses."""
+identity-checking loop that finds those witnesses.  Constructions that give
+an object in two displayed forms check them with require_agree."""
 
 from __future__ import annotations
 
@@ -111,3 +112,12 @@ def first_mismatch(space, sides):
         elif lhs != rhs:
             return idx
     return None
+
+
+def require_agree(what, space, sides):
+    """Raise VerificationError("the two <what> expressions disagree at idx")
+    at the first_mismatch of two displayed forms of one construction."""
+    bad = first_mismatch(space, sides)
+    if bad is not None:
+        raise VerificationError(
+            "the two %s expressions disagree at %r" % (what, bad))

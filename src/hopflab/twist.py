@@ -12,24 +12,38 @@ from dataclasses import dataclass
 
 from .hopf import HopfAlgebra, verify_hopf_axioms
 from .linalg import Matrix, Tensor, mat_inverse, solve
-from .report import CheckReport, VerificationError, first_mismatch
+from .report import (CheckReport, VerificationError, first_mismatch,
+                     require_agree)
 
 
 # -- scalar-functional helpers ---------------------------------------------
 
 def eval2(f, u, v):
-    """f(u⊗v) for coordinate vectors u, v."""
-    acc = None
-    for i, x in enumerate(u):
-        if not x:
-            continue
-        row = f.data[i]
-        for j, y in enumerate(v):
-            if y and row[j]:
-                term = x * y * row[j]
-                acc = term if acc is None else acc + term
-    if acc is None:
-        return f.field.zero
+    """f(u⊗v), the one place a functional on H⊗H is paired with vectors.
+
+    u and v are coordinate vectors, or basis indices: an int i stands for
+    e_i, so f(e_i⊗v) reads row i of f and f(u⊗e_j) column j with no basis
+    vector built.  Only nonzero coordinates are read.
+    """
+    acc = f.field.zero
+    if type(u) is int:
+        row = f.data[u]
+        if type(v) is int:
+            return row[v]
+        for y, c in zip(v, row):
+            if y and c:
+                acc = acc + y * c
+    elif type(v) is int:
+        for x, row in zip(u, f.data):
+            if x and row[v]:
+                acc = acc + x * row[v]
+    else:
+        vs = [(j, y) for j, y in enumerate(v) if y]
+        for x, row in zip(u, f.data):
+            if x:
+                for j, y in vs:
+                    if row[j]:
+                        acc = acc + x * y * row[j]
     return acc
 
 
@@ -153,11 +167,11 @@ def verify_two_cocycle(c):
     f = h.field
     rep = CheckReport()
     sig, inv = c.sigma, c.sigma_inv
-    e, every = h.basis_vec, range(h.dim)
+    every = range(h.dim)
 
     ok = eval2(sig, h.unit, h.unit) == f.one
     bad = first_mismatch((every,), lambda i: (
-        (eval2(sig, e(i), h.unit), eval2(sig, h.unit, e(i))),
+        (eval2(sig, i, h.unit), eval2(sig, h.unit, i)),
         (h.counit[i], h.counit[i])))
     rep.add("normalization", bad is None and ok, bad)
 
@@ -255,10 +269,10 @@ def verify_two_cocycle(c):
         acc = f.zero
         for idx, w in h.copower(x, 4):
             a, b, cc, d = idx
-            s1 = eval2(sig, e(a), h.S_basis(b))
+            s1 = eval2(sig, a, h.S_basis(b))
             if not s1:
                 continue
-            s2 = eval2(inv, h.S_basis(cc), e(d))
+            s2 = eval2(inv, h.S_basis(cc), d)
             if s2:
                 acc = acc + w * s1 * s2
         return acc, h.counit[x]
@@ -275,35 +289,35 @@ def deform(c, verify=True):
     n = h.dim
     f = h.field
     sig, inv = c.sigma, c.sigma_inv
-    mult = Tensor.zeros(f, (n, n, n))
-    for i in range(n):
-        ci = h.copower(i, 3)
-        for j in range(n):
-            cj = h.copower(j, 3)
-            acc = [f.zero] * n
-            for (a, b, c1), w1 in ci:
-                for (d, e, c2), w2 in cj:
-                    s1 = sig.data[a][d]
-                    if not s1:
-                        continue
-                    s2 = inv.data[c1][c2]
-                    if not s2:
-                        continue
-                    w = w1 * w2 * s1 * s2
-                    for k, cm in h.mul.row(b, e):
-                        acc[k] = acc[k] + w * cm
-            base = (i * n + j) * n
-            for k in range(n):
-                mult.data[base + k] = acc[k]
+
+    def product(i, j):
+        # e_i·e_j = Σ σ(i1⊗j1) i2j2 σ⁻¹(i3⊗j3)
+        acc = [f.zero] * n
+        for (a, b, c1), w1 in h.copower(i, 3):
+            for (d, e, c2), w2 in h.copower(j, 3):
+                s1 = sig.data[a][d]
+                if not s1:
+                    continue
+                s2 = inv.data[c1][c2]
+                if not s2:
+                    continue
+                w = w1 * w2 * s1 * s2
+                for k, cm in h.mul.row(b, e):
+                    acc[k] = acc[k] + w * cm
+        return acc
+
+    hs = range(n)
+    mult = Tensor.from_rows(f, (n, n, n),
+                            [[product(i, j) for j in hs] for i in hs])
 
     s_mat = Matrix.zeros(f, n, n)
     for i in range(n):
         acc = [f.zero] * n
         for (a, b, c1, d, e), w in h.copower(i, 5):
-            s1 = eval2(sig, h.basis_vec(a), h.S_basis(b))
+            s1 = eval2(sig, a, h.S_basis(b))
             if not s1:
                 continue
-            s2 = eval2(inv, h.S_basis(d), h.basis_vec(e))
+            s2 = eval2(inv, h.S_basis(d), e)
             if not s2:
                 continue
             w2 = w * s1 * s2
@@ -316,10 +330,10 @@ def deform(c, verify=True):
     for i in range(n):
         acc = [f.zero] * n
         for (a, b, c1, d, e), w in h.copower(i, 5):
-            s1 = eval2(inv, h.basis_vec(e), h.Sinv_basis(d))
+            s1 = eval2(inv, e, h.Sinv_basis(d))
             if not s1:
                 continue
-            s2 = eval2(sig, h.Sinv_basis(b), h.basis_vec(a))
+            s2 = eval2(sig, h.Sinv_basis(b), a)
             if not s2:
                 continue
             w2 = w * s1 * s2
@@ -650,16 +664,14 @@ def deform_dual(d, verify=True):
     h = d.host
     n = h.dim
     f = h.field
-    comult = Tensor.zeros(f, (n, n, n))
-    for i in range(n):
+
+    def conjugated(i):
         di = Matrix.zeros(f, n, n)
         for a, b, c in h.delta.terms(i):
             di.data[a][b] = di.data[a][b] + c
-        new = hh_mul(h, d.theta, hh_mul(h, di, d.theta_inv))
-        for a in range(n):
-            for b in range(n):
-                comult.data[(i * n + a) * n + b] = new.data[a][b]
+        return hh_mul(h, d.theta, hh_mul(h, di, d.theta_inv)).data
 
+    comult = Tensor.from_rows(f, (n, n, n), [conjugated(i) for i in range(n)])
     s_mat = Matrix.zeros(f, n, n)
     s2_mat = Matrix.zeros(f, n, n)
     for i in range(n):
@@ -694,8 +706,8 @@ def deform_dual(d, verify=True):
                                 acc2[k] = acc2[k] + w * t
         s_mat.data[i] = acc
         s2_mat.data[i] = acc2
-    if s_mat != s2_mat:
-        raise VerificationError("the two S_θ expressions disagree")
+    require_agree("S_θ", (range(n),) * 2,
+                  lambda i, k: (s_mat.data[i][k], s2_mat.data[i][k]))
     s_inv = mat_inverse(s_mat)
     if s_inv is None:
         raise VerificationError("S_θ is not invertible")

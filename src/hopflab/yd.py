@@ -9,7 +9,10 @@ Tensor conventions (m = module dimension, n = host dimension):
 The tensor product M⊗N carries h·(m⊗n) = Σ h₁·m ⊗ h₂·n and
 ρ(m⊗n) = Σ (m₀⊗n₀) ⊗ n₁m₁; basis index of v_p⊗w_q is p·dim(N)+q.
 mod.act, mod.coact and alg.mul read action, coaction and product through
-the sparse kernel linalg.Bilinear.
+the sparse kernel linalg.Bilinear.  σ and σ⁻¹ are paired with vectors only
+by twist.eval2.  σ̲(M)'s twisted action and θ̲(M)'s coaction are computed in
+both displayed forms, and report.require_agree raises at the first index
+where they differ (agreed_tensor for a 3-tensor).
 Linear maps are stored row-as-image; mat_mul(A, B) is "apply A, then B".
 """
 
@@ -18,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Bilinear, Matrix, Tensor, kernel_basis, mat_mul, rank
-from .report import CheckReport, VerificationError, first_mismatch
-from .twist import deform, deform_dual
+from .report import (CheckReport, VerificationError, first_mismatch,
+                     require_agree)
+from .twist import deform, deform_dual, eval2
 
 
 class YdModule:
@@ -272,31 +276,47 @@ def yd_tensor(ma, mb):
     h = ma.host
     f = h.field
     n = h.dim
-    da, db = ma.dim, mb.dim
-    dim = da * db
-    action = Tensor.zeros(f, (n, dim, dim))
-    for i in range(n):
+    db = mb.dim
+    dim = ma.dim * db
+    ds = range(dim)
+
+    def diagonal(i):
+        # e_i·(v_p⊗w_q) = Σ e_i1·v_p ⊗ e_i2·w_q, one row per v_p⊗w_q
+        rows = [[f.zero] * dim for _ in ds]
         for a, b, c in h.delta.terms(i):
-            for p in range(da):
+            for p in range(ma.dim):
                 rp = ma.act.row(a, p)
                 for q in range(db):
                     rq = mb.act.row(b, q)
-                    base = (i * dim + p * db + q) * dim
+                    row = rows[p * db + q]
                     for p2, x in rp:
                         w = c * x
                         for q2, y in rq:
-                            idx = base + p2 * db + q2
-                            action.data[idx] = action.data[idx] + w * y
-    coaction = Tensor.zeros(f, (dim, dim, n))
-    for p in range(da):
-        for q in range(db):
-            src = p * db + q
-            for p0, k1, c1 in ma.coact.terms(p):
-                for q0, k2, c2 in mb.coact.terms(q):
-                    w = c1 * c2
-                    for k, cm in h.mul.row(k2, k1):
-                        idx = (src * dim + p0 * db + q0) * n + k
-                        coaction.data[idx] = coaction.data[idx] + w * cm
+                            row[p2 * db + q2] = row[p2 * db + q2] + w * y
+        return rows
+
+    zeros = [f.zero] * n
+
+    def reversed_product(src):
+        # ρ(v_p⊗w_q) = Σ v_p0⊗w_q0 ⊗ k2·k1, one row per p0⊗q0; rows never
+        # written share the zero row
+        p, q = divmod(src, db)
+        rows = [zeros] * dim
+        for p0, k1, c1 in ma.coact.terms(p):
+            for q0, k2, c2 in mb.coact.terms(q):
+                w = c1 * c2
+                t = p0 * db + q0
+                if rows[t] is zeros:
+                    rows[t] = zeros[:]
+                row = rows[t]
+                for k, cm in h.mul.row(k2, k1):
+                    row[k] = row[k] + w * cm
+        return rows
+
+    action = Tensor.from_rows(f, (n, dim, dim),
+                              [diagonal(i) for i in range(n)])
+    coaction = Tensor.from_rows(f, (dim, dim, n),
+                                [reversed_product(src) for src in ds])
     return YdModule(h, dim, action, coaction)
 
 
@@ -360,6 +380,19 @@ def is_yd_map(f_map, rep=None, prefix=""):
 
 # -- the σ̲ functor -----------------------------------------------------------
 
+def agreed_tensor(what, field, shape, form, other):
+    """The 3-tensor t[i,j,:] = form(i, j) of a construction with two
+    displayed forms; other(i, j) must give the same rows (require_agree,
+    witness (i, j, k))."""
+    n0, n1, n2 = shape
+    one = [[form(i, j) for j in range(n1)] for i in range(n0)]
+    two = [[other(i, j) for j in range(n1)] for i in range(n0)]
+    if one != two:  # only then walk the entries for the witness
+        require_agree(what, (range(n0), range(n1), range(n2)),
+                      lambda i, j, k: (one[i][j][k], two[i][j][k]))
+    return Tensor.from_rows(field, shape, one)
+
+
 def sigma_module(s, mod, host_s=None, verify=True):
     """σ̲(M): the twisted action, with the coaction unchanged.
 
@@ -372,51 +405,46 @@ def sigma_module(s, mod, host_s=None, verify=True):
     m = mod.dim
     f = h.field
     sig, inv = s.sigma, s.sigma_inv
-    action = Tensor.zeros(f, (n, m, m))
-    for i in range(n):
-        for p in range(m):
-            acc = [f.zero] * m
-            for (a, b, c3), w in h.copower(i, 3):
-                for q0, k0, c0 in mod.coact.terms(p):
-                    s2 = inv.data[c3][k0]
-                    if not s2:
-                        continue
-                    for q1, x in mod.act.row(b, q0):
-                        w2 = w * c0 * s2 * x
-                        for q2, k2, c2 in mod.coact.terms(q1):
-                            s1 = sig.data[k2][a]
-                            if s1:
-                                acc[q2] = acc[q2] + w2 * c2 * s1
-            base = (i * m + p) * m
-            for q in range(m):
-                action.data[base + q] = acc[q]
 
-    # second displayed form: Σ (h3·m0) σ(h4 m1 S⁻¹(h2) ⊗ h1) σ⁻¹(h5⊗m2)
-    for i in range(n):
-        for p in range(m):
-            acc = [f.zero] * m
-            for (a, b, c3, d, e), w in h.copower(i, 5):
-                for q0, k1, k2, c0 in mod.coact2(p):
-                    s2 = inv.data[e][k2]
-                    if not s2:
-                        continue
-                    vec = h.mul_vec(h.mul.dense_row(d, k1), h.Sinv_basis(b))
-                    s1 = f.zero
-                    for t, cv in enumerate(vec):
-                        if cv and sig.data[t][a]:
-                            s1 = s1 + cv * sig.data[t][a]
-                    if not s1:
-                        continue
-                    w2 = w * c0 * s1 * s2
-                    for q, x in mod.act.row(c3, q0):
-                        acc[q] = acc[q] + w2 * x
-            base = (i * m + p) * m
-            for q in range(m):
-                if action.data[base + q] != acc[q]:
-                    raise VerificationError(
-                        "the two twisted-action expressions disagree at "
-                        "(%d, %d, %d)" % (i, p, q))
+    def twisted(i, p):
+        acc = [f.zero] * m
+        for (a, b, c3), w in h.copower(i, 3):
+            for q0, k0, c0 in mod.coact.terms(p):
+                s2 = inv.data[c3][k0]
+                if not s2:
+                    continue
+                for q1, x in mod.act.row(b, q0):
+                    w2 = w * c0 * s2 * x
+                    for q2, k2, c2 in mod.coact.terms(q1):
+                        s1 = sig.data[k2][a]
+                        if s1:
+                            acc[q2] = acc[q2] + w2 * c2 * s1
+        return acc
 
+    pairings = {}   # σ(h₄m₁S⁻¹(h₂) ⊗ h₁) by (h₁, h₂, h₄, m₁), for all (i, p)
+
+    def twisted_expanded(i, p):
+        # Σ (h3·m0) σ(h4 m1 S⁻¹(h2) ⊗ h1) σ⁻¹(h5⊗m2)
+        acc = [f.zero] * m
+        for (a, b, c3, d, e), w in h.copower(i, 5):
+            for q0, k1, k2, c0 in mod.coact2(p):
+                s2 = inv.data[e][k2]
+                if not s2:
+                    continue
+                key = (a, b, d, k1)
+                s1 = pairings.get(key)
+                if s1 is None:
+                    u = h.mul_vec(h.mul.dense_row(d, k1), h.Sinv_basis(b))
+                    s1 = pairings[key] = eval2(sig, u, a)
+                if not s1:
+                    continue
+                w2 = w * c0 * s1 * s2
+                for q, x in mod.act.row(c3, q0):
+                    acc[q] = acc[q] + w2 * x
+        return acc
+
+    action = agreed_tensor("twisted-action", f, (n, m, m), twisted,
+                           twisted_expanded)
     if host_s is None:
         host_s = deform(s, verify=False)
     out = YdModule(host_s, m, action,
@@ -489,21 +517,22 @@ def sigma_algebra(s, alg, host_s=None, verify=True):
     if host_s is None:
         host_s = deform(s, verify=False)
     smod = sigma_module(s, mod, host_s, verify=False)
-    mult = Tensor.zeros(f, (m, m, m))
-    for p in range(m):
-        for q in range(m):
-            acc = [f.zero] * m
-            for p0, k1, c1 in mod.coact.terms(p):
-                for q0, k2, c2 in mod.coact.terms(q):
-                    v = s.sigma_inv.data[k2][k1]
-                    if not v:
-                        continue
-                    w = c1 * c2 * v
-                    for t, cm in alg.mul.row(p0, q0):
-                        acc[t] = acc[t] + w * cm
-            base = (p * m + q) * m
-            for t in range(m):
-                mult.data[base + t] = acc[t]
+
+    def product(p, q):
+        acc = [f.zero] * m
+        for p0, k1, c1 in mod.coact.terms(p):
+            for q0, k2, c2 in mod.coact.terms(q):
+                v = s.sigma_inv.data[k2][k1]
+                if not v:
+                    continue
+                w = c1 * c2 * v
+                for t, cm in alg.mul.row(p0, q0):
+                    acc[t] = acc[t] + w * cm
+        return acc
+
+    ms = range(m)
+    mult = Tensor.from_rows(f, (m, m, m),
+                            [[product(p, q) for q in ms] for p in ms])
     out = YdAlgebra(smod, mult, list(alg.unit))
     if verify:
         verify_yd_algebra(out).require("sigma_algebra")
@@ -628,14 +657,10 @@ def theta_module(d, mod, host_t=None, verify=True):
                                             key = (p, q2, k2)
                                             co2[key] = co2.get(key, zero) \
                                                 + w3 * cv
-    key = first_mismatch((), lambda: (co, co2))
-    if key is not None:
-        raise VerificationError(
-            "the two ρ_θ expressions disagree at %r" % (key,))
-
-    coaction = Tensor.zeros(f, (m, m, n))
-    for (p, q, k), v in co.items():
-        coaction.data[(p * m + q) * n + k] = v
+    require_agree("ρ_θ", (), lambda: (co, co2))
+    ms = range(m)
+    coaction = Tensor.from_rows(f, (m, m, n), [
+        [[co.get((p, q, k), zero) for k in range(n)] for q in ms] for p in ms])
     if host_t is None:
         host_t = deform_dual(d, verify=False)
     out = YdModule(host_t, m, Tensor(f, (n, m, m), list(mod.action.data)),
@@ -702,24 +727,24 @@ def theta_algebra(d, alg, host_t=None, verify=True):
     if host_t is None:
         host_t = deform_dual(d, verify=False)
     tmod = theta_module(d, mod, host_t, verify=False)
-    mult = Tensor.zeros(f, (m, m, m))
-    for p in range(m):
-        for q in range(m):
-            acc = [f.zero] * m
-            for c in range(h.dim):
-                for e in range(h.dim):
-                    y = d.theta_inv.data[c][e]
-                    if not y:
-                        continue
-                    u = mod.act.dense_row(c, p)
-                    v = mod.act.dense_row(e, q)
-                    w = alg.mul_vec(u, v)
-                    for t in range(m):
-                        if w[t]:
-                            acc[t] = acc[t] + y * w[t]
-            base = (p * m + q) * m
-            for t in range(m):
-                mult.data[base + t] = acc[t]
+
+    def product(p, q):
+        acc = [f.zero] * m
+        for c in range(h.dim):
+            for e in range(h.dim):
+                y = d.theta_inv.data[c][e]
+                if not y:
+                    continue
+                w = alg.mul_vec(mod.act.dense_row(c, p),
+                                mod.act.dense_row(e, q))
+                for t in range(m):
+                    if w[t]:
+                        acc[t] = acc[t] + y * w[t]
+        return acc
+
+    ms = range(m)
+    mult = Tensor.from_rows(f, (m, m, m),
+                            [[product(p, q) for q in ms] for p in ms])
     out = YdAlgebra(tmod, mult, list(alg.unit))
     if verify:
         verify_yd_algebra(out).require("theta_algebra")
@@ -745,26 +770,23 @@ def braided_product(alga, algb, cqt=None, verify=True):
     f = h.field
     da, db = moda.dim, modb.dim
     dim = da * db
-    mult = Tensor.zeros(f, (dim, dim, dim))
-    for p in range(da):
-        for q in range(db):
-            src1 = p * db + q
-            for r in range(da):
-                for s2 in range(db):
-                    src2 = r * db + s2
-                    acc = {}
-                    for r0, k, c in moda.coact.terms(r):
-                        v = algb.mul_vec(modb.act.dense_row(k, q),
-                                         modb.basis_vec(s2))
-                        for p1, x in alga.mul.row(p, r0):
-                            w = c * x
-                            for q1, y in enumerate(v):
-                                if y:
-                                    key = p1 * db + q1
-                                    acc[key] = acc.get(key, f.zero) + w * y
-                    base = (src1 * dim + src2) * dim
-                    for key, val in acc.items():
-                        mult.data[base + key] = val
+
+    def product(src1, src2):
+        # (a#b)(c#d) for a#b = v_p#w_q and c#d = v_r#w_s
+        (p, q), (r, s2) = divmod(src1, db), divmod(src2, db)
+        acc = [f.zero] * dim
+        for r0, k, c in moda.coact.terms(r):
+            v = algb.mul_vec(modb.act.dense_row(k, q), modb.basis_vec(s2))
+            for p1, x in alga.mul.row(p, r0):
+                w = c * x
+                for q1, y in enumerate(v):
+                    if y:
+                        acc[p1 * db + q1] = acc[p1 * db + q1] + w * y
+        return acc
+
+    ds = range(dim)
+    mult = Tensor.from_rows(f, (dim, dim, dim),
+                            [[product(u, v) for v in ds] for u in ds])
     unit = [f.zero] * dim
     for p, x in enumerate(alga.unit):
         if not x:
@@ -781,22 +803,21 @@ def braided_product(alga, algb, cqt=None, verify=True):
 def h_opposite(alg, verify=True):
     """Ā: same YD module, multiplication ā∘b̄ = Σ b₀ (b₁·a)."""
     mod = alg.module
-    h = alg.host
-    f = h.field
+    f = alg.host.field
     m = alg.dim
-    mult = Tensor.zeros(f, (m, m, m))
-    for p in range(m):
-        for q in range(m):
-            acc = [f.zero] * m
-            for q0, k, c in mod.coact.terms(q):
-                u = mod.act.dense_row(k, p)
-                v = alg.mul_vec(mod.basis_vec(q0), u)
-                for t in range(m):
-                    if v[t]:
-                        acc[t] = acc[t] + c * v[t]
-            base = (p * m + q) * m
+
+    def product(p, q):
+        acc = [f.zero] * m
+        for q0, k, c in mod.coact.terms(q):
+            v = alg.mul_vec(mod.basis_vec(q0), mod.act.dense_row(k, p))
             for t in range(m):
-                mult.data[base + t] = acc[t]
+                if v[t]:
+                    acc[t] = acc[t] + c * v[t]
+        return acc
+
+    ms = range(m)
+    mult = Tensor.from_rows(f, (m, m, m),
+                            [[product(p, q) for q in ms] for p in ms])
     out = YdAlgebra(mod, mult, list(alg.unit))
     if verify:
         verify_yd_algebra(out).require("h_opposite")
@@ -814,56 +835,63 @@ def end_algebra(mod, verify=True):
     n = h.dim
     m = mod.dim
     dim = m * m
-    mult = Tensor.zeros(f, (dim, dim, dim))
+    ms, ds = range(m), range(dim)
     one = f.one
-    for p in range(m):
-        for q in range(m):
-            e1 = p * m + q
-            for r in range(m):
-                for s2 in range(m):
-                    # E_{pq}∘E_{rs}: x ↦ E_pq(E_rs(x)) = δ_{s r'}..
-                    # (E_pq·E_rs)(v_x) = E_pq(δ_{x r} v_s) = δ_{xr} δ_{sp} v_q
-                    if s2 == p:
-                        e2 = r * m + s2
-                        mult.data[(e1 * dim + e2) * dim + r * m + q] = one
+
+    def compose(e1, e2):
+        # (E_pq·E_rs)(v_x) = E_pq(δ_{xr} v_s) = δ_{xr} δ_{sp} v_q
+        (p, q), (r, s2) = divmod(e1, m), divmod(e2, m)
+        out = [f.zero] * dim
+        if s2 == p:
+            out[r * m + q] = one
+        return out
+
     unit = [f.zero] * dim
-    for p in range(m):
+    for p in ms:
         unit[p * m + p] = one
 
-    action = Tensor.zeros(f, (n, dim, dim))
-    for i in range(n):
-        for a, b, ca in h.delta.terms(i):
-            sb = h.S_basis(b)
-            for p in range(m):
-                for q in range(m):
-                    src = p * m + q
-                    # (e_i·E_pq)(v_r) = Σ ca (e_a)·E_pq(S(e_b)·v_r)
-                    for r in range(m):
-                        sv = mod.act_vec(sb, mod.basis_vec(r))
-                        if not sv[p]:
-                            continue
-                        w = ca * sv[p]
-                        for q2, x in mod.act.row(a, q):
-                            idx = (i * dim + src) * dim + r * m + q2
-                            action.data[idx] = action.data[idx] + w * x
+    # s_act[b][r] = S(e_b)·v_r
+    s_act = [[mod.act_vec(h.S_basis(b), mod.basis_vec(r)) for r in ms]
+             for b in range(n)]
 
-    coaction = Tensor.zeros(f, (dim, dim, n))
-    for p in range(m):
-        for q in range(m):
-            src = p * m + q
-            # Σ f₀(v_r)⊗f₁ = Σ coact[r,p,k]·coact[q,q',l] v_q'⊗S⁻¹(e_k)e_l
-            for r in range(m):
-                for p2, k, c1 in mod.coact.terms(r):
-                    if p2 != p:
-                        continue
-                    for q2, l, c2 in mod.coact.terms(q):
-                        w = c1 * c2
-                        hv = h.mul_vec(h.Sinv_basis(k), h.basis_vec(l))
-                        for k2, cv in enumerate(hv):
-                            if cv:
-                                idx = (src * dim + r * m + q2) * n + k2
-                                coaction.data[idx] = coaction.data[idx] \
-                                    + w * cv
+    def conjugate(i, src):
+        # (e_i·E_pq)(v_r) = Σ ca (e_a)·E_pq(S(e_b)·v_r)
+        p, q = divmod(src, m)
+        acc = [f.zero] * dim
+        for a, b, ca in h.delta.terms(i):
+            for r in ms:
+                sv = s_act[b][r]
+                if not sv[p]:
+                    continue
+                w = ca * sv[p]
+                for q2, x in mod.act.row(a, q):
+                    acc[r * m + q2] = acc[r * m + q2] + w * x
+        return acc
+
+    def dual_coaction(src):
+        # Σ f₀(v_r)⊗f₁ = Σ coact[r,p,k]·coact[q,q',l] v_q'⊗S⁻¹(e_k)e_l
+        p, q = divmod(src, m)
+        rows = [[f.zero] * n for _ in ds]
+        for r in ms:
+            for p2, k, c1 in mod.coact.terms(r):
+                if p2 != p:
+                    continue
+                for q2, l, c2 in mod.coact.terms(q):
+                    w = c1 * c2
+                    row = rows[r * m + q2]
+                    hv = h.mul_vec(h.Sinv_basis(k), h.basis_vec(l))
+                    for k2, cv in enumerate(hv):
+                        if cv:
+                            row[k2] = row[k2] + w * cv
+        return rows
+
+    mult = Tensor.from_rows(f, (dim, dim, dim),
+                            [[compose(u, v) for v in ds] for u in ds])
+    action = Tensor.from_rows(f, (n, dim, dim),
+                              [[conjugate(i, src) for src in ds]
+                               for i in range(n)])
+    coaction = Tensor.from_rows(f, (dim, dim, n),
+                                [dual_coaction(src) for src in ds])
     out = YdAlgebra(YdModule(h, dim, action, coaction), mult, unit)
     if verify:
         verify_yd_algebra(out).require("end_algebra")
@@ -1054,7 +1082,7 @@ def yd_hom_basis(ma, mb):
                 for q, x in arow:
                     coeffs[q * db + t] = coeffs[q * db + t] + x
                 for t2 in range(db):
-                    c = mb.action.data[(i * db + t2) * db + t]
+                    c = mb.act.dense_row(i, t2)[t]
                     if c:
                         coeffs[p * db + t2] = coeffs[p * db + t2] - c
                 rows.append(coeffs)
@@ -1066,7 +1094,7 @@ def yd_hom_basis(ma, mb):
                     if k2 == k:
                         coeffs[q * db + t] = coeffs[q * db + t] + c
                 for q2 in range(db):
-                    c = mb.coaction.data[(q2 * db + t) * n + k]
+                    c = mb.coact.dense_row(q2, t)[k]
                     if c:
                         coeffs[p * db + q2] = coeffs[p * db + q2] - c
                 rows.append(coeffs)

@@ -7,20 +7,24 @@ search order of every check: nested-loop order over basis tuples, and for
 sparse sides the first differing key of set(lhs) | set(rhs).
 """
 
+import re
+
 import pytest
 
 from hopflab import catalog as cat
 from hopflab.fields import QQ
 from hopflab.galois import (BimoduleActions, BraidedHopf, bimodule_actions,
-                            build_hr, verify_bimodule, verify_braided_hopf)
+                            build_hr, comodule_galois, galois_maps,
+                            verify_bimodule, verify_braided_hopf, wedge)
 from hopflab.hopf import HopfAlgebra, hopf_map_checks, verify_hopf_axioms
 from hopflab.linalg import Matrix, Tensor
 from hopflab.quasitriangular import (CqtStructure, QtStructure, verify_cqt,
                                      verify_qt)
+from hopflab.report import VerificationError
 from hopflab.twist import (DualCocycle, TwoCocycle, verify_dual_cocycle,
                            verify_two_cocycle)
-from hopflab.yd import (YdAlgebra, YdMap, YdModule, is_yd_map, verify_yd,
-                        verify_yd_algebra)
+from hopflab.yd import (YdAlgebra, YdMap, YdModule, is_yd_map, sigma_module,
+                        theta_module, verify_yd, verify_yd_algebra)
 
 
 def bump_tensor(t, idx):
@@ -203,6 +207,19 @@ def bimodule_right(fx):
         b.module, b.left_hr, bump_tensor(b.right_hr, (1, 0, 0)), b.act2))
 
 
+def galois_regular_mult(fx):
+    alg = cat.regular_galois_algebra(fx["h4"])
+    return comodule_galois(
+        YdAlgebra(alg.module, bump_tensor(alg.mult, (0, 0, 0)), alg.unit))
+
+
+def galois_unit_object_mult(fx):
+    alg = fx["unit_obj"]
+    return galois_maps(fx["bh"], bimodule_actions(fx["bh"], alg.module),
+                       YdAlgebra(alg.module, bump_tensor(alg.mult, (0, 1, 1)),
+                                 alg.unit))
+
+
 CASES = [
     (hopf_mult, {"associativity": (0, 0, 1), "unit": (0,),
                  "comult_algebra_map": (0, 0, 0, 0),
@@ -258,6 +275,16 @@ CASES = [
     (bimodule_left, {"left_action_for_star": (1, 2, 1)}),
     (bimodule_left_unit, {"left_action_for_star": (2,)}),
     (bimodule_right, {"right_action_for_star": (1, 1, 0)}),
+    (galois_regular_mult, {"beta_relations_in_kernel": (0,),
+                           "beta_kernel_is_relations": None,
+                           "galois": None}),
+    (galois_unit_object_mult, {"beta_r_surjective": None,
+                               "beta_r_relations_in_kernel": (0,),
+                               "beta_r_kernel_is_relations": None,
+                               "beta_l_relations_in_kernel": (0,),
+                               "beta_l_kernel_is_relations": None,
+                               "right_galois": None, "left_galois": None,
+                               "bigalois_object": None}),
 ]
 
 
@@ -266,3 +293,45 @@ CASES = [
 def test_one_entry_corruption_witnesses(fx, corrupt, want):
     rep = corrupt(fx)
     assert {c.name: c.witness for c in rep.failures()} == want
+
+
+# Constructions that give an object in two displayed forms raise when the
+# forms disagree.  The corrupted input is the regular YD module with 1 added
+# to action[0, 0, 0], so its action no longer matches its coaction.
+
+def bad_regular_module(fx):
+    mod = fx["mreg"]
+    return YdModule(mod.host, mod.dim, bump_tensor(mod.action, (0, 0, 0)),
+                    mod.coaction)
+
+
+def witness_of(message):
+    """The index tuple at the end of "... disagree at (i, j, k)"."""
+    found = re.search(r"disagree at \(([\d, ]*)\)$", message)
+    assert found, message
+    return tuple(int(x) for x in found.group(1).split(","))
+
+
+RAISING = {
+    "sigma_module": ("twisted-action", (3, 2, 0), lambda fx, m: sigma_module(
+        fx["s1"], m, verify=False)),
+    "theta_module": ("ρ_θ", (2, 0, 2), lambda fx, m: theta_module(
+        fx["theta"], m, verify=False)),
+    "bimodule_actions": ("−▷", (2, 2, 0), lambda fx, m: bimodule_actions(
+        fx["bh"], m, verify=False)),
+}
+
+
+@pytest.mark.parametrize("what, want, build", RAISING.values(),
+                         ids=RAISING.keys())
+def test_displayed_forms_disagree(fx, what, want, build):
+    with pytest.raises(VerificationError) as info:
+        build(fx, bad_regular_module(fx))
+    message = str(info.value)
+    assert message.startswith("the two %s expressions disagree at " % what)
+    assert witness_of(message) == want
+
+
+def test_wedge_of_corrupted_module_is_not_closed(fx):
+    with pytest.raises(VerificationError, match="wedge is not closed"):
+        wedge(fx["r1"], bad_regular_module(fx), fx["mreg"], verify=False)
