@@ -73,9 +73,6 @@ class BraidedHopf:
     def host(self):
         return self.underlying.host
 
-    def star_vec(self, u, v):
-        return self.underlying.mul_vec(u, v)
-
 
 @dataclass
 class BimoduleActions:
@@ -336,17 +333,13 @@ def coinvariants(bh, b, side):
     return sub
 
 
-def verify_sigma_coinvariants(s, cqt, mod, host_s=None, cqt_s=None):
+def verify_sigma_coinvariants(s, cqt, mod):
     """Coinvariant subspaces agree before and after the deformation."""
     rep = CheckReport()
     bh = build_hr(cqt, verify=False)
     b = bimodule_actions(bh, mod, verify=False)
-    if host_s is None:
-        host_s = deform(s, verify=False)
-    if cqt_s is None:
-        cqt_s = deform_cqt(cqt, s, verify=False)
-    smod = sigma_module(s, mod, host_s, verify=False)
-    bh_s = build_hr(cqt_s, verify=False)
+    smod = sigma_module(s, mod, verify=False)
+    bh_s = build_hr(deform_cqt(cqt, s, verify=False), verify=False)
     b_s = bimodule_actions(bh_s, smod, verify=False)
     for side in ("right", "left"):
         sub = coinvariants(bh, b, side)
@@ -409,23 +402,19 @@ def wedge(cqt, ma, mb, verify=True):
     return sub, out
 
 
-def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None,
-                       host_s=None, cqt_s=None):
+def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None):
     """Lemma 3.4 span equality with η⁻¹ intertwining; with algebras,
     additionally the Prop-3.5 algebra-map property of η⁻¹."""
     rep = CheckReport()
     h = cqt.host
     f = h.field
-    if host_s is None:
-        host_s = deform(s, verify=False)
-    if cqt_s is None:
-        cqt_s = deform_cqt(cqt, s, verify=False)
+    rs = deform_cqt(cqt, s, verify=False)
     sub, wmod = wedge(cqt, ma, mb, verify=False)
-    sa = sigma_module(s, ma, host_s, verify=False)
-    sb = sigma_module(s, mb, host_s, verify=False)
-    sub_s, wmod_s = wedge(cqt_s, sa, sb, verify=False)
+    sa = sigma_module(s, ma, verify=False)
+    sb = sigma_module(s, mb, verify=False)
+    sub_s, wmod_s = wedge(rs, sa, sb, verify=False)
 
-    eta_map, eta_inv = eta(s, ma, mb, host_s)
+    _, eta_inv = eta(s, ma, mb)
     da, db = ma.dim, mb.dim
     dim = da * db
     image = [apply_rowmap(v, eta_inv) for v in sub.column_vectors()]
@@ -435,7 +424,7 @@ def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None,
             None, "dim %d vs %d" % (sub.dim, sub_s.dim))
 
     # η⁻¹ restricted intertwines σ̲(M∧N) with σ̲M∧σ̲N
-    swmod = sigma_module(s, wmod, host_s, verify=False)
+    swmod = sigma_module(s, wmod, verify=False)
     coords = [sub_s.coordinates(v) for v in image]
     ok = None not in coords
     rep.add("eta_inv_restricts", ok)
@@ -445,10 +434,10 @@ def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None,
 
     if alga is not None and algb is not None:
         prod = braided_product(alga, algb, cqt=cqt, verify=False)
-        sprod = sigma_algebra(s, prod, host_s, verify=False)
-        salga = sigma_algebra(s, alga, host_s, verify=False)
-        salgb = sigma_algebra(s, algb, host_s, verify=False)
-        prod_s = braided_product(salga, salgb, cqt=cqt_s, verify=False)
+        sprod = sigma_algebra(s, prod, verify=False)
+        salga = sigma_algebra(s, alga, verify=False)
+        salgb = sigma_algebra(s, algb, verify=False)
+        prod_s = braided_product(salga, salgb, cqt=rs, verify=False)
         # η⁻¹(e_u) is row u of the row-as-image matrix
         bad = first_mismatch((range(dim),) * 2, lambda u, v: (
             apply_rowmap(sprod.mul.dense_row(u, v), eta_inv),
@@ -552,17 +541,14 @@ def chi_maps(s):
     return chi, chi_inv, chi.transpose()
 
 
-def verify_unit_deformation(s, host_s=None):
+def verify_unit_deformation(s):
     """Lemma 3.7: χ* is an algebra, module and comodule isomorphism
     σ̲(I) → I^σ."""
     rep = CheckReport()
     h = s.host
     n = h.dim
-    if host_s is None:
-        host_s = deform(s, verify=False)
-    i_obj = unit_object(h, verify=False)
-    si = sigma_algebra(s, i_obj, host_s, verify=False)
-    i_s = unit_object(host_s, verify=False)
+    si = sigma_algebra(s, unit_object(h, verify=False), verify=False)
+    i_s = unit_object(deform(s, verify=False), verify=False)
     chi, chi_inv, chi_star = chi_maps(s)
 
     rep.add("chi_star_invertible", rank(chi_star) == n)

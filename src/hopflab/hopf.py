@@ -227,52 +227,6 @@ def dual_hopf(h):
         name=h.name + "*")
 
 
-def iterated_coproduct(h, k):
-    """Δ^(k-1) as an n × n^k matrix-like tensor; k = 1 is the identity."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = h.dim
-    out = Tensor.zeros(h.field, (n, n ** k))
-    for i in range(n):
-        for idx, c in h.copower(i, k):
-            flat = 0
-            for t in idx:
-                flat = flat * n + t
-            out.data[i * (n ** k) + flat] = out.data[i * (n ** k) + flat] + c
-    return out
-
-
-def op_cop(h, flip_mult, flip_comult):
-    """H^op / H^cop / H^op,cop.  One flip swaps the antipode with S⁻¹."""
-    n = h.dim
-    f = h.field
-    mult = h.mult
-    comult = h.comult
-    if flip_mult:
-        mult = Tensor.zeros(f, (n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    mult.data[(i * n + j) * n + k] = \
-                        h.mult.data[(j * n + i) * n + k]
-    if flip_comult:
-        comult = Tensor.zeros(f, (n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    comult.data[(i * n + j) * n + k] = \
-                        h.comult.data[(i * n + k) * n + j]
-    if flip_mult != flip_comult:
-        s, s_inv = h.antipode_inv, h.antipode
-    else:
-        s, s_inv = h.antipode, h.antipode_inv
-    tag = {(False, False): "", (True, False): "^op",
-           (False, True): "^cop", (True, True): "^op,cop"}
-    return HopfAlgebra(f, n, list(h.basis_names), mult, list(h.unit), comult,
-                       list(h.counit), s, s_inv,
-                       name=h.name + tag[(flip_mult, flip_comult)])
-
-
 def hopf_map_checks(src, dst, m, rep=None, prefix=""):
     """Is the row-as-image matrix m: src → dst a bialgebra/Hopf map?
 

@@ -258,8 +258,7 @@ def deform_cqt(c, s, verify=True):
                     if v3:
                         acc = acc + w1 * w2 * v1 * v2 * v3
             out.data[g][x] = acc
-    host_s = deform(s, verify=False)
-    rs = cqt_structure(host_s, out)
+    rs = cqt_structure(deform(s, verify=False), out)
     if verify:
         verify_cqt(rs).require("deform_cqt")
     return rs
@@ -272,8 +271,7 @@ def deform_qt(q, d, verify=True):
     h = q.host
     tau_theta = d.theta.transpose()
     new = hh_mul(h, tau_theta, hh_mul(h, q.rr, d.theta_inv))
-    host_t = deform_dual(d, verify=False)
-    qt = qt_structure(host_t, new)
+    qt = qt_structure(deform_dual(d, verify=False), new)
     if verify:
         verify_qt(qt).require("deform_qt")
     return qt

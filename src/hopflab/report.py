@@ -43,6 +43,14 @@ class CheckReport:
                                      c.detail, c.time_ms))
         return self
 
+    def status(self, name):
+        """The status of the one check called name; raises KeyError when
+        no check or more than one has that name."""
+        found = [c.status for c in self.checks if c.name == name]
+        if len(found) != 1:
+            raise KeyError("%d checks named %r" % (len(found), name))
+        return found[0]
+
     def failures(self):
         return [c for c in self.checks if c.status == "fail"]
 

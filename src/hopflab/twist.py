@@ -1,6 +1,12 @@
 """Convolution algebra on (H⊗H)*, 2-cocycles, dual 2-cocycles and the
 deformed Hopf algebras H^σ and H_θ.
 
+H^σ and H_θ are functions of the cocycle alone: deform(c) and
+deform_dual(d) build them the first time they are asked for a cocycle
+object and memoize them on it, so every σ̲/θ̲ image, deformed CQT/QT
+structure and laziness cross-check of that object shares one host.
+verify=True still checks the Hopf axioms on every call.
+
 A functional on H⊗H is an n×n Matrix f with f.data[i][j] = f(e_i⊗e_j); an
 element of H⊗H is an n×n Matrix of coefficients.  Convolution is
 (f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂) with unit ε⊗ε.
@@ -8,7 +14,7 @@ element of H⊗H is an n×n Matrix of coefficients.  Convolution is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .hopf import HopfAlgebra, verify_hopf_axioms
 from .linalg import Matrix, Tensor, mat_inverse, solve
@@ -143,6 +149,8 @@ class TwoCocycle:
     host: HopfAlgebra
     sigma: Matrix
     sigma_inv: Matrix
+    _deformed: HopfAlgebra = field(default=None, init=False, repr=False,
+                                   compare=False)    # H^σ, set by deform
 
     def __call__(self, i, j):
         return self.sigma.data[i][j]
@@ -284,7 +292,16 @@ def verify_two_cocycle(c):
 
 
 def deform(c, verify=True):
-    """The deformed Hopf algebra H^σ (same coalgebra, twisted product)."""
+    """The deformed Hopf algebra H^σ (same coalgebra, twisted product),
+    built once per cocycle object; verify=True checks it on every call."""
+    if c._deformed is None:
+        c._deformed = _deform(c)
+    if verify:
+        verify_hopf_axioms(c._deformed).require("deform")
+    return c._deformed
+
+
+def _deform(c):
     h = c.host
     n = h.dim
     f = h.field
@@ -342,12 +359,9 @@ def deform(c, verify=True):
                     acc[k] = acc[k] + w2 * cv
         s_inv_mat.data[i] = acc
 
-    out = HopfAlgebra(f, n, list(h.basis_names), mult, list(h.unit),
-                      h.comult, list(h.counit), s_mat, s_inv_mat,
-                      name=h.name + "^s")
-    if verify:
-        verify_hopf_axioms(out).require("deform")
-    return out
+    return HopfAlgebra(f, n, list(h.basis_names), mult, list(h.unit),
+                       h.comult, list(h.counit), s_mat, s_inv_mat,
+                       name=h.name + "^s")
 
 
 def is_lazy(c):
@@ -617,6 +631,8 @@ class DualCocycle:
     host: HopfAlgebra
     theta: Matrix
     theta_inv: Matrix
+    _deformed: HopfAlgebra = field(default=None, init=False, repr=False,
+                                   compare=False)    # H_θ, set by deform_dual
 
 
 def dual_cocycle(host, theta, theta_inv=None):
@@ -660,7 +676,16 @@ def verify_dual_cocycle(d):
 
 
 def deform_dual(d, verify=True):
-    """H_θ: same algebra, Δ_θ(h) = θΔ(h)θ⁻¹, antipode S_θ."""
+    """H_θ: same algebra, Δ_θ(h) = θΔ(h)θ⁻¹, antipode S_θ; built once per
+    dual cocycle object, verify=True checks it on every call."""
+    if d._deformed is None:
+        d._deformed = _deform_dual(d)
+    if verify:
+        verify_hopf_axioms(d._deformed).require("deform_dual")
+    return d._deformed
+
+
+def _deform_dual(d):
     h = d.host
     n = h.dim
     f = h.field
@@ -711,12 +736,9 @@ def deform_dual(d, verify=True):
     s_inv = mat_inverse(s_mat)
     if s_inv is None:
         raise VerificationError("S_θ is not invertible")
-    out = HopfAlgebra(f, n, list(h.basis_names), h.mult, list(h.unit),
-                      comult, list(h.counit), s_mat, s_inv,
-                      name=h.name + "_th")
-    if verify:
-        verify_hopf_axioms(out).require("deform_dual")
-    return out
+    return HopfAlgebra(f, n, list(h.basis_names), h.mult, list(h.unit),
+                       comult, list(h.counit), s_mat, s_inv,
+                       name=h.name + "_th")
 
 
 def is_lazy_dual(d):

@@ -13,6 +13,10 @@ the sparse kernel linalg.Bilinear.  σ and σ⁻¹ are paired with vectors only
 by twist.eval2.  σ̲(M)'s twisted action and θ̲(M)'s coaction are computed in
 both displayed forms, and report.require_agree raises at the first index
 where they differ (agreed_tensor for a 3-tensor).
+σ̲ and θ̲ are fixed by their cocycle: the target hosts H^σ and H_θ come from
+twist.deform/deform_dual, which memoize them per cocycle object.  The
+monoidal structures eta and theta_phi return matrices only; a caller that
+checks one as a YdMap builds each σ̲/θ̲ image once and assembles the map.
 Linear maps are stored row-as-image; mat_mul(A, B) is "apply A, then B".
 """
 
@@ -393,7 +397,7 @@ def agreed_tensor(what, field, shape, form, other):
     return Tensor.from_rows(field, shape, one)
 
 
-def sigma_module(s, mod, host_s=None, verify=True):
+def sigma_module(s, mod, verify=True):
     """σ̲(M): the twisted action, with the coaction unchanged.
 
     Both displayed forms of the twisted action are computed; they must agree.
@@ -445,18 +449,16 @@ def sigma_module(s, mod, host_s=None, verify=True):
 
     action = agreed_tensor("twisted-action", f, (n, m, m), twisted,
                            twisted_expanded)
-    if host_s is None:
-        host_s = deform(s, verify=False)
-    out = YdModule(host_s, m, action,
+    out = YdModule(deform(s, verify=False), m, action,
                    Tensor(f, (m, m, n), list(mod.coaction.data)))
     if verify:
         verify_yd(out).require("sigma_module")
     return out
 
 
-def eta(s, ma, mb, host_s=None):
-    """η(m⊗n) = Σ m₀⊗n₀ σ⁻¹(n₁⊗m₁): σ̲M⊗σ̲N → σ̲(M⊗N), with inverse
-    ξ(m⊗n) = Σ m₀⊗n₀ σ(n₁⊗m₁)."""
+def eta(s, ma, mb):
+    """The matrices (η, ξ) of η(m⊗n) = Σ m₀⊗n₀ σ⁻¹(n₁⊗m₁): σ̲M⊗σ̲N → σ̲(M⊗N)
+    and its inverse ξ(m⊗n) = Σ m₀⊗n₀ σ(n₁⊗m₁)."""
     h = ma.host
     f = h.field
     da, db = ma.dim, mb.dim
@@ -476,47 +478,40 @@ def eta(s, ma, mb, host_s=None):
                     v2 = s.sigma.data[k2][k1]
                     if v2:
                         row2[p0 * db + q0] = row2[p0 * db + q0] + w * v2
-    if host_s is None:
-        host_s = deform(s, verify=False)
-    sa = sigma_module(s, ma, host_s, verify=False)
-    sb = sigma_module(s, mb, host_s, verify=False)
-    source = yd_tensor(sa, sb)
-    target = sigma_module(s, yd_tensor(ma, mb), host_s, verify=False)
     ident = Matrix.identity(f, dim)
     if mat_mul(mat, mat_inv) != ident or mat_mul(mat_inv, mat) != ident:
         raise VerificationError("η and ξ are not mutually inverse")
-    return YdMap(source, target, mat), mat_inv
+    return mat, mat_inv
 
 
-def verify_braided_functor(s, ma, mb, host_s=None):
+def verify_braided_functor(s, ma, mb):
     """The braided square of the monoidal functor:
     η_{N,M} ∘ Φ_{σ̲M,σ̲N} = σ̲(Φ_{M,N}) ∘ η_{M,N}."""
     rep = CheckReport()
-    if host_s is None:
-        host_s = deform(s, verify=False)
-    sa = sigma_module(s, ma, host_s, verify=False)
-    sb = sigma_module(s, mb, host_s, verify=False)
-    eta_ab, _ = eta(s, ma, mb, host_s)
-    eta_ba, _ = eta(s, mb, ma, host_s)
-    phi_sigma = braiding(sa, sb)
     phi = braiding(ma, mb)
-    lhs = mat_mul(phi_sigma.matrix, eta_ba.matrix)
-    rhs = mat_mul(eta_ab.matrix, phi.matrix)
+    phi_sigma = braiding(sigma_module(s, ma, verify=False),
+                         sigma_module(s, mb, verify=False))
+    eta_ab, _ = eta(s, ma, mb)
+    eta_ba, _ = eta(s, mb, ma)
+    lhs = mat_mul(phi_sigma.matrix, eta_ba)
+    rhs = mat_mul(eta_ab, phi.matrix)
     rep.add("braided_square", lhs == rhs)
-    rep.merge(is_yd_map(eta_ab), prefix="eta_")
+    # η_{M,N} as a YD map σ̲M⊗σ̲N → σ̲(M⊗N); the tensor products are the
+    # braidings' sources
+    target = sigma_module(s, phi.source, verify=False)
+    rep.merge(is_yd_map(YdMap(phi_sigma.source, target, eta_ab)),
+              prefix="eta_")
     rep.merge(is_yd_map(phi_sigma), prefix="phi_sigma_")
     return rep
 
 
-def sigma_algebra(s, alg, host_s=None, verify=True):
+def sigma_algebra(s, alg, verify=True):
     """σ̲(A) with product a•b = Σ a₀b₀ σ⁻¹(b₁⊗a₁)."""
     mod = alg.module
     h = mod.host
     f = h.field
     m = alg.dim
-    if host_s is None:
-        host_s = deform(s, verify=False)
-    smod = sigma_module(s, mod, host_s, verify=False)
+    smod = sigma_module(s, mod, verify=False)
 
     def product(p, q):
         acc = [f.zero] * m
@@ -539,38 +534,28 @@ def sigma_algebra(s, alg, host_s=None, verify=True):
     return out
 
 
-def zeta_iso(mu, mod, cob=None, host_s=None):
-    """ζ(m) = Σ m₀ μ(m₁): M → σ̲(M) for the coboundary cocycle of μ."""
-    from .twist import coboundary_from
+def zeta_iso(mu, mod, cob):
+    """ζ(m) = Σ m₀ μ(m₁): M → σ̲(M) for cob = coboundary_from(mu)."""
     h = mod.host
     f = h.field
     m = mod.dim
-    if cob is None:
-        cob = coboundary_from(mu)
-    if host_s is None:
-        host_s = deform(cob, verify=False)
     mat = Matrix.zeros(f, m, m)
     for p in range(m):
         for q, k, c in mod.coact.terms(p):
             if mu.mu[k]:
                 mat.data[p][q] = mat.data[p][q] + c * mu.mu[k]
-    smod = sigma_module(cob, mod, host_s, verify=False)
+    smod = sigma_module(cob, mod, verify=False)
     if rank(mat) != m:
         raise VerificationError("ζ is not invertible")
-    return YdMap(mod, smod, mat), cob
+    return YdMap(mod, smod, mat)
 
 
-def zeta_triangle(mu, ma, mb, cob=None, host_s=None):
+def zeta_triangle(mu, ma, mb, cob):
     """ζ_{M⊗N} = η_{M,N} ∘ (ζ_M⊗ζ_N), matrix-exactly."""
-    from .twist import coboundary_from
-    if cob is None:
-        cob = coboundary_from(mu)
-    if host_s is None:
-        host_s = deform(cob, verify=False)
-    za, _ = zeta_iso(mu, ma, cob, host_s)
-    zb, _ = zeta_iso(mu, mb, cob, host_s)
-    zab, _ = zeta_iso(mu, yd_tensor(ma, mb), cob, host_s)
-    eta_ab, _ = eta(cob, ma, mb, host_s)
+    za = zeta_iso(mu, ma, cob)
+    zb = zeta_iso(mu, mb, cob)
+    zab = zeta_iso(mu, yd_tensor(ma, mb), cob)
+    eta_ab, _ = eta(cob, ma, mb)
     f = ma.host.field
     da, db = ma.dim, mb.dim
     tens = Matrix.zeros(f, da * db, da * db)
@@ -583,12 +568,12 @@ def zeta_triangle(mu, ma, mb, cob=None, host_s=None):
                 for q2, y in enumerate(zb.matrix.data[q]):
                     if y:
                         row[p2 * db + q2] = row[p2 * db + q2] + x * y
-    return mat_mul(tens, eta_ab.matrix) == zab.matrix
+    return mat_mul(tens, eta_ab) == zab.matrix
 
 
 # -- the θ̲ functor -----------------------------------------------------------
 
-def theta_module(d, mod, host_t=None, verify=True):
+def theta_module(d, mod, verify=True):
     """θ̲(M): same action, coaction conjugated through θ.
 
     Both displayed forms of ρ_θ are computed and must agree.
@@ -661,17 +646,15 @@ def theta_module(d, mod, host_t=None, verify=True):
     ms = range(m)
     coaction = Tensor.from_rows(f, (m, m, n), [
         [[co.get((p, q, k), zero) for k in range(n)] for q in ms] for p in ms])
-    if host_t is None:
-        host_t = deform_dual(d, verify=False)
-    out = YdModule(host_t, m, Tensor(f, (n, m, m), list(mod.action.data)),
-                   coaction)
+    out = YdModule(deform_dual(d, verify=False), m,
+                   Tensor(f, (n, m, m), list(mod.action.data)), coaction)
     if verify:
         verify_yd(out).require("theta_module")
     return out
 
 
-def theta_phi(d, ma, mb, host_t=None):
-    """φ(m⊗n) = θ⁻¹·(m⊗n): θ̲M⊗θ̲N → θ̲(M⊗N)."""
+def theta_phi(d, ma, mb):
+    """The matrix of φ(m⊗n) = θ⁻¹·(m⊗n): θ̲M⊗θ̲N → θ̲(M⊗N)."""
     h = ma.host
     f = h.field
     da, db = ma.dim, mb.dim
@@ -690,43 +673,35 @@ def theta_phi(d, ma, mb, host_t=None):
                         w = y * x
                         for q1, z in v:
                             row[p1 * db + q1] = row[p1 * db + q1] + w * z
-    if host_t is None:
-        host_t = deform_dual(d, verify=False)
-    ta = theta_module(d, ma, host_t, verify=False)
-    tb = theta_module(d, mb, host_t, verify=False)
-    source = yd_tensor(ta, tb)
-    target = theta_module(d, yd_tensor(ma, mb), host_t, verify=False)
-    return YdMap(source, target, mat)
+    return mat
 
 
-def verify_theta_braided(d, ma, mb, host_t=None):
+def verify_theta_braided(d, ma, mb):
     """φ_{N,M} ∘ Φ_{θ̲M,θ̲N} = θ̲(Φ_{M,N}) ∘ φ_{M,N}."""
     rep = CheckReport()
-    if host_t is None:
-        host_t = deform_dual(d, verify=False)
-    ta = theta_module(d, ma, host_t, verify=False)
-    tb = theta_module(d, mb, host_t, verify=False)
-    phi_ab = theta_phi(d, ma, mb, host_t)
-    phi_ba = theta_phi(d, mb, ma, host_t)
-    br_t = braiding(ta, tb)
     br = braiding(ma, mb)
-    lhs = mat_mul(br_t.matrix, phi_ba.matrix)
-    rhs = mat_mul(phi_ab.matrix, br.matrix)
+    br_t = braiding(theta_module(d, ma, verify=False),
+                    theta_module(d, mb, verify=False))
+    phi_ab = theta_phi(d, ma, mb)
+    phi_ba = theta_phi(d, mb, ma)
+    lhs = mat_mul(br_t.matrix, phi_ba)
+    rhs = mat_mul(phi_ab, br.matrix)
     rep.add("theta_braided_square", lhs == rhs)
-    rep.add("phi_invertible", rank(phi_ab.matrix) == phi_ab.matrix.rows)
-    rep.merge(is_yd_map(phi_ab), prefix="phi_")
+    rep.add("phi_invertible", rank(phi_ab) == phi_ab.rows)
+    # φ_{M,N} as a YD map θ̲M⊗θ̲N → θ̲(M⊗N); the tensor products are the
+    # braidings' sources
+    target = theta_module(d, br.source, verify=False)
+    rep.merge(is_yd_map(YdMap(br_t.source, target, phi_ab)), prefix="phi_")
     return rep
 
 
-def theta_algebra(d, alg, host_t=None, verify=True):
+def theta_algebra(d, alg, verify=True):
     """θ̲(A) with product a•b = Σ ((θ⁻¹)¹·a)((θ⁻¹)²·b)."""
     mod = alg.module
     h = mod.host
     f = h.field
     m = alg.dim
-    if host_t is None:
-        host_t = deform_dual(d, verify=False)
-    tmod = theta_module(d, mod, host_t, verify=False)
+    tmod = theta_module(d, mod, verify=False)
 
     def product(p, q):
         acc = [f.zero] * m

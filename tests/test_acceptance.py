@@ -4,12 +4,16 @@ the lines, or `hopflab suite` for the standalone report.
 """
 
 import hashlib
+import re
 
 import pytest
 
-from hopflab import cli
+from hopflab import cli, suite
 from hopflab.fields import QQ
-from hopflab.suite import CRITERIA, SuiteContext
+from hopflab.report import CheckReport, VerificationError
+from hopflab.suite import (CRITERIA, SuiteContext,
+                           criterion_10_section3_witnesses,
+                           criterion_13_galois_stability)
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +44,64 @@ def test_suite_report_is_byte_identical(field, capsys):
     assert cli.main(["suite", "--json", "--field", field, "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SHA256[field]
+
+
+# criterion 13 passes when a verdict agrees across σ̲; these are the verdicts
+# themselves (before, after) at seed 0, so a bug that breaks both sides of a
+# comparison still turns red.
+GALOIS_VERDICTS = {
+    "lemma3_14_I": ("fail", "fail"),
+    "lemma3_14_H_regular": ("pass", "pass"),
+    "lemma3_14_End_regular": ("pass", "pass"),
+    "prop3_10_I_right_galois": ("pass", "pass"),
+    "prop3_10_I_left_galois": ("pass", "pass"),
+    "prop3_10_I_bigalois_object": ("pass", "pass"),
+    "prop3_10_H_regular_right_galois": ("pass", "pass"),
+    "prop3_10_H_regular_left_galois": ("pass", "pass"),
+    "prop3_10_H_regular_bigalois_object": ("pass", "pass"),
+    "prop3_10_End_regular_right_galois": ("fail", "fail"),
+    "prop3_10_End_regular_left_galois": ("fail", "fail"),
+    "prop3_10_End_regular_bigalois_object": ("fail", "fail"),
+}
+
+
+def test_criterion_13_verdicts_are_pinned(ctx):
+    rep = criterion_13_galois_stability(ctx)
+    got = {c.name: tuple(re.findall(r"=(pass|fail)\b", c.detail))
+           for c in rep.checks if c.name in GALOIS_VERDICTS}
+    assert got == GALOIS_VERDICTS
+
+
+@pytest.mark.parametrize("witness", ["chi_maps", "phi_psi_xi"])
+def test_criterion_10_reports_failed_identities(monkeypatch, ctx, witness):
+    def fails(*args):
+        raise VerificationError("identity does not hold")
+
+    monkeypatch.setattr(suite, witness, fails)
+    rep = criterion_10_section3_witnesses(ctx)
+    assert not rep.ok
+    bad = rep.first_failure()
+    assert bad.detail == "identity does not hold"
+
+
+@pytest.mark.parametrize("witness", ["chi_maps", "phi_psi_xi"])
+def test_criterion_10_propagates_programming_errors(monkeypatch, ctx,
+                                                     witness):
+    def broken(*args):
+        raise TypeError("not an identity")
+
+    monkeypatch.setattr(suite, witness, broken)
+    with pytest.raises(TypeError, match="not an identity"):
+        criterion_10_section3_witnesses(ctx)
+
+
+def test_report_status_needs_exactly_one_check():
+    rep = CheckReport()
+    rep.add("galois", False)
+    rep.add("twice", True)
+    rep.add("twice", True)
+    assert rep.status("galois") == "fail"
+    with pytest.raises(KeyError, match="0 checks named 'renamed'"):
+        rep.status("renamed")
+    with pytest.raises(KeyError, match="2 checks named 'twice'"):
+        rep.status("twice")

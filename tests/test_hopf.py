@@ -1,11 +1,10 @@
-"""Hopf axiom suite, duals, iterated coproducts and op/cop variants."""
+"""Hopf axiom suite, duals and Hopf maps."""
 
 import pytest
 
 from hopflab.fields import QQ, PrimeField
 from hopflab.linalg import Matrix, mat_mul
-from hopflab.hopf import (dual_hopf, hopf_map_checks, iterated_coproduct,
-                          op_cop, verify_hopf_axioms)
+from hopflab.hopf import dual_hopf, hopf_map_checks, verify_hopf_axioms
 from hopflab.catalog import dim1_hopf, group_algebra_c2, sweedler_h4
 
 
@@ -55,54 +54,6 @@ def test_double_dual_identity(h4):
 
 def test_h4_self_dual_axioms(h4):
     assert verify_hopf_axioms(dual_hopf(h4)).ok
-
-
-def test_iterated_coproduct_identity_and_delta(h4):
-    t1 = iterated_coproduct(h4, 1)
-    assert t1.shape == (4, 4)
-    ident = Matrix.identity(QQ, 4)
-    assert t1.data == ident.entries
-    t2 = iterated_coproduct(h4, 2)
-    assert t2.shape == (4, 16)
-    assert t2.data == h4.comult.data
-
-
-def test_iterated_coproduct_order_independent(h4):
-    # (Δ⊗id)Δ vs (id⊗Δ)Δ entrywise
-    n = 4
-    lhs = {}
-    rhs = {}
-    for i in range(n):
-        for j, k, c in h4.delta.terms(i):
-            for a, b, c2 in h4.delta.terms(j):
-                lhs[(i, a, b, k)] = lhs.get((i, a, b, k), QQ.zero) + c * c2
-            for a, b, c2 in h4.delta.terms(k):
-                rhs[(i, j, a, b)] = rhs.get((i, j, a, b), QQ.zero) + c * c2
-    assert lhs == rhs
-    t3 = iterated_coproduct(h4, 3)
-    for (i, a, b, c), v in lhs.items():
-        assert t3.data[i * n ** 3 + (a * n + b) * n + c] == v
-
-
-def test_op_cop_identity_when_no_flip(h4):
-    same = op_cop(h4, False, False)
-    assert same.structures_equal(h4)
-
-
-def test_kc2_fully_flipped_identical(kc2):
-    assert op_cop(kc2, True, True).structures_equal(kc2)
-
-
-def test_h4_op_has_sinv_antipode(h4):
-    hop = op_cop(h4, True, False)
-    assert hop.antipode == h4.antipode_inv
-    assert verify_hopf_axioms(hop).ok
-    hcop = op_cop(h4, False, True)
-    assert hcop.antipode == h4.antipode_inv
-    assert verify_hopf_axioms(hcop).ok
-    both = op_cop(h4, True, True)
-    assert both.antipode == h4.antipode
-    assert verify_hopf_axioms(both).ok
 
 
 def test_antipode_axiom_vector_form(h4):

@@ -112,6 +112,28 @@ def test_deform_roundtrip(h4):
     assert back.structures_equal(h4)
 
 
+def test_deform_memoizes_host_per_cocycle(h4):
+    s1 = sigma_t(h4, 1)
+    twin = TwoCocycle(h4, s1.sigma, s1.sigma_inv)
+    before = repr(s1)
+    hs = deform(s1, verify=False)
+    assert deform(s1) is hs and deform(s1, verify=False) is hs
+    # the memo is not part of the value
+    assert s1 == twin and repr(s1) == before == repr(twin)
+    assert deform(twin) is not hs and deform(twin).structures_equal(hs)
+
+
+def test_deform_verifies_on_every_call(h4):
+    s1 = sigma_t(h4, 1)
+    bad = Matrix(QQ, 4, 4, [row[:] for row in s1.sigma.data])
+    bad.data[1][1] = bad.data[1][1] + QQ.one
+    c = TwoCocycle(h4, bad, s1.sigma_inv)   # H^σ is not associative
+    hs = deform(c, verify=False)
+    with pytest.raises(VerificationError, match="associativity"):
+        deform(c)
+    assert deform(c, verify=False) is hs
+
+
 def test_compose_cocycles(h4):
     s1 = sigma_t(h4, 1)
     hs = deform(s1, verify=False)
@@ -238,6 +260,27 @@ def test_deform_dual_roundtrip(h4):
     ht = deform_dual(th)
     back = deform_dual(dual_cocycle(ht, th.theta_inv))
     assert back.structures_equal(h4)
+
+
+def test_deform_dual_memoizes_host_per_cocycle(h4):
+    th = theta_t(h4, 2)
+    twin = dual_cocycle(h4, th.theta, th.theta_inv)
+    before = repr(th)
+    ht = deform_dual(th, verify=False)
+    assert deform_dual(th) is ht and deform_dual(th, verify=False) is ht
+    assert th == twin and repr(th) == before == repr(twin)
+    assert deform_dual(twin) is not ht
+
+
+def test_deform_dual_verifies_on_every_call(h4):
+    th = theta_t(h4, 1)
+    bad = Matrix(QQ, 4, 4, [row[:] for row in th.theta.data])
+    bad.data[0][2] = bad.data[0][2] + QQ.one
+    d = dual_cocycle(h4, bad)               # Δ_θ is not coassociative
+    ht = deform_dual(d, verify=False)
+    with pytest.raises(VerificationError, match="coassociativity"):
+        deform_dual(d)
+    assert deform_dual(d, verify=False) is ht
 
 
 def test_hh_algebra(h4):

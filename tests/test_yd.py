@@ -106,9 +106,8 @@ def test_sigma_module_trivial(mreg, h4):
 
 
 def test_sigma_module_roundtrip(mreg, s1):
-    hs = deform(s1, verify=False)
-    sm = sigma_module(s1, mreg, hs)
-    sinv = two_cocycle(hs, s1.sigma_inv)
+    sm = sigma_module(s1, mreg)
+    sinv = two_cocycle(deform(s1, verify=False), s1.sigma_inv)
     back = sigma_module(sinv, sm)
     assert back.action == mreg.action
     assert back.coaction == mreg.coaction
@@ -117,14 +116,17 @@ def test_sigma_module_roundtrip(mreg, s1):
 def test_eta_trivial_is_identity(mreg, h4):
     triv = two_cocycle(h4, eps_eps(h4))
     em, inv = eta(triv, mreg, mreg)
-    assert em.matrix == Matrix.identity(QQ, 16)
+    assert em == Matrix.identity(QQ, 16)
     assert inv == Matrix.identity(QQ, 16)
 
 
 def test_eta_invertible_and_yd(mreg, s1):
     em, inv = eta(s1, mreg, mreg)
-    assert mat_mul(em.matrix, inv) == Matrix.identity(QQ, 16)
-    assert is_yd_map(em).ok
+    assert mat_mul(em, inv) == Matrix.identity(QQ, 16)
+    sm = sigma_module(s1, mreg, verify=False)
+    source = yd_tensor(sm, sm)
+    target = sigma_module(s1, yd_tensor(mreg, mreg), verify=False)
+    assert is_yd_map(YdMap(source, target, em)).ok
 
 
 def test_braided_functor_square(mreg, s1, h4, unit_obj):
@@ -133,12 +135,44 @@ def test_braided_functor_square(mreg, s1, h4, unit_obj):
     assert verify_braided_functor(s2, mreg, unit_obj.module).ok
 
 
+def count_calls(monkeypatch, name):
+    """Wrap hopflab.yd.<name>; the returned list grows by one per call."""
+    import hopflab.yd as yd
+    calls = []
+    inner = getattr(yd, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(yd, name, wrapper)
+    return calls
+
+
+def test_each_sigma_image_is_built_once(monkeypatch, mreg, unit_obj, s1):
+    calls = count_calls(monkeypatch, "sigma_module")
+    uo = unit_obj.module
+    eta(s1, mreg, uo)
+    assert calls == []
+    assert verify_braided_functor(s1, mreg, uo).ok
+    assert len(calls) == 3        # σ̲M, σ̲N and σ̲(M⊗N)
+
+
+def test_each_theta_image_is_built_once(monkeypatch, mreg, unit_obj, h4):
+    calls = count_calls(monkeypatch, "theta_module")
+    th1 = theta_t(h4, 1, verify=False)
+    uo = unit_obj.module
+    theta_phi(th1, mreg, uo)
+    assert calls == []
+    assert verify_theta_braided(th1, mreg, uo).ok
+    assert len(calls) == 3        # θ̲M, θ̲N and θ̲(M⊗N)
+
+
 def test_eta_naturality_random(mreg, unit_obj, s1):
     rng = random.Random(0)
     uo = unit_obj.module
-    hs = deform(s1, verify=False)
-    eta_mu, _ = eta(s1, mreg, uo, hs)
-    eta_uu, _ = eta(s1, uo, uo, hs)
+    eta_mu, _ = eta(s1, mreg, uo)
+    eta_uu, _ = eta(s1, uo, uo)
     hom = yd_hom_basis(mreg, uo)
     assert hom, "expected nonzero YD map space"
     for _ in range(3):
@@ -150,15 +184,14 @@ def test_eta_naturality_random(mreg, unit_obj, s1):
                     v = f.matrix.data[p][p2]
                     if v:
                         kron.data[p * uo.dim + q][p2 * uo.dim + q] = v
-        assert mat_mul(kron, eta_uu.matrix) == mat_mul(eta_mu.matrix, kron)
+        assert mat_mul(kron, eta_uu) == mat_mul(eta_mu, kron)
 
 
 def test_sigma_functoriality_random(mreg, unit_obj, s1):
     rng = random.Random(1)
     uo = unit_obj.module
-    hs = deform(s1, verify=False)
-    sm = sigma_module(s1, mreg, hs, verify=False)
-    su = sigma_module(s1, uo, hs, verify=False)
+    sm = sigma_module(s1, mreg, verify=False)
+    su = sigma_module(s1, uo, verify=False)
     hom = yd_hom_basis(mreg, uo)
     for _ in range(4):
         f = random_yd_map(rng, mreg, uo, hom)
@@ -166,9 +199,8 @@ def test_sigma_functoriality_random(mreg, unit_obj, s1):
 
 
 def test_sigma_algebra_roundtrip(unit_obj, s1):
-    hs = deform(s1, verify=False)
-    sa = sigma_algebra(s1, unit_obj, hs)
-    sinv = two_cocycle(hs, s1.sigma_inv)
+    sa = sigma_algebra(s1, unit_obj)
+    sinv = two_cocycle(deform(s1, verify=False), s1.sigma_inv)
     back = sigma_algebra(sinv, sa)
     assert back.mult == unit_obj.mult
     assert back.module.action == unit_obj.module.action
@@ -186,9 +218,9 @@ def test_theta_module_trivial_and_roundtrip(mreg, h4):
     assert tm.coaction == mreg.coaction
     th2 = theta_t(h4, 2, verify=False)
     from hopflab.twist import deform_dual
-    ht = deform_dual(th2, verify=False)
-    tm2 = theta_module(th2, mreg, ht)
-    back = theta_module(dual_cocycle(ht, th2.theta_inv), tm2)
+    tm2 = theta_module(th2, mreg)
+    back = theta_module(dual_cocycle(deform_dual(th2, verify=False),
+                                     th2.theta_inv), tm2)
     assert back.coaction == mreg.coaction
 
 
@@ -266,10 +298,9 @@ def test_end_regular_valid(mreg):
 
 
 def test_sigma_end_and_end_sigma_dims(mreg, s1):
-    hs = deform(s1, verify=False)
     e = end_algebra(mreg, verify=False)
-    se = sigma_algebra(s1, e, hs)
-    es = end_algebra(sigma_module(s1, mreg, hs, verify=False))
+    se = sigma_algebra(s1, e)
+    es = end_algebra(sigma_module(s1, mreg, verify=False))
     assert se.dim == es.dim == 16
     assert verify_yd_algebra(se).ok
     assert verify_yd_algebra(es).ok
@@ -314,16 +345,12 @@ def test_azumaya_invariance_under_sigma(kc2):
     from hopflab.catalog import one_cocycle_c2
     from hopflab.twist import coboundary_from
     cob = coboundary_from(one_cocycle_c2(kc2, 2))
-    hs = deform(cob, verify=False)
     c = cqt_c2(kc2, -1, verify=False)
     mod = regular_comodule_module(c)
     e = end_algebra(mod, verify=False)
-    se = sigma_algebra(cob, e, hs, verify=False)
+    se = sigma_algebra(cob, e, verify=False)
     assert azumaya_check(e).ok == azumaya_check(se).ok is True
     control = YdAlgebra(trivial_module(kc2, 2), kc2.mult, kc2.unit)
-    s_control = sigma_algebra(cob, control, hs, verify=False)
-    ok_a = [c2 for c2 in azumaya_check(control).checks
-            if c2.name == "is_azumaya"][0].ok
-    ok_b = [c2 for c2 in azumaya_check(s_control).checks
-            if c2.name == "is_azumaya"][0].ok
-    assert ok_a == ok_b is False
+    s_control = sigma_algebra(cob, control, verify=False)
+    assert azumaya_check(control).status("is_azumaya") \
+        == azumaya_check(s_control).status("is_azumaya") == "fail"
