@@ -23,8 +23,9 @@ from hopflab.quasitriangular import (CqtStructure, QtStructure, verify_cqt,
 from hopflab.report import VerificationError
 from hopflab.twist import (DualCocycle, TwoCocycle, verify_dual_cocycle,
                            verify_two_cocycle)
-from hopflab.yd import (YdAlgebra, YdMap, YdModule, is_yd_map, sigma_module,
-                        theta_module, verify_yd, verify_yd_algebra)
+from hopflab.yd import (YdAlgebra, YdMap, YdModule, azumaya_check, is_yd_map,
+                        sigma_module, theta_module, verify_yd,
+                        verify_yd_algebra)
 
 
 def bump_tensor(t, idx):
@@ -61,7 +62,7 @@ def fx(h4, r1, s1, mreg, unit_obj):
     bh = build_hr(r1)
     return {"h4": h4, "r1": r1, "s1": s1, "mreg": mreg, "unit_obj": unit_obj,
             "theta": cat.theta_t(h4, 1), "qt": cat.qt_t(h4, 1), "bh": bh,
-            "bim": bimodule_actions(bh, mreg)}
+            "bim": bimodule_actions(bh, mreg), "end": cat.end_regular(r1)}
 
 
 def hopf_mult(fx):
@@ -220,6 +221,21 @@ def galois_unit_object_mult(fx):
                                  alg.unit))
 
 
+def azumaya_mult(fx):
+    e = fx["end"]
+    return azumaya_check(
+        YdAlgebra(e.module, bump_tensor(e.mult, (7, 13, 15)), e.unit))
+
+
+def azumaya_coaction(fx):
+    # ρ(e_8) gains e_0⊗h, which makes F (and G) singular
+    e = fx["end"]
+    mod = e.module
+    return azumaya_check(YdAlgebra(
+        YdModule(mod.host, mod.dim, mod.action,
+                 bump_tensor(mod.coaction, (8, 0, 2))), e.mult, e.unit))
+
+
 CASES = [
     (hopf_mult, {"associativity": (0, 0, 1), "unit": (0,),
                  "comult_algebra_map": (0, 0, 0, 0),
@@ -285,6 +301,9 @@ CASES = [
                                "beta_l_kernel_is_relations": None,
                                "right_galois": None, "left_galois": None,
                                "bigalois_object": None}),
+    (azumaya_mult, {"F_algebra_map": (118, 1)}),
+    (azumaya_coaction, {"F_bijective": None, "G_bijective": None,
+                        "F_algebra_map": (64, 1), "is_azumaya": None}),
 ]
 
 
