@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Bilinear, Matrix, Tensor, kernel_basis, mat_mul, rank
+from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, kernel_basis,
+                     mat_mul, rank)
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
 from .twist import deform, deform_dual, eval2
@@ -534,27 +535,31 @@ def sigma_algebra(s, alg, verify=True):
     return out
 
 
-def zeta_iso(mu, mod, cob):
-    """ζ(m) = Σ m₀ μ(m₁): M → σ̲(M) for cob = coboundary_from(mu)."""
-    h = mod.host
-    f = h.field
+def zeta_matrix(mu, mod):
+    """The matrix of ζ(m) = Σ m₀ μ(m₁); raises unless it is invertible."""
+    f = mod.host.field
     m = mod.dim
     mat = Matrix.zeros(f, m, m)
     for p in range(m):
         for q, k, c in mod.coact.terms(p):
             if mu.mu[k]:
                 mat.data[p][q] = mat.data[p][q] + c * mu.mu[k]
-    smod = sigma_module(cob, mod, verify=False)
     if rank(mat) != m:
         raise VerificationError("ζ is not invertible")
-    return YdMap(mod, smod, mat)
+    return mat
+
+
+def zeta_iso(mu, mod, cob):
+    """ζ: M → σ̲(M) as a YdMap, for cob = coboundary_from(mu)."""
+    return YdMap(mod, sigma_module(cob, mod, verify=False),
+                 zeta_matrix(mu, mod))
 
 
 def zeta_triangle(mu, ma, mb, cob):
     """ζ_{M⊗N} = η_{M,N} ∘ (ζ_M⊗ζ_N), matrix-exactly."""
-    za = zeta_iso(mu, ma, cob)
-    zb = zeta_iso(mu, mb, cob)
-    zab = zeta_iso(mu, yd_tensor(ma, mb), cob)
+    za = zeta_matrix(mu, ma).data
+    zb = zeta_matrix(mu, mb).data
+    zab = zeta_matrix(mu, yd_tensor(ma, mb))
     eta_ab, _ = eta(cob, ma, mb)
     f = ma.host.field
     da, db = ma.dim, mb.dim
@@ -562,13 +567,13 @@ def zeta_triangle(mu, ma, mb, cob):
     for p in range(da):
         for q in range(db):
             row = tens.data[p * db + q]
-            for p2, x in enumerate(za.matrix.data[p]):
+            for p2, x in enumerate(za[p]):
                 if not x:
                     continue
-                for q2, y in enumerate(zb.matrix.data[q]):
+                for q2, y in enumerate(zb[q]):
                     if y:
                         row[p2 * db + q2] = row[p2 * db + q2] + x * y
-    return mat_mul(tens, eta_ab) == zab.matrix
+    return mat_mul(tens, eta_ab) == zab
 
 
 # -- the θ̲ functor -----------------------------------------------------------
@@ -916,121 +921,108 @@ def generating_set(alg):
 
 
 def azumaya_check(alg):
-    """Builds F: A#Ā → End(A) and G: Ā#A → End(A)^op and certifies
-    bijectivity by rank; F is additionally checked to be an algebra map
-    into End(A) (on a generating set, which suffices by induction)."""
+    """Builds F: A#Ā → End(A), F(a#b̄)(x) = Σ a x₀ (x₁·b), and
+    G: Ā#A → End(A)^op, G(ā#b)(x) = Σ a₀ (a₁·x) b, certifies bijectivity by
+    rank, and checks that F is a unital algebra map.
+
+    Precondition: alg is a verified YD algebra (cmd_azumaya runs
+    verify_yd_algebra first); the argument below uses its axioms.
+
+    F and G are read off one twist table tw[s][t] = Σ s₀ (s₁·e_t):
+    F(e_p#ē_q)(e_x) = e_p·tw[x][q] and G(ē_p#e_q)(e_x) = tw[p][x]·e_q.
+
+    Maps are row-as-image, so F(X)F(Y) = F(X)∘F(Y) is mat_mul(F(Y), F(X)).
+    With F_A(a) = F(a#1), F_B(b̄) = F(1#b̄) and F(1#1) = id (F_unital),
+    F_algebra_map checks four families, in this order, and its detail names
+    the first that fails (witness: the index pair shown):
+      (i)   F(ga#1) = F_A(g)F_A(a)        for g ∈ gens(A), basis a: (g, a)
+      (ii)  F(1#ḡ∘b̄) = F_B(ḡ)F_B(b̄)      for g ∈ gens(Ā), basis b: (g, b)
+      (iii) F(a#b̄) = F_A(a)F_B(b̄)        for basis a, b: (a, b)
+      (iv)  F(Σ g₀#g₁·b̄) = F_B(b̄)F_A(g)  for g ∈ gens(A), basis b: (g, b)
+    since (a#1)(1#b̄) = a#b̄ and (1#b̄)(g#1) = Σ g₀#g₁·b̄ in A#Ā.  They imply
+    F is multiplicative: (i) gives F_A(g₁…g_k x) = F_A(g₁)…F_A(g_k)F_A(x) by
+    induction on k, so F_A is multiplicative on the words that span A, and
+    (ii) does the same for F_B.  By (iii), F((g₀#1)Y) = F_A(g₀)F(Y) for all
+    Y.  If F((1#b̄)(x#1)) = F_B(b̄)F_A(x) for all b̄, then writing
+    (1#b̄)(gx#1) = Σ (g₀#1)(1#g₁·b̄)(x#1) and using (iii), (iv) gives it for
+    gx; from x = 1 it holds on all of A.  Finally
+    (a#b̄)(c#d̄) = (a#1)·(1#b̄)(c#1)·(1#d̄), so
+    F((a#b̄)(c#d̄)) = F_A(a)F_B(b̄)F_A(c)F_B(d̄) = F(a#b̄)F(c#d̄).
+    """
     rep = CheckReport()
     mod = alg.module
-    h = alg.host
-    f = h.field
+    f = alg.host.field
     m = alg.dim
     dim = m * m
+    ms = range(m)
+    es = [mod.basis_vec(p) for p in ms]
 
-    fmat = Matrix.zeros(f, dim, dim)
-    for p in range(m):
-        for q in range(m):
-            row = fmat.data[p * m + q]
-            # F(a#b̄)(x) = Σ a x₀ (x₁·b)
-            for x in range(m):
-                for x0, k, c in mod.coact.terms(x):
-                    u = alg.mul_vec(mod.basis_vec(p),
-                                    alg.mul_vec(mod.basis_vec(x0),
-                                                mod.act.dense_row(k, q)))
-                    for y in range(m):
-                        if u[y]:
-                            row[x * m + y] = row[x * m + y] + c * u[y]
+    def twist(s, t):
+        acc = [f.zero] * m
+        for s0, k, c in mod.coact.terms(s):
+            for j, x in mod.act.row(k, t):
+                w = c * x
+                for y, z in alg.mul.row(s0, j):
+                    acc[y] = acc[y] + w * z
+        return acc
 
-    gmat = Matrix.zeros(f, dim, dim)
-    for p in range(m):
-        for q in range(m):
-            row = gmat.data[p * m + q]
-            # G(ā#b)(x) = Σ a₀ (a₁·x) b
-            for x in range(m):
-                for p0, k, c in mod.coact.terms(p):
-                    u = alg.mul_vec(mod.basis_vec(p0),
-                                    alg.mul_vec(mod.act.dense_row(k, x),
-                                                mod.basis_vec(q)))
-                    for y in range(m):
-                        if u[y]:
-                            row[x * m + y] = row[x * m + y] + c * u[y]
-
+    tw = [[twist(s, t) for t in ms] for s in ms]
+    fmat = Matrix(f, dim, dim, [
+        [c for x in ms for c in alg.mul_vec(es[p], tw[x][q])]
+        for p in ms for q in ms])
+    gmat = Matrix(f, dim, dim, [
+        [c for x in ms for c in alg.mul_vec(tw[p][x], es[q])]
+        for p in ms for q in ms])
     rank_f = rank(fmat)
     rank_g = rank(gmat)
     rep.add("F_bijective", rank_f == dim, None, "rank %d of %d" % (rank_f, dim))
     rep.add("G_bijective", rank_g == dim, None, "rank %d of %d" % (rank_g, dim))
 
-    bar = h_opposite(alg, verify=False)
+    def end(flat):
+        """The m×m matrix of an End(A) element given by m² coordinates."""
+        return Matrix(f, m, m, [flat[x * m:(x + 1) * m] for x in ms])
 
-    def sharp_with_basis(u_idx, gvec_a, gvec_b):
-        """(a#b̄)(c#d̄) with (a#b̄) = basis u_idx and c, d coordinate vecs."""
-        p, q = divmod(u_idx, m)
-        acc = {}
-        for r, xc in enumerate(gvec_a):
-            if not xc:
-                continue
-            for r0, k, c in mod.coact.terms(r):
-                u = alg.mul.dense_row(p, r0)
-                w = bar.mul_vec(mod.act.dense_row(k, q), gvec_b)
-                cx0 = xc * c
-                for p1, x in enumerate(u):
-                    if not x:
-                        continue
-                    cx = cx0 * x
-                    for q1, y in enumerate(w):
-                        if y:
-                            key = p1 * m + q1
-                            acc[key] = acc.get(key, f.zero) + cx * y
-        return acc
+    def f_of(u):
+        """F(u) for u ∈ A#Ā in coordinates p·m+q of e_p#ē_q."""
+        return end(apply_rowmap(u, fmat))
 
-    def as_end_matrix(coords):
-        mt = Matrix.zeros(f, m, m)
-        for x in range(m):
-            row = mt.data[x]
-            for y in range(m):
-                row[y] = coords[x * m + y]
-        return mt
+    def sharp(a, b):
+        """a#b̄ for coordinate vectors a and b."""
+        return [x * y for x in a for y in b]
 
-    f_rows = [as_end_matrix(fmat.data[i]) for i in range(dim)]
-
-    def f_of(flat):
-        mt = Matrix.zeros(f, m, m)
-        for key, val in flat.items():
-            if not val:
-                continue
-            fr = f_rows[key].data
-            for x in range(m):
-                row = fr[x]
-                out = mt.data[x]
-                for y in range(m):
-                    if row[y]:
-                        out[y] = out[y] + val * row[y]
-        return mt
-
-    gens_a = generating_set(alg)
-    gens_b = generating_set(bar)
-    pairs = [(alg.module.basis_vec(g), list(alg.unit)) for g in gens_a]
-    pairs += [(list(alg.unit), alg.module.basis_vec(g)) for g in gens_b]
-
-    def flat(ga, gb):
-        """a#b̄ for coordinate vectors a, b, as {p·m+q: coefficient}."""
-        out = {}
-        for p, x in enumerate(ga):
-            if not x:
-                continue
-            for q, y in enumerate(gb):
-                if y:
-                    out[p * m + q] = x * y
+    def exchange(g, b):
+        """(1#ē_b)(e_g#1) = Σ g₀ # g₁·ē_b."""
+        out = [f.zero] * dim
+        for g0, k, c in mod.coact.terms(g):
+            for y, x in mod.act.row(k, b):
+                out[g0 * m + y] = out[g0 * m + y] + c * x
         return out
 
-    f_gens = [f_of(flat(ga, gb)) for ga, gb in pairs]
-    # product in End(A) is composition: (f·g)(x) = f(g(x))
-    bad = first_mismatch((range(len(pairs)), range(dim)), lambda gi, u: (
-        f_of(sharp_with_basis(u, *pairs[gi])), mat_mul(f_gens[gi], f_rows[u])))
-    # the witness is (basis index, generator index)
-    rep.add("F_algebra_map", bad is None, bad and bad[::-1],
-            "checked against %d generators" % len(pairs))
+    bar = h_opposite(alg, verify=False)
+    gens_a = generating_set(alg)
+    gens_b = generating_set(bar)
+    fa = [f_of(sharp(es[a], alg.unit)) for a in ms]
+    fb = [f_of(sharp(alg.unit, es[b])) for b in ms]
+    families = (
+        ("(i) F(ga#1) = F(g#1)F(a#1)", (gens_a, ms), lambda g, a: (
+            f_of(sharp(alg.mul.dense_row(g, a), alg.unit)),
+            mat_mul(fa[a], fa[g]))),
+        ("(ii) F(1#ḡ∘b̄) = F(1#ḡ)F(1#b̄)", (gens_b, ms), lambda g, b: (
+            f_of(sharp(alg.unit, bar.mul.dense_row(g, b))),
+            mat_mul(fb[b], fb[g]))),
+        ("(iii) F(a#b̄) = F(a#1)F(1#b̄)", (ms, ms), lambda a, b: (
+            end(fmat.data[a * m + b]), mat_mul(fb[b], fa[a]))),
+        ("(iv) F((1#b̄)(g#1)) = F(1#b̄)F(g#1)", (gens_a, ms), lambda g, b: (
+            f_of(exchange(g, b)), mat_mul(fa[g], fb[b]))))
+    detail = "checked against %d generators" % (len(gens_a) + len(gens_b))
+    for family, space, sides in families:
+        bad = first_mismatch(space, sides)
+        if bad is not None:
+            detail = family
+            break
+    rep.add("F_algebra_map", bad is None, bad, detail)
     rep.add("F_unital",
-            f_of(flat(alg.unit, alg.unit)) == Matrix.identity(f, m))
+            f_of(sharp(alg.unit, alg.unit)) == Matrix.identity(f, m))
 
     nonzero = any(alg.unit)
     rep.add("is_azumaya", nonzero and rank_f == dim and rank_g == dim)

@@ -133,6 +133,17 @@ def test_cli_azumaya_control(tmp_path, kc2, capsys):
     assert "is_azumaya" in capsys.readouterr().out
 
 
+def test_cli_azumaya_end_regular_passes(tmp_path, capsys):
+    assert main(["catalog", "export", "end_regular", "--param", "1"]) == 0
+    p = tmp_path / "end.json"
+    p.write_text(capsys.readouterr().out)
+    assert main(["azumaya", str(p)]) == 0
+    marks = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
+    for name in ("F_bijective", "G_bijective", "F_algebra_map", "F_unital",
+                 "is_azumaya"):
+        assert ["PASS", name] in marks, name
+
+
 def test_cli_suite_small_deterministic(capsys):
     assert main(["suite", "--json", "--t-values", "0,1", "--seed", "3"]) == 0
     out1 = capsys.readouterr().out

@@ -301,9 +301,9 @@ CASES = [
                                "beta_l_kernel_is_relations": None,
                                "right_galois": None, "left_galois": None,
                                "bigalois_object": None}),
-    (azumaya_mult, {"F_algebra_map": (118, 1)}),
+    (azumaya_mult, {"F_algebra_map": (3, 4)}),
     (azumaya_coaction, {"F_bijective": None, "G_bijective": None,
-                        "F_algebra_map": (64, 1), "is_azumaya": None}),
+                        "F_algebra_map": (0, 0), "is_azumaya": None}),
 ]
 
 
@@ -312,6 +312,13 @@ CASES = [
 def test_one_entry_corruption_witnesses(fx, corrupt, want):
     rep = corrupt(fx)
     assert {c.name: c.witness for c in rep.failures()} == want
+
+
+@pytest.mark.parametrize("corrupt, family", [(azumaya_mult, "(i) "),
+                                             (azumaya_coaction, "(ii) ")])
+def test_azumaya_detail_names_the_failing_family(fx, corrupt, family):
+    [check] = [c for c in corrupt(fx).failures() if c.name == "F_algebra_map"]
+    assert check.detail.startswith(family)
 
 
 # Constructions that give an object in two displayed forms raise when the

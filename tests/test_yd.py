@@ -168,6 +168,13 @@ def test_each_theta_image_is_built_once(monkeypatch, mreg, unit_obj, h4):
     assert len(calls) == 3        # θ̲M, θ̲N and θ̲(M⊗N)
 
 
+def test_criterion_08_builds_each_zeta_target_once(monkeypatch):
+    from hopflab.suite import SuiteContext, criterion_08_coboundary_zeta
+    calls = count_calls(monkeypatch, "sigma_module")
+    assert criterion_08_coboundary_zeta(SuiteContext()).ok
+    assert len(calls) == 3        # one per zeta_iso; zeta_triangle builds none
+
+
 def test_eta_naturality_random(mreg, unit_obj, s1):
     rng = random.Random(0)
     uo = unit_obj.module
