@@ -942,7 +942,7 @@ def azumaya_check(alg):
     since (a#1)(1#b̄) = a#b̄ and (1#b̄)(g#1) = Σ g₀#g₁·b̄ in A#Ā.  They imply
     F is multiplicative: (i) gives F_A(g₁…g_k x) = F_A(g₁)…F_A(g_k)F_A(x) by
     induction on k, so F_A is multiplicative on the words that span A, and
-    (ii) does the same for F_B.  By (iii), F((g₀#1)Y) = F_A(g₀)F(Y) for all
+    (ii) does the same for F_B.  With (iii), F((a#1)Y) = F_A(a)F(Y) for all
     Y.  If F((1#b̄)(x#1)) = F_B(b̄)F_A(x) for all b̄, then writing
     (1#b̄)(gx#1) = Σ (g₀#1)(1#g₁·b̄)(x#1) and using (iii), (iv) gives it for
     gx; from x = 1 it holds on all of A.  Finally
