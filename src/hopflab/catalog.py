@@ -237,7 +237,9 @@ def regular_comodule_module(c):
     host = c.host
     n = host.dim
     coaction = Tensor(host.field, (n, n, n), list(host.comult.data))
-    return _cqt.yd_from_comodule(c, coaction)
+    mod = _cqt.yd_from_comodule(c, coaction)
+    _yd.verify_yd(mod).require("yd_from_comodule")
+    return mod
 
 
 def trivial_module(host, dim=1):
@@ -297,13 +299,9 @@ def regular_galois_algebra(host, verify=True):
     return alg
 
 
-def end_regular(c, verify=False):
+def end_regular(c):
     """End(M) for M the regular comodule with the R-induced action."""
-    return _yd.end_algebra(regular_comodule_module(c), verify=verify)
-
-
-def unit_object(host, verify=False):
-    return _galois.unit_object(host, verify=verify)
+    return _yd.end_algebra(regular_comodule_module(c))
 
 
 # -- registry ---------------------------------------------------------------
@@ -348,15 +346,16 @@ def catalog_entries(field=QQ, t=None):
                                     "DERIVED", "qt"))
     rt = r_t(h4, tval, verify=False)
     m_reg = regular_comodule_module(rt)
-    _yd.verify_yd(m_reg).require("regular module")
     entries.append(CatalogEntry("yd_regular_r", [tval], m_reg,
                                 "DERIVED", "yd_module"))
     entries.append(CatalogEntry("yd_trivial", [], trivial_module(h4),
                                 "TRIVIAL", "yd_module"))
-    uo = unit_object(h4, verify=True)
+    uo = _galois.unit_object(h4)
+    _yd.verify_yd_algebra(uo).require("unit_object")
     entries.append(CatalogEntry("unit_object", [], uo,
                                 "DERIVED", "yd_algebra"))
-    ea = end_regular(rt, verify=True)
+    ea = end_regular(rt)
+    _yd.verify_yd_algebra(ea).require("end_algebra")
     entries.append(CatalogEntry("end_regular", [tval], ea,
                                 "DERIVED", "yd_algebra"))
     entries.append(CatalogEntry("regular_galois_algebra", [],

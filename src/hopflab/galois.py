@@ -26,7 +26,7 @@ from .report import (CheckReport, VerificationError, first_mismatch,
 from .twist import deform, eval2
 from .yd import (YdAlgebra, YdMap, YdModule, agreed_tensor, braided_product,
                  eta, is_yd_map, quantum_commutative, sigma_algebra,
-                 sigma_module, verify_yd, verify_yd_algebra, yd_tensor)
+                 sigma_module, verify_yd_algebra, yd_tensor)
 
 
 @dataclass
@@ -98,9 +98,10 @@ def act2_tensor(c, mod):
         lambda i, p: [eval2(c.r, v, h.Sinv_basis(i)) for v in rho[p]])
 
 
-def build_hr(c, verify=True):
+def build_hr(c):
     """𝓗_R: ⋆-product, braided antipode S_R, adjoint coaction and the
-    R-induced action; the braided antipode identity is verified."""
+    R-induced action; verify_braided_hopf checks the braided antipode
+    identity."""
     h = c.host
     n = h.dim
     f = h.field
@@ -145,15 +146,11 @@ def build_hr(c, verify=True):
         return rows
 
     mod = yd_from_comodule(c, Tensor.from_rows(f, (n, n, n),
-                                               [adjoint(i) for i in hs]),
-                           verify=False)
+                                               [adjoint(i) for i in hs]))
     star_t = Tensor.from_rows(f, (n, n, n),
                               [[star(i, j) for j in hs] for i in hs])
-    bh = BraidedHopf(c, YdAlgebra(mod, star_t, list(h.unit)),
-                     Matrix(f, n, n, [s_r(i) for i in hs]))
-    if verify:
-        verify_braided_hopf(bh).require("build_hr")
-    return bh
+    return BraidedHopf(c, YdAlgebra(mod, star_t, list(h.unit)),
+                       Matrix(f, n, n, [s_r(i) for i in hs]))
 
 
 def verify_braided_hopf(bh):
@@ -185,7 +182,7 @@ def verify_braided_hopf(bh):
     return rep
 
 
-def bimodule_actions(bh, mod, verify=True):
+def bimodule_actions(bh, mod):
     """The 𝓗_R-bimodule structure of a YD module: −▷, ◁− and ▷₂, each
     action checked against its expanded form."""
     h = bh.host
@@ -245,13 +242,9 @@ def bimodule_actions(bh, mod, verify=True):
                     acc[q] = acc[q] + w * c0 * scal * x
         return acc
 
-    b = BimoduleActions(mod,
-                        agreed_tensor("−▷", f, shape, left, left_expanded),
-                        agreed_tensor("◁−", f, shape, right, right_expanded),
-                        a2)
-    if verify:
-        verify_bimodule(bh, b).require("bimodule_actions")
-    return b
+    return BimoduleActions(
+        mod, agreed_tensor("−▷", f, shape, left, left_expanded),
+        agreed_tensor("◁−", f, shape, right, right_expanded), a2)
 
 
 def verify_bimodule(bh, b):
@@ -311,7 +304,7 @@ def coinvariants(bh, b, side):
     hs = range(h.dim)
     if side == "right":
         act = b.left
-        other = yd_from_comodule(bh.cqt, mod.coaction, verify=False).act
+        other = yd_from_comodule(bh.cqt, mod.coaction).act
     else:
         act, other = b.right, Bilinear(b.act2)
 
@@ -336,11 +329,11 @@ def coinvariants(bh, b, side):
 def verify_sigma_coinvariants(s, cqt, mod):
     """Coinvariant subspaces agree before and after the deformation."""
     rep = CheckReport()
-    bh = build_hr(cqt, verify=False)
-    b = bimodule_actions(bh, mod, verify=False)
-    smod = sigma_module(s, mod, verify=False)
-    bh_s = build_hr(deform_cqt(cqt, s, verify=False), verify=False)
-    b_s = bimodule_actions(bh_s, smod, verify=False)
+    bh = build_hr(cqt)
+    b = bimodule_actions(bh, mod)
+    smod = sigma_module(s, mod)
+    bh_s = build_hr(deform_cqt(cqt, s))
+    b_s = bimodule_actions(bh_s, smod)
     for side in ("right", "left"):
         sub = coinvariants(bh, b, side)
         sub_s = coinvariants(bh_s, b_s, side)
@@ -351,7 +344,7 @@ def verify_sigma_coinvariants(s, cqt, mod):
 
 # -- the generalized cotensor product ----------------------------------------
 
-def wedge(cqt, ma, mb, verify=True):
+def wedge(cqt, ma, mb):
     """M∧N ⊆ M⊗N with its induced YD structure.
 
     Membership: Σ h₁·mᵢ ⊗ h₂▷₁nᵢ = Σ h₁▷₂mᵢ ⊗ h₂·nᵢ for all h; the two
@@ -362,7 +355,7 @@ def wedge(cqt, ma, mb, verify=True):
     n = h.dim
     hs = range(n)
     dim = ma.dim * mb.dim
-    side_a = yd_tensor(ma, yd_from_comodule(cqt, mb.coaction, verify=False))
+    side_a = yd_tensor(ma, yd_from_comodule(cqt, mb.coaction))
     side_b = yd_tensor(YdModule(h, ma.dim, act2_tensor(cqt, ma), ma.coaction),
                        mb)
     sub = _null_space(f, dim, lambda src: [
@@ -395,24 +388,29 @@ def wedge(cqt, ma, mb, verify=True):
         cs = [coords(v) if any(v) else [f.zero] * wd for v in per_k]
         return [[cs[k][t] for k in hs] for t in ws]
 
-    out = YdModule(h, wd, action, Tensor.from_rows(
+    return sub, YdModule(h, wd, action, Tensor.from_rows(
         f, (wd, wd, n), [coaction(w) for w in vecs]))
-    if verify:
-        verify_yd(out).require("wedge module")
-    return sub, out
 
 
 def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None):
-    """Lemma 3.4 span equality with η⁻¹ intertwining; with algebras,
-    additionally the Prop-3.5 algebra-map property of η⁻¹."""
+    """Lemma 3.4 span equality with η⁻¹ intertwining; with algebras (whose
+    modules are ma and mb), additionally the Prop-3.5 algebra-map property
+    of η⁻¹.  Each σ̲ image is built once: σ̲M and σ̲N are the modules of σ̲A
+    and σ̲B, and σ̲N is σ̲M when N is M."""
     rep = CheckReport()
     h = cqt.host
     f = h.field
-    rs = deform_cqt(cqt, s, verify=False)
-    sub, wmod = wedge(cqt, ma, mb, verify=False)
-    sa = sigma_module(s, ma, verify=False)
-    sb = sigma_module(s, mb, verify=False)
-    sub_s, wmod_s = wedge(rs, sa, sb, verify=False)
+    with_algebras = alga is not None and algb is not None
+    if with_algebras:
+        salga = sigma_algebra(s, alga)
+        salgb = salga if algb is alga else sigma_algebra(s, algb)
+        sa, sb = salga.module, salgb.module
+    else:
+        sa = sigma_module(s, ma)
+        sb = sa if mb is ma else sigma_module(s, mb)
+    rs = deform_cqt(cqt, s)
+    sub, wmod = wedge(cqt, ma, mb)
+    sub_s, wmod_s = wedge(rs, sa, sb)
 
     _, eta_inv = eta(s, ma, mb)
     da, db = ma.dim, mb.dim
@@ -424,7 +422,7 @@ def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None):
             None, "dim %d vs %d" % (sub.dim, sub_s.dim))
 
     # η⁻¹ restricted intertwines σ̲(M∧N) with σ̲M∧σ̲N
-    swmod = sigma_module(s, wmod, verify=False)
+    swmod = sigma_module(s, wmod)
     coords = [sub_s.coordinates(v) for v in image]
     ok = None not in coords
     rep.add("eta_inv_restricts", ok)
@@ -432,12 +430,10 @@ def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None):
         restr = Matrix(f, sub.dim, sub_s.dim, coords)
         rep.merge(is_yd_map(YdMap(swmod, wmod_s, restr)), prefix="wedge_")
 
-    if alga is not None and algb is not None:
-        prod = braided_product(alga, algb, cqt=cqt, verify=False)
-        sprod = sigma_algebra(s, prod, verify=False)
-        salga = sigma_algebra(s, alga, verify=False)
-        salgb = sigma_algebra(s, algb, verify=False)
-        prod_s = braided_product(salga, salgb, cqt=rs, verify=False)
+    if with_algebras:
+        prod = braided_product(alga, algb, cqt=cqt)
+        sprod = sigma_algebra(s, prod)
+        prod_s = braided_product(salga, salgb, cqt=rs)
         # η⁻¹(e_u) is row u of the row-as-image matrix
         bad = first_mismatch((range(dim),) * 2, lambda u, v: (
             apply_rowmap(sprod.mul.dense_row(u, v), eta_inv),
@@ -447,7 +443,7 @@ def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None):
     return rep
 
 
-def wedge_algebra(cqt, alga, algb, verify=True):
+def wedge_algebra(cqt, alga, algb):
     """A∧B as a subalgebra of A#_RB, carrying the wedge YD structure.
 
     The wedge subspace must be closed under the braided product and contain
@@ -455,8 +451,8 @@ def wedge_algebra(cqt, alga, algb, verify=True):
     """
     h = cqt.host
     f = h.field
-    sub, wmod = wedge(cqt, alga.module, algb.module, verify=False)
-    prod = braided_product(alga, algb, cqt=cqt, verify=False)
+    sub, wmod = wedge(cqt, alga.module, algb.module)
+    prod = braided_product(alga, algb, cqt=cqt)
     wd = sub.dim
     basis_vecs = sub.column_vectors()
     coords = [sub.coordinates(prod.mul_vec(u, v))
@@ -465,15 +461,12 @@ def wedge_algebra(cqt, alga, algb, verify=True):
     if unit_coords is None or None in coords:
         raise VerificationError("wedge is not closed as an algebra")
     mult = Tensor(f, (wd, wd, wd), [x for c in coords for x in c])
-    out = YdAlgebra(wmod, mult, unit_coords)
-    if verify:
-        verify_yd_algebra(out).require("wedge_algebra")
-    return out
+    return YdAlgebra(wmod, mult, unit_coords)
 
 
 # -- the unit object ----------------------------------------------------------
 
-def unit_object(host, verify=True):
+def unit_object(host):
     """I = H* with h·p = Σ p₁⟨p₂,h⟩ and the coaction dual to
     h*·p = Σ h*₂ p S⁻¹(h*₁)."""
     hd = dual_hopf(host)
@@ -498,11 +491,8 @@ def unit_object(host, verify=True):
     coaction = Tensor.from_rows(f, (n, n, n), [
         [[dual[i][j][q] for i in hs] for q in hs] for j in hs])
     mod = YdModule(host, n, action, coaction)
-    alg = YdAlgebra(mod, Tensor(f, (n, n, n), list(hd.mult.data)),
-                    list(hd.unit))
-    if verify:
-        verify_yd_algebra(alg).require("unit_object")
-    return alg
+    return YdAlgebra(mod, Tensor(f, (n, n, n), list(hd.mult.data)),
+                     list(hd.unit))
 
 
 # -- χ, φ, ψ, ξ ---------------------------------------------------------------
@@ -547,8 +537,8 @@ def verify_unit_deformation(s):
     rep = CheckReport()
     h = s.host
     n = h.dim
-    si = sigma_algebra(s, unit_object(h, verify=False), verify=False)
-    i_s = unit_object(deform(s, verify=False), verify=False)
+    si = sigma_algebra(s, unit_object(h))
+    i_s = unit_object(deform(s))
     chi, chi_inv, chi_star = chi_maps(s)
 
     rep.add("chi_star_invertible", rank(chi_star) == n)
@@ -759,9 +749,10 @@ def comodule_galois(alg):
     return rep
 
 
-def mu_action_and_pi(alg, verify=True):
+def mu_action_and_pi(alg):
     """π(A) = C_A(A₀) with the Miyashita-Ulbrich action; requires A/A₀ to
-    be Galois.  Returns (π(A) as a YdAlgebra, report)."""
+    be Galois.  Returns (π(A) as a YdAlgebra, report); the report includes
+    π(A)'s YD-algebra axioms and quantum commutativity."""
     rep = CheckReport()
     mod = alg.module
     h = alg.host
@@ -881,8 +872,6 @@ def mu_action_and_pi(alg, verify=True):
         raise VerificationError("unit is not in π(A)")
 
     pi_alg = YdAlgebra(YdModule(h, pd, action, coaction), mult, unit_coords)
-    if verify:
-        va = verify_yd_algebra(pi_alg)
-        rep.merge(va, prefix="pi_")
-        rep.add("pi_quantum_commutative", quantum_commutative(pi_alg))
+    rep.merge(verify_yd_algebra(pi_alg), prefix="pi_")
+    rep.add("pi_quantum_commutative", quantum_commutative(pi_alg))
     return pi_alg, rep

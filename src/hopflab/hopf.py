@@ -72,9 +72,6 @@ class HopfAlgebra:
     def apply_S(self, vec):
         return apply_rowmap(vec, self.antipode)
 
-    def apply_Sinv(self, vec):
-        return apply_rowmap(vec, self.antipode_inv)
-
     def S_basis(self, i):
         return self.antipode.data[i]
 
@@ -227,21 +224,19 @@ def dual_hopf(h):
         name=h.name + "*")
 
 
-def hopf_map_checks(src, dst, m, rep=None, prefix=""):
+def hopf_map_checks(src, dst, m):
     """Is the row-as-image matrix m: src → dst a bialgebra/Hopf map?
 
-    Adds mult/unit/comult/counit/antipode intertwining checks to a report.
+    Reports the mult/unit/comult/counit/antipode intertwining checks.
     """
-    if rep is None:
-        rep = CheckReport()
+    rep = CheckReport()
     zero = dst.field.zero
     every = range(src.dim)
     bad = first_mismatch((every,) * 2, lambda i, j: (
         apply_rowmap(src.mul.dense_row(i, j), m),
         dst.mul_vec(m.data[i], m.data[j])))
-    rep.add(prefix + "map_mult", bad is None, bad)
-    rep.add(prefix + "map_unit",
-            apply_rowmap(src.unit, m) == dst.unit)
+    rep.add("map_mult", bad is None, bad)
+    rep.add("map_unit", apply_rowmap(src.unit, m) == dst.unit)
 
     def comult(i):
         lhs = [[zero] * dst.dim for _ in range(dst.dim)]
@@ -261,10 +256,10 @@ def hopf_map_checks(src, dst, m, rep=None, prefix=""):
         return lhs, rhs
 
     bad = first_mismatch((every,), comult)
-    rep.add(prefix + "map_comult", bad is None, bad)
+    rep.add("map_comult", bad is None, bad)
     bad = first_mismatch((every,), lambda i: (
         dst.counit_of(m.data[i]), src.counit[i]))
-    rep.add(prefix + "map_counit", bad is None, bad)
-    rep.add(prefix + "map_antipode",
+    rep.add("map_counit", bad is None, bad)
+    rep.add("map_antipode",
             mat_mul(src.antipode, m) == mat_mul(m, dst.antipode))
     return rep

@@ -67,10 +67,6 @@ class Matrix:
     def entries(self):
         return [x for row in self.data for x in row]
 
-    def copy(self):
-        return Matrix(self.field, self.rows, self.cols,
-                      [row[:] for row in self.data])
-
     def transpose(self):
         return Matrix(self.field, self.cols, self.rows,
                       [[self.data[r][c] for r in range(self.rows)]
@@ -78,9 +74,6 @@ class Matrix:
 
     def column(self, c):
         return [self.data[r][c] for r in range(self.rows)]
-
-    def is_zero(self):
-        return not any(any(row) for row in self.data)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows

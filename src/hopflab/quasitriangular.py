@@ -233,7 +233,7 @@ def verify_qt(q):
     return rep
 
 
-def deform_cqt(c, s, verify=True):
+def deform_cqt(c, s):
     """R^σ = (στ)*R*σ⁻¹ on H^σ."""
     if c.host is not s.host and not c.host.structures_equal(s.host):
         raise VerificationError("deform_cqt: host mismatch")
@@ -258,26 +258,20 @@ def deform_cqt(c, s, verify=True):
                     if v3:
                         acc = acc + w1 * w2 * v1 * v2 * v3
             out.data[g][x] = acc
-    rs = cqt_structure(deform(s, verify=False), out)
-    if verify:
-        verify_cqt(rs).require("deform_cqt")
-    return rs
+    return cqt_structure(deform(s), out)
 
 
-def deform_qt(q, d, verify=True):
+def deform_qt(q, d):
     """ℛ_θ = τ(θ)·ℛ·θ⁻¹ on H_θ."""
     if q.host is not d.host and not q.host.structures_equal(d.host):
         raise VerificationError("deform_qt: host mismatch")
     h = q.host
     tau_theta = d.theta.transpose()
     new = hh_mul(h, tau_theta, hh_mul(h, q.rr, d.theta_inv))
-    qt = qt_structure(deform_dual(d, verify=False), new)
-    if verify:
-        verify_qt(qt).require("deform_qt")
-    return qt
+    return qt_structure(deform_dual(d), new)
 
 
-def yd_from_comodule(c, coaction, verify=True):
+def yd_from_comodule(c, coaction):
     """YD module on a right comodule via the R-induced action
     h▷₁m = Σ m₀ R(h⊗m₁); every ▷₁ is computed here."""
     from . import yd as _yd
@@ -289,13 +283,10 @@ def yd_from_comodule(c, coaction, verify=True):
     action = Tensor.from_rows(h.field, (n, m, m), [
         [[eval2(c.r, i, coact(p, q)) for q in ms] for p in ms]
         for i in range(n)])
-    mod = _yd.YdModule(h, m, action, coaction)
-    if verify:
-        _yd.verify_yd(mod).require("yd_from_comodule")
-    return mod
+    return _yd.YdModule(h, m, action, coaction)
 
 
-def yd_from_module(q, action, verify=True):
+def yd_from_module(q, action):
     """YD module on a left module via the ℛ-induced coaction
     a ↦ Σ (ℛ²·a)⊗ℛ¹."""
     from . import yd as _yd
@@ -313,8 +304,5 @@ def yd_from_module(q, action, verify=True):
         images = [act.apply(q.rr.data[i], v) for i in hs]
         return [[images[i][qx] for i in hs] for qx in ms]
 
-    mod = _yd.YdModule(h, m, action, Tensor.from_rows(
+    return _yd.YdModule(h, m, action, Tensor.from_rows(
         f, (m, m, n), [coaction(p) for p in ms]))
-    if verify:
-        _yd.verify_yd(mod).require("yd_from_module")
-    return mod

@@ -68,20 +68,17 @@ class CheckReport:
                    bad.detail))
         return self
 
-    def to_json(self, include_timing=False):
-        """JSON-ready dict.  Timings are off by default so that reports are
+    def to_json(self):
+        """JSON-ready dict.  Timings are left out so that reports are
         byte-reproducible across runs."""
-        out = []
-        for c in sorted(self.checks, key=lambda c: c.name):
-            entry = {"name": c.name, "status": c.status,
-                     "witness": list(c.witness) if c.witness is not None else None,
-                     "detail": c.detail}
-            if include_timing:
-                entry["time_ms"] = c.time_ms
-            out.append(entry)
+        out = [{"name": c.name, "status": c.status,
+                "witness": list(c.witness) if c.witness is not None else None,
+                "detail": c.detail}
+               for c in sorted(self.checks, key=lambda c: c.name)]
         return {"ok": self.ok, "checks": out}
 
-    def render_text(self, show_timing=True):
+    def render_text(self):
+        """One line per check; a nonzero timing is shown."""
         lines = []
         for c in self.checks:
             mark = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c.status]
@@ -90,7 +87,7 @@ class CheckReport:
                 extra += " witness=%r" % (c.witness,)
             if c.detail:
                 extra += " [%s]" % c.detail
-            if show_timing and c.time_ms:
+            if c.time_ms:
                 extra += " (%.1f ms)" % c.time_ms
             lines.append("%s  %s%s" % (mark, c.name, extra))
         return "\n".join(lines)

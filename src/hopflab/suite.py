@@ -78,7 +78,7 @@ class SuiteContext:
 
     def unit_obj(self):
         if self._unit is None:
-            self._unit = unit_object(self.h4, verify=False)
+            self._unit = unit_object(self.h4)
         return self._unit
 
 
@@ -135,14 +135,13 @@ def criterion_04_roundtrips(ctx):
     rep = CheckReport()
     h4 = ctx.h4
     for t in ctx.t_values:
-        hs = deform(ctx.sigma(t), verify=False)
+        hs = deform(ctx.sigma(t))
         rep.add("lazy_sigma_%s_fixes_H" % t, hs.mult == h4.mult)
-        back = deform(two_cocycle(hs, ctx.sigma(t).sigma_inv), verify=False)
+        back = deform(two_cocycle(hs, ctx.sigma(t).sigma_inv))
         rep.add("sigma_%s_roundtrip" % t, back.structures_equal(h4))
-        ht = deform_dual(ctx.theta(t), verify=False)
+        ht = deform_dual(ctx.theta(t))
         rep.add("lazy_theta_%s_fixes_H" % t, ht.comult == h4.comult)
-        back_t = deform_dual(dual_cocycle(ht, ctx.theta(t).theta_inv),
-                             verify=False)
+        back_t = deform_dual(dual_cocycle(ht, ctx.theta(t).theta_inv))
         rep.add("theta_%s_roundtrip" % t, back_t.structures_equal(h4))
     return rep
 
@@ -156,13 +155,13 @@ def criterion_05_cqt_qt_deformation(ctx):
         rep.add("R_%s_axioms" % t, verify_cqt(ctx.r(t)).ok)
     for t in ctx.t_values:
         for s in ctx.t_values:
-            got = deform_cqt(ctx.r(t), ctx.sigma(s), verify=False)
+            got = deform_cqt(ctx.r(t), ctx.sigma(s))
             want = cat.r_t(h4, t - s, verify=False).r
             rep.add("R_%s_sigma_%s_shift" % (t, s), got.r == want)
     rep.add("QT_0_axioms", verify_qt(ctx.qt(0)).ok)
     rep.add("QT_1_axioms", verify_qt(ctx.qt(1)).ok)
     for s in ctx.t_values:
-        got = deform_qt(ctx.qt(0), ctx.theta(s), verify=False)
+        got = deform_qt(ctx.qt(0), ctx.theta(s))
         want = cat.qt_t(h4, -s, verify=False).rr
         rep.add("QT0_theta_%s_shift" % s, got.rr == want)
     return rep
@@ -191,13 +190,12 @@ def criterion_07_cor24_action(ctx):
     rep = CheckReport()
     for t in ctx.t_values:
         for s in (1, 2, -1):
-            rs = deform_cqt(ctx.r(t), ctx.sigma(s), verify=False)
+            rs = deform_cqt(ctx.r(t), ctx.sigma(s))
             for name, mod in (("regular", ctx.regular(t)),
-                              ("hr", build_hr(ctx.r(t),
-                                              verify=False).underlying.module),
+                              ("hr", build_hr(ctx.r(t)).underlying.module),
                               ("trivial", cat.trivial_module(ctx.h4))):
-                sm = sigma_module(ctx.sigma(s), mod, verify=False)
-                ind = yd_from_comodule(rs, sm.coaction, verify=False)
+                sm = sigma_module(ctx.sigma(s), mod)
+                ind = yd_from_comodule(rs, sm.coaction)
                 rep.add("cor2_4_R%s_sigma%s_%s" % (t, s, name),
                         ind.action == sm.action)
     return rep
@@ -252,7 +250,7 @@ def criterion_09_azumaya(ctx):
     e = ctx.end_regular()
     rep.add("end_regular_azumaya", azumaya_check(e).ok)
     for t in (1, -1):
-        se = sigma_algebra(ctx.sigma(t), e, verify=False)
+        se = sigma_algebra(ctx.sigma(t), e)
         rep.add("sigma_%s_end_azumaya" % t, azumaya_check(se).ok)
     control = YdAlgebra(cat.trivial_module(ctx.kc2, 2), ctx.kc2.mult,
                         ctx.kc2.unit)
@@ -322,20 +320,20 @@ def criterion_13_galois_stability(ctx):
         "End_regular": ctx.end_regular(),
     }
     for name, alg in algebras.items():
-        s_alg = sigma_algebra(s1, alg, verify=False)
+        s_alg = sigma_algebra(s1, alg)
         b = comodule_galois(alg).status("galois")
         a = comodule_galois(s_alg).status("galois")
         rep.add("lemma3_14_%s" % name, a == b, None,
                 "Galois(A)=%s, Galois(σ̲A)=%s" % (b, a))
 
-    bh = build_hr(ctx.r(1), verify=False)
-    r1s = deform_cqt(ctx.r(1), s1, verify=False)
-    bhs = build_hr(r1s, verify=False)
+    bh = build_hr(ctx.r(1))
+    r1s = deform_cqt(ctx.r(1), s1)
+    bhs = build_hr(r1s)
     for name, alg in algebras.items():
-        bim = bimodule_actions(bh, alg.module, verify=False)
+        bim = bimodule_actions(bh, alg.module)
         rep_before = galois_maps(bh, bim, alg)
-        s_alg = sigma_algebra(s1, alg, verify=False)
-        bim_s = bimodule_actions(bhs, s_alg.module, verify=False)
+        s_alg = sigma_algebra(s1, alg)
+        bim_s = bimodule_actions(bhs, s_alg.module)
         rep_after = galois_maps(bhs, bim_s, s_alg)
         for nm in ("right_galois", "left_galois", "bigalois_object"):
             b = rep_before.status(nm)
@@ -347,14 +345,14 @@ def criterion_13_galois_stability(ctx):
     # at the instance level, on I).
     from .galois import wedge_algebra
     uo = ctx.unit_obj()
-    ww = wedge_algebra(ctx.r(1), uo, uo, verify=False)
-    bww = bimodule_actions(bh, ww.module, verify=False)
+    ww = wedge_algebra(ctx.r(1), uo, uo)
+    bww = bimodule_actions(bh, ww.module)
     wrep = galois_maps(bh, bww, ww)
     member = wrep.ok and quantum_commutative(ww) \
         and verify_yd_algebra(ww).ok
     rep.add("thm3_11_wedge_of_members_is_member", member)
-    s_uo = sigma_algebra(s1, uo, verify=False)
-    b_suo = bimodule_actions(bhs, s_uo.module, verify=False)
+    s_uo = sigma_algebra(s1, uo)
+    b_suo = bimodule_actions(bhs, s_uo.module)
     s_member = galois_maps(bhs, b_suo, s_uo).ok \
         and quantum_commutative(s_uo)
     rep.add("thm3_12_sigma_preserves_membership", s_member)
@@ -367,14 +365,14 @@ def criterion_14_thm315(ctx):
     rep = CheckReport()
     s1 = ctx.sigma(1)
     e = ctx.end_regular()
-    se = sigma_algebra(s1, e, verify=False)
+    se = sigma_algebra(s1, e)
     pi_e, rep_e = mu_action_and_pi(e)
     rep.add("mu_well_defined_A",
             rep_e.status("mu_action_well_defined") == "pass")
     pi_se, rep_se = mu_action_and_pi(se)
     rep.add("mu_well_defined_sigmaA",
             rep_se.status("mu_action_well_defined") == "pass")
-    s_pi = sigma_algebra(s1, pi_e, verify=False)
+    s_pi = sigma_algebra(s1, pi_e)
     rep.add("pi_sigma_equal_mult", pi_se.mult == s_pi.mult)
     rep.add("pi_sigma_equal_action",
             pi_se.module.action == s_pi.module.action)
@@ -435,8 +433,8 @@ def extra_randomized_invariants(ctx):
     mreg = ctx.regular(1)
     uo = ctx.unit_obj().module
     s1 = ctx.sigma(1)
-    sm = sigma_module(s1, mreg, verify=False)
-    su = sigma_module(s1, uo, verify=False)
+    sm = sigma_module(s1, mreg)
+    su = sigma_module(s1, uo)
     hom = yd_hom_basis(mreg, uo)
     ok = True
     ok_nat = True

@@ -5,7 +5,8 @@ H^σ and H_θ are functions of the cocycle alone: deform(c) and
 deform_dual(d) build them the first time they are asked for a cocycle
 object and memoize them on it, so every σ̲/θ̲ image, deformed CQT/QT
 structure and laziness cross-check of that object shares one host.
-verify=True still checks the Hopf axioms on every call.
+Neither checks the Hopf axioms; a caller that needs them calls
+hopf.verify_hopf_axioms on the result.
 
 A functional on H⊗H is an n×n Matrix f with f.data[i][j] = f(e_i⊗e_j); an
 element of H⊗H is an n×n Matrix of coefficients.  Convolution is
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .hopf import HopfAlgebra, verify_hopf_axioms
+from .hopf import HopfAlgebra
 from .linalg import Matrix, Tensor, mat_inverse, solve
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
@@ -152,12 +153,6 @@ class TwoCocycle:
     _deformed: HopfAlgebra = field(default=None, init=False, repr=False,
                                    compare=False)    # H^σ, set by deform
 
-    def __call__(self, i, j):
-        return self.sigma.data[i][j]
-
-    def inv(self, i, j):
-        return self.sigma_inv.data[i][j]
-
 
 def two_cocycle(host, sigma, sigma_inv=None):
     """Attach a convolution-inverse witness; raises if σ is not invertible."""
@@ -291,13 +286,11 @@ def verify_two_cocycle(c):
     return rep
 
 
-def deform(c, verify=True):
+def deform(c):
     """The deformed Hopf algebra H^σ (same coalgebra, twisted product),
-    built once per cocycle object; verify=True checks it on every call."""
+    built once per cocycle object and not checked."""
     if c._deformed is None:
         c._deformed = _deform(c)
-    if verify:
-        verify_hopf_axioms(c._deformed).require("deform")
     return c._deformed
 
 
@@ -388,7 +381,7 @@ def is_lazy(c):
         return lhs, rhs
 
     lazy = first_mismatch((range(n),) * 2, commutes) is None
-    same_mult = deform(c, verify=False).mult == h.mult
+    same_mult = deform(c).mult == h.mult
     if lazy != same_mult:
         raise VerificationError(
             "laziness and H^σ = H disagree (lazy=%r, H^σ=H: %r)"
@@ -404,13 +397,13 @@ def compose_cocycles(c1, c):
     h = c.host
     if c1.host.dim != h.dim or c1.host.comult != h.comult:
         raise VerificationError("compose_cocycles: host mismatch")
-    hs = deform(c, verify=False)
+    hs = deform(c)
     if c1.host.mult != hs.mult:
         raise VerificationError("compose_cocycles: c1 does not live on H^σ")
     prod = convolve2(h, c1.sigma, c.sigma)
     out = two_cocycle(h, prod)
-    left = deform(out, verify=False)
-    right = deform(TwoCocycle(hs, c1.sigma, c1.sigma_inv), verify=False)
+    left = deform(out)
+    right = deform(TwoCocycle(hs, c1.sigma, c1.sigma_inv))
     if not left.structures_equal(right):
         raise VerificationError("H^{σ1*σ} != (H^σ)^{σ1}")
     return out
@@ -675,13 +668,11 @@ def verify_dual_cocycle(d):
     return rep
 
 
-def deform_dual(d, verify=True):
+def deform_dual(d):
     """H_θ: same algebra, Δ_θ(h) = θΔ(h)θ⁻¹, antipode S_θ; built once per
-    dual cocycle object, verify=True checks it on every call."""
+    dual cocycle object and not checked."""
     if d._deformed is None:
         d._deformed = _deform_dual(d)
-    if verify:
-        verify_hopf_axioms(d._deformed).require("deform_dual")
     return d._deformed
 
 
@@ -754,7 +745,7 @@ def is_lazy_dual(d):
         return hh_mul(h, d.theta, di), hh_mul(h, di, d.theta)
 
     lazy = first_mismatch((range(n),), commutes) is None
-    same = deform_dual(d, verify=False).comult == h.comult
+    same = deform_dual(d).comult == h.comult
     if lazy != same:
         raise VerificationError("dual laziness and Δ_θ = Δ disagree")
     return lazy

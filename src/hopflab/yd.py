@@ -18,6 +18,9 @@ twist.deform/deform_dual, which memoize them per cocycle object.  The
 monoidal structures eta and theta_phi return matrices only; a caller that
 checks one as a YdMap builds each σ̲/θ̲ image once and assembles the map.
 Linear maps are stored row-as-image; mat_mul(A, B) is "apply A, then B".
+The constructions here (σ̲, θ̲, braided products, H-opposites, End(M)) do
+not check the YD axioms of what they return; verify_yd and
+verify_yd_algebra do, when a caller asks.
 """
 
 from __future__ import annotations
@@ -341,10 +344,9 @@ def braiding(ma, mb):
     return YdMap(yd_tensor(ma, mb), yd_tensor(mb, ma), mat)
 
 
-def is_yd_map(f_map, rep=None, prefix=""):
+def is_yd_map(f_map):
     """Does the matrix commute with both the action and the coaction?"""
-    if rep is None:
-        rep = CheckReport()
+    rep = CheckReport()
     src, dst = f_map.source, f_map.target
     h = src.host
     if not h.structures_equal(dst.host):
@@ -377,9 +379,9 @@ def is_yd_map(f_map, rep=None, prefix=""):
         return lhs, rhs
 
     bad = first_mismatch((range(h.dim), range(src.dim)), linear)
-    rep.add(prefix + "h_linear", bad is None, bad)
+    rep.add("h_linear", bad is None, bad)
     bad = first_mismatch((range(src.dim),), colinear)
-    rep.add(prefix + "h_colinear", bad is None, bad)
+    rep.add("h_colinear", bad is None, bad)
     return rep
 
 
@@ -398,7 +400,7 @@ def agreed_tensor(what, field, shape, form, other):
     return Tensor.from_rows(field, shape, one)
 
 
-def sigma_module(s, mod, verify=True):
+def sigma_module(s, mod):
     """σ̲(M): the twisted action, with the coaction unchanged.
 
     Both displayed forms of the twisted action are computed; they must agree.
@@ -450,11 +452,8 @@ def sigma_module(s, mod, verify=True):
 
     action = agreed_tensor("twisted-action", f, (n, m, m), twisted,
                            twisted_expanded)
-    out = YdModule(deform(s, verify=False), m, action,
-                   Tensor(f, (m, m, n), list(mod.coaction.data)))
-    if verify:
-        verify_yd(out).require("sigma_module")
-    return out
+    return YdModule(deform(s), m, action,
+                    Tensor(f, (m, m, n), list(mod.coaction.data)))
 
 
 def eta(s, ma, mb):
@@ -490,8 +489,7 @@ def verify_braided_functor(s, ma, mb):
     η_{N,M} ∘ Φ_{σ̲M,σ̲N} = σ̲(Φ_{M,N}) ∘ η_{M,N}."""
     rep = CheckReport()
     phi = braiding(ma, mb)
-    phi_sigma = braiding(sigma_module(s, ma, verify=False),
-                         sigma_module(s, mb, verify=False))
+    phi_sigma = braiding(sigma_module(s, ma), sigma_module(s, mb))
     eta_ab, _ = eta(s, ma, mb)
     eta_ba, _ = eta(s, mb, ma)
     lhs = mat_mul(phi_sigma.matrix, eta_ba)
@@ -499,20 +497,20 @@ def verify_braided_functor(s, ma, mb):
     rep.add("braided_square", lhs == rhs)
     # η_{M,N} as a YD map σ̲M⊗σ̲N → σ̲(M⊗N); the tensor products are the
     # braidings' sources
-    target = sigma_module(s, phi.source, verify=False)
+    target = sigma_module(s, phi.source)
     rep.merge(is_yd_map(YdMap(phi_sigma.source, target, eta_ab)),
               prefix="eta_")
     rep.merge(is_yd_map(phi_sigma), prefix="phi_sigma_")
     return rep
 
 
-def sigma_algebra(s, alg, verify=True):
+def sigma_algebra(s, alg):
     """σ̲(A) with product a•b = Σ a₀b₀ σ⁻¹(b₁⊗a₁)."""
     mod = alg.module
     h = mod.host
     f = h.field
     m = alg.dim
-    smod = sigma_module(s, mod, verify=False)
+    smod = sigma_module(s, mod)
 
     def product(p, q):
         acc = [f.zero] * m
@@ -529,10 +527,7 @@ def sigma_algebra(s, alg, verify=True):
     ms = range(m)
     mult = Tensor.from_rows(f, (m, m, m),
                             [[product(p, q) for q in ms] for p in ms])
-    out = YdAlgebra(smod, mult, list(alg.unit))
-    if verify:
-        verify_yd_algebra(out).require("sigma_algebra")
-    return out
+    return YdAlgebra(smod, mult, list(alg.unit))
 
 
 def zeta_matrix(mu, mod):
@@ -551,8 +546,7 @@ def zeta_matrix(mu, mod):
 
 def zeta_iso(mu, mod, cob):
     """ζ: M → σ̲(M) as a YdMap, for cob = coboundary_from(mu)."""
-    return YdMap(mod, sigma_module(cob, mod, verify=False),
-                 zeta_matrix(mu, mod))
+    return YdMap(mod, sigma_module(cob, mod), zeta_matrix(mu, mod))
 
 
 def zeta_triangle(mu, ma, mb, cob):
@@ -578,7 +572,7 @@ def zeta_triangle(mu, ma, mb, cob):
 
 # -- the θ̲ functor -----------------------------------------------------------
 
-def theta_module(d, mod, verify=True):
+def theta_module(d, mod):
     """θ̲(M): same action, coaction conjugated through θ.
 
     Both displayed forms of ρ_θ are computed and must agree.
@@ -651,11 +645,8 @@ def theta_module(d, mod, verify=True):
     ms = range(m)
     coaction = Tensor.from_rows(f, (m, m, n), [
         [[co.get((p, q, k), zero) for k in range(n)] for q in ms] for p in ms])
-    out = YdModule(deform_dual(d, verify=False), m,
-                   Tensor(f, (n, m, m), list(mod.action.data)), coaction)
-    if verify:
-        verify_yd(out).require("theta_module")
-    return out
+    return YdModule(deform_dual(d), m,
+                    Tensor(f, (n, m, m), list(mod.action.data)), coaction)
 
 
 def theta_phi(d, ma, mb):
@@ -685,8 +676,7 @@ def verify_theta_braided(d, ma, mb):
     """φ_{N,M} ∘ Φ_{θ̲M,θ̲N} = θ̲(Φ_{M,N}) ∘ φ_{M,N}."""
     rep = CheckReport()
     br = braiding(ma, mb)
-    br_t = braiding(theta_module(d, ma, verify=False),
-                    theta_module(d, mb, verify=False))
+    br_t = braiding(theta_module(d, ma), theta_module(d, mb))
     phi_ab = theta_phi(d, ma, mb)
     phi_ba = theta_phi(d, mb, ma)
     lhs = mat_mul(br_t.matrix, phi_ba)
@@ -695,18 +685,18 @@ def verify_theta_braided(d, ma, mb):
     rep.add("phi_invertible", rank(phi_ab) == phi_ab.rows)
     # φ_{M,N} as a YD map θ̲M⊗θ̲N → θ̲(M⊗N); the tensor products are the
     # braidings' sources
-    target = theta_module(d, br.source, verify=False)
+    target = theta_module(d, br.source)
     rep.merge(is_yd_map(YdMap(br_t.source, target, phi_ab)), prefix="phi_")
     return rep
 
 
-def theta_algebra(d, alg, verify=True):
+def theta_algebra(d, alg):
     """θ̲(A) with product a•b = Σ ((θ⁻¹)¹·a)((θ⁻¹)²·b)."""
     mod = alg.module
     h = mod.host
     f = h.field
     m = alg.dim
-    tmod = theta_module(d, mod, verify=False)
+    tmod = theta_module(d, mod)
 
     def product(p, q):
         acc = [f.zero] * m
@@ -725,15 +715,12 @@ def theta_algebra(d, alg, verify=True):
     ms = range(m)
     mult = Tensor.from_rows(f, (m, m, m),
                             [[product(p, q) for q in ms] for p in ms])
-    out = YdAlgebra(tmod, mult, list(alg.unit))
-    if verify:
-        verify_yd_algebra(out).require("theta_algebra")
-    return out
+    return YdAlgebra(tmod, mult, list(alg.unit))
 
 
 # -- algebra constructions ----------------------------------------------------
 
-def braided_product(alga, algb, cqt=None, verify=True):
+def braided_product(alga, algb, cqt=None):
     """A#B with (a#b)(c#d) = Σ ac₀ # (c₁·b)d.
 
     With a CQT structure the braided product #_R is taken instead: both
@@ -744,8 +731,8 @@ def braided_product(alga, algb, cqt=None, verify=True):
     from .quasitriangular import yd_from_comodule
     moda, modb = alga.module, algb.module
     if cqt is not None:
-        moda = yd_from_comodule(cqt, moda.coaction, verify=False)
-        modb = yd_from_comodule(cqt, modb.coaction, verify=False)
+        moda = yd_from_comodule(cqt, moda.coaction)
+        modb = yd_from_comodule(cqt, modb.coaction)
     h = alga.host
     f = h.field
     da, db = moda.dim, modb.dim
@@ -774,13 +761,10 @@ def braided_product(alga, algb, cqt=None, verify=True):
         for q, y in enumerate(algb.unit):
             if y:
                 unit[p * db + q] = x * y
-    out = YdAlgebra(yd_tensor(moda, modb), mult, unit)
-    if verify:
-        verify_yd_algebra(out).require("braided_product")
-    return out
+    return YdAlgebra(yd_tensor(moda, modb), mult, unit)
 
 
-def h_opposite(alg, verify=True):
+def h_opposite(alg):
     """Ā: same YD module, multiplication ā∘b̄ = Σ b₀ (b₁·a)."""
     mod = alg.module
     f = alg.host.field
@@ -798,13 +782,10 @@ def h_opposite(alg, verify=True):
     ms = range(m)
     mult = Tensor.from_rows(f, (m, m, m),
                             [[product(p, q) for q in ms] for p in ms])
-    out = YdAlgebra(mod, mult, list(alg.unit))
-    if verify:
-        verify_yd_algebra(out).require("h_opposite")
-    return out
+    return YdAlgebra(mod, mult, list(alg.unit))
 
 
-def end_algebra(mod, verify=True):
+def end_algebra(mod):
     """End(M) with (h·f)(x) = Σ h₁·f(S(h₂)·x) and the dual coaction.
 
     Basis E_{pq} (v_p ↦ v_q) has index p·m+q; the product is composition
@@ -872,16 +853,13 @@ def end_algebra(mod, verify=True):
                                for i in range(n)])
     coaction = Tensor.from_rows(f, (dim, dim, n),
                                 [dual_coaction(src) for src in ds])
-    out = YdAlgebra(YdModule(h, dim, action, coaction), mult, unit)
-    if verify:
-        verify_yd_algebra(out).require("end_algebra")
-    return out
+    return YdAlgebra(YdModule(h, dim, action, coaction), mult, unit)
 
 
 def quantum_commutative(alg):
     """ab = Σ b₀ (b₁·a) on all basis pairs, that is A equals its
     H-opposite."""
-    return h_opposite(alg, verify=False).mult == alg.mult
+    return h_opposite(alg).mult == alg.mult
 
 
 def generating_set(alg):
@@ -998,7 +976,7 @@ def azumaya_check(alg):
                 out[g0 * m + y] = out[g0 * m + y] + c * x
         return out
 
-    bar = h_opposite(alg, verify=False)
+    bar = h_opposite(alg)
     gens_a = generating_set(alg)
     gens_b = generating_set(bar)
     fa = [f_of(sharp(es[a], alg.unit)) for a in ms]
@@ -1075,12 +1053,10 @@ def yd_hom_basis(ma, mb):
     return out
 
 
-def random_yd_map(rng, ma, mb, hom_basis=None):
-    """A random YD map M → N: a random small-integer combination of a basis
-    of the intertwiner space."""
+def random_yd_map(rng, ma, mb, hom_basis):
+    """A random YD map M → N: a random small-integer combination of
+    hom_basis, a basis of the intertwiner space (yd_hom_basis(ma, mb))."""
     f = ma.host.field
-    if hom_basis is None:
-        hom_basis = yd_hom_basis(ma, mb)
     da, db = ma.dim, mb.dim
     mat = Matrix.zeros(f, da, db)
     for base in hom_basis:

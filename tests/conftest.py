@@ -32,4 +32,7 @@ def mreg(r1):
 @pytest.fixture(scope="session")
 def unit_obj(h4):
     from hopflab.galois import unit_object
-    return unit_object(h4)
+    from hopflab.yd import verify_yd_algebra
+    uo = unit_object(h4)
+    assert verify_yd_algebra(uo).ok
+    return uo

@@ -86,9 +86,22 @@ def test_deform_kc2_by_coboundary_lazy(kc2):
     mu = cat.one_cocycle_c2(kc2, 2)
     cob = coboundary_from(mu)
     assert is_lazy(cob)
-    assert deform(cob, verify=False).mult == kc2.mult
+    assert deform(cob).mult == kc2.mult
 
 
 def test_get_entry_unknown():
     with pytest.raises(KeyError):
         cat.get_entry("nope")
+
+
+def test_constructions_take_no_verify_keyword():
+    """Below the catalog, constructions build and verifiers verify: no
+    public function of these modules has a `verify` parameter."""
+    import importlib
+    import inspect
+    for name in ("twist", "quasitriangular", "yd", "galois"):
+        mod = importlib.import_module("hopflab." + name)
+        for fname, fn in inspect.getmembers(mod, inspect.isfunction):
+            if fn.__module__ == mod.__name__ and not fname.startswith("_"):
+                assert "verify" not in inspect.signature(fn).parameters, \
+                    "%s.%s" % (name, fname)

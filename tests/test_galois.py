@@ -13,7 +13,8 @@ from hopflab.yd import (YdAlgebra, quantum_commutative, sigma_algebra,
 from hopflab.galois import (bimodule_actions, build_hr, chi_maps,
                             coinvariants, comodule_coinvariants,
                             comodule_galois, galois_maps, mu_action_and_pi,
-                            phi_psi_xi, unit_object, verify_sigma_coinvariants,
+                            phi_psi_xi, unit_object, verify_bimodule,
+                            verify_braided_hopf, verify_sigma_coinvariants,
                             verify_sigma_wedge, verify_unit_deformation,
                             wedge)
 from hopflab.catalog import (cqt_c2, dim1_hopf, end_regular,
@@ -24,12 +25,15 @@ from hopflab.catalog import (cqt_c2, dim1_hopf, end_regular,
 
 @pytest.fixture(scope="module")
 def bh1(r1):
-    return build_hr(r1)
+    bh = build_hr(r1)
+    assert verify_braided_hopf(bh).ok
+    return bh
 
 
 def test_build_hr_trivial_r_gives_host(kc2):
     c = cqt_structure(kc2, eps_eps(kc2))
     bh = build_hr(c)
+    assert verify_braided_hopf(bh).ok
     assert bh.underlying.mult == kc2.mult
     assert bh.braided_antipode == kc2.antipode
 
@@ -40,15 +44,17 @@ def test_build_hr_h4(bh1):
 
 def test_build_hr_r0_quantum_commutativity_decided(h4):
     bh0 = build_hr(r_t(h4, 0, verify=False))
+    assert verify_braided_hopf(bh0).ok
     # decided by the brute-force oracle; record the outcome exactly
     assert quantum_commutative(bh0.underlying) is True
 
 
 def test_bimodule_trivial_r_reduces_to_action(kc2):
     c = cqt_structure(kc2, eps_eps(kc2))
-    bh = build_hr(c, verify=False)
+    bh = build_hr(c)
     mod = regular_comodule_module(c)   # trivial R: ε-action
     b = bimodule_actions(bh, mod)
+    assert verify_bimodule(bh, b).ok
     assert b.left_hr == mod.action
     assert b.right_hr == mod.action
 
@@ -56,6 +62,7 @@ def test_bimodule_trivial_r_reduces_to_action(kc2):
 def test_bimodule_dim1_through_counit(bh1, h4):
     mod = trivial_module(h4, 1)
     b = bimodule_actions(bh1, mod)
+    assert verify_bimodule(bh1, b).ok
     for i in range(4):
         assert b.left_hr.data[i] == h4.counit[i]
         assert b.right_hr.data[i] == h4.counit[i]
@@ -63,29 +70,30 @@ def test_bimodule_dim1_through_counit(bh1, h4):
 
 def test_bimodule_regular_passes(bh1, mreg):
     b = bimodule_actions(bh1, mreg)
+    assert verify_bimodule(bh1, b).ok
     assert b.left_hr.shape == (4, 4, 4)
 
 
 def test_coinvariants_trivial_structure(kc2):
     c = cqt_structure(kc2, eps_eps(kc2))
-    bh = build_hr(c, verify=False)
+    bh = build_hr(c)
     mod = trivial_module(kc2, 3)
-    b = bimodule_actions(bh, mod, verify=False)
+    b = bimodule_actions(bh, mod)
     assert coinvariants(bh, b, "right").dim == 3
     assert coinvariants(bh, b, "left").dim == 3
 
 
 def test_coinvariants_unit_object(bh1, unit_obj):
-    b = bimodule_actions(bh1, unit_obj.module, verify=False)
+    b = bimodule_actions(bh1, unit_obj.module)
     assert coinvariants(bh1, b, "right").dim == 1
     assert coinvariants(bh1, b, "left").dim == 1
 
 
 def test_coinvariants_regular_lemma31(h4):
     r0 = r_t(h4, 0, verify=False)
-    bh0 = build_hr(r0, verify=False)
+    bh0 = build_hr(r0)
     mod = regular_comodule_module(r0)
-    b = bimodule_actions(bh0, mod, verify=False)
+    b = bimodule_actions(bh0, mod)
     # an 𝓜^H_R object has action = ▷₁, so M_◇ is everything by Lemma 3.1
     assert coinvariants(bh0, b, "right").dim == 4
 
@@ -133,19 +141,19 @@ def test_wedge_algebra_membership(bh1, r1, unit_obj):
     ww = wedge_algebra(r1, unit_obj, unit_obj)
     assert verify_yd_algebra(ww).ok
     assert quantum_commutative(ww)
-    b = bimodule_actions(bh1, ww.module, verify=False)
+    b = bimodule_actions(bh1, ww.module)
     assert galois_maps(bh1, b, ww).ok
 
 
 # -- unit object and χ ----------------------------------------------------------
 
 def test_unit_object_kc2(kc2):
-    assert verify_yd_algebra(unit_object(kc2, verify=False)).ok
+    assert verify_yd_algebra(unit_object(kc2)).ok
 
 
 def test_unit_object_dim1():
     k = dim1_hopf(QQ)
-    uo = unit_object(k, verify=False)
+    uo = unit_object(k)
     assert uo.dim == 1
     assert verify_yd_algebra(uo).ok
 
@@ -193,16 +201,61 @@ def test_phi_psi_xi_roundtrips(h4, s1, unit_obj, r1):
 # -- Galois decisions ------------------------------------------------------------
 
 def test_galois_maps_unit_object_bigalois(bh1, unit_obj):
-    b = bimodule_actions(bh1, unit_obj.module, verify=False)
+    b = bimodule_actions(bh1, unit_obj.module)
     rep = galois_maps(bh1, b, unit_obj)
     assert rep.ok, rep.render_text()
 
 
+def dense_beta(b, alg, side):
+    """β_r(v_u⊗v_v) = Σ_i (e_i−▷v_u)v_v ⊗ e_i (side "r") or
+    β_l(v_u⊗v_v) = Σ_i e_i ⊗ v_u(v_v◁−e_i) (side "l") as dense rows, read
+    entry by entry from the action and product tensors."""
+    f = alg.host.field
+    n, m = alg.host.dim, alg.dim
+    act = (b.left_hr if side == "r" else b.right_hr).data
+    mult = alg.mult.data
+    rows = []
+    for u in range(m):
+        for v in range(m):
+            row = [f.zero] * (m * n)
+            for i in range(n):
+                for y in range(m):
+                    for q in range(m):
+                        if side == "r":
+                            row[y * n + i] += (act[(i * m + u) * m + q]
+                                               * mult[(q * m + v) * m + y])
+                        else:
+                            row[i * m + y] += (act[(i * m + v) * m + q]
+                                               * mult[(u * m + q) * m + y])
+            rows.append(row)
+    return rows
+
+
+def test_galois_maps_beta_matrices(monkeypatch, bh1, r1, s1, unit_obj):
+    """The β matrices galois_maps decides on equal the dense reference."""
+    import hopflab.galois as galois
+    seen = {}
+    inner = galois._beta_quotient_bijective
+
+    def capture(f, beta, rels, rep, tag):
+        seen[tag] = beta
+        return inner(f, beta, rels, rep, tag)
+
+    monkeypatch.setattr(galois, "_beta_quotient_bijective", capture)
+    bhs = build_hr(deform_cqt(r1, s1))
+    s_uo = sigma_algebra(s1, unit_obj)
+    for bh, alg in ((bh1, unit_obj), (bhs, s_uo)):
+        b = bimodule_actions(bh, alg.module)
+        assert galois_maps(bh, b, alg).ok
+        assert seen.pop("beta_r").data == dense_beta(b, alg, "r")
+        assert seen.pop("beta_l").data == dense_beta(b, alg, "l")
+
+
 def test_galois_maps_trivial_not_galois(kc2):
     c = cqt_structure(kc2, eps_eps(kc2))
-    bh = build_hr(c, verify=False)
+    bh = build_hr(c)
     alg = YdAlgebra(trivial_module(kc2, 2), kc2.mult, kc2.unit)
-    b = bimodule_actions(bh, alg.module, verify=False)
+    b = bimodule_actions(bh, alg.module)
     rep = galois_maps(bh, b, alg)
     flags = {x.name: x.status for x in rep.checks}
     assert flags["right_galois"] == "fail"
@@ -210,12 +263,12 @@ def test_galois_maps_trivial_not_galois(kc2):
 
 
 def test_prop_310_equivalence(bh1, r1, s1, unit_obj):
-    r1s = deform_cqt(r1, s1, verify=False)
-    bhs = build_hr(r1s, verify=False)
-    b = bimodule_actions(bh1, unit_obj.module, verify=False)
+    r1s = deform_cqt(r1, s1)
+    bhs = build_hr(r1s)
+    b = bimodule_actions(bh1, unit_obj.module)
     before = galois_maps(bh1, b, unit_obj)
-    s_uo = sigma_algebra(s1, unit_obj, verify=False)
-    bs = bimodule_actions(bhs, s_uo.module, verify=False)
+    s_uo = sigma_algebra(s1, unit_obj)
+    bs = bimodule_actions(bhs, s_uo.module)
     after = galois_maps(bhs, bs, s_uo)
     for nm in ("right_galois", "left_galois", "bigalois_object"):
         assert before.status(nm) == after.status(nm) == "pass"
@@ -239,7 +292,7 @@ def test_comodule_galois_trivial_coaction_fails(h4):
 def test_comodule_galois_end_and_lemma_314(r1, s1):
     e = end_regular(r1)
     before = comodule_galois(e)
-    se = sigma_algebra(s1, e, verify=False)
+    se = sigma_algebra(s1, e)
     after = comodule_galois(se)
     assert before.status("galois") == after.status("galois")
 
@@ -272,12 +325,12 @@ def test_mu_action_dim1_over_dim1_host():
 
 def test_thm_315_pointwise(r1, s1):
     e = end_regular(r1)
-    se = sigma_algebra(s1, e, verify=False)
+    se = sigma_algebra(s1, e)
     pi_e, rep_e = mu_action_and_pi(e)
     assert rep_e.ok
     pi_se, rep_se = mu_action_and_pi(se)
     assert rep_se.ok
-    s_pi = sigma_algebra(s1, pi_e, verify=False)
+    s_pi = sigma_algebra(s1, pi_e)
     assert pi_se.mult == s_pi.mult
     assert pi_se.module.action == s_pi.module.action
     assert pi_se.module.coaction == s_pi.module.coaction

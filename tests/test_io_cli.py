@@ -123,6 +123,46 @@ def test_cli_wedge_and_galois(tmp_path, h4, r1, unit_obj, capsys):
     assert "bigalois_object" in capsys.readouterr().out
 
 
+def test_cli_deform_and_wedge_failures_exit_1(tmp_path, h4, s1, kc2, capsys):
+    """A failing input exits 1 with one `check failed:` line on stderr."""
+    from hopflab.linalg import Tensor
+    from hopflab.yd import YdModule
+
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def failure(argv):
+        assert main(argv) == 1
+        return capsys.readouterr().err
+
+    hp = write("h4.json", io_json.hopf_to_json(h4))
+    sig = io_json.cocycle_to_json(s1)
+    sig["entries"] = [e for e in sig["entries"] if e[:2] != [1, 1]]
+    sig["entries"].append([1, 1, "5"])
+    assert failure(["deform", hp, "--cocycle", write("s.json", sig)]) == (
+        "check failed: cocycle: check 'convolution_inverse' failed "
+        "(witness=None) \n")
+    th = io_json.dual_cocycle_to_json(cat.theta_t(h4, 1))
+    th["entries"] = [e for e in th["entries"] if e[:2] != [0, 2]]
+    th["entries"].append([0, 2, "7"])
+    assert failure(["deform", hp, "--dual-cocycle", write("t.json", th)]) \
+        == ("check failed: dual cocycle: check 'dual_pentagon' failed "
+            "(witness=(0, 0, 2)) \n")
+    # the ε-action with e_0·v_0 doubled: M∧M is closed but not a module
+    triv = cat.trivial_module(kc2, 2)
+    data = list(triv.action.data)
+    data[0] = data[0] + QQ.one
+    bad = YdModule(kc2, 2, Tensor(QQ, triv.action.shape, data),
+                   triv.coaction)
+    mp = write("m.json", io_json.yd_module_to_json(bad, "kc2"))
+    rp = write("r.json", io_json.cqt_to_json(cat.cqt_c2(kc2, -1)))
+    assert failure(["wedge", mp, mp, "--cqt", rp]) == (
+        "check failed: wedge module: check 'module_axioms' failed "
+        "(witness=(0,)) \n")
+
+
 def test_cli_azumaya_control(tmp_path, kc2, capsys):
     from hopflab.yd import YdAlgebra
     from hopflab.catalog import trivial_module

@@ -60,9 +60,11 @@ def hopf_with(h, **changed):
 @pytest.fixture(scope="module")
 def fx(h4, r1, s1, mreg, unit_obj):
     bh = build_hr(r1)
+    bim = bimodule_actions(bh, mreg)
+    assert verify_braided_hopf(bh).ok and verify_bimodule(bh, bim).ok
     return {"h4": h4, "r1": r1, "s1": s1, "mreg": mreg, "unit_obj": unit_obj,
             "theta": cat.theta_t(h4, 1), "qt": cat.qt_t(h4, 1), "bh": bh,
-            "bim": bimodule_actions(bh, mreg), "end": cat.end_regular(r1)}
+            "bim": bim, "end": cat.end_regular(r1)}
 
 
 def hopf_mult(fx):
@@ -216,7 +218,9 @@ def galois_regular_mult(fx):
 
 def galois_unit_object_mult(fx):
     alg = fx["unit_obj"]
-    return galois_maps(fx["bh"], bimodule_actions(fx["bh"], alg.module),
+    bim = bimodule_actions(fx["bh"], alg.module)
+    verify_bimodule(fx["bh"], bim).require("bimodule_actions")
+    return galois_maps(fx["bh"], bim,
                        YdAlgebra(alg.module, bump_tensor(alg.mult, (0, 1, 1)),
                                  alg.unit))
 
@@ -340,11 +344,11 @@ def witness_of(message):
 
 RAISING = {
     "sigma_module": ("twisted-action", (3, 2, 0), lambda fx, m: sigma_module(
-        fx["s1"], m, verify=False)),
+        fx["s1"], m)),
     "theta_module": ("ρ_θ", (2, 0, 2), lambda fx, m: theta_module(
-        fx["theta"], m, verify=False)),
+        fx["theta"], m)),
     "bimodule_actions": ("−▷", (2, 2, 0), lambda fx, m: bimodule_actions(
-        fx["bh"], m, verify=False)),
+        fx["bh"], m)),
 }
 
 
@@ -360,4 +364,4 @@ def test_displayed_forms_disagree(fx, what, want, build):
 
 def test_wedge_of_corrupted_module_is_not_closed(fx):
     with pytest.raises(VerificationError, match="wedge is not closed"):
-        wedge(fx["r1"], bad_regular_module(fx), fx["mreg"], verify=False)
+        wedge(fx["r1"], bad_regular_module(fx), fx["mreg"])

@@ -40,13 +40,16 @@ def test_cqt_rejects_corruption(h4):
 def test_deform_cqt_trivial(h4):
     r1 = r_t(h4, 1)
     triv = two_cocycle(h4, eps_eps(h4))
-    assert deform_cqt(r1, triv).r == r1.r
+    rs = deform_cqt(r1, triv)
+    assert verify_cqt(rs).ok
+    assert rs.r == r1.r
 
 
 def test_deform_cqt_shift_is_t_minus_s(h4):
     for t in (-1, 0, 2):
         for s in (1, 2, -2):
             got = deform_cqt(r_t(h4, t), sigma_t(h4, s))
+            assert verify_cqt(got).ok
             assert got.r == r_t(h4, t - s, verify=False).r
 
 
@@ -54,10 +57,11 @@ def test_deform_cqt_roundtrip(h4):
     r1 = r_t(h4, 1)
     s1 = sigma_t(h4, 1)
     from hopflab.twist import deform
-    hs = deform(s1, verify=False)
+    hs = deform(s1)
     rs = deform_cqt(r1, s1)
     sinv = two_cocycle(hs, s1.sigma_inv)
     back = deform_cqt(rs, sinv)
+    assert verify_cqt(rs).ok and verify_cqt(back).ok
     assert back.r == r1.r
 
 
@@ -76,12 +80,15 @@ def test_deform_qt_trivial(h4):
     from hopflab.twist import dual_cocycle, hh_one
     q1 = qt_t(h4, 1)
     d = dual_cocycle(h4, hh_one(h4))
-    assert deform_qt(q1, d).rr == q1.rr
+    qd = deform_qt(q1, d)
+    assert verify_qt(qd).ok
+    assert qd.rr == q1.rr
 
 
 def test_deform_qt_shift_is_minus_s(h4):
     for s in (1, 2, -1):
         got = deform_qt(qt_t(h4, 0), theta_t(h4, s))
+        assert verify_qt(got).ok
         assert got.rr == qt_t(h4, -s, verify=False).rr
 
 
@@ -90,8 +97,9 @@ def test_deform_qt_roundtrip(h4):
     q0 = qt_t(h4, 0)
     th = theta_t(h4, 2)
     qd = deform_qt(q0, th)
-    ht = deform_dual(th, verify=False)
+    ht = deform_dual(th)
     back = deform_qt(qd, dual_cocycle(ht, th.theta_inv))
+    assert verify_qt(qd).ok and verify_qt(back).ok
     assert back.rr == q0.rr
 
 
@@ -115,6 +123,7 @@ def test_yd_from_comodule_kc2_hand_contraction(kc2):
     c = cqt_c2(kc2, -1)
     coaction = Tensor(QQ, (2, 2, 2), list(kc2.comult.data))
     mod = yd_from_comodule(c, coaction)
+    assert verify_yd(mod).ok
     # g acts on basis vector g by R(g⊗g) = -1
     assert mod.act.dense_row(1, 1) == [QQ.zero, -QQ.one]
     assert mod.act.dense_row(1, 0) == [QQ.one, QQ.zero]
@@ -125,6 +134,7 @@ def test_yd_from_module_trivial_rr(kc2):
     q = qt_structure(kc2, hh_one(kc2))
     action = Tensor(QQ, (2, 2, 2), list(kc2.mult.data))
     mod = yd_from_module(q, action)
+    assert verify_yd(mod).ok
     # trivial coaction a ↦ a⊗1
     for p in range(2):
         assert mod.coact.terms(p) == [(p, 0, QQ.one)]

@@ -34,6 +34,18 @@ def test_traced_methods_are_functions_in_their_class_body():
             "%s.%s.%s" % (mod_name, cls_name, meth)
 
 
+def test_span_groups_resolve_to_functions():
+    """A renamed member would silently read 0 in its per-layer metric."""
+    spans = load_spans()
+    members = [m for group in spans.GROUPS.values() for m in group]
+    hl = hopflab_namespace({m.split(".")[0] for m in members})
+    for member in members:
+        obj = hl
+        for part in member.split("."):
+            obj = getattr(obj, part, None)
+        assert inspect.isfunction(obj), member
+
+
 def test_scalar_code_keys_resolve():
     spans = load_spans()
     keys, homes = spans._scalar_code_keys(hopflab_namespace(["fields"]))

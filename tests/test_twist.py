@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopflab.fields import QQ
+from hopflab.hopf import verify_hopf_axioms
 from hopflab.linalg import Matrix
 from hopflab.report import VerificationError
 from hopflab.twist import (coboundary_from, compose_cocycles, conv_inverse2,
@@ -94,6 +95,7 @@ def test_sigma_t_lazy(h4):
 
 def test_deform_trivial_identity(h4):
     c = two_cocycle(h4, eps_eps(h4))
+    assert verify_hopf_axioms(deform(c)).ok
     assert deform(c).structures_equal(h4)
 
 
@@ -101,7 +103,6 @@ def test_deform_lazy_keeps_mult(h4):
     hs = deform(sigma_t(h4, 1))
     assert hs.mult == h4.mult
     # the antipode may twist even for a lazy cocycle; axioms must hold
-    from hopflab.hopf import verify_hopf_axioms
     assert verify_hopf_axioms(hs).ok
 
 
@@ -109,6 +110,7 @@ def test_deform_roundtrip(h4):
     s1 = sigma_t(h4, 1)
     hs = deform(s1)
     back = deform(two_cocycle(hs, s1.sigma_inv))
+    assert verify_hopf_axioms(hs).ok and verify_hopf_axioms(back).ok
     assert back.structures_equal(h4)
 
 
@@ -116,27 +118,33 @@ def test_deform_memoizes_host_per_cocycle(h4):
     s1 = sigma_t(h4, 1)
     twin = TwoCocycle(h4, s1.sigma, s1.sigma_inv)
     before = repr(s1)
-    hs = deform(s1, verify=False)
-    assert deform(s1) is hs and deform(s1, verify=False) is hs
+    hs = deform(s1)
+    assert deform(s1) is hs
     # the memo is not part of the value
     assert s1 == twin and repr(s1) == before == repr(twin)
     assert deform(twin) is not hs and deform(twin).structures_equal(hs)
+    assert verify_hopf_axioms(hs).ok and verify_hopf_axioms(deform(twin)).ok
 
 
-def test_deform_verifies_on_every_call(h4):
+def failing_checks(h):
+    return [c.name for c in verify_hopf_axioms(h).failures()]
+
+
+def test_deform_memo_keeps_failing_host(h4):
     s1 = sigma_t(h4, 1)
     bad = Matrix(QQ, 4, 4, [row[:] for row in s1.sigma.data])
     bad.data[1][1] = bad.data[1][1] + QQ.one
     c = TwoCocycle(h4, bad, s1.sigma_inv)   # H^σ is not associative
-    hs = deform(c, verify=False)
-    with pytest.raises(VerificationError, match="associativity"):
-        deform(c)
-    assert deform(c, verify=False) is hs
+    hs = deform(c)
+    assert deform(c) is hs
+    assert failing_checks(hs) == [
+        "associativity", "comult_algebra_map", "counit_algebra_map",
+        "antipode", "antipode_inverse"]
 
 
 def test_compose_cocycles(h4):
     s1 = sigma_t(h4, 1)
-    hs = deform(s1, verify=False)
+    hs = deform(s1)
     s2_on_hs = two_cocycle(hs, sigma_t(h4, 2, verify=False).sigma)
     comp = compose_cocycles(s2_on_hs, s1)
     assert comp.sigma == sigma_t(h4, 3, verify=False).sigma
@@ -245,13 +253,13 @@ def test_nonstandard_theta_decided(h4):
 
 def test_deform_dual_trivial(h4):
     d = dual_cocycle(h4, hh_one(h4))
+    assert verify_hopf_axioms(deform_dual(d)).ok
     assert deform_dual(d).structures_equal(h4)
 
 
 def test_deform_dual_lazy_keeps_comult(h4):
     ht = deform_dual(theta_t(h4, 2))
     assert ht.comult == h4.comult
-    from hopflab.hopf import verify_hopf_axioms
     assert verify_hopf_axioms(ht).ok
 
 
@@ -259,6 +267,7 @@ def test_deform_dual_roundtrip(h4):
     th = theta_t(h4, 2)
     ht = deform_dual(th)
     back = deform_dual(dual_cocycle(ht, th.theta_inv))
+    assert verify_hopf_axioms(ht).ok and verify_hopf_axioms(back).ok
     assert back.structures_equal(h4)
 
 
@@ -266,21 +275,22 @@ def test_deform_dual_memoizes_host_per_cocycle(h4):
     th = theta_t(h4, 2)
     twin = dual_cocycle(h4, th.theta, th.theta_inv)
     before = repr(th)
-    ht = deform_dual(th, verify=False)
-    assert deform_dual(th) is ht and deform_dual(th, verify=False) is ht
+    ht = deform_dual(th)
+    assert deform_dual(th) is ht
     assert th == twin and repr(th) == before == repr(twin)
     assert deform_dual(twin) is not ht
+    assert verify_hopf_axioms(ht).ok
+    assert verify_hopf_axioms(deform_dual(twin)).ok
 
 
-def test_deform_dual_verifies_on_every_call(h4):
+def test_deform_dual_memo_keeps_failing_host(h4):
     th = theta_t(h4, 1)
     bad = Matrix(QQ, 4, 4, [row[:] for row in th.theta.data])
     bad.data[0][2] = bad.data[0][2] + QQ.one
     d = dual_cocycle(h4, bad)               # Δ_θ is not coassociative
-    ht = deform_dual(d, verify=False)
-    with pytest.raises(VerificationError, match="coassociativity"):
-        deform_dual(d)
-    assert deform_dual(d, verify=False) is ht
+    ht = deform_dual(d)
+    assert deform_dual(d) is ht
+    assert failing_checks(ht) == ["coassociativity", "counit", "antipode"]
 
 
 def test_hh_algebra(h4):

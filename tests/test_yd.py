@@ -101,14 +101,16 @@ def test_braiding_hexagon_small(kc2):
 def test_sigma_module_trivial(mreg, h4):
     triv = two_cocycle(h4, eps_eps(h4))
     sm = sigma_module(triv, mreg)
+    assert verify_yd(sm).ok
     assert sm.action == mreg.action
     assert sm.coaction == mreg.coaction
 
 
 def test_sigma_module_roundtrip(mreg, s1):
     sm = sigma_module(s1, mreg)
-    sinv = two_cocycle(deform(s1, verify=False), s1.sigma_inv)
+    sinv = two_cocycle(deform(s1), s1.sigma_inv)
     back = sigma_module(sinv, sm)
+    assert verify_yd(sm).ok and verify_yd(back).ok
     assert back.action == mreg.action
     assert back.coaction == mreg.coaction
 
@@ -123,9 +125,9 @@ def test_eta_trivial_is_identity(mreg, h4):
 def test_eta_invertible_and_yd(mreg, s1):
     em, inv = eta(s1, mreg, mreg)
     assert mat_mul(em, inv) == Matrix.identity(QQ, 16)
-    sm = sigma_module(s1, mreg, verify=False)
+    sm = sigma_module(s1, mreg)
     source = yd_tensor(sm, sm)
-    target = sigma_module(s1, yd_tensor(mreg, mreg), verify=False)
+    target = sigma_module(s1, yd_tensor(mreg, mreg))
     assert is_yd_map(YdMap(source, target, em)).ok
 
 
@@ -136,7 +138,9 @@ def test_braided_functor_square(mreg, s1, h4, unit_obj):
 
 
 def count_calls(monkeypatch, name):
-    """Wrap hopflab.yd.<name>; the returned list grows by one per call."""
+    """Wrap hopflab.yd.<name> in every hopflab module that binds it; the
+    returned list grows by one per call."""
+    import sys
     import hopflab.yd as yd
     calls = []
     inner = getattr(yd, name)
@@ -145,7 +149,10 @@ def count_calls(monkeypatch, name):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(yd, name, wrapper)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("hopflab") and \
+                getattr(mod, name, None) is inner:
+            monkeypatch.setattr(mod, name, wrapper)
     return calls
 
 
@@ -175,6 +182,18 @@ def test_criterion_08_builds_each_zeta_target_once(monkeypatch):
     assert len(calls) == 3        # one per zeta_iso; zeta_triangle builds none
 
 
+def test_criterion_11_builds_each_sigma_image_once(monkeypatch):
+    from hopflab.suite import SuiteContext, criterion_11_coinvariants_wedge
+    ctx = SuiteContext()
+    uo = ctx.unit_obj().module
+    calls = count_calls(monkeypatch, "sigma_module")
+    assert criterion_11_coinvariants_wedge(ctx).ok
+    # two Lemma-3.3 calls; then σ̲(I) once for σ̲M = σ̲N and σ̲A = σ̲B,
+    # σ̲(I∧I) and σ̲(I#_RI)
+    assert len(calls) == 5
+    assert sum(1 for args in calls if args[1] is uo) == 2
+
+
 def test_eta_naturality_random(mreg, unit_obj, s1):
     rng = random.Random(0)
     uo = unit_obj.module
@@ -197,8 +216,8 @@ def test_eta_naturality_random(mreg, unit_obj, s1):
 def test_sigma_functoriality_random(mreg, unit_obj, s1):
     rng = random.Random(1)
     uo = unit_obj.module
-    sm = sigma_module(s1, mreg, verify=False)
-    su = sigma_module(s1, uo, verify=False)
+    sm = sigma_module(s1, mreg)
+    su = sigma_module(s1, uo)
     hom = yd_hom_basis(mreg, uo)
     for _ in range(4):
         f = random_yd_map(rng, mreg, uo, hom)
@@ -207,27 +226,30 @@ def test_sigma_functoriality_random(mreg, unit_obj, s1):
 
 def test_sigma_algebra_roundtrip(unit_obj, s1):
     sa = sigma_algebra(s1, unit_obj)
-    sinv = two_cocycle(deform(s1, verify=False), s1.sigma_inv)
+    sinv = two_cocycle(deform(s1), s1.sigma_inv)
     back = sigma_algebra(sinv, sa)
+    assert verify_yd_algebra(sa).ok and verify_yd_algebra(back).ok
     assert back.mult == unit_obj.mult
     assert back.module.action == unit_obj.module.action
 
 
 def test_sigma_preserves_quantum_commutativity(unit_obj, s1):
     assert quantum_commutative(unit_obj)
-    sa = sigma_algebra(s1, unit_obj, verify=False)
+    sa = sigma_algebra(s1, unit_obj)
     assert quantum_commutative(sa)
 
 
 def test_theta_module_trivial_and_roundtrip(mreg, h4):
     triv = dual_cocycle(h4, hh_one(h4))
     tm = theta_module(triv, mreg)
+    assert verify_yd(tm).ok
     assert tm.coaction == mreg.coaction
     th2 = theta_t(h4, 2, verify=False)
     from hopflab.twist import deform_dual
     tm2 = theta_module(th2, mreg)
-    back = theta_module(dual_cocycle(deform_dual(th2, verify=False),
+    back = theta_module(dual_cocycle(deform_dual(th2),
                                      th2.theta_inv), tm2)
+    assert verify_yd(tm2).ok and verify_yd(back).ok
     assert back.coaction == mreg.coaction
 
 
@@ -270,7 +292,7 @@ def test_h_opposite_trivial_coaction_is_opposite(h4):
     mult.data[(0 * 2 + 1) * 2 + 1] = one
     mult.data[(1 * 2 + 0) * 2 + 1] = one
     alg = YdAlgebra(mod, mult, [one, zero])
-    bar = h_opposite(alg, verify=False)
+    bar = h_opposite(alg)
     for p in range(2):
         for q in range(2):
             base_bar = (p * 2 + q) * 2
@@ -282,12 +304,14 @@ def test_h_opposite_trivial_coaction_is_opposite(h4):
 def test_h_opposite_of_quantum_commutative_is_same(unit_obj):
     assert quantum_commutative(unit_obj)
     bar = h_opposite(unit_obj)
+    assert verify_yd_algebra(bar).ok
     assert bar.mult == unit_obj.mult
 
 
 def test_double_opposite_passes(kc2_alg):
-    bar2 = h_opposite(h_opposite(kc2_alg))
-    assert verify_yd_algebra(bar2).ok
+    bar = h_opposite(kc2_alg)
+    assert verify_yd_algebra(bar).ok
+    assert verify_yd_algebra(h_opposite(bar)).ok
 
 
 # -- End(M) and Azumaya ---------------------------------------------------------
@@ -305,9 +329,9 @@ def test_end_regular_valid(mreg):
 
 
 def test_sigma_end_and_end_sigma_dims(mreg, s1):
-    e = end_algebra(mreg, verify=False)
+    e = end_algebra(mreg)
     se = sigma_algebra(s1, e)
-    es = end_algebra(sigma_module(s1, mreg, verify=False))
+    es = end_algebra(sigma_module(s1, mreg))
     assert se.dim == es.dim == 16
     assert verify_yd_algebra(se).ok
     assert verify_yd_algebra(es).ok
@@ -316,8 +340,7 @@ def test_sigma_end_and_end_sigma_dims(mreg, s1):
 def test_quantum_commutative_cases(kc2, unit_obj, mreg):
     triv = trivial_algebra(kc2)
     assert quantum_commutative(triv)
-    e = end_algebra(trivial_module(sweedler_h4(QQ, verify=False), 2),
-                    verify=False)
+    e = end_algebra(trivial_module(sweedler_h4(QQ, verify=False), 2))
     assert not quantum_commutative(e)   # 2x2 matrix algebra
     assert quantum_commutative(unit_obj)
 
@@ -333,7 +356,7 @@ def test_azumaya_ground_field(h4):
 
 
 def test_azumaya_end_regular(mreg):
-    e = end_algebra(mreg, verify=False)
+    e = end_algebra(mreg)
     rep = azumaya_check(e)
     assert rep.ok, rep.render_text()
 
@@ -354,10 +377,10 @@ def test_azumaya_invariance_under_sigma(kc2):
     cob = coboundary_from(one_cocycle_c2(kc2, 2))
     c = cqt_c2(kc2, -1, verify=False)
     mod = regular_comodule_module(c)
-    e = end_algebra(mod, verify=False)
-    se = sigma_algebra(cob, e, verify=False)
+    e = end_algebra(mod)
+    se = sigma_algebra(cob, e)
     assert azumaya_check(e).ok == azumaya_check(se).ok is True
     control = YdAlgebra(trivial_module(kc2, 2), kc2.mult, kc2.unit)
-    s_control = sigma_algebra(cob, control, verify=False)
+    s_control = sigma_algebra(cob, control)
     assert azumaya_check(control).status("is_azumaya") \
         == azumaya_check(s_control).status("is_azumaya") == "fail"
