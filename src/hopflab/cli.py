@@ -38,9 +38,10 @@ def _load_host(args, doc=None):
         raise io_json.InputError("no host given (use --host)")
     if ref.endswith(".json"):
         return io_json.hopf_from_json(io_json.load_document(ref))
-    name_map = {"h4": cat.sweedler_h4, "kc2": cat.group_algebra_c2,
-                "k": lambda f, verify=True: cat.dim1_hopf(f)}
     base = ref.split("^")[0].split("_")[0].lower()
+    if base == "k":
+        return cat.dim1_hopf(field)
+    name_map = {"h4": cat.sweedler_h4, "kc2": cat.group_algebra_c2}
     if base in name_map:
         return name_map[base](field, verify=False)
     raise io_json.InputError("unknown host %r (expected a .json file or a "
@@ -187,6 +188,8 @@ def cmd_wedge(args):
         ma = ma.module
     if isinstance(mb, YdAlgebra):
         mb = mb.module
+    verify_yd(ma).require("wedge input M")
+    verify_yd(mb).require("wedge input N")
     sub, wmod = wedge(c, ma, mb)
     rep = verify_yd(wmod).require("wedge module")
     rep.add("wedge_dimension", True, None, "dim %d" % sub.dim)

@@ -19,7 +19,8 @@ from itertools import product
 
 from .hopf import dual_hopf
 from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, in_span,
-                     kernel_basis, mat_mul, rank, same_span, solve)
+                     kernel_basis, mat_mul, rank, same_span, solve,
+                     sparse_rank)
 from .quasitriangular import deform_cqt, yd_from_comodule
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
@@ -615,41 +616,62 @@ def phi_psi_xi(s, alg):
 # -- Galois decisions ---------------------------------------------------------
 
 def _relations(alg, sub_basis_vecs):
-    """Generators (a·x)⊗b − a⊗(x·b) of the middle-subalgebra relations."""
-    f = alg.host.field
+    """Generators (a·x)⊗b − a⊗(x·b) of the middle-subalgebra relations as
+    sparse rows {p·m + r: coefficient} of A⊗A, one per (x, v_p, v_r) in
+    that nesting order, with the zero ones left out."""
     m = alg.dim
+    ms = range(m)
+    row = alg.mul.row
+
+    def combine(terms):
+        """Σ c·t over the (c, sparse row t) given, as {index: coefficient}."""
+        out = {}
+        for c, t in terms:
+            for k, w in t:
+                out[k] = out[k] + c * w if k in out else c * w
+        return out
+
     rels = []
     for x in sub_basis_vecs:
-        for p in range(m):
-            ax = alg.mul_vec(alg.module.basis_vec(p), x)
-            for r in range(m):
-                xb = alg.mul_vec(x, alg.module.basis_vec(r))
-                vec = [f.zero] * (m * m)
-                for t, v in enumerate(ax):
-                    if v:
-                        vec[t * m + r] = vec[t * m + r] + v
-                for t, v in enumerate(xb):
-                    if v:
-                        vec[p * m + t] = vec[p * m + t] - v
-                if any(vec):
-                    rels.append(vec)
+        xs = [(j, c) for j, c in enumerate(x) if c]
+        ax = [combine((c, row(p, j)) for j, c in xs) for p in ms]  # v_p·x
+        xb = [combine((c, row(j, r)) for j, c in xs) for r in ms]  # x·v_r
+        for p in ms:
+            for r in ms:
+                rel = {t * m + r: v for t, v in ax[p].items()}
+                for t, v in xb[r].items():
+                    k = p * m + t
+                    rel[k] = rel[k] - v if k in rel else -v
+                rel = {k: v for k, v in rel.items() if v}
+                if rel:
+                    rels.append(rel)
     return rels
 
 
 def _beta_quotient_bijective(f, beta, rels, rep, tag):
-    """β̄ on A⊗_{A₀}A is bijective iff β is onto and ker β = relations."""
+    """β̄ on A⊗_{A₀}A is bijective iff β is onto and ker β = relations;
+    rels are sparse rows of A⊗A as _relations gives them."""
     target = beta.cols
-    m2 = beta.rows
     rk = rank(beta)
     onto = rk == target
     rep.add(tag + "_surjective", onto, None,
             "rank %d of %d" % (rk, target))
+    beta_rows = [[(c, y) for c, y in enumerate(row) if y]
+                 for row in beta.data]
     zero = [f.zero] * target
+
+    def image(rel):
+        out = zero[:]
+        for k, x in rel.items():
+            for c, y in beta_rows[k]:
+                out[c] = out[c] + x * y
+        return out
+
     bad = first_mismatch((range(len(rels)),), lambda i: (
-        apply_rowmap(rels[i], beta), zero))
+        image(rels[i]), zero))
     rep.add(tag + "_relations_in_kernel", bad is None, bad)
-    rel_rank = rank(Matrix(f, len(rels), m2, rels)) if rels else 0
-    ker_dim = m2 - rk
+    rel_rank = sparse_rank(f, rels)
+    ker_dim = beta.rows - rk
     rep.add(tag + "_kernel_is_relations", rel_rank == ker_dim, None,
             "relation rank %d vs kernel dim %d" % (rel_rank, ker_dim))
     return onto and bad is None and rel_rank == ker_dim

@@ -12,6 +12,12 @@ Conventions used throughout the package:
   all tensor data is row-major over its shape.
 * ``Bilinear`` is the one sparse structure-tensor kernel: the products,
   actions, coproducts and coactions of all structures are read through it.
+* ``rank`` eliminates the dense rows of a ``Matrix``.  ``sparse_rank``
+  eliminates rows given as dicts {column: coefficient}; it serves families
+  that are built sparse and never exist as a Matrix, such as the Galois
+  relations of galois.py (up to 2272 rows of 256 columns, ~1.3 nonzeros
+  each).  A Matrix keeps ``rank``: turning it into dict rows costs about
+  as much as eliminating it densely.
 
 Dimensions are capped by HOPFLAB_MAX_DIM (default 64).
 """
@@ -169,6 +175,37 @@ def rank(m):
     """Row rank by exact Gaussian elimination."""
     rows = [row[:] for row in m.data]
     return len(_echelon(rows, m.cols, m.field))
+
+
+def sparse_rank(field, rows):
+    """Rank of rows given as dicts {column: coefficient}.
+
+    Each row is reduced against the pivot rows found so far, always at its
+    lowest column, and becomes a pivot row if anything is left; so no dense
+    row is ever built.  Exact, and no rows give 0.  The rows are not
+    changed.  For rows already held in a Matrix use ``rank``: on the
+    256×256 Azumaya matrices (0.7% nonzero) building the dicts and
+    calling this takes 2.0–3.3 ms against 2.5–3.7 ms for ``rank``
+    (CPython 3.11, 2-core x86-64 VM), too little to route them here.
+    """
+    zero = field.zero
+    pivots = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
+                break
+            mlt = field.div(row[col], piv[col])
+            for c, v in piv.items():
+                w = row.get(c, zero) - v * mlt
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def _rref(rows, ncols, field):

@@ -3,7 +3,7 @@ witnesses and Galois/Miyashita-Ulbrich machinery."""
 
 import pytest
 
-from hopflab.fields import QQ
+from hopflab.fields import QQ, PrimeField
 from hopflab.linalg import Matrix, Tensor, mat_mul, rank
 from hopflab.report import VerificationError
 from hopflab.twist import eps_eps, two_cocycle
@@ -249,6 +249,48 @@ def test_galois_maps_beta_matrices(monkeypatch, bh1, r1, s1, unit_obj):
         assert galois_maps(bh, b, alg).ok
         assert seen.pop("beta_r").data == dense_beta(b, alg, "r")
         assert seen.pop("beta_l").data == dense_beta(b, alg, "l")
+
+
+def dense_relations(alg, xs):
+    """(a·x)⊗b − a⊗(x·b) for x in xs, a = v_p, b = v_r as dense
+    m²-vectors in (x, p, r) order, zero ones left out."""
+    f = alg.host.field
+    m = alg.dim
+    e = alg.module.basis_vec
+    rels = []
+    for x in xs:
+        for p in range(m):
+            ax = alg.mul_vec(e(p), x)
+            for r in range(m):
+                xb = alg.mul_vec(x, e(r))
+                vec = [f.zero] * (m * m)
+                for t in range(m):
+                    vec[t * m + r] += ax[t]
+                    vec[p * m + t] -= xb[t]
+                if any(vec):
+                    rels.append(vec)
+    return rels
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_relations_match_dense_reference(field):
+    """_relations gives the dense reference's nonzero relations, flattened
+    to {p·m + r: coefficient}, in the same order: for x over A₀ and over
+    two vectors outside it, on I, H_regular, End(regular) and σ̲_1 of each."""
+    from hopflab.galois import _relations
+    h4 = sweedler_h4(field, verify=False)
+    s1 = sigma_t(h4, 1, verify=False)
+    algebras = [unit_object(h4), regular_galois_algebra(h4, verify=False),
+                end_regular(r_t(h4, 1, verify=False))]
+    algebras += [sigma_algebra(s1, alg) for alg in algebras]
+    for alg in algebras:
+        m = alg.dim
+        xs = comodule_coinvariants(alg).column_vectors() + [
+            alg.module.basis_vec(m - 1),
+            [field.from_int(i % 3 - 1) for i in range(m)]]
+        want = [{i: c for i, c in enumerate(vec) if c}
+                for vec in dense_relations(alg, xs)]
+        assert want and _relations(alg, xs) == want
 
 
 def test_galois_maps_trivial_not_galois(kc2):

@@ -150,7 +150,8 @@ def test_cli_deform_and_wedge_failures_exit_1(tmp_path, h4, s1, kc2, capsys):
     assert failure(["deform", hp, "--dual-cocycle", write("t.json", th)]) \
         == ("check failed: dual cocycle: check 'dual_pentagon' failed "
             "(witness=(0, 0, 2)) \n")
-    # the ε-action with e_0·v_0 doubled: M∧M is closed but not a module
+    # the ε-action with e_0·v_0 doubled is not a module; wedge checks its
+    # inputs before it builds M∧M
     triv = cat.trivial_module(kc2, 2)
     data = list(triv.action.data)
     data[0] = data[0] + QQ.one
@@ -159,8 +160,49 @@ def test_cli_deform_and_wedge_failures_exit_1(tmp_path, h4, s1, kc2, capsys):
     mp = write("m.json", io_json.yd_module_to_json(bad, "kc2"))
     rp = write("r.json", io_json.cqt_to_json(cat.cqt_c2(kc2, -1)))
     assert failure(["wedge", mp, mp, "--cqt", rp]) == (
-        "check failed: wedge module: check 'module_axioms' failed "
+        "check failed: wedge input M: check 'module_axioms' failed "
         "(witness=(0,)) \n")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cli_wedge_checks_its_inputs(tmp_path, kc2, capsys, sign):
+    """A comodule that fails its axioms exits 1 as either wedge input,
+    also where M∧N alone would pass verify_yd."""
+    from hopflab.linalg import Tensor
+    from hopflab.yd import YdModule
+    triv = cat.trivial_module(kc2, 2)
+    data = list(triv.coaction.data)
+    data[(0 * 2 + 1) * 2 + 0] += QQ.one     # ρ(v₀) gains v₁⊗e₀
+    bad = YdModule(kc2, 2, triv.action,
+                   Tensor(QQ, triv.coaction.shape, data))
+    paths = {}
+    for name, doc in (("bad", io_json.yd_module_to_json(bad, "kc2")),
+                      ("triv", io_json.yd_module_to_json(triv, "kc2")),
+                      ("r", io_json.cqt_to_json(cat.cqt_c2(kc2, sign)))):
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(doc))
+    for m, n, side in (("bad", "triv", "M"), ("triv", "bad", "N")):
+        assert main(["wedge", str(paths[m]), str(paths[n]),
+                     "--cqt", str(paths["r"])]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: wedge input %s: check 'comodule_axioms' failed "
+            "(witness=(0,)) \n" % side)
+
+
+@pytest.mark.parametrize("ref, name", [("h4", "H4"), ("kc2", "kC2"),
+                                       ("k", "k"), ("H4^sigma_1", "H4")])
+def test_load_host_by_catalog_name(ref, name):
+    from argparse import Namespace
+    from hopflab.cli import _load_host
+    host = _load_host(Namespace(host=ref, field="Fp:5"))
+    assert host.name == name and host.field.spec() == "Fp:5"
+
+
+def test_load_host_unknown_name_is_input_error():
+    from argparse import Namespace
+    from hopflab.cli import _load_host
+    with pytest.raises(io_json.InputError, match="unknown host 'h5'"):
+        _load_host(Namespace(host="h5"))
 
 
 def test_cli_azumaya_control(tmp_path, kc2, capsys):

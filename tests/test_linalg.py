@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from hopflab.fields import QQ, PrimeField
 from hopflab.linalg import (Bilinear, DimensionError, Matrix, Tensor,
-                            kernel_basis, mat_mul, mat_vec, rank, solve)
+                            kernel_basis, mat_mul, mat_vec, rank, solve,
+                            sparse_rank)
 from hopflab.catalog import sweedler_h4, sigma_t
 
 
@@ -64,6 +65,32 @@ def test_rank_sigma_matrix_cross_checked():
         rng.shuffle(order)
         assert rank_oracle(m, order) == r
     assert r == 2  # two distinct nonzero row patterns
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_sparse_rank_equals_rank(field):
+    """sparse_rank on dict rows equals rank on the same rows as a Matrix,
+    for sparse random rows mixed with zero, duplicate and proportional
+    rows; rows may carry explicit zero coefficients and are not changed."""
+    rng = random.Random(9)
+    assert sparse_rank(field, []) == 0
+    assert sparse_rank(field, [{}, {3: field.zero}]) == 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 12)
+        dense = [[field.from_int(rng.randint(-3, 3))
+                  if rng.random() < 0.2 else field.zero
+                  for _ in range(cols)] for _ in range(rows)]
+        dense.append(list(dense[0]))
+        dense.append([x * field.from_int(rng.choice([-2, 2, 3]))
+                      for x in dense[-2]])
+        dense.append([field.zero] * cols)
+        rng.shuffle(dense)
+        sparse = [{c: x for c, x in enumerate(row) if x or rng.random() < 0.1}
+                  for row in dense]
+        before = [dict(row) for row in sparse]
+        assert sparse_rank(field, sparse) == rank(
+            Matrix(field, len(dense), cols, dense))
+        assert sparse == before
 
 
 def test_kernel_identity_and_zero():

@@ -15,7 +15,8 @@ from hopflab import catalog as cat
 from hopflab.fields import QQ
 from hopflab.galois import (BimoduleActions, BraidedHopf, bimodule_actions,
                             build_hr, comodule_galois, galois_maps,
-                            verify_bimodule, verify_braided_hopf, wedge)
+                            mu_action_and_pi, verify_bimodule,
+                            verify_braided_hopf, wedge)
 from hopflab.hopf import HopfAlgebra, hopf_map_checks, verify_hopf_axioms
 from hopflab.linalg import Matrix, Tensor
 from hopflab.quasitriangular import (CqtStructure, QtStructure, verify_cqt,
@@ -240,6 +241,20 @@ def azumaya_coaction(fx):
                  bump_tensor(mod.coaction, (8, 0, 2))), e.mult, e.unit))
 
 
+def mu_pi_mult(fx):
+    e = fx["end"]
+    return mu_action_and_pi(
+        YdAlgebra(e.module, bump_tensor(e.mult, (1, 6, 0)), e.unit))[1]
+
+
+def mu_pi_coaction(fx):
+    e = fx["end"]
+    mod = e.module
+    return mu_action_and_pi(YdAlgebra(
+        YdModule(mod.host, mod.dim, mod.action,
+                 bump_tensor(mod.coaction, (2, 8, 1))), e.mult, e.unit))[1]
+
+
 CASES = [
     (hopf_mult, {"associativity": (0, 0, 1), "unit": (0,),
                  "comult_algebra_map": (0, 0, 0, 0),
@@ -305,6 +320,12 @@ CASES = [
                                "beta_l_kernel_is_relations": None,
                                "right_galois": None, "left_galois": None,
                                "bigalois_object": None}),
+    (mu_pi_mult, {"pi_module_axioms": (1, 2, 0),
+                  "pi_yd_compatibility": (3, 0, 0, 1),
+                  "pi_yd_compatibility_sinv_form": (3, 0, 0, 1),
+                  "pi_module_algebra": (3, 1, 0)}),
+    (mu_pi_coaction, {"pi_module_axioms": (1, 2, 3),
+                      "pi_module_algebra": (2, 3, 3)}),
     (azumaya_mult, {"F_algebra_map": (3, 4)}),
     (azumaya_coaction, {"F_bijective": None, "G_bijective": None,
                         "F_algebra_map": (0, 0), "is_azumaya": None}),
@@ -323,6 +344,21 @@ def test_one_entry_corruption_witnesses(fx, corrupt, want):
 def test_azumaya_detail_names_the_failing_family(fx, corrupt, family):
     [check] = [c for c in corrupt(fx).failures() if c.name == "F_algebra_map"]
     assert check.detail.startswith(family)
+
+
+# mu_action_and_pi raises where π(A) cannot be built.  mu_action_well_defined
+# has no one-entry control: no ±1 change of one mult, coaction or unit entry
+# of End(regular) that keeps it Galois makes ker β act on π(A) by nonzero.
+# A coaction or unit change keeps the product associative, and then each
+# relation acts on a ∈ π(A) by v_p·(x·a − a·x)·v_r = 0.
+@pytest.mark.parametrize("entry, message", [
+    ((1, 6, 5), "MU action leaves the centralizer"),
+    ((0, 0, 0), "mu_action_and_pi requires a Galois input")])
+def test_mu_action_corruption_raises(fx, entry, message):
+    e = fx["end"]
+    with pytest.raises(VerificationError, match="^%s$" % message):
+        mu_action_and_pi(
+            YdAlgebra(e.module, bump_tensor(e.mult, entry), e.unit))
 
 
 # Constructions that give an object in two displayed forms raise when the
