@@ -309,10 +309,7 @@ def end_regular(c):
 @dataclass
 class CatalogEntry:
     name: str
-    params: list
     payload: object
-    provenance: str
-    kind: str
 
 
 _T_DEFAULT = 1
@@ -324,43 +321,30 @@ def catalog_entries(field=QQ, t=None):
     tval = _T_DEFAULT if t is None else t
     h4 = sweedler_h4(field)
     kc2 = group_algebra_c2(field)
-    entries.append(CatalogEntry("h4", [], h4, "PAPER", "hopf"))
-    entries.append(CatalogEntry("kc2", [], kc2, "TRIVIAL", "hopf"))
-    entries.append(CatalogEntry("k", [], dim1_hopf(field), "TRIVIAL", "hopf"))
-    entries.append(CatalogEntry("h4_dual", [], dual_hopf(h4),
-                                "PAPER", "hopf"))
-    entries.append(CatalogEntry("sigma_t", [tval], sigma_t(h4, tval),
-                                "PAPER", "cocycle"))
-    entries.append(CatalogEntry("r_t", [tval], r_t(h4, tval),
-                                "PAPER", "cqt"))
-    entries.append(CatalogEntry("theta_t", [tval], theta_t(h4, tval),
-                                "PAPER", "dual_cocycle"))
-    entries.append(CatalogEntry("qt_t", [tval], qt_t(h4, tval),
-                                "PAPER", "qt"))
-    entries.append(CatalogEntry("cqt_c2_minus", [], cqt_c2(kc2, -1),
-                                "DERIVED", "cqt"))
-    entries.append(CatalogEntry("cqt_c2_plus", [], cqt_c2(kc2, 1),
-                                "TRIVIAL", "cqt"))
+    entries.append(CatalogEntry("h4", h4))
+    entries.append(CatalogEntry("kc2", kc2))
+    entries.append(CatalogEntry("k", dim1_hopf(field)))
+    entries.append(CatalogEntry("h4_dual", dual_hopf(h4)))
+    entries.append(CatalogEntry("sigma_t", sigma_t(h4, tval)))
+    entries.append(CatalogEntry("r_t", r_t(h4, tval)))
+    entries.append(CatalogEntry("theta_t", theta_t(h4, tval)))
+    entries.append(CatalogEntry("qt_t", qt_t(h4, tval)))
+    entries.append(CatalogEntry("cqt_c2_minus", cqt_c2(kc2, -1)))
+    entries.append(CatalogEntry("cqt_c2_plus", cqt_c2(kc2, 1)))
     if field.char != 2:
-        entries.append(CatalogEntry("qt_c2", [], qt_c2(kc2),
-                                    "DERIVED", "qt"))
+        entries.append(CatalogEntry("qt_c2", qt_c2(kc2)))
     rt = r_t(h4, tval, verify=False)
     m_reg = regular_comodule_module(rt)
-    entries.append(CatalogEntry("yd_regular_r", [tval], m_reg,
-                                "DERIVED", "yd_module"))
-    entries.append(CatalogEntry("yd_trivial", [], trivial_module(h4),
-                                "TRIVIAL", "yd_module"))
+    entries.append(CatalogEntry("yd_regular_r", m_reg))
+    entries.append(CatalogEntry("yd_trivial", trivial_module(h4)))
     uo = _galois.unit_object(h4)
     _yd.verify_yd_algebra(uo).require("unit_object")
-    entries.append(CatalogEntry("unit_object", [], uo,
-                                "DERIVED", "yd_algebra"))
+    entries.append(CatalogEntry("unit_object", uo))
     ea = end_regular(rt)
     _yd.verify_yd_algebra(ea).require("end_algebra")
-    entries.append(CatalogEntry("end_regular", [tval], ea,
-                                "DERIVED", "yd_algebra"))
-    entries.append(CatalogEntry("regular_galois_algebra", [],
-                                regular_galois_algebra(h4),
-                                "DERIVED", "yd_algebra"))
+    entries.append(CatalogEntry("end_regular", ea))
+    entries.append(CatalogEntry("regular_galois_algebra",
+                                regular_galois_algebra(h4)))
     return entries
 
 

@@ -36,6 +36,9 @@ def _load_host(args, doc=None):
         ref = doc.get("host")
     if ref is None:
         raise io_json.InputError("no host given (use --host)")
+    if not isinstance(ref, str):
+        raise io_json.InputError("host must be a file or catalog name, got "
+                                 "%r" % (ref,))
     if ref.endswith(".json"):
         return io_json.hopf_from_json(io_json.load_document(ref))
     base = ref.split("^")[0].split("_")[0].lower()

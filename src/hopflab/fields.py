@@ -30,7 +30,11 @@ compares the fields (as ``HopfAlgebra.structures_equal`` does).
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction as _RAT
+
+# A written scalar: an integer "a" or a quotient "a/b" of integers.
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class FieldError(ValueError):
@@ -139,7 +143,18 @@ class Field:
         raise NotImplementedError
 
     def parse(self, s):
-        raise NotImplementedError
+        """The scalar written "a" or "a/b" with integers a and b, or an int.
+
+        Anything else, such as a decimal or an exponent, raises ValueError
+        (so no input makes the parse expand a huge power), and b = 0 raises
+        ZeroDivisionError.
+        """
+        m = _SCALAR.fullmatch(str(s)) if type(s) in (str, int) else None
+        if m is None:
+            raise ValueError("expected an integer or a/b of integers")
+        num, den = m.groups()
+        x = self.from_int(int(num))
+        return x if den is None else self.div(x, self.from_int(int(den)))
 
     def fmt(self, x):
         raise NotImplementedError
@@ -182,9 +197,6 @@ class Rationals(Field):
     def div(self, a, b):
         return _int_first(_RAT(a, b))
 
-    def parse(self, s):
-        return _int_first(_RAT(str(s)))
-
     def fmt(self, x):
         return str(x)
 
@@ -209,13 +221,6 @@ class PrimeField(Field):
 
     def from_int(self, k):
         return int.__new__(self.elem, operator.index(k) % self.p)
-
-    def parse(self, s):
-        s = str(s)
-        if "/" in s:
-            num, den = s.split("/")
-            return self.div(self.from_int(int(num)), self.from_int(int(den)))
-        return self.from_int(int(s))
 
     def fmt(self, x):
         return str(int(x))

@@ -1,6 +1,8 @@
 """JSON (de)serialization for every structure kind.
 
-Formats (scalars are strings "a" or "a/b"; omitted entries are zero):
+A scalar is a string "a" or "a/b" of integers (an optional sign on a,
+ASCII digits, no spaces) or a JSON integer; anything else, a decimal or an
+exponent included, is an input error.  Omitted entries are zero.  Formats:
 
 hopf:         {"field": "Q"|"Fp:<p>", "dim": n, "basis": [names],
                "mult": [[i,j,k,"c"], ...], "comult": [[i,j,k,"c"], ...],
@@ -275,6 +277,9 @@ def load_document(path):
     except json.JSONDecodeError as exc:
         raise InputError("malformed JSON in %s: line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg))
+    except (ValueError, RecursionError) as exc:
+        # an integer literal over Python's digit limit, or nesting too deep
+        raise InputError("unreadable JSON in %s: %s" % (path, exc))
     if not isinstance(doc, dict):
         raise InputError("%s holds a JSON %s, expected an object"
                          % (path, type(doc).__name__))

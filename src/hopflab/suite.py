@@ -23,7 +23,7 @@ from .twist import (convolve2, conv_inverse2, deform, deform_dual,
                     verify_two_cocycle, coboundary_from, lazy_one_cocycle)
 from .quasitriangular import (deform_cqt, deform_qt, verify_cqt, verify_qt,
                               yd_from_comodule)
-from .yd import (azumaya_check, eta, is_yd_map, quantum_commutative,
+from .yd import (_kron, azumaya_check, eta, is_yd_map, quantum_commutative,
                  sigma_algebra, sigma_module, verify_braided_functor,
                  verify_theta_braided, verify_yd_algebra, zeta_iso,
                  zeta_triangle, YdAlgebra, YdMap, random_yd_map, yd_hom_basis)
@@ -447,13 +447,7 @@ def extra_randomized_invariants(ctx):
         if not is_yd_map(YdMap(sm, su, fmap.matrix)).ok:
             ok = False
         # naturality of η in the first slot against f⊗id
-        kron = Matrix.zeros(f, mreg.dim * uo.dim, uo.dim * uo.dim)
-        for p in range(mreg.dim):
-            for q in range(uo.dim):
-                for p2 in range(uo.dim):
-                    v = fmap.matrix.data[p][p2]
-                    if v:
-                        kron.data[p * uo.dim + q][p2 * uo.dim + q] = v
+        kron = _kron(fmap.matrix, Matrix.identity(f, uo.dim))
         lhs = mat_mul(kron, eta_uu)
         rhs = mat_mul(eta_mu, kron)
         if lhs != rhs:

@@ -1,11 +1,16 @@
 """JSON round trips and the CLI surface (exit codes, determinism)."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hopflab
 from hopflab import catalog as cat
@@ -266,6 +271,8 @@ def test_cli_prime_too_large_exit2(capsys):
 
 
 H4_DOC = io_json.hopf_to_json(cat.sweedler_h4(QQ, verify=False))
+SIGMA_DOC = io_json.cocycle_to_json(
+    cat.sigma_t(cat.sweedler_h4(QQ, verify=False), 1, verify=False))
 
 
 @pytest.mark.parametrize("doc", [
@@ -279,16 +286,78 @@ H4_DOC = io_json.hopf_to_json(cat.sweedler_h4(QQ, verify=False))
     {**H4_DOC, "mult": [5]},
     {**H4_DOC, "mult": H4_DOC["mult"] + [[True, True, 0, "0"]]},
     {**H4_DOC, "name": [1]},
+    # an exponent would make the parse expand 10^999999999
+    {**H4_DOC, "unit": ["1e999999999", "0", "0", "0"]},
+    {**H4_DOC, "unit": ["0.5", "0", "0", "0"]},
+    {**SIGMA_DOC, "host": 5},
 ], ids=["field_not_string", "array_document", "unit_not_list",
         "antipode_inv_3_rows", "mult_not_list", "comult_not_list",
         "basis_not_list", "mult_entry_not_list", "mult_index_bool",
-        "name_not_string"])
+        "name_not_string", "scalar_exponent", "scalar_decimal",
+        "host_not_string"])
 def test_cli_malformed_document_exit2(tmp_path, doc, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
     assert main(["validate", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ['{"dim": %s}' % ("1" * 5000),
+                                  "[" * 100000],
+                         ids=["integer_over_digit_limit", "nested_too_deep"])
+def test_cli_unreadable_json_exit2(tmp_path, text, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("input error: unreadable JSON")
+
+
+# The values a mutated document entry is set to.
+MUTATIONS = [None, True, -1, 0, 5, "x", "1/0", [], {}]
+
+
+def locations(node, path=()):
+    """The path of every dict value and list entry below node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from locations(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def catalog_documents():
+    return [io_json.to_json_of(e.payload) for e in cat.catalog_entries(QQ, 1)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_validate_of_one_mutation_fails_cleanly(catalog_documents, data):
+    """One entry of a catalog document set to a value from MUTATIONS:
+    validate exits 0, 1 or 2, and stderr is empty or one error line."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(catalog_documents)))
+    path = data.draw(st.sampled_from(list(locations(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(MUTATIONS))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "doc.json")
+        with open(p, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["validate", p])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith(
+        ("input error:", "check failed:")))
 
 
 def test_cli_closed_stdout_is_quiet():

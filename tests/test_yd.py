@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from hopflab.fields import QQ
+from hopflab.fields import QQ, field_from_spec
+from hopflab.galois import unit_object
 from hopflab.linalg import Matrix, Tensor, mat_mul, rank
 from hopflab.twist import deform, eps_eps, hh_one, two_cocycle, dual_cocycle
 from hopflab.yd import (YdAlgebra, YdMap, YdModule, azumaya_check,
@@ -16,7 +17,8 @@ from hopflab.yd import (YdAlgebra, YdMap, YdModule, azumaya_check,
                         verify_braided_functor, verify_theta_braided,
                         verify_yd, verify_yd_algebra, yd_hom_basis,
                         yd_tensor)
-from hopflab.catalog import (cqt_c2, group_algebra_c2, regular_comodule_module,
+from hopflab.catalog import (cqt_c2, end_regular, group_algebra_c2,
+                             regular_comodule_module, regular_galois_algebra,
                              r_t, sigma_t, sweedler_h4, theta_t,
                              trivial_algebra, trivial_module)
 
@@ -96,6 +98,39 @@ def test_braiding_hexagon_small(kc2):
                                 second.data[q * dim_a * dim_c + src][
                                     q * dim_c * dim_a + dst] = v
                 assert mat_mul(first, second) == lhs
+
+
+def rebased(mod):
+    """mod in the basis u_0 = v_0 + v_1, u_p = v_p (p > 0): there the images
+    of Φ, η, φ and the diagonal action collect several terms on one basis
+    pair, which the H₄ modules in their own basis never do."""
+    m, n = mod.dim, mod.host.dim
+    one = QQ.one
+    fwd = Matrix.identity(QQ, m)     # u_p = Σ fwd[p][r] v_r
+    fwd.data[0][1] = one
+    back = Matrix.identity(QQ, m)    # v_q = Σ back[q][t] u_t
+    back.data[0][1] = -one
+    act = Tensor.from_rows(QQ, (n, m, m), [
+        mat_mul(mat_mul(fwd, Matrix(QQ, m, m, [mod.act.dense_row(i, p)
+                                               for p in range(m)])),
+                back).data for i in range(n)])
+    co = Tensor.zeros(QQ, (m, m, n))
+    for p in range(m):
+        for r, x in enumerate(fwd.data[p]):
+            if not x:
+                continue
+            for q, k, c in mod.coact.terms(r):
+                for t, y in enumerate(back.data[q]):
+                    if y:
+                        co.data[(p * m + t) * n + k] += x * c * y
+    return YdModule(mod.host, m, act, co)
+
+
+def test_structure_maps_in_a_non_monomial_basis(mreg, s1, h4):
+    m2 = rebased(mreg)
+    assert verify_yd(m2).ok and verify_yd(yd_tensor(m2, m2)).ok
+    assert verify_braided_functor(s1, m2, m2).ok
+    assert verify_theta_braided(theta_t(h4, 1, verify=False), m2, m2).ok
 
 
 def test_sigma_module_trivial(mreg, h4):
@@ -314,6 +349,97 @@ def test_double_opposite_passes(kc2_alg):
     assert verify_yd_algebra(h_opposite(bar)).ok
 
 
+# -- products read through their structure maps -------------------------------
+
+STRUCTURE_ALGEBRAS = ("unit_object", "end_regular", "regular_galois")
+
+
+@pytest.fixture(scope="module", params=["Q", "Fp:5"])
+def structure_case(request):
+    """σ_1, θ_1 and the algebras of STRUCTURE_ALGEBRAS over one field."""
+    h4 = sweedler_h4(field_from_spec(request.param), verify=False)
+    algs = {"unit_object": unit_object(h4),
+            "end_regular": end_regular(r_t(h4, 1, verify=False)),
+            "regular_galois": regular_galois_algebra(h4, verify=False)}
+    return sigma_t(h4, 1, verify=False), theta_t(h4, 1, verify=False), algs
+
+
+def product_matrix(alg):
+    """μ_A as the m²×m row-as-image matrix of a⊗b ↦ ab."""
+    m = alg.dim
+    data = alg.mult.data
+    return Matrix(alg.host.field, m * m, m,
+                  [data[r * m:(r + 1) * m] for r in range(m * m)])
+
+
+@pytest.mark.parametrize("name", STRUCTURE_ALGEBRAS)
+def test_products_are_mu_after_their_structure_map(structure_case, name):
+    s, d, algs = structure_case
+    alg = algs[name]
+    mod = alg.module
+    mu = product_matrix(alg)
+    assert product_matrix(sigma_algebra(s, alg)) == \
+        mat_mul(eta(s, mod, mod)[0], mu)
+    assert product_matrix(theta_algebra(d, alg)) == \
+        mat_mul(theta_phi(d, mod, mod), mu)
+    assert product_matrix(h_opposite(alg)) == \
+        mat_mul(braiding(mod, mod).matrix, mu)
+
+
+def twist_formula(alg, s, t):
+    """Σ s₀ (s₁·e_t), read off the dense structure tensors."""
+    mod = alg.module
+    m, n = alg.dim, alg.host.dim
+    co, act, mult = mod.coaction.data, mod.action.data, alg.mult.data
+    acc = [alg.host.field.zero] * m
+    for s0 in range(m):
+        for k in range(n):
+            c = co[(s * m + s0) * n + k]
+            for j in range(m):
+                x = act[(k * m + t) * m + j]
+                if c and x:
+                    for y in range(m):
+                        acc[y] = acc[y] + c * x * mult[(s0 * m + j) * m + y]
+    return acc
+
+
+def bumped(t, idx):
+    """A copy of the 3-tensor t with 1 added at idx."""
+    data = list(t.data)
+    flat = (idx[0] * t.shape[1] + idx[1]) * t.shape[2] + idx[2]
+    data[flat] = data[flat] + t.field.one
+    return Tensor(t.field, t.shape, data)
+
+
+def corrupted_end_regular(r1, where):
+    """End(regular) with one entry of its product or coaction raised by 1,
+    as in the Azumaya negative controls."""
+    e = end_regular(r1)
+    mod = e.module
+    if where == "mult":
+        return YdAlgebra(mod, bumped(e.mult, (7, 13, 15)), e.unit)
+    return YdAlgebra(YdModule(mod.host, mod.dim, mod.action,
+                              bumped(mod.coaction, (8, 0, 2))),
+                     e.mult, e.unit)
+
+
+def assert_opposite_is_twist_table(alg):
+    bar = h_opposite(alg)
+    ms = range(alg.dim)
+    assert [[bar.mul.dense_row(t, s) for t in ms] for s in ms] == \
+        [[twist_formula(alg, s, t) for t in ms] for s in ms]
+
+
+@pytest.mark.parametrize("name", STRUCTURE_ALGEBRAS)
+def test_opposite_rows_are_the_twist_table(structure_case, name):
+    assert_opposite_is_twist_table(structure_case[2][name])
+
+
+@pytest.mark.parametrize("where", ["mult", "coaction"])
+def test_opposite_rows_are_the_twist_table_corrupted(r1, where):
+    assert_opposite_is_twist_table(corrupted_end_regular(r1, where))
+
+
 # -- End(M) and Azumaya ---------------------------------------------------------
 
 def test_end_of_dim1_is_ground_field(h4):
@@ -348,6 +474,23 @@ def test_quantum_commutative_cases(kc2, unit_obj, mreg):
 def test_generating_set_small(kc2_alg):
     gens = generating_set(kc2_alg)
     assert len(gens) >= 1
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_generating_set_is_pinned(spec):
+    # the generators are chosen by span membership alone, so the lists do
+    # not depend on how the span is closed
+    h4 = sweedler_h4(field_from_spec(spec), verify=False)
+    e = end_regular(r_t(h4, 1, verify=False))
+    cases = [(unit_object(h4), [0, 2, 3]),
+             (e, [0, 1, 2, 3, 4, 8, 12]),
+             (h_opposite(e), [0, 1, 2, 3, 4, 6]),
+             (sigma_algebra(sigma_t(h4, 1, verify=False), e),
+              [0, 1, 2, 3, 4, 6]),
+             (sigma_algebra(sigma_t(h4, -1, verify=False), e),
+              [0, 1, 2, 3, 4, 6])]
+    assert [generating_set(alg) for alg, _ in cases] == \
+        [gens for _, gens in cases]
 
 
 def test_azumaya_ground_field(h4):
