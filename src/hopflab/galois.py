@@ -19,8 +19,8 @@ from itertools import product
 
 from .hopf import dual_hopf
 from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, in_span,
-                     kernel_basis, mat_mul, rank, same_span, solve,
-                     sparse_rank)
+                     kernel_basis, linear_combination, mat_mul, rank,
+                     same_span, solve, sparse_rank)
 from .quasitriangular import deform_cqt, yd_from_comodule
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
@@ -661,11 +661,8 @@ def _beta_quotient_bijective(f, beta, rels, rep, tag):
     zero = [f.zero] * target
 
     def image(rel):
-        out = zero[:]
-        for k, x in rel.items():
-            for c, y in beta_rows[k]:
-                out[c] = out[c] + x * y
-        return out
+        return linear_combination(f, target, ((x, beta_rows[k])
+                                              for k, x in rel.items()))
 
     bad = first_mismatch((range(len(rels)),), lambda i: (
         image(rels[i]), zero))
@@ -789,17 +786,18 @@ def mu_action_and_pi(alg):
 
     sub0 = comodule_coinvariants(alg)
     x_vecs = sub0.column_vectors()
+    ms, mrow = range(m), alg.mul.row
 
+    def dense(terms):
+        return linear_combination(f, m, terms)
+
+    # row comp of x: the e_comp coordinate of v_p·x − x·v_p, over p
     rows = []
     for x in x_vecs:
-        for comp in range(m):
-            row = [f.zero] * m
-            for p in range(m):
-                bp = alg.module.basis_vec(p)
-                yx = alg.mul_vec(bp, x)
-                xy = alg.mul_vec(x, bp)
-                row[p] = yx[comp] - xy[comp]
-            rows.append(row)
+        xs = [(j, c) for j, c in enumerate(x) if c]
+        yx = [dense((c, mrow(p, j)) for j, c in xs) for p in ms]
+        xy = [dense((c, mrow(j, p)) for j, c in xs) for p in ms]
+        rows += [[yx[p][comp] - xy[p][comp] for p in ms] for comp in ms]
     pi_sub = Subspace(m, _stacked_kernel(f, rows, m))
     rep.add("centralizer_computed", True, None, "dim %d" % pi_sub.dim)
 
@@ -820,13 +818,12 @@ def mu_action_and_pi(alg):
 
     def triple_table(avec):
         """T[p][r] = v_p · a · v_r as dense vectors."""
+        avs = [(j, c) for j, c in enumerate(avec) if c]
         out = []
-        for p in range(m):
-            va = alg.mul_vec(alg.module.basis_vec(p), avec)
-            row = []
-            for r in range(m):
-                row.append(alg.mul_vec(va, alg.module.basis_vec(r)))
-            out.append(row)
+        for p in ms:
+            vas = [(t, c) for t, c in enumerate(
+                dense((c, mrow(p, j)) for j, c in avs)) if c]   # v_p · a
+            out.append([dense((c, mrow(t, r)) for t, c in vas) for r in ms])
         return out
 
     tables = [triple_table(a) for a in pi_vecs]

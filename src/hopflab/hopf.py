@@ -11,7 +11,7 @@ h.delta read mult and comult through the sparse kernel linalg.Bilinear.
 from __future__ import annotations
 
 from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, check_dim,
-                     mat_mul)
+                     check_shape, mat_mul)
 from .report import CheckReport, first_mismatch
 
 
@@ -20,10 +20,13 @@ class HopfAlgebra:
                  antipode, antipode_inv, name="H"):
         check_dim(dim)
         n = dim
-        assert mult.shape == (n, n, n) and comult.shape == (n, n, n)
-        assert len(unit) == n and len(counit) == n
-        assert antipode.rows == antipode.cols == n
-        assert antipode_inv.rows == antipode_inv.cols == n
+        check_shape("mult", mult.shape, (n, n, n))
+        check_shape("comult", comult.shape, (n, n, n))
+        check_shape("unit", (len(unit),), (n,))
+        check_shape("counit", (len(counit),), (n,))
+        check_shape("antipode", (antipode.rows, antipode.cols), (n, n))
+        check_shape("antipode_inv", (antipode_inv.rows, antipode_inv.cols),
+                    (n, n))
         self.field = field
         self.dim = n
         self.basis_names = list(basis_names)

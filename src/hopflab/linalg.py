@@ -16,8 +16,12 @@ Conventions used throughout the package:
   eliminates rows given as dicts {column: coefficient}; it serves families
   that are built sparse and never exist as a Matrix, such as the Galois
   relations of galois.py (up to 2272 rows of 256 columns, ~1.3 nonzeros
-  each).  A Matrix keeps ``rank``: turning it into dict rows costs about
-  as much as eliminating it densely.
+  each) and the Azumaya maps F and G of yd.py (256 rows of 256 columns on
+  End(regular), 0.7% nonzero).  A Matrix keeps ``rank``: turning it into
+  dict rows costs about as much as eliminating it densely.
+* ``linear_combination`` sums sparse rows, such as the ``Bilinear.row``
+  products of basis vectors, into one dense vector.
+* Constructors raise ``DimensionError`` on mis-shaped data.
 
 Dimensions are capped by HOPFLAB_MAX_DIM (default 64).
 """
@@ -42,11 +46,20 @@ def check_dim(n):
     return n
 
 
+def check_shape(what, shape, expected):
+    """Raise DimensionError unless shape == expected (both tuples)."""
+    if shape != expected:
+        raise DimensionError("%s has shape %s, expected %s"
+                             % (what, shape, expected))
+
+
 class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, rows, cols, data):
-        assert len(data) == rows and all(len(r) == cols for r in data)
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise DimensionError("matrix data is not %d rows of %d entries"
+                                 % (rows, cols))
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -183,10 +196,10 @@ def sparse_rank(field, rows):
     Each row is reduced against the pivot rows found so far, always at its
     lowest column, and becomes a pivot row if anything is left; so no dense
     row is ever built.  Exact, and no rows give 0.  The rows are not
-    changed.  For rows already held in a Matrix use ``rank``: on the
-    256×256 Azumaya matrices (0.7% nonzero) building the dicts and
-    calling this takes 2.0–3.3 ms against 2.5–3.7 ms for ``rank``
-    (CPython 3.11, 2-core x86-64 VM), too little to route them here.
+    changed.  For rows already held in a Matrix use ``rank``: building
+    dict rows from a dense Matrix costs about as much as the elimination
+    saves (on a 256×256 matrix 0.7% nonzero, 2.0–3.3 ms against 2.5–3.7 ms
+    for ``rank``; CPython 3.11, 2-core x86-64 VM).
     """
     zero = field.zero
     pivots = {}
@@ -206,6 +219,16 @@ def sparse_rank(field, rows):
                 else:
                     del row[c]
     return len(pivots)
+
+
+def linear_combination(field, dim, terms):
+    """Σ c·t over the (c, t) given, t a sparse row [(k, w)] of a vector of
+    length dim, as a dense vector."""
+    acc = [field.zero] * dim
+    for c, t in terms:
+        for k, w in t:
+            acc[k] = acc[k] + c * w
+    return acc
 
 
 def _rref(rows, ncols, field):
@@ -289,7 +312,9 @@ class Tensor:
         size = 1
         for s in shape:
             size *= s
-        assert len(data) == size
+        if len(data) != size:
+            raise DimensionError("tensor of shape %s needs %d entries, got %d"
+                                 % (shape, size, len(data)))
         self.field = field
         self.shape = shape
         self.data = data

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import HopfAlgebra
-from .linalg import Bilinear, Matrix, Tensor
+from .linalg import Bilinear, Matrix, Tensor, check_shape
 from .report import CheckReport, VerificationError, first_mismatch
 from .twist import (conv_inverse2, convolve2, eps_eps, eval2, hh_inverse,
                     hh_mul, deform, deform_dual)
@@ -278,7 +278,7 @@ def yd_from_comodule(c, coaction):
     h = c.host
     n = h.dim
     m = coaction.shape[0]
-    assert coaction.shape == (m, m, n)
+    check_shape("coaction", coaction.shape, (m, m, n))
     coact, ms = Bilinear(coaction).dense_row, range(m)
     action = Tensor.from_rows(h.field, (n, m, m), [
         [[eval2(c.r, i, coact(p, q)) for q in ms] for p in ms]
@@ -293,7 +293,7 @@ def yd_from_module(q, action):
     h = q.host
     n = h.dim
     m = action.shape[1]
-    assert action.shape == (n, m, m)
+    check_shape("action", action.shape, (n, m, m))
     f = h.field
     act, hs, ms = Bilinear(action), range(n), range(m)
 

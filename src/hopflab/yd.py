@@ -34,10 +34,11 @@ verify_yd_algebra do, when a caller asks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, kernel_basis,
-                     mat_mul, rank)
+from .linalg import (Bilinear, Matrix, Tensor, check_shape, kernel_basis,
+                     linear_combination, mat_mul, rank, sparse_rank)
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
 from .twist import deform, deform_dual, eval2
@@ -45,8 +46,8 @@ from .twist import deform, deform_dual, eval2
 
 class YdModule:
     def __init__(self, host, dim, action, coaction):
-        assert action.shape == (host.dim, dim, dim)
-        assert coaction.shape == (dim, dim, host.dim)
+        check_shape("action", action.shape, (host.dim, dim, dim))
+        check_shape("coaction", coaction.shape, (dim, dim, host.dim))
         self.host = host
         self.dim = dim
         self.action = action
@@ -91,7 +92,8 @@ class YdModule:
 class YdAlgebra:
     def __init__(self, module, mult, unit):
         m = module.dim
-        assert mult.shape == (m, m, m) and len(unit) == m
+        check_shape("mult", mult.shape, (m, m, m))
+        check_shape("unit", (len(unit),), (m,))
         self.module = module
         self.mult = mult
         self.unit = list(unit)
@@ -215,32 +217,36 @@ def verify_yd(mod):
 
 def verify_yd_algebra(alg):
     """YD module checks plus associative unital algebra, left H-module
-    algebra, and right H^op-comodule algebra axioms."""
+    algebra, and right H^op-comodule algebra axioms.  Products and actions
+    of basis vectors are read from the sparse rows of alg.mul and mod.act."""
     rep = verify_yd(alg.module)
     h = alg.host
+    f = h.field
     m = alg.dim
-    zero = h.field.zero
+    zero = f.zero
     mod = alg.module
-    mul, e = alg.mul, mod.basis_vec
+    mul, act, e = alg.mul, mod.act, mod.basis_vec
     hs, ms = range(h.dim), range(m)
+    unit = [(u, x) for u, x in enumerate(alg.unit) if x]
+
+    def dense(terms):
+        return linear_combination(f, m, terms)
 
     bad = first_mismatch((ms,), lambda p: (
-        (alg.mul_vec(alg.unit, e(p)), alg.mul_vec(e(p), alg.unit)),
+        (dense((x, mul.row(u, p)) for u, x in unit),
+         dense((x, mul.row(p, u)) for u, x in unit)),
         (e(p), e(p))))
     if bad is None:
         bad = first_mismatch((ms,) * 3, lambda p, q, r: (
-            alg.mul_vec(mul.dense_row(p, q), e(r)),
-            alg.mul_vec(e(p), mul.dense_row(q, r))))
+            dense((c, mul.row(t, r)) for t, c in mul.row(p, q)),
+            dense((c, mul.row(p, t)) for t, c in mul.row(q, r))))
     rep.add("algebra_axioms", bad is None, bad)
 
     def module_algebra(i, p, q):
-        rhs = [zero] * m
-        for a, b, ca in h.delta.terms(i):
-            w = alg.mul_vec(mod.act.dense_row(a, p), mod.act.dense_row(b, q))
-            for k in range(m):
-                if w[k]:
-                    rhs[k] = rhs[k] + ca * w[k]
-        return mod.act_basis_vec(i, mul.dense_row(p, q)), rhs
+        rhs = dense((ca * x * y, mul.row(s, t))
+                    for a, b, ca in h.delta.terms(i)
+                    for s, x in act.row(a, p) for t, y in act.row(b, q))
+        return dense((c, act.row(i, t)) for t, c in mul.row(p, q)), rhs
 
     bad = first_mismatch((hs, ms, ms), module_algebra)
     if bad is None:
@@ -342,11 +348,8 @@ def _pushed_product(alg, terms):
     m = alg.dim
     data = []
     for ts in terms:
-        acc = [f.zero] * m
-        for a, b, c in ts:
-            for t, cm in alg.mul.row(a, b):
-                acc[t] = acc[t] + c * cm
-        data += acc
+        data += linear_combination(f, m, ((c, alg.mul.row(a, b))
+                                          for a, b, c in ts))
     return Tensor(f, (m, m, m), data)
 
 
@@ -836,20 +839,25 @@ def generating_set(alg):
     from .linalg import row_space_echelon, in_span
     f = alg.host.field
     m = alg.dim
-    e = alg.module.basis_vec
+    e, row = alg.module.basis_vec, alg.mul.row
     gens = []
     span = row_space_echelon(f, [alg.unit], m)
 
     def lead(row):
         return next(i for i, x in enumerate(row) if x)
 
+    def products(u, g):
+        """u·e_g and e_g·u, from the sparse product rows."""
+        nz = [(p, c) for p, c in enumerate(u) if c]
+        return (linear_combination(f, m, ((c, row(p, g)) for p, c in nz)),
+                linear_combination(f, m, ((c, row(g, p)) for p, c in nz)))
+
     def close(frontier, new):
         nonlocal span
         while frontier:
             pivots = {lead(r) for r in span}
             span = row_space_echelon(f, span + [
-                w for u in frontier for g in new
-                for w in (alg.mul_vec(u, e(g)), alg.mul_vec(e(g), u))], m)
+                w for u in frontier for g in new for w in products(u, g)], m)
             frontier = [r for r in span if lead(r) not in pivots]
             new = gens
 
@@ -871,10 +879,14 @@ def azumaya_check(alg):
     Precondition: alg is a verified YD algebra (cmd_azumaya runs
     verify_yd_algebra first); the argument below uses its axioms.
 
-    F and G are read off Ā's product table, ē_s∘ē_t = Σ t₀ (t₁·e_s):
-    F(e_p#ē_q)(e_x) = e_p·(ē_q∘ē_x) and G(ē_p#e_q)(e_x) = (ē_x∘ē_p)·e_q.
+    F and G are read off the sparse product rows of A and of Ā, where
+    ē_s∘ē_t = Σ t₀ (t₁·e_s): F(e_p#ē_q)(e_x) = e_p·(ē_q∘ē_x) and
+    G(ē_p#e_q)(e_x) = (ē_x∘ē_p)·e_q.  An element of End(A) is kept as
+    {x·m+s: coefficient of e_s in the image of e_x}, so F and G are dict
+    rows, ranked by sparse_rank, and F is applied to an element of A#Ā
+    given as terms (p, q, c) of Σ c·e_p#ē_q.
 
-    Maps are row-as-image, so F(X)F(Y) = F(X)∘F(Y) is mat_mul(F(Y), F(X)).
+    Maps are row-as-image, so F(X)F(Y) = F(X)∘F(Y) is then(F(Y), F(X)).
     With F_A(a) = F(a#1), F_B(b̄) = F(1#b̄) and F(1#1) = id (F_unital),
     F_algebra_map checks four families, in this order, and its detail names
     the first that fails (witness: the index pair shown):
@@ -898,57 +910,75 @@ def azumaya_check(alg):
     m = alg.dim
     dim = m * m
     ms = range(m)
-    es = [mod.basis_vec(p) for p in ms]
     bar = h_opposite(alg)
-    fmat = Matrix(f, dim, dim, [
-        [c for x in ms for c in alg.mul_vec(es[p], bar.mul.dense_row(q, x))]
-        for p in ms for q in ms])
-    gmat = Matrix(f, dim, dim, [
-        [c for x in ms for c in alg.mul_vec(bar.mul.dense_row(x, p), es[q])]
-        for p in ms for q in ms])
-    rank_f = rank(fmat)
-    rank_g = rank(gmat)
+    arow, brow = alg.mul.row, bar.mul.row
+
+    def summed(pairs):
+        """{k: Σ w} over the (k, w) given, without zero entries."""
+        acc = {}
+        for k, w in pairs:
+            acc[k] = acc[k] + w if k in acc else w
+        return {k: w for k, w in acc.items() if w}
+
+    # entry p·m+q: F(e_p#ē_q) and G(ē_p#e_q)
+    frows = [summed((x * m + s, c * d) for x in ms for t, c in brow(q, x)
+                    for s, d in arow(p, t)) for p in ms for q in ms]
+    grows = [summed((x * m + s, c * d) for x in ms for t, c in brow(x, p)
+                    for s, d in arow(t, q)) for p in ms for q in ms]
+
+    rank_f = sparse_rank(f, frows)
+    rank_g = sparse_rank(f, grows)
     rep.add("F_bijective", rank_f == dim, None, "rank %d of %d" % (rank_f, dim))
     rep.add("G_bijective", rank_g == dim, None, "rank %d of %d" % (rank_g, dim))
 
-    def end(flat):
-        """The m×m matrix of an End(A) element given by m² coordinates."""
-        return Matrix(f, m, m, [flat[x * m:(x + 1) * m] for x in ms])
+    def f_of(terms):
+        """F(Σ c·e_p#ē_q) for terms [(p, q, c)]."""
+        return summed((k, c * v) for p, q, c in terms
+                      for k, v in frows[p * m + q].items())
 
-    def f_of(u):
-        """F(u) for u ∈ A#Ā in coordinates p·m+q of e_p#ē_q."""
-        return end(apply_rowmap(u, fmat))
+    def then(x, y):
+        """x followed by y, for elements of End(A) given like F's rows."""
+        rows = {}
+        for k, v in y.items():
+            t, s = divmod(k, m)
+            rows.setdefault(t, []).append((s, v))
+        acc = {}
+        for k, c in x.items():
+            r, t = divmod(k, m)
+            for s, v in rows.get(t, ()):
+                key = r * m + s
+                acc[key] = acc[key] + c * v if key in acc else c * v
+        return {k: v for k, v in acc.items() if v}
 
-    def sharp(a, b):
-        """a#b̄ for coordinate vectors a and b."""
-        return [x * y for x in a for y in b]
-
-    # (1#ē_b)(e_g#1) = Σ g₀ # g₁·ē_b = Φ(ē_b⊗e_g), row b·m+g
-    exchange = _matrix(f, _braid_terms(mod, mod), m, m).data
+    unit = [(p, c) for p, c in enumerate(alg.unit) if c]
+    # (1#ē_b)(e_g#1) = Σ g₀ # g₁·ē_b = Φ(ē_b⊗e_g), entry b·m+g
+    exchange = _braid_terms(mod, mod)
     gens_a = generating_set(alg)
     gens_b = generating_set(bar)
-    fa = [f_of(sharp(es[a], alg.unit)) for a in ms]
-    fb = [f_of(sharp(alg.unit, es[b])) for b in ms]
+    fa = [f_of([(a, q, c) for q, c in unit]) for a in ms]
+    fb = [f_of([(p, b, c) for p, c in unit]) for b in ms]
     families = (
         ("(i) F(ga#1) = F(g#1)F(a#1)", (gens_a, ms), lambda g, a: (
-            f_of(sharp(alg.mul.dense_row(g, a), alg.unit)),
-            mat_mul(fa[a], fa[g]))),
+            f_of([(t, q, c * u) for t, c in arow(g, a) for q, u in unit]),
+            then(fa[a], fa[g]))),
         ("(ii) F(1#ḡ∘b̄) = F(1#ḡ)F(1#b̄)", (gens_b, ms), lambda g, b: (
-            f_of(sharp(alg.unit, bar.mul.dense_row(g, b))),
-            mat_mul(fb[b], fb[g]))),
+            f_of([(p, t, u * c) for p, u in unit for t, c in brow(g, b)]),
+            then(fb[b], fb[g]))),
         ("(iii) F(a#b̄) = F(a#1)F(1#b̄)", (ms, ms), lambda a, b: (
-            end(fmat.data[a * m + b]), mat_mul(fb[b], fa[a]))),
+            frows[a * m + b], then(fb[b], fa[a]))),
         ("(iv) F((1#b̄)(g#1)) = F(1#b̄)F(g#1)", (gens_a, ms), lambda g, b: (
-            f_of(exchange[b * m + g]), mat_mul(fa[g], fb[b]))))
+            f_of(exchange[b * m + g]), then(fa[g], fb[b]))))
     detail = "checked against %d generators" % (len(gens_a) + len(gens_b))
     for family, space, sides in families:
-        bad = first_mismatch(space, sides)
+        # one verdict per index pair, so that the witness is the pair
+        bad = first_mismatch(space, lambda *idx: (operator.eq(*sides(*idx)),
+                                                  True))
         if bad is not None:
             detail = family
             break
     rep.add("F_algebra_map", bad is None, bad, detail)
-    rep.add("F_unital",
-            f_of(sharp(alg.unit, alg.unit)) == Matrix.identity(f, m))
+    rep.add("F_unital", f_of([(p, q, c * u) for p, c in unit for q, u in unit])
+            == {x * m + x: f.one for x in ms})
 
     nonzero = any(alg.unit)
     rep.add("is_azumaya", nonzero and rank_f == dim and rank_g == dim)

@@ -3,8 +3,9 @@
 import pytest
 
 from hopflab.fields import QQ, PrimeField
-from hopflab.linalg import Matrix, mat_mul
-from hopflab.hopf import dual_hopf, hopf_map_checks, verify_hopf_axioms
+from hopflab.linalg import DimensionError, Matrix, Tensor, mat_mul
+from hopflab.hopf import (HopfAlgebra, dual_hopf, hopf_map_checks,
+                          verify_hopf_axioms)
 from hopflab.catalog import dim1_hopf, group_algebra_c2, sweedler_h4
 
 
@@ -19,6 +20,21 @@ def test_kc2_all_axioms(kc2):
 
 def test_h4_f5_axioms():
     assert verify_hopf_axioms(sweedler_h4(PrimeField(5))).ok
+
+
+@pytest.mark.parametrize("part", ["mult", "comult", "unit", "counit",
+                                  "antipode", "antipode_inv"])
+def test_hopf_shape_error_is_typed(kc2, part):
+    parts = dict(mult=kc2.mult, unit=kc2.unit, comult=kc2.comult,
+                 counit=kc2.counit, antipode=kc2.antipode,
+                 antipode_inv=kc2.antipode_inv)
+    parts[part] = {"mult": Tensor.zeros(QQ, (2, 2, 3)),
+                   "comult": Tensor.zeros(QQ, (3, 2, 2)),
+                   "unit": [1, 0, 0], "counit": [1],
+                   "antipode": Matrix.zeros(QQ, 2, 3),
+                   "antipode_inv": Matrix.zeros(QQ, 3, 3)}[part]
+    with pytest.raises(DimensionError, match=part + " has shape"):
+        HopfAlgebra(QQ, 2, ["1", "g"], **parts)
 
 
 def test_corrupted_antipode_detected(h4):

@@ -210,6 +210,17 @@ def test_load_host_unknown_name_is_input_error():
         _load_host(Namespace(host="h5"))
 
 
+YD_ALGEBRA_PASS = """\
+PASS  module_axioms
+PASS  comodule_axioms
+PASS  yd_compatibility [Σh1·m0⊗h2m1 = Σ(h2·m)0⊗(h2·m)1h1]
+PASS  yd_compatibility_sinv_form [ρ(h·m) = Σh2·m0⊗h3m1S⁻¹(h1)]
+PASS  algebra_axioms
+PASS  module_algebra [h·(ab) = Σ(h1·a)(h2·b), h·1 = ε(h)1]
+PASS  comodule_algebra [ρ(ab) = Σa0b0⊗b1a1, ρ(1) = 1⊗1]
+"""
+
+
 def test_cli_azumaya_control(tmp_path, kc2, capsys):
     from hopflab.yd import YdAlgebra
     from hopflab.catalog import trivial_module
@@ -217,7 +228,13 @@ def test_cli_azumaya_control(tmp_path, kc2, capsys):
     p = tmp_path / "ctrl.json"
     p.write_text(json.dumps(io_json.yd_algebra_to_json(alg, "kc2")))
     assert main(["azumaya", str(p)]) == 1
-    assert "is_azumaya" in capsys.readouterr().out
+    assert capsys.readouterr().out == YD_ALGEBRA_PASS + """\
+FAIL  F_bijective [rank 2 of 4]
+FAIL  G_bijective [rank 2 of 4]
+PASS  F_algebra_map [checked against 2 generators]
+PASS  F_unital
+FAIL  is_azumaya
+"""
 
 
 def test_cli_azumaya_end_regular_passes(tmp_path, capsys):
@@ -225,10 +242,13 @@ def test_cli_azumaya_end_regular_passes(tmp_path, capsys):
     p = tmp_path / "end.json"
     p.write_text(capsys.readouterr().out)
     assert main(["azumaya", str(p)]) == 0
-    marks = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
-    for name in ("F_bijective", "G_bijective", "F_algebra_map", "F_unital",
-                 "is_azumaya"):
-        assert ["PASS", name] in marks, name
+    assert capsys.readouterr().out == YD_ALGEBRA_PASS + """\
+PASS  F_bijective [rank 256 of 256]
+PASS  G_bijective [rank 256 of 256]
+PASS  F_algebra_map [checked against 13 generators]
+PASS  F_unital
+PASS  is_azumaya
+"""
 
 
 def test_cli_suite_small_deterministic(capsys):

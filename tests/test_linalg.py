@@ -145,6 +145,18 @@ def test_solve_dimension_mismatch():
         solve(Matrix.identity(QQ, 2), Matrix.zeros(QQ, 3, 1))
 
 
+@pytest.mark.parametrize("rows, cols, data", [
+    (2, 2, [[1, 0]]), (2, 2, [[1, 0], [0]]), (1, 2, [[1, 0, 0]])])
+def test_matrix_shape_error_is_typed(rows, cols, data):
+    with pytest.raises(DimensionError, match="not %d rows of %d" % (rows, cols)):
+        Matrix(QQ, rows, cols, data)
+
+
+def test_tensor_shape_error_is_typed():
+    with pytest.raises(DimensionError, match=r"shape \(2, 2\) needs 4"):
+        Tensor(QQ, (2, 2), [1, 2, 3])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 10 ** 6),
        st.sampled_from(["Q", "F5", "F13"]))

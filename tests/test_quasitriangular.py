@@ -3,7 +3,7 @@
 import pytest
 
 from hopflab.fields import QQ
-from hopflab.linalg import Matrix, Tensor
+from hopflab.linalg import DimensionError, Matrix, Tensor
 from hopflab.twist import eps_eps, two_cocycle
 from hopflab.quasitriangular import (cqt_structure, deform_cqt, deform_qt,
                                      qt_structure, verify_cqt, verify_qt,
@@ -22,6 +22,13 @@ def test_r_t_passes(h4):
 def test_trivial_r_on_kc2(kc2):
     c = cqt_structure(kc2, eps_eps(kc2))
     assert verify_cqt(c).ok
+
+
+def test_induced_yd_shape_errors_are_typed(kc2):
+    with pytest.raises(DimensionError, match="coaction has shape"):
+        yd_from_comodule(cqt_c2(kc2, 1), Tensor.zeros(QQ, (2, 2, 3)))
+    with pytest.raises(DimensionError, match="action has shape"):
+        yd_from_module(qt_c2(kc2), Tensor.zeros(QQ, (3, 2, 2)))
 
 
 def test_sign_r_on_kc2(kc2):

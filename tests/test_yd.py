@@ -7,7 +7,7 @@ import pytest
 
 from hopflab.fields import QQ, field_from_spec
 from hopflab.galois import unit_object
-from hopflab.linalg import Matrix, Tensor, mat_mul, rank
+from hopflab.linalg import DimensionError, Matrix, Tensor, mat_mul, rank
 from hopflab.twist import deform, eps_eps, hh_one, two_cocycle, dual_cocycle
 from hopflab.yd import (YdAlgebra, YdMap, YdModule, azumaya_check,
                         braided_product, braiding, end_algebra, eta,
@@ -36,6 +36,18 @@ def test_trivial_module_passes(h4):
 
 def test_regular_module_passes(mreg):
     assert verify_yd(mreg).ok
+
+
+def test_yd_shape_errors_are_typed(kc2):
+    triv = trivial_module(kc2, 2)
+    with pytest.raises(DimensionError, match="action has shape"):
+        YdModule(kc2, 2, Tensor.zeros(QQ, (2, 2, 3)), triv.coaction)
+    with pytest.raises(DimensionError, match="coaction has shape"):
+        YdModule(kc2, 2, triv.action, Tensor.zeros(QQ, (2, 2, 3)))
+    with pytest.raises(DimensionError, match="mult has shape"):
+        YdAlgebra(triv, Tensor.zeros(QQ, (2, 2, 3)), kc2.unit)
+    with pytest.raises(DimensionError, match="unit has shape"):
+        YdAlgebra(triv, kc2.mult, [1, 0, 0])
 
 
 def test_corrupted_action_detected(mreg, h4):
@@ -527,3 +539,178 @@ def test_azumaya_invariance_under_sigma(kc2):
     s_control = sigma_algebra(cob, control)
     assert azumaya_check(control).status("is_azumaya") \
         == azumaya_check(s_control).status("is_azumaya") == "fail"
+
+
+# -- dense references for the Azumaya and YD-algebra certificates ------------
+
+def dense_azumaya(alg):
+    """azumaya_check as written with dense F and G matrices and dense
+    basis-vector products; its reports are the reference."""
+    from hopflab.linalg import apply_rowmap
+    from hopflab.report import CheckReport, first_mismatch
+    from hopflab.yd import _braid_terms, _matrix
+    rep = CheckReport()
+    mod = alg.module
+    f = alg.host.field
+    m = alg.dim
+    dim = m * m
+    ms = range(m)
+    es = [mod.basis_vec(p) for p in ms]
+    bar = h_opposite(alg)
+    fmat = Matrix(f, dim, dim, [
+        [c for x in ms for c in alg.mul_vec(es[p], bar.mul.dense_row(q, x))]
+        for p in ms for q in ms])
+    gmat = Matrix(f, dim, dim, [
+        [c for x in ms for c in alg.mul_vec(bar.mul.dense_row(x, p), es[q])]
+        for p in ms for q in ms])
+    rank_f = rank(fmat)
+    rank_g = rank(gmat)
+    rep.add("F_bijective", rank_f == dim, None, "rank %d of %d" % (rank_f, dim))
+    rep.add("G_bijective", rank_g == dim, None, "rank %d of %d" % (rank_g, dim))
+
+    def end(flat):
+        return Matrix(f, m, m, [flat[x * m:(x + 1) * m] for x in ms])
+
+    def f_of(u):
+        return end(apply_rowmap(u, fmat))
+
+    def sharp(a, b):
+        return [x * y for x in a for y in b]
+
+    exchange = _matrix(f, _braid_terms(mod, mod), m, m).data
+    gens_a = generating_set(alg)
+    gens_b = generating_set(bar)
+    fa = [f_of(sharp(es[a], alg.unit)) for a in ms]
+    fb = [f_of(sharp(alg.unit, es[b])) for b in ms]
+    families = (
+        ("(i) F(ga#1) = F(g#1)F(a#1)", (gens_a, ms), lambda g, a: (
+            f_of(sharp(alg.mul.dense_row(g, a), alg.unit)),
+            mat_mul(fa[a], fa[g]))),
+        ("(ii) F(1#ḡ∘b̄) = F(1#ḡ)F(1#b̄)", (gens_b, ms), lambda g, b: (
+            f_of(sharp(alg.unit, bar.mul.dense_row(g, b))),
+            mat_mul(fb[b], fb[g]))),
+        ("(iii) F(a#b̄) = F(a#1)F(1#b̄)", (ms, ms), lambda a, b: (
+            end(fmat.data[a * m + b]), mat_mul(fb[b], fa[a]))),
+        ("(iv) F((1#b̄)(g#1)) = F(1#b̄)F(g#1)", (gens_a, ms), lambda g, b: (
+            f_of(exchange[b * m + g]), mat_mul(fa[g], fb[b]))))
+    detail = "checked against %d generators" % (len(gens_a) + len(gens_b))
+    for family, space, sides in families:
+        bad = first_mismatch(space, sides)
+        if bad is not None:
+            detail = family
+            break
+    rep.add("F_algebra_map", bad is None, bad, detail)
+    rep.add("F_unital",
+            f_of(sharp(alg.unit, alg.unit)) == Matrix.identity(f, m))
+    rep.add("is_azumaya", any(alg.unit) and rank_f == dim and rank_g == dim)
+    return rep
+
+
+def dense_algebra_checks(alg):
+    """verify_yd_algebra's algebra_axioms and module_algebra checks as
+    written with dense basis-vector products: the reference."""
+    from hopflab.report import CheckReport, first_mismatch
+    rep = CheckReport()
+    h = alg.host
+    m = alg.dim
+    mod = alg.module
+    mul, e = alg.mul, mod.basis_vec
+    hs, ms = range(h.dim), range(m)
+    bad = first_mismatch((ms,), lambda p: (
+        (alg.mul_vec(alg.unit, e(p)), alg.mul_vec(e(p), alg.unit)),
+        (e(p), e(p))))
+    if bad is None:
+        bad = first_mismatch((ms,) * 3, lambda p, q, r: (
+            alg.mul_vec(mul.dense_row(p, q), e(r)),
+            alg.mul_vec(e(p), mul.dense_row(q, r))))
+    rep.add("algebra_axioms", bad is None, bad)
+
+    def module_algebra(i, p, q):
+        rhs = [h.field.zero] * m
+        for a, b, ca in h.delta.terms(i):
+            w = alg.mul_vec(mod.act.dense_row(a, p), mod.act.dense_row(b, q))
+            for k in range(m):
+                if w[k]:
+                    rhs[k] = rhs[k] + ca * w[k]
+        return mod.act_basis_vec(i, mul.dense_row(p, q)), rhs
+
+    bad = first_mismatch((hs, ms, ms), module_algebra)
+    if bad is None:
+        bad = first_mismatch((hs,), lambda i: (
+            mod.act_basis_vec(i, alg.unit),
+            [h.counit[i] * x for x in alg.unit]))
+    rep.add("module_algebra", bad is None, bad,
+            "h·(ab) = Σ(h1·a)(h2·b), h·1 = ε(h)1")
+    return rep
+
+
+def one_entry_corruptions(e, rng, per_kind):
+    """End(regular) with 1 added to one entry of its unit, mult, action or
+    coaction: two fixed entries, the two of tests/test_negative_controls.py
+    and per_kind seeded entries of each tensor."""
+    mod = e.module
+    one = e.host.field.one
+
+    def bumped(t, flat):
+        data = list(t.data)
+        data[flat] = data[flat] + one
+        return Tensor(t.field, t.shape, data)
+
+    def with_module(action, coaction):
+        return YdAlgebra(YdModule(mod.host, mod.dim, action, coaction),
+                         e.mult, e.unit)
+
+    unit = list(e.unit)
+    unit[0] = unit[0] + one
+    yield YdAlgebra(mod, e.mult, unit)
+    yield with_module(mod.action, bumped(mod.coaction, 1))        # (0, 0, 1)
+    yield YdAlgebra(mod, bumped(e.mult, (7 * 16 + 13) * 16 + 15), e.unit)
+    yield with_module(mod.action, bumped(mod.coaction, 8 * 64 + 2))
+    for _ in range(per_kind):
+        unit = list(e.unit)
+        p = rng.randrange(len(unit))
+        unit[p] = unit[p] + one
+        yield YdAlgebra(mod, e.mult, unit)
+        yield YdAlgebra(mod, bumped(e.mult, rng.randrange(len(e.mult.data))),
+                        e.unit)
+        yield with_module(bumped(mod.action,
+                                 rng.randrange(len(mod.action.data))),
+                          mod.coaction)
+        yield with_module(mod.action, bumped(
+            mod.coaction, rng.randrange(len(mod.coaction.data))))
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_certificates_match_dense_reference(spec):
+    """azumaya_check and verify_yd_algebra's algebra_axioms/module_algebra
+    give the dense references' (name, status, witness, detail) on the
+    criterion-09 algebras, the kC₂ control and one-entry corruptions of
+    End(regular).  The corruptions reach F_unital, F_bijective,
+    G_bijective and families (i) and (ii) of F_algebra_map; in a scan of
+    seeded one-entry corruptions none failed (iii) or (iv) first, so those
+    two families are compared only where they pass."""
+    f = field_from_spec(spec)
+    h4 = sweedler_h4(f, verify=False)
+    kc2 = group_algebra_c2(f, verify=False)
+    e = end_regular(r_t(h4, 1, verify=False))
+    algebras = [trivial_algebra(h4), e,
+                sigma_algebra(sigma_t(h4, 1, verify=False), e),
+                sigma_algebra(sigma_t(h4, -1, verify=False), e),
+                YdAlgebra(trivial_module(kc2, 2), kc2.mult, kc2.unit)]
+    algebras += one_entry_corruptions(e, random.Random(11), 1)
+
+    def rows(rep, names=None):
+        return [(c.name, c.status, c.witness, c.detail) for c in rep.checks
+                if names is None or c.name in names]
+
+    reached = set()
+    for alg in algebras:
+        rep = azumaya_check(alg)
+        assert rows(rep) == rows(dense_azumaya(alg))
+        assert rows(verify_yd_algebra(alg),
+                    ("algebra_axioms", "module_algebra")) == \
+            rows(dense_algebra_checks(alg))
+        reached |= {c.detail.split()[0] if c.name == "F_algebra_map"
+                    else c.name for c in rep.failures()}
+    assert {"F_unital", "F_bijective", "G_bijective", "(i)", "(ii)"} <= \
+        reached
