@@ -9,6 +9,7 @@ Every entry is verified by its type's checker when built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import QQ, FieldError
 from .hopf import HopfAlgebra, dual_hopf, verify_hopf_axioms
@@ -315,48 +316,60 @@ class CatalogEntry:
 _T_DEFAULT = 1
 
 
+class _Parts:
+    """What the entries are built from, each built on first use: H₄ and kC₂
+    verified, R_t not (the entries built from it verify what they build)."""
+
+    def __init__(self, field, t):
+        self.field = field
+        self.t = _T_DEFAULT if t is None else t
+
+    h4 = cached_property(lambda self: sweedler_h4(self.field))
+    kc2 = cached_property(lambda self: group_algebra_c2(self.field))
+    rt = cached_property(lambda self: r_t(self.h4, self.t, verify=False))
+
+
+def _verified_yd_algebra(what, alg):
+    _yd.verify_yd_algebra(alg).require(what)
+    return alg
+
+
+# (name, builder) in catalog order; a builder verifies what it returns
+_REGISTRY = (
+    ("h4", lambda p: p.h4),
+    ("kc2", lambda p: p.kc2),
+    ("k", lambda p: dim1_hopf(p.field)),
+    ("h4_dual", lambda p: dual_hopf(p.h4)),
+    ("sigma_t", lambda p: sigma_t(p.h4, p.t)),
+    ("r_t", lambda p: r_t(p.h4, p.t)),
+    ("theta_t", lambda p: theta_t(p.h4, p.t)),
+    ("qt_t", lambda p: qt_t(p.h4, p.t)),
+    ("cqt_c2_minus", lambda p: cqt_c2(p.kc2, -1)),
+    ("cqt_c2_plus", lambda p: cqt_c2(p.kc2, 1)),
+    ("qt_c2", lambda p: qt_c2(p.kc2)),
+    ("yd_regular_r", lambda p: regular_comodule_module(p.rt)),
+    ("yd_trivial", lambda p: trivial_module(p.h4)),
+    ("unit_object", lambda p: _verified_yd_algebra(
+        "unit_object", _galois.unit_object(p.h4))),
+    ("end_regular", lambda p: _verified_yd_algebra(
+        "end_algebra", end_regular(p.rt))),
+    ("regular_galois_algebra", lambda p: regular_galois_algebra(p.h4)),
+)
+
+
 def catalog_entries(field=QQ, t=None):
     """All named entries, verified at construction."""
-    entries = []
-    tval = _T_DEFAULT if t is None else t
-    h4 = sweedler_h4(field)
-    kc2 = group_algebra_c2(field)
-    entries.append(CatalogEntry("h4", h4))
-    entries.append(CatalogEntry("kc2", kc2))
-    entries.append(CatalogEntry("k", dim1_hopf(field)))
-    entries.append(CatalogEntry("h4_dual", dual_hopf(h4)))
-    entries.append(CatalogEntry("sigma_t", sigma_t(h4, tval)))
-    entries.append(CatalogEntry("r_t", r_t(h4, tval)))
-    entries.append(CatalogEntry("theta_t", theta_t(h4, tval)))
-    entries.append(CatalogEntry("qt_t", qt_t(h4, tval)))
-    entries.append(CatalogEntry("cqt_c2_minus", cqt_c2(kc2, -1)))
-    entries.append(CatalogEntry("cqt_c2_plus", cqt_c2(kc2, 1)))
-    if field.char != 2:
-        entries.append(CatalogEntry("qt_c2", qt_c2(kc2)))
-    rt = r_t(h4, tval, verify=False)
-    m_reg = regular_comodule_module(rt)
-    entries.append(CatalogEntry("yd_regular_r", m_reg))
-    entries.append(CatalogEntry("yd_trivial", trivial_module(h4)))
-    uo = _galois.unit_object(h4)
-    _yd.verify_yd_algebra(uo).require("unit_object")
-    entries.append(CatalogEntry("unit_object", uo))
-    ea = end_regular(rt)
-    _yd.verify_yd_algebra(ea).require("end_algebra")
-    entries.append(CatalogEntry("end_regular", ea))
-    entries.append(CatalogEntry("regular_galois_algebra",
-                                regular_galois_algebra(h4)))
-    return entries
+    parts = _Parts(field, t)
+    return [CatalogEntry(name, build(parts)) for name, build in _REGISTRY]
 
 
 def get_entry(name, field=QQ, t=None):
-    for e in catalog_entries(field, t):
-        if e.name == name:
-            return e
-    raise KeyError("no catalog entry named %r" % name)
+    """One entry, built and verified with only what it is built from."""
+    build = dict(_REGISTRY).get(name)
+    if build is None:
+        raise KeyError("no catalog entry named %r" % name)
+    return CatalogEntry(name, build(_Parts(field, t)))
 
 
 def catalog_names():
-    return ["h4", "kc2", "k", "h4_dual", "sigma_t", "r_t", "theta_t",
-            "qt_t", "cqt_c2_minus", "cqt_c2_plus", "qt_c2", "yd_regular_r",
-            "yd_trivial", "unit_object", "end_regular",
-            "regular_galois_algebra"]
+    return [name for name, _ in _REGISTRY]

@@ -40,6 +40,7 @@ class HopfAlgebra:
         self.mul = Bilinear(mult)
         self.delta = Bilinear(comult)
         self._copower = {}
+        self._dual = None               # set by dual_hopf
 
     def mul_vec(self, u, v):
         return self.mul.apply(u, v)
@@ -204,7 +205,12 @@ def verify_hopf_axioms(h):
 
 
 def dual_hopf(h):
-    """The dual Hopf algebra on the dual basis."""
+    """The dual Hopf algebra on the dual basis, built once per host object.
+
+    The memo is kept on both objects, so dual_hopf(dual_hopf(h)) is h.
+    """
+    if h._dual is not None:
+        return h._dual
     n = h.dim
     f = h.field
     mult = Tensor.zeros(f, (n, n, n))
@@ -218,13 +224,15 @@ def dual_hopf(h):
                 mult.data[(i * n + j) * n + k] = hc[(k * n + i) * n + j]
                 # Δ*(δ_k) = Σ mult[i,j,k] δ_i⊗δ_j
                 comult.data[(k * n + i) * n + j] = hm[(i * n + j) * n + k]
-    return HopfAlgebra(
+    dual = HopfAlgebra(
         field=f, dim=n,
         basis_names=[nm + "*" for nm in h.basis_names],
         mult=mult, unit=list(h.counit), comult=comult, counit=list(h.unit),
         antipode=h.antipode.transpose(),
         antipode_inv=h.antipode_inv.transpose(),
         name=h.name + "*")
+    h._dual, dual._dual = dual, h
+    return dual
 
 
 def hopf_map_checks(src, dst, m):

@@ -3,17 +3,23 @@ cocycle deformations, and the induced Yetter-Drinfeld structures.
 
 R ∈ (H⊗H)* is an n×n Matrix of values R(e_i⊗e_j); ℛ ∈ H⊗H is an n×n Matrix
 of coefficients.
+
+The QT side is the CQT side on the dual: ℛ ∈ H⊗H is a CQT structure on
+H* = hopf.dual_hopf(H) through the same matrix, H⊗H's product is the
+convolution of (H*⊗H*)*, ℛ_θ = τ(θ)ℛθ⁻¹ is R^{σ_θ} on H*, and the
+ℛ-induced coaction on a left H-module M is the R-induced action on M*
+(yd.dual_module).  verify_qt stays an independent second form in H⊗H⊗H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, dual_hopf
 from .linalg import Bilinear, Matrix, Tensor, check_shape
 from .report import CheckReport, VerificationError, first_mismatch
-from .twist import (conv_inverse2, convolve2, eps_eps, eval2, hh_inverse,
-                    hh_mul, deform, deform_dual)
+from .twist import (conv_inverse2, convolve2, eps_eps, eval2, hh_mul, deform,
+                    deform_dual)
 
 
 @dataclass
@@ -40,7 +46,7 @@ def cqt_structure(host, r, r_inv=None):
 
 def qt_structure(host, rr, rr_inv=None):
     if rr_inv is None:
-        rr_inv = hh_inverse(host, rr)
+        rr_inv = conv_inverse2(dual_hopf(host), rr)
         if rr_inv is None:
             raise VerificationError("ℛ is not invertible in H⊗H")
     return QtStructure(host, rr, rr_inv)
@@ -262,13 +268,12 @@ def deform_cqt(c, s):
 
 
 def deform_qt(q, d):
-    """ℛ_θ = τ(θ)·ℛ·θ⁻¹ on H_θ."""
+    """ℛ_θ = τ(θ)·ℛ·θ⁻¹ on H_θ: R^{σ_θ} for ℛ read as R on H*."""
     if q.host is not d.host and not q.host.structures_equal(d.host):
         raise VerificationError("deform_qt: host mismatch")
-    h = q.host
-    tau_theta = d.theta.transpose()
-    new = hh_mul(h, tau_theta, hh_mul(h, q.rr, d.theta_inv))
-    return qt_structure(deform_dual(d), new)
+    r = CqtStructure(d.sigma.host, q.rr, q.rr_inv)
+    rs = deform_cqt(r, d.sigma)
+    return QtStructure(deform_dual(d), rs.r, rs.r_inv)
 
 
 def yd_from_comodule(c, coaction):
@@ -288,21 +293,11 @@ def yd_from_comodule(c, coaction):
 
 def yd_from_module(q, action):
     """YD module on a left module via the ℛ-induced coaction
-    a ↦ Σ (ℛ²·a)⊗ℛ¹."""
+    a ↦ Σ (ℛ²·a)⊗ℛ¹: the dual of yd_from_comodule for ℛ read as R on H*,
+    applied to M's action as M*'s coaction."""
     from . import yd as _yd
     h = q.host
-    n = h.dim
     m = action.shape[1]
-    check_shape("action", action.shape, (n, m, m))
-    f = h.field
-    act, hs, ms = Bilinear(action), range(n), range(m)
-
-    def coaction(p):
-        v = [f.zero] * m
-        v[p] = f.one
-        # images[i] = Σ_j ℛ[i][j] e_j·v_p, the coefficient vector of e_i
-        images = [act.apply(q.rr.data[i], v) for i in hs]
-        return [[images[i][qx] for i in hs] for qx in ms]
-
-    return _yd.YdModule(h, m, action, Tensor.from_rows(
-        f, (m, m, n), [coaction(p) for p in ms]))
+    check_shape("action", action.shape, (h.dim, m, m))
+    r = CqtStructure(dual_hopf(h), q.rr, q.rr_inv)
+    return _yd.dual_module(yd_from_comodule(r, _yd._first_leg_last(action)))

@@ -1,26 +1,33 @@
 """Convolution algebra on (H⊗H)*, 2-cocycles, dual 2-cocycles and the
 deformed Hopf algebras H^σ and H_θ.
 
-H^σ and H_θ are functions of the cocycle alone: deform(c) and
-deform_dual(d) build them the first time they are asked for a cocycle
-object and memoize them on it, so every σ̲/θ̲ image, deformed CQT/QT
-structure and laziness cross-check of that object shares one host.
-Neither checks the Hopf axioms; a caller that needs them calls
-hopf.verify_hopf_axioms on the result.
-
 A functional on H⊗H is an n×n Matrix f with f.data[i][j] = f(e_i⊗e_j); an
 element of H⊗H is an n×n Matrix of coefficients.  Convolution is
 (f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂) with unit ε⊗ε.
+
+The θ side is the σ side on the dual.  An element of H⊗H is a functional on
+H*⊗H* through the same matrix, and the product of H⊗H is the convolution of
+(H*⊗H*)* (unit 1⊗1 = ε⊗ε of H*), so the H⊗H arithmetic is convolve2
+(hh_mul), eps_eps and conv_inverse2 on H* = hopf.dual_hopf(H).  A dual
+cocycle θ is a 2-cocycle σ_θ on H* (DualCocycle.sigma), and
+H_θ = ((H*)^{σ_θ})*.
+
+H^σ and H_θ are functions of the cocycle alone: deform(c) builds H^σ the
+first time it is asked for a cocycle object and memoizes it on it, and
+deform_dual(d) is the memoized dual of deform(d.sigma), so every σ̲/θ̲
+image, deformed CQT/QT structure and laziness cross-check of that object
+shares one host.  Neither checks the Hopf axioms; a caller that needs them
+calls hopf.verify_hopf_axioms on the result.  verify_dual_cocycle stays an
+independent second form: it computes in H⊗H⊗H, not through σ_θ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .hopf import HopfAlgebra
-from .linalg import Matrix, Tensor, mat_inverse, solve
-from .report import (CheckReport, VerificationError, first_mismatch,
-                     require_agree)
+from .hopf import HopfAlgebra, dual_hopf
+from .linalg import Matrix, Tensor, solve
+from .report import CheckReport, VerificationError, first_mismatch
 
 
 # -- scalar-functional helpers ---------------------------------------------
@@ -476,68 +483,9 @@ def coboundary_from(mu):
 # -- dual 2-cocycles ----------------------------------------------------------
 
 def hh_mul(h, a, b):
-    """Product of two elements of H⊗H given as coefficient matrices."""
-    n = h.dim
-    out = Matrix.zeros(h.field, n, n)
-    od = out.data
-    for i in range(n):
-        ra = a.data[i]
-        for j in range(n):
-            x = ra[j]
-            if not x:
-                continue
-            for k in range(n):
-                rb = b.data[k]
-                left = h.mul.row(i, k)
-                for l in range(n):
-                    y = rb[l]
-                    if not y:
-                        continue
-                    xy = x * y
-                    for p, cl in left:
-                        for q, cr in h.mul.row(j, l):
-                            od[p][q] = od[p][q] + xy * cl * cr
-    return out
-
-
-def hh_one(h):
-    n = h.dim
-    m = Matrix.zeros(h.field, n, n)
-    for i, x in enumerate(h.unit):
-        if not x:
-            continue
-        for j, y in enumerate(h.unit):
-            if y:
-                m.data[i][j] = x * y
-    return m
-
-
-def hh_inverse(h, a):
-    """Multiplicative inverse in H⊗H by a linear solve, or None."""
-    n = h.dim
-    op = Matrix.zeros(h.field, n * n, n * n)
-    for i in range(n):
-        for j in range(n):
-            x = a.data[i][j]
-            if not x:
-                continue
-            for k in range(n):
-                for p, cl in h.mul.row(i, k):
-                    for l in range(n):
-                        for q, cr in h.mul.row(j, l):
-                            op.data[p * n + q][k * n + l] = \
-                                op.data[p * n + q][k * n + l] + x * cl * cr
-    one = hh_one(h)
-    rhs = Matrix(h.field, n * n, 1,
-                 [[one.data[i][j]] for i in range(n) for j in range(n)])
-    sol = solve(op, rhs)
-    if sol is None:
-        return None
-    inv = Matrix(h.field, n, n, [[sol.data[i * n + j][0] for j in range(n)]
-                                 for i in range(n)])
-    if hh_mul(h, inv, a) != one:
-        raise VerificationError("left inverse in H⊗H is not two-sided")
-    return inv
+    """Product of two elements of H⊗H given as coefficient matrices: their
+    convolution as functionals on H*⊗H*."""
+    return convolve2(dual_hopf(h), a, b)
 
 
 def hhh_mul(h, a, b):
@@ -621,22 +569,30 @@ def _delta_leg2(h, m):
 
 @dataclass
 class DualCocycle:
+    """θ ∈ H⊗H with its inverse.  θ is also a functional on H*⊗H*,
+    ⟨δ_i⊗δ_j, θ⟩ = θ[i][j], and the product of H⊗H is the convolution of
+    (H*⊗H*)*; sigma is θ as that 2-cocycle σ_θ on H* = dual_hopf(H)."""
     host: HopfAlgebra
     theta: Matrix
     theta_inv: Matrix
-    _deformed: HopfAlgebra = field(default=None, init=False, repr=False,
-                                   compare=False)    # H_θ, set by deform_dual
+    sigma: TwoCocycle = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.sigma = TwoCocycle(dual_hopf(self.host), self.theta,
+                                self.theta_inv)
 
 
 def dual_cocycle(host, theta, theta_inv=None):
     if theta_inv is None:
-        theta_inv = hh_inverse(host, theta)
+        theta_inv = conv_inverse2(dual_hopf(host), theta)
         if theta_inv is None:
             raise VerificationError("theta is not invertible in H⊗H")
     return DualCocycle(host, theta, theta_inv)
 
 
 def verify_dual_cocycle(d):
+    """The dual cocycle identity, counit normalization and invertibility,
+    computed in H⊗H⊗H and H⊗H themselves, independently of σ_θ."""
     h = d.host
     n = h.dim
     rep = CheckReport()
@@ -661,7 +617,7 @@ def verify_dual_cocycle(d):
     rep.add("counit_normalization",
             left == h.unit and right == h.unit)
 
-    one = hh_one(h)
+    one = eps_eps(dual_hopf(h))     # 1⊗1, the unit of H⊗H
     rep.add("invertible",
             hh_mul(h, d.theta, d.theta_inv) == one
             and hh_mul(h, d.theta_inv, d.theta) == one)
@@ -669,90 +625,21 @@ def verify_dual_cocycle(d):
 
 
 def deform_dual(d):
-    """H_θ: same algebra, Δ_θ(h) = θΔ(h)θ⁻¹, antipode S_θ; built once per
-    dual cocycle object and not checked."""
-    if d._deformed is None:
-        d._deformed = _deform_dual(d)
-    return d._deformed
-
-
-def _deform_dual(d):
-    h = d.host
-    n = h.dim
-    f = h.field
-
-    def conjugated(i):
-        di = Matrix.zeros(f, n, n)
-        for a, b, c in h.delta.terms(i):
-            di.data[a][b] = di.data[a][b] + c
-        return hh_mul(h, d.theta, hh_mul(h, di, d.theta_inv)).data
-
-    comult = Tensor.from_rows(f, (n, n, n), [conjugated(i) for i in range(n)])
-    s_mat = Matrix.zeros(f, n, n)
-    s2_mat = Matrix.zeros(f, n, n)
-    for i in range(n):
-        acc = [f.zero] * n
-        acc2 = [f.zero] * n
-        for a in range(n):
-            for b in range(n):
-                x = d.theta.data[a][b]
-                if not x:
-                    continue
-                for c in range(n):
-                    for e in range(n):
-                        y = d.theta_inv.data[c][e]
-                        if not y:
-                            continue
-                        w = x * y
-                        # θ¹ S(θ²) S(h) S((θ⁻¹)¹) (θ⁻¹)²
-                        v = h.mul_vec(h.basis_vec(a), h.S_basis(b))
-                        v = h.mul_vec(v, h.S_basis(i))
-                        v = h.mul_vec(v, h.S_basis(c))
-                        v = h.mul_vec(v, h.basis_vec(e))
-                        for k, t in enumerate(v):
-                            if t:
-                                acc[k] = acc[k] + w * t
-                        # θ¹ S((θ⁻¹)¹ h θ²) (θ⁻¹)²
-                        u = h.mul_vec(h.mul.dense_row(c, i), h.basis_vec(b))
-                        u = h.apply_S(u)
-                        u = h.mul_vec(h.basis_vec(a), u)
-                        u = h.mul_vec(u, h.basis_vec(e))
-                        for k, t in enumerate(u):
-                            if t:
-                                acc2[k] = acc2[k] + w * t
-        s_mat.data[i] = acc
-        s2_mat.data[i] = acc2
-    require_agree("S_θ", (range(n),) * 2,
-                  lambda i, k: (s_mat.data[i][k], s2_mat.data[i][k]))
-    s_inv = mat_inverse(s_mat)
-    if s_inv is None:
-        raise VerificationError("S_θ is not invertible")
-    return HopfAlgebra(f, n, list(h.basis_names), h.mult, list(h.unit),
-                       comult, list(h.counit), s_mat, s_inv,
-                       name=h.name + "_th")
+    """H_θ = ((H*)^{σ_θ})*: H's algebra with Δ_θ(h) = θΔ(h)θ⁻¹ and its
+    antipode, on H's basis names.  It is the memoized dual of deform(σ_θ),
+    so it is built once per dual cocycle object, and it is not checked."""
+    ht = dual_hopf(deform(d.sigma))
+    ht.basis_names = list(d.host.basis_names)
+    ht.name = d.host.name + "_th"
+    return ht
 
 
 def is_lazy_dual(d):
-    """Does θ commute with every Δ(e_i)?  Cross-checked against Δ_θ = Δ."""
-    h = d.host
-    n = h.dim
-    f = h.field
-
-    def commutes(i):
-        di = Matrix.zeros(f, n, n)
-        for a, b, c in h.delta.terms(i):
-            di.data[a][b] = di.data[a][b] + c
-        return hh_mul(h, d.theta, di), hh_mul(h, di, d.theta)
-
-    lazy = first_mismatch((range(n),), commutes) is None
-    same = deform_dual(d).comult == h.comult
-    if lazy != same:
-        raise VerificationError("dual laziness and Δ_θ = Δ disagree")
-    return lazy
+    """Does θ commute with every Δ(e_i)?  That is σ_θ lazy on H*."""
+    return is_lazy(d.sigma)
 
 
 def dual_cocycle_product(d1, d2):
     """θ₁·θ₂ in H⊗H as a DualCocycle candidate (not auto-verified)."""
     h = d1.host
-    prod = hh_mul(h, d1.theta, d2.theta)
-    return dual_cocycle(h, prod)
+    return dual_cocycle(h, hh_mul(h, d1.theta, d2.theta))

@@ -19,13 +19,20 @@ M⊗N (an element θ⁻¹ or Δ(e_i) of H⊗H acting, _acting_terms).  A consume
 turns the terms into a row-as-image matrix (_matrix) or pushes a product
 through them: Ā, σ̲(A) and θ̲(A) have the products μ∘Φ, μ∘η and μ∘φ
 (_pushed_product), and A#B reads Φ_{B,A}'s terms.
-σ̲(M)'s twisted action and θ̲(M)'s coaction are computed in
-both displayed forms, and report.require_agree raises at the first index
-where they differ (agreed_tensor for a 3-tensor).
+σ̲(M)'s twisted action is computed in both displayed forms, and
+report.require_agree raises at the first index where they differ
+(agreed_tensor for a 3-tensor).
+θ̲ is σ̲ on the dual.  M* (dual_module) is M over H* = hopf.dual_hopf(H)
+with its tensors swapped: M's coaction is its H*-action and M's action its
+H*-coaction.  θ̲(M) = (σ̲_θ(M*))* for the 2-cocycle σ_θ on H* that θ is
+(twist.DualCocycle.sigma), so θ̲'s coaction is checked in σ̲'s two forms,
+and verify_theta_braided is σ_θ's braided square on N*, M*.  theta_phi and
+theta_algebra stay μ∘φ on the term kernel: A* with A's product is no YD
+algebra over H*, so θ̲(A) is not (σ̲_θ(A*))*.
 σ̲ and θ̲ are fixed by their cocycle: the target hosts H^σ and H_θ come from
 twist.deform/deform_dual, which memoize them per cocycle object.  The
 monoidal structures eta and theta_phi return matrices only; a caller that
-checks one as a YdMap builds each σ̲/θ̲ image once and assembles the map.
+checks one as a YdMap builds each σ̲ image once and assembles the map.
 Linear maps are stored row-as-image; mat_mul(A, B) is "apply A, then B".
 The constructions here (σ̲, θ̲, braided products, H-opposites, End(M)) do
 not check the YD axioms of what they return; verify_yd and
@@ -37,6 +44,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+from .hopf import dual_hopf
 from .linalg import (Bilinear, Matrix, Tensor, check_shape, kernel_basis,
                      linear_combination, mat_mul, rank, sparse_rank)
 from .report import (CheckReport, VerificationError, first_mismatch,
@@ -491,25 +499,36 @@ def sigma_module(s, mod):
         return acc
 
     pairings = {}   # σ(h₄m₁S⁻¹(h₂) ⊗ h₁) by (h₁, h₂, h₄, m₁), for all (i, p)
+    by_h5 = {}      # by p: per h₅, [(σ⁻¹(h₅⊗m₂), [(m₀, m₁, c)])] over m₂
+
+    def grouped(p):
+        """(ρ⊗id)ρ(v_p) grouped by m₂, and per h₅ only the groups with
+        σ⁻¹(h₅⊗m₂) ≠ 0."""
+        if p not in by_h5:
+            groups = {}
+            for q0, k1, k2, c0 in mod.coact2(p):
+                groups.setdefault(k2, []).append((q0, k1, c0))
+            by_h5[p] = [[(inv.data[e][k2], g) for k2, g in groups.items()
+                         if inv.data[e][k2]] for e in range(n)]
+        return by_h5[p]
 
     def twisted_expanded(i, p):
         # Σ (h3·m0) σ(h4 m1 S⁻¹(h2) ⊗ h1) σ⁻¹(h5⊗m2)
         acc = [f.zero] * m
+        per_h5 = grouped(p)
         for (a, b, c3, d, e), w in h.copower(i, 5):
-            for q0, k1, k2, c0 in mod.coact2(p):
-                s2 = inv.data[e][k2]
-                if not s2:
-                    continue
-                key = (a, b, d, k1)
-                s1 = pairings.get(key)
-                if s1 is None:
-                    u = h.mul_vec(h.mul.dense_row(d, k1), h.Sinv_basis(b))
-                    s1 = pairings[key] = eval2(sig, u, a)
-                if not s1:
-                    continue
-                w2 = w * c0 * s1 * s2
-                for q, x in mod.act.row(c3, q0):
-                    acc[q] = acc[q] + w2 * x
+            for s2, group in per_h5[e]:
+                for q0, k1, c0 in group:
+                    key = (a, b, d, k1)
+                    s1 = pairings.get(key)
+                    if s1 is None:
+                        u = h.mul_vec(h.mul.dense_row(d, k1), h.Sinv_basis(b))
+                        s1 = pairings[key] = eval2(sig, u, a)
+                    if not s1:
+                        continue
+                    w2 = w * c0 * s1 * s2
+                    for q, x in mod.act.row(c3, q0):
+                        acc[q] = acc[q] + w2 * x
         return acc
 
     action = agreed_tensor("twisted-action", f, (n, m, m), twisted,
@@ -587,81 +606,44 @@ def zeta_triangle(mu, ma, mb, cob):
 
 # -- the θ̲ functor -----------------------------------------------------------
 
+def dual_module(mod):
+    """M*: M over H* = dual_hopf(H) with its two tensors swapped.  The
+    H*-action is M's coaction and the H*-coaction is M's action:
+        action*[k,p,q] = coaction[p,q,k],  coaction*[p,q,i] = action[i,p,q].
+    The swap is an involution, and (M*)* lies on M's own host object."""
+    return YdModule(dual_hopf(mod.host), mod.dim,
+                    _last_leg_first(mod.coaction),
+                    _first_leg_last(mod.action))
+
+
+def _first_leg_last(t):
+    """The 3-tensor t[i,p,q] as t'[p,q,i]."""
+    n0, n1, n2 = t.shape
+    d = t.data
+    return Tensor(t.field, (n1, n2, n0),
+                  [d[(i * n1 + p) * n2 + q] for p in range(n1)
+                   for q in range(n2) for i in range(n0)])
+
+
+def _last_leg_first(t):
+    """The 3-tensor t[p,q,k] as t'[k,p,q]."""
+    n0, n1, n2 = t.shape
+    d = t.data
+    return Tensor(t.field, (n2, n0, n1),
+                  [d[(p * n1 + q) * n2 + k] for k in range(n2)
+                   for p in range(n0) for q in range(n1)])
+
+
 def theta_module(d, mod):
-    """θ̲(M): same action, coaction conjugated through θ.
+    """θ̲(M) = (σ̲_θ(M*))*: same action, coaction conjugated through θ.
 
-    Both displayed forms of ρ_θ are computed and must agree.
+    σ̲_θ computes its twisted action in both displayed forms, so θ̲'s
+    coaction is checked in both too.
     """
-    h = mod.host
-    if not h.structures_equal(d.host):
+    if not mod.host.structures_equal(d.host):
         raise VerificationError("theta_module: host mismatch")
-    n = h.dim
-    m = mod.dim
-    f = h.field
-    zero = f.zero
-    co = {}
-    for p in range(m):
-        for a in range(n):
-            for b in range(n):
-                x = d.theta.data[a][b]
-                if not x:
-                    continue
-                for c in range(n):
-                    for e in range(n):
-                        y = d.theta_inv.data[c][e]
-                        if not y:
-                            continue
-                        w = x * y
-                        for q0, u in mod.act.row(e, p):
-                            w2 = w * u
-                            for q1, k, cc in mod.coact.terms(q0):
-                                hvec = h.mul_vec(h.mul.dense_row(b, k),
-                                                 h.basis_vec(c))
-                                for q2, v in mod.act.row(a, q1):
-                                    w3 = w2 * cc * v
-                                    for k2, cv in enumerate(hvec):
-                                        if cv:
-                                            key = (p, q2, k2)
-                                            co[key] = co.get(key, zero) \
-                                                + w3 * cv
-
-    co2 = {}
-    for p in range(m):
-        for a in range(n):
-            for b in range(n):
-                x = d.theta.data[a][b]
-                if not x:
-                    continue
-                for c in range(n):
-                    for e in range(n):
-                        y = d.theta_inv.data[c][e]
-                        if not y:
-                            continue
-                        w = x * y
-                        for (e1, e2, e3), wd in h.copower(e, 3):
-                            first = h.mul.dense_row(a, e2)
-                            for q0, k0, c0 in mod.coact.terms(p):
-                                u = mod.act_vec(first, mod.basis_vec(q0))
-                                hvec = h.mul_vec(h.mul.dense_row(b, e3),
-                                                 h.mul_vec(h.basis_vec(k0),
-                                                           h.mul_vec(
-                                                               h.Sinv_basis(e1),
-                                                               h.basis_vec(c))))
-                                for q2 in range(m):
-                                    if not u[q2]:
-                                        continue
-                                    w3 = w * wd * c0 * u[q2]
-                                    for k2, cv in enumerate(hvec):
-                                        if cv:
-                                            key = (p, q2, k2)
-                                            co2[key] = co2.get(key, zero) \
-                                                + w3 * cv
-    require_agree("ρ_θ", (), lambda: (co, co2))
-    ms = range(m)
-    coaction = Tensor.from_rows(f, (m, m, n), [
-        [[co.get((p, q, k), zero) for k in range(n)] for q in ms] for p in ms])
-    return YdModule(deform_dual(d), m,
-                    Tensor(f, (n, m, m), list(mod.action.data)), coaction)
+    deform_dual(d)      # names H_θ, the dual of deform(σ_θ), before use
+    return dual_module(sigma_module(d.sigma, dual_module(mod)))
 
 
 def theta_phi(d, ma, mb):
@@ -672,21 +654,11 @@ def theta_phi(d, ma, mb):
 
 
 def verify_theta_braided(d, ma, mb):
-    """φ_{N,M} ∘ Φ_{θ̲M,θ̲N} = θ̲(Φ_{M,N}) ∘ φ_{M,N}."""
-    rep = CheckReport()
-    br = braiding(ma, mb)
-    br_t = braiding(theta_module(d, ma), theta_module(d, mb))
-    phi_ab = theta_phi(d, ma, mb)
-    phi_ba = theta_phi(d, mb, ma)
-    lhs = mat_mul(br_t.matrix, phi_ba)
-    rhs = mat_mul(phi_ab, br.matrix)
-    rep.add("theta_braided_square", lhs == rhs)
-    rep.add("phi_invertible", rank(phi_ab) == phi_ab.rows)
-    # φ_{M,N} as a YD map θ̲M⊗θ̲N → θ̲(M⊗N); the tensor products are the
-    # braidings' sources
-    target = theta_module(d, br.source)
-    rep.merge(is_yd_map(YdMap(br_t.source, target, phi_ab)), prefix="phi_")
-    return rep
+    """φ_{N,M} ∘ Φ_{θ̲M,θ̲N} = θ̲(Φ_{M,N}) ∘ φ_{M,N}, checked as the braided
+    square of σ_θ on N*, M*.  The flip τ conjugates one square into the
+    other: Φ_{N*,M*} = τΦ_{M,N}τ, φ_{M,N} = τη_{N*,M*}τ and
+    (M⊗N)* = τ(N*⊗M*)τ."""
+    return verify_braided_functor(d.sigma, dual_module(mb), dual_module(ma))
 
 
 def theta_algebra(d, alg):

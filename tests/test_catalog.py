@@ -41,9 +41,10 @@ def test_sigma_table_values(h4):
 
 
 def test_theta_values(h4):
-    from hopflab.twist import hh_one
+    from hopflab.hopf import dual_hopf
+    from hopflab.twist import eps_eps
     th0 = cat.theta_t(h4, 0)
-    assert th0.theta == hh_one(h4)
+    assert th0.theta == eps_eps(dual_hopf(h4))
     th2 = cat.theta_t(h4, 2)
     assert th2.theta.data[2][3] == QQ.one     # coefficient of h⊗gh is t/2
 
@@ -92,6 +93,43 @@ def test_deform_kc2_by_coboundary_lazy(kc2):
 def test_get_entry_unknown():
     with pytest.raises(KeyError):
         cat.get_entry("nope")
+
+
+def test_catalog_names_are_the_entries_in_order():
+    assert cat.catalog_names() == [e.name
+                                   for e in cat.catalog_entries(QQ, 1)]
+
+
+def test_get_entry_builds_only_what_the_entry_is_built_from(monkeypatch):
+    """kC₂ entries build no H₄, and H₄ entries no YD algebra."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(cat, "sweedler_h4", refuse)
+    for name in ("kc2", "k", "cqt_c2_minus", "cqt_c2_plus", "qt_c2"):
+        assert cat.get_entry(name, QQ, 1).name == name
+    monkeypatch.undo()
+    monkeypatch.setattr(cat._yd, "verify_yd_algebra", refuse)
+    monkeypatch.setattr(cat._yd, "end_algebra", refuse)
+    for name in ("h4", "h4_dual", "sigma_t", "theta_t", "qt_t",
+                 "yd_regular_r"):
+        assert cat.get_entry(name, QQ, 1).name == name
+
+
+@pytest.mark.parametrize("name", cat.catalog_names())
+def test_catalog_export_over_f2(name, capsys):
+    """Entries without H₄ or a 1/2 export over F₂; the others are an input
+    error."""
+    import json
+    from hopflab.cli import main
+    code = main(["catalog", "export", name, "--field", "Fp:2"])
+    out, err = capsys.readouterr()
+    if name in ("kc2", "k", "cqt_c2_minus", "cqt_c2_plus"):
+        assert code == 0 and err == "" and json.loads(out)
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and \
+            "needs characteristic != 2" in err
 
 
 def test_constructions_take_no_verify_keyword():

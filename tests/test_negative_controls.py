@@ -22,11 +22,11 @@ from hopflab.linalg import Matrix, Tensor
 from hopflab.quasitriangular import (CqtStructure, QtStructure, verify_cqt,
                                      verify_qt)
 from hopflab.report import VerificationError
-from hopflab.twist import (DualCocycle, TwoCocycle, verify_dual_cocycle,
-                           verify_two_cocycle)
+from hopflab.twist import (DualCocycle, TwoCocycle, dual_cocycle,
+                           verify_dual_cocycle, verify_two_cocycle)
 from hopflab.yd import (YdAlgebra, YdMap, YdModule, azumaya_check, is_yd_map,
-                        sigma_module, theta_module, verify_yd,
-                        verify_yd_algebra)
+                        sigma_module, theta_module, verify_theta_braided,
+                        verify_yd, verify_yd_algebra)
 
 
 def bump_tensor(t, idx):
@@ -136,6 +136,13 @@ def qt_entry(fx):
 def qt_offdiagonal(fx):
     q = fx["qt"]
     return verify_qt(QtStructure(q.host, bump_matrix(q.rr, 2, 3), q.rr_inv))
+
+
+def theta_braided_entry(fx):
+    # θ₁ + e_1⊗e_h is invertible but no dual cocycle.  The square, checked
+    # as σ_θ's on I*, reg*, still commutes; η and Φ are no YD maps.
+    d = dual_cocycle(fx["h4"], bump_matrix(fx["theta"].theta, 0, 2))
+    return verify_theta_braided(d, fx["mreg"], fx["unit_obj"].module)
 
 
 def yd_action(fx):
@@ -287,6 +294,8 @@ CASES = [
     (qt_entry, {"QT1": (0, 1, 0), "QT2": None, "QT3": (0, 1, 0),
                 "QT4": (2,)}),
     (qt_offdiagonal, {"QT1": (2, 0, 2), "QT3": (2, 1, 3)}),
+    (theta_braided_entry, {"eta_h_linear": (0, 2),
+                           "phi_sigma_h_linear": (0, 2)}),
     (yd_action, {"module_axioms": (1, 2, 0),
                  "yd_compatibility": (3, 0, 0, 1),
                  "yd_compatibility_sinv_form": (3, 0, 0, 1)}),
@@ -381,7 +390,8 @@ def witness_of(message):
 RAISING = {
     "sigma_module": ("twisted-action", (3, 2, 0), lambda fx, m: sigma_module(
         fx["s1"], m)),
-    "theta_module": ("ρ_θ", (2, 0, 2), lambda fx, m: theta_module(
+    # θ̲(M) = (σ̲_θ(M*))*: σ̲_θ's witness (k, p, q) is ρ_θ's entry (p, q, k)
+    "theta_module": ("twisted-action", (2, 2, 0), lambda fx, m: theta_module(
         fx["theta"], m)),
     "bimodule_actions": ("−▷", (2, 2, 0), lambda fx, m: bimodule_actions(
         fx["bh"], m)),

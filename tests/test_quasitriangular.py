@@ -3,6 +3,7 @@
 import pytest
 
 from hopflab.fields import QQ
+from hopflab.hopf import dual_hopf
 from hopflab.linalg import DimensionError, Matrix, Tensor
 from hopflab.twist import eps_eps, two_cocycle
 from hopflab.quasitriangular import (cqt_structure, deform_cqt, deform_qt,
@@ -78,15 +79,14 @@ def test_qt_t_passes(h4):
 
 
 def test_qt_trivial_on_kc2(kc2):
-    from hopflab.twist import hh_one
-    q = qt_structure(kc2, hh_one(kc2))
+    q = qt_structure(kc2, eps_eps(dual_hopf(kc2)))
     assert verify_qt(q).ok
 
 
 def test_deform_qt_trivial(h4):
-    from hopflab.twist import dual_cocycle, hh_one
+    from hopflab.twist import dual_cocycle
     q1 = qt_t(h4, 1)
-    d = dual_cocycle(h4, hh_one(h4))
+    d = dual_cocycle(h4, eps_eps(dual_hopf(h4)))
     qd = deform_qt(q1, d)
     assert verify_qt(qd).ok
     assert qd.rr == q1.rr
@@ -137,8 +137,7 @@ def test_yd_from_comodule_kc2_hand_contraction(kc2):
 
 
 def test_yd_from_module_trivial_rr(kc2):
-    from hopflab.twist import hh_one
-    q = qt_structure(kc2, hh_one(kc2))
+    q = qt_structure(kc2, eps_eps(dual_hopf(kc2)))
     action = Tensor(QQ, (2, 2, 2), list(kc2.mult.data))
     mod = yd_from_module(q, action)
     assert verify_yd(mod).ok

@@ -7,8 +7,9 @@ import pytest
 
 from hopflab.fields import QQ, field_from_spec
 from hopflab.galois import unit_object
+from hopflab.hopf import dual_hopf
 from hopflab.linalg import DimensionError, Matrix, Tensor, mat_mul, rank
-from hopflab.twist import deform, eps_eps, hh_one, two_cocycle, dual_cocycle
+from hopflab.twist import deform, eps_eps, two_cocycle, dual_cocycle
 from hopflab.yd import (YdAlgebra, YdMap, YdModule, azumaya_check,
                         braided_product, braiding, end_algebra, eta,
                         generating_set, h_opposite, is_yd_map,
@@ -213,13 +214,15 @@ def test_each_sigma_image_is_built_once(monkeypatch, mreg, unit_obj, s1):
 
 
 def test_each_theta_image_is_built_once(monkeypatch, mreg, unit_obj, h4):
-    calls = count_calls(monkeypatch, "theta_module")
+    calls = count_calls(monkeypatch, "sigma_module")
     th1 = theta_t(h4, 1, verify=False)
     uo = unit_obj.module
     theta_phi(th1, mreg, uo)
     assert calls == []
     assert verify_theta_braided(th1, mreg, uo).ok
-    assert len(calls) == 3        # θ̲M, θ̲N and θ̲(M⊗N)
+    # σ̲_θ(N*), σ̲_θ(M*) and σ̲_θ(N*⊗M*), all on H*
+    assert len(calls) == 3
+    assert all(s is th1.sigma and m.host is dual_hopf(h4) for s, m in calls)
 
 
 def test_criterion_08_builds_each_zeta_target_once(monkeypatch):
@@ -287,7 +290,7 @@ def test_sigma_preserves_quantum_commutativity(unit_obj, s1):
 
 
 def test_theta_module_trivial_and_roundtrip(mreg, h4):
-    triv = dual_cocycle(h4, hh_one(h4))
+    triv = dual_cocycle(h4, eps_eps(dual_hopf(h4)))
     tm = theta_module(triv, mreg)
     assert verify_yd(tm).ok
     assert tm.coaction == mreg.coaction
