@@ -482,10 +482,21 @@ def sigma_module(s, mod):
     m = mod.dim
     f = h.field
     sig, inv = s.sigma, s.sigma_inv
+    # A term of Δ^(k-1)(e_i) adds zero to both forms unless σ(·⊗h₁) and
+    # σ⁻¹(h_k⊗·) are nonzero functionals; both forms walk only the others.
+    first = [any(row[a] for row in sig.data) for a in range(n)]
+    last = [any(row) for row in inv.data]
+    live = {}
+
+    def live_terms(i, k):
+        if (i, k) not in live:
+            live[i, k] = [(idx, w) for idx, w in h.copower(i, k)
+                          if first[idx[0]] and last[idx[-1]]]
+        return live[i, k]
 
     def twisted(i, p):
         acc = [f.zero] * m
-        for (a, b, c3), w in h.copower(i, 3):
+        for (a, b, c3), w in live_terms(i, 3):
             for q0, k0, c0 in mod.coact.terms(p):
                 s2 = inv.data[c3][k0]
                 if not s2:
@@ -516,7 +527,7 @@ def sigma_module(s, mod):
         # Σ (h3·m0) σ(h4 m1 S⁻¹(h2) ⊗ h1) σ⁻¹(h5⊗m2)
         acc = [f.zero] * m
         per_h5 = grouped(p)
-        for (a, b, c3, d, e), w in h.copower(i, 5):
+        for (a, b, c3, d, e), w in live_terms(i, 5):
             for s2, group in per_h5[e]:
                 for q0, k1, c0 in group:
                     key = (a, b, d, k1)

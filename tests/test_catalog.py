@@ -95,11 +95,6 @@ def test_get_entry_unknown():
         cat.get_entry("nope")
 
 
-def test_catalog_names_are_the_entries_in_order():
-    assert cat.catalog_names() == [e.name
-                                   for e in cat.catalog_entries(QQ, 1)]
-
-
 def test_get_entry_builds_only_what_the_entry_is_built_from(monkeypatch):
     """kC₂ entries build no H₄, and H₄ entries no YD algebra."""
     def refuse(*args, **kwargs):
