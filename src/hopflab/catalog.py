@@ -329,17 +329,18 @@ class _Parts:
     rt = cached_property(lambda self: r_t(self.h4, self.t, verify=False))
 
 
-def _verified_yd_algebra(what, alg):
-    _yd.verify_yd_algebra(alg).require(what)
-    return alg
+def _verified(check, what, obj):
+    check(obj).require(what)
+    return obj
 
 
 # (name, builder) in catalog order; a builder verifies what it returns
 _REGISTRY = (
     ("h4", lambda p: p.h4),
     ("kc2", lambda p: p.kc2),
-    ("k", lambda p: dim1_hopf(p.field)),
-    ("h4_dual", lambda p: dual_hopf(p.h4)),
+    ("k", lambda p: _verified(verify_hopf_axioms, "k", dim1_hopf(p.field))),
+    ("h4_dual", lambda p: _verified(verify_hopf_axioms, "h4_dual",
+                                    dual_hopf(p.h4))),
     ("sigma_t", lambda p: sigma_t(p.h4, p.t)),
     ("r_t", lambda p: r_t(p.h4, p.t)),
     ("theta_t", lambda p: theta_t(p.h4, p.t)),
@@ -348,11 +349,12 @@ _REGISTRY = (
     ("cqt_c2_plus", lambda p: cqt_c2(p.kc2, 1)),
     ("qt_c2", lambda p: qt_c2(p.kc2)),
     ("yd_regular_r", lambda p: regular_comodule_module(p.rt)),
-    ("yd_trivial", lambda p: trivial_module(p.h4)),
-    ("unit_object", lambda p: _verified_yd_algebra(
-        "unit_object", _galois.unit_object(p.h4))),
-    ("end_regular", lambda p: _verified_yd_algebra(
-        "end_algebra", end_regular(p.rt))),
+    ("yd_trivial", lambda p: _verified(_yd.verify_yd, "yd_trivial",
+                                       trivial_module(p.h4))),
+    ("unit_object", lambda p: _verified(
+        _yd.verify_yd_algebra, "unit_object", _galois.unit_object(p.h4))),
+    ("end_regular", lambda p: _verified(
+        _yd.verify_yd_algebra, "end_algebra", end_regular(p.rt))),
     ("regular_galois_algebra", lambda p: regular_galois_algebra(p.h4)),
 )
 

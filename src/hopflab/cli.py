@@ -29,8 +29,10 @@ from .suite import T_DEFAULT, run_suite, suite_json
 
 def _load_host(args, doc=None):
     """Resolve the host Hopf algebra from --host (file or catalog name) or
-    the document's "host" catalog name."""
-    field = field_from_spec(getattr(args, "field", "Q") or "Q")
+    the document's "host" catalog name, over --field, else the document's
+    "field", else ℚ; a --host file must be over the field either names."""
+    spec = getattr(args, "field", None) or (doc or {}).get("field")
+    field = field_from_spec("Q" if spec is None else spec)
     ref = getattr(args, "host", None)
     if ref is None and doc is not None:
         ref = doc.get("host")
@@ -40,7 +42,11 @@ def _load_host(args, doc=None):
         raise io_json.InputError("host must be a file or catalog name, got "
                                  "%r" % (ref,))
     if ref.endswith(".json"):
-        return io_json.hopf_from_json(io_json.load_document(ref))
+        host = io_json.hopf_from_json(io_json.load_document(ref))
+        if spec is not None and host.field != field:
+            raise io_json.InputError("--host file is over %s, not %s"
+                                     % (host.field.spec(), field.spec()))
+        return host
     base = ref.split("^")[0].split("_")[0].lower()
     if base == "k":
         return cat.dim1_hopf(field)
@@ -261,7 +267,8 @@ def build_parser():
     def common(sp):
         sp.add_argument("--host", help="host Hopf algebra: file or "
                                        "catalog name")
-        sp.add_argument("--field", default="Q", help="Q or Fp:<p>")
+        sp.add_argument("--field", help="Q or Fp:<p>; default: the "
+                        "document's field, else Q")
         sp.add_argument("--json", action="store_true",
                         help="machine-readable report")
 

@@ -9,14 +9,18 @@ hopf:         {"field": "Q"|"Fp:<p>", "dim": n, "basis": [names],
                "unit": ["c", ...], "counit": ["c", ...],
                "antipode": [["c", ...], ...], "antipode_inv": optional}
 cocycle / dual_cocycle / cqt / qt:
-              {"kind": ..., "host": <name>, "entries": [[i,j,"c"], ...],
-               "inverse": optional same shape}
-one_cocycle:  {"kind": "one_cocycle", "host": <name>,
+              {"kind": ..., "host": <name>, "field": optional,
+               "entries": [[i,j,"c"], ...], "inverse": optional same shape}
+one_cocycle:  {"kind": "one_cocycle", "host": <name>, "field": optional,
                "entries": [[i,"c"], ...], "inverse": optional}
 yd_module / yd_algebra:
-              {"kind": ..., "host": <name>, "dim": m,
+              {"kind": ..., "host": <name>, "field": optional, "dim": m,
                "action": [[i,p,q,"c"], ...], "coaction": [[p,q,k,"c"], ...],
                "mult": [[p,q,r,"c"], ...], "unit": ["c", ...]}
+
+Every writer records the field.  A document's optional "field" names the
+field its scalars are over; a reader rejects a document whose field is not
+its host's, and one without the key is read over the host's field.
 
 The antipode matrix rows are images: antipode[i][j] is the coefficient of
 e_j in S(e_i).
@@ -170,8 +174,15 @@ def hopf_from_json(doc, verify=True, strict=True):
     return h
 
 
+def _check_field(doc, field):
+    """Reject a document whose "field" is not the host's field."""
+    if "field" in doc and field_from_spec(doc["field"]) != field:
+        raise InputError("document is over %s, its host over %s"
+                         % (doc["field"], field.spec()))
+
+
 def functional_to_json(kind, host_name, field, mat, inv=None):
-    doc = {"kind": kind, "host": host_name,
+    doc = {"kind": kind, "host": host_name, "field": field.spec(),
            "entries": _matrix_sparse(field, mat)}
     if inv is not None:
         doc["inverse"] = _matrix_sparse(field, inv)
@@ -198,7 +209,7 @@ def qt_to_json(q):
 
 def one_cocycle_to_json(mu):
     f = mu.host.field
-    return {"kind": "one_cocycle", "host": mu.host.name,
+    return {"kind": "one_cocycle", "host": mu.host.name, "field": f.spec(),
             "entries": [[i, f.fmt(v)] for i, v in enumerate(mu.mu) if v],
             "inverse": [[i, f.fmt(v)] for i, v in enumerate(mu.mu_inv) if v]}
 
@@ -207,6 +218,7 @@ def functional_from_json(doc, host):
     """Dispatch on "kind"; returns the appropriate verified-shape object
     (validity checks are up to the caller)."""
     from . import twist, quasitriangular
+    _check_field(doc, host.field)
     f = host.field
     n = host.dim
     kind = doc.get("kind")
@@ -234,7 +246,7 @@ def functional_from_json(doc, host):
 def yd_module_to_json(mod, host_name=None):
     f = mod.host.field
     return {"kind": "yd_module", "host": host_name or mod.host.name,
-            "dim": mod.dim,
+            "field": f.spec(), "dim": mod.dim,
             "action": _tensor_to_sparse(f, mod.action),
             "coaction": _tensor_to_sparse(f, mod.coaction)}
 
@@ -250,6 +262,7 @@ def yd_algebra_to_json(alg, host_name=None):
 
 def yd_from_json(doc, host):
     from . import yd
+    _check_field(doc, host.field)
     f = host.field
     n = host.dim
     m = doc.get("dim")

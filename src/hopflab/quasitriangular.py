@@ -2,7 +2,8 @@
 cocycle deformations, and the induced Yetter-Drinfeld structures.
 
 R ∈ (H⊗H)* is an n×n Matrix of values R(e_i⊗e_j); ℛ ∈ H⊗H is an n×n Matrix
-of coefficients.
+of coefficients.  R^σ = (στ) * R * σ⁻¹ is a convolution on H's coalgebra,
+which H^σ shares, regrouping Δ² by coassociativity alone.
 
 The QT side is the CQT side on the dual: ℛ ∈ H⊗H is a CQT structure on
 H* = hopf.dual_hopf(H) through the same matrix, H⊗H's product is the
@@ -240,31 +241,15 @@ def verify_qt(q):
 
 
 def deform_cqt(c, s):
-    """R^σ = (στ)*R*σ⁻¹ on H^σ."""
+    """R^σ = (στ)*R*σ⁻¹ on H^σ, with inverse σ*R⁻¹*(σ⁻¹τ): the flip τ is
+    an automorphism of the convolution algebra."""
     if c.host is not s.host and not c.host.structures_equal(s.host):
         raise VerificationError("deform_cqt: host mismatch")
     h = c.host
-    n = h.dim
-    f = h.field
-    out = Matrix.zeros(f, n, n)
-    for g in range(n):
-        cg = h.copower(g, 3)
-        for x in range(n):
-            cx = h.copower(x, 3)
-            acc = f.zero
-            for (g1, g2, g3), w1 in cg:
-                for (x1, x2, x3), w2 in cx:
-                    v1 = s.sigma.data[x1][g1]
-                    if not v1:
-                        continue
-                    v2 = c.r.data[g2][x2]
-                    if not v2:
-                        continue
-                    v3 = s.sigma_inv.data[g3][x3]
-                    if v3:
-                        acc = acc + w1 * w2 * v1 * v2 * v3
-            out.data[g][x] = acc
-    return cqt_structure(deform(s), out)
+    sig, inv = s.sigma, s.sigma_inv
+    r = convolve2(h, convolve2(h, sig.transpose(), c.r), inv)
+    r_inv = convolve2(h, convolve2(h, sig, c.r_inv), inv.transpose())
+    return CqtStructure(deform(s), r, r_inv)
 
 
 def deform_qt(q, d):

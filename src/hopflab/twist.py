@@ -5,6 +5,12 @@ A functional on H⊗H is an n×n Matrix f with f.data[i][j] = f(e_i⊗e_j); an
 element of H⊗H is an n×n Matrix of coefficients.  Convolution is
 (f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂) with unit ε⊗ε.
 
+H^σ, ∂μ and laziness are convolutions: e_k's coefficient in the product of
+H^σ is σ * m_k * σ⁻¹ for m_k(x⊗y) = e_k's coefficient in xy, S^σ = u * S * v
+in H*, ∂μ = (μ⊗μ) * (μ⁻¹∘m), and σ is lazy iff σ * m_k = m_k * σ for all k.
+These regroup Δ^k by coassociativity alone, not by σ's cocycle identity, so
+they equal the defining Sweedler sums for any σ and σ⁻¹.
+
 The θ side is the σ side on the dual.  An element of H⊗H is a functional on
 H*⊗H* through the same matrix, and the product of H⊗H is the convolution of
 (H*⊗H*)* (unit 1⊗1 = ε⊗ε of H*), so the H⊗H arithmetic is convolve2
@@ -63,15 +69,8 @@ def eval2(f, u, v):
 
 def eps_eps(h):
     """The convolution unit ε⊗ε."""
-    n = h.dim
-    m = Matrix.zeros(h.field, n, n)
-    for i in range(n):
-        if not h.counit[i]:
-            continue
-        for j in range(n):
-            if h.counit[j]:
-                m.data[i][j] = h.counit[i] * h.counit[j]
-    return m
+    return Matrix(h.field, h.dim, h.dim,
+                  [[x * y for y in h.counit] for x in h.counit])
 
 
 def convolve2(h, f, g):
@@ -140,13 +139,8 @@ def conv_inverse1(h, mu):
     if sol is None:
         return None
     nu = [sol.data[i][0] for i in range(n)]
-    for x in range(n):
-        acc = h.field.zero
-        for a, b, c in h.delta.terms(x):
-            if nu[a] and mu[b]:
-                acc = acc + c * nu[a] * mu[b]
-        if acc != h.counit[x]:
-            raise VerificationError("one-sided inverse of 1-cocycle")
+    if dual_hopf(h).mul_vec(nu, mu) != h.counit:      # ν*μ = ε in H*
+        raise VerificationError("one-sided inverse of 1-cocycle")
     return nu
 
 
@@ -301,93 +295,55 @@ def deform(c):
     return c._deformed
 
 
+def _coordinate_functionals(h):
+    """m_k(x⊗y) = the coefficient of e_k in xy, as n functionals on H⊗H."""
+    n, hs = h.dim, range(h.dim)
+    return [Matrix(h.field, n, n, [[h.mul.dense_row(i, j)[k] for j in hs]
+                                   for i in hs]) for k in hs]
+
+
+def _delta_functional(h, value):
+    """The functional e_i ↦ Σ value(i₁, i₂) over Δ(e_i), as a vector of H*."""
+    return [sum((cd * value(a, b) for a, b, cd in h.delta.terms(i)),
+                h.field.zero) for i in range(h.dim)]
+
+
 def _deform(c):
     h = c.host
-    n = h.dim
-    f = h.field
+    n, f, hs = h.dim, h.field, range(h.dim)
     sig, inv = c.sigma, c.sigma_inv
+    S, Sinv = h.S_basis, h.Sinv_basis
+    # m^σ = σ * m_k * σ⁻¹ for each coordinate functional m_k
+    twisted = [convolve2(h, convolve2(h, sig, m_k), inv)
+               for m_k in _coordinate_functionals(h)]
+    mult = Tensor.from_rows(f, (n, n, n), [
+        [[t.data[i][j] for t in twisted] for j in hs] for i in hs])
 
-    def product(i, j):
-        # e_i·e_j = Σ σ(i1⊗j1) i2j2 σ⁻¹(i3⊗j3)
-        acc = [f.zero] * n
-        for (a, b, c1), w1 in h.copower(i, 3):
-            for (d, e, c2), w2 in h.copower(j, 3):
-                s1 = sig.data[a][d]
-                if not s1:
-                    continue
-                s2 = inv.data[c1][c2]
-                if not s2:
-                    continue
-                w = w1 * w2 * s1 * s2
-                for k, cm in h.mul.row(b, e):
-                    acc[k] = acc[k] + w * cm
-        return acc
+    # S^σ = u * S * v and (S^σ)⁻¹ = u' * S⁻¹ * v', column by column in H*
+    dual = dual_hopf(h)
 
-    hs = range(n)
-    mult = Tensor.from_rows(f, (n, n, n),
-                            [[product(i, j) for j in hs] for i in hs])
+    def sandwich(u, mat, v):
+        return Matrix(f, n, n, [dual.mul_vec(dual.mul_vec(u, col), v)
+                                for col in mat.transpose().data]).transpose()
 
-    s_mat = Matrix.zeros(f, n, n)
-    for i in range(n):
-        acc = [f.zero] * n
-        for (a, b, c1, d, e), w in h.copower(i, 5):
-            s1 = eval2(sig, a, h.S_basis(b))
-            if not s1:
-                continue
-            s2 = eval2(inv, h.S_basis(d), e)
-            if not s2:
-                continue
-            w2 = w * s1 * s2
-            for k, cv in enumerate(h.S_basis(c1)):
-                if cv:
-                    acc[k] = acc[k] + w2 * cv
-        s_mat.data[i] = acc
-
-    s_inv_mat = Matrix.zeros(f, n, n)
-    for i in range(n):
-        acc = [f.zero] * n
-        for (a, b, c1, d, e), w in h.copower(i, 5):
-            s1 = eval2(inv, e, h.Sinv_basis(d))
-            if not s1:
-                continue
-            s2 = eval2(sig, h.Sinv_basis(b), a)
-            if not s2:
-                continue
-            w2 = w * s1 * s2
-            for k, cv in enumerate(h.Sinv_basis(c1)):
-                if cv:
-                    acc[k] = acc[k] + w2 * cv
-        s_inv_mat.data[i] = acc
-
+    s_mat = sandwich(   # u(h) = σ(h₁⊗S(h₂)), v(h) = σ⁻¹(S(h₁)⊗h₂)
+        _delta_functional(h, lambda a, b: eval2(sig, a, S(b))), h.antipode,
+        _delta_functional(h, lambda a, b: eval2(inv, S(a), b)))
+    s_inv_mat = sandwich(   # u'(h) = σ(S⁻¹(h₂)⊗h₁), v'(h) = σ⁻¹(h₂⊗S⁻¹(h₁))
+        _delta_functional(h, lambda a, b: eval2(sig, Sinv(b), a)),
+        h.antipode_inv,
+        _delta_functional(h, lambda a, b: eval2(inv, b, Sinv(a))))
     return HopfAlgebra(f, n, list(h.basis_names), mult, list(h.unit),
                        h.comult, list(h.counit), s_mat, s_inv_mat,
                        name=h.name + "^s")
 
 
 def is_lazy(c):
-    """Does σ commute with multiplication?  Cross-checked against H^σ = H."""
-    h = c.host
-    n = h.dim
-    f = h.field
-    sig = c.sigma
-
-    def commutes(i, j):
-        lhs = [f.zero] * n
-        rhs = [f.zero] * n
-        for a, b, ca in h.delta.terms(i):
-            for cc, d, cd in h.delta.terms(j):
-                w = ca * cd
-                s1 = sig.data[a][cc]
-                if s1:
-                    for k, cm in h.mul.row(b, d):
-                        lhs[k] = lhs[k] + w * s1 * cm
-                s2 = sig.data[b][d]
-                if s2:
-                    for k, cm in h.mul.row(a, cc):
-                        rhs[k] = rhs[k] + w * s2 * cm
-        return lhs, rhs
-
-    lazy = first_mismatch((range(n),) * 2, commutes) is None
+    """Does σ commute with multiplication (σ * m_k = m_k * σ for every k)?
+    Cross-checked against H^σ = H."""
+    h, sig = c.host, c.sigma
+    lazy = all(convolve2(h, sig, m_k) == convolve2(h, m_k, sig)
+               for m_k in _coordinate_functionals(h))
     same_mult = deform(c).mult == h.mult
     if lazy != same_mult:
         raise VerificationError(
@@ -428,11 +384,7 @@ class LazyOneCocycle:
 def lazy_one_cocycle(host, mu, mu_inv=None):
     """Normalized central convolution-invertible μ ∈ H*."""
     f = host.field
-    norm = f.zero
-    for x, u in zip(mu, host.unit):
-        if x and u:
-            norm = norm + x * u
-    if norm != f.one:
+    if sum((x * u for x, u in zip(mu, host.unit)), f.zero) != f.one:
         raise VerificationError("1-cocycle is not normalized: mu(1) != 1")
     n = host.dim
     for i in range(n):
@@ -454,26 +406,15 @@ def lazy_one_cocycle(host, mu, mu_inv=None):
 
 
 def coboundary_from(mu):
-    """σ(a⊗b) = Σ μ(a₁)μ(b₁)μ⁻¹(a₂b₂); lazy because μ is central."""
+    """∂μ = (μ⊗μ) * (μ⁻¹∘m), σ(a⊗b) = Σ μ(a₁)μ(b₁)μ⁻¹(a₂b₂); lazy because
+    μ is central."""
     h = mu.host
-    n = h.dim
-    f = h.field
-    sig = Matrix.zeros(f, n, n)
-    for i in range(n):
-        for j in range(n):
-            acc = f.zero
-            for a, b, ca in h.delta.terms(i):
-                if not mu.mu[a]:
-                    continue
-                for cc, d, cd in h.delta.terms(j):
-                    if not mu.mu[cc]:
-                        continue
-                    w = ca * cd * mu.mu[a] * mu.mu[cc]
-                    for k, cm in h.mul.row(b, d):
-                        if mu.mu_inv[k]:
-                            acc = acc + w * cm * mu.mu_inv[k]
-            sig.data[i][j] = acc
-    c = two_cocycle(h, sig)
+    n, f, hs = h.dim, h.field, range(h.dim)
+    mu_mu = Matrix(f, n, n, [[x * y for y in mu.mu] for x in mu.mu])
+    inv_m = Matrix(f, n, n, [[sum((cm * mu.mu_inv[k] for k, cm in
+                                   h.mul.row(i, j)), f.zero) for j in hs]
+                             for i in hs])
+    c = two_cocycle(h, convolve2(h, mu_mu, inv_m))
     verify_two_cocycle(c).require("coboundary_from")
     if not is_lazy(c):
         raise VerificationError("coboundary of a central mu must be lazy")

@@ -6,6 +6,7 @@ import pytest
 from hopflab.fields import QQ, FieldError, PrimeField
 from hopflab.linalg import mat_mul
 from hopflab import catalog as cat
+from hopflab.report import VerificationError
 
 
 def test_h4_multiplication_table(h4):
@@ -109,6 +110,28 @@ def test_get_entry_builds_only_what_the_entry_is_built_from(monkeypatch):
     for name in ("h4", "h4_dual", "sigma_t", "theta_t", "qt_t",
                  "yd_regular_r"):
         assert cat.get_entry(name, QQ, 1).name == name
+
+
+def _one_entry_off(name, obj):
+    """obj with one structure constant changed: the unit of k and of H₄*
+    counts 2 under ε, and 1 acts on the trivial module as 2."""
+    if name == "yd_trivial":
+        obj.action.data[0] = obj.action.data[0] + obj.host.field.one
+    else:
+        obj.counit = list(obj.counit)
+        obj.counit[0] = obj.counit[0] + obj.field.one
+    return obj
+
+
+@pytest.mark.parametrize("name, builder", [
+    ("k", "dim1_hopf"), ("h4_dual", "dual_hopf"),
+    ("yd_trivial", "trivial_module")])
+def test_every_builder_verifies_its_entry(name, builder, monkeypatch):
+    built = getattr(cat, builder)
+    monkeypatch.setattr(cat, builder, lambda *args: _one_entry_off(
+        name, built(*args)))
+    with pytest.raises(VerificationError, match=name):
+        cat.get_entry(name, QQ, 1)
 
 
 @pytest.mark.parametrize("name", cat.catalog_names())

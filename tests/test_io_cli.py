@@ -290,6 +290,31 @@ def test_cli_prime_too_large_exit2(capsys):
     assert "too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, cmd", [("sigma_t", "check-cocycle"),
+                                       ("yd_regular_r", "check-yd")])
+def test_exported_document_carries_its_field(tmp_path, name, cmd, capsys):
+    """An F₅ export is checked over F₅ without --field; --field Q on it, or
+    a --host file over ℚ, is an input error."""
+    assert main(["catalog", "export", name, "--param", "1", "--field",
+                 "Fp:5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["field"] == "Fp:5"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([cmd, str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out and all(line.startswith("PASS  ") for line in out)
+    assert main([cmd, str(path), "--field", "Q"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: document is over Fp:5, its host over Q\n")
+    host = tmp_path / "h4.json"
+    host.write_text(json.dumps(io_json.hopf_to_json(
+        cat.sweedler_h4(QQ, verify=False))))
+    assert main([cmd, str(path), "--host", str(host)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: --host file is over Q, not Fp:5\n")
+
+
 H4_DOC = io_json.hopf_to_json(cat.sweedler_h4(QQ, verify=False))
 SIGMA_DOC = io_json.cocycle_to_json(
     cat.sigma_t(cat.sweedler_h4(QQ, verify=False), 1, verify=False))
