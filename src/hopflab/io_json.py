@@ -18,9 +18,8 @@ yd_module / yd_algebra:
                "action": [[i,p,q,"c"], ...], "coaction": [[p,q,k,"c"], ...],
                "mult": [[p,q,r,"c"], ...], "unit": ["c", ...]}
 
-Every writer records the field.  A document's optional "field" names the
-field its scalars are over; a reader rejects a document whose field is not
-its host's, and one without the key is read over the host's field.
+Every writer records the field; a reader rejects a document whose "field"
+is not its host's and reads one without it over the host's field.
 
 The antipode matrix rows are images: antipode[i][j] is the coefficient of
 e_j in S(e_i).

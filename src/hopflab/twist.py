@@ -127,19 +127,18 @@ def conv_inverse2(h, f):
 
 
 def conv_inverse1(h, mu):
-    """Convolution inverse of a functional on H, or None."""
-    n = h.dim
-    op = Matrix.zeros(h.field, n, n)
-    for x in range(n):
-        for a, b, c in h.delta.terms(x):
-            if mu[a]:
-                op.data[x][b] = op.data[x][b] + c * mu[a]
+    """Convolution inverse of a functional on H, or None: ν with μν = ε in
+    H*, checked to give νμ = ε too."""
+    n, dual = h.dim, dual_hopf(h)
+    # column b of the operator ν ↦ μν is μ·δ_b
+    op = Matrix(h.field, n, n, [dual.mul_vec(mu, dual.basis_vec(b))
+                                for b in range(n)]).transpose()
     rhs = Matrix(h.field, n, 1, [[e] for e in h.counit])
     sol = solve(op, rhs)
     if sol is None:
         return None
     nu = [sol.data[i][0] for i in range(n)]
-    if dual_hopf(h).mul_vec(nu, mu) != h.counit:      # ν*μ = ε in H*
+    if dual.mul_vec(nu, mu) != h.counit:
         raise VerificationError("one-sided inverse of 1-cocycle")
     return nu
 
@@ -384,7 +383,7 @@ class LazyOneCocycle:
 def lazy_one_cocycle(host, mu, mu_inv=None):
     """Normalized central convolution-invertible μ ∈ H*."""
     f = host.field
-    if sum((x * u for x, u in zip(mu, host.unit)), f.zero) != f.one:
+    if dual_hopf(host).counit_of(mu) != f.one:         # μ(1) = ε_{H*}(μ)
         raise VerificationError("1-cocycle is not normalized: mu(1) != 1")
     n = host.dim
     for i in range(n):
