@@ -3,7 +3,9 @@ its cocycle/braiding families, the group algebra kC₂, and derived
 Yetter-Drinfeld modules and algebras used by the test suites.
 
 H₄ basis order is fixed as (1, g, h, gh); all tabulated entries refer to it.
-Every entry is verified by its type's checker when built.
+The builders construct and do not verify; only sweedler_h4 and
+group_algebra_c2 take a `verify` keyword.  The registry verifies every
+entry when it is built, with its type's checker and the entry's name.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def dim1_hopf(field=QQ):
 
 # -- Example families on H₄ -----------------------------------------------
 
-def sigma_t(h4, t, verify=True):
+def sigma_t(h4, t):
     """Lazy 2-cocycle σ_t; rows/cols in basis order (1, g, h, gh)."""
     f = h4.field
     t = t if not isinstance(t, int) else f.from_int(t)
@@ -132,13 +134,10 @@ def sigma_t(h4, t, verify=True):
         [zero, zero, th, -th],
     ]
     sig = Matrix.from_rows(f, rows)
-    c = _twist.two_cocycle(h4, sig)
-    if verify:
-        _twist.verify_two_cocycle(c).require("sigma_t(%s)" % t)
-    return c
+    return _twist.two_cocycle(h4, sig)
 
 
-def r_t(h4, t, verify=True):
+def r_t(h4, t):
     """CQT structure R_t of H₄."""
     f = h4.field
     t = t if not isinstance(t, int) else f.from_int(t)
@@ -150,26 +149,20 @@ def r_t(h4, t, verify=True):
         [zero, zero, t, t],
     ]
     r = Matrix.from_rows(f, rows)
-    c = _cqt.cqt_structure(h4, r)
-    if verify:
-        _cqt.verify_cqt(c).require("r_t(%s)" % t)
-    return c
+    return _cqt.cqt_structure(h4, r)
 
 
-def theta_t(h4, t, verify=True):
+def theta_t(h4, t):
     """Lazy dual 2-cocycle θ_t = 1⊗1 + (t/2)·h⊗gh."""
     f = h4.field
     t = t if not isinstance(t, int) else f.from_int(t)
     th = Matrix.zeros(f, 4, 4)
     th.data[0][0] = f.one
     th.data[2][3] = t * f.ratio(1, 2)
-    d = _twist.dual_cocycle(h4, th)
-    if verify:
-        _twist.verify_dual_cocycle(d).require("theta_t(%s)" % t)
-    return d
+    return _twist.dual_cocycle(h4, th)
 
 
-def qt_t(h4, t, verify=True):
+def qt_t(h4, t):
     """QT structure ℛ_t of H₄ (ℛ_0 is the group-algebra summand)."""
     f = h4.field
     t = t if not isinstance(t, int) else f.from_int(t)
@@ -187,35 +180,26 @@ def qt_t(h4, t, verify=True):
     rr.data[3][3] = th
     rr.data[2][3] = th
     rr.data[3][2] = -th
-    q = _cqt.qt_structure(h4, rr)
-    if verify:
-        _cqt.verify_qt(q).require("qt_t(%s)" % t)
-    return q
+    return _cqt.qt_structure(h4, rr)
 
 
-def cqt_c2(kc2, sign, verify=True):
+def cqt_c2(kc2, sign):
     """CQT structure on kC₂ with R(g⊗g) = sign ∈ {1, -1}."""
     f = kc2.field
     sign = sign if not isinstance(sign, int) else f.from_int(sign)
     if sign != f.one and sign != -f.one:
         raise ValueError("sign must be +-1")
     r = Matrix.from_rows(f, [[f.one, f.one], [f.one, sign]])
-    c = _cqt.cqt_structure(kc2, r)
-    if verify:
-        _cqt.verify_cqt(c).require("cqt_c2")
-    return c
+    return _cqt.cqt_structure(kc2, r)
 
 
-def qt_c2(kc2, verify=True):
+def qt_c2(kc2):
     """ℛ = ½(1⊗1 + 1⊗g + g⊗1 - g⊗g) on kC₂."""
     f = kc2.field
     _require_odd_char(f, "qt_c2")
     half = f.ratio(1, 2)
     rr = Matrix.from_rows(f, [[half, half], [half, -half]])
-    q = _cqt.qt_structure(kc2, rr)
-    if verify:
-        _cqt.verify_qt(q).require("qt_c2")
-    return q
+    return _cqt.qt_structure(kc2, rr)
 
 
 def one_cocycle_c2(kc2, c):
@@ -265,9 +249,9 @@ def trivial_algebra(host):
     return _yd.YdAlgebra(m, Tensor(f, (1, 1, 1), [f.one]), [f.one])
 
 
-def regular_galois_algebra(host, verify=True):
-    """(H, opposite multiplication) as a right H^op-comodule algebra with
-    coaction Δ and the adjoint action h·a = Σ h₂ a S⁻¹(h₁).
+def regular_galois_algebra(host):
+    """(H, opposite multiplication) as a right H^op-comodule algebra on
+    H's adjoint module (coaction Δ, action h·a = Σ h₂ a S⁻¹(h₁)).
 
     This is the Hopf-Galois extension k ⊂ H with its Miyashita-Ulbrich
     Yetter-Drinfeld structure; H with its own multiplication is not an
@@ -281,23 +265,8 @@ def regular_galois_algebra(host, verify=True):
             row = host.mul.dense_row(j, i)
             for k in range(n):
                 mult.data[(i * n + j) * n + k] = row[k]
-    coaction = Tensor(f, (n, n, n), list(host.comult.data))
-    action = Tensor.zeros(f, (n, n, n))
-    for i in range(n):
-        for p in range(n):
-            acc = [f.zero] * n
-            for a, b, c in host.delta.terms(i):
-                v = host.mul_vec(host.mul.dense_row(b, p), host.Sinv_basis(a))
-                for k, x in enumerate(v):
-                    if x:
-                        acc[k] = acc[k] + c * x
-            for k in range(n):
-                action.data[(i * n + p) * n + k] = acc[k]
-    mod = _yd.YdModule(host, n, action, coaction)
-    alg = _yd.YdAlgebra(mod, mult, list(host.unit))
-    if verify:
-        _yd.verify_yd_algebra(alg).require("regular_galois_algebra")
-    return alg
+    return _yd.YdAlgebra(_galois.adjoint_module(host), mult,
+                         list(host.unit))
 
 
 def end_regular(c):
@@ -326,7 +295,7 @@ class _Parts:
 
     h4 = cached_property(lambda self: sweedler_h4(self.field))
     kc2 = cached_property(lambda self: group_algebra_c2(self.field))
-    rt = cached_property(lambda self: r_t(self.h4, self.t, verify=False))
+    rt = cached_property(lambda self: r_t(self.h4, self.t))
 
 
 def _verified(check, what, obj):
@@ -334,28 +303,37 @@ def _verified(check, what, obj):
     return obj
 
 
-# (name, builder) in catalog order; a builder verifies what it returns
+# (name, builder) in catalog order.  The registry checks each entry with
+# its type's checker, naming the entry in the error; h4 and kc2 are
+# verified by sweedler_h4 and group_algebra_c2, and yd_regular_r by
+# regular_comodule_module's precondition.
 _REGISTRY = (
     ("h4", lambda p: p.h4),
     ("kc2", lambda p: p.kc2),
     ("k", lambda p: _verified(verify_hopf_axioms, "k", dim1_hopf(p.field))),
     ("h4_dual", lambda p: _verified(verify_hopf_axioms, "h4_dual",
                                     dual_hopf(p.h4))),
-    ("sigma_t", lambda p: sigma_t(p.h4, p.t)),
-    ("r_t", lambda p: r_t(p.h4, p.t)),
-    ("theta_t", lambda p: theta_t(p.h4, p.t)),
-    ("qt_t", lambda p: qt_t(p.h4, p.t)),
-    ("cqt_c2_minus", lambda p: cqt_c2(p.kc2, -1)),
-    ("cqt_c2_plus", lambda p: cqt_c2(p.kc2, 1)),
-    ("qt_c2", lambda p: qt_c2(p.kc2)),
+    ("sigma_t", lambda p: _verified(_twist.verify_two_cocycle, "sigma_t",
+                                    sigma_t(p.h4, p.t))),
+    ("r_t", lambda p: _verified(_cqt.verify_cqt, "r_t", r_t(p.h4, p.t))),
+    ("theta_t", lambda p: _verified(_twist.verify_dual_cocycle, "theta_t",
+                                    theta_t(p.h4, p.t))),
+    ("qt_t", lambda p: _verified(_cqt.verify_qt, "qt_t", qt_t(p.h4, p.t))),
+    ("cqt_c2_minus", lambda p: _verified(_cqt.verify_cqt, "cqt_c2_minus",
+                                         cqt_c2(p.kc2, -1))),
+    ("cqt_c2_plus", lambda p: _verified(_cqt.verify_cqt, "cqt_c2_plus",
+                                        cqt_c2(p.kc2, 1))),
+    ("qt_c2", lambda p: _verified(_cqt.verify_qt, "qt_c2", qt_c2(p.kc2))),
     ("yd_regular_r", lambda p: regular_comodule_module(p.rt)),
     ("yd_trivial", lambda p: _verified(_yd.verify_yd, "yd_trivial",
                                        trivial_module(p.h4))),
     ("unit_object", lambda p: _verified(
         _yd.verify_yd_algebra, "unit_object", _galois.unit_object(p.h4))),
     ("end_regular", lambda p: _verified(
-        _yd.verify_yd_algebra, "end_algebra", end_regular(p.rt))),
-    ("regular_galois_algebra", lambda p: regular_galois_algebra(p.h4)),
+        _yd.verify_yd_algebra, "end_regular", end_regular(p.rt))),
+    ("regular_galois_algebra", lambda p: _verified(
+        _yd.verify_yd_algebra, "regular_galois_algebra",
+        regular_galois_algebra(p.h4))),
 )
 
 

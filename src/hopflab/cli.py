@@ -30,7 +30,9 @@ from .suite import T_DEFAULT, run_suite, suite_json
 def _load_host(args, doc=None):
     """Resolve the host Hopf algebra from --host (file or catalog name) or
     the document's "host" catalog name, over --field, else the document's
-    "field", else ℚ; a --host file must be over the field either names."""
+    "field", else ℚ; a --host file must be over the field either names.
+    A catalog name is exactly h4, kc2 or k, in any case: a deformed host
+    such as "H4^s" is not H₄ and needs --host FILE."""
     spec = getattr(args, "field", None) or (doc or {}).get("field")
     field = field_from_spec("Q" if spec is None else spec)
     ref = getattr(args, "host", None)
@@ -47,14 +49,14 @@ def _load_host(args, doc=None):
             raise io_json.InputError("--host file is over %s, not %s"
                                      % (host.field.spec(), field.spec()))
         return host
-    base = ref.split("^")[0].split("_")[0].lower()
-    if base == "k":
+    name = ref.lower()
+    if name == "k":
         return cat.dim1_hopf(field)
     name_map = {"h4": cat.sweedler_h4, "kc2": cat.group_algebra_c2}
-    if base in name_map:
-        return name_map[base](field, verify=False)
-    raise io_json.InputError("unknown host %r (expected a .json file or a "
-                             "catalog name h4/kc2/k)" % ref)
+    if name in name_map:
+        return name_map[name](field, verify=False)
+    raise io_json.InputError("unknown host %r (the catalog hosts are h4, kc2 "
+                             "and k; use --host FILE)" % ref)
 
 
 def int_list(text):
@@ -83,7 +85,7 @@ def cmd_validate(args):
     kind = doc.get("kind", "hopf")
     rep = CheckReport()
     if kind == "hopf":
-        h = io_json.hopf_from_json(doc, verify=False, strict=False)
+        h = io_json.hopf_from_json(doc, strict=False)
         rep = verify_hopf_axioms(h)
     else:
         host = _load_host(args, doc)

@@ -26,8 +26,8 @@ from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
 from .twist import deform, eval2
 from .yd import (YdAlgebra, YdMap, YdModule, agreed_tensor, braided_product,
-                 eta, is_yd_map, quantum_commutative, sigma_algebra,
-                 sigma_module, verify_yd_algebra, yd_tensor)
+                 dual_module, eta, is_yd_map, quantum_commutative,
+                 sigma_algebra, sigma_module, verify_yd_algebra, yd_tensor)
 
 
 @dataclass
@@ -467,32 +467,34 @@ def wedge_algebra(cqt, alga, algb):
 
 # -- the unit object ----------------------------------------------------------
 
+def adjoint_module(host):
+    """H as a YD module over itself: coaction Δ and the adjoint action
+    h·a = Σ h₂ a S⁻¹(h₁)."""
+    f = host.field
+    n = host.dim
+    action = Tensor.zeros(f, (n, n, n))
+    for i in range(n):
+        for p in range(n):
+            acc = [f.zero] * n
+            for a, b, c in host.delta.terms(i):
+                v = host.mul_vec(host.mul.dense_row(b, p), host.Sinv_basis(a))
+                for k, x in enumerate(v):
+                    if x:
+                        acc[k] = acc[k] + c * x
+            for k in range(n):
+                action.data[(i * n + p) * n + k] = acc[k]
+    return YdModule(host, n, action, Tensor(f, (n, n, n),
+                                            list(host.comult.data)))
+
+
 def unit_object(host):
-    """I = H* with h·p = Σ p₁⟨p₂,h⟩ and the coaction dual to
-    h*·p = Σ h*₂ p S⁻¹(h*₁)."""
+    """I = H*: the dual of H*'s adjoint module, so h·p = Σ p₁⟨p₂,h⟩ and the
+    coaction is dual to h*·p = Σ h*₂ p S⁻¹(h*₁); I's product and unit are
+    H*'s."""
     hd = dual_hopf(host)
     n = host.dim
-    f = host.field
-    hs = range(n)
-
-    def dual_action(i, j):
-        # δ_i acting on δ_j, dualized through the basis pairing
-        acc = [f.zero] * n
-        for a, b, c in hd.delta.terms(i):
-            u = hd.mul_vec(hd.mul.dense_row(b, j), hd.Sinv_basis(a))
-            for q, cv in enumerate(u):
-                if cv:
-                    acc[q] = acc[q] + c * cv
-        return acc
-
-    dual = [[dual_action(i, j) for j in hs] for i in hs]
-    # e_i·δ_j = Σ_a mult[a,i,j] δ_a
-    action = Tensor.from_rows(f, (n, n, n), [
-        [[host.mul.dense_row(a, i)[j] for a in hs] for j in hs] for i in hs])
-    coaction = Tensor.from_rows(f, (n, n, n), [
-        [[dual[i][j][q] for i in hs] for q in hs] for j in hs])
-    mod = YdModule(host, n, action, coaction)
-    return YdAlgebra(mod, Tensor(f, (n, n, n), list(hd.mult.data)),
+    return YdAlgebra(dual_module(adjoint_module(hd)),
+                     Tensor(host.field, (n, n, n), list(hd.mult.data)),
                      list(hd.unit))
 
 

@@ -126,12 +126,13 @@ def hopf_to_json(h):
     }
 
 
-def hopf_from_json(doc, verify=True, strict=True):
+def hopf_from_json(doc, strict=True):
     """Load a Hopf algebra document.
 
-    strict=True rejects non-invertible or inconsistent antipode data at
-    load time; strict=False builds the structure anyway so that the axiom
-    suite can fail with a witness (used by `validate`).
+    strict=True rejects non-invertible or inconsistent antipode data and
+    requires the Hopf axioms at load time; strict=False builds the
+    structure anyway so that the axiom suite can fail with a witness (used
+    by `validate`).
     """
     try:
         field = field_from_spec(doc["field"])
@@ -168,7 +169,7 @@ def hopf_from_json(doc, verify=True, strict=True):
             s_inv = Matrix.zeros(field, n, n)
     h = HopfAlgebra(field, n, names, mult, unit, comult, counit, s, s_inv,
                     name=name)
-    if verify:
+    if strict:
         verify_hopf_axioms(h).require("hopf axioms at load")
     return h
 

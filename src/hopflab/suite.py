@@ -23,10 +23,11 @@ from .twist import (convolve2, conv_inverse2, deform, deform_dual,
                     verify_two_cocycle, coboundary_from, lazy_one_cocycle)
 from .quasitriangular import (deform_cqt, deform_qt, verify_cqt, verify_qt,
                               yd_from_comodule)
-from .yd import (_kron, azumaya_check, eta, is_yd_map, quantum_commutative,
-                 sigma_algebra, sigma_module, verify_braided_functor,
-                 verify_theta_braided, verify_yd_algebra, zeta_iso,
-                 zeta_triangle, YdAlgebra, YdMap, random_yd_map, yd_hom_basis)
+from .yd import (_kron, azumaya_check, end_algebra, eta, is_yd_map,
+                 quantum_commutative, sigma_algebra, sigma_module,
+                 verify_braided_functor, verify_theta_braided,
+                 verify_yd_algebra, zeta_iso, zeta_triangle, YdAlgebra, YdMap,
+                 random_yd_map, yd_hom_basis)
 from .galois import (bimodule_actions, build_hr, chi_maps, comodule_galois,
                      galois_maps, mu_action_and_pi, phi_psi_xi, unit_object,
                      verify_sigma_coinvariants, verify_sigma_wedge,
@@ -36,7 +37,18 @@ T_DEFAULT = (-2, -1, 0, 1, 2, 3)
 
 
 class SuiteContext:
-    """Shared instances so criteria do not rebuild the catalog."""
+    """The instances the criteria share, each built once per context.
+
+    H₄ and kC₂ are built with the context; everything else (σ_t, θ_t, R_t,
+    ℛ_t, the YD modules, 𝓗_R, the Galois test algebras and their σ̲ images)
+    is built on first use and memoized by name and t.  Nothing here
+    verifies: each criterion checks what it reads.
+    """
+
+    # the Galois test algebras, End_regular being End(regular(1))
+    ALGEBRAS = {"I": lambda ctx: unit_object(ctx.h4),
+                "H_regular": lambda ctx: cat.regular_galois_algebra(ctx.h4),
+                "End_regular": lambda ctx: end_algebra(ctx.regular(1))}
 
     def __init__(self, field=QQ, t_values=T_DEFAULT, seed=0):
         self.field = field
@@ -44,42 +56,57 @@ class SuiteContext:
         self.seed = seed
         self.h4 = cat.sweedler_h4(field, verify=False)
         self.kc2 = cat.group_algebra_c2(field, verify=False)
-        self._sigma = {}
-        self._theta = {}
-        self._r = {}
-        self._qt = {}
-        self._end = None
-        self._unit = None
+        self._memo = {}
 
-    def _family(self, cache, build, t):
-        if t not in cache:
-            cache[t] = build(self.h4, t, verify=False)
-        return cache[t]
+    def _once(self, key, build, *args):
+        if key not in self._memo:
+            self._memo[key] = build(*args)
+        return self._memo[key]
 
     def sigma(self, t):
-        return self._family(self._sigma, cat.sigma_t, t)
+        return self._once(("sigma", t), cat.sigma_t, self.h4, t)
 
     def theta(self, t):
-        return self._family(self._theta, cat.theta_t, t)
+        return self._once(("theta", t), cat.theta_t, self.h4, t)
 
     def r(self, t):
-        return self._family(self._r, cat.r_t, t)
+        return self._once(("r", t), cat.r_t, self.h4, t)
 
     def qt(self, t):
-        return self._family(self._qt, cat.qt_t, t)
+        return self._once(("qt", t), cat.qt_t, self.h4, t)
 
     def regular(self, t=1):
-        return cat.regular_comodule_module(self.r(t))
+        """H₄ as a comodule over itself with the R_t-induced action."""
+        return self._once(("regular", t), cat.regular_comodule_module,
+                          self.r(t))
 
-    def end_regular(self):
-        if self._end is None:
-            self._end = cat.end_regular(self.r(1))
-        return self._end
+    def c2_regular(self):
+        """kC₂'s regular comodule with the action of R(g⊗g) = -1."""
+        return self._once(("c2_regular",), lambda: cat.regular_comodule_module(
+            cat.cqt_c2(self.kc2, -1)))
+
+    def trivial(self, host="h4", dim=1):
+        """The trivial YD module of dimension dim over self.h4 or self.kc2."""
+        return self._once(("trivial", host, dim), cat.trivial_module,
+                          getattr(self, host), dim)
+
+    def hr(self, t):
+        """𝓗_{R_t}."""
+        return self._once(("hr", t), build_hr, self.r(t))
+
+    def algebra(self, name):
+        return self._once(("algebra", name), self.ALGEBRAS[name], self)
 
     def unit_obj(self):
-        if self._unit is None:
-            self._unit = unit_object(self.h4)
-        return self._unit
+        return self.algebra("I")
+
+    def end_regular(self):
+        return self.algebra("End_regular")
+
+    def sigma_algebra(self, t, name):
+        """σ̲_t of algebra(name)."""
+        return self._once(("sigma_algebra", t, name), sigma_algebra,
+                          self.sigma(t), self.algebra(name))
 
 
 def criterion_01_h4_validity(ctx):
@@ -104,27 +131,26 @@ def criterion_02_cocycle_family(ctx):
         rep.add("sigma_%s_lazy" % t, is_lazy(c))
     for t in ctx.t_values:
         for s in ctx.t_values:
-            want = cat.sigma_t(h4, t + s, verify=False).sigma
+            want = ctx.sigma(t + s).sigma
             got = convolve2(h4, ctx.sigma(t).sigma, ctx.sigma(s).sigma)
             rep.add("sigma_group_law_%s_%s" % (t, s), got == want)
     for t in ctx.t_values:
         inv = conv_inverse2(h4, ctx.sigma(t).sigma)
         rep.add("sigma_%s_inverse_is_minus" % t,
-                inv == cat.sigma_t(h4, -t, verify=False).sigma)
+                inv == ctx.sigma(-t).sigma)
     return rep
 
 
 def criterion_03_dual_family(ctx):
     """θ_t: dual cocycle identity, laziness, product law."""
     rep = CheckReport()
-    h4 = ctx.h4
     for t in ctx.t_values:
         d = ctx.theta(t)
         rep.add("theta_%s_identities" % t, verify_dual_cocycle(d).ok)
         rep.add("theta_%s_lazy" % t, is_lazy_dual(d))
     for t in ctx.t_values:
         for s in ctx.t_values:
-            want = cat.theta_t(h4, t + s, verify=False).theta
+            want = ctx.theta(t + s).theta
             got = dual_cocycle_product(ctx.theta(t), ctx.theta(s)).theta
             rep.add("theta_group_law_%s_%s" % (t, s), got == want)
     return rep
@@ -150,20 +176,18 @@ def criterion_05_cqt_qt_deformation(ctx):
     """R_t axioms; (R_t)^{σ_s} = R_{t-s} (one consistent sign); and
     (ℛ_0)_{θ_s} = ℛ_{-s}."""
     rep = CheckReport()
-    h4 = ctx.h4
     for t in ctx.t_values:
         rep.add("R_%s_axioms" % t, verify_cqt(ctx.r(t)).ok)
     for t in ctx.t_values:
         for s in ctx.t_values:
             got = deform_cqt(ctx.r(t), ctx.sigma(s))
-            want = cat.r_t(h4, t - s, verify=False).r
-            rep.add("R_%s_sigma_%s_shift" % (t, s), got.r == want)
+            rep.add("R_%s_sigma_%s_shift" % (t, s),
+                    got.r == ctx.r(t - s).r)
     rep.add("QT_0_axioms", verify_qt(ctx.qt(0)).ok)
     rep.add("QT_1_axioms", verify_qt(ctx.qt(1)).ok)
     for s in ctx.t_values:
         got = deform_qt(ctx.qt(0), ctx.theta(s))
-        want = cat.qt_t(h4, -s, verify=False).rr
-        rep.add("QT0_theta_%s_shift" % s, got.rr == want)
+        rep.add("QT0_theta_%s_shift" % s, got.rr == ctx.qt(-s).rr)
     return rep
 
 
@@ -171,7 +195,7 @@ def criterion_06_braided_square(ctx):
     """Thm 2.3 and Thm 2.8 commuting squares on all catalog pairs."""
     rep = CheckReport()
     mods = {"reg": ctx.regular(1), "I": ctx.unit_obj().module,
-            "triv": cat.trivial_module(ctx.h4)}
+            "triv": ctx.trivial()}
     for st in (1, 2, -1):
         for na, ma in mods.items():
             for nb, mb in mods.items():
@@ -192,8 +216,8 @@ def criterion_07_cor24_action(ctx):
         for s in (1, 2, -1):
             rs = deform_cqt(ctx.r(t), ctx.sigma(s))
             for name, mod in (("regular", ctx.regular(t)),
-                              ("hr", build_hr(ctx.r(t)).underlying.module),
-                              ("trivial", cat.trivial_module(ctx.h4))):
+                              ("hr", ctx.hr(t).underlying.module),
+                              ("trivial", ctx.trivial())):
                 sm = sigma_module(ctx.sigma(s), mod)
                 ind = yd_from_comodule(rs, sm.coaction)
                 rep.add("cor2_4_R%s_sigma%s_%s" % (t, s, name),
@@ -204,11 +228,9 @@ def criterion_07_cor24_action(ctx):
 def criterion_08_coboundary_zeta(ctx):
     """Cor 2.7: ζ_M is a YD isomorphism satisfying the monoidal triangle."""
     rep = CheckReport()
-    kc2 = ctx.kc2
-    c2m = cat.cqt_c2(kc2, -1, verify=False)
-    m2 = cat.regular_comodule_module(c2m)
+    m2 = ctx.c2_regular()
     for cval in (-1, 2):
-        mu = cat.one_cocycle_c2(kc2, cval)
+        mu = cat.one_cocycle_c2(ctx.kc2, cval)
         cob = coboundary_from(mu)
         z = zeta_iso(mu, m2, cob)
         rep.add("zeta_c2_mu%s_yd_iso" % cval, is_yd_map(z).ok
@@ -247,13 +269,11 @@ def criterion_09_azumaya(ctx):
     """End(M) is Azumaya, σ̲(End(M)) stays Azumaya, and the trivial-YD kC₂
     control is not."""
     rep = CheckReport()
-    e = ctx.end_regular()
-    rep.add("end_regular_azumaya", azumaya_check(e).ok)
+    rep.add("end_regular_azumaya", azumaya_check(ctx.end_regular()).ok)
     for t in (1, -1):
-        se = sigma_algebra(ctx.sigma(t), e)
+        se = ctx.sigma_algebra(t, "End_regular")
         rep.add("sigma_%s_end_azumaya" % t, azumaya_check(se).ok)
-    control = YdAlgebra(cat.trivial_module(ctx.kc2, 2), ctx.kc2.mult,
-                        ctx.kc2.unit)
+    control = YdAlgebra(ctx.trivial("kc2", 2), ctx.kc2.mult, ctx.kc2.unit)
     crep = azumaya_check(control)
     failed = {c.name for c in crep.failures()}
     rep.add("kc2_trivial_not_azumaya",
@@ -312,27 +332,18 @@ def criterion_12_unit_deformation(ctx):
 def criterion_13_galois_stability(ctx):
     """Prop 3.10 / Lemma 3.14: the Galois verdicts agree across σ̲."""
     rep = CheckReport()
-    h4 = ctx.h4
-    s1 = ctx.sigma(1)
-    algebras = {
-        "I": ctx.unit_obj(),
-        "H_regular": cat.regular_galois_algebra(h4, verify=False),
-        "End_regular": ctx.end_regular(),
-    }
-    for name, alg in algebras.items():
-        s_alg = sigma_algebra(s1, alg)
-        b = comodule_galois(alg).status("galois")
-        a = comodule_galois(s_alg).status("galois")
+    for name in ctx.ALGEBRAS:
+        b = comodule_galois(ctx.algebra(name)).status("galois")
+        a = comodule_galois(ctx.sigma_algebra(1, name)).status("galois")
         rep.add("lemma3_14_%s" % name, a == b, None,
                 "Galois(A)=%s, Galois(σ̲A)=%s" % (b, a))
 
-    bh = build_hr(ctx.r(1))
-    r1s = deform_cqt(ctx.r(1), s1)
-    bhs = build_hr(r1s)
-    for name, alg in algebras.items():
-        bim = bimodule_actions(bh, alg.module)
-        rep_before = galois_maps(bh, bim, alg)
-        s_alg = sigma_algebra(s1, alg)
+    bh = ctx.hr(1)
+    bhs = build_hr(deform_cqt(ctx.r(1), ctx.sigma(1)))
+    for name in ctx.ALGEBRAS:
+        alg = ctx.algebra(name)
+        rep_before = galois_maps(bh, bimodule_actions(bh, alg.module), alg)
+        s_alg = ctx.sigma_algebra(1, name)
         bim_s = bimodule_actions(bhs, s_alg.module)
         rep_after = galois_maps(bhs, bim_s, s_alg)
         for nm in ("right_galois", "left_galois", "bigalois_object"):
@@ -351,7 +362,7 @@ def criterion_13_galois_stability(ctx):
     member = wrep.ok and quantum_commutative(ww) \
         and verify_yd_algebra(ww).ok
     rep.add("thm3_11_wedge_of_members_is_member", member)
-    s_uo = sigma_algebra(s1, uo)
+    s_uo = ctx.sigma_algebra(1, "I")
     b_suo = bimodule_actions(bhs, s_uo.module)
     s_member = galois_maps(bhs, b_suo, s_uo).ok \
         and quantum_commutative(s_uo)
@@ -363,16 +374,13 @@ def criterion_14_thm315(ctx):
     """Thm 3.15 core equality π(σ̲(A)) = σ̲(π(A)) on A = End(regular),
     plus the MU well-definedness certificate."""
     rep = CheckReport()
-    s1 = ctx.sigma(1)
-    e = ctx.end_regular()
-    se = sigma_algebra(s1, e)
-    pi_e, rep_e = mu_action_and_pi(e)
+    pi_e, rep_e = mu_action_and_pi(ctx.end_regular())
     rep.add("mu_well_defined_A",
             rep_e.status("mu_action_well_defined") == "pass")
-    pi_se, rep_se = mu_action_and_pi(se)
+    pi_se, rep_se = mu_action_and_pi(ctx.sigma_algebra(1, "End_regular"))
     rep.add("mu_well_defined_sigmaA",
             rep_se.status("mu_action_well_defined") == "pass")
-    s_pi = sigma_algebra(s1, pi_e)
+    s_pi = sigma_algebra(ctx.sigma(1), pi_e)
     rep.add("pi_sigma_equal_mult", pi_se.mult == s_pi.mult)
     rep.add("pi_sigma_equal_action",
             pi_se.module.action == s_pi.module.action)

@@ -105,3 +105,35 @@ def test_report_status_needs_exactly_one_check():
         rep.status("renamed")
     with pytest.raises(KeyError, match="2 checks named 'twice'"):
         rep.status("twice")
+
+
+def test_each_shared_instance_is_built_once(monkeypatch):
+    """On one SuiteContext every criterion takes its instances from the
+    context, which builds each (builder, arguments) pair at most once.
+    Criterion 15 is left out: it builds two fresh contexts by design."""
+    from collections import Counter
+    calls = Counter()
+    seen = []                   # keeps the arguments alive, so ids stay apart
+
+    def count(owner, name):
+        built = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            calls[(name,) + tuple(a if isinstance(a, (int, str)) else id(a)
+                                  for a in args)] += 1
+            return built(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("sigma_t", "theta_t", "r_t", "qt_t", "cqt_c2", "qt_c2",
+                 "regular_galois_algebra", "regular_comodule_module",
+                 "trivial_module", "end_regular"):
+        count(suite.cat, name)
+    for name in ("build_hr", "sigma_algebra", "unit_object"):
+        count(suite, name)
+    ctx = SuiteContext(QQ, suite.T_DEFAULT, 0)
+    for name, fn in CRITERIA:
+        if name != "15_determinism":
+            assert fn(ctx).ok, name
+    assert calls[("sigma_t", id(ctx.h4), 6)] == 1
+    assert {key: n for key, n in calls.items() if n > 1} == {}

@@ -112,26 +112,58 @@ def test_get_entry_builds_only_what_the_entry_is_built_from(monkeypatch):
         assert cat.get_entry(name, QQ, 1).name == name
 
 
-def _one_entry_off(name, obj):
-    """obj with one structure constant changed: the unit of k and of H₄*
-    counts 2 under ε, and 1 acts on the trivial module as 2."""
-    if name == "yd_trivial":
-        obj.action.data[0] = obj.action.data[0] + obj.host.field.one
-    else:
+def _one_entry_off(obj):
+    """obj with one structure constant changed: a host's unit counts 2
+    under ε, 1 acts on a module as 2, an algebra's unit is off in its first
+    coordinate, and a functional's value at 1⊗1 is off by one."""
+    from hopflab.hopf import HopfAlgebra
+    from hopflab.yd import YdAlgebra, YdModule
+    if isinstance(obj, HopfAlgebra):
         obj.counit = list(obj.counit)
         obj.counit[0] = obj.counit[0] + obj.field.one
+    elif isinstance(obj, YdModule):
+        obj.action.data[0] = obj.action.data[0] + obj.host.field.one
+    elif isinstance(obj, YdAlgebra):
+        obj.unit[0] = obj.unit[0] + obj.host.field.one
+    else:
+        attr = {"TwoCocycle": "sigma", "DualCocycle": "theta",
+                "CqtStructure": "r", "QtStructure": "rr"}
+        mat = getattr(obj, attr[type(obj).__name__])
+        mat.data[0][0] = mat.data[0][0] + obj.host.field.one
     return obj
 
 
+# Every entry but h4 and kc2, which sweedler_h4 and group_algebra_c2 verify,
+# and yd_regular_r, which regular_comodule_module verifies as a
+# precondition; a dotted builder lives in that catalog submodule.
 @pytest.mark.parametrize("name, builder", [
     ("k", "dim1_hopf"), ("h4_dual", "dual_hopf"),
-    ("yd_trivial", "trivial_module")])
+    ("sigma_t", "sigma_t"), ("r_t", "r_t"), ("theta_t", "theta_t"),
+    ("qt_t", "qt_t"), ("cqt_c2_minus", "cqt_c2"), ("cqt_c2_plus", "cqt_c2"),
+    ("qt_c2", "qt_c2"), ("yd_trivial", "trivial_module"),
+    ("unit_object", "_galois.unit_object"), ("end_regular", "end_regular"),
+    ("regular_galois_algebra", "regular_galois_algebra")])
 def test_every_builder_verifies_its_entry(name, builder, monkeypatch):
-    built = getattr(cat, builder)
-    monkeypatch.setattr(cat, builder, lambda *args: _one_entry_off(
-        name, built(*args)))
+    """The registry, not the builder, verifies: a builder whose result is
+    one entry off makes the entry raise, naming it."""
+    owner = cat
+    *path, attr = builder.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    built = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *args: _one_entry_off(
+        built(*args)))
     with pytest.raises(VerificationError, match=name):
         cat.get_entry(name, QQ, 1)
+
+
+def test_registry_covers_every_entry():
+    """Each entry is either checked above or verified by its builder."""
+    checked = {"k", "h4_dual", "sigma_t", "r_t", "theta_t", "qt_t",
+               "cqt_c2_minus", "cqt_c2_plus", "qt_c2", "yd_trivial",
+               "unit_object", "end_regular", "regular_galois_algebra"}
+    assert set(cat.catalog_names()) == checked | {"h4", "kc2",
+                                                  "yd_regular_r"}
 
 
 @pytest.mark.parametrize("name", cat.catalog_names())
@@ -151,13 +183,17 @@ def test_catalog_export_over_f2(name, capsys):
 
 
 def test_constructions_take_no_verify_keyword():
-    """Below the catalog, constructions build and verifiers verify: no
-    public function of these modules has a `verify` parameter."""
+    """Constructions build and verifiers verify: no public function of
+    these modules has a `verify` parameter, except the two catalog hosts,
+    which verify by default."""
     import importlib
     import inspect
-    for name in ("twist", "quasitriangular", "yd", "galois"):
+    allowed = {"catalog.sweedler_h4", "catalog.group_algebra_c2"}
+    seen = set()
+    for name in ("twist", "quasitriangular", "yd", "galois", "catalog"):
         mod = importlib.import_module("hopflab." + name)
         for fname, fn in inspect.getmembers(mod, inspect.isfunction):
-            if fn.__module__ == mod.__name__ and not fname.startswith("_"):
-                assert "verify" not in inspect.signature(fn).parameters, \
-                    "%s.%s" % (name, fname)
+            if fn.__module__ == mod.__name__ and not fname.startswith("_") \
+                    and "verify" in inspect.signature(fn).parameters:
+                seen.add("%s.%s" % (name, fname))
+    assert seen == allowed

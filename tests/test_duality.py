@@ -26,7 +26,7 @@ def h4(request):
 @pytest.fixture(scope="module")
 def modules(h4):
     """The regular, unit and trivial modules and their 9 tensor products."""
-    base = {"reg": cat.regular_comodule_module(cat.r_t(h4, 1, verify=False)),
+    base = {"reg": cat.regular_comodule_module(cat.r_t(h4, 1)),
             "I": unit_object(h4).module, "triv": cat.trivial_module(h4)}
     mods = dict(base)
     for na, ma in base.items():
@@ -93,7 +93,7 @@ def rho_theta(d, mod):
 
 @pytest.mark.parametrize("t", T_DEFAULT)
 def test_theta_module_matches_rho_theta(h4, modules, t):
-    d = cat.theta_t(h4, t, verify=False)
+    d = cat.theta_t(h4, t)
     for name, mod in modules.items():
         tm = theta_module(d, mod)
         assert tm.host is deform_dual(d), name
@@ -103,7 +103,7 @@ def test_theta_module_matches_rho_theta(h4, modules, t):
 
 @pytest.mark.parametrize("t", T_DEFAULT)
 def test_deform_dual_matches_conjugation_by_theta(h4, t):
-    d = cat.theta_t(h4, t, verify=False)
+    d = cat.theta_t(h4, t)
     h, n = h4, h4.dim
     comult = []
     s_rows = []
@@ -145,7 +145,7 @@ def rr_coaction(q, action):
 
 @pytest.mark.parametrize("t", (0, 1, 2, -1))
 def test_yd_from_module_matches_rr_coaction(h4, modules, t):
-    q = cat.qt_t(h4, t, verify=False)
+    q = cat.qt_t(h4, t)
     for name, mod in modules.items():
         got = yd_from_module(q, mod.action)
         assert got.host is h4, name
@@ -155,7 +155,7 @@ def test_yd_from_module_matches_rr_coaction(h4, modules, t):
 
 def test_yd_from_module_qt_c2_matches_rr_coaction(h4):
     kc2 = cat.group_algebra_c2(h4.field, verify=False)
-    q = cat.qt_c2(kc2, verify=False)
+    q = cat.qt_c2(kc2)
     action = Tensor(kc2.field, (2, 2, 2), list(kc2.mult.data))
     got = yd_from_module(q, action)
     assert got.action == action
@@ -164,10 +164,10 @@ def test_yd_from_module_qt_c2_matches_rr_coaction(h4):
 
 @pytest.mark.parametrize("t", (0, 1, 2, -1))
 def test_deform_qt_is_tau_theta_rr_theta_inverse(h4, t):
-    q = cat.qt_t(h4, t, verify=False)
+    q = cat.qt_t(h4, t)
     one = eps_eps(dual_hopf(h4))        # 1⊗1
     for s in T_DEFAULT:
-        d = cat.theta_t(h4, s, verify=False)
+        d = cat.theta_t(h4, s)
         assert hh_product(h4, d.theta, d.theta_inv) == one
         got = deform_qt(q, d)
         want = hh_product(h4, d.theta.transpose(),
@@ -179,7 +179,7 @@ def test_deform_qt_is_tau_theta_rr_theta_inverse(h4, t):
 
 def test_deform_qt_qt_c2_trivial_theta(h4):
     kc2 = cat.group_algebra_c2(h4.field, verify=False)
-    q = cat.qt_c2(kc2, verify=False)
+    q = cat.qt_c2(kc2)
     one = eps_eps(dual_hopf(kc2))
     got = deform_qt(q, dual_cocycle(kc2, one))
     assert got.rr == q.rr
@@ -187,13 +187,13 @@ def test_deform_qt_qt_c2_trivial_theta(h4):
 
 
 def catalog_yd_modules(h4):
-    rt = cat.r_t(h4, 1, verify=False)
+    rt = cat.r_t(h4, 1)
     return {"yd_regular_r": cat.regular_comodule_module(rt),
             "yd_trivial": cat.trivial_module(h4),
             "unit_object": unit_object(h4).module,
             "end_regular": cat.end_regular(rt).module,
             "regular_galois_algebra":
-                cat.regular_galois_algebra(h4, verify=False).module}
+                cat.regular_galois_algebra(h4).module}
 
 
 def test_dual_module_is_an_involution(h4, modules):
@@ -205,7 +205,7 @@ def test_dual_module_is_an_involution(h4, modules):
 
 
 def test_dual_modules_are_yd_over_the_dual(h4):
-    s1 = cat.sigma_t(h4, 1, verify=False)
+    s1 = cat.sigma_t(h4, 1)
     for name, mod in catalog_yd_modules(h4).items():
         for image in (mod, sigma_module(s1, mod)):
             dm = dual_module(image)

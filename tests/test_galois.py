@@ -43,7 +43,7 @@ def test_build_hr_h4(bh1):
 
 
 def test_build_hr_r0_quantum_commutativity_decided(h4):
-    bh0 = build_hr(r_t(h4, 0, verify=False))
+    bh0 = build_hr(r_t(h4, 0))
     assert verify_braided_hopf(bh0).ok
     # decided by the brute-force oracle; record the outcome exactly
     assert quantum_commutative(bh0.underlying) is True
@@ -90,7 +90,7 @@ def test_coinvariants_unit_object(bh1, unit_obj):
 
 
 def test_coinvariants_regular_lemma31(h4):
-    r0 = r_t(h4, 0, verify=False)
+    r0 = r_t(h4, 0)
     bh0 = build_hr(r0)
     mod = regular_comodule_module(r0)
     b = bimodule_actions(bh0, mod)
@@ -100,8 +100,8 @@ def test_coinvariants_regular_lemma31(h4):
 
 def test_sigma_coinvariants_stable(h4, r1, s1, mreg, unit_obj):
     assert verify_sigma_coinvariants(s1, r1, mreg).ok
-    s2 = sigma_t(h4, 2, verify=False)
-    r0 = r_t(h4, 0, verify=False)
+    s2 = sigma_t(h4, 2)
+    r0 = r_t(h4, 0)
     assert verify_sigma_coinvariants(s2, r0, unit_obj.module).ok
 
 
@@ -163,6 +163,52 @@ def test_unit_object_h4(unit_obj):
     assert quantum_commutative(unit_obj) is True
 
 
+def ref_unit_object(host):
+    """I = H* written out: h·p = Σ p₁⟨p₂,h⟩ and the coaction dual to
+    h*·p = Σ h*₂ p S⁻¹(h*₁), as (action, coaction, mult, unit)."""
+    from hopflab.hopf import dual_hopf
+    hd = dual_hopf(host)
+    n = host.dim
+    f = host.field
+    hs = range(n)
+
+    def dual_action(i, j):
+        acc = [f.zero] * n
+        for a, b, c in hd.delta.terms(i):
+            u = hd.mul_vec(hd.mul.dense_row(b, j), hd.Sinv_basis(a))
+            for q, cv in enumerate(u):
+                if cv:
+                    acc[q] = acc[q] + c * cv
+        return acc
+
+    dual = [[dual_action(i, j) for j in hs] for i in hs]
+    action = Tensor.from_rows(f, (n, n, n), [
+        [[host.mul.dense_row(a, i)[j] for a in hs] for j in hs] for i in hs])
+    coaction = Tensor.from_rows(f, (n, n, n), [
+        [[dual[i][j][q] for i in hs] for q in hs] for j in hs])
+    return action, coaction, list(hd.mult.data), list(hd.unit)
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+@pytest.mark.parametrize("host_name", ["H4", "kC2", "H4*"])
+def test_unit_object_is_dual_of_adjoint_module(host_name, spec):
+    """unit_object(H) = (H*'s adjoint module)* with H*'s product and unit
+    equals the written-out I tensor-exactly."""
+    from hopflab.fields import field_from_spec
+    from hopflab.hopf import dual_hopf
+    f = field_from_spec(spec)
+    host = (group_algebra_c2(f) if host_name == "kC2"
+            else sweedler_h4(f, verify=False))
+    if host_name == "H4*":
+        host = dual_hopf(host)
+    uo = unit_object(host)
+    action, coaction, mult, unit = ref_unit_object(host)
+    assert uo.host is host
+    assert uo.module.action == action and uo.module.coaction == coaction
+    assert uo.mult.data == mult and uo.unit == unit
+    assert verify_yd_algebra(uo).ok
+
+
 def test_chi_trivial_sigma_is_identity(h4):
     triv = two_cocycle(h4, eps_eps(h4))
     chi, chi_inv, chi_star = chi_maps(triv)
@@ -172,12 +218,12 @@ def test_chi_trivial_sigma_is_identity(h4):
 
 def test_chi_roundtrips(h4):
     for t in (1, 2, -2):
-        chi_maps(sigma_t(h4, t, verify=False))   # raises on failure
+        chi_maps(sigma_t(h4, t))   # raises on failure
 
 
 def test_unit_deformation_lemma37(h4):
     for t in (1, -1):
-        rep = verify_unit_deformation(sigma_t(h4, t, verify=False))
+        rep = verify_unit_deformation(sigma_t(h4, t))
         assert rep.ok, rep.render_text()
 
 
@@ -189,7 +235,7 @@ def test_unit_deformation_trivial_sigma(h4):
 
 def test_phi_psi_xi_roundtrips(h4, s1, unit_obj, r1):
     phi_psi_xi(s1, unit_obj)                    # raises on failure
-    s2 = sigma_t(h4, 2, verify=False)
+    s2 = sigma_t(h4, 2)
     phi_psi_xi(s2, end_regular(r1))
     triv = two_cocycle(h4, eps_eps(h4))
     phi, phi_i, psi, psi_i, xi, xi_i = phi_psi_xi(triv, unit_obj)
@@ -279,9 +325,9 @@ def test_relations_match_dense_reference(field):
     two vectors outside it, on I, H_regular, End(regular) and σ̲_1 of each."""
     from hopflab.galois import _relations
     h4 = sweedler_h4(field, verify=False)
-    s1 = sigma_t(h4, 1, verify=False)
-    algebras = [unit_object(h4), regular_galois_algebra(h4, verify=False),
-                end_regular(r_t(h4, 1, verify=False))]
+    s1 = sigma_t(h4, 1)
+    algebras = [unit_object(h4), regular_galois_algebra(h4),
+                end_regular(r_t(h4, 1))]
     algebras += [sigma_algebra(s1, alg) for alg in algebras]
     for alg in algebras:
         m = alg.dim
@@ -317,7 +363,7 @@ def test_prop_310_equivalence(bh1, r1, s1, unit_obj):
 
 
 def test_comodule_galois_regular(h4):
-    alg = regular_galois_algebra(h4, verify=False)
+    alg = regular_galois_algebra(h4)
     rep = comodule_galois(alg)
     assert rep.ok
     assert comodule_coinvariants(alg).dim == 1
@@ -340,7 +386,7 @@ def test_comodule_galois_end_and_lemma_314(r1, s1):
 
 
 def test_mu_action_regular(h4):
-    alg = regular_galois_algebra(h4, verify=False)
+    alg = regular_galois_algebra(h4)
     pi, rep = mu_action_and_pi(alg)
     assert rep.ok, rep.render_text()
     assert pi.dim == 4

@@ -195,7 +195,7 @@ def test_cli_wedge_checks_its_inputs(tmp_path, kc2, capsys, sign):
 
 
 @pytest.mark.parametrize("ref, name", [("h4", "H4"), ("kc2", "kC2"),
-                                       ("k", "k"), ("H4^sigma_1", "H4")])
+                                       ("k", "k"), ("H4", "H4")])
 def test_load_host_by_catalog_name(ref, name):
     from argparse import Namespace
     from hopflab.cli import _load_host
@@ -208,6 +208,42 @@ def test_load_host_unknown_name_is_input_error():
     from hopflab.cli import _load_host
     with pytest.raises(io_json.InputError, match="unknown host 'h5'"):
         _load_host(Namespace(host="h5"))
+
+
+@pytest.mark.parametrize("ref", ["H4^sigma_1", "H4^s", "H4_th", "kC2^s"])
+def test_deformed_host_name_is_input_error(ref):
+    """Only the exact catalog names resolve: a deformed host is not H₄."""
+    import re
+    from argparse import Namespace
+    from hopflab.cli import _load_host
+    with pytest.raises(io_json.InputError, match=re.escape(
+            "unknown host %r" % ref) + ".*use --host FILE"):
+        _load_host(Namespace(host=ref, field="Fp:5"))
+
+
+def test_deformed_host_document_needs_its_host_file(tmp_path, h4, mreg,
+                                                    capsys):
+    """σ̲_{∂γ}(regular) lives on H^∂γ ≠ H₄, which its document names "H4^s":
+    without --host it is an input error, with H^∂γ's file it passes."""
+    from test_convolution_routes import ref_coboundary
+    from hopflab.twist import conv_inverse1, deform, two_cocycle
+    from hopflab.yd import sigma_module
+    gamma = [QQ.from_int(x) for x in (1, -1, 2, 2)]
+    c = two_cocycle(h4, ref_coboundary(h4, gamma, conv_inverse1(h4, gamma)))
+    doc = io_json.yd_module_to_json(sigma_module(c, mreg))
+    assert doc["host"] == "H4^s"
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps(doc))
+    host = tmp_path / "hs.json"
+    host.write_text(json.dumps(io_json.hopf_to_json(deform(c))))
+    assert main(["check-yd", str(mod)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("input error: unknown host 'H4^s' (the "
+                                 "catalog hosts are h4, kc2 and k; use "
+                                 "--host FILE)\n")
+    assert main(["check-yd", str(mod), "--host", str(host)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out and all(line.startswith("PASS  ") for line in out)
 
 
 YD_ALGEBRA_PASS = """\
@@ -317,7 +353,7 @@ def test_exported_document_carries_its_field(tmp_path, name, cmd, capsys):
 
 H4_DOC = io_json.hopf_to_json(cat.sweedler_h4(QQ, verify=False))
 SIGMA_DOC = io_json.cocycle_to_json(
-    cat.sigma_t(cat.sweedler_h4(QQ, verify=False), 1, verify=False))
+    cat.sigma_t(cat.sweedler_h4(QQ, verify=False), 1))
 
 
 @pytest.mark.parametrize("doc", [

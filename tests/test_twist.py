@@ -145,9 +145,9 @@ def test_deform_memo_keeps_failing_host(h4):
 def test_compose_cocycles(h4):
     s1 = sigma_t(h4, 1)
     hs = deform(s1)
-    s2_on_hs = two_cocycle(hs, sigma_t(h4, 2, verify=False).sigma)
+    s2_on_hs = two_cocycle(hs, sigma_t(h4, 2).sigma)
     comp = compose_cocycles(s2_on_hs, s1)
-    assert comp.sigma == sigma_t(h4, 3, verify=False).sigma
+    assert comp.sigma == sigma_t(h4, 3).sigma
     # trivial first factor returns the second cocycle
     triv = two_cocycle(hs, eps_eps(hs))
     assert compose_cocycles(triv, s1).sigma == s1.sigma

@@ -26,7 +26,7 @@ from hopflab.catalog import (cqt_c2, end_regular, group_algebra_c2,
 
 @pytest.fixture(scope="module")
 def kc2_alg(kc2):
-    c = cqt_c2(kc2, -1, verify=False)
+    c = cqt_c2(kc2, -1)
     mod = regular_comodule_module(c)
     return YdAlgebra(mod, kc2.mult, kc2.unit)
 
@@ -81,7 +81,7 @@ def test_braiding_regular_invertible(mreg):
 
 
 def test_braiding_hexagon_small(kc2):
-    c = cqt_c2(kc2, -1, verify=False)
+    c = cqt_c2(kc2, -1)
     m = regular_comodule_module(c)
     p = trivial_module(kc2, 1)
     mods = [m, p]
@@ -143,7 +143,7 @@ def test_structure_maps_in_a_non_monomial_basis(mreg, s1, h4):
     m2 = rebased(mreg)
     assert verify_yd(m2).ok and verify_yd(yd_tensor(m2, m2)).ok
     assert verify_braided_functor(s1, m2, m2).ok
-    assert verify_theta_braided(theta_t(h4, 1, verify=False), m2, m2).ok
+    assert verify_theta_braided(theta_t(h4, 1), m2, m2).ok
 
 
 def test_sigma_module_trivial(mreg, h4):
@@ -181,7 +181,7 @@ def test_eta_invertible_and_yd(mreg, s1):
 
 def test_braided_functor_square(mreg, s1, h4, unit_obj):
     assert verify_braided_functor(s1, mreg, mreg).ok
-    s2 = sigma_t(h4, 2, verify=False)
+    s2 = sigma_t(h4, 2)
     assert verify_braided_functor(s2, mreg, unit_obj.module).ok
 
 
@@ -215,7 +215,7 @@ def test_each_sigma_image_is_built_once(monkeypatch, mreg, unit_obj, s1):
 
 def test_each_theta_image_is_built_once(monkeypatch, mreg, unit_obj, h4):
     calls = count_calls(monkeypatch, "sigma_module")
-    th1 = theta_t(h4, 1, verify=False)
+    th1 = theta_t(h4, 1)
     uo = unit_obj.module
     theta_phi(th1, mreg, uo)
     assert calls == []
@@ -294,7 +294,7 @@ def test_theta_module_trivial_and_roundtrip(mreg, h4):
     tm = theta_module(triv, mreg)
     assert verify_yd(tm).ok
     assert tm.coaction == mreg.coaction
-    th2 = theta_t(h4, 2, verify=False)
+    th2 = theta_t(h4, 2)
     from hopflab.twist import deform_dual
     tm2 = theta_module(th2, mreg)
     back = theta_module(dual_cocycle(deform_dual(th2),
@@ -304,12 +304,12 @@ def test_theta_module_trivial_and_roundtrip(mreg, h4):
 
 
 def test_theta_braided_square(mreg, h4):
-    th1 = theta_t(h4, 1, verify=False)
+    th1 = theta_t(h4, 1)
     assert verify_theta_braided(th1, mreg, mreg).ok
 
 
 def test_theta_algebra_valid(unit_obj, h4):
-    th1 = theta_t(h4, 1, verify=False)
+    th1 = theta_t(h4, 1)
     ta = theta_algebra(th1, unit_obj)
     assert verify_yd_algebra(ta).ok
 
@@ -374,9 +374,9 @@ def structure_case(request):
     """σ_1, θ_1 and the algebras of STRUCTURE_ALGEBRAS over one field."""
     h4 = sweedler_h4(field_from_spec(request.param), verify=False)
     algs = {"unit_object": unit_object(h4),
-            "end_regular": end_regular(r_t(h4, 1, verify=False)),
-            "regular_galois": regular_galois_algebra(h4, verify=False)}
-    return sigma_t(h4, 1, verify=False), theta_t(h4, 1, verify=False), algs
+            "end_regular": end_regular(r_t(h4, 1)),
+            "regular_galois": regular_galois_algebra(h4)}
+    return sigma_t(h4, 1), theta_t(h4, 1), algs
 
 
 def product_matrix(alg):
@@ -496,13 +496,13 @@ def test_generating_set_is_pinned(spec):
     # the generators are chosen by span membership alone, so the lists do
     # not depend on how the span is closed
     h4 = sweedler_h4(field_from_spec(spec), verify=False)
-    e = end_regular(r_t(h4, 1, verify=False))
+    e = end_regular(r_t(h4, 1))
     cases = [(unit_object(h4), [0, 2, 3]),
              (e, [0, 1, 2, 3, 4, 8, 12]),
              (h_opposite(e), [0, 1, 2, 3, 4, 6]),
-             (sigma_algebra(sigma_t(h4, 1, verify=False), e),
+             (sigma_algebra(sigma_t(h4, 1), e),
               [0, 1, 2, 3, 4, 6]),
-             (sigma_algebra(sigma_t(h4, -1, verify=False), e),
+             (sigma_algebra(sigma_t(h4, -1), e),
               [0, 1, 2, 3, 4, 6])]
     assert [generating_set(alg) for alg, _ in cases] == \
         [gens for _, gens in cases]
@@ -533,7 +533,7 @@ def test_azumaya_invariance_under_sigma(kc2):
     from hopflab.catalog import one_cocycle_c2
     from hopflab.twist import coboundary_from
     cob = coboundary_from(one_cocycle_c2(kc2, 2))
-    c = cqt_c2(kc2, -1, verify=False)
+    c = cqt_c2(kc2, -1)
     mod = regular_comodule_module(c)
     e = end_algebra(mod)
     se = sigma_algebra(cob, e)
@@ -695,10 +695,10 @@ def test_certificates_match_dense_reference(spec):
     f = field_from_spec(spec)
     h4 = sweedler_h4(f, verify=False)
     kc2 = group_algebra_c2(f, verify=False)
-    e = end_regular(r_t(h4, 1, verify=False))
+    e = end_regular(r_t(h4, 1))
     algebras = [trivial_algebra(h4), e,
-                sigma_algebra(sigma_t(h4, 1, verify=False), e),
-                sigma_algebra(sigma_t(h4, -1, verify=False), e),
+                sigma_algebra(sigma_t(h4, 1), e),
+                sigma_algebra(sigma_t(h4, -1), e),
                 YdAlgebra(trivial_module(kc2, 2), kc2.mult, kc2.unit)]
     algebras += one_entry_corruptions(e, random.Random(11), 1)
 
