@@ -41,8 +41,9 @@ class SuiteContext:
 
     H₄ and kC₂ are built with the context; everything else (σ_t, θ_t, R_t,
     ℛ_t, the YD modules, 𝓗_R, the Galois test algebras and their σ̲ images)
-    is built on first use and memoized by name and t.  Nothing here
-    verifies: each criterion checks what it reads.
+    is built on first use and memoized by name and t.  Apart from
+    regular_comodule_module's YD precondition nothing here verifies: each
+    criterion checks what it reads.
     """
 
     # the Galois test algebras, End_regular being End(regular(1))
