@@ -262,6 +262,10 @@ def yd_algebra_to_json(alg, host_name=None):
 
 def yd_from_json(doc, host):
     from . import yd
+    kind = doc.get("kind")
+    if kind not in ("yd_module", "yd_algebra"):
+        raise InputError("expected kind yd_module or yd_algebra, got %r"
+                         % (kind,))
     _check_field(doc, host.field)
     f = host.field
     n = host.dim
@@ -273,7 +277,7 @@ def yd_from_json(doc, host):
     coaction = _sparse_to_tensor(f, (m, m, n), doc.get("coaction", []),
                                  "coaction")
     mod = yd.YdModule(host, m, action, coaction)
-    if doc.get("kind") == "yd_algebra":
+    if kind == "yd_algebra":
         mult = _sparse_to_tensor(f, (m, m, m), doc.get("mult", []), "mult")
         unit = _vector(f, doc["unit"], m, "unit")
         return yd.YdAlgebra(mod, mult, unit)

@@ -1,4 +1,4 @@
-"""Dense exact matrices and tensors with Gaussian elimination.
+"""Exact matrices and tensors, and the one exact elimination.
 
 Conventions used throughout the package:
 
@@ -12,13 +12,16 @@ Conventions used throughout the package:
   all tensor data is row-major over its shape.
 * ``Bilinear`` is the one sparse structure-tensor kernel: the products,
   actions, coproducts and coactions of all structures are read through it.
-* ``rank`` eliminates the dense rows of a ``Matrix``.  ``sparse_rank``
-  eliminates rows given as dicts {column: coefficient}; it serves families
-  that are built sparse and never exist as a Matrix, such as the Galois
-  relations of galois.py (up to 2272 rows of 256 columns, ~1.3 nonzeros
-  each) and the Azumaya maps F and G of yd.py (256 rows of 256 columns on
-  End(regular), 0.7% nonzero).  A Matrix keeps ``rank``: turning it into
-  dict rows costs about as much as eliminating it densely.
+* There is one elimination, ``_reduce``, and it works on rows held as
+  dicts {column: coefficient} of their nonzero entries: a Matrix row
+  enters as its nonzero entries.  ``rank``, ``sparse_rank`` and
+  ``row_space_echelon`` read its echelon rows; ``kernel_basis``, ``solve``
+  and ``mat_inverse`` read the reduced row echelon form ``_rref`` built
+  on it, which is unique, so their results do not depend on how the rows
+  were reduced.  ``sparse_rank`` serves families that are built sparse and
+  never exist as a Matrix, such as the Galois relations of galois.py (up
+  to 2272 rows of 256 columns, ~1.3 nonzeros each) and the Azumaya maps F
+  and G of yd.py (256 rows of 256 columns on End(regular), 0.7% nonzero).
 * ``linear_combination`` sums sparse rows, such as the ``Bilinear.row``
   products of basis vectors, into one dense vector.
 * Constructors raise ``DimensionError`` on mis-shaped data.
@@ -29,20 +32,31 @@ Dimensions are capped by HOPFLAB_MAX_DIM (default 64).
 from __future__ import annotations
 
 import os
-
-
-def max_dim():
-    return int(os.environ.get("HOPFLAB_MAX_DIM", "64"))
+from itertools import chain
 
 
 class DimensionError(ValueError):
     pass
 
 
+def max_dim():
+    """HOPFLAB_MAX_DIM, which must be a positive integer (default 64)."""
+    text = os.environ.get("HOPFLAB_MAX_DIM", "64")
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise DimensionError("HOPFLAB_MAX_DIM=%r is not a positive integer"
+                             % text)
+    return limit
+
+
 def check_dim(n):
-    if n > max_dim():
+    limit = max_dim()
+    if n > limit:
         raise DimensionError(
-            "dimension %d exceeds HOPFLAB_MAX_DIM=%d" % (n, max_dim()))
+            "dimension %d exceeds HOPFLAB_MAX_DIM=%d" % (n, limit))
     return n
 
 
@@ -151,74 +165,50 @@ def mat_vec(m, x):
     return out
 
 
-def _echelon(rows, ncols, field):
-    """In-place forward elimination; returns list of pivot (row, col)."""
-    pivots = []
-    pr = 0
-    nrows = len(rows)
-    for pc in range(ncols):
-        pivot_row = -1
-        for r in range(pr, nrows):
-            if rows[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row < 0:
-            continue
-        if pivot_row != pr:
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        pivots.append((pr, pc))
-        fp = rows[pr][pc]
-        for r in range(pr + 1, nrows):
-            fr = rows[r][pc]
-            if not fr:
-                continue
-            mlt = field.div(fr, fp)
-            rr = rows[r]
-            rp = rows[pr]
-            for c in range(pc, ncols):
-                if rp[c]:
-                    rr[c] = rr[c] - rp[c] * mlt
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots
+def _subtract(zero, row, piv, mlt):
+    """row -= mlt·piv in place, dropping the entries that cancel."""
+    for c, v in piv.items():
+        w = row.get(c, zero) - v * mlt
+        if w:
+            row[c] = w
+        else:
+            del row[c]
 
 
-def rank(m):
-    """Row rank by exact Gaussian elimination."""
-    rows = [row[:] for row in m.data]
-    return len(_echelon(rows, m.cols, m.field))
+def _reduce(field, rows):
+    """Row echelon form of rows given as iterables of (column, coefficient)
+    pairs: {pivot column: row}, each row a dict {column: coefficient} over
+    its nonzero entries whose lowest column is its pivot.
 
-
-def sparse_rank(field, rows):
-    """Rank of rows given as dicts {column: coefficient}.
-
-    Each row is reduced against the pivot rows found so far, always at its
-    lowest column, and becomes a pivot row if anything is left; so no dense
-    row is ever built.  Exact, and no rows give 0.  The rows are not
-    changed.  For rows already held in a Matrix use ``rank``: building
-    dict rows from a dense Matrix costs about as much as the elimination
-    saves (on a 256×256 matrix 0.7% nonzero, 2.0–3.3 ms against 2.5–3.7 ms
-    for ``rank``; CPython 3.11, 2-core x86-64 VM).
+    The one elimination of the package.  Each row is reduced against the
+    pivot rows found so far, always at its lowest column, and becomes the
+    pivot row of that column if anything is left; so no dense row is ever
+    built, and a row of a few nonzeros costs a few dict operations per
+    step.  The given rows are not changed.
     """
-    zero = field.zero
+    zero, div = field.zero, field.div
     pivots = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
+        row = {c: v for c, v in row if v}
         while row:
             col = min(row)
             piv = pivots.get(col)
             if piv is None:
                 pivots[col] = row
                 break
-            mlt = field.div(row[col], piv[col])
-            for c, v in piv.items():
-                w = row.get(c, zero) - v * mlt
-                if w:
-                    row[c] = w
-                else:
-                    del row[c]
-    return len(pivots)
+            _subtract(zero, row, piv, div(row[col], piv[col]))
+    return pivots
+
+
+def rank(m):
+    """Row rank by exact elimination."""
+    return len(_reduce(m.field, (enumerate(row) for row in m.data)))
+
+
+def sparse_rank(field, rows):
+    """Rank of rows given as dicts {column: coefficient}, which may hold
+    explicit zeros; no rows give 0.  The rows are not changed."""
+    return len(_reduce(field, (row.items() for row in rows)))
 
 
 def linear_combination(field, dim, terms):
@@ -231,44 +221,38 @@ def linear_combination(field, dim, terms):
     return acc
 
 
-def _rref(rows, ncols, field):
-    """Reduce to reduced row echelon form; returns pivot columns."""
-    pivots = _echelon(rows, ncols, field)
-    one = field.one
-    for pr, pc in reversed(pivots):
-        fp = rows[pr][pc]
-        if fp != one:
-            inv = field.div(one, fp)
-            row = rows[pr]
-            for c in range(pc, ncols):
-                if row[c]:
-                    row[c] = row[c] * inv
-        for r in range(pr):
-            fr = rows[r][pc]
-            if not fr:
-                continue
-            rr = rows[r]
-            rp = rows[pr]
-            for c in range(pc, ncols):
-                if rp[c]:
-                    rr[c] = rr[c] - rp[c] * fr
-    return [pc for _, pc in pivots]
+def _rref(field, rows):
+    """Reduced row echelon form: ``_reduce``'s rows, each scaled to 1 at
+    its pivot column and cleared at every other pivot column."""
+    pivots = _reduce(field, rows)
+    zero, one = field.zero, field.one
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        # the rows of the pivot columns right of col are already reduced
+        for c in [c for c in row if c > col and c in pivots]:
+            _subtract(zero, row, pivots[c], row[c])
+        if row[col] != one:
+            inv = field.div(one, row[col])
+            for c in row:
+                row[c] = row[c] * inv
+    return pivots
 
 
 def kernel_basis(m):
     """Columns form a basis of {x | m·x = 0}."""
     field = m.field
-    rows = [row[:] for row in m.data]
-    piv_cols = _rref(rows, m.cols, field)
-    piv_set = set(piv_cols)
-    free_cols = [c for c in range(m.cols) if c not in piv_set]
-    basis = []
     zero, one = field.zero, field.one
-    for fc in free_cols:
+    pivots = _rref(field, (enumerate(row) for row in m.data))
+    basis = []
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
         vec = [zero] * m.cols
         vec[fc] = one
-        for r, pc in enumerate(piv_cols):
-            vec[pc] = -rows[r][fc]
+        for pc, row in pivots.items():
+            x = row.get(fc)
+            if x:
+                vec[pc] = -x
         basis.append(vec)
     data = [[basis[j][i] for j in range(len(basis))] for i in range(m.cols)]
     return Matrix(field, m.cols, len(basis), data)
@@ -282,17 +266,16 @@ def solve(m, b):
     if m.rows != b.rows:
         raise DimensionError("solve: %d equations vs %d RHS rows"
                              % (m.rows, b.rows))
-    field = m.field
     nc = m.cols
-    k = b.cols
-    rows = [m.data[r][:] + b.data[r][:] for r in range(m.rows)]
-    piv_cols = _rref(rows, nc + k, field)
-    if any(pc >= nc for pc in piv_cols):
+    pivots = _rref(m.field, (chain(enumerate(mr), enumerate(br, nc))
+                             for mr, br in zip(m.data, b.data)))
+    if any(pc >= nc for pc in pivots):
         return None
-    out = Matrix.zeros(field, nc, k)
-    for r, pc in enumerate(piv_cols):
-        for j in range(k):
-            out.data[pc][j] = rows[r][nc + j]
+    out = Matrix.zeros(m.field, nc, b.cols)
+    for pc, row in pivots.items():
+        for c, x in row.items():
+            if c >= nc:
+                out.data[pc][c - nc] = x
     return out
 
 
@@ -300,8 +283,7 @@ def mat_inverse(m):
     """Inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
         raise DimensionError("inverse of non-square matrix")
-    x = solve(m, Matrix.identity(m.field, m.rows))
-    return x
+    return solve(m, Matrix.identity(m.field, m.rows))
 
 
 class Tensor:
@@ -423,10 +405,16 @@ class Bilinear:
 
 
 def row_space_echelon(field, vectors, dim):
-    """Echelon basis of the span of the given row vectors."""
-    rows = [list(v) for v in vectors]
-    _echelon(rows, dim, field)
-    return [r for r in rows if any(r)]
+    """Echelon basis of the span of the given row vectors, as dense rows
+    in increasing order of their leading column."""
+    pivots = _reduce(field, (enumerate(v) for v in vectors))
+    out = []
+    for col in sorted(pivots):
+        row = [field.zero] * dim
+        for c, x in pivots[col].items():
+            row[c] = x
+        out.append(row)
+    return out
 
 
 def same_span(field, vecs_a, vecs_b, dim):

@@ -40,10 +40,10 @@ class SuiteContext:
     """The instances the criteria share, each built once per context.
 
     H₄ and kC₂ are built with the context; everything else (σ_t, θ_t, R_t,
-    ℛ_t, the YD modules, 𝓗_R, the Galois test algebras and their σ̲ images)
-    is built on first use and memoized by name and t.  Apart from
-    regular_comodule_module's YD precondition nothing here verifies: each
-    criterion checks what it reads.
+    ℛ_t, R_t^{σ_s}, the YD modules, 𝓗_R, the Galois test algebras and
+    their σ̲ images) is built on first use and memoized by name and
+    parameters.  Apart from regular_comodule_module's YD precondition
+    nothing here verifies: each criterion checks what it reads.
     """
 
     # the Galois test algebras, End_regular being End(regular(1))
@@ -75,6 +75,11 @@ class SuiteContext:
 
     def qt(self, t):
         return self._once(("qt", t), cat.qt_t, self.h4, t)
+
+    def r_sigma(self, t, s):
+        """R_t^{σ_s}."""
+        return self._once(("r_sigma", t, s), deform_cqt, self.r(t),
+                          self.sigma(s))
 
     def regular(self, t=1):
         """H₄ as a comodule over itself with the R_t-induced action."""
@@ -181,9 +186,8 @@ def criterion_05_cqt_qt_deformation(ctx):
         rep.add("R_%s_axioms" % t, verify_cqt(ctx.r(t)).ok)
     for t in ctx.t_values:
         for s in ctx.t_values:
-            got = deform_cqt(ctx.r(t), ctx.sigma(s))
             rep.add("R_%s_sigma_%s_shift" % (t, s),
-                    got.r == ctx.r(t - s).r)
+                    ctx.r_sigma(t, s).r == ctx.r(t - s).r)
     rep.add("QT_0_axioms", verify_qt(ctx.qt(0)).ok)
     rep.add("QT_1_axioms", verify_qt(ctx.qt(1)).ok)
     for s in ctx.t_values:
@@ -215,7 +219,7 @@ def criterion_07_cor24_action(ctx):
     rep = CheckReport()
     for t in ctx.t_values:
         for s in (1, 2, -1):
-            rs = deform_cqt(ctx.r(t), ctx.sigma(s))
+            rs = ctx.r_sigma(t, s)
             for name, mod in (("regular", ctx.regular(t)),
                               ("hr", ctx.hr(t).underlying.module),
                               ("trivial", ctx.trivial())):
@@ -340,7 +344,7 @@ def criterion_13_galois_stability(ctx):
                 "Galois(A)=%s, Galois(σ̲A)=%s" % (b, a))
 
     bh = ctx.hr(1)
-    bhs = build_hr(deform_cqt(ctx.r(1), ctx.sigma(1)))
+    bhs = build_hr(ctx.r_sigma(1, 1))
     for name in ctx.ALGEBRAS:
         alg = ctx.algebra(name)
         rep_before = galois_maps(bh, bimodule_actions(bh, alg.module), alg)

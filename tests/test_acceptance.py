@@ -129,11 +129,14 @@ def test_each_shared_instance_is_built_once(monkeypatch):
                  "regular_galois_algebra", "regular_comodule_module",
                  "trivial_module", "end_regular"):
         count(suite.cat, name)
-    for name in ("build_hr", "sigma_algebra", "unit_object"):
+    for name in ("build_hr", "sigma_algebra", "unit_object", "deform_cqt"):
         count(suite, name)
     ctx = SuiteContext(QQ, suite.T_DEFAULT, 0)
     for name, fn in CRITERIA:
         if name != "15_determinism":
             assert fn(ctx).ok, name
     assert calls[("sigma_t", id(ctx.h4), 6)] == 1
+    # criterion 05 builds R_t^{σ_s} for every (t, s); 07 and 13 reuse them
+    assert sum(n for key, n in calls.items()
+               if key[0] == "deform_cqt") == len(suite.T_DEFAULT) ** 2
     assert {key: n for key, n in calls.items() if n > 1} == {}

@@ -93,6 +93,38 @@ def test_cli_dimension_overflow_exit2(tmp_path, monkeypatch, capsys):
     p.write_text(json.dumps(doc))
     monkeypatch.setenv("HOPFLAB_MAX_DIM", "2")
     assert main(["validate", str(p)]) == 2
+    assert "dimension 4 exceeds HOPFLAB_MAX_DIM=2" in capsys.readouterr().err
+    # a limit that is not a positive integer is an input error too
+    for bad in ("abc", "0", "-3", "", "4.5"):
+        monkeypatch.setenv("HOPFLAB_MAX_DIM", bad)
+        assert main(["validate", str(p)]) == 2
+        assert ("HOPFLAB_MAX_DIM=%r is not a positive integer" % bad
+                in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("doc_name", ["hopf", "cocycle_with_dim"])
+@pytest.mark.parametrize("command", ["check-yd", "wedge_m", "wedge_n",
+                                     "galois", "azumaya"])
+def test_yd_commands_reject_other_kinds(tmp_path, h4, s1, r1, unit_obj,
+                                        capsys, command, doc_name):
+    """A document that is not a yd_module or yd_algebra is an input error
+    wherever a YD document is read, even when its keys would parse."""
+    docs = {"hopf": io_json.hopf_to_json(h4),
+            "cocycle_with_dim": dict(io_json.cocycle_to_json(s1), dim=4)}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(docs[doc_name]))
+    good = tmp_path / "I.json"
+    good.write_text(json.dumps(io_json.yd_algebra_to_json(unit_obj, "h4")))
+    rp = tmp_path / "r1.json"
+    rp.write_text(json.dumps(io_json.cqt_to_json(r1)))
+    argv = {"check-yd": ["check-yd", bad],
+            "wedge_m": ["wedge", bad, good, "--cqt", rp],
+            "wedge_n": ["wedge", good, bad, "--cqt", rp],
+            "galois": ["galois", bad, "--cqt", rp],
+            "azumaya": ["azumaya", bad]}[command]
+    assert main([str(a) for a in argv] + ["--host", "h4"]) == 2
+    assert ("input error: expected kind yd_module or yd_algebra, got %r"
+            % docs[doc_name]["kind"] in capsys.readouterr().err)
 
 
 def test_cli_deform_trivial_is_identity(tmp_path, h4, capsys):

@@ -1,43 +1,179 @@
 """Exact linear algebra kernel: rank/kernel/solve and the sparse
 structure-tensor kernel Bilinear.
 
-The rank oracle is a second, independent elimination with permuted row
-order; solve and kernel are checked by multiplying back.
+The oracle of the elimination is the dense Gaussian elimination it
+replaced, kept here as a reference: rank, kernel, solve and inverse must
+agree with it exactly, and the echelon basis must have its span and pivot
+columns.  Solve and kernel are also checked by multiplying back.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopflab.fields import QQ, PrimeField
 from hopflab.linalg import (Bilinear, DimensionError, Matrix, Tensor,
-                            kernel_basis, mat_mul, mat_vec, rank, solve,
-                            sparse_rank)
+                            kernel_basis, mat_inverse, mat_mul, mat_vec, rank,
+                            row_space_echelon, solve, sparse_rank)
 from hopflab.catalog import sweedler_h4, sigma_t
 
+FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(5)],
+                                 ids=["Q", "F5"])
 
-def rank_oracle(m, order):
-    """Row-echelon rank with externally supplied row order."""
-    rows = [list(m.data[i]) for i in order]
-    cols = m.cols
-    rk = 0
-    for pc in range(cols):
-        piv = None
-        for r in range(rk, len(rows)):
+
+# -- dense reference: in-place Gaussian elimination on lists of rows --------
+
+def dense_echelon(rows, ncols, field):
+    """In-place forward elimination; returns list of pivot (row, col)."""
+    pivots = []
+    pr = 0
+    nrows = len(rows)
+    for pc in range(ncols):
+        pivot_row = -1
+        for r in range(pr, nrows):
             if rows[r][pc]:
-                piv = r
+                pivot_row = r
                 break
-        if piv is None:
+        if pivot_row < 0:
             continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        fp = rows[rk][pc]
-        for r in range(rk + 1, len(rows)):
-            if rows[r][pc]:
-                mult = m.field.div(rows[r][pc], fp)
-                rows[r] = [a - b * mult for a, b in zip(rows[r], rows[rk])]
-        rk += 1
-    return rk
+        if pivot_row != pr:
+            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        pivots.append((pr, pc))
+        fp = rows[pr][pc]
+        for r in range(pr + 1, nrows):
+            fr = rows[r][pc]
+            if not fr:
+                continue
+            mlt = field.div(fr, fp)
+            rr = rows[r]
+            rp = rows[pr]
+            for c in range(pc, ncols):
+                if rp[c]:
+                    rr[c] = rr[c] - rp[c] * mlt
+        pr += 1
+        if pr == nrows:
+            break
+    return pivots
+
+
+def dense_rref(rows, ncols, field):
+    """Reduce to reduced row echelon form in place; returns pivot columns."""
+    pivots = dense_echelon(rows, ncols, field)
+    one = field.one
+    for pr, pc in reversed(pivots):
+        fp = rows[pr][pc]
+        if fp != one:
+            inv = field.div(one, fp)
+            row = rows[pr]
+            for c in range(pc, ncols):
+                if row[c]:
+                    row[c] = row[c] * inv
+        for r in range(pr):
+            fr = rows[r][pc]
+            if not fr:
+                continue
+            rr = rows[r]
+            rp = rows[pr]
+            for c in range(pc, ncols):
+                if rp[c]:
+                    rr[c] = rr[c] - rp[c] * fr
+    return [pc for _, pc in pivots]
+
+
+def dense_rank(m):
+    rows = [row[:] for row in m.data]
+    return len(dense_echelon(rows, m.cols, m.field))
+
+
+def dense_kernel_basis(m):
+    field = m.field
+    rows = [row[:] for row in m.data]
+    piv_cols = dense_rref(rows, m.cols, field)
+    free_cols = [c for c in range(m.cols) if c not in set(piv_cols)]
+    basis = []
+    for fc in free_cols:
+        vec = [field.zero] * m.cols
+        vec[fc] = field.one
+        for r, pc in enumerate(piv_cols):
+            vec[pc] = -rows[r][fc]
+        basis.append(vec)
+    data = [[basis[j][i] for j in range(len(basis))] for i in range(m.cols)]
+    return Matrix(field, m.cols, len(basis), data)
+
+
+def dense_solve(m, b):
+    field = m.field
+    nc, k = m.cols, b.cols
+    rows = [m.data[r][:] + b.data[r][:] for r in range(m.rows)]
+    piv_cols = dense_rref(rows, nc + k, field)
+    if any(pc >= nc for pc in piv_cols):
+        return None
+    out = Matrix.zeros(field, nc, k)
+    for r, pc in enumerate(piv_cols):
+        for j in range(k):
+            out.data[pc][j] = rows[r][nc + j]
+    return out
+
+
+def dense_inverse(m):
+    return dense_solve(m, Matrix.identity(m.field, m.rows))
+
+
+def dense_echelon_pivot_columns(field, vectors, dim):
+    rows = [list(v) for v in vectors]
+    return [pc for _, pc in dense_echelon(rows, dim, field)]
+
+
+def random_matrix(rng, field, rows, cols, density):
+    """Entries ±1..3 and, over ℚ, halves and thirds, at the given density;
+    over ℚ some zeros are Fraction(0) rather than 0."""
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0) if field is QQ and rng.random() < 0.2 \
+                else field.zero
+        return field.ratio(rng.choice([-3, -2, -1, 1, 2, 3]),
+                           rng.choice([1, 1, 1, 2, 3]))
+    return Matrix(field, rows, cols,
+                  [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def reference_cases(field, seed):
+    """No rows, all-zero rows, then seeded square, wide, tall sparse and
+    rank-deficient matrices (products through a narrow middle, with zero,
+    repeated and proportional rows mixed in)."""
+    rng = random.Random(seed)
+    yield Matrix(field, 0, 3, [])
+    yield Matrix.zeros(field, 3, 4)
+    yield Matrix(field, 4, 3, [[field.zero] * 3, [field.one] * 3,
+                               [field.zero] * 3, [field.one] * 3])
+    for i in range(80):
+        kind = i % 4
+        if kind == 0:
+            n = rng.randint(1, 6)
+            yield random_matrix(rng, field, n, n, rng.choice([0.3, 0.7, 1]))
+        elif kind == 1:
+            yield random_matrix(rng, field, rng.randint(1, 4),
+                                rng.randint(5, 9), 0.5)
+        elif kind == 2:
+            yield random_matrix(rng, field, rng.randint(10, 30),
+                                rng.randint(2, 8), 0.12)
+        else:
+            r, c = rng.randint(2, 7), rng.randint(2, 7)
+            k = rng.randint(1, min(r, c) - 1 or 1)
+            m = mat_mul(random_matrix(rng, field, r, k, 0.6),
+                        random_matrix(rng, field, k, c, 0.6))
+            rows = m.data + [[field.zero] * c, list(m.data[0]),
+                             [x * field.from_int(-2) for x in m.data[-1]]]
+            rng.shuffle(rows)
+            yield Matrix(field, len(rows), c, rows)
+
+
+def sparse_rows(rng, m):
+    """m's rows as dicts, with some explicit zero coefficients kept."""
+    return [{c: x for c, x in enumerate(row) if x or rng.random() < 0.3}
+            for row in m.data]
 
 
 def assert_no_floats(m):
@@ -63,18 +199,25 @@ def test_rank_sigma_matrix_cross_checked():
     for _ in range(5):
         order = list(range(m.rows))
         rng.shuffle(order)
-        assert rank_oracle(m, order) == r
+        assert dense_rank(Matrix.from_rows(QQ, [m.data[i] for i in order])) \
+            == r
     assert r == 2  # two distinct nonzero row patterns
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@FIELDS
 def test_sparse_rank_equals_rank(field):
-    """sparse_rank on dict rows equals rank on the same rows as a Matrix,
-    for sparse random rows mixed with zero, duplicate and proportional
-    rows; rows may carry explicit zero coefficients and are not changed."""
+    """sparse_rank on dict rows equals the dense reference rank of the same
+    rows, for the reference cases and for sparse random rows mixed with
+    zero, duplicate and proportional rows; rows may carry explicit zero
+    coefficients and are not changed."""
     rng = random.Random(9)
     assert sparse_rank(field, []) == 0
     assert sparse_rank(field, [{}, {3: field.zero}]) == 0
+    for m in reference_cases(field, 9):
+        sparse = sparse_rows(rng, m)
+        before = [dict(row) for row in sparse]
+        assert sparse_rank(field, sparse) == dense_rank(m)
+        assert sparse == before
     for _ in range(60):
         rows, cols = rng.randint(1, 10), rng.randint(1, 12)
         dense = [[field.from_int(rng.randint(-3, 3))
@@ -85,12 +228,50 @@ def test_sparse_rank_equals_rank(field):
                       for x in dense[-2]])
         dense.append([field.zero] * cols)
         rng.shuffle(dense)
-        sparse = [{c: x for c, x in enumerate(row) if x or rng.random() < 0.1}
-                  for row in dense]
+        m = Matrix(field, len(dense), cols, dense)
+        sparse = sparse_rows(rng, m)
         before = [dict(row) for row in sparse]
-        assert sparse_rank(field, sparse) == rank(
-            Matrix(field, len(dense), cols, dense))
+        assert sparse_rank(field, sparse) == dense_rank(m)
         assert sparse == before
+
+
+@FIELDS
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_elimination_matches_dense_reference(field, seed):
+    """rank, kernel_basis, solve and mat_inverse equal the dense reference
+    exactly, on consistent and inconsistent right-hand sides; the inputs
+    are not changed."""
+    rng = random.Random(seed)
+    inconsistent = 0
+    for m in reference_cases(field, seed):
+        before = [row[:] for row in m.data]
+        assert rank(m) == dense_rank(m)
+        assert kernel_basis(m) == dense_kernel_basis(m)
+        x = random_matrix(rng, field, m.cols, rng.randint(1, 3), 0.6)
+        consistent = mat_mul(m, x)
+        arbitrary = random_matrix(rng, field, m.rows, 2, 0.6)
+        assert solve(m, consistent) == dense_solve(m, consistent)
+        assert solve(m, consistent) is not None
+        assert solve(m, arbitrary) == dense_solve(m, arbitrary)
+        inconsistent += solve(m, arbitrary) is None
+        if m.rows == m.cols:
+            assert mat_inverse(m) == dense_inverse(m)
+        assert m.data == before
+    assert inconsistent >= 20
+
+
+@FIELDS
+def test_row_space_echelon_matches_dense_reference(field):
+    """The echelon basis spans the rows' span, has the dense reference's
+    pivot columns, and each row leads at its pivot column."""
+    for m in reference_cases(field, 5):
+        vectors = [row[:] for row in m.data]
+        ech = row_space_echelon(field, vectors, m.cols)
+        assert vectors == m.data
+        leads = [next(c for c, x in enumerate(r) if x) for r in ech]
+        assert leads == dense_echelon_pivot_columns(field, m.data, m.cols)
+        both = Matrix(field, len(ech) + m.rows, m.cols, ech + vectors)
+        assert dense_rank(both) == dense_rank(m) == len(ech)
 
 
 def test_kernel_identity_and_zero():

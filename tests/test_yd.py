@@ -8,7 +8,8 @@ import pytest
 from hopflab.fields import QQ, field_from_spec
 from hopflab.galois import unit_object
 from hopflab.hopf import dual_hopf
-from hopflab.linalg import DimensionError, Matrix, Tensor, mat_mul, rank
+from hopflab.linalg import (DimensionError, Matrix, Tensor, mat_mul, rank,
+                            row_space_echelon, solve)
 from hopflab.twist import deform, eps_eps, two_cocycle, dual_cocycle
 from hopflab.yd import (YdAlgebra, YdMap, YdModule, azumaya_check,
                         braided_product, braiding, end_algebra, eta,
@@ -18,10 +19,11 @@ from hopflab.yd import (YdAlgebra, YdMap, YdModule, azumaya_check,
                         verify_braided_functor, verify_theta_braided,
                         verify_yd, verify_yd_algebra, yd_hom_basis,
                         yd_tensor)
-from hopflab.catalog import (cqt_c2, end_regular, group_algebra_c2,
-                             regular_comodule_module, regular_galois_algebra,
-                             r_t, sigma_t, sweedler_h4, theta_t,
-                             trivial_algebra, trivial_module)
+from hopflab.catalog import (catalog_entries, cqt_c2, end_regular,
+                             group_algebra_c2, regular_comodule_module,
+                             regular_galois_algebra, r_t, sigma_t,
+                             sweedler_h4, theta_t, trivial_algebra,
+                             trivial_module)
 
 
 @pytest.fixture(scope="module")
@@ -506,6 +508,85 @@ def test_generating_set_is_pinned(spec):
               [0, 1, 2, 3, 4, 6])]
     assert [generating_set(alg) for alg, _ in cases] == \
         [gens for _, gens in cases]
+
+
+def generators_from_scratch(alg):
+    """generating_set's greedy walk with each closure taken from scratch:
+    keep e_j when it is outside the span of all words in the generators
+    kept so far (the empty word 1 included), found by multiplying the
+    span by every generator and re-echelonning until it stops growing."""
+    f, m = alg.host.field, alg.dim
+    e = alg.module.basis_vec
+
+    def words(gens):
+        span = row_space_echelon(f, [alg.unit], m)
+        while True:
+            grown = row_space_echelon(f, span + [
+                alg.mul_vec(u, e(g)) for u in span for g in gens], m)
+            if len(grown) == len(span):
+                return span
+            span = grown
+
+    gens, span = [], words([])
+    for j in range(m):
+        if len(span) == m:
+            break
+        if len(row_space_echelon(f, span + [e(j)], m)) > len(span):
+            gens.append(j)
+            span = words(gens)
+    assert len(span) == m
+    return gens
+
+
+def shifted_matrix_algebra(h):
+    """M₃(k) with the trivial YD structure over h, in the basis a = E₁₂ + E₂₃,
+    g = E₃₁, E₁₁, E₁₂, E₁₃, E₂₁, E₂₂, E₃₂, E₃₃.  a and g generate it, but
+    E₁₂ − E₂₃ is reached only through words such as (a·g)·a, so a closure
+    that multiplies later rows by the new generator alone, or stops after
+    one round, keeps E₁₂ as a third generator."""
+    f = h.field
+
+    def unit(i, j):
+        return [f.one if (r, c) == (i, j) else f.zero
+                for r in range(3) for c in range(3)]
+
+    def times(u, v):
+        return [sum((u[3 * r + k] * v[3 * k + c] for k in range(3)), f.zero)
+                for r in range(3) for c in range(3)]
+
+    basis = [[x + y for x, y in zip(unit(0, 1), unit(1, 2))], unit(2, 0),
+             unit(0, 0), unit(0, 1), unit(0, 2), unit(1, 0), unit(1, 1),
+             unit(2, 1), unit(2, 2)]
+    columns = Matrix(f, 9, 9, basis).transpose()
+
+    def coords(x):
+        return solve(columns, Matrix(f, 9, 1, [[c] for c in x])).column(0)
+
+    mult = [c for u in basis for v in basis for c in coords(times(u, v))]
+    one = [x + y + z for x, y, z in zip(unit(0, 0), unit(1, 1), unit(2, 2))]
+    return YdAlgebra(trivial_module(h, 9), Tensor(f, (9, 9, 9), mult),
+                     coords(one))
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_generating_set_matches_closure_from_scratch(spec):
+    """On the catalog YD algebras, their σ̲_{±1} images and their
+    H-opposites, and on an M₃ whose closure needs words that end in an
+    old generator, generating_set keeps exactly the generators that the
+    from-scratch closure keeps."""
+    field = field_from_spec(spec)
+    algebras = [e.payload for e in catalog_entries(field, 1)
+                if isinstance(e.payload, YdAlgebra)]
+    assert len(algebras) == 3
+    cases = [case for alg in algebras
+             for case in (alg, sigma_algebra(sigma_t(alg.host, 1), alg),
+                          sigma_algebra(sigma_t(alg.host, -1), alg),
+                          h_opposite(alg))]
+    m3 = shifted_matrix_algebra(sweedler_h4(field, verify=False))
+    assert verify_yd_algebra(m3).ok
+    assert generators_from_scratch(m3) == [0, 1]
+    for case in cases + [m3]:
+        assert generating_set(case) == generators_from_scratch(case)
 
 
 def test_azumaya_ground_field(h4):
