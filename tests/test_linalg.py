@@ -121,11 +121,6 @@ def dense_inverse(m):
     return dense_solve(m, Matrix.identity(m.field, m.rows))
 
 
-def dense_echelon_pivot_columns(field, vectors, dim):
-    rows = [list(v) for v in vectors]
-    return [pc for _, pc in dense_echelon(rows, dim, field)]
-
-
 def random_matrix(rng, field, rows, cols, density):
     """Entries ±1..3 and, over ℚ, halves and thirds, at the given density;
     over ℚ some zeros are Fraction(0) rather than 0."""
@@ -161,7 +156,7 @@ def reference_cases(field, seed):
                                 rng.randint(2, 8), 0.12)
         else:
             r, c = rng.randint(2, 7), rng.randint(2, 7)
-            k = rng.randint(1, min(r, c) - 1 or 1)
+            k = rng.randint(1, min(r, c) - 1)
             m = mat_mul(random_matrix(rng, field, r, k, 0.6),
                         random_matrix(rng, field, k, c, 0.6))
             rows = m.data + [[field.zero] * c, list(m.data[0]),
@@ -269,7 +264,8 @@ def test_row_space_echelon_matches_dense_reference(field):
         ech = row_space_echelon(field, vectors, m.cols)
         assert vectors == m.data
         leads = [next(c for c, x in enumerate(r) if x) for r in ech]
-        assert leads == dense_echelon_pivot_columns(field, m.data, m.cols)
+        assert leads == [pc for _, pc in dense_echelon(
+            [row[:] for row in m.data], m.cols, field)]
         both = Matrix(field, len(ech) + m.rows, m.cols, ech + vectors)
         assert dense_rank(both) == dense_rank(m) == len(ech)
 
