@@ -541,9 +541,9 @@ def generators_from_scratch(alg):
 def shifted_matrix_algebra(h):
     """M₃(k) with the trivial YD structure over h, in the basis a = E₁₂ + E₂₃,
     g = E₃₁, E₁₁, E₁₂, E₁₃, E₂₁, E₂₂, E₃₂, E₃₃.  a and g generate it, but
-    E₁₂ − E₂₃ is reached only through words such as (a·g)·a, so a closure
-    that multiplies later rows by the new generator alone, or stops after
-    one round, keeps E₁₂ as a third generator."""
+    E₁₂ = (a²·g)·a is reached only by multiplying a product with g by the
+    old generator a, so a closure that multiplies later rows by the new
+    generator alone, or stops after one round, keeps a third generator."""
     f = h.field
 
     def unit(i, j):
