@@ -209,12 +209,6 @@ def one_cocycle_c2(kc2, c):
     return _twist.lazy_one_cocycle(kc2, [f.one, c])
 
 
-def h4_character_mu(h4):
-    """The algebra character μ = (1↦1, g↦-1, h,gh↦0) of H₄ (not central)."""
-    f = h4.field
-    return [f.one, -f.one, f.zero, f.zero]
-
-
 # -- derived YD instances ---------------------------------------------------
 
 def regular_comodule_module(c):
@@ -240,13 +234,6 @@ def trivial_module(host, dim=1):
         for k, x in enumerate(host.unit):
             coaction.data[(p * dim + p) * n + k] = x
     return _yd.YdModule(host, dim, action, coaction)
-
-
-def trivial_algebra(host):
-    """The ground field as a YD module algebra."""
-    m = trivial_module(host, 1)
-    f = host.field
-    return _yd.YdAlgebra(m, Tensor(f, (1, 1, 1), [f.one]), [f.one])
 
 
 def regular_galois_algebra(host):

@@ -23,7 +23,8 @@ from .twist import (TwoCocycle, DualCocycle, LazyOneCocycle, deform,
                     is_lazy)
 from .quasitriangular import CqtStructure, QtStructure, verify_cqt, verify_qt
 from .yd import YdAlgebra, azumaya_check, verify_yd, verify_yd_algebra
-from .galois import bimodule_actions, build_hr, galois_maps, wedge
+from .galois import (bimodule_actions, build_hr, galois_maps,
+                     verify_bimodule, verify_braided_hopf, wedge)
 from .suite import T_DEFAULT, run_suite, suite_json
 
 
@@ -220,8 +221,11 @@ def cmd_galois(args):
     alg = io_json.yd_from_json(doc, host)
     if not isinstance(alg, YdAlgebra):
         raise io_json.InputError("galois needs a yd_algebra document")
+    verify_yd_algebra(alg).require("galois input")
     bh = build_hr(c)
+    verify_braided_hopf(bh).require("braided Hopf algebra H_R")
     b = bimodule_actions(bh, alg.module)
+    verify_bimodule(bh, b).require("H_R-bimodule")
     rep = galois_maps(bh, b, alg)
     return _finish(rep, args)
 

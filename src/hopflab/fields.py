@@ -20,11 +20,17 @@ F_p is int-backed too: an element of ``PrimeField(p)`` is an instance of
 an ``int`` subclass made for that field, holding its residue in [0, p).
 Truthiness, ``==``, ``hash`` and ``str`` are therefore int's own C code,
 which is what the dense zero-skipping loops of the linear algebra spend
-their time on; only +, -, * and unary - (which reduce mod p) run in
+their time on; only +, -, *, unary - and / (which reduce mod p) run in
 Python.  Because ``==`` and ``hash`` are int's, an element equals its
 residue, ``PrimeField(5).from_int(7) == 2``, and elements of two different
 fields compare as their residues: code that must tell fields apart
 compares the fields (as ``HopfAlgebra.structures_equal`` does).
+
+Below ``RESIDUE_TABLE_BOUND`` a field's p elements are made once, when the
+field is built, and kept in the tuple ``elem.residues``: the operations
+and ``from_int`` index it with the reduced int and allocate nothing, so two
+equal elements of one field are the same object.  A larger p gets no
+p-sized table; its ``residues`` builds the element on each lookup.
 """
 
 from __future__ import annotations
@@ -44,18 +50,19 @@ class FieldError(ValueError):
 class FpElem(int):
     """Residue mod p, stored as the int in [0, p).
 
-    Each ``PrimeField`` makes one subclass that sets the class attribute
-    ``p``; elements are built with ``int.__new__``, never through a Python
-    ``__new__`` or ``__init__``.  +, -, * and unary - reduce mod p and
-    return the field's subclass, also when the other operand is a plain
-    int (``3 + x``, ``x * 3``).  Combining elements of two different
-    fields is not checked: the result belongs to the left operand's
-    field.  ``==``, ``hash``, ``str`` and truthiness are int's, so an
-    element equals its residue.
+    Each ``PrimeField`` makes one subclass that sets the class attributes
+    ``p`` and ``residues``; every element is ``residues[v]`` for its
+    residue v, never built through a Python ``__new__`` or ``__init__``.
+    +, -, *, unary - and / reduce mod p and return the field's subclass,
+    also when the other operand is a plain int (``3 + x``, ``x * 3``).
+    Combining elements of two different fields is not checked: the result
+    belongs to the left operand's field.  ``==``, ``hash``, ``str`` and
+    truthiness are int's, so an element equals its residue.
     """
 
     __slots__ = ()
     p = None
+    residues = None
 
     # perfbench/spans.py counts calls of these two Python methods by code
     # object; the per-field subclasses override __bool__ with int's C slot
@@ -68,34 +75,53 @@ class FpElem(int):
 
     def __add__(self, other):
         cls = type(self)
-        return int.__new__(cls, int.__add__(self, other) % cls.p)
+        return cls.residues[int.__add__(self, other) % cls.p]
 
     __radd__ = __add__
 
     def __sub__(self, other):
         cls = type(self)
-        return int.__new__(cls, int.__sub__(self, other) % cls.p)
+        return cls.residues[int.__sub__(self, other) % cls.p]
 
     def __rsub__(self, other):
         cls = type(self)
-        return int.__new__(cls, int.__rsub__(self, other) % cls.p)
+        return cls.residues[int.__rsub__(self, other) % cls.p]
 
     def __mul__(self, other):
         cls = type(self)
-        return int.__new__(cls, int.__mul__(self, other) % cls.p)
+        return cls.residues[int.__mul__(self, other) % cls.p]
 
     __rmul__ = __mul__
 
     def __neg__(self):
         cls = type(self)
-        return int.__new__(cls, int.__neg__(self) % cls.p)
+        return cls.residues[int.__neg__(self) % cls.p]
 
     def __truediv__(self, other):
         cls = type(self)
         p = cls.p
         if not other % p:
             raise ZeroDivisionError("division by zero in F_%d" % p)
-        return int.__new__(cls, int.__mul__(self, pow(other, -1, p)) % p)
+        return cls.residues[int.__mul__(self, pow(other, -1, p)) % p]
+
+
+# Fields with p below this bound keep all p elements in a tuple (4096 ints
+# of 28 bytes, about 150 KB with the tuple, at most); it covers the small
+# primes the catalog and the Taft algebras are built over.
+RESIDUE_TABLE_BOUND = 2 ** 12
+
+
+class _AllocatingResidues:
+    """``residues`` of a field too large for a table: indexing it with a
+    residue builds that element."""
+
+    __slots__ = ("cls",)
+
+    def __init__(self, cls):
+        self.cls = cls
+
+    def __getitem__(self, v):
+        return int.__new__(self.cls, v)
 
 
 # Miller–Rabin with the first thirteen prime bases is exact below this
@@ -211,8 +237,12 @@ class PrimeField(Field):
         self.kind = "Fp"
         self.p = p
         self.char = p
-        self.elem = type("F%d" % p, (FpElem,),
-                         {"__slots__": (), "p": p, "__bool__": int.__bool__})
+        self.elem = elem = type("F%d" % p, (FpElem,),
+                                {"__slots__": (), "p": p,
+                                 "__bool__": int.__bool__})
+        elem.residues = (tuple(int.__new__(elem, v) for v in range(p))
+                         if p < RESIDUE_TABLE_BOUND
+                         else _AllocatingResidues(elem))
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
 
@@ -220,7 +250,7 @@ class PrimeField(Field):
         return "Fp:%d" % self.p
 
     def from_int(self, k):
-        return int.__new__(self.elem, operator.index(k) % self.p)
+        return self.elem.residues[operator.index(k) % self.p]
 
     def fmt(self, x):
         return str(int(x))

@@ -677,7 +677,13 @@ def _beta_quotient_bijective(f, beta, rels, rep, tag):
 
 
 def galois_maps(bh, b, alg):
-    """Right/left 𝓗_R^*-Galois decisions for A, plus the bigalois verdict."""
+    """Right/left 𝓗_R^*-Galois decisions for A, plus the bigalois verdict.
+
+    Precondition: A is a YD algebra (``verify_yd_algebra``), bh is a braided
+    Hopf algebra (``verify_braided_hopf``) and b = ``bimodule_actions(bh,
+    A.module)`` is an 𝓗_R-bimodule (``verify_bimodule``).  The decisions
+    are not meaningful otherwise, and nothing here checks them.
+    """
     rep = CheckReport()
     h = bh.host
     f = h.field

@@ -18,8 +18,10 @@ yd_module / yd_algebra:
                "action": [[i,p,q,"c"], ...], "coaction": [[p,q,k,"c"], ...],
                "mult": [[p,q,r,"c"], ...], "unit": ["c", ...]}
 
-Every writer records the field; a reader rejects a document whose "field"
-is not its host's and reads one without it over the host's field.
+Every writer records the field and the host's name; a reader rejects a
+document whose "field" or "host" is not that of the host it is read over,
+or a cocycle-like document whose optional "dim" is not the host's, and
+reads one without them over the host it is given.
 
 The antipode matrix rows are images: antipode[i][j] is the coefficient of
 e_j in S(e_i).
@@ -174,11 +176,25 @@ def hopf_from_json(doc, strict=True):
     return h
 
 
-def _check_field(doc, field):
-    """Reject a document whose "field" is not the host's field."""
-    if "field" in doc and field_from_spec(doc["field"]) != field:
+def _check_host(doc, host, dim_key=None):
+    """Reject a document recorded over another host than the one it is
+    read over: its "field" is not the host's field, its "host" is not the
+    host's name (in any case, as the CLI resolves catalog names; a path to
+    a host file names no host), or its dim_key entry is not host.dim."""
+    if "field" in doc and field_from_spec(doc["field"]) != host.field:
         raise InputError("document is over %s, its host over %s"
-                         % (doc["field"], field.spec()))
+                         % (doc["field"], host.field.spec()))
+    name = doc.get("host")
+    if name is not None:
+        if not isinstance(name, str):
+            raise InputError("host must be a name, got %r" % (name,))
+        if not name.endswith(".json") and name.lower() != host.name.lower():
+            raise InputError("document is over host %s, read over %s"
+                             % (name, host.name))
+    if dim_key in doc and doc[dim_key] != host.dim:
+        raise InputError("document is over a host of dimension %r, read "
+                         "over %s of dimension %d"
+                         % (doc[dim_key], host.name, host.dim))
 
 
 def functional_to_json(kind, host_name, field, mat, inv=None):
@@ -218,7 +234,7 @@ def functional_from_json(doc, host):
     """Dispatch on "kind"; returns the appropriate verified-shape object
     (validity checks are up to the caller)."""
     from . import twist, quasitriangular
-    _check_field(doc, host.field)
+    _check_host(doc, host, "dim")
     f = host.field
     n = host.dim
     kind = doc.get("kind")
@@ -266,7 +282,7 @@ def yd_from_json(doc, host):
     if kind not in ("yd_module", "yd_algebra"):
         raise InputError("expected kind yd_module or yd_algebra, got %r"
                          % (kind,))
-    _check_field(doc, host.field)
+    _check_host(doc, host)
     f = host.field
     n = host.dim
     m = doc.get("dim")

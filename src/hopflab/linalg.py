@@ -152,19 +152,6 @@ def apply_rowmap(vec, m):
     return out
 
 
-def mat_vec(m, x):
-    """m·x for a column vector x (list of length m.cols)."""
-    zero = m.field.zero
-    out = []
-    for row in m.data:
-        s = zero
-        for c, v in enumerate(x):
-            if v and row[c]:
-                s = s + row[c] * v
-        out.append(s)
-    return out
-
-
 def _subtract(zero, row, piv, mlt):
     """row -= mlt·piv in place, dropping the entries that cancel."""
     for c, v in piv.items():

@@ -143,3 +143,70 @@ def test_fp_bad_scalar_message_names_the_scalar():
     with pytest.raises(InputError, match=r"^bad scalar '2/5': division by "
                                          r"zero in F_5$"):
         _parse_scalar(PrimeField(5), "2/5")
+
+
+TABLE_PRIMES = (2, 3, 5, 7, 13)
+INT_OPERANDS = (-40, -13, -1, 0, 13, 14, 100)   # negative, 0 and ≥ p
+
+
+def fp_results(f, x, y):
+    """(operation, result, int result) for every operation on x and y."""
+    out = [("+", x + y, int(x) + int(y)), ("-", x - y, int(x) - int(y)),
+           ("*", x * y, int(x) * int(y))]
+    for a, b in ((x, y), (y, x)):
+        if isinstance(a, f.elem):
+            out.append(("neg", -a, -int(a)))
+            if int(b) % f.p:
+                out.append(("/", f.div(a, b), int(a) * pow(int(b), -1, f.p)))
+    return out
+
+
+@pytest.mark.parametrize("p", TABLE_PRIMES)
+def test_fp_table_results_are_the_interned_residues(p):
+    """Every operation on a residue pair, or on a residue and a plain int in
+    either order, gives the field's element of the int result mod p, and
+    that is the one object from_int returns for it."""
+    f = PrimeField(p)
+    assert len(f.elem.residues) == p
+    assert all(type(r) is f.elem and r == v
+               for v, r in enumerate(f.elem.residues))
+    elems = [f.from_int(v) for v in range(p)]
+    pairs = [(x, y) for x in elems for y in elems]
+    pairs += [(x, k) for x in elems for k in INT_OPERANDS]
+    pairs += [(k, x) for x in elems for k in INT_OPERANDS]
+    for x, y in pairs:
+        for op, got, expected in fp_results(f, x, y):
+            assert type(got) is f.elem, (p, x, op, y)
+            assert got is f.from_int(expected), (p, x, op, y)
+            assert got is f.elem.residues[expected % p]
+    assert f.zero is f.from_int(p) and f.one is f.from_int(1 - p)
+    for zero in (f.zero, 0, p, -p):
+        with pytest.raises(ZeroDivisionError, match="division by zero in "
+                                                    "F_%d" % p):
+            f.div(f.one, zero)
+
+
+def test_fp_residue_table_bound():
+    below, above = 4093, 4099      # the primes next to 2**12
+    assert _is_prime(below) and _is_prime(above)
+    assert below < fields.RESIDUE_TABLE_BOUND <= above
+    assert len(PrimeField(below).elem.residues) == below
+    assert not isinstance(PrimeField(above).elem.residues, tuple)
+
+
+@pytest.mark.parametrize("p", [4099, 2 ** 61 - 1])
+def test_fp_large_field_builds_no_table(p):
+    """Above the table bound the same operations allocate their results."""
+    f = PrimeField(p)
+    assert not isinstance(f.elem.residues, tuple)
+    values = (0, 1, 2, p - 1, p // 3)
+    elems = [f.from_int(v) for v in values]
+    ints = (-p - 5, -1, 0, p, 3 * p + 7)
+    pairs = [(x, y) for x in elems for y in elems]
+    pairs += [(x, k) for x in elems for k in ints]
+    pairs += [(k, x) for x in elems for k in ints]
+    for x, y in pairs:
+        for op, got, expected in fp_results(f, x, y):
+            assert type(got) is f.elem and got == expected % p, (x, op, y)
+    with pytest.raises(ZeroDivisionError):
+        f.div(f.one, f.from_int(p))

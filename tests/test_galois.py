@@ -20,7 +20,8 @@ from hopflab.galois import (bimodule_actions, build_hr, chi_maps,
 from hopflab.catalog import (cqt_c2, dim1_hopf, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
-                             sweedler_h4, trivial_algebra, trivial_module)
+                             sweedler_h4, trivial_module)
+from test_yd import trivial_algebra
 
 
 @pytest.fixture(scope="module")

@@ -160,6 +160,63 @@ def test_cli_wedge_and_galois(tmp_path, h4, r1, unit_obj, capsys):
     assert "bigalois_object" in capsys.readouterr().out
 
 
+def test_cli_galois_checks_its_inputs(tmp_path, capsys):
+    """I with 1 added to the coefficient of e_0 in e_2·e_2 is not a YD
+    algebra; galois_maps alone reports all PASS on it, so the command must
+    verify the algebra first."""
+    paths = {}
+    for name in ("unit_object", "r_t"):
+        assert main(["catalog", "export", name, "--param", "1"]) == 0
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(capsys.readouterr().out)
+    doc = json.loads(paths["unit_object"].read_text())
+    assert not any(e[:3] == [2, 2, 0] for e in doc["mult"])
+    doc["mult"].append([2, 2, 0, "1"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["galois", str(bad), "--cqt", str(paths["r_t"]),
+                 "--host", "h4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "check failed: galois input: check 'algebra_axioms' failed "
+        "(witness=(2, 0, 2)) \n")
+
+
+def test_document_over_another_host_is_input_error(tmp_path, capsys):
+    """A document is read over the host it records, by name (in any case)
+    and, where a cocycle-like document records one, by dimension."""
+    paths = {}
+    for name in ("cqt_c2_minus", "r_t", "yd_regular_r"):
+        assert main(["catalog", "export", name, "--param", "1"]) == 0
+        paths[name] = str(tmp_path / (name + ".json"))
+        with open(paths[name], "w") as fh:
+            fh.write(capsys.readouterr().out)
+
+    def variant(name, **changes):
+        with open(paths[name]) as fh:
+            doc = dict(json.load(fh), **changes)
+        path = tmp_path / ("%s_variant.json" % name)
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    kc2_on_h4 = "input error: document is over host kC2, read over H4\n"
+    for argv, err in (
+            (["check-cqt", paths["cqt_c2_minus"], "--host", "h4"], kc2_on_h4),
+            (["wedge", paths["yd_regular_r"], paths["yd_regular_r"],
+              "--cqt", paths["cqt_c2_minus"]], kc2_on_h4),
+            (["check-yd", paths["yd_regular_r"], "--host", "kc2"],
+             "input error: document is over host H4, read over kC2\n"),
+            (["check-cqt", variant("r_t", dim=2)],
+             "input error: document is over a host of dimension 2, read "
+             "over H4 of dimension 4\n")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+    for argv in (["check-cqt", paths["cqt_c2_minus"]],
+                 ["check-cqt", variant("r_t", host="h4", dim=4)]):
+        assert main(argv) == 0
+        capsys.readouterr()
+
+
 def test_cli_deform_and_wedge_failures_exit_1(tmp_path, h4, s1, kc2, capsys):
     """A failing input exits 1 with one `check failed:` line on stderr."""
     from hopflab.linalg import Tensor

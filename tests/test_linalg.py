@@ -15,9 +15,22 @@ from hypothesis import given, settings, strategies as st
 
 from hopflab.fields import QQ, PrimeField
 from hopflab.linalg import (Bilinear, DimensionError, Matrix, Tensor,
-                            kernel_basis, mat_inverse, mat_mul, mat_vec, rank,
+                            kernel_basis, mat_inverse, mat_mul, rank,
                             row_space_echelon, solve, sparse_rank)
 from hopflab.catalog import sweedler_h4, sigma_t
+
+
+def mat_vec(m, x):
+    """m·x for a column vector x (list of length m.cols)."""
+    zero = m.field.zero
+    out = []
+    for row in m.data:
+        s = zero
+        for c, v in enumerate(x):
+            if v and row[c]:
+                s = s + row[c] * v
+        out.append(s)
+    return out
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(5)],
                                  ids=["Q", "F5"])

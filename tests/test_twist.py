@@ -15,8 +15,14 @@ from hopflab.twist import (coboundary_from, compose_cocycles, conv_inverse2,
                            is_lazy_dual, lazy_one_cocycle, two_cocycle,
                            verify_dual_cocycle, verify_two_cocycle,
                            TwoCocycle)
-from hopflab.catalog import (group_algebra_c2, h4_character_mu,
-                             one_cocycle_c2, sigma_t, sweedler_h4, theta_t)
+from hopflab.catalog import (group_algebra_c2, one_cocycle_c2, sigma_t,
+                             sweedler_h4, theta_t)
+
+
+def h4_character_mu(h4):
+    """The algebra character μ = (1↦1, g↦-1, h,gh↦0) of H₄ (not central)."""
+    f = h4.field
+    return [f.one, -f.one, f.zero, f.zero]
 
 
 def rand_func(rng, field, n):

@@ -22,8 +22,14 @@ from hopflab.yd import (YdAlgebra, YdMap, YdModule, azumaya_check,
 from hopflab.catalog import (catalog_entries, cqt_c2, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
-                             sweedler_h4, theta_t, trivial_algebra,
-                             trivial_module)
+                             sweedler_h4, theta_t, trivial_module)
+
+
+def trivial_algebra(host):
+    """The ground field as a YD module algebra."""
+    m = trivial_module(host, 1)
+    f = host.field
+    return YdAlgebra(m, Tensor(f, (1, 1, 1), [f.one]), [f.one])
 
 
 @pytest.fixture(scope="module")
