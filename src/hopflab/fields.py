@@ -105,9 +105,10 @@ class FpElem(int):
         return cls.residues[int.__mul__(self, pow(other, -1, p)) % p]
 
 
-# Fields with p below this bound keep all p elements in a tuple (4096 ints
-# of 28 bytes, about 150 KB with the tuple, at most); it covers the small
-# primes the catalog and the Taft algebras are built over.
+# Fields with p below this bound keep all p elements in a tuple: at most
+# 4095 elements of 44 bytes plus the tuple, about 210 KB, built in about a
+# millisecond.  It covers the small primes the catalog, the tests and the
+# Taft algebras are built over.
 RESIDUE_TABLE_BOUND = 2 ** 12
 
 
