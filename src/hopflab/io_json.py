@@ -176,11 +176,11 @@ def hopf_from_json(doc, strict=True):
     return h
 
 
-def _check_host(doc, host, dim_key=None):
+def _check_host(doc, host):
     """Reject a document recorded over another host than the one it is
-    read over: its "field" is not the host's field, its "host" is not the
-    host's name (in any case, as the CLI resolves catalog names; a path to
-    a host file names no host), or its dim_key entry is not host.dim."""
+    read over: its "field" is not the host's field, or its "host" is not
+    the host's name (in any case, as the CLI resolves catalog names; a path
+    to a host file names no host)."""
     if "field" in doc and field_from_spec(doc["field"]) != host.field:
         raise InputError("document is over %s, its host over %s"
                          % (doc["field"], host.field.spec()))
@@ -191,10 +191,6 @@ def _check_host(doc, host, dim_key=None):
         if not name.endswith(".json") and name.lower() != host.name.lower():
             raise InputError("document is over host %s, read over %s"
                              % (name, host.name))
-    if dim_key in doc and doc[dim_key] != host.dim:
-        raise InputError("document is over a host of dimension %r, read "
-                         "over %s of dimension %d"
-                         % (doc[dim_key], host.name, host.dim))
 
 
 def functional_to_json(kind, host_name, field, mat, inv=None):
@@ -234,9 +230,13 @@ def functional_from_json(doc, host):
     """Dispatch on "kind"; returns the appropriate verified-shape object
     (validity checks are up to the caller)."""
     from . import twist, quasitriangular
-    _check_host(doc, host, "dim")
+    _check_host(doc, host)
     f = host.field
     n = host.dim
+    if "dim" in doc and doc["dim"] != n:
+        raise InputError("document is over a host of dimension %r, read "
+                         "over %s of dimension %d"
+                         % (doc["dim"], host.name, n))
     kind = doc.get("kind")
     if kind == "one_cocycle":
         mu = _sparse_to_tensor(f, (n,), doc.get("entries", []), kind)
