@@ -184,9 +184,10 @@ def test_cli_galois_checks_its_inputs(tmp_path, capsys):
 
 def test_document_over_another_host_is_input_error(tmp_path, capsys):
     """A document is read over the host it records, by name (in any case)
-    and, where a cocycle-like document records one, by dimension."""
+    and, where a cocycle-like document records one, by dimension.  A
+    document that names its host by a file path is read over that file."""
     paths = {}
-    for name in ("cqt_c2_minus", "r_t", "yd_regular_r"):
+    for name in ("h4", "cqt_c2_minus", "r_t", "yd_regular_r"):
         assert main(["catalog", "export", name, "--param", "1"]) == 0
         paths[name] = str(tmp_path / (name + ".json"))
         with open(paths[name], "w") as fh:
@@ -212,7 +213,8 @@ def test_document_over_another_host_is_input_error(tmp_path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == err
     for argv in (["check-cqt", paths["cqt_c2_minus"]],
-                 ["check-cqt", variant("r_t", host="h4", dim=4)]):
+                 ["check-cqt", variant("r_t", host="h4", dim=4)],
+                 ["check-yd", variant("yd_regular_r", host=paths["h4"])]):
         assert main(argv) == 0
         capsys.readouterr()
 
