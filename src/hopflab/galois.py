@@ -682,7 +682,8 @@ def galois_maps(bh, b, alg):
     Precondition: A is a YD algebra (``verify_yd_algebra``), bh is a braided
     Hopf algebra (``verify_braided_hopf``) and b = ``bimodule_actions(bh,
     A.module)`` is an 𝓗_R-bimodule (``verify_bimodule``).  The decisions
-    are not meaningful otherwise, and nothing here checks them.
+    mean nothing otherwise; this function does not check the precondition,
+    and ``hopflab galois`` checks it before calling it.
     """
     rep = CheckReport()
     h = bh.host

@@ -32,6 +32,7 @@ def mat_vec(m, x):
         out.append(s)
     return out
 
+
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(5)],
                                  ids=["Q", "F5"])
 
