@@ -54,7 +54,8 @@ class FpElem(int):
     ``p`` and ``residues``; every element is ``residues[v]`` for its
     residue v, never built through a Python ``__new__`` or ``__init__``.
     +, -, *, unary - and / reduce mod p and return the field's subclass,
-    also when the other operand is a plain int (``3 + x``, ``x * 3``).
+    also when the other operand is a plain int (``3 + x``, ``x * 3``,
+    ``3 / x``).
     Combining elements of two different fields is not checked: the result
     belongs to the left operand's field.  ``==``, ``hash``, ``str`` and
     truthiness are int's, so an element equals its residue.
@@ -103,6 +104,13 @@ class FpElem(int):
         if not other % p:
             raise ZeroDivisionError("division by zero in F_%d" % p)
         return cls.residues[int.__mul__(self, pow(other, -1, p)) % p]
+
+    def __rtruediv__(self, other):
+        cls = type(self)
+        p = cls.p
+        if not self:
+            raise ZeroDivisionError("division by zero in F_%d" % p)
+        return cls.residues[int.__mul__(other, pow(self, -1, p)) % p]
 
 
 # Fields with p below this bound keep all p elements in a tuple: at most

@@ -669,8 +669,10 @@ def _beta_quotient_bijective(f, beta, rels, rep, tag):
     bad = first_mismatch((range(len(rels)),), lambda i: (
         image(rels[i]), zero))
     rep.add(tag + "_relations_in_kernel", bad is None, bad)
-    rel_rank = sparse_rank(f, rels)
     ker_dim = beta.rows - rk
+    # relations inside ker β have rank ≤ dim ker β, so the elimination may
+    # stop there; relations outside it are ranked in full for the detail
+    rel_rank = sparse_rank(f, rels, ker_dim if bad is None else None)
     rep.add(tag + "_kernel_is_relations", rel_rank == ker_dim, None,
             "relation rank %d vs kernel dim %d" % (rel_rank, ker_dim))
     return onto and bad is None and rel_rank == ker_dim

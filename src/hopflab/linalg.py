@@ -162,7 +162,7 @@ def _subtract(zero, row, piv, mlt):
             del row[c]
 
 
-def _reduce(field, rows):
+def _reduce(field, rows, cap=None):
     """Row echelon form of rows given as iterables of (column, coefficient)
     pairs: {pivot column: row}, each row a dict {column: coefficient} over
     its nonzero entries whose lowest column is its pivot.
@@ -171,11 +171,14 @@ def _reduce(field, rows):
     pivot rows found so far, always at its lowest column, and becomes the
     pivot row of that column if anything is left; so no dense row is ever
     built, and a row of a few nonzeros costs a few dict operations per
-    step.  The given rows are not changed.
+    step.  The given rows are not changed.  With a cap the elimination
+    stops once it has cap pivots, leaving the remaining rows unread.
     """
     zero, div = field.zero, field.div
     pivots = {}
     for row in rows:
+        if len(pivots) == cap:
+            break
         row = {c: v for c, v in row if v}
         while row:
             col = min(row)
@@ -192,10 +195,12 @@ def rank(m):
     return len(_reduce(m.field, (enumerate(row) for row in m.data)))
 
 
-def sparse_rank(field, rows):
+def sparse_rank(field, rows, cap=None):
     """Rank of rows given as dicts {column: coefficient}, which may hold
-    explicit zeros; no rows give 0.  The rows are not changed."""
-    return len(_reduce(field, (row.items() for row in rows)))
+    explicit zeros; no rows give 0.  The rows are not changed.  With a cap
+    (an int ≥ 0) the result is min(cap, rank), and the elimination stops
+    at cap pivots."""
+    return len(_reduce(field, (row.items() for row in rows), cap))
 
 
 def linear_combination(field, dim, terms):

@@ -7,9 +7,10 @@ which H^σ shares, regrouping Δ² by coassociativity alone.
 
 The QT side is the CQT side on the dual: ℛ ∈ H⊗H is a CQT structure on
 H* = hopf.dual_hopf(H) through the same matrix, H⊗H's product is the
-convolution of (H*⊗H*)*, ℛ_θ = τ(θ)ℛθ⁻¹ is R^{σ_θ} on H*, and the
-ℛ-induced coaction on a left H-module M is the R-induced action on M*
-(yd.dual_module).  verify_qt stays an independent second form in H⊗H⊗H.
+convolution of (H*⊗H*)*, and ℛ_θ = τ(θ)ℛθ⁻¹ is R^{σ_θ} on H*.  (The
+ℛ-induced coaction on a left H-module M, which only the tests build, is
+likewise the R-induced action on M* = yd.dual_module(M).)  verify_qt stays
+an independent second form in H⊗H⊗H.
 """
 
 from __future__ import annotations
@@ -274,15 +275,3 @@ def yd_from_comodule(c, coaction):
         [[eval2(c.r, i, coact(p, q)) for q in ms] for p in ms]
         for i in range(n)])
     return _yd.YdModule(h, m, action, coaction)
-
-
-def yd_from_module(q, action):
-    """YD module on a left module via the ℛ-induced coaction
-    a ↦ Σ (ℛ²·a)⊗ℛ¹: the dual of yd_from_comodule for ℛ read as R on H*,
-    applied to M's action as M*'s coaction."""
-    from . import yd as _yd
-    h = q.host
-    m = action.shape[1]
-    check_shape("action", action.shape, (h.dim, m, m))
-    r = CqtStructure(dual_hopf(h), q.rr, q.rr_inv)
-    return _yd.dual_module(yd_from_comodule(r, _yd._first_leg_last(action)))

@@ -31,8 +31,11 @@ theta_algebra stay μ∘φ on the term kernel: A* with A's product is no YD
 algebra over H*, so θ̲(A) is not (σ̲_θ(A*))*.
 σ̲ and θ̲ are fixed by their cocycle: the target hosts H^σ and H_θ come from
 twist.deform/deform_dual, which memoize them per cocycle object.  The
-monoidal structures eta and theta_phi return matrices only; a caller that
-checks one as a YdMap builds each σ̲ image once and assembles the map.
+monoidal structures eta and theta_phi return matrices only.  The braided
+square has one kernel, braided_squares: for one cocycle and a list of
+modules it builds each σ̲ image, σ̲M⊗σ̲N, η and σ̲(M⊗N) once and checks
+every requested ordered pair; verify_braided_functor and
+verify_theta_braided are its single-pair calls.
 Linear maps are stored row-as-image; mat_mul(A, B) is "apply A, then B".
 The constructions here (σ̲, θ̲, braided products, H-opposites, End(M)) do
 not check the YD axioms of what they return; verify_yd and
@@ -406,14 +409,6 @@ def yd_tensor(ma, mb):
     return YdModule(h, dim, action, coaction)
 
 
-def braiding(ma, mb):
-    """Φ(m⊗n) = Σ n₀ ⊗ n₁·m as a YdMap M⊗N → N⊗M."""
-    if not ma.host.structures_equal(mb.host):
-        raise VerificationError("braiding: host mismatch")
-    mat = _matrix(ma.host.field, _braid_terms(ma, mb), mb.dim, ma.dim)
-    return YdMap(yd_tensor(ma, mb), yd_tensor(mb, ma), mat)
-
-
 def is_yd_map(f_map):
     """Does the matrix commute with both the action and the coaction?"""
     rep = CheckReport()
@@ -561,24 +556,63 @@ def eta(s, ma, mb):
     return mat, mat_inv
 
 
+def braided_squares(s, mods, pairs=None):
+    """The braided square of σ̲ (Thm 2.3),
+        η_{N,M} ∘ Φ_{σ̲M,σ̲N} = σ̲(Φ_{M,N}) ∘ η_{M,N},
+    on (M, N) = (mods[a], mods[b]) for each (a, b) in pairs (default: every
+    ordered pair, row-major): one report per pair, in that order.
+
+    Each report checks the square, η_{M,N} as a YD map σ̲M⊗σ̲N → σ̲(M⊗N)
+    (the eta_ checks) and Φ_{σ̲M,σ̲N} as a YD map (the phi_sigma_ checks);
+    eta raises unless η·ξ = id.  The σ̲ images, the products σ̲M⊗σ̲N and
+    the η are built once and shared: σ̲M⊗σ̲N is the source of (a, b)'s Φ
+    and the target of (b, a)'s, and η_{M,N} is η_ab of (a, b) and η_ba of
+    (b, a).  σ̲ images and η are first built in the order a pair-by-pair
+    check builds them, so the first of them that raises is the same.
+    """
+    if pairs is None:
+        pairs = [(a, b) for a in range(len(mods)) for b in range(len(mods))]
+    f = s.host.field
+    memo = {}
+
+    def once(key, build, *args):
+        if key not in memo:
+            memo[key] = build(*args)
+        return memo[key]
+
+    def sig(a):
+        return once(("sigma", a), sigma_module, s, mods[a])
+
+    def sig_tensor(a, b):
+        return once(("tensor", a, b), yd_tensor, sig(a), sig(b))
+
+    def eta_of(a, b):
+        return once(("eta", a, b), eta, s, mods[a], mods[b])[0]
+
+    reports = []
+    for a, b in pairs:
+        ma, mb = mods[a], mods[b]
+        if not ma.host.structures_equal(mb.host):
+            raise VerificationError("braiding: host mismatch")
+        phi = _matrix(f, _braid_terms(ma, mb), mb.dim, ma.dim)
+        phi_sigma = YdMap(sig_tensor(a, b), sig_tensor(b, a),
+                          _matrix(f, _braid_terms(sig(a), sig(b)),
+                                  mb.dim, ma.dim))
+        eta_ab, eta_ba = eta_of(a, b), eta_of(b, a)
+        rep = CheckReport()
+        rep.add("braided_square", mat_mul(phi_sigma.matrix, eta_ba)
+                == mat_mul(eta_ab, phi))
+        target = sigma_module(s, yd_tensor(ma, mb))
+        rep.merge(is_yd_map(YdMap(phi_sigma.source, target, eta_ab)),
+                  prefix="eta_")
+        rep.merge(is_yd_map(phi_sigma), prefix="phi_sigma_")
+        reports.append(rep)
+    return reports
+
+
 def verify_braided_functor(s, ma, mb):
-    """The braided square of the monoidal functor:
-    η_{N,M} ∘ Φ_{σ̲M,σ̲N} = σ̲(Φ_{M,N}) ∘ η_{M,N}."""
-    rep = CheckReport()
-    phi = braiding(ma, mb)
-    phi_sigma = braiding(sigma_module(s, ma), sigma_module(s, mb))
-    eta_ab, _ = eta(s, ma, mb)
-    eta_ba, _ = eta(s, mb, ma)
-    lhs = mat_mul(phi_sigma.matrix, eta_ba)
-    rhs = mat_mul(eta_ab, phi.matrix)
-    rep.add("braided_square", lhs == rhs)
-    # η_{M,N} as a YD map σ̲M⊗σ̲N → σ̲(M⊗N); the tensor products are the
-    # braidings' sources
-    target = sigma_module(s, phi.source)
-    rep.merge(is_yd_map(YdMap(phi_sigma.source, target, eta_ab)),
-              prefix="eta_")
-    rep.merge(is_yd_map(phi_sigma), prefix="phi_sigma_")
-    return rep
+    """braided_squares on the one pair (M, N)."""
+    return braided_squares(s, [ma, mb], [(0, 1)])[0]
 
 
 def sigma_algebra(s, alg):
@@ -669,7 +703,8 @@ def verify_theta_braided(d, ma, mb):
     square of σ_θ on N*, M*.  The flip τ conjugates one square into the
     other: Φ_{N*,M*} = τΦ_{M,N}τ, φ_{M,N} = τη_{N*,M*}τ and
     (M⊗N)* = τ(N*⊗M*)τ."""
-    return verify_braided_functor(d.sigma, dual_module(mb), dual_module(ma))
+    return braided_squares(d.sigma, [dual_module(mb), dual_module(ma)],
+                           [(0, 1)])[0]
 
 
 def theta_algebra(d, alg):

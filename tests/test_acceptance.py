@@ -140,3 +140,28 @@ def test_each_shared_instance_is_built_once(monkeypatch):
     assert sum(n for key, n in calls.items()
                if key[0] == "deform_cqt") == len(suite.T_DEFAULT) ** 2
     assert {key: n for key, n in calls.items() if n > 1} == {}
+
+
+def test_braided_squares_build_each_object_once(monkeypatch):
+    """One criterion-06 run on a fresh context builds each σ̲ image once
+    (3 modules and 9 tensor products under each of 6 cocycles), the dual of
+    each of its 3 modules once, and one η per (cocycle, ordered pair)."""
+    from test_yd import count_calls
+    sigmas = count_calls(monkeypatch, "sigma_module")
+    etas = count_calls(monkeypatch, "eta")
+    duals = count_calls(monkeypatch, "dual_module")
+    ctx = SuiteContext(QQ, suite.T_DEFAULT, 0)
+    assert dict(CRITERIA)["06_braided_squares"](ctx).ok
+
+    def distinct(calls):
+        """The number of calls, when no two share their arguments."""
+        keys = {tuple(map(id, args)) for args in calls}
+        assert len(keys) == len(calls)
+        return len(calls)
+
+    assert distinct(sigmas) == 72 and distinct(etas) == 6 * 9
+    # unit_object builds I as a dual; then one dual per module
+    mods = [ctx.regular(1), ctx.unit_obj().module, ctx.trivial()]
+    assert distinct(duals) == 4 and [args[0] for args in duals[1:]] == mods
+    # each (cocycle, module) pair at most once, over six cocycles
+    assert len({id(args[0]) for args in sigmas + etas}) == 6

@@ -11,11 +11,12 @@ from hopflab.fields import field_from_spec
 from hopflab.galois import unit_object
 from hopflab.hopf import dual_hopf
 from hopflab.linalg import Matrix, Tensor, mat_inverse
-from hopflab.quasitriangular import deform_qt, yd_from_module
+from hopflab.quasitriangular import deform_qt
 from hopflab.suite import T_DEFAULT
 from hopflab.twist import deform_dual, dual_cocycle, eps_eps
 from hopflab.yd import (dual_module, sigma_module, theta_module, verify_yd,
                         yd_tensor)
+from test_quasitriangular import yd_from_module
 
 
 @pytest.fixture(scope="module", params=["Q", "Fp:5"])

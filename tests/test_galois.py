@@ -340,6 +340,25 @@ def test_relations_match_dense_reference(field):
         assert want and _relations(alg, xs) == want
 
 
+def test_relation_rank_stops_at_the_kernel_only_inside_it():
+    """The relation rank is capped at dim ker β only once every relation
+    lies in ker β, where the cap cannot bind; relations that leave ker β
+    are ranked in full, so the detail shows their whole rank."""
+    from hopflab.galois import _beta_quotient_bijective
+    from hopflab.report import CheckReport
+    beta = Matrix(QQ, 3, 2, [[1, 0], [0, 1], [0, 0]])      # ker β = ⟨e_2⟩
+    cases = [([{2: 1}, {2: -2}, {}], "pass", None, 1),
+             ([{2: 1}, {0: 1}, {1: 1}], "fail", (1,), 3)]
+    for rels, status, witness, rel_rank in cases:
+        rep = CheckReport()
+        _beta_quotient_bijective(QQ, beta, rels, rep, "beta")
+        assert [(c.name, c.status, c.witness, c.detail)
+                for c in rep.checks[1:]] == [
+            ("beta_relations_in_kernel", status, witness, ""),
+            ("beta_kernel_is_relations", "pass" if rel_rank == 1 else "fail",
+             None, "relation rank %d vs kernel dim 1" % rel_rank)]
+
+
 def test_galois_maps_trivial_not_galois(kc2):
     c = cqt_structure(kc2, eps_eps(kc2))
     bh = build_hr(c)

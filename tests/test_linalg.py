@@ -218,15 +218,23 @@ def test_sparse_rank_equals_rank(field):
     """sparse_rank on dict rows equals the dense reference rank of the same
     rows, for the reference cases and for sparse random rows mixed with
     zero, duplicate and proportional rows; rows may carry explicit zero
-    coefficients and are not changed."""
+    coefficients and are not changed.  With a cap it is min(cap, rank)."""
     rng = random.Random(9)
     assert sparse_rank(field, []) == 0
     assert sparse_rank(field, [{}, {3: field.zero}]) == 0
-    for m in reference_cases(field, 9):
+    assert sparse_rank(field, [{}, {3: field.zero}], 0) == 0
+
+    def check(m):
         sparse = sparse_rows(rng, m)
         before = [dict(row) for row in sparse]
-        assert sparse_rank(field, sparse) == dense_rank(m)
+        full = dense_rank(m)
+        assert sparse_rank(field, sparse) == full
+        for cap in range(full + 2):
+            assert sparse_rank(field, sparse, cap) == min(cap, full)
         assert sparse == before
+
+    for m in reference_cases(field, 9):
+        check(m)
     for _ in range(60):
         rows, cols = rng.randint(1, 10), rng.randint(1, 12)
         dense = [[field.from_int(rng.randint(-3, 3))
@@ -237,11 +245,7 @@ def test_sparse_rank_equals_rank(field):
                       for x in dense[-2]])
         dense.append([field.zero] * cols)
         rng.shuffle(dense)
-        m = Matrix(field, len(dense), cols, dense)
-        sparse = sparse_rows(rng, m)
-        before = [dict(row) for row in sparse]
-        assert sparse_rank(field, sparse) == dense_rank(m)
-        assert sparse == before
+        check(Matrix(field, len(dense), cols, dense))
 
 
 @FIELDS

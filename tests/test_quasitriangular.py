@@ -4,14 +4,25 @@ import pytest
 
 from hopflab.fields import QQ
 from hopflab.hopf import dual_hopf
-from hopflab.linalg import DimensionError, Matrix, Tensor
+from hopflab.linalg import DimensionError, Matrix, Tensor, check_shape
 from hopflab.twist import eps_eps, two_cocycle
-from hopflab.quasitriangular import (cqt_structure, deform_cqt, deform_qt,
-                                     qt_structure, verify_cqt, verify_qt,
-                                     yd_from_comodule, yd_from_module)
-from hopflab.yd import verify_yd
+from hopflab.quasitriangular import (CqtStructure, cqt_structure, deform_cqt,
+                                     deform_qt, qt_structure, verify_cqt,
+                                     verify_qt, yd_from_comodule)
+from hopflab.yd import _first_leg_last, dual_module, verify_yd
 from hopflab.catalog import (cqt_c2, group_algebra_c2, qt_c2, qt_t, r_t,
                              sigma_t, sweedler_h4, theta_t, trivial_module)
+
+
+def yd_from_module(q, action):
+    """YD module on a left module via the ℛ-induced coaction
+    a ↦ Σ (ℛ²·a)⊗ℛ¹: the dual of yd_from_comodule for ℛ read as R on H*,
+    applied to M's action as M*'s coaction."""
+    h = q.host
+    m = action.shape[1]
+    check_shape("action", action.shape, (h.dim, m, m))
+    r = CqtStructure(dual_hopf(h), q.rr, q.rr_inv)
+    return dual_module(yd_from_comodule(r, _first_leg_last(action)))
 
 
 def test_r_t_passes(h4):
@@ -37,7 +48,6 @@ def test_sign_r_on_kc2(kc2):
 
 
 def test_cqt_rejects_corruption(h4):
-    from hopflab.quasitriangular import CqtStructure
     r1 = r_t(h4, 1)
     bad = Matrix(QQ, 4, 4, [row[:] for row in r1.r.data])
     bad.data[2][3] = QQ.one   # R(h⊗gh) := 1 instead of -1

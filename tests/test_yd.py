@@ -11,8 +11,10 @@ from hopflab.hopf import dual_hopf
 from hopflab.linalg import (DimensionError, Matrix, Tensor, mat_mul, rank,
                             row_space_echelon, solve)
 from hopflab.twist import deform, eps_eps, two_cocycle, dual_cocycle
-from hopflab.yd import (YdAlgebra, YdMap, YdModule, azumaya_check,
-                        braided_product, braiding, end_algebra, eta,
+from hopflab.report import CheckReport, VerificationError
+from hopflab.yd import (YdAlgebra, YdMap, YdModule, _braid_terms, _matrix,
+                        azumaya_check, braided_product, braided_squares,
+                        dual_module, end_algebra, eta,
                         generating_set, h_opposite, is_yd_map,
                         quantum_commutative, random_yd_map, sigma_algebra,
                         sigma_module, theta_algebra, theta_module, theta_phi,
@@ -23,6 +25,14 @@ from hopflab.catalog import (catalog_entries, cqt_c2, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
                              sweedler_h4, theta_t, trivial_module)
+
+
+def braiding(ma, mb):
+    """Φ(m⊗n) = Σ n₀ ⊗ n₁·m as a YdMap M⊗N → N⊗M."""
+    if not ma.host.structures_equal(mb.host):
+        raise VerificationError("braiding: host mismatch")
+    mat = _matrix(ma.host.field, _braid_terms(ma, mb), mb.dim, ma.dim)
+    return YdMap(yd_tensor(ma, mb), yd_tensor(mb, ma), mat)
 
 
 def trivial_algebra(host):
@@ -185,6 +195,59 @@ def test_eta_invertible_and_yd(mreg, s1):
     source = yd_tensor(sm, sm)
     target = sigma_module(s1, yd_tensor(mreg, mreg))
     assert is_yd_map(YdMap(source, target, em)).ok
+
+
+def reference_braided_functor(s, ma, mb):
+    """The braided square on one pair, every object built for that pair
+    alone: the dense reference that braided_squares must match."""
+    rep = CheckReport()
+    phi = braiding(ma, mb)
+    phi_sigma = braiding(sigma_module(s, ma), sigma_module(s, mb))
+    eta_ab, _ = eta(s, ma, mb)
+    eta_ba, _ = eta(s, mb, ma)
+    lhs = mat_mul(phi_sigma.matrix, eta_ba)
+    rhs = mat_mul(eta_ab, phi.matrix)
+    rep.add("braided_square", lhs == rhs)
+    target = sigma_module(s, phi.source)
+    rep.merge(is_yd_map(YdMap(phi_sigma.source, target, eta_ab)),
+              prefix="eta_")
+    rep.merge(is_yd_map(phi_sigma), prefix="phi_sigma_")
+    return rep
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_braided_squares_match_the_per_pair_reference(spec):
+    """Each pair's report of braided_squares, which shares σ̲ images,
+    tensor products and η between the pairs, equals the per-pair reference
+    on every (name, status, witness, detail): σ_2 on (reg, I, triv), and
+    σ_θ for θ_{-1} on their duals in criterion 06's swapped order; then
+    again with reg's action[2, 2, 0] raised by 1, which fails the square on
+    the θ side and Φ_{σ̲M,σ̲N}'s YD-map checks."""
+    f = field_from_spec(spec)
+    h4 = sweedler_h4(f, verify=False)
+    mods = [regular_comodule_module(r_t(h4, 1)), unit_object(h4).module,
+            trivial_module(h4, 1)]
+    reg = mods[0]
+    data = list(reg.action.data)
+    data[(2 * 4 + 2) * 4 + 0] += f.one
+    bad = YdModule(h4, 4, Tensor(f, reg.action.shape, data), reg.coaction)
+    pairs = [(a, b) for a in range(3) for b in range(3)]
+    sigma, d = sigma_t(h4, 2), theta_t(h4, -1)
+
+    def tuples(rep):
+        return [(c.name, c.status, c.witness, c.detail) for c in rep.checks]
+
+    failed = set()
+    for on in (mods, [bad] + mods[1:]):
+        for s, ms, order in ((sigma, on, pairs),
+                             (d.sigma, [dual_module(m) for m in on],
+                              [(b, a) for a, b in pairs])):
+            for (a, b), rep in zip(order, braided_squares(s, ms, order)):
+                want = reference_braided_functor(s, ms[a], ms[b])
+                assert tuples(rep) == tuples(want), (spec, a, b)
+                failed.update(c.name for c in rep.failures())
+    assert failed == {"braided_square", "phi_sigma_h_linear",
+                      "phi_sigma_h_colinear"}
 
 
 def test_braided_functor_square(mreg, s1, h4, unit_obj):
