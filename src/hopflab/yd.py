@@ -556,11 +556,11 @@ def eta(s, ma, mb):
     return mat, mat_inv
 
 
-def braided_squares(s, mods, pairs=None):
+def braided_squares(s, mods, pairs):
     """The braided square of σ̲ (Thm 2.3),
         η_{N,M} ∘ Φ_{σ̲M,σ̲N} = σ̲(Φ_{M,N}) ∘ η_{M,N},
-    on (M, N) = (mods[a], mods[b]) for each (a, b) in pairs (default: every
-    ordered pair, row-major): one report per pair, in that order.
+    on (M, N) = (mods[a], mods[b]) for each (a, b) in pairs: one report per
+    pair, in that order.
 
     Each report checks the square, η_{M,N} as a YD map σ̲M⊗σ̲N → σ̲(M⊗N)
     (the eta_ checks) and Φ_{σ̲M,σ̲N} as a YD map (the phi_sigma_ checks);
@@ -570,8 +570,6 @@ def braided_squares(s, mods, pairs=None):
     (b, a).  σ̲ images and η are first built in the order a pair-by-pair
     check builds them, so the first of them that raises is the same.
     """
-    if pairs is None:
-        pairs = [(a, b) for a in range(len(mods)) for b in range(len(mods))]
     f = s.host.field
     memo = {}
 

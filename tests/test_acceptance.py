@@ -163,5 +163,5 @@ def test_braided_squares_build_each_object_once(monkeypatch):
     # unit_object builds I as a dual; then one dual per module
     mods = [ctx.regular(1), ctx.unit_obj().module, ctx.trivial()]
     assert distinct(duals) == 4 and [args[0] for args in duals[1:]] == mods
-    # each (cocycle, module) pair at most once, over six cocycles
+    # the cocycles are the six of criterion 06: σ_t, and σ_θ for θ_t
     assert len({id(args[0]) for args in sigmas + etas}) == 6
