@@ -5,12 +5,15 @@ x == 0).  Division goes through ``Field.div`` only, never the ``/``
 operator.  All arithmetic is exact and equality is decidable, which turns
 every identity in this package into a yes/no check with no tolerances.
 
-ℚ is int-first: a rational is a Python ``int`` whenever it is integral, and
-a ``fractions.Fraction`` only when a division leaves a denominator.  The
-structure tensors are mostly 0s and ±1s, so almost all arithmetic runs on
-small ints.  ``Rationals.div`` is the one place that builds a Fraction, and
-it returns the plain numerator when the denominator is 1, so ``int / int``
-never makes a float.  Mixing the two types is exact (int ⊂ Fraction in
+ℚ is int-first where a value is made: ``Rationals.from_int`` and
+``Rationals.parse`` give a Python ``int`` for an integer, and
+``Rationals.div``, the one place that builds a Fraction, returns the plain
+numerator when the denominator is 1, so ``int / int`` never makes a float.
+The structure tensors are mostly 0s and ±1s, so almost all arithmetic runs
+on small ints.  Arithmetic on a Fraction keeps the Fraction type, though:
+a sum or product that happens to be integral stays a ``Fraction``
+(``Fraction(1, 2) * 2`` is ``Fraction(1, 1)``), so an integral ℚ value may
+have either type.  Mixing the two types is exact (int ⊂ Fraction in
 Python's numeric tower), and ``==``, ``hash`` and ``str`` agree between an
 int and the equal Fraction: ``Fraction(2) == 2``, both hash alike, and both
 print as ``2``.  Reports, JSON documents and set/dict keys are therefore the

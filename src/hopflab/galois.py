@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .hopf import dual_hopf
+from .hopf import dual_hopf, first_action_mismatch
 from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, in_span,
                      kernel_basis, linear_combination, mat_mul, rank,
                      same_span, solve, sparse_rank)
@@ -253,29 +253,33 @@ def verify_bimodule(bh, b):
     rep = CheckReport()
     h = bh.host
     mod = b.module
-    star = bh.underlying.mul.dense_row
+    f, m = h.field, mod.dim
+    star = bh.underlying.mul
     left, right = b.left, b.right
-    e, hs, ms = mod.basis_vec, range(h.dim), range(mod.dim)
+    e, hs, ms = mod.basis_vec, range(h.dim), range(m)
+    unit = [(t, x) for t, x in enumerate(h.unit) if x]
 
-    bad = first_mismatch((ms,), lambda p: (left.apply(h.unit, e(p)), e(p)))
+    def unit_acts(act):
+        return first_mismatch((ms,), lambda p: (linear_combination(
+            f, m, ((x, act.row(t, p)) for t, x in unit)), e(p)))
+
+    bad = unit_acts(left)
     if bad is None:
-        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
-            left.apply(star(i, j), e(p)),
-            left.apply_basis(i, left.apply_basis(j, e(p)))))
+        bad = first_action_mismatch(star, left)
     rep.add("left_action_for_star", bad is None, bad,
             "(h⋆l)−▷m = h−▷(l−▷m)")
 
-    bad = first_mismatch((ms,), lambda p: (right.apply(h.unit, e(p)), e(p)))
+    bad = unit_acts(right)
     if bad is None:
-        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
-            right.apply(star(i, j), e(p)),
-            right.apply_basis(j, right.apply_basis(i, e(p)))))
+        bad = first_action_mismatch(star, right, right=True)
     rep.add("right_action_for_star", bad is None, bad,
             "m◁−(h⋆l) = (m◁−h)◁−l")
 
     bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
-        right.apply_basis(j, left.apply_basis(i, e(p))),
-        left.apply_basis(i, right.apply_basis(j, e(p)))))
+        linear_combination(f, m, ((c, right.row(j, q))
+                                  for q, c in left.row(i, p))),
+        linear_combination(f, m, ((c, left.row(i, q))
+                                  for q, c in right.row(j, p)))))
     rep.add("bimodule_commutation", bad is None, bad,
             "(h−▷m)◁−l = h−▷(m◁−l)")
     return rep

@@ -6,12 +6,16 @@ Structure tensors follow the index conventions
     antipode.data[i][j] = coefficient of e_j in S(e_i)   (row-as-image)
 and the unit/counit are coordinate (co)vectors of length n.  h.mul and
 h.delta read mult and comult through the sparse kernel linalg.Bilinear.
+The axioms read every product of basis vectors from h.mul's sparse rows;
+no dense basis vector is multiplied.  first_action_mismatch is the one
+check of an action axiom (e_i e_j)·v = e_i·(e_j·v): H's associativity
+here, the YD module axiom and the 𝓗_R bimodule actions elsewhere.
 """
 
 from __future__ import annotations
 
 from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, check_dim,
-                     check_shape, mat_mul)
+                     check_shape, linear_combination, mat_mul)
 from .report import CheckReport, first_mismatch
 
 
@@ -109,13 +113,14 @@ def verify_hopf_axioms(h):
     mul, delta, e = h.mul, h.delta, h.basis_vec
     every = range(n)
 
-    bad = first_mismatch((every,) * 3, lambda i, j, k: (
-        h.mul_vec(mul.dense_row(i, j), e(k)),
-        h.mul_vec(e(i), mul.dense_row(j, k))))
+    bad = first_action_mismatch(mul, mul)
     rep.add("associativity", bad is None, bad)
 
+    unit = [(t, x) for t, x in enumerate(h.unit) if x]
     bad = first_mismatch((every,), lambda i: (
-        (h.mul_vec(h.unit, e(i)), h.mul_vec(e(i), h.unit)), (e(i), e(i))))
+        (linear_combination(f, n, ((x, mul.row(t, i)) for t, x in unit)),
+         linear_combination(f, n, ((x, mul.row(i, t)) for t, x in unit))),
+        (e(i), e(i))))
     rep.add("unit", bad is None, bad)
 
     def coassociativity(i):
@@ -202,6 +207,46 @@ def verify_hopf_axioms(h):
           and mat_mul(h.antipode_inv, h.antipode) == ident)
     rep.add("antipode_inverse", ok)
     return rep
+
+
+def first_action_mismatch(mul, act, right=False):
+    """The first (i, j, p), in product order, at which (e_i e_j)·v_p and
+    e_i·(e_j·v_p) differ, or None.
+
+    act[i,p,:] is e_i·v_p for the algebra with product mul; with right it
+    is v_p◁e_i, and the sides are v_p◁(e_i e_j) and (v_p◁e_i)◁e_j.  Both
+    sides are summed from the sparse rows of mul and act, one (i, j) block
+    of every p at a time; p is walked only in the first block that differs.
+    """
+    zero = act.tensor.field.zero
+    n = mul.tensor.shape[0]
+    m = act.tensor.shape[2]
+    ms = range(act.tensor.shape[1])
+    rows = [[act.row(i, p) for p in ms] for i in range(act.tensor.shape[0])]
+
+    def block(i, j):
+        ij = mul.row(i, j)
+        inner, outer = (rows[i], rows[j]) if right else (rows[j], rows[i])
+        lhs = []
+        rhs = []
+        for p in ms:
+            acc = [zero] * m
+            for t, c in ij:
+                for q, w in rows[t][p]:
+                    acc[q] = acc[q] + c * w
+            lhs.append(acc)
+            acc = [zero] * m
+            for t, c in inner[p]:
+                for q, w in outer[t]:
+                    acc[q] = acc[q] + c * w
+            rhs.append(acc)
+        return lhs, rhs
+
+    bad = first_mismatch((range(n),) * 2, block)
+    if bad is not None:
+        lhs, rhs = block(*bad)
+        bad += first_mismatch((ms,), lambda p: (lhs[p], rhs[p]))
+    return bad
 
 
 def dual_hopf(h):

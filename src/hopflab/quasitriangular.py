@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import HopfAlgebra, dual_hopf
-from .linalg import Bilinear, Matrix, Tensor, check_shape
+from .linalg import (Bilinear, Matrix, Tensor, check_shape,
+                     linear_combination)
 from .report import CheckReport, VerificationError, first_mismatch
 from .twist import (conv_inverse2, convolve2, eps_eps, eval2, hh_mul, deform,
                     deform_dual)
@@ -60,7 +61,7 @@ def verify_cqt(c):
     n = h.dim
     f = h.field
     r = c.r
-    e, every = h.basis_vec, range(n)
+    every = range(n)
     rep = CheckReport()
 
     bad = first_mismatch((every,), lambda i: (
@@ -140,8 +141,12 @@ def verify_cqt(c):
                 v = r.data[a][x2]
                 if not v:
                     continue
-                vec = h.mul_vec(h.S_basis(x1), e(b))
-                vec = h.mul_vec(vec, e(x3))
+                # S(e_x1)·e_b·e_x3, read from h.mul's rows
+                vec = linear_combination(f, n, (
+                    (cs, h.mul.row(t, b))
+                    for t, cs in enumerate(h.S_basis(x1)) if cs))
+                vec = linear_combination(f, n, (
+                    (cv, h.mul.row(t, x3)) for t, cv in enumerate(vec) if cv))
                 for k, cv in enumerate(vec):
                     if cv:
                         rhs[k] = rhs[k] + w * ca * v * cv

@@ -14,11 +14,11 @@ by twist.eval2.
 The linear maps on M⊗N share one term kernel: a producer gives, for each
 basis pair v_p⊗w_q, the terms [(a, b, c)] of its image Σ c·x_a⊗y_b, for
 the braiding Φ (_braid_terms), for η and ξ (a functional σ^{∓1} paired
-through both coactions, _paired_terms), for φ and the diagonal action of
-M⊗N (an element θ⁻¹ or Δ(e_i) of H⊗H acting, _acting_terms).  A consumer
-turns the terms into a row-as-image matrix (_matrix) or pushes a product
-through them: Ā, σ̲(A) and θ̲(A) have the products μ∘Φ, μ∘η and μ∘φ
-(_pushed_product), and A#B reads Φ_{B,A}'s terms.
+through both coactions, _paired_terms), for the diagonal action of M⊗N
+(an element Δ(e_i) of H⊗H acting, _acting_terms).  A consumer turns the
+terms into a row-as-image matrix (_matrix) or pushes a product through
+them: Ā and σ̲(A) have the products μ∘Φ and μ∘η (_pushed_product), and A#B
+reads Φ_{B,A}'s terms.
 σ̲(M)'s twisted action is computed in both displayed forms, and
 report.require_agree raises at the first index where they differ
 (agreed_tensor for a 3-tensor).
@@ -26,12 +26,13 @@ report.require_agree raises at the first index where they differ
 with its tensors swapped: M's coaction is its H*-action and M's action its
 H*-coaction.  θ̲(M) = (σ̲_θ(M*))* for the 2-cocycle σ_θ on H* that θ is
 (twist.DualCocycle.sigma), so θ̲'s coaction is checked in σ̲'s two forms,
-and verify_theta_braided is σ_θ's braided square on N*, M*.  theta_phi and
-theta_algebra stay μ∘φ on the term kernel: A* with A's product is no YD
-algebra over H*, so θ̲(A) is not (σ̲_θ(A*))*.
+and verify_theta_braided is σ_θ's braided square on N*, M*.  θ̲'s monoidal
+structure φ and θ̲(A) = (A, μ∘φ) are built only by the tests, as references
+(tests/test_yd.py): A* with A's product is no YD algebra over H*, so θ̲(A)
+is not (σ̲_θ(A*))*.
 σ̲ and θ̲ are fixed by their cocycle: the target hosts H^σ and H_θ come from
 twist.deform/deform_dual, which memoize them per cocycle object.  The
-monoidal structures eta and theta_phi return matrices only.  The braided
+monoidal structure eta returns matrices only.  The braided
 square has one kernel, braided_squares: for one cocycle and a list of
 modules it builds each σ̲ image, σ̲M⊗σ̲N, η and σ̲(M⊗N) once and checks
 every requested ordered pair; verify_braided_functor and
@@ -47,7 +48,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .hopf import dual_hopf
+from .hopf import dual_hopf, first_action_mismatch
 from .linalg import (Bilinear, Matrix, Tensor, check_shape, kernel_basis,
                      linear_combination, mat_mul, rank, sparse_rank)
 from .report import (CheckReport, VerificationError, first_mismatch,
@@ -146,11 +147,12 @@ def verify_yd(mod):
     hs, ms = range(h.dim), range(m)
     rep = CheckReport()
 
-    bad = first_mismatch((ms,), lambda p: (mod.act_vec(h.unit, e(p)), e(p)))
+    unit = [(t, x) for t, x in enumerate(h.unit) if x]
+    bad = first_mismatch((ms,), lambda p: (
+        linear_combination(h.field, m, ((x, act.row(t, p)) for t, x in unit)),
+        e(p)))
     if bad is None:
-        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
-            mod.act_vec(h.mul.dense_row(i, j), e(p)),
-            mod.act_basis_vec(i, act.dense_row(j, p))))
+        bad = first_action_mismatch(h.mul, act)
     rep.add("module_axioms", bad is None, bad)
 
     def counit(p):
@@ -335,12 +337,6 @@ def _acting_terms(ma, mb, x):
     return [[(p1, q1, c * y * z) for a, b, c in x
              for p1, y in ma.act.row(a, p) for q1, z in mb.act.row(b, q)]
             for p in range(ma.dim) for q in range(mb.dim)]
-
-
-def _hh_terms(mat):
-    """The element Σ mat[a][b]·e_a⊗e_b of H⊗H as [(a, b, c)]."""
-    return [(a, b, c) for a, row in enumerate(mat.data)
-            for b, c in enumerate(row) if c]
 
 
 def _matrix(field, terms, da, db):
@@ -689,13 +685,6 @@ def theta_module(d, mod):
     return dual_module(sigma_module(d.sigma, dual_module(mod)))
 
 
-def theta_phi(d, ma, mb):
-    """The matrix of φ(m⊗n) = θ⁻¹·(m⊗n): θ̲M⊗θ̲N → θ̲(M⊗N)."""
-    return _matrix(ma.host.field,
-                   _acting_terms(ma, mb, _hh_terms(d.theta_inv)),
-                   ma.dim, mb.dim)
-
-
 def verify_theta_braided(d, ma, mb):
     """φ_{N,M} ∘ Φ_{θ̲M,θ̲N} = θ̲(Φ_{M,N}) ∘ φ_{M,N}, checked as the braided
     square of σ_θ on N*, M*.  The flip τ conjugates one square into the
@@ -703,14 +692,6 @@ def verify_theta_braided(d, ma, mb):
     (M⊗N)* = τ(N*⊗M*)τ."""
     return braided_squares(d.sigma, [dual_module(mb), dual_module(ma)],
                            [(0, 1)])[0]
-
-
-def theta_algebra(d, alg):
-    """θ̲(A) with product a•b = μ(φ(a⊗b)) = Σ ((θ⁻¹)¹·a)((θ⁻¹)²·b)."""
-    mod = alg.module
-    mult = _pushed_product(alg,
-                           _acting_terms(mod, mod, _hh_terms(d.theta_inv)))
-    return YdAlgebra(theta_module(d, mod), mult, list(alg.unit))
 
 
 # -- algebra constructions ----------------------------------------------------

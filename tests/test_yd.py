@@ -12,12 +12,13 @@ from hopflab.linalg import (DimensionError, Matrix, Tensor, mat_mul, rank,
                             row_space_echelon, solve)
 from hopflab.twist import deform, eps_eps, two_cocycle, dual_cocycle
 from hopflab.report import CheckReport, VerificationError
-from hopflab.yd import (YdAlgebra, YdMap, YdModule, _braid_terms, _matrix,
+from hopflab.yd import (YdAlgebra, YdMap, YdModule, _acting_terms,
+                        _braid_terms, _matrix, _pushed_product,
                         azumaya_check, braided_product, braided_squares,
                         dual_module, end_algebra, eta,
                         generating_set, h_opposite, is_yd_map,
                         quantum_commutative, random_yd_map, sigma_algebra,
-                        sigma_module, theta_algebra, theta_module, theta_phi,
+                        sigma_module, theta_module,
                         verify_braided_functor, verify_theta_braided,
                         verify_yd, verify_yd_algebra, yd_hom_basis,
                         yd_tensor)
@@ -33,6 +34,26 @@ def braiding(ma, mb):
         raise VerificationError("braiding: host mismatch")
     mat = _matrix(ma.host.field, _braid_terms(ma, mb), mb.dim, ma.dim)
     return YdMap(yd_tensor(ma, mb), yd_tensor(mb, ma), mat)
+
+
+def theta_inv_terms(d):
+    """θ⁻¹ = Σ c·e_a⊗e_b ∈ H⊗H as [(a, b, c)]."""
+    return [(a, b, c) for a, row in enumerate(d.theta_inv.data)
+            for b, c in enumerate(row) if c]
+
+
+def theta_phi(d, ma, mb):
+    """The matrix of θ̲'s monoidal structure φ(m⊗n) = θ⁻¹·(m⊗n):
+    θ̲M⊗θ̲N → θ̲(M⊗N)."""
+    return _matrix(ma.host.field, _acting_terms(ma, mb, theta_inv_terms(d)),
+                   ma.dim, mb.dim)
+
+
+def theta_algebra(d, alg):
+    """θ̲(A) with product a•b = μ(φ(a⊗b)) = Σ ((θ⁻¹)¹·a)((θ⁻¹)²·b)."""
+    mod = alg.module
+    mult = _pushed_product(alg, _acting_terms(mod, mod, theta_inv_terms(d)))
+    return YdAlgebra(theta_module(d, mod), mult, list(alg.unit))
 
 
 def trivial_algebra(host):
