@@ -3,15 +3,15 @@ witnesses and Galois/Miyashita-Ulbrich machinery."""
 
 import pytest
 
-from hopflab.fields import QQ, PrimeField
+from hopflab.fields import QQ, PrimeField, field_from_spec
 from hopflab.linalg import Matrix, Tensor, mat_mul, rank
-from hopflab.report import VerificationError
+from hopflab.report import CheckReport, VerificationError, first_mismatch
 from hopflab.twist import eps_eps, two_cocycle
 from hopflab.quasitriangular import cqt_structure, deform_cqt
 from hopflab.yd import (YdAlgebra, quantum_commutative, sigma_algebra,
                         verify_yd, verify_yd_algebra)
-from hopflab.galois import (bimodule_actions, build_hr, chi_maps,
-                            coinvariants, comodule_coinvariants,
+from hopflab.galois import (BimoduleActions, bimodule_actions, build_hr,
+                            chi_maps, coinvariants, comodule_coinvariants,
                             comodule_galois, galois_maps, mu_action_and_pi,
                             phi_psi_xi, unit_object, verify_bimodule,
                             verify_braided_hopf, verify_sigma_coinvariants,
@@ -21,6 +21,7 @@ from hopflab.catalog import (cqt_c2, dim1_hopf, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
                              sweedler_h4, trivial_module)
+from test_hopf import one_entry_changes, report_rows
 from test_yd import trivial_algebra
 
 
@@ -73,6 +74,59 @@ def test_bimodule_regular_passes(bh1, mreg):
     b = bimodule_actions(bh1, mreg)
     assert verify_bimodule(bh1, b).ok
     assert b.left_hr.shape == (4, 4, 4)
+
+
+def dense_bimodule_checks(bh, b):
+    """verify_bimodule's checks as actions on dense basis vectors through
+    Bilinear.apply/apply_basis, the reference the sparse-row checks must
+    match."""
+    rep = CheckReport()
+    h, mod = bh.host, b.module
+    star = bh.underlying.mul.dense_row
+    left, right = b.left, b.right
+    e, hs, ms = mod.basis_vec, range(h.dim), range(mod.dim)
+
+    bad = first_mismatch((ms,), lambda p: (left.apply(h.unit, e(p)), e(p)))
+    if bad is None:
+        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
+            left.apply(star(i, j), e(p)),
+            left.apply_basis(i, left.apply_basis(j, e(p)))))
+    rep.add("left_action_for_star", bad is None, bad,
+            "(h⋆l)−▷m = h−▷(l−▷m)")
+    bad = first_mismatch((ms,), lambda p: (right.apply(h.unit, e(p)), e(p)))
+    if bad is None:
+        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
+            right.apply(star(i, j), e(p)),
+            right.apply_basis(j, right.apply_basis(i, e(p)))))
+    rep.add("right_action_for_star", bad is None, bad,
+            "m◁−(h⋆l) = (m◁−h)◁−l")
+    bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
+        right.apply_basis(j, left.apply_basis(i, e(p))),
+        left.apply_basis(i, right.apply_basis(j, e(p)))))
+    rep.add("bimodule_commutation", bad is None, bad,
+            "(h−▷m)◁−l = h−▷(m◁−l)")
+    return rep
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_bimodule_checks_match_dense_actions(side, spec):
+    """On every ±1 one-entry change of −▷ or ◁− of I over 𝓗_{R_1}, each
+    verify_bimodule check gives the dense reference's report tuple."""
+    h4 = sweedler_h4(field_from_spec(spec))
+    bh = build_hr(r_t(h4, 1))
+    b = bimodule_actions(bh, unit_object(h4).module)
+    assert report_rows(verify_bimodule(bh, b)) == \
+        report_rows(dense_bimodule_checks(bh, b))
+    failing = set()
+    for t in one_entry_changes(getattr(b, side + "_hr")):
+        tensors = {"left_hr": b.left_hr, "right_hr": b.right_hr,
+                   side + "_hr": t}
+        bad = BimoduleActions(b.module, act2=b.act2, **tensors)
+        rows = report_rows(verify_bimodule(bh, bad))
+        assert rows == report_rows(dense_bimodule_checks(bh, bad))
+        failing |= {r[0] for r in rows if r[1] == "fail"}
+    assert failing == {side + "_action_for_star", "bimodule_commutation"}
 
 
 def test_coinvariants_trivial_structure(kc2):

@@ -2,11 +2,14 @@
 
 import pytest
 
-from hopflab.fields import QQ, PrimeField
+from hopflab.fields import QQ, PrimeField, field_from_spec
 from hopflab.linalg import DimensionError, Matrix, Tensor, mat_mul
 from hopflab.hopf import (HopfAlgebra, dual_hopf, hopf_map_checks,
                           verify_hopf_axioms)
+from hopflab.report import CheckReport, first_mismatch
+from hopflab.twist import conv_inverse1, deform, two_cocycle
 from hopflab.catalog import dim1_hopf, group_algebra_c2, sweedler_h4
+from test_convolution_routes import ref_coboundary
 
 
 def test_h4_all_axioms(h4):
@@ -85,3 +88,69 @@ def test_antipode_axiom_vector_form(h4):
 
 def test_dim1_hopf():
     assert verify_hopf_axioms(dim1_hopf(QQ)).ok
+
+
+# -- products of basis vectors: sparse rows against dense references -----------
+
+def dense_product_checks(h):
+    """associativity and unit as products of dense basis vectors through
+    h.mul_vec, the reference the sparse-row checks must match."""
+    rep = CheckReport()
+    mul, e, every = h.mul, h.basis_vec, range(h.dim)
+    bad = first_mismatch((every,) * 3, lambda i, j, k: (
+        h.mul_vec(mul.dense_row(i, j), e(k)),
+        h.mul_vec(e(i), mul.dense_row(j, k))))
+    rep.add("associativity", bad is None, bad)
+    bad = first_mismatch((every,), lambda i: (
+        (h.mul_vec(h.unit, e(i)), h.mul_vec(e(i), h.unit)), (e(i), e(i))))
+    rep.add("unit", bad is None, bad)
+    return rep
+
+
+def report_rows(rep, names=None):
+    """The (name, status, witness, detail) tuples of the named checks, or
+    of every check when names is None."""
+    return [(c.name, c.status, c.witness, c.detail) for c in rep.checks
+            if names is None or c.name in names]
+
+
+def one_entry_changes(t):
+    """Every copy of the tensor t with one entry raised or lowered by 1."""
+    for flat in range(len(t.data)):
+        for step in (t.field.one, -t.field.one):
+            data = list(t.data)
+            data[flat] = data[flat] + step
+            yield Tensor(t.field, t.shape, data)
+
+
+def product_host(name, f):
+    """H₄, H₄*, kC₂, or H₄^∂γ for the non-lazy γ = (1, −1, 2, 2)."""
+    if name == "kC2":
+        return group_algebra_c2(f)
+    h4 = sweedler_h4(f)
+    if name == "H4*":
+        return dual_hopf(h4)
+    if name == "H4^dg":
+        gamma = [f.from_int(x) for x in (1, -1, 2, 2)]
+        return deform(two_cocycle(
+            h4, ref_coboundary(h4, gamma, conv_inverse1(h4, gamma))))
+    return h4
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+@pytest.mark.parametrize("name", ["H4", "H4*", "kC2", "H4^dg"])
+def test_product_checks_match_dense_products(name, spec):
+    """On every ±1 one-entry change of mult, associativity and unit give
+    the dense reference's report tuples, witnesses included."""
+    h = product_host(name, field_from_spec(spec))
+    names = ("associativity", "unit")
+    assert report_rows(verify_hopf_axioms(h), names) == \
+        report_rows(dense_product_checks(h), names)
+    failing = set()
+    for mult in one_entry_changes(h.mult):
+        bad = HopfAlgebra(h.field, h.dim, h.basis_names, mult, h.unit,
+                          h.comult, h.counit, h.antipode, h.antipode_inv)
+        rows = report_rows(verify_hopf_axioms(bad), names)
+        assert rows == report_rows(dense_product_checks(bad), names)
+        failing |= {r[0] for r in rows if r[1] == "fail"}
+    assert failing == set(names)

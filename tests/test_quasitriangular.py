@@ -3,8 +3,9 @@
 import pytest
 
 from hopflab.fields import QQ
-from hopflab.hopf import dual_hopf
+from hopflab.hopf import HopfAlgebra, dual_hopf
 from hopflab.linalg import DimensionError, Matrix, Tensor, check_shape
+from hopflab.report import CheckReport, first_mismatch
 from hopflab.twist import eps_eps, two_cocycle
 from hopflab.quasitriangular import (CqtStructure, cqt_structure, deform_cqt,
                                      deform_qt, qt_structure, verify_cqt,
@@ -12,6 +13,7 @@ from hopflab.quasitriangular import (CqtStructure, cqt_structure, deform_cqt,
 from hopflab.yd import _first_leg_last, dual_module, verify_yd
 from hopflab.catalog import (cqt_c2, group_algebra_c2, qt_c2, qt_t, r_t,
                              sigma_t, sweedler_h4, theta_t, trivial_module)
+from test_hopf import one_entry_changes, report_rows
 
 
 def yd_from_module(q, action):
@@ -53,6 +55,48 @@ def test_cqt_rejects_corruption(h4):
     bad.data[2][3] = QQ.one   # R(h⊗gh) := 1 instead of -1
     rep = verify_cqt(CqtStructure(h4, bad, r1.r_inv))
     assert not rep.ok
+
+
+def dense_cqt4_prime(c):
+    """CQT4' with S(h₁)g₂h₃ as products of dense basis vectors through
+    h.mul_vec, the reference the sparse-row check must match."""
+    h, r = c.host, c.r
+    n, f, e = h.dim, h.field, h.basis_vec
+
+    def sides(g, x):
+        lhs = [f.zero] * n
+        for a, b, ca in h.delta.terms(g):
+            lhs[a] = lhs[a] + ca * r.data[b][x]
+        rhs = [f.zero] * n
+        for (x1, x2, x3), w in h.copower(x, 3):
+            for a, b, ca in h.delta.terms(g):
+                vec = h.mul_vec(h.mul_vec(h.S_basis(x1), e(b)), e(x3))
+                for k, cv in enumerate(vec):
+                    rhs[k] = rhs[k] + w * ca * r.data[a][x2] * cv
+        return lhs, rhs
+
+    rep = CheckReport()
+    bad = first_mismatch((range(n),) * 2, sides)
+    rep.add("CQT4'", bad is None, bad, "Σg1R(g2⊗h) = ΣR(g1⊗h2)S(h1)g2h3")
+    return rep
+
+
+def test_cqt4_prime_matches_dense_products(h4):
+    """On every ±1 one-entry change of the host's mult under R_1, CQT4'
+    gives the dense reference's report tuple."""
+    r1 = r_t(h4, 1)
+    names = ("CQT4'",)
+    assert report_rows(verify_cqt(r1), names) == \
+        report_rows(dense_cqt4_prime(r1))
+    failing = 0
+    for mult in one_entry_changes(h4.mult):
+        bad = CqtStructure(HopfAlgebra(
+            QQ, 4, h4.basis_names, mult, h4.unit, h4.comult, h4.counit,
+            h4.antipode, h4.antipode_inv), r1.r, r1.r_inv)
+        rows = report_rows(verify_cqt(bad), names)
+        assert rows == report_rows(dense_cqt4_prime(bad))
+        failing += rows[0][1] == "fail"
+    assert failing
 
 
 def test_deform_cqt_trivial(h4):

@@ -11,7 +11,7 @@ from hopflab.hopf import dual_hopf
 from hopflab.linalg import (DimensionError, Matrix, Tensor, mat_mul, rank,
                             row_space_echelon, solve)
 from hopflab.twist import deform, eps_eps, two_cocycle, dual_cocycle
-from hopflab.report import CheckReport, VerificationError
+from hopflab.report import CheckReport, VerificationError, first_mismatch
 from hopflab.yd import (YdAlgebra, YdMap, YdModule, _acting_terms,
                         _braid_terms, _matrix, _pushed_product,
                         azumaya_check, braided_product, braided_squares,
@@ -26,6 +26,7 @@ from hopflab.catalog import (catalog_entries, cqt_c2, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
                              sweedler_h4, theta_t, trivial_module)
+from test_hopf import one_entry_changes, report_rows
 
 
 def braiding(ma, mb):
@@ -97,6 +98,39 @@ def test_corrupted_action_detected(mreg, h4):
     rep = verify_yd(broken)
     assert not rep.ok
     assert rep.first_failure().witness is not None
+
+
+def dense_module_axioms(mod):
+    """module_axioms as products of dense basis vectors through act_vec and
+    act_basis_vec, the reference the sparse-row check must match."""
+    h, e = mod.host, mod.basis_vec
+    hs, ms = range(h.dim), range(mod.dim)
+    rep = CheckReport()
+    bad = first_mismatch((ms,), lambda p: (mod.act_vec(h.unit, e(p)), e(p)))
+    if bad is None:
+        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
+            mod.act_vec(h.mul.dense_row(i, j), e(p)),
+            mod.act_basis_vec(i, mod.act.dense_row(j, p))))
+    rep.add("module_axioms", bad is None, bad)
+    return rep
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_module_axioms_match_dense_products(spec):
+    """On every ±1 one-entry change of the regular YD module's action,
+    module_axioms gives the dense reference's report tuple."""
+    h4 = sweedler_h4(field_from_spec(spec))
+    mod = regular_comodule_module(r_t(h4, 1))
+    names = ("module_axioms",)
+    assert report_rows(verify_yd(mod), names) == \
+        report_rows(dense_module_axioms(mod), names)
+    witnesses = set()
+    for action in one_entry_changes(mod.action):
+        bad = YdModule(h4, mod.dim, action, mod.coaction)
+        rows = report_rows(verify_yd(bad), names)
+        assert rows == report_rows(dense_module_axioms(bad), names)
+        witnesses.add(rows[0][2])
+    assert witnesses - {None}
 
 
 def test_yd_tensor_is_yd(mreg, h4):
