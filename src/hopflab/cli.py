@@ -18,10 +18,9 @@ from .report import CheckReport, VerificationError
 from . import catalog as cat
 from . import io_json
 from .hopf import verify_hopf_axioms
-from .twist import (TwoCocycle, DualCocycle, LazyOneCocycle, deform,
-                    deform_dual, verify_two_cocycle, verify_dual_cocycle,
-                    is_lazy)
-from .quasitriangular import CqtStructure, QtStructure, verify_cqt, verify_qt
+from .twist import (deform, deform_dual, verify_two_cocycle,
+                    verify_dual_cocycle, is_lazy)
+from .quasitriangular import verify_cqt, verify_qt
 from .yd import YdAlgebra, azumaya_check, verify_yd, verify_yd_algebra
 from .galois import (bimodule_actions, build_hr, galois_maps,
                      verify_bimodule, verify_braided_hopf, wedge)
@@ -81,34 +80,33 @@ def _finish(report, args):
     return 0 if report.ok else 1
 
 
+def _one_cocycle_checks(mu):
+    rep = CheckReport()
+    rep.add("one_cocycle_invariants", True)
+    return rep
+
+
+# The verifier of each document kind that validate, check-* and check-yd run.
+VERIFIERS = {"hopf": verify_hopf_axioms, "cocycle": verify_two_cocycle,
+             "dual_cocycle": verify_dual_cocycle, "cqt": verify_cqt,
+             "qt": verify_qt, "one_cocycle": _one_cocycle_checks,
+             "yd_module": verify_yd, "yd_algebra": verify_yd_algebra}
+
+
 def cmd_validate(args):
     doc = io_json.load_document(args.file)
     kind = doc.get("kind", "hopf")
-    rep = CheckReport()
     if kind == "hopf":
-        h = io_json.hopf_from_json(doc, strict=False)
-        rep = verify_hopf_axioms(h)
+        obj = io_json.hopf_from_json(doc, strict=False)
     else:
         host = _load_host(args, doc)
-        if kind in ("cocycle", "dual_cocycle", "cqt", "qt", "one_cocycle"):
-            obj = io_json.functional_from_json(doc, host)
-            if isinstance(obj, TwoCocycle):
-                rep = verify_two_cocycle(obj)
-            elif isinstance(obj, DualCocycle):
-                rep = verify_dual_cocycle(obj)
-            elif isinstance(obj, CqtStructure):
-                rep = verify_cqt(obj)
-            elif isinstance(obj, QtStructure):
-                rep = verify_qt(obj)
-            elif isinstance(obj, LazyOneCocycle):
-                rep.add("one_cocycle_invariants", True)
-        elif kind in ("yd_module", "yd_algebra"):
+        if kind in ("yd_module", "yd_algebra"):
             obj = io_json.yd_from_json(doc, host)
-            rep = (verify_yd_algebra(obj) if isinstance(obj, YdAlgebra)
-                   else verify_yd(obj))
+        elif kind in ("cocycle", "dual_cocycle", "cqt", "qt", "one_cocycle"):
+            obj = io_json.functional_from_json(doc, host)
         else:
             raise io_json.InputError("unknown kind %r" % kind)
-    return _finish(rep, args)
+    return _finish(VERIFIERS[kind](obj), args)
 
 
 def cmd_deform(args):
@@ -136,37 +134,35 @@ def cmd_deform(args):
     return 0
 
 
-def _check_functional(args, want_kind, verifier, lazy_fn=None):
+def _check_functional(args, want_kind, lazy_fn=None):
     doc = io_json.load_document(args.file)
     if doc.get("kind") != want_kind:
         raise io_json.InputError("expected kind=%s" % want_kind)
     host = _load_host(args, doc)
     obj = io_json.functional_from_json(doc, host)
-    rep = verifier(obj)
+    rep = VERIFIERS[want_kind](obj)
     if lazy_fn is not None and rep.ok:
         rep.add("lazy", lazy_fn(obj))
     return _finish(rep, args)
 
 
 def cmd_check_cocycle(args):
-    return _check_functional(args, "cocycle", verify_two_cocycle, is_lazy)
+    return _check_functional(args, "cocycle", is_lazy)
 
 
 def cmd_check_cqt(args):
-    return _check_functional(args, "cqt", verify_cqt)
+    return _check_functional(args, "cqt")
 
 
 def cmd_check_qt(args):
-    return _check_functional(args, "qt", verify_qt)
+    return _check_functional(args, "qt")
 
 
 def cmd_check_yd(args):
     doc = io_json.load_document(args.file)
     host = _load_host(args, doc)
-    obj = io_json.yd_from_json(doc, host)
-    rep = (verify_yd_algebra(obj) if isinstance(obj, YdAlgebra)
-           else verify_yd(obj))
-    return _finish(rep, args)
+    obj = io_json.yd_from_json(doc, host)     # only the two YD kinds pass
+    return _finish(VERIFIERS[doc["kind"]](obj), args)
 
 
 def cmd_azumaya(args):

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .hopf import dual_hopf, first_action_mismatch
+from .hopf import (dual_hopf, first_action_mismatch, first_antipode_mismatch,
+                   first_unit_mismatch)
 from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, in_span,
                      kernel_basis, linear_combination, mat_mul, rank,
                      same_span, solve, sparse_rank)
@@ -156,28 +157,8 @@ def build_hr(c):
 
 def verify_braided_hopf(bh):
     rep = verify_yd_algebra(bh.underlying)
-    h = bh.host
-    n = h.dim
-    f = h.field
-    alg = bh.underlying
-    e = h.basis_vec
-
-    def antipode(i):
-        left = [f.zero] * n
-        right = [f.zero] * n
-        for a, b, c in h.delta.terms(i):
-            left_v = alg.mul_vec(bh.braided_antipode.data[a], e(b))
-            for k, cv in enumerate(left_v):
-                if cv:
-                    left[k] = left[k] + c * cv
-            right_v = alg.mul_vec(e(a), bh.braided_antipode.data[b])
-            for k, cv in enumerate(right_v):
-                if cv:
-                    right[k] = right[k] + c * cv
-        want = [h.counit[i] * x for x in h.unit]
-        return (left, right), (want, want)
-
-    bad = first_mismatch((range(n),), antipode)
+    bad = first_antipode_mismatch(bh.host, bh.underlying.mul,
+                                  bh.braided_antipode)
     rep.add("braided_antipode", bad is None, bad,
             "⋆∘(S_R⊗id)∘Δ = ηε = ⋆∘(id⊗S_R)∘Δ")
     return rep
@@ -256,20 +237,15 @@ def verify_bimodule(bh, b):
     f, m = h.field, mod.dim
     star = bh.underlying.mul
     left, right = b.left, b.right
-    e, hs, ms = mod.basis_vec, range(h.dim), range(m)
-    unit = [(t, x) for t, x in enumerate(h.unit) if x]
+    hs, ms = range(h.dim), range(m)
 
-    def unit_acts(act):
-        return first_mismatch((ms,), lambda p: (linear_combination(
-            f, m, ((x, act.row(t, p)) for t, x in unit)), e(p)))
-
-    bad = unit_acts(left)
+    bad = first_unit_mismatch(h.unit, left)
     if bad is None:
         bad = first_action_mismatch(star, left)
     rep.add("left_action_for_star", bad is None, bad,
             "(h⋆l)−▷m = h−▷(l−▷m)")
 
-    bad = unit_acts(right)
+    bad = first_unit_mismatch(h.unit, right)
     if bad is None:
         bad = first_action_mismatch(star, right, right=True)
     rep.add("right_action_for_star", bad is None, bad,
@@ -785,9 +761,11 @@ def comodule_galois(alg):
 
 def mu_action_and_pi(alg):
     """π(A) = C_A(A₀) with the Miyashita-Ulbrich action; requires A/A₀ to
-    be Galois.  Returns (π(A) as a YdAlgebra, report); the report includes
-    π(A)'s YD-algebra axioms and quantum commutativity."""
-    rep = CheckReport()
+    be Galois.  Returns (π(A) as a YdAlgebra, report).  The report holds
+    A's YD-algebra checks (prefix A_; reported, not required), the Galois
+    and centralizer checks, π(A)'s YD-algebra checks (prefix pi_) and π(A)'s
+    quantum commutativity."""
+    rep = CheckReport().merge(verify_yd_algebra(alg), prefix="A_")
     mod = alg.module
     h = alg.host
     f = h.field

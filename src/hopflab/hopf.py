@@ -7,9 +7,15 @@ Structure tensors follow the index conventions
 and the unit/counit are coordinate (co)vectors of length n.  h.mul and
 h.delta read mult and comult through the sparse kernel linalg.Bilinear.
 The axioms read every product of basis vectors from h.mul's sparse rows;
-no dense basis vector is multiplied.  first_action_mismatch is the one
-check of an action axiom (e_i e_j)·v = e_i·(e_j·v): H's associativity
-here, the YD module axiom and the 𝓗_R bimodule actions elsewhere.
+no dense basis vector is multiplied.
+
+Each axiom shape that several verifiers decide has one check here, which
+returns its first witness in nested-loop order: first_unit_mismatch for
+the units of H, of YD modules and algebras and of 𝓗_R's −▷ and ◁−;
+first_action_mismatch for the associativity of H and of YD algebras, the
+YD module axiom and 𝓗_R's actions; first_coaction_mismatch for H's
+coassociativity and the YD comodule axiom; first_antipode_mismatch for H
+and for 𝓗_R's ⋆ and S_R (galois.verify_braided_hopf).
 """
 
 from __future__ import annotations
@@ -115,27 +121,9 @@ def verify_hopf_axioms(h):
 
     bad = first_action_mismatch(mul, mul)
     rep.add("associativity", bad is None, bad)
-
-    unit = [(t, x) for t, x in enumerate(h.unit) if x]
-    bad = first_mismatch((every,), lambda i: (
-        (linear_combination(f, n, ((x, mul.row(t, i)) for t, x in unit)),
-         linear_combination(f, n, ((x, mul.row(i, t)) for t, x in unit))),
-        (e(i), e(i))))
+    bad = first_unit_mismatch(h.unit, mul, two_sided=True)
     rep.add("unit", bad is None, bad)
-
-    def coassociativity(i):
-        lhs = {}
-        rhs = {}
-        for j, k, c in delta.terms(i):
-            for a, b, c2 in delta.terms(j):
-                key = (a, b, k)
-                lhs[key] = lhs.get(key, zero) + c * c2
-            for a, b, c2 in delta.terms(k):
-                key = (j, a, b)
-                rhs[key] = rhs.get(key, zero) + c * c2
-        return lhs, rhs
-
-    bad = first_mismatch((every,), coassociativity)
+    bad = first_coaction_mismatch(delta, delta)
     rep.add("coassociativity", bad is None, bad)
 
     def counit(i):
@@ -184,22 +172,7 @@ def verify_hopf_axioms(h):
         bad = first_mismatch((), lambda: (h.counit_of(h.unit), f.one))
     rep.add("counit_algebra_map", bad is None, bad)
 
-    def antipode(i):
-        left = [zero] * n
-        right = [zero] * n
-        for j, k, c in delta.terms(i):
-            for t, c2 in enumerate(h.S_basis(j)):
-                if c2:
-                    for a, cm in mul.row(t, k):
-                        left[a] = left[a] + c * c2 * cm
-            for t, c2 in enumerate(h.S_basis(k)):
-                if c2:
-                    for a, cm in mul.row(j, t):
-                        right[a] = right[a] + c * c2 * cm
-        want = [h.counit[i] * x for x in h.unit]
-        return (left, right), (want, want)
-
-    bad = first_mismatch((every,), antipode)
+    bad = first_antipode_mismatch(h, mul, h.antipode)
     rep.add("antipode", bad is None, bad)
 
     ident = Matrix.identity(f, n)
@@ -207,6 +180,81 @@ def verify_hopf_axioms(h):
           and mat_mul(h.antipode_inv, h.antipode) == ident)
     rep.add("antipode_inverse", ok)
     return rep
+
+
+# -- the shared axiom checks (see the module docstring for their callers) -----
+
+def first_unit_mismatch(unit, act, two_sided=False):
+    """The first p at which 1 = Σ unit_t e_t does not act as the identity,
+    1·v_p ≠ v_p, or None.
+
+    act[t,p,:] is e_t·v_p (or v_p◁e_t for a right action).  With two_sided,
+    act is an algebra's own product and v_p·1 = v_p is checked at the same
+    p.  Both sides are summed from act's sparse rows.
+    """
+    f = act.tensor.field
+    m = act.tensor.shape[2]
+    terms = [(t, x) for t, x in enumerate(unit) if x]
+
+    def sides(p):
+        e = [f.zero] * m
+        e[p] = f.one
+        left = linear_combination(f, m, ((x, act.row(t, p)) for t, x in terms))
+        if not two_sided:
+            return left, e
+        return (left, linear_combination(f, m, ((x, act.row(p, t))
+                                                for t, x in terms))), (e, e)
+
+    return first_mismatch((range(act.tensor.shape[1]),), sides)
+
+
+def first_coaction_mismatch(delta, coact):
+    """The first p at which (ρ⊗id)ρ(v_p) and (id⊗Δ)ρ(v_p) differ, followed by
+    the first differing key (q, k1, k2) of v_q⊗e_k1⊗e_k2, or None.
+
+    coact[p,q,k] is the coefficient of v_q⊗e_k in ρ(v_p); with coact = delta
+    this is Δ's coassociativity.
+    """
+    zero = coact.tensor.field.zero
+
+    def sides(p):
+        lhs = {}
+        for q0, k, c in coact.terms(p):
+            for q1, k1, c1 in coact.terms(q0):
+                key = (q1, k1, k)
+                lhs[key] = lhs.get(key, zero) + c * c1
+        rhs = {}
+        for q0, k, c in coact.terms(p):
+            for a, b, c2 in delta.terms(k):
+                key = (q0, a, b)
+                rhs[key] = rhs.get(key, zero) + c * c2
+        return lhs, rhs
+
+    return first_mismatch((range(coact.tensor.shape[0]),), sides)
+
+
+def first_antipode_mismatch(h, mul, antipode):
+    """The first i at which m∘(S⊗id)∘Δ(e_i), ε(e_i)1 and m∘(id⊗S)∘Δ(e_i)
+    are not all equal, or None.
+
+    Δ, ε and 1 are h's; m is the product mul (sparse rows) and S the
+    row-as-image matrix antipode: h's own for a Hopf algebra, ⋆ and S_R
+    for 𝓗_R.
+    """
+    f, n, s = h.field, h.dim, antipode.data
+
+    def sides(i):
+        terms = h.delta.terms(i)
+        left = linear_combination(f, n, (
+            (c * c2, mul.row(t, k)) for j, k, c in terms
+            for t, c2 in enumerate(s[j]) if c2))
+        right = linear_combination(f, n, (
+            (c * c2, mul.row(j, t)) for j, k, c in terms
+            for t, c2 in enumerate(s[k]) if c2))
+        want = [h.counit[i] * x for x in h.unit]
+        return (left, right), (want, want)
+
+    return first_mismatch((range(n),), sides)
 
 
 def first_action_mismatch(mul, act, right=False):

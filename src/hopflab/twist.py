@@ -23,8 +23,13 @@ first time it is asked for a cocycle object and memoizes it on it, and
 deform_dual(d) is the memoized dual of deform(d.sigma), so every σ̲/θ̲
 image, deformed CQT/QT structure and laziness cross-check of that object
 shares one host.  Neither checks the Hopf axioms; a caller that needs them
-calls hopf.verify_hopf_axioms on the result.  verify_dual_cocycle stays an
-independent second form: it computes in H⊗H⊗H, not through σ_θ.
+calls hopf.verify_hopf_axioms on the result.
+
+verify_dual_cocycle and quasitriangular.verify_qt share one sparse H⊗H⊗H
+arithmetic: the leg placements m₁₂, m₂₃, m₁₃ (hhh_leg), (Δ⊗id)m and
+(id⊗Δ)m (hhh_delta) of m ∈ H⊗H, and the product hhh_mul; counit_legs gives
+(ε⊗id)m and (id⊗ε)m.  Both stay independent second forms: they compute in
+H⊗H⊗H, not through σ_θ or H*.
 """
 
 from __future__ import annotations
@@ -428,82 +433,64 @@ def hh_mul(h, a, b):
     return convolve2(dual_hopf(h), a, b)
 
 
-def hhh_mul(h, a, b):
-    """Product in H⊗H⊗H on flat n³ coefficient lists."""
-    n = h.dim
+def counit_legs(h, m):
+    """((ε⊗id)(m), (id⊗ε)(m)) for m ∈ H⊗H: both are 1 for a dual cocycle
+    or a QT structure."""
     f = h.field
-    out = [f.zero] * (n ** 3)
-    nz_a = [(i, j, k, v) for i in range(n) for j in range(n)
-            for k in range(n) if (v := a[(i * n + j) * n + k])]
-    nz_b = [(i, j, k, v) for i in range(n) for j in range(n)
-            for k in range(n) if (v := b[(i * n + j) * n + k])]
-    for i, j, k, x in nz_a:
-        for p, q, r, y in nz_b:
+    left = [f.zero] * h.dim
+    right = [f.zero] * h.dim
+    for i, row in enumerate(m.data):
+        for j, x in enumerate(row):
+            if x and h.counit[i]:
+                left[j] = left[j] + h.counit[i] * x
+            if x and h.counit[j]:
+                right[i] = right[i] + h.counit[j] * x
+    return left, right
+
+
+# An element of H⊗H⊗H is a dict {(a, b, c): coefficient of e_a⊗e_b⊗e_c}.
+
+def hhh_leg(h, m, unit_leg):
+    """m ∈ H⊗H in H⊗H⊗H with H's unit in leg unit_leg: m₁₂ = m⊗1 for 2,
+    m₂₃ = 1⊗m for 0 and m₁₃ for 1."""
+    units = [(t, u) for t, u in enumerate(h.unit) if u]
+    out = {}
+    for i, row in enumerate(m.data):
+        for j, x in enumerate(row):
+            if x:
+                for t, u in units:
+                    out[(i, j)[:unit_leg] + (t,) + (i, j)[unit_leg:]] = x * u
+    return out
+
+
+def hhh_delta(h, m, leg):
+    """(Δ⊗id)(m) for leg 0 and (id⊗Δ)(m) for leg 1, m ∈ H⊗H."""
+    zero = h.field.zero
+    out = {}
+    for i, row in enumerate(m.data):
+        for j, x in enumerate(row):
+            if x:
+                for a, b, c in h.delta.terms(j if leg else i):
+                    key = (i, a, b) if leg else (a, b, j)
+                    out[key] = out.get(key, zero) + x * c
+    return out
+
+
+def hhh_mul(h, u, v):
+    """The product of H⊗H⊗H, leg by leg from h.mul's sparse rows."""
+    zero = h.field.zero
+    rows = [[h.mul.row(i, j) for j in range(h.dim)] for i in range(h.dim)]
+    out = {}
+    for (i, j, k), x in u.items():
+        ri, rj, rk = rows[i], rows[j], rows[k]
+        for (p, q, r), y in v.items():
             xy = x * y
-            for a1, c1 in h.mul.row(i, p):
-                for a2, c2 in h.mul.row(j, q):
+            for a1, c1 in ri[p]:
+                for a2, c2 in rj[q]:
                     c12 = c1 * c2
-                    for a3, c3 in h.mul.row(k, r):
-                        idx = (a1 * n + a2) * n + a3
-                        out[idx] = out[idx] + xy * c12 * c3
-    return out
-
-
-def _embed12(h, m):
-    """m⊗1 in H⊗H⊗H."""
-    n = h.dim
-    out = [h.field.zero] * (n ** 3)
-    for i in range(n):
-        for j in range(n):
-            x = m.data[i][j]
-            if not x:
-                continue
-            for k, u in enumerate(h.unit):
-                if u:
-                    out[(i * n + j) * n + k] = x * u
-    return out
-
-
-def _embed23(h, m):
-    """1⊗m in H⊗H⊗H."""
-    n = h.dim
-    out = [h.field.zero] * (n ** 3)
-    for k, u in enumerate(h.unit):
-        if not u:
-            continue
-        for i in range(n):
-            for j in range(n):
-                x = m.data[i][j]
-                if x:
-                    out[(k * n + i) * n + j] = u * x
-    return out
-
-
-def _delta_leg1(h, m):
-    """(Δ⊗id)(m) for m ∈ H⊗H."""
-    n = h.dim
-    out = [h.field.zero] * (n ** 3)
-    for i in range(n):
-        for j in range(n):
-            x = m.data[i][j]
-            if not x:
-                continue
-            for a, b, c in h.delta.terms(i):
-                out[(a * n + b) * n + j] = out[(a * n + b) * n + j] + x * c
-    return out
-
-
-def _delta_leg2(h, m):
-    """(id⊗Δ)(m) for m ∈ H⊗H."""
-    n = h.dim
-    out = [h.field.zero] * (n ** 3)
-    for i in range(n):
-        for j in range(n):
-            x = m.data[i][j]
-            if not x:
-                continue
-            for a, b, c in h.delta.terms(j):
-                out[(i * n + a) * n + b] = out[(i * n + a) * n + b] + x * c
+                    for a3, c3 in rk[r]:
+                        key = (a1, a2, a3)
+                        out[key] = out.get(key, zero) + xy * (c12 * c3)
     return out
 
 
@@ -536,26 +523,16 @@ def verify_dual_cocycle(d):
     h = d.host
     n = h.dim
     rep = CheckReport()
-    lhs = hhh_mul(h, _embed12(h, d.theta), _delta_leg1(h, d.theta))
-    rhs = hhh_mul(h, _embed23(h, d.theta), _delta_leg2(h, d.theta))
-    bad = first_mismatch((range(n),) * 3, lambda a, b, c: (
-        lhs[(a * n + b) * n + c], rhs[(a * n + b) * n + c]))
+    f = h.field
+    theta = d.theta
+    lhs = hhh_mul(h, hhh_leg(h, theta, 2), hhh_delta(h, theta, 0))
+    rhs = hhh_mul(h, hhh_leg(h, theta, 0), hhh_delta(h, theta, 1))
+    bad = first_mismatch((range(n),) * 3, lambda *key: (
+        lhs.get(key, f.zero), rhs.get(key, f.zero)))
     rep.add("dual_pentagon", bad is None, bad)
 
-    f = h.field
-    left = [f.zero] * n
-    right = [f.zero] * n
-    for i in range(n):
-        for j in range(n):
-            x = d.theta.data[i][j]
-            if not x:
-                continue
-            if h.counit[i]:
-                left[j] = left[j] + h.counit[i] * x
-            if h.counit[j]:
-                right[i] = right[i] + h.counit[j] * x
     rep.add("counit_normalization",
-            left == h.unit and right == h.unit)
+            counit_legs(h, theta) == (h.unit, h.unit))
 
     one = eps_eps(dual_hopf(h))     # 1⊗1, the unit of H⊗H
     rep.add("invertible",

@@ -48,7 +48,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .hopf import dual_hopf, first_action_mismatch
+from .hopf import (dual_hopf, first_action_mismatch, first_coaction_mismatch,
+                   first_unit_mismatch)
 from .linalg import (Bilinear, Matrix, Tensor, check_shape, kernel_basis,
                      linear_combination, mat_mul, rank, sparse_rank)
 from .report import (CheckReport, VerificationError, first_mismatch,
@@ -147,10 +148,7 @@ def verify_yd(mod):
     hs, ms = range(h.dim), range(m)
     rep = CheckReport()
 
-    unit = [(t, x) for t, x in enumerate(h.unit) if x]
-    bad = first_mismatch((ms,), lambda p: (
-        linear_combination(h.field, m, ((x, act.row(t, p)) for t, x in unit)),
-        e(p)))
+    bad = first_unit_mismatch(h.unit, act)
     if bad is None:
         bad = first_action_mismatch(h.mul, act)
     rep.add("module_axioms", bad is None, bad)
@@ -162,22 +160,9 @@ def verify_yd(mod):
                 acc[q] = acc[q] + c * h.counit[k]
         return acc, e(p)
 
-    def coassociativity(p):
-        lhs = {}
-        for q0, k, c in coact.terms(p):
-            for q1, k1, c1 in coact.terms(q0):
-                key = (q1, k1, k)
-                lhs[key] = lhs.get(key, zero) + c * c1
-        rhs = {}
-        for q0, k, c in coact.terms(p):
-            for a, b, c2 in h.delta.terms(k):
-                key = (q0, a, b)
-                rhs[key] = rhs.get(key, zero) + c * c2
-        return lhs, rhs
-
     bad = first_mismatch((ms,), counit)
     if bad is None:
-        bad = first_mismatch((ms,), coassociativity)
+        bad = first_coaction_mismatch(h.delta, coact)
     rep.add("comodule_axioms", bad is None, bad)
 
     def compatibility(i, p):
@@ -238,21 +223,15 @@ def verify_yd_algebra(alg):
     m = alg.dim
     zero = f.zero
     mod = alg.module
-    mul, act, e = alg.mul, mod.act, mod.basis_vec
+    mul, act = alg.mul, mod.act
     hs, ms = range(h.dim), range(m)
-    unit = [(u, x) for u, x in enumerate(alg.unit) if x]
 
     def dense(terms):
         return linear_combination(f, m, terms)
 
-    bad = first_mismatch((ms,), lambda p: (
-        (dense((x, mul.row(u, p)) for u, x in unit),
-         dense((x, mul.row(p, u)) for u, x in unit)),
-        (e(p), e(p))))
+    bad = first_unit_mismatch(alg.unit, mul, two_sided=True)
     if bad is None:
-        bad = first_mismatch((ms,) * 3, lambda p, q, r: (
-            dense((c, mul.row(t, r)) for t, c in mul.row(p, q)),
-            dense((c, mul.row(p, t)) for t, c in mul.row(q, r))))
+        bad = first_action_mismatch(mul, mul)
     rep.add("algebra_axioms", bad is None, bad)
 
     def module_algebra(i, p, q):

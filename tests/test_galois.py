@@ -10,18 +10,18 @@ from hopflab.twist import eps_eps, two_cocycle
 from hopflab.quasitriangular import cqt_structure, deform_cqt
 from hopflab.yd import (YdAlgebra, quantum_commutative, sigma_algebra,
                         verify_yd, verify_yd_algebra)
-from hopflab.galois import (BimoduleActions, bimodule_actions, build_hr,
-                            chi_maps, coinvariants, comodule_coinvariants,
-                            comodule_galois, galois_maps, mu_action_and_pi,
-                            phi_psi_xi, unit_object, verify_bimodule,
-                            verify_braided_hopf, verify_sigma_coinvariants,
-                            verify_sigma_wedge, verify_unit_deformation,
-                            wedge)
+from hopflab.galois import (BimoduleActions, BraidedHopf, bimodule_actions,
+                            build_hr, chi_maps, coinvariants,
+                            comodule_coinvariants, comodule_galois,
+                            galois_maps, mu_action_and_pi, phi_psi_xi,
+                            unit_object, verify_bimodule, verify_braided_hopf,
+                            verify_sigma_coinvariants, verify_sigma_wedge,
+                            verify_unit_deformation, wedge)
 from hopflab.catalog import (cqt_c2, dim1_hopf, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
                              sweedler_h4, trivial_module)
-from test_hopf import one_entry_changes, report_rows
+from test_hopf import one_entry_changes, one_matrix_changes, report_rows
 from test_yd import trivial_algebra
 
 
@@ -128,6 +128,52 @@ def test_bimodule_checks_match_dense_actions(side, spec):
         failing |= {r[0] for r in rows if r[1] == "fail"}
     assert failing == {side + "_action_for_star", "bimodule_commutation"}
 
+
+def closure_braided_antipode(bh):
+    """braided_antipode as verify_braided_hopf wrote it before
+    hopf.first_antipode_mismatch, with ⋆ applied to dense basis vectors:
+    the reference."""
+    h, alg, e = bh.host, bh.underlying, bh.host.basis_vec
+    zero, n = h.field.zero, h.dim
+
+    def antipode(i):
+        left = [zero] * n
+        right = [zero] * n
+        for a, b, c in h.delta.terms(i):
+            left_v = alg.mul_vec(bh.braided_antipode.data[a], e(b))
+            for k, cv in enumerate(left_v):
+                if cv:
+                    left[k] = left[k] + c * cv
+            right_v = alg.mul_vec(e(a), bh.braided_antipode.data[b])
+            for k, cv in enumerate(right_v):
+                if cv:
+                    right[k] = right[k] + c * cv
+        want = [h.counit[i] * x for x in h.unit]
+        return (left, right), (want, want)
+
+    rep = CheckReport()
+    bad = first_mismatch((range(n),), antipode)
+    rep.add("braided_antipode", bad is None, bad,
+            "⋆∘(S_R⊗id)∘Δ = ηε = ⋆∘(id⊗S_R)∘Δ")
+    return rep
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_braided_antipode_matches_closure(spec):
+    """On every ±1 one-entry change of S_R in 𝓗_{R_1}, braided_antipode
+    gives the replaced closure's report tuple and the YD-algebra checks of
+    (𝓗_R, ⋆) are unchanged."""
+    bh = build_hr(r_t(sweedler_h4(field_from_spec(spec)), 1))
+    base = report_rows(verify_yd_algebra(bh.underlying))
+    assert report_rows(verify_braided_hopf(bh)) == \
+        base + report_rows(closure_braided_antipode(bh))
+    witnesses = set()
+    for s_r in one_matrix_changes(bh.braided_antipode):
+        bad = BraidedHopf(bh.cqt, bh.underlying, s_r)
+        rows = report_rows(verify_braided_hopf(bad))
+        assert rows == base + report_rows(closure_braided_antipode(bad))
+        witnesses.add(rows[-1][2])
+    assert witnesses - {None}
 
 def test_coinvariants_trivial_structure(kc2):
     c = cqt_structure(kc2, eps_eps(kc2))

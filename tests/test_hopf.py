@@ -3,7 +3,8 @@
 import pytest
 
 from hopflab.fields import QQ, PrimeField, field_from_spec
-from hopflab.linalg import DimensionError, Matrix, Tensor, mat_mul
+from hopflab.linalg import (DimensionError, Matrix, Tensor,
+                            linear_combination, mat_mul)
 from hopflab.hopf import (HopfAlgebra, dual_hopf, hopf_map_checks,
                           verify_hopf_axioms)
 from hopflab.report import CheckReport, first_mismatch
@@ -154,3 +155,108 @@ def test_product_checks_match_dense_products(name, spec):
         assert rows == report_rows(dense_product_checks(bad), names)
         failing |= {r[0] for r in rows if r[1] == "fail"}
     assert failing == set(names)
+
+
+# -- the shared axiom checks against the per-verifier closures they replaced ---
+
+def closure_checks(h):
+    """unit, coassociativity and antipode as verify_hopf_axioms wrote them
+    before hopf.first_unit_mismatch, first_coaction_mismatch and
+    first_antipode_mismatch: the reference the shared checks must match."""
+    rep = CheckReport()
+    n, f, zero = h.dim, h.field, h.field.zero
+    mul, delta, e, every = h.mul, h.delta, h.basis_vec, range(h.dim)
+
+    unit = [(t, x) for t, x in enumerate(h.unit) if x]
+    bad = first_mismatch((every,), lambda i: (
+        (linear_combination(f, n, ((x, mul.row(t, i)) for t, x in unit)),
+         linear_combination(f, n, ((x, mul.row(i, t)) for t, x in unit))),
+        (e(i), e(i))))
+    rep.add("unit", bad is None, bad)
+
+    def coassociativity(i):
+        lhs = {}
+        rhs = {}
+        for j, k, c in delta.terms(i):
+            for a, b, c2 in delta.terms(j):
+                key = (a, b, k)
+                lhs[key] = lhs.get(key, zero) + c * c2
+            for a, b, c2 in delta.terms(k):
+                key = (j, a, b)
+                rhs[key] = rhs.get(key, zero) + c * c2
+        return lhs, rhs
+
+    bad = first_mismatch((every,), coassociativity)
+    rep.add("coassociativity", bad is None, bad)
+
+    def antipode(i):
+        left = [zero] * n
+        right = [zero] * n
+        for j, k, c in delta.terms(i):
+            for t, c2 in enumerate(h.S_basis(j)):
+                if c2:
+                    for a, cm in mul.row(t, k):
+                        left[a] = left[a] + c * c2 * cm
+            for t, c2 in enumerate(h.S_basis(k)):
+                if c2:
+                    for a, cm in mul.row(j, t):
+                        right[a] = right[a] + c * c2 * cm
+        want = [h.counit[i] * x for x in h.unit]
+        return (left, right), (want, want)
+
+    bad = first_mismatch((every,), antipode)
+    rep.add("antipode", bad is None, bad)
+    return rep
+
+
+def one_vector_changes(v, field):
+    """Every copy of the list v with one entry raised or lowered by 1."""
+    for i in range(len(v)):
+        for step in (field.one, -field.one):
+            out = list(v)
+            out[i] = out[i] + step
+            yield out
+
+
+def one_matrix_changes(m):
+    """Every copy of the Matrix m with one entry raised or lowered by 1."""
+    for i in range(m.rows):
+        for data in one_vector_changes(m.data[i], m.field):
+            yield Matrix(m.field, m.rows, m.cols,
+                         m.data[:i] + [data] + m.data[i + 1:])
+
+
+def hopf_with(h, **changed):
+    parts = dict(field=h.field, dim=h.dim, basis_names=h.basis_names,
+                 mult=h.mult, unit=h.unit, comult=h.comult, counit=h.counit,
+                 antipode=h.antipode, antipode_inv=h.antipode_inv)
+    parts.update(changed)
+    return HopfAlgebra(**parts)
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+@pytest.mark.parametrize("name", ["H4", "H4*", "kC2", "H4^dg"])
+def test_shared_checks_match_closures(name, spec):
+    """On every ±1 one-entry change of mult, comult, unit or antipode, the
+    unit, coassociativity and antipode checks give the replaced closures'
+    report tuples, and every family fails one of them somewhere."""
+    h = product_host(name, field_from_spec(spec))
+    names = ("unit", "coassociativity", "antipode")
+    assert report_rows(verify_hopf_axioms(h), names) == \
+        report_rows(closure_checks(h))
+    families = {
+        "mult": (hopf_with(h, mult=t) for t in one_entry_changes(h.mult)),
+        "comult": (hopf_with(h, comult=t)
+                   for t in one_entry_changes(h.comult)),
+        "unit": (hopf_with(h, unit=u)
+                 for u in one_vector_changes(h.unit, h.field)),
+        "antipode": (hopf_with(h, antipode=s)
+                     for s in one_matrix_changes(h.antipode))}
+    failing = set()
+    for family, hosts in families.items():
+        for bad in hosts:
+            rows = report_rows(verify_hopf_axioms(bad), names)
+            assert rows == report_rows(closure_checks(bad))
+            if any(r[1] == "fail" and r[2] is not None for r in rows):
+                failing.add(family)
+    assert failing == set(families)

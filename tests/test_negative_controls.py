@@ -233,6 +233,13 @@ def galois_unit_object_mult(fx):
                                  alg.unit))
 
 
+def mu_pi_mult_keeps_pi(fx):
+    # π(A) is still a YD algebra; only A's own checks see the corruption
+    e = fx["end"]
+    return mu_action_and_pi(
+        YdAlgebra(e.module, bump_tensor(e.mult, (1, 2, 6)), e.unit))[1]
+
+
 def azumaya_mult(fx):
     e = fx["end"]
     return azumaya_check(
@@ -329,12 +336,20 @@ CASES = [
                                "beta_l_kernel_is_relations": None,
                                "right_galois": None, "left_galois": None,
                                "bigalois_object": None}),
-    (mu_pi_mult, {"pi_module_axioms": (1, 2, 0),
+    (mu_pi_mult, {"A_algebra_axioms": (0, 1, 6),
+                  "A_module_algebra": (1, 1, 6),
+                  "A_comodule_algebra": (1, 6, 0, 1),
+                  "pi_module_axioms": (1, 2, 0),
                   "pi_yd_compatibility": (3, 0, 0, 1),
                   "pi_yd_compatibility_sinv_form": (3, 0, 0, 1),
                   "pi_module_algebra": (3, 1, 0)}),
-    (mu_pi_coaction, {"pi_module_axioms": (1, 2, 3),
+    (mu_pi_coaction, {"A_comodule_axioms": (2,),
+                      "A_comodule_algebra": (0, 2, 8, 1),
+                      "pi_module_axioms": (1, 2, 3),
                       "pi_module_algebra": (2, 3, 3)}),
+    (mu_pi_mult_keeps_pi, {"A_algebra_axioms": (1, 0, 2),
+                           "A_module_algebra": (2, 1, 2),
+                           "A_comodule_algebra": (1, 2, 4, 3)}),
     (azumaya_mult, {"F_algebra_map": (3, 4)}),
     (azumaya_coaction, {"F_bijective": None, "G_bijective": None,
                         "F_algebra_map": (0, 0), "is_azumaya": None}),

@@ -2,18 +2,19 @@
 
 import pytest
 
-from hopflab.fields import QQ
+from hopflab.fields import QQ, field_from_spec
 from hopflab.hopf import HopfAlgebra, dual_hopf
 from hopflab.linalg import DimensionError, Matrix, Tensor, check_shape
 from hopflab.report import CheckReport, first_mismatch
 from hopflab.twist import eps_eps, two_cocycle
-from hopflab.quasitriangular import (CqtStructure, cqt_structure, deform_cqt,
-                                     deform_qt, qt_structure, verify_cqt,
-                                     verify_qt, yd_from_comodule)
+from hopflab.quasitriangular import (CqtStructure, QtStructure,
+                                     cqt_structure, deform_cqt, deform_qt,
+                                     qt_structure, verify_cqt, verify_qt,
+                                     yd_from_comodule)
 from hopflab.yd import _first_leg_last, dual_module, verify_yd
 from hopflab.catalog import (cqt_c2, group_algebra_c2, qt_c2, qt_t, r_t,
                              sigma_t, sweedler_h4, theta_t, trivial_module)
-from test_hopf import one_entry_changes, report_rows
+from test_hopf import one_entry_changes, one_matrix_changes, report_rows
 
 
 def yd_from_module(q, action):
@@ -98,6 +99,79 @@ def test_cqt4_prime_matches_dense_products(h4):
         failing += rows[0][1] == "fail"
     assert failing
 
+
+def closure_qt123(q):
+    """QT1-QT3 as verify_qt wrote them before twist's H⊗H⊗H arithmetic:
+    the reference."""
+    h, rr, zero = q.host, q.rr, q.host.field.zero
+    n = h.dim
+    terms = [(i, j, rr.data[i][j]) for i in range(n) for j in range(n)
+             if rr.data[i][j]]
+    rep = CheckReport()
+
+    def qt1():
+        lhs = {}
+        for i, j, x in terms:
+            for a, b, c in h.delta.terms(i):
+                key = (a, b, j)
+                lhs[key] = lhs.get(key, zero) + x * c
+        rhs = {}
+        for i, j, x in terms:
+            for p, qq, y in terms:
+                for k, cm in h.mul.row(j, qq):
+                    key = (i, p, k)
+                    rhs[key] = rhs.get(key, zero) + x * y * cm
+        return lhs, rhs
+
+    bad = first_mismatch((), qt1)
+    rep.add("QT1", bad is None, bad, "ΣΔ(ℛ1)⊗ℛ2 = Σℛ1⊗r1⊗ℛ2r2")
+
+    left = [zero] * n
+    right = [zero] * n
+    for i, j, x in terms:
+        if h.counit[i]:
+            left[j] = left[j] + h.counit[i] * x
+        if h.counit[j]:
+            right[i] = right[i] + h.counit[j] * x
+    rep.add("QT2", left == h.unit and right == h.unit)
+
+    def qt3():
+        lhs = {}
+        for i, j, x in terms:
+            for a, b, c in h.delta.terms(j):
+                key = (i, a, b)
+                lhs[key] = lhs.get(key, zero) + x * c
+        rhs = {}
+        for i, j, x in terms:
+            for p, qq, y in terms:
+                for k, cm in h.mul.row(i, p):
+                    key = (k, qq, j)
+                    rhs[key] = rhs.get(key, zero) + x * y * cm
+        return lhs, rhs
+
+    bad = first_mismatch((), qt3)
+    rep.add("QT3", bad is None, bad, "Σℛ1⊗Δ(ℛ2) = Σℛ1r1⊗r2⊗ℛ2")
+    return rep
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+@pytest.mark.parametrize("name", ["R0", "R1", "qt_c2"])
+def test_qt123_match_closures(name, spec):
+    """On every ±1 one-entry change of ℛ₀, ℛ₁ or qt_c2, QT1-QT3 give the
+    replaced loops' report tuples, and QT1 and QT3 fail with a witness
+    somewhere."""
+    f = field_from_spec(spec)
+    q = qt_c2(group_algebra_c2(f)) if name == "qt_c2" else \
+        qt_t(sweedler_h4(f), int(name[1]))
+    names = ("QT1", "QT2", "QT3")
+    assert report_rows(verify_qt(q), names) == report_rows(closure_qt123(q))
+    failing = set()
+    for rr in one_matrix_changes(q.rr):
+        bad = QtStructure(q.host, rr, q.rr_inv)
+        rows = report_rows(verify_qt(bad), names)
+        assert rows == report_rows(closure_qt123(bad))
+        failing |= {r[0] for r in rows if r[2] is not None}
+    assert failing == {"QT1", "QT3"}
 
 def test_deform_cqt_trivial(h4):
     r1 = r_t(h4, 1)

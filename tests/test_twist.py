@@ -5,18 +5,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopflab.fields import QQ
+from hopflab.fields import QQ, field_from_spec
 from hopflab.hopf import dual_hopf, verify_hopf_axioms
 from hopflab.linalg import Matrix
-from hopflab.report import VerificationError
+from hopflab.report import CheckReport, VerificationError, first_mismatch
 from hopflab.twist import (coboundary_from, compose_cocycles, conv_inverse2,
                            convolve2, deform, deform_dual, dual_cocycle,
                            dual_cocycle_product, eps_eps, is_lazy,
                            is_lazy_dual, lazy_one_cocycle, two_cocycle,
                            verify_dual_cocycle, verify_two_cocycle,
-                           TwoCocycle)
+                           DualCocycle, TwoCocycle, hhh_delta, hhh_leg,
+                           hhh_mul)
 from hopflab.catalog import (group_algebra_c2, one_cocycle_c2, sigma_t,
                              sweedler_h4, theta_t)
+from test_hopf import one_matrix_changes, report_rows
 
 
 def h4_character_mu(h4):
@@ -236,6 +238,165 @@ def test_corrupted_dual_cocycle_detected(h4):
     assert not rep.ok
     assert rep.first_failure().witness is not None
 
+
+# -- H⊗H⊗H on flat n³ coefficient lists: the reference ------------------------
+
+def flat_hhh_mul(h, a, b):
+    """Product in H⊗H⊗H on flat n³ coefficient lists."""
+    n = h.dim
+    f = h.field
+    out = [f.zero] * (n ** 3)
+    nz_a = [(i, j, k, v) for i in range(n) for j in range(n)
+            for k in range(n) if (v := a[(i * n + j) * n + k])]
+    nz_b = [(i, j, k, v) for i in range(n) for j in range(n)
+            for k in range(n) if (v := b[(i * n + j) * n + k])]
+    for i, j, k, x in nz_a:
+        for p, q, r, y in nz_b:
+            xy = x * y
+            for a1, c1 in h.mul.row(i, p):
+                for a2, c2 in h.mul.row(j, q):
+                    c12 = c1 * c2
+                    for a3, c3 in h.mul.row(k, r):
+                        idx = (a1 * n + a2) * n + a3
+                        out[idx] = out[idx] + xy * c12 * c3
+    return out
+
+
+def flat_embed12(h, m):
+    """m⊗1 in H⊗H⊗H."""
+    n = h.dim
+    out = [h.field.zero] * (n ** 3)
+    for i in range(n):
+        for j in range(n):
+            x = m.data[i][j]
+            if not x:
+                continue
+            for k, u in enumerate(h.unit):
+                if u:
+                    out[(i * n + j) * n + k] = x * u
+    return out
+
+
+def flat_embed23(h, m):
+    """1⊗m in H⊗H⊗H."""
+    n = h.dim
+    out = [h.field.zero] * (n ** 3)
+    for k, u in enumerate(h.unit):
+        if not u:
+            continue
+        for i in range(n):
+            for j in range(n):
+                x = m.data[i][j]
+                if x:
+                    out[(k * n + i) * n + j] = u * x
+    return out
+
+
+def flat_delta_leg1(h, m):
+    """(Δ⊗id)(m) for m ∈ H⊗H."""
+    n = h.dim
+    out = [h.field.zero] * (n ** 3)
+    for i in range(n):
+        for j in range(n):
+            x = m.data[i][j]
+            if not x:
+                continue
+            for a, b, c in h.delta.terms(i):
+                out[(a * n + b) * n + j] = out[(a * n + b) * n + j] + x * c
+    return out
+
+
+def flat_delta_leg2(h, m):
+    """(id⊗Δ)(m) for m ∈ H⊗H."""
+    n = h.dim
+    out = [h.field.zero] * (n ** 3)
+    for i in range(n):
+        for j in range(n):
+            x = m.data[i][j]
+            if not x:
+                continue
+            for a, b, c in h.delta.terms(j):
+                out[(i * n + a) * n + b] = out[(i * n + a) * n + b] + x * c
+    return out
+
+
+def flat_dual_cocycle_checks(d):
+    """dual_pentagon and counit_normalization as verify_dual_cocycle wrote
+    them before twist's sparse H⊗H⊗H arithmetic: the reference."""
+    h = d.host
+    n, f = h.dim, h.field
+    rep = CheckReport()
+    lhs = flat_hhh_mul(h, flat_embed12(h, d.theta),
+                       flat_delta_leg1(h, d.theta))
+    rhs = flat_hhh_mul(h, flat_embed23(h, d.theta),
+                       flat_delta_leg2(h, d.theta))
+    bad = first_mismatch((range(n),) * 3, lambda a, b, c: (
+        lhs[(a * n + b) * n + c], rhs[(a * n + b) * n + c]))
+    rep.add("dual_pentagon", bad is None, bad)
+    left = [f.zero] * n
+    right = [f.zero] * n
+    for i in range(n):
+        for j in range(n):
+            x = d.theta.data[i][j]
+            if not x:
+                continue
+            if h.counit[i]:
+                left[j] = left[j] + h.counit[i] * x
+            if h.counit[j]:
+                right[i] = right[i] + h.counit[j] * x
+    rep.add("counit_normalization", left == h.unit and right == h.unit)
+    return rep
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_dual_cocycle_matches_flat_reference(spec):
+    """On every ±1 one-entry change of θ₁, dual_pentagon and
+    counit_normalization give the flat-list reference's report tuples, and
+    the sparse products equal the flat ones entry for entry."""
+    d = theta_t(sweedler_h4(field_from_spec(spec)), 1)
+    h, names = d.host, ("dual_pentagon", "counit_normalization")
+    assert report_rows(verify_dual_cocycle(d), names) == \
+        report_rows(flat_dual_cocycle_checks(d))
+    failing = set()
+    for theta in one_matrix_changes(d.theta):
+        bad = DualCocycle(h, theta, d.theta_inv)
+        rows = report_rows(verify_dual_cocycle(bad), names)
+        assert rows == report_rows(flat_dual_cocycle_checks(bad))
+        failing |= {r[0] for r in rows if r[1] == "fail"}
+        for legs, flat in (((2, 0), (flat_embed12, flat_delta_leg1)),
+                           ((0, 1), (flat_embed23, flat_delta_leg2))):
+            sparse = hhh_mul(h, hhh_leg(h, theta, legs[0]),
+                             hhh_delta(h, theta, legs[1]))
+            dense = flat_hhh_mul(h, flat[0](h, theta), flat[1](h, theta))
+            n = h.dim
+            assert [sparse.get((a, b, c), h.field.zero) for a in range(n)
+                    for b in range(n) for c in range(n)] == dense
+    assert failing == set(names)
+
+
+def test_hhh_arithmetic_matches_flat_on_a_non_basis_unit(h4):
+    """On H₄*, whose unit ε = δ_1 + δ_g has two terms, the leg placements,
+    Δ on each leg and the product equal the flat-list references."""
+    hd = dual_hopf(h4)
+    n, rng = hd.dim, random.Random(19)
+    m = rand_func(rng, QQ, n)
+
+    def flat(sparse):
+        return [sparse.get((a, b, c), QQ.zero) for a in range(n)
+                for b in range(n) for c in range(n)]
+
+    pairs = [(hhh_leg(hd, m, 2), flat_embed12(hd, m)),
+             (hhh_leg(hd, m, 0), flat_embed23(hd, m)),
+             (hhh_delta(hd, m, 0), flat_delta_leg1(hd, m)),
+             (hhh_delta(hd, m, 1), flat_delta_leg2(hd, m))]
+    for sparse, dense in pairs:
+        assert flat(sparse) == dense
+    assert flat(hhh_mul(hd, pairs[0][0], pairs[2][0])) == \
+        flat_hhh_mul(hd, pairs[0][1], pairs[2][1])
+    r13 = hhh_leg(hd, m, 1)
+    assert all(r13[(i, t, j)] == m.data[i][j] * hd.unit[t]
+               for i in range(n) for j in range(n) for t in (0, 1)
+               if m.data[i][j])
 
 def test_theta_group_law(h4):
     t1, t2 = theta_t(h4, 1), theta_t(h4, 2)

@@ -8,7 +8,8 @@ import pytest
 from hopflab.fields import QQ, field_from_spec
 from hopflab.galois import unit_object
 from hopflab.hopf import dual_hopf
-from hopflab.linalg import (DimensionError, Matrix, Tensor, mat_mul, rank,
+from hopflab.linalg import (DimensionError, Matrix, Tensor,
+                            linear_combination, mat_mul, rank,
                             row_space_echelon, solve)
 from hopflab.twist import deform, eps_eps, two_cocycle, dual_cocycle
 from hopflab.report import CheckReport, VerificationError, first_mismatch
@@ -26,7 +27,8 @@ from hopflab.catalog import (catalog_entries, cqt_c2, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
                              sweedler_h4, theta_t, trivial_module)
-from test_hopf import one_entry_changes, report_rows
+from test_hopf import (one_entry_changes, one_vector_changes,
+                       report_rows)
 
 
 def braiding(ma, mb):
@@ -132,6 +134,111 @@ def test_module_axioms_match_dense_products(spec):
         witnesses.add(rows[0][2])
     assert witnesses - {None}
 
+
+def closure_comodule_axioms(mod):
+    """comodule_axioms as verify_yd wrote it before
+    hopf.first_coaction_mismatch: the reference."""
+    h, e, ms = mod.host, mod.basis_vec, range(mod.dim)
+    zero, coact = h.field.zero, mod.coact
+    rep = CheckReport()
+
+    def counit(p):
+        acc = [zero] * mod.dim
+        for q, k, c in coact.terms(p):
+            if h.counit[k]:
+                acc[q] = acc[q] + c * h.counit[k]
+        return acc, e(p)
+
+    def coassociativity(p):
+        lhs = {}
+        for q0, k, c in coact.terms(p):
+            for q1, k1, c1 in coact.terms(q0):
+                key = (q1, k1, k)
+                lhs[key] = lhs.get(key, zero) + c * c1
+        rhs = {}
+        for q0, k, c in coact.terms(p):
+            for a, b, c2 in h.delta.terms(k):
+                key = (q0, a, b)
+                rhs[key] = rhs.get(key, zero) + c * c2
+        return lhs, rhs
+
+    bad = first_mismatch((ms,), counit)
+    if bad is None:
+        bad = first_mismatch((ms,), coassociativity)
+    rep.add("comodule_axioms", bad is None, bad)
+    return rep
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_comodule_axioms_match_closure(spec):
+    """On every ±1 one-entry change of the regular YD module's coaction,
+    comodule_axioms gives the replaced closure's report tuple."""
+    h4 = sweedler_h4(field_from_spec(spec))
+    mod = regular_comodule_module(r_t(h4, 1))
+    names = ("comodule_axioms",)
+    assert report_rows(verify_yd(mod), names) == \
+        report_rows(closure_comodule_axioms(mod))
+    witnesses = set()
+    for coaction in one_entry_changes(mod.coaction):
+        bad = YdModule(h4, mod.dim, mod.action, coaction)
+        rows = report_rows(verify_yd(bad), names)
+        assert rows == report_rows(closure_comodule_axioms(bad))
+        witnesses.add(rows[0][2])
+    assert {len(w) for w in witnesses - {None}} == {1, 4}   # both stages
+
+
+def closure_algebra_axioms(alg):
+    """algebra_axioms as verify_yd_algebra wrote it before
+    hopf.first_unit_mismatch and first_action_mismatch: the reference."""
+    f, m = alg.host.field, alg.dim
+    mul, e, ms = alg.mul, alg.module.basis_vec, range(m)
+    unit = [(u, x) for u, x in enumerate(alg.unit) if x]
+
+    def dense(terms):
+        return linear_combination(f, m, terms)
+
+    rep = CheckReport()
+    bad = first_mismatch((ms,), lambda p: (
+        (dense((x, mul.row(u, p)) for u, x in unit),
+         dense((x, mul.row(p, u)) for u, x in unit)),
+        (e(p), e(p))))
+    if bad is None:
+        bad = first_mismatch((ms,) * 3, lambda p, q, r: (
+            dense((c, mul.row(t, r)) for t, c in mul.row(p, q)),
+            dense((c, mul.row(p, t)) for t, c in mul.row(q, r))))
+    rep.add("algebra_axioms", bad is None, bad)
+    return rep
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_algebra_axioms_match_closure(spec):
+    """algebra_axioms gives the replaced closure's report tuple on every ±1
+    change of one unit entry of End(regular), and on every ±1 change of its
+    64 nonzero mult entries and of 32 seeded zero entries.  All 8192 mult
+    changes would take about 45 s per field."""
+    e = end_regular(r_t(sweedler_h4(field_from_spec(spec)), 1))
+    f, mult = e.host.field, e.mult
+    names = ("algebra_axioms",)
+    assert report_rows(verify_yd_algebra(e), names) == \
+        report_rows(closure_algebra_axioms(e))
+    nonzero = [i for i, x in enumerate(mult.data) if x]
+    rng = random.Random(19)
+    flats = nonzero + rng.sample([i for i, x in enumerate(mult.data)
+                                  if not x], 32)
+    changed = [YdAlgebra(e.module, mult, unit)
+               for unit in one_vector_changes(e.unit, f)]
+    for flat in flats:
+        for step in (f.one, -f.one):
+            data = list(mult.data)
+            data[flat] = data[flat] + step
+            changed.append(YdAlgebra(e.module, Tensor(f, mult.shape, data),
+                                     e.unit))
+    witnesses = set()
+    for bad in changed:
+        rows = report_rows(verify_yd_algebra(bad), names)
+        assert rows == report_rows(closure_algebra_axioms(bad))
+        witnesses.add(rows[0][2])
+    assert {len(w) for w in witnesses - {None}} == {1, 3}   # both stages
 
 def test_yd_tensor_is_yd(mreg, h4):
     t = yd_tensor(mreg, trivial_module(h4))
