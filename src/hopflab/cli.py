@@ -202,8 +202,7 @@ def cmd_wedge(args):
     rep = verify_yd(wmod).require("wedge module")
     rep.add("wedge_dimension", True, None, "dim %d" % sub.dim)
     out = {"wedge_dim": sub.dim,
-           "basis": [[host.field.fmt(x) for x in sub.basis.column(j)]
-                     for j in range(sub.dim)],
+           "basis": [[host.field.fmt(x) for x in v] for v in sub.vectors],
            "module": io_json.yd_module_to_json(wmod),
            "checks": rep.to_json()}
     _emit(out)

@@ -9,7 +9,14 @@ R, σ and σ⁻¹ are paired with vectors only by twist.eval2.  The R-induced
 action ▷₁ is quasitriangular.yd_from_comodule.  ▷₂, −▷, ◁− and the wedge
 action are each computed in two displayed forms, and report.require_agree
 raises at the first index where they differ.
-Subspace bases are stored as Matrix columns; span comparisons are exact.
+
+Every Galois decision reads a coaction table, row p the terms (q, k, c) of
+v_p's image in A⊗H: ρ, or −▷ and ◁− read as the 𝓗_R*-coactions
+a ↦ Σ_i (e_i−▷a)⊗δ_i.  Its coinvariants are {a : ρ(a) = a⊗u}, u = 1 or ε;
+the one β builder turns it into sparse rows, which linalg.sparse_rank
+ranks.  A Subspace is the kernel_basis of its equations, a basis that
+depends on the subspace alone, so membership, coordinates and equality
+are read off it without a new elimination.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from itertools import product
 
 from .hopf import (dual_hopf, first_action_mismatch, first_antipode_mismatch,
                    first_unit_mismatch)
-from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, in_span,
-                     kernel_basis, linear_combination, mat_mul, rank,
-                     same_span, solve, sparse_rank)
+from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, kernel_basis,
+                     linear_combination, mat_mul, rank, same_span, solve,
+                     sparse_rank)
 from .quasitriangular import deform_cqt, yd_from_comodule
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
@@ -31,38 +38,47 @@ from .yd import (YdAlgebra, YdMap, YdModule, agreed_tensor, braided_product,
                  sigma_algebra, sigma_module, verify_yd_algebra, yd_tensor)
 
 
-@dataclass
 class Subspace:
-    ambient_dim: int
-    basis: Matrix          # columns are basis vectors
+    """The kernel of v_p ↦ images[p] ∈ k^size, images given as sparse rows
+    [(index, coefficient)] whose repeated indices add up.  Basis vector j,
+    from kernel_basis, is 1 at its free column free[j] (its last nonzero
+    entry) and 0 at the other free columns: equal subspaces have equal
+    bases, and a vector's coordinates are its entries at the free columns.
+    rows holds the basis vectors as sparse rows [(index, coefficient)].
+    """
+
+    def __init__(self, field, size, images):
+        dim = len(images)
+        eqs = [[field.zero] * dim for _ in range(size)]
+        for p, image in enumerate(images):
+            for k, c in image:
+                eqs[k][p] = eqs[k][p] + c
+        basis = kernel_basis(Matrix(field, size, dim, eqs)).data
+        self.field = field
+        self.ambient_dim = dim
+        self.vectors = [list(v) for v in zip(*basis)]
+        self.rows = [[(k, x) for k, x in enumerate(v) if x]
+                     for v in self.vectors]
+        self.free = [row[-1][0] for row in self.rows]
 
     @property
     def dim(self):
-        return self.basis.cols
-
-    def column_vectors(self):
-        return [self.basis.column(j) for j in range(self.basis.cols)]
-
-    def contains(self, vec):
-        return in_span(self.basis.field, vec,
-                       [list(v) for v in self.column_vectors()],
-                       self.ambient_dim)
+        return len(self.vectors)
 
     def coordinates(self, vec):
         """Coordinates of vec in the basis, or None if vec is not in the
         span."""
-        sol = solve(self.basis, Matrix(self.basis.field, self.ambient_dim, 1,
-                                       [[x] for x in vec]))
-        if sol is None:
-            return None
-        return [row[0] for row in sol.data]
+        coords = [vec[k] for k in self.free]
+        back = linear_combination(self.field, self.ambient_dim,
+                                  zip(coords, self.rows))
+        return coords if back == list(vec) else None
+
+    def contains(self, vec):
+        return self.coordinates(vec) is not None
 
     def equals(self, other):
         return (self.ambient_dim == other.ambient_dim
-                and same_span(self.basis.field,
-                              [list(v) for v in self.column_vectors()],
-                              [list(v) for v in other.column_vectors()],
-                              self.ambient_dim))
+                and self.vectors == other.vectors)
 
 
 @dataclass
@@ -261,17 +277,28 @@ def verify_bimodule(bh, b):
     return rep
 
 
-def _stacked_kernel(f, rows, dim):
-    if not rows:
-        return Matrix.identity(f, dim)
-    return kernel_basis(Matrix(f, len(rows), dim, rows))
+def _coaction_table(act):
+    """An action read as the coaction a ↦ Σ_i (e_i·a)⊗δ_i: row p lists the
+    terms (q, i, c) of v_p's image in A⊗H.  −▷ and ◁− are read so as
+    𝓗_R*-coactions."""
+    n, m = act.tensor.shape[:2]
+    return [[(q, i, c) for i in range(n) for q, c in act.row(i, p)]
+            for p in range(m)]
 
 
-def _null_space(f, dim, image):
-    """{x : Σ_p x_p·image(p) = 0} ⊆ k^dim, for dense vectors image(p)."""
-    cols = [image(p) for p in range(dim)]
-    return Subspace(dim, _stacked_kernel(f, [list(r) for r in zip(*cols)],
-                                         dim))
+def _equalizer(f, n, table_a, table_b):
+    """{a : table_a(a) = table_b(a)} for two coaction tables into A⊗k^n,
+    A⊗k^n indexed q·n + k."""
+    return Subspace(f, len(table_a) * n, [
+        [(q * n + k, c) for q, k, c in ta]
+        + [(q * n + k, -c) for q, k, c in tb]
+        for ta, tb in zip(table_a, table_b)])
+
+
+def _coinvariant_space(f, table, u):
+    """{a : table(a) = a⊗u}: u = ε for −▷ and ◁−, u = 1 for ρ."""
+    return _equalizer(f, len(u), table, [
+        [(p, k, x) for k, x in enumerate(u) if x] for p in range(len(table))])
 
 
 def coinvariants(bh, b, side):
@@ -282,25 +309,14 @@ def coinvariants(bh, b, side):
     """
     mod = b.module
     h = mod.host
-    hs = range(h.dim)
     if side == "right":
         act = b.left
         other = yd_from_comodule(bh.cqt, mod.coaction).act
     else:
         act, other = b.right, Bilinear(b.act2)
-
-    def minus_counit(p):
-        out = []
-        for i in hs:
-            row = list(act.dense_row(i, p))
-            row[p] = row[p] - h.counit[i]
-            out.extend(row)
-        return out
-
-    sub = _null_space(h.field, mod.dim, minus_counit)
-    sub2 = _null_space(h.field, mod.dim, lambda p: [
-        x - y for i in hs
-        for x, y in zip(mod.act.dense_row(i, p), other.dense_row(i, p))])
+    sub = _coinvariant_space(h.field, _coaction_table(act), h.counit)
+    sub2 = _equalizer(h.field, h.dim, _coaction_table(mod.act),
+                      _coaction_table(other))
     if not sub.equals(sub2):
         raise VerificationError(
             "Lemma-3.1 characterization disagrees (side=%s)" % side)
@@ -339,10 +355,9 @@ def wedge(cqt, ma, mb):
     side_a = yd_tensor(ma, yd_from_comodule(cqt, mb.coaction))
     side_b = yd_tensor(YdModule(h, ma.dim, act2_tensor(cqt, ma), ma.coaction),
                        mb)
-    sub = _null_space(f, dim, lambda src: [
-        x - y for i in hs for x, y in zip(side_a.act.dense_row(i, src),
-                                          side_b.act.dense_row(i, src))])
-    vecs = sub.column_vectors()
+    sub = _equalizer(f, n, _coaction_table(side_a.act),
+                     _coaction_table(side_b.act))
+    vecs = sub.vectors
     wd = sub.dim
     ws = range(wd)
 
@@ -362,15 +377,14 @@ def wedge(cqt, ma, mb):
     def coaction(w):
         # ρ(w) in M⊗N (the coaction of side_a is that of M⊗N), by e_k
         per_k = [[f.zero] * dim for _ in hs]
-        for src, x in enumerate(w):
-            if x:
-                for q, k, c in side_a.coact.terms(src):
-                    per_k[k][q] = per_k[k][q] + x * c
-        cs = [coords(v) if any(v) else [f.zero] * wd for v in per_k]
+        for src, x in w:
+            for q, k, c in side_a.coact.terms(src):
+                per_k[k][q] = per_k[k][q] + x * c
+        cs = [coords(v) for v in per_k]
         return [[cs[k][t] for k in hs] for t in ws]
 
     return sub, YdModule(h, wd, action, Tensor.from_rows(
-        f, (wd, wd, n), [coaction(w) for w in vecs]))
+        f, (wd, wd, n), [coaction(w) for w in sub.rows]))
 
 
 def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None):
@@ -394,12 +408,9 @@ def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None):
     sub_s, wmod_s = wedge(rs, sa, sb)
 
     _, eta_inv = eta(s, ma, mb)
-    da, db = ma.dim, mb.dim
-    dim = da * db
-    image = [apply_rowmap(v, eta_inv) for v in sub.column_vectors()]
-    rep.add("wedge_span_stable",
-            same_span(f, image, [list(v) for v in sub_s.column_vectors()],
-                      dim),
+    dim = ma.dim * mb.dim
+    image = [apply_rowmap(v, eta_inv) for v in sub.vectors]
+    rep.add("wedge_span_stable", same_span(f, image, sub_s.vectors, dim),
             None, "dim %d vs %d" % (sub.dim, sub_s.dim))
 
     # η⁻¹ restricted intertwines σ̲(M∧N) with σ̲M∧σ̲N
@@ -435,7 +446,7 @@ def wedge_algebra(cqt, alga, algb):
     sub, wmod = wedge(cqt, alga.module, algb.module)
     prod = braided_product(alga, algb, cqt=cqt)
     wd = sub.dim
-    basis_vecs = sub.column_vectors()
+    basis_vecs = sub.vectors
     coords = [sub.coordinates(prod.mul_vec(u, v))
               for u in basis_vecs for v in basis_vecs]
     unit_coords = sub.coordinates(prod.unit)
@@ -630,26 +641,43 @@ def _relations(alg, sub_basis_vecs):
     return rels
 
 
-def _beta_quotient_bijective(f, beta, rels, rep, tag):
-    """β̄ on A⊗_{A₀}A is bijective iff β is onto and ker β = relations;
-    rels are sparse rows of A⊗A as _relations gives them."""
-    target = beta.cols
-    rk = rank(beta)
+def _galois_map(alg, table, first):
+    """β: A⊗A → A⊗H from a coaction table, as dict rows {y·n + k:
+    coefficient}: row p·m+r is the image of v_p⊗v_r, Σ a₀b⊗a₁ when the
+    first factor coacts (first) and Σ ab₀⊗b₁ otherwise."""
+    n = alg.host.dim
+    ms, mul = range(alg.dim), alg.mul.row
+    zero = alg.host.field.zero
+    beta = []
+    for p in ms:
+        for r in ms:
+            row = {}
+            for q, k, c in table[p if first else r]:
+                for y, cm in (mul(q, r) if first else mul(p, q)):
+                    key = y * n + k
+                    row[key] = row.get(key, zero) + c * cm
+            beta.append(row)
+    return beta
+
+
+def _beta_quotient_bijective(f, beta, target, rels, rep, tag):
+    """β̄ on A⊗_{A₀}A is bijective iff β is onto and ker β = relations; β
+    is dict rows into k^target, as _galois_map gives them, and rels are
+    sparse rows of A⊗A as _relations gives them."""
+    rk = sparse_rank(f, beta)
     onto = rk == target
     rep.add(tag + "_surjective", onto, None,
             "rank %d of %d" % (rk, target))
-    beta_rows = [[(c, y) for c, y in enumerate(row) if y]
-                 for row in beta.data]
     zero = [f.zero] * target
 
     def image(rel):
-        return linear_combination(f, target, ((x, beta_rows[k])
+        return linear_combination(f, target, ((x, beta[k].items())
                                               for k, x in rel.items()))
 
     bad = first_mismatch((range(len(rels)),), lambda i: (
         image(rels[i]), zero))
     rep.add(tag + "_relations_in_kernel", bad is None, bad)
-    ker_dim = beta.rows - rk
+    ker_dim = len(beta) - rk
     # relations inside ker β have rank ≤ dim ker β, so the elimination may
     # stop there; relations outside it are ranked in full for the detail
     rel_rank = sparse_rank(f, rels, ker_dim if bad is None else None)
@@ -659,7 +687,8 @@ def _beta_quotient_bijective(f, beta, rels, rep, tag):
 
 
 def galois_maps(bh, b, alg):
-    """Right/left 𝓗_R^*-Galois decisions for A, plus the bigalois verdict.
+    """Right/left 𝓗_R^*-Galois decisions for A, plus the bigalois verdict:
+    β_r(a⊗b) = Σ_i (e_i−▷a)b ⊗ e_i and β_l(a⊗b) = Σ_i a(b◁−e_i) ⊗ e_i.
 
     Precondition: A is a YD algebra (``verify_yd_algebra``), bh is a braided
     Hopf algebra (``verify_braided_hopf``) and b = ``bimodule_actions(bh,
@@ -668,42 +697,17 @@ def galois_maps(bh, b, alg):
     and ``hopflab galois`` checks it before calling it.
     """
     rep = CheckReport()
-    h = bh.host
-    f = h.field
-    n = h.dim
-    m = alg.dim
-
     sub_r = coinvariants(bh, b, "right")
     sub_l = coinvariants(bh, b, "left")
     rep.add("coinvariants_computed", True, None,
             "dim right %d, left %d" % (sub_r.dim, sub_l.dim))
-
-    def beta_r(p, r):
-        # β_r(a⊗b) = Σ_i (e_i−▷a)b ⊗ e_i
-        row = [f.zero] * (m * n)
-        for i in range(n):
-            for q, c0 in b.left.row(i, p):
-                for y, cm in alg.mul.row(q, r):
-                    row[y * n + i] = row[y * n + i] + c0 * cm
-        return row
-
-    def beta_l(r, p):
-        # β_l(b⊗a) = Σ_i e_i ⊗ b(a◁−e_i)
-        row = [f.zero] * (n * m)
-        for i in range(n):
-            for q, c0 in b.right.row(i, p):
-                for y, cm in alg.mul.row(r, q):
-                    row[i * m + y] = row[i * m + y] + c0 * cm
-        return row
-
-    # row u·m+v of each β is the image of v_u⊗v_v
-    ms2 = [(u, v) for u in range(m) for v in range(m)]
+    f, target = bh.host.field, alg.dim * bh.host.dim
     right_ok = _beta_quotient_bijective(
-        f, Matrix(f, m * m, m * n, [beta_r(u, v) for u, v in ms2]),
-        _relations(alg, sub_r.column_vectors()), rep, "beta_r")
+        f, _galois_map(alg, _coaction_table(b.left), True), target,
+        _relations(alg, sub_r.vectors), rep, "beta_r")
     left_ok = _beta_quotient_bijective(
-        f, Matrix(f, m * m, n * m, [beta_l(u, v) for u, v in ms2]),
-        _relations(alg, sub_l.column_vectors()), rep, "beta_l")
+        f, _galois_map(alg, _coaction_table(b.right), False), target,
+        _relations(alg, sub_l.vectors), rep, "beta_l")
 
     triv_r = sub_r.dim == 1 and sub_r.contains(alg.unit)
     triv_l = sub_l.dim == 1 and sub_l.contains(alg.unit)
@@ -717,46 +721,26 @@ def galois_maps(bh, b, alg):
 
 def comodule_coinvariants(alg):
     """A₀ = {a : ρ(a) = a⊗1} from the coaction alone."""
-    h = alg.host
-    coact, ms = alg.module.coact.dense_row, range(alg.dim)
-
-    def rho_minus_one(p):
-        # ρ(v_p) − v_p⊗1, flattened over (q, k)
-        rows = [coact(p, q) for q in ms]
-        rows[p] = [x - u for x, u in zip(rows[p], h.unit)]
-        return [x for row in rows for x in row]
-
-    return _null_space(h.field, alg.dim, rho_minus_one)
+    return _coinvariant_space(alg.host.field, [
+        alg.module.coact.terms(p) for p in range(alg.dim)], alg.host.unit)
 
 
-def comodule_beta(alg):
-    """β(a⊗b) = Σ ab₀ ⊗ b₁ on A⊗A → A⊗H."""
-    mod = alg.module
-    h = alg.host
-    f = h.field
-    n = h.dim
-    m = alg.dim
-    beta = Matrix.zeros(f, m * m, m * n)
-    for p in range(m):
-        for r in range(m):
-            row = beta.data[p * m + r]
-            for q, k, c in mod.coact.terms(r):
-                for y, cm in alg.mul.row(p, q):
-                    row[y * n + k] = row[y * n + k] + c * cm
-    return beta
+def _comodule_galois(alg):
+    """comodule_galois's report with A₀ and β (β(a⊗b) = Σ ab₀ ⊗ b₁)."""
+    rep = CheckReport()
+    table = [alg.module.coact.terms(p) for p in range(alg.dim)]
+    sub0 = _coinvariant_space(alg.host.field, table, alg.host.unit)
+    rep.add("coinvariants_computed", True, None, "dim %d" % sub0.dim)
+    beta = _galois_map(alg, table, False)
+    rep.add("galois", _beta_quotient_bijective(
+        alg.host.field, beta, alg.dim * alg.host.dim,
+        _relations(alg, sub0.vectors), rep, "beta"))
+    return rep, sub0, beta
 
 
 def comodule_galois(alg):
     """H^op-comodule-algebra Galois decision (the action is ignored)."""
-    rep = CheckReport()
-    f = alg.host.field
-    sub0 = comodule_coinvariants(alg)
-    rep.add("coinvariants_computed", True, None, "dim %d" % sub0.dim)
-    beta = comodule_beta(alg)
-    rels = _relations(alg, sub0.column_vectors())
-    ok = _beta_quotient_bijective(f, beta, rels, rep, "beta")
-    rep.add("galois", ok)
-    return rep
+    return _comodule_galois(alg)[0]
 
 
 def mu_action_and_pi(alg):
@@ -772,30 +756,26 @@ def mu_action_and_pi(alg):
     n = h.dim
     m = alg.dim
 
-    gal = comodule_galois(alg)
+    gal, sub0, beta_rows = _comodule_galois(alg)
     rep.merge(gal, prefix="galois_")
     if not gal.ok:
         raise VerificationError("mu_action_and_pi requires a Galois input")
 
-    sub0 = comodule_coinvariants(alg)
-    x_vecs = sub0.column_vectors()
     ms, mrow = range(m), alg.mul.row
 
-    def dense(terms):
-        return linear_combination(f, m, terms)
+    def times(p, left):
+        # v_p·x (left) or x·v_p as the terms (t, j, c) of Σ_j (·)⊗δ_j
+        return [(t, j, c * w) for j, x in enumerate(sub0.rows) for k, c in x
+                for t, w in (mrow(p, k) if left else mrow(k, p))]
 
-    # row comp of x: the e_comp coordinate of v_p·x − x·v_p, over p
-    rows = []
-    for x in x_vecs:
-        xs = [(j, c) for j, c in enumerate(x) if c]
-        yx = [dense((c, mrow(p, j)) for j, c in xs) for p in ms]
-        xy = [dense((c, mrow(j, p)) for j, c in xs) for p in ms]
-        rows += [[yx[p][comp] - xy[p][comp] for p in ms] for comp in ms]
-    pi_sub = Subspace(m, _stacked_kernel(f, rows, m))
+    # π(A) = C_A(A₀): the a with a·x = x·a for every basis vector x of A₀
+    pi_sub = _equalizer(f, sub0.dim, [times(p, True) for p in ms],
+                        [times(p, False) for p in ms])
     rep.add("centralizer_computed", True, None, "dim %d" % pi_sub.dim)
 
-    # β is stored row-as-image; solve and kernel_basis read columns.
-    beta = comodule_beta(alg).transpose()
+    # βᵀ, since solve and kernel_basis read columns
+    beta = Matrix(f, m * n, m * m, [[row.get(c, f.zero) for row in beta_rows]
+                                    for c in range(m * n)])
     rhs = Matrix.zeros(f, m * n, n)
     for k in range(n):
         for y, u in enumerate(alg.unit):
@@ -806,12 +786,14 @@ def mu_action_and_pi(alg):
         raise VerificationError("β-preimages of 1⊗h do not exist")
     ker = kernel_basis(beta)
 
-    pi_vecs = pi_sub.column_vectors()
+    pi_vecs = pi_sub.vectors
     pd = pi_sub.dim
 
-    def triple_table(avec):
-        """T[p][r] = v_p · a · v_r as dense vectors."""
-        avs = [(j, c) for j, c in enumerate(avec) if c]
+    def dense(terms):
+        return linear_combination(f, m, terms)
+
+    def triple_table(avs):
+        """T[p][r] = v_p · a · v_r as dense vectors, a a sparse row."""
         out = []
         for p in ms:
             vas = [(t, c) for t, c in enumerate(
@@ -819,7 +801,7 @@ def mu_action_and_pi(alg):
             out.append([dense((c, mrow(t, r)) for t, c in vas) for r in ms])
         return out
 
-    tables = [triple_table(a) for a in pi_vecs]
+    tables = [triple_table(a) for a in pi_sub.rows]
 
     def act_by(coeffs, a_idx):
         """Σ coeffs[p·m+r] v_p·a·v_r for the a_idx-th basis vector a."""
@@ -861,11 +843,10 @@ def mu_action_and_pi(alg):
     def coaction_part(a_idx, k):
         """The v⊗e_k component of ρ(a) as a vector v."""
         vec = [f.zero] * m
-        for p, x in enumerate(pi_vecs[a_idx]):
-            if x:
-                for q, k2, c in mod.coact.terms(p):
-                    if k2 == k:
-                        vec[q] = vec[q] + x * c
+        for p, x in pi_sub.rows[a_idx]:
+            for q, k2, c in mod.coact.terms(p):
+                if k2 == k:
+                    vec[q] = vec[q] + x * c
         return vec
 
     coacts = closed_under("pi_subcomodule", (range(pd), range(n)),

@@ -19,9 +19,10 @@ Conventions used throughout the package:
   and ``mat_inverse`` read the reduced row echelon form ``_rref`` built
   on it, which is unique, so their results do not depend on how the rows
   were reduced.  ``sparse_rank`` serves families that are built sparse and
-  never exist as a Matrix, such as the Galois relations of galois.py (up
-  to 2272 rows of 256 columns, ~1.3 nonzeros each) and the Azumaya maps F
-  and G of yd.py (256 rows of 256 columns on End(regular), 0.7% nonzero).
+  never exist as a Matrix: galois.py's relations (up to 2272 rows of 256
+  columns, ~1.3 nonzeros each) and Galois maps β (256 rows of 64 columns
+  on End(regular)), and yd.py's Azumaya maps F and G (256 rows of 256
+  columns on End(regular), 0.7% nonzero).
 * ``linear_combination`` sums sparse rows, such as the ``Bilinear.row``
   products of basis vectors, into one dense vector.
 * Constructors raise ``DimensionError`` on mis-shaped data.

@@ -42,8 +42,9 @@ class SuiteContext:
     H₄ and kC₂ are built with the context; everything else (σ_t, θ_t, R_t,
     ℛ_t, R_t^{σ_s}, the YD modules, 𝓗_R, the Galois test algebras and
     their σ̲ images) is built on first use and memoized by name and
-    parameters.  Apart from regular_comodule_module's YD precondition
-    nothing here verifies: each criterion checks what it reads.
+    parameters.  Apart from regular_comodule_module's YD precondition and
+    the σ̲ images, which must pass verify_yd_algebra, nothing here
+    verifies: each criterion checks what it reads.
     """
 
     # the Galois test algebras, End_regular being End(regular(1))
@@ -110,9 +111,12 @@ class SuiteContext:
         return self.algebra("End_regular")
 
     def sigma_algebra(self, t, name):
-        """σ̲_t of algebra(name)."""
-        return self._once(("sigma_algebra", t, name), sigma_algebra,
-                          self.sigma(t), self.algebra(name))
+        """σ̲_t of algebra(name), which must pass verify_yd_algebra."""
+        def build():
+            out = sigma_algebra(self.sigma(t), self.algebra(name))
+            verify_yd_algebra(out).require("sigma_%s(%s)" % (t, name))
+            return out
+        return self._once(("sigma_algebra", t, name), build)
 
 
 def criterion_01_h4_validity(ctx):

@@ -219,29 +219,41 @@ def verify_yd_algebra(alg):
     of basis vectors are read from the sparse rows of alg.mul and mod.act."""
     rep = verify_yd(alg.module)
     h = alg.host
-    f = h.field
     m = alg.dim
-    zero = f.zero
+    zero = h.field.zero
     mod = alg.module
     mul, act = alg.mul, mod.act
     hs, ms = range(h.dim), range(m)
-
-    def dense(terms):
-        return linear_combination(f, m, terms)
 
     bad = first_unit_mismatch(alg.unit, mul, two_sided=True)
     if bad is None:
         bad = first_action_mismatch(mul, mul)
     rep.add("algebra_axioms", bad is None, bad)
 
-    def module_algebra(i, p, q):
-        rhs = dense((ca * x * y, mul.row(s, t))
-                    for a, b, ca in h.delta.terms(i)
-                    for s, x in act.row(a, p) for t, y in act.row(b, q))
-        return dense((c, act.row(i, t)) for t, c in mul.row(p, q)), rhs
+    def module_algebra(i, p):
+        # h·(v_p v_q) and Σ(h₁·v_p)(h₂·v_q) for h = e_i, over every q
+        hp = [(b, s, ca * x) for a, b, ca in h.delta.terms(i)
+              for s, x in act.row(a, p)]
+        lhs, rhs = [], []
+        for q in ms:
+            acc = [zero] * m
+            for t, c in mul.row(p, q):
+                for k, w in act.row(i, t):
+                    acc[k] = acc[k] + c * w
+            lhs.append(acc)
+            acc = [zero] * m
+            for b, s, w in hp:
+                for t, y in act.row(b, q):
+                    for k, c in mul.row(s, t):
+                        acc[k] = acc[k] + w * y * c
+            rhs.append(acc)
+        return lhs, rhs
 
-    bad = first_mismatch((hs, ms, ms), module_algebra)
-    if bad is None:
+    bad = first_mismatch((hs, ms), module_algebra)
+    if bad is not None:
+        lhs, rhs = module_algebra(*bad)
+        bad += first_mismatch((ms,), lambda q: (lhs[q], rhs[q]))
+    else:
         bad = first_mismatch((hs,), lambda i: (
             mod.act_basis_vec(i, alg.unit),
             [h.counit[i] * x for x in alg.unit]))

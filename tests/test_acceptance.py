@@ -165,3 +165,23 @@ def test_braided_squares_build_each_object_once(monkeypatch):
     assert distinct(duals) == 4 and [args[0] for args in duals[1:]] == mods
     # the cocycles are the six of criterion 06: σ_t, and σ_θ for θ_t
     assert len({id(args[0]) for args in sigmas + etas}) == 6
+
+
+def test_sigma_images_are_verified():
+    """SuiteContext.sigma_algebra requires verify_yd_algebra of each σ̲
+    image it builds: σ̲₁ of End(regular) with 1 added to its mult entry
+    (1, 2, 6) raises, naming the failing check and its witness."""
+    from hopflab.linalg import Tensor
+    from hopflab.yd import YdAlgebra
+    ctx = SuiteContext(QQ, suite.T_DEFAULT, 0)
+    e = ctx.end_regular()
+    data = list(e.mult.data)
+    data[(1 * 16 + 2) * 16 + 6] += 1
+    bad = YdAlgebra(e.module, Tensor(QQ, e.mult.shape, data), e.unit)
+    ctx = SuiteContext(QQ, suite.T_DEFAULT, 0)
+    ctx.ALGEBRAS = dict(ctx.ALGEBRAS, End_regular=lambda c: bad)
+    with pytest.raises(VerificationError, match=re.escape(
+            "sigma_1(End_regular): check 'algebra_axioms' failed "
+            "(witness=(0, 1, 2))")):
+        ctx.sigma_algebra(1, "End_regular")
+    assert ctx.sigma_algebra(1, "I").dim == 4

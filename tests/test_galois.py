@@ -1,10 +1,13 @@
 """Braided Hopf algebra, coinvariants, wedge, unit object, isomorphism
 witnesses and Galois/Miyashita-Ulbrich machinery."""
 
+import random
+
 import pytest
 
 from hopflab.fields import QQ, PrimeField, field_from_spec
-from hopflab.linalg import Matrix, Tensor, mat_mul, rank
+from hopflab.linalg import (Matrix, Tensor, in_span, mat_mul, rank,
+                            same_span, solve)
 from hopflab.report import CheckReport, VerificationError, first_mismatch
 from hopflab.twist import eps_eps, two_cocycle
 from hopflab.quasitriangular import cqt_structure, deform_cqt
@@ -378,24 +381,51 @@ def dense_beta(b, alg, side):
     return rows
 
 
+def dense_comodule_beta(alg):
+    """β(v_u⊗v_v) = Σ v_u(v_v)₀ ⊗ (v_v)₁ as dense rows, read entry by entry
+    from the coaction and product tensors."""
+    f = alg.host.field
+    n, m = alg.host.dim, alg.dim
+    coact, mult = alg.module.coaction.data, alg.mult.data
+    rows = []
+    for u in range(m):
+        for v in range(m):
+            row = [f.zero] * (m * n)
+            for k in range(n):
+                for y in range(m):
+                    for q in range(m):
+                        row[y * n + k] += (coact[(v * m + q) * n + k]
+                                           * mult[(u * m + q) * m + y])
+            rows.append(row)
+    return rows
+
+
 def test_galois_maps_beta_matrices(monkeypatch, bh1, r1, s1, unit_obj):
-    """The β matrices galois_maps decides on equal the dense reference."""
+    """The β rows galois_maps and comodule_galois decide on equal the dense
+    references; β_l's column for e_i ⊗ v_y is y·n + i, where the reference
+    has i·m + y."""
     import hopflab.galois as galois
     seen = {}
     inner = galois._beta_quotient_bijective
 
-    def capture(f, beta, rels, rep, tag):
-        seen[tag] = beta
-        return inner(f, beta, rels, rep, tag)
+    def capture(f, beta, target, rels, rep, tag):
+        seen[tag] = [[row.get(c, f.zero) for c in range(target)]
+                     for row in beta]
+        return inner(f, beta, target, rels, rep, tag)
 
     monkeypatch.setattr(galois, "_beta_quotient_bijective", capture)
     bhs = build_hr(deform_cqt(r1, s1))
     s_uo = sigma_algebra(s1, unit_obj)
     for bh, alg in ((bh1, unit_obj), (bhs, s_uo)):
+        n, m = alg.host.dim, alg.dim
         b = bimodule_actions(bh, alg.module)
         assert galois_maps(bh, b, alg).ok
-        assert seen.pop("beta_r").data == dense_beta(b, alg, "r")
-        assert seen.pop("beta_l").data == dense_beta(b, alg, "l")
+        assert seen.pop("beta_r") == dense_beta(b, alg, "r")
+        assert seen.pop("beta_l") == [
+            [row[i * m + y] for y in range(m) for i in range(n)]
+            for row in dense_beta(b, alg, "l")]
+        comodule_galois(alg)
+        assert seen.pop("beta") == dense_comodule_beta(alg)
 
 
 def dense_relations(alg, xs):
@@ -432,7 +462,7 @@ def test_relations_match_dense_reference(field):
     algebras += [sigma_algebra(s1, alg) for alg in algebras]
     for alg in algebras:
         m = alg.dim
-        xs = comodule_coinvariants(alg).column_vectors() + [
+        xs = comodule_coinvariants(alg).vectors + [
             alg.module.basis_vec(m - 1),
             [field.from_int(i % 3 - 1) for i in range(m)]]
         want = [{i: c for i, c in enumerate(vec) if c}
@@ -446,12 +476,12 @@ def test_relation_rank_stops_at_the_kernel_only_inside_it():
     are ranked in full, so the detail shows their whole rank."""
     from hopflab.galois import _beta_quotient_bijective
     from hopflab.report import CheckReport
-    beta = Matrix(QQ, 3, 2, [[1, 0], [0, 1], [0, 0]])      # ker β = ⟨e_2⟩
+    beta = [{0: 1}, {1: 1}, {}]                 # 3 rows of 2; ker β = ⟨e_2⟩
     cases = [([{2: 1}, {2: -2}, {}], "pass", None, 1),
              ([{2: 1}, {0: 1}, {1: 1}], "fail", (1,), 3)]
     for rels, status, witness, rel_rank in cases:
         rep = CheckReport()
-        _beta_quotient_bijective(QQ, beta, rels, rep, "beta")
+        _beta_quotient_bijective(QQ, beta, 2, rels, rep, "beta")
         assert [(c.name, c.status, c.witness, c.detail)
                 for c in rep.checks[1:]] == [
             ("beta_relations_in_kernel", status, witness, ""),
@@ -544,3 +574,178 @@ def test_thm_315_pointwise(r1, s1):
     assert pi_se.module.coaction == s_pi.module.coaction
     assert pi_se.unit == s_pi.unit
     assert quantum_commutative(pi_se)
+
+
+# -- the canonical Subspace ------------------------------------------------------
+
+class RefSubspace:
+    """Subspace as it read its basis before the basis was canonical: a
+    Matrix of basis columns, coordinates from solve, membership from in_span
+    and equality from same_span.  The reference."""
+
+    def __init__(self, sub):
+        self.ambient_dim = sub.ambient_dim
+        self.basis = Matrix(sub.field, sub.ambient_dim, sub.dim,
+                            [[v[i] for v in sub.vectors]
+                             for i in range(sub.ambient_dim)])
+
+    def column_vectors(self):
+        return [self.basis.column(j) for j in range(self.basis.cols)]
+
+    def contains(self, vec):
+        return in_span(self.basis.field, vec,
+                       [list(v) for v in self.column_vectors()],
+                       self.ambient_dim)
+
+    def coordinates(self, vec):
+        sol = solve(self.basis, Matrix(self.basis.field, self.ambient_dim, 1,
+                                       [[x] for x in vec]))
+        if sol is None:
+            return None
+        return [row[0] for row in sol.data]
+
+    def equals(self, other):
+        return (self.ambient_dim == other.ambient_dim
+                and same_span(self.basis.field,
+                              [list(v) for v in self.column_vectors()],
+                              [list(v) for v in other.column_vectors()],
+                              self.ambient_dim))
+
+
+@pytest.fixture(scope="module", params=["Q", "Fp:5"])
+def suite_subspaces(request):
+    """Every Subspace criteria 11, 13 and 14 build on a fresh context: both
+    coinvariant sides (and their Lemma-3.1 second forms) and A₀ of I,
+    H_regular, End(regular) and their σ̲₁ images, the regular module's and
+    I's coinvariants before and after σ̲, the I∧I wedges, π(End(regular))
+    and π(σ̲₁(End(regular)))."""
+    import hopflab.galois as galois
+    from hopflab.suite import (SuiteContext, criterion_11_coinvariants_wedge,
+                               criterion_13_galois_stability,
+                               criterion_14_thm315)
+    built = []
+    init = galois.Subspace.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(galois.Subspace, "__init__", recording)
+        ctx = SuiteContext(field_from_spec(request.param), (1,), 0)
+        for criterion in (criterion_11_coinvariants_wedge,
+                          criterion_13_galois_stability, criterion_14_thm315):
+            assert criterion(ctx).ok
+    return ctx.field, built
+
+
+def test_subspace_matches_reference(suite_subspaces):
+    """coordinates and contains agree with solve and in_span on every
+    subspace the suite builds (in k⁴ and k¹⁶, of dimension 1 up to the
+    whole space), for vectors inside it (its basis vectors and seeded
+    combinations of them) and vectors that may leave it (those plus one
+    ambient basis vector, and seeded small vectors)."""
+    f, subs = suite_subspaces
+    assert len(subs) > 50 and {s.ambient_dim for s in subs} == {4, 16}
+    assert {s.dim for s in subs} >= {1, 4, 16}
+    rng = random.Random(20)
+    seen = set()
+    for sub in subs:
+        ref = RefSubspace(sub)
+        dim = sub.ambient_dim
+
+        def small():
+            return f.from_int(rng.randint(-2, 2))
+
+        inside = [list(v) for v in sub.vectors]
+        for _ in range(3):
+            vec = [f.zero] * dim
+            for v in sub.vectors:
+                c = small()
+                vec = [x + c * y for x, y in zip(vec, v)]
+            inside.append(vec)
+        maybe = []
+        for vec in inside:
+            vec = list(vec)
+            vec[rng.randrange(dim)] += f.one
+            maybe.append(vec)
+        maybe += [[small() for _ in range(dim)] for _ in range(3)]
+        for vec in inside + maybe:
+            want = ref.coordinates(vec)
+            assert sub.coordinates(vec) == want
+            assert sub.contains(vec) == ref.contains(vec) == (want is not None)
+            seen.add(want is not None)
+        for j, v in enumerate(sub.vectors):
+            assert sub.coordinates(v) == [f.one if t == j else f.zero
+                                          for t in range(sub.dim)]
+    assert seen == {True, False}
+
+
+def test_subspace_equals_matches_reference(suite_subspaces):
+    """equals agrees with same_span on every pair of distinct subspaces the
+    suite builds: equal spans, and only they, have equal bases."""
+    _, subs = suite_subspaces
+    distinct = list({(s.ambient_dim, str(s.vectors)): s for s in subs}
+                    .values())
+    refs = [RefSubspace(s) for s in distinct]
+    outcomes = set()
+    for a, ra in zip(subs, [RefSubspace(s) for s in subs]):
+        for b, rb in zip(distinct, refs):
+            assert a.equals(b) == ra.equals(rb)
+            outcomes.add(a.equals(b))
+    assert outcomes == {True, False}
+    for i, a in enumerate(refs):
+        for b in refs[i + 1:]:
+            assert not a.equals(b)
+
+
+def equation_images(f, rng, dim, size):
+    """A seeded sparse system: images[p] lists (equation, coefficient)."""
+    return [[(rng.randrange(size), f.from_int(rng.randint(-2, 2)))
+             for _ in range(rng.randint(0, 3))] for _ in range(dim)]
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_subspace_basis_ignores_how_equations_are_given(spec):
+    """One subspace given by scaled, permuted, duplicated and recombined
+    equations, with coefficients split over repeated indices, has the same
+    basis; so has a coinvariant system of End(regular)."""
+    from hopflab.galois import Subspace, _coaction_table
+    f = field_from_spec(spec)
+    rng = random.Random(20)
+    h4 = sweedler_h4(f)
+    e = end_regular(r_t(h4, 1))
+    table = _coaction_table(bimodule_actions(build_hr(r_t(h4, 1)),
+                                             e.module).left)
+    systems = [[[(q * 4 + k, c) for q, k, c in row]
+                + [(p * 4 + k, -x) for k, x in enumerate(h4.counit) if x]
+                for p, row in enumerate(table)]]
+    systems += [equation_images(f, rng, dim, size)
+                for dim, size in [(6, 3), (8, 5), (8, 8), (10, 4)] * 3]
+    nontrivial = 0
+    for images in systems:
+        dim = len(images)
+        size = 1 + max((k for image in images for k, _ in image), default=0)
+        sub = Subspace(f, size, images)
+        perm = list(range(size))
+        rng.shuffle(perm)
+        scale = [f.from_int(rng.choice([1, 2, 3, -1])) for _ in range(size)]
+        src, dst = rng.randrange(size), rng.randrange(size)
+        mix = f.from_int(rng.randint(1, 3))
+        twisted = []
+        for image in images:
+            out = []
+            for k, c in image:
+                # row k scaled and moved to perm[k]; split in two terms
+                out += [(perm[k], scale[k] * c - f.one), (perm[k], f.one)]
+                if k == src:            # a copy of row src at the end
+                    out.append((size, c))
+                if k == src and src != dst:   # row dst += mix · row src
+                    out.append((perm[dst], scale[dst] * mix * c))
+            twisted.append(out)
+        again = Subspace(f, size + 1, twisted)
+        assert again.equals(sub) and again.vectors == sub.vectors
+        assert sub.vectors == RefSubspace(sub).column_vectors()
+        assert sub.equals(Subspace(f, 0, [[]] * dim)) == (sub.dim == dim)
+        nontrivial += 0 < sub.dim < dim
+    assert nontrivial > 3

@@ -240,6 +240,70 @@ def test_algebra_axioms_match_closure(spec):
         witnesses.add(rows[0][2])
     assert {len(w) for w in witnesses - {None}} == {1, 3}   # both stages
 
+def closure_module_algebra(alg):
+    """module_algebra as verify_yd_algebra wrote it before the per-(i, p)
+    blocks, with two linear_combination calls per (i, p, q): the
+    reference."""
+    h, f, m = alg.host, alg.host.field, alg.dim
+    mul, act = alg.mul, alg.module.act
+    hs, ms = range(h.dim), range(m)
+
+    def dense(terms):
+        return linear_combination(f, m, terms)
+
+    def module_algebra(i, p, q):
+        rhs = dense((ca * x * y, mul.row(s, t))
+                    for a, b, ca in h.delta.terms(i)
+                    for s, x in act.row(a, p) for t, y in act.row(b, q))
+        return dense((c, act.row(i, t)) for t, c in mul.row(p, q)), rhs
+
+    rep = CheckReport()
+    bad = first_mismatch((hs, ms, ms), module_algebra)
+    if bad is None:
+        bad = first_mismatch((hs,), lambda i: (
+            alg.module.act_basis_vec(i, alg.unit),
+            [h.counit[i] * x for x in alg.unit]))
+    rep.add("module_algebra", bad is None, bad,
+            "h·(ab) = Σ(h1·a)(h2·b), h·1 = ε(h)1")
+    return rep
+
+
+def sampled_entry_changes(t, rng, zeros):
+    """Copies of the tensor t with one entry raised or lowered by 1: every
+    nonzero entry, and `zeros` zero entries drawn by rng."""
+    flats = [i for i, x in enumerate(t.data) if x]
+    flats += rng.sample([i for i, x in enumerate(t.data) if not x], zeros)
+    for flat in flats:
+        for step in (t.field.one, -t.field.one):
+            data = list(t.data)
+            data[flat] = data[flat] + step
+            yield Tensor(t.field, t.shape, data)
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_module_algebra_matches_closure(spec):
+    """module_algebra gives the replaced closure's report tuple on End(regular)
+    and on every ±1 change of its nonzero mult and action entries and of 16
+    seeded zero entries of each.  All 8192 mult and 2048 action changes
+    would take about 75 s per field at the rate of these 320."""
+    e = end_regular(r_t(sweedler_h4(field_from_spec(spec)), 1))
+    names = ("module_algebra",)
+    assert report_rows(verify_yd_algebra(e), names) == \
+        report_rows(closure_module_algebra(e))
+    rng = random.Random(20)
+    changed = [YdAlgebra(e.module, mult, e.unit)
+               for mult in sampled_entry_changes(e.mult, rng, 16)]
+    changed += [YdAlgebra(YdModule(e.host, e.dim, action, e.module.coaction),
+                          e.mult, e.unit)
+                for action in sampled_entry_changes(e.module.action, rng, 16)]
+    witnesses = set()
+    for bad in changed:
+        rows = report_rows(verify_yd_algebra(bad), names)
+        assert rows == report_rows(closure_module_algebra(bad))
+        witnesses.add(rows[0][2])
+    assert {len(w) for w in witnesses - {None}} == {3}
+
+
 def test_yd_tensor_is_yd(mreg, h4):
     t = yd_tensor(mreg, trivial_module(h4))
     assert verify_yd(t).ok
