@@ -34,6 +34,17 @@ field is built, and kept in the tuple ``elem.residues``: the operations
 and ``from_int`` index it with the reduced int and allocate nothing, so two
 equal elements of one field are the same object.  A larger p gets no
 p-sized table; its ``residues`` builds the element on each lookup.
+
+``Field.lift`` and ``Field.reduce`` let a hot loop sum on plain Python
+numbers.  ``lift(x)`` is a value whose +, - and * run in C: over F_p the
+residue as a plain int, over ℚ x itself.  ``reduce(s)`` is the field
+element equal to a sum s of products of lifted values: over F_p the
+element of s mod p, over ℚ s itself.  Both are exact, because reduction
+mod p is a ring map from ℤ, so an identity holds in F_p exactly when its
+two lifted sides are congruent mod p; over ℚ both are the identity.  A
+loop lifts its tables once, sums without reducing, and reduces each
+coordinate once, where it is compared; linalg.Bilinear keeps the lifted
+tables, and hopf.py and yd.py's is_yd_map compare on them.
 """
 
 from __future__ import annotations
@@ -197,6 +208,14 @@ class Field:
     def fmt(self, x):
         raise NotImplementedError
 
+    def lift(self, x):
+        """x as a plain number to sum with C arithmetic (module docstring)."""
+        return x
+
+    def reduce(self, s):
+        """The element equal to s, a sum of products of lifted values."""
+        return s
+
     def div(self, a, b):
         """Exact quotient a / b; ZeroDivisionError when b == 0."""
         return a / b
@@ -263,6 +282,11 @@ class PrimeField(Field):
 
     def from_int(self, k):
         return self.elem.residues[operator.index(k) % self.p]
+
+    lift = staticmethod(int)
+
+    def reduce(self, s):
+        return self.elem.residues[s % self.p]
 
     def fmt(self, x):
         return str(int(x))

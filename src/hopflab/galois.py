@@ -749,7 +749,13 @@ def mu_action_and_pi(alg):
     A's YD-algebra checks (prefix A_; reported, not required), the Galois
     and centralizer checks, π(A)'s YD-algebra checks (prefix pi_) and π(A)'s
     quantum commutativity."""
-    rep = CheckReport().merge(verify_yd_algebra(alg), prefix="A_")
+    return _mu_action_and_pi(alg, verify_yd_algebra(alg))
+
+
+def _mu_action_and_pi(alg, alg_report):
+    """mu_action_and_pi(alg) for a caller that holds alg_report, A's
+    verify_yd_algebra report, already."""
+    rep = CheckReport().merge(alg_report, prefix="A_")
     mod = alg.module
     h = alg.host
     f = h.field

@@ -7,7 +7,12 @@ Structure tensors follow the index conventions
 and the unit/counit are coordinate (co)vectors of length n.  h.mul and
 h.delta read mult and comult through the sparse kernel linalg.Bilinear.
 The axioms read every product of basis vectors from h.mul's sparse rows;
-no dense basis vector is multiplied.
+no dense basis vector is multiplied.  Associativity and the action axioms
+(first_action_mismatch), comult_algebra_map and counit_algebra_map sum on
+Bilinear's lifted tables (lifted_rows, lifted_terms, flat_tables; see
+fields.Field.lift) and reduce each coordinate once, where it is compared
+(report.first_block_mismatch, first_lifted_mismatch); their witnesses are
+those of the same sums on field elements.
 
 Each axiom shape that several verifiers decide has one check here, which
 returns its first witness in nested-loop order: first_unit_mismatch for
@@ -22,7 +27,8 @@ from __future__ import annotations
 
 from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, check_dim,
                      check_shape, linear_combination, mat_mul)
-from .report import CheckReport, first_mismatch
+from .report import (CheckReport, first_block_mismatch, first_lifted_mismatch,
+                     first_mismatch)
 
 
 class HopfAlgebra:
@@ -139,35 +145,50 @@ def verify_hopf_axioms(h):
     bad = first_mismatch((every,), counit)
     rep.add("counit", bad is None, bad)
 
+    rows, terms = mul.lifted_rows(), delta.lifted_terms()
+
+    # Δ(e_i e_j) and Δ(e_i)Δ(e_j), keyed a·n+b for e_a⊗e_b
     def comult_of_product(i, j):
         lhs = {}
-        for k, c in mul.row(i, j):
-            for a, b, c2 in delta.terms(k):
-                key = (a, b)
-                lhs[key] = lhs.get(key, zero) + c * c2
+        for k, c in rows[i][j]:
+            for a, b, c2 in terms[k]:
+                key = a * n + b
+                lhs[key] = lhs.get(key, 0) + c * c2
         rhs = {}
-        for a1, b1, c1 in delta.terms(i):
-            for a2, b2, c2 in delta.terms(j):
-                for a, ca in mul.row(a1, a2):
-                    for b, cb in mul.row(b1, b2):
-                        key = (a, b)
-                        rhs[key] = rhs.get(key, zero) + c1 * c2 * ca * cb
+        for a1, b1, c1 in terms[i]:
+            for a2, b2, c2 in terms[j]:
+                for a, ca in rows[a1][a2]:
+                    c3 = c1 * c2 * ca
+                    for b, cb in rows[b1][b2]:
+                        key = a * n + b
+                        rhs[key] = rhs.get(key, 0) + c3 * cb
         return lhs, rhs
 
-    bad = first_mismatch((every,) * 2, comult_of_product)
+    bad = first_lifted_mismatch(f, (every,) * 2, comult_of_product, n)
     if bad is None:
-        du = {}
-        for j, x in enumerate(h.unit):
-            if not x:
-                continue
-            for a, b, c in delta.terms(j):
-                du[(a, b)] = du.get((a, b), zero) + x * c
-        bad = first_mismatch((every,) * 2, lambda a, b: (
-            du.get((a, b), zero), h.unit[a] * h.unit[b]))
+        # Δ(1) − 1⊗1, one row {b: coefficient of e_a⊗e_b} per a
+        unit = [f.lift(x) for x in h.unit]
+        du = [{b: -x * y for b, y in enumerate(unit)} for x in unit]
+        for j, x in enumerate(unit):
+            if x:
+                for a, b, c in terms[j]:
+                    du[a][b] += x * c
+        bad = first_block_mismatch(f, (every,), du.__getitem__, 1)
     rep.add("comult_algebra_map", bad is None, bad)
 
-    bad = first_mismatch((every,) * 2, lambda i, j: (
-        h.counit_of(mul.dense_row(i, j)), h.counit[i] * h.counit[j]))
+    eps = [f.lift(x) for x in h.counit]
+
+    def counit_of_products(i):
+        # ε(e_i e_j) − ε(e_i)ε(e_j), one row per j
+        out = {}
+        for j in every:
+            s = -eps[i] * eps[j]
+            for k, c in rows[i][j]:
+                s += c * eps[k]
+            out[j] = s
+        return out
+
+    bad = first_block_mismatch(f, (every,), counit_of_products, 1)
     if bad is None:
         bad = first_mismatch((), lambda: (h.counit_of(h.unit), f.one))
     rep.add("counit_algebra_map", bad is None, bad)
@@ -262,39 +283,33 @@ def first_action_mismatch(mul, act, right=False):
     e_i·(e_j·v_p) differ, or None.
 
     act[i,p,:] is e_i·v_p for the algebra with product mul; with right it
-    is v_p◁e_i, and the sides are v_p◁(e_i e_j) and (v_p◁e_i)◁e_j.  Both
-    sides are summed from the sparse rows of mul and act, one (i, j) block
-    of every p at a time; p is walked only in the first block that differs.
+    is v_p◁e_i, and the sides are v_p◁(e_i e_j) and (v_p◁e_i)◁e_j.  Each
+    (i, j) block of every p is one sparse dict keyed p·m+q: the left side
+    is Σ_t (e_i e_j)_t · act.flat_tables()[t], the right side is summed
+    from act's lifted terms and rows, and p is the least row of the first
+    block that differs.
     """
-    zero = act.tensor.field.zero
-    n = mul.tensor.shape[0]
     m = act.tensor.shape[2]
-    ms = range(act.tensor.shape[1])
-    rows = [[act.row(i, p) for p in ms] for i in range(act.tensor.shape[0])]
+    rows, products, flat = (act.lifted_rows(), mul.lifted_rows(),
+                            act.flat_tables())
+    # act's lifted terms (p·m, t, c) of e_i·v_p = Σ c v_t
+    inners = [[(p * m, t, c) for p, t, c in terms]
+              for terms in act.lifted_terms()]
 
     def block(i, j):
-        ij = mul.row(i, j)
-        inner, outer = (rows[i], rows[j]) if right else (rows[j], rows[i])
-        lhs = []
-        rhs = []
-        for p in ms:
-            acc = [zero] * m
-            for t, c in ij:
-                for q, w in rows[t][p]:
-                    acc[q] = acc[q] + c * w
-            lhs.append(acc)
-            acc = [zero] * m
-            for t, c in inner[p]:
-                for q, w in outer[t]:
-                    acc[q] = acc[q] + c * w
-            rhs.append(acc)
-        return lhs, rhs
+        diff = {}
+        for t, c in products[i][j]:
+            for k, w in flat[t].items():
+                diff[k] = diff.get(k, 0) + c * w
+        inner, outer = (inners[i], rows[j]) if right else (inners[j], rows[i])
+        for base, t, c in inner:
+            for q, w in outer[t]:
+                k = base + q
+                diff[k] = diff.get(k, 0) - c * w
+        return diff
 
-    bad = first_mismatch((range(n),) * 2, block)
-    if bad is not None:
-        lhs, rhs = block(*bad)
-        bad += first_mismatch((ms,), lambda p: (lhs[p], rhs[p]))
-    return bad
+    return first_block_mismatch(act.tensor.field,
+                                (range(mul.tensor.shape[0]),) * 2, block, m)
 
 
 def dual_hopf(h):

@@ -12,6 +12,8 @@ Conventions used throughout the package:
   all tensor data is row-major over its shape.
 * ``Bilinear`` is the one sparse structure-tensor kernel: the products,
   actions, coproducts and coactions of all structures are read through it.
+  Its lifted tables (``lifted_rows``, ``lifted_terms``, ``flat_tables``)
+  serve the checks that sum on plain ints over F_p (``Field.lift``).
 * There is one elimination, ``_reduce``, and it works on rows held as
   dicts {column: coefficient} of their nonzero entries: a Matrix row
   enters as its nonzero entries.  ``rank``, ``sparse_rank`` and
@@ -331,9 +333,17 @@ class Bilinear:
     or an action) and as the linear map e_i ↦ Σ t[i,j,k] e_j⊗e_k (a
     coproduct or a coaction).  Each table is built once, on first use, and
     the tensor must not change after that; callers must not change the
-    lists it returns.
+    lists and dicts it returns.
+
+    The lifted tables hold the entries lifted (``Field.lift``), for sums
+    reduced once per compared coordinate: ``lifted_rows`` and
+    ``lifted_terms`` are ``row`` and ``terms`` lifted, and
+    ``flat_tables()[i]`` is t[i,:,:] as one dict {p·n₂+q: lifted
+    t[i,p,q]}.  hopf.py's associativity, action, comult-algebra-map and
+    counit-algebra-map checks and yd.is_yd_map read them.
     """
-    __slots__ = ("tensor", "_zeros", "_dense", "_rows", "_terms")
+    __slots__ = ("tensor", "_zeros", "_dense", "_rows", "_terms", "_lrows",
+                 "_lterms", "_flat")
 
     def __init__(self, tensor):
         self.tensor = tensor
@@ -341,6 +351,9 @@ class Bilinear:
         self._dense = None
         self._rows = None
         self._terms = None
+        self._lrows = None
+        self._lterms = None
+        self._flat = None
 
     def _dense_table(self):
         """dense[i][j] = t[i,j,:] as a list."""
@@ -352,10 +365,16 @@ class Bilinear:
         return self._dense
 
     def _table(self):
-        """rows[i][j] = [(k, c)] over the nonzero t[i,j,k], k ascending."""
+        """rows[i][j] = [(k, c)] over the nonzero t[i,j,k], k ascending.
+
+        Read from the tensor's data, so a caller that reads only sparse
+        rows never builds the dense table."""
         if self._rows is None:
-            self._rows = [[[(k, c) for k, c in enumerate(row) if c]
-                           for row in rows] for rows in self._dense_table()]
+            n0, n1, n2 = self.tensor.shape
+            d = self.tensor.data
+            self._rows = [[[(k, c) for k, c in enumerate(
+                d[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]) if c]
+                for j in range(n1)] for i in range(n0)]
         return self._rows
 
     def dense_row(self, i, j):
@@ -372,6 +391,30 @@ class Bilinear:
             self._terms = [[(j, k, c) for j, row in enumerate(rows)
                             for k, c in row] for rows in self._table()]
         return self._terms[i]
+
+    def lifted_rows(self):
+        """The table of row(i, j) with lifted coefficients, [i][j]."""
+        if self._lrows is None:
+            lift = self.tensor.field.lift
+            self._lrows = [[[(k, lift(c)) for k, c in row] for row in rows]
+                           for rows in self._table()]
+        return self._lrows
+
+    def lifted_terms(self):
+        """The table of terms(i) with lifted coefficients, [i]."""
+        if self._lterms is None:
+            self._lterms = [[(j, k, c) for j, row in enumerate(rows)
+                             for k, c in row] for rows in self.lifted_rows()]
+        return self._lterms
+
+    def flat_tables(self):
+        """[i] is t[i,:,:] as {p·n₂+q: lifted t[i,p,q]} over its nonzero
+        entries, in row-major order."""
+        if self._flat is None:
+            n2 = self.tensor.shape[2]
+            self._flat = [{j * n2 + k: c for j, k, c in terms}
+                          for terms in self.lifted_terms()]
+        return self._flat
 
     def apply(self, u, v):
         """Σ u_i v_j t[i,j,:] for coordinate vectors u and v."""

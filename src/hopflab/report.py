@@ -1,6 +1,11 @@
 """Pass/fail reports with witnesses, shared by every verifier, and the one
 identity-checking loop that finds those witnesses.  Constructions that give
-an object in two displayed forms check them with require_agree."""
+an object in two displayed forms check them with require_agree.
+
+first_block_mismatch and first_lifted_mismatch are first_mismatch for
+sides summed from lifted tables (fields.Field.lift): each compares
+reduced coordinates, and each gives the witness first_mismatch gives on
+the same identity written with field elements."""
 
 from __future__ import annotations
 
@@ -116,6 +121,45 @@ def first_mismatch(space, sides):
                     return idx + key
         elif lhs != rhs:
             return idx
+    return None
+
+
+def first_block_mismatch(field, space, block, width):
+    """first_mismatch for an identity decided one block of rows at a time.
+
+    block(*idx) returns the block's lhs − rhs as one dict {p·width+q:
+    lifted coefficient of row p, column q}, absent keys read as 0.  The
+    witness is idx followed by the least row p holding a coefficient that
+    field.reduce does not send to 0: the witness of first_mismatch over
+    (*space, rows), with each row's two sides compared as dense lists.
+    """
+    red = field.reduce
+    for idx in product(*space):
+        diff = block(*idx)
+        if any(map(red, diff.values())):
+            return idx + (min(k for k, v in diff.items() if red(v)) // width,)
+    return None
+
+
+def first_lifted_mismatch(field, space, sides, width):
+    """first_mismatch for dict sides keyed by pairs, summed lifted.
+
+    sides(*idx) returns (lhs, rhs) as dicts {a·width+b: lifted
+    coefficient}, each standing for a dict {(a, b): coefficient} and
+    filled in the order that dict would be.  The witness is the one
+    first_mismatch gives on those tuple-keyed dicts, reduced: idx followed
+    by the first (a, b) of their key set whose coefficients differ.
+    """
+    red = field.reduce
+    for idx in product(*space):
+        lhs, rhs = sides(*idx)
+        diff = dict(lhs)
+        for k, v in rhs.items():
+            diff[k] = diff.get(k, 0) - v
+        if any(map(red, diff.values())):
+            return idx + first_mismatch((), lambda: tuple(
+                {divmod(k, width): red(v) for k, v in side.items()}
+                for side in (lhs, rhs)))
     return None
 
 

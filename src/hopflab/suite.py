@@ -28,10 +28,10 @@ from .yd import (_kron, azumaya_check, braided_squares, dual_module,
                  sigma_algebra, sigma_module, verify_yd_algebra, zeta_iso,
                  zeta_triangle, YdAlgebra, YdMap, random_yd_map,
                  yd_hom_basis)
-from .galois import (bimodule_actions, build_hr, chi_maps, comodule_galois,
-                     galois_maps, mu_action_and_pi, phi_psi_xi, unit_object,
-                     verify_sigma_coinvariants, verify_sigma_wedge,
-                     verify_unit_deformation)
+from .galois import (_mu_action_and_pi, bimodule_actions, build_hr, chi_maps,
+                     comodule_galois, galois_maps, mu_action_and_pi,
+                     phi_psi_xi, unit_object, verify_sigma_coinvariants,
+                     verify_sigma_wedge, verify_unit_deformation)
 
 T_DEFAULT = (-2, -1, 0, 1, 2, 3)
 
@@ -112,10 +112,14 @@ class SuiteContext:
 
     def sigma_algebra(self, t, name):
         """σ̲_t of algebra(name), which must pass verify_yd_algebra."""
+        return self._verified_sigma_algebra(t, name)[0]
+
+    def _verified_sigma_algebra(self, t, name):
+        """(σ̲_t of algebra(name), its passed verify_yd_algebra report)."""
         def build():
             out = sigma_algebra(self.sigma(t), self.algebra(name))
-            verify_yd_algebra(out).require("sigma_%s(%s)" % (t, name))
-            return out
+            return out, verify_yd_algebra(out).require(
+                "sigma_%s(%s)" % (t, name))
         return self._once(("sigma_algebra", t, name), build)
 
 
@@ -391,7 +395,8 @@ def criterion_14_thm315(ctx):
     pi_e, rep_e = mu_action_and_pi(ctx.end_regular())
     rep.add("mu_well_defined_A",
             rep_e.status("mu_action_well_defined") == "pass")
-    pi_se, rep_se = mu_action_and_pi(ctx.sigma_algebra(1, "End_regular"))
+    pi_se, rep_se = _mu_action_and_pi(
+        *ctx._verified_sigma_algebra(1, "End_regular"))
     rep.add("mu_well_defined_sigmaA",
             rep_se.status("mu_action_well_defined") == "pass")
     s_pi = sigma_algebra(ctx.sigma(1), pi_e)

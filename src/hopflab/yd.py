@@ -52,8 +52,8 @@ from .hopf import (dual_hopf, first_action_mismatch, first_coaction_mismatch,
                    first_unit_mismatch)
 from .linalg import (Bilinear, Matrix, Tensor, check_shape, kernel_basis,
                      linear_combination, mat_mul, rank, sparse_rank)
-from .report import (CheckReport, VerificationError, first_mismatch,
-                     require_agree)
+from .report import (CheckReport, VerificationError, first_block_mismatch,
+                     first_lifted_mismatch, first_mismatch, require_agree)
 from .twist import deform, deform_dual, eval2
 
 
@@ -397,42 +397,55 @@ def yd_tensor(ma, mb):
 
 
 def is_yd_map(f_map):
-    """Does the matrix commute with both the action and the coaction?"""
+    """Does the matrix commute with both the action and the coaction?
+
+    Both sides are summed from the map's sparse rows and the lifted tables
+    of the actions and coactions (fields.Field.lift), and compared reduced
+    (report.first_block_mismatch, first_lifted_mismatch).
+    """
     rep = CheckReport()
     src, dst = f_map.source, f_map.target
     h = src.host
     if not h.structures_equal(dst.host):
         raise VerificationError("yd map between different hosts")
-    mt = f_map.matrix
-    zero = h.field.zero
+    f, n, dm = h.field, h.dim, dst.dim
+    mrows = [[(t, f.lift(y)) for t, y in enumerate(row) if y]
+             for row in f_map.matrix.data]
+    src_act, dst_act = src.act.lifted_rows(), dst.act.lifted_rows()
+    src_co, dst_co = src.coact.lifted_terms(), dst.coact.lifted_terms()
 
-    def linear(i, p):
-        lhs = [zero] * dst.dim
-        for q, x in src.act.row(i, p):
-            for t, y in enumerate(mt.data[q]):
-                if y:
-                    lhs[t] = lhs[t] + x * y
-        return lhs, dst.act_basis_vec(i, mt.data[p])
+    def linear(i):
+        # f(e_i·v_p) − e_i·f(v_p), one row per p, keyed p·dim(N)+t
+        diff = {}
+        for p, (acted, image) in enumerate(zip(src_act[i], mrows)):
+            base = p * dm
+            for q, x in acted:
+                for t, y in mrows[q]:
+                    k = base + t
+                    diff[k] = diff.get(k, 0) + x * y
+            for q, y in image:
+                for t, w in dst_act[i][q]:
+                    k = base + t
+                    diff[k] = diff.get(k, 0) - y * w
+        return diff
 
     def colinear(p):
+        # (f⊗id)ρ(v_p) and ρ(f(v_p)), keyed t·n+k for w_t⊗e_k
         lhs = {}
-        for q, k, c in src.coact.terms(p):
-            for t, y in enumerate(mt.data[q]):
-                if y:
-                    key = (t, k)
-                    lhs[key] = lhs.get(key, zero) + c * y
+        for q, k, c in src_co[p]:
+            for t, y in mrows[q]:
+                key = t * n + k
+                lhs[key] = lhs.get(key, 0) + c * y
         rhs = {}
-        for t, y in enumerate(mt.data[p]):
-            if not y:
-                continue
-            for q, k, c in dst.coact.terms(t):
-                key = (q, k)
-                rhs[key] = rhs.get(key, zero) + y * c
+        for t, y in mrows[p]:
+            for q, k, c in dst_co[t]:
+                key = q * n + k
+                rhs[key] = rhs.get(key, 0) + y * c
         return lhs, rhs
 
-    bad = first_mismatch((range(h.dim), range(src.dim)), linear)
+    bad = first_block_mismatch(f, (range(n),), linear, dm)
     rep.add("h_linear", bad is None, bad)
-    bad = first_mismatch((range(src.dim),), colinear)
+    bad = first_lifted_mismatch(f, (range(src.dim),), colinear, n)
     rep.add("h_colinear", bad is None, bad)
     return rep
 

@@ -114,6 +114,23 @@ def test_fp_ops_agree_with_int_arithmetic_mod_p(p, a, b):
     assert bool(x) == (a % p != 0)
 
 
+@given(st.sampled_from(PRIMES),
+       st.lists(st.tuples(st.integers(), st.integers()), max_size=6))
+def test_lifted_sum_reduces_to_the_field_sum(p, pairs):
+    """Σ x·y summed on lifted values and reduced once is the sum computed
+    on F_p elements, and ℚ lifts and reduces as the identity."""
+    f = FIELDS[p]
+    xs = [(f.from_int(a), f.from_int(b)) for a, b in pairs]
+    field_sum = f.zero
+    for x, y in xs:
+        field_sum = field_sum + x * y
+    lifted = sum(f.lift(x) * f.lift(y) for x, y in xs)
+    assert type(f.lift(f.one)) is int
+    assert_residue(f, f.reduce(lifted), field_sum)
+    q = Fraction(sum(a for a, _ in pairs), 3)
+    assert QQ.lift(q) is q and QQ.reduce(q) is q
+
+
 def test_fp_mixed_int_operands_reduce():
     f5 = PrimeField(5)
     four = f5.from_int(4)

@@ -1,5 +1,11 @@
 """Hopf axiom suite, duals and Hopf maps."""
 
+import importlib
+import importlib.util
+import os
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from hopflab.fields import QQ, PrimeField, field_from_spec
@@ -260,3 +266,146 @@ def test_shared_checks_match_closures(name, spec):
             if any(r[1] == "fail" and r[2] is not None for r in rows):
                 failing.add(family)
     assert failing == set(families)
+
+
+# -- the algebra-map checks against the closures they replaced -----------------
+
+def closure_algebra_map_checks(h):
+    """comult_algebra_map and counit_algebra_map as verify_hopf_axioms wrote
+    them on field elements, before they summed lifted tables: the reference
+    the lifted checks must match, witnesses and dict-key order included."""
+    rep = CheckReport()
+    f, zero = h.field, h.field.zero
+    mul, delta, every = h.mul, h.delta, range(h.dim)
+
+    def comult_of_product(i, j):
+        lhs = {}
+        for k, c in mul.row(i, j):
+            for a, b, c2 in delta.terms(k):
+                key = (a, b)
+                lhs[key] = lhs.get(key, zero) + c * c2
+        rhs = {}
+        for a1, b1, c1 in delta.terms(i):
+            for a2, b2, c2 in delta.terms(j):
+                for a, ca in mul.row(a1, a2):
+                    for b, cb in mul.row(b1, b2):
+                        key = (a, b)
+                        rhs[key] = rhs.get(key, zero) + c1 * c2 * ca * cb
+        return lhs, rhs
+
+    bad = first_mismatch((every,) * 2, comult_of_product)
+    if bad is None:
+        du = {}
+        for j, x in enumerate(h.unit):
+            if not x:
+                continue
+            for a, b, c in delta.terms(j):
+                du[(a, b)] = du.get((a, b), zero) + x * c
+        bad = first_mismatch((every,) * 2, lambda a, b: (
+            du.get((a, b), zero), h.unit[a] * h.unit[b]))
+    rep.add("comult_algebra_map", bad is None, bad)
+
+    bad = first_mismatch((every,) * 2, lambda i, j: (
+        h.counit_of(mul.dense_row(i, j)), h.counit[i] * h.counit[j]))
+    if bad is None:
+        bad = first_mismatch((), lambda: (h.counit_of(h.unit), f.one))
+    rep.add("counit_algebra_map", bad is None, bad)
+    return rep
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+@pytest.mark.parametrize("name", ["H4", "H4*", "kC2", "H4^dg"])
+def test_algebra_map_checks_match_closures(name, spec):
+    """On every ±1 one-entry change of mult, comult, unit or counit, the
+    comult_algebra_map and counit_algebra_map checks give the replaced
+    closures' report tuples, and both stages of each fail somewhere."""
+    h = product_host(name, field_from_spec(spec))
+    names = ("comult_algebra_map", "counit_algebra_map")
+    assert report_rows(verify_hopf_axioms(h), names) == \
+        report_rows(closure_algebra_map_checks(h))
+    hosts = [hopf_with(h, mult=t) for t in one_entry_changes(h.mult)]
+    hosts += [hopf_with(h, comult=t) for t in one_entry_changes(h.comult)]
+    hosts += [hopf_with(h, unit=u)
+              for u in one_vector_changes(h.unit, h.field)]
+    hosts += [hopf_with(h, counit=u)
+              for u in one_vector_changes(h.counit, h.field)]
+    witness_sizes = set()
+    for bad in hosts:
+        rows = report_rows(verify_hopf_axioms(bad), names)
+        assert rows == report_rows(closure_algebra_map_checks(bad))
+        witness_sizes |= {(r[0], len(r[2])) for r in rows if r[1] == "fail"}
+    assert witness_sizes == {("comult_algebra_map", 4),
+                             ("comult_algebra_map", 2),
+                             ("counit_algebra_map", 2),
+                             ("counit_algebra_map", 0)}
+
+
+# -- Taft algebras: the lifted checks at dimension 9 and 16 --------------------
+
+TAFT = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                    "perfbench", "taft.py")
+
+
+def taft_algebra(n, p):
+    """T_n over F_p from perfbench/taft.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_taft", TAFT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    hl = SimpleNamespace(**{name: importlib.import_module("hopflab." + name)
+                            for name in ("fields", "linalg", "hopf")})
+    return mod.taft_algebra(hl, n, p)
+
+
+# verify_hopf_axioms' checks that a test reference decides, in report order
+REFERENCED = ("associativity", "unit", "coassociativity",
+              "comult_algebra_map", "counit_algebra_map", "antipode")
+
+
+def reference_rows(h):
+    """The REFERENCED report tuples from the dense and closure references."""
+    found = {}
+    for rep in (dense_product_checks(h), closure_checks(h),
+                closure_algebra_map_checks(h)):
+        for row in report_rows(rep):
+            found.setdefault(row[0], row)
+    return [found[name] for name in REFERENCED]
+
+
+@pytest.mark.parametrize("n, p", [(3, 7), (4, 13)])
+def test_taft_algebras_pass(n, p):
+    h = taft_algebra(n, p)
+    assert h.dim == n * n
+    rep = verify_hopf_axioms(h)
+    assert rep.ok, rep.render_text()
+    assert report_rows(rep, REFERENCED) == reference_rows(h)
+
+
+def test_taft3_corruptions_match_references():
+    """Seeded one-entry changes of T_3 over F_7, a nonzero and a zero entry
+    of each structure tensor and vector per round, give the references'
+    report tuples; every referenced check fails somewhere."""
+    h = taft_algebra(3, 7)
+    rng = random.Random(21)
+    parts = {"mult": h.mult.data, "comult": h.comult.data, "unit": h.unit,
+             "counit": h.counit,
+             "antipode": [x for row in h.antipode.data for x in row]}
+    failing = set()
+    for _ in range(6):
+        for part, entries in parts.items():
+            for want_zero in (False, True):
+                flat = rng.choice([k for k, x in enumerate(entries)
+                                   if bool(x) != want_zero])
+                data = list(entries)
+                data[flat] = data[flat] + h.field.from_int(rng.randrange(1, 7))
+                if part in ("mult", "comult"):
+                    changed = Tensor(h.field, (9, 9, 9), data)
+                elif part == "antipode":
+                    changed = Matrix(h.field, 9, 9, [data[r * 9:r * 9 + 9]
+                                                     for r in range(9)])
+                else:
+                    changed = data
+                bad = hopf_with(h, **{part: changed})
+                rows = report_rows(verify_hopf_axioms(bad), REFERENCED)
+                assert rows == reference_rows(bad), (part, flat)
+                failing |= {r[0] for r in rows if r[1] == "fail"}
+    assert failing == set(REFERENCED)

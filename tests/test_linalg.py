@@ -408,3 +408,9 @@ def test_bilinear_matches_dense_definition(n0, n1, n2, seed):
             assert kernel.dense_row(i, j) == dense
             assert kernel.row(i, j) == [(k, c) for k, c in enumerate(dense)
                                         if c]
+            lifted = kernel.lifted_rows()[i][j]
+            assert lifted == kernel.row(i, j)
+            assert all(type(c) is int for _, c in lifted)
+        terms = kernel.terms(i)
+        assert kernel.lifted_terms()[i] == terms
+        assert kernel.flat_tables()[i] == {j * n2 + k: c for j, k, c in terms}

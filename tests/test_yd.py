@@ -27,8 +27,8 @@ from hopflab.catalog import (catalog_entries, cqt_c2, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
                              sweedler_h4, theta_t, trivial_module)
-from test_hopf import (one_entry_changes, one_vector_changes,
-                       report_rows)
+from test_hopf import (one_entry_changes, one_matrix_changes,
+                       one_vector_changes, report_rows)
 
 
 def braiding(ma, mb):
@@ -1093,3 +1093,65 @@ def test_certificates_match_dense_reference(spec):
                     else c.name for c in rep.failures()}
     assert {"F_unital", "F_bijective", "G_bijective", "(i)", "(ii)"} <= \
         reached
+
+
+# -- is_yd_map against the closures it replaced --------------------------------
+
+def closure_is_yd_map(f_map):
+    """is_yd_map as it was written on field elements, dense map rows and
+    act_basis_vec, before it summed lifted tables: the reference."""
+    rep = CheckReport()
+    src, dst = f_map.source, f_map.target
+    h = src.host
+    mt = f_map.matrix
+    zero = h.field.zero
+
+    def linear(i, p):
+        lhs = [zero] * dst.dim
+        for q, x in src.act.row(i, p):
+            for t, y in enumerate(mt.data[q]):
+                if y:
+                    lhs[t] = lhs[t] + x * y
+        return lhs, dst.act_basis_vec(i, mt.data[p])
+
+    def colinear(p):
+        lhs = {}
+        for q, k, c in src.coact.terms(p):
+            for t, y in enumerate(mt.data[q]):
+                if y:
+                    key = (t, k)
+                    lhs[key] = lhs.get(key, zero) + c * y
+        rhs = {}
+        for t, y in enumerate(mt.data[p]):
+            if not y:
+                continue
+            for q, k, c in dst.coact.terms(t):
+                key = (q, k)
+                rhs[key] = rhs.get(key, zero) + y * c
+        return lhs, rhs
+
+    bad = first_mismatch((range(h.dim), range(src.dim)), linear)
+    rep.add("h_linear", bad is None, bad)
+    bad = first_mismatch((range(src.dim),), colinear)
+    rep.add("h_colinear", bad is None, bad)
+    return rep
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_is_yd_map_matches_closures(spec):
+    """On every ±1 one-entry change of the matrices of the braidings
+    Φ_{M,M} and Φ_{M,T} (M the regular module, T the 2-dimensional trivial
+    one), h_linear and h_colinear give the replaced closures' report
+    tuples, witnesses included, and each fails somewhere."""
+    h = sweedler_h4(field_from_spec(spec))
+    reg = regular_comodule_module(r_t(h, 1))
+    failing = set()
+    for phi in (braiding(reg, reg), braiding(reg, trivial_module(h, 2))):
+        assert report_rows(is_yd_map(phi)) == \
+            report_rows(closure_is_yd_map(phi))
+        for mat in one_matrix_changes(phi.matrix):
+            bad = YdMap(phi.source, phi.target, mat)
+            rows = report_rows(is_yd_map(bad))
+            assert rows == report_rows(closure_is_yd_map(bad))
+            failing |= {r[0] for r in rows if r[1] == "fail"}
+    assert failing == {"h_linear", "h_colinear"}
