@@ -244,16 +244,8 @@ def regular_galois_algebra(host):
     Yetter-Drinfeld structure; H with its own multiplication is not an
     H^op-comodule algebra unless H is commutative.
     """
-    f = host.field
-    n = host.dim
-    mult = Tensor.zeros(f, (n, n, n))
-    for i in range(n):
-        for j in range(n):
-            row = host.mul.dense_row(j, i)
-            for k in range(n):
-                mult.data[(i * n + j) * n + k] = row[k]
-    return _yd.YdAlgebra(_galois.adjoint_module(host), mult,
-                         list(host.unit))
+    return _yd.YdAlgebra(_galois.adjoint_module(host),
+                         host.mult.permuted((1, 0, 2)), list(host.unit))
 
 
 def end_regular(c):

@@ -19,7 +19,7 @@ from . import catalog as cat
 from . import io_json
 from .hopf import verify_hopf_axioms
 from .twist import (deform, deform_dual, verify_two_cocycle,
-                    verify_dual_cocycle, is_lazy)
+                    verify_dual_cocycle, is_lazy, one_cocycle_problem)
 from .quasitriangular import verify_cqt, verify_qt
 from .yd import YdAlgebra, azumaya_check, verify_yd, verify_yd_algebra
 from .galois import (bimodule_actions, build_hr, galois_maps,
@@ -81,8 +81,9 @@ def _finish(report, args):
 
 
 def _one_cocycle_checks(mu):
+    problem = one_cocycle_problem(mu.host, mu.mu, mu.mu_inv)
     rep = CheckReport()
-    rep.add("one_cocycle_invariants", True)
+    rep.add("one_cocycle_invariants", problem is None, None, problem or "")
     return rep
 
 

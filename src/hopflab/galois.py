@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .hopf import (dual_hopf, first_action_mismatch, first_antipode_mismatch,
-                   first_unit_mismatch)
-from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, kernel_basis,
-                     linear_combination, mat_mul, rank, same_span, solve,
-                     sparse_rank)
+                   first_multiplicative_mismatch, first_unit_mismatch)
+from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, are_inverse,
+                     kernel_basis, linear_combination, mat_mul, rank,
+                     same_span, solve, sparse_rank, sparse_sum)
 from .quasitriangular import deform_cqt, yd_from_comodule
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
@@ -387,22 +387,17 @@ def wedge(cqt, ma, mb):
         f, (wd, wd, n), [coaction(w) for w in sub.rows]))
 
 
-def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None):
-    """Lemma 3.4 span equality with η⁻¹ intertwining; with algebras (whose
-    modules are ma and mb), additionally the Prop-3.5 algebra-map property
-    of η⁻¹.  Each σ̲ image is built once: σ̲M and σ̲N are the modules of σ̲A
-    and σ̲B, and σ̲N is σ̲M when N is M."""
+def verify_sigma_wedge(s, cqt, alga, algb):
+    """Lemma 3.4 span equality with η⁻¹ intertwining on the modules M and N
+    of the YD algebras A and B, and the Prop-3.5 algebra-map property of
+    η⁻¹.  Each σ̲ image is built once: σ̲M and σ̲N are the modules of σ̲A
+    and σ̲B, and σ̲B is σ̲A when B is A."""
     rep = CheckReport()
-    h = cqt.host
-    f = h.field
-    with_algebras = alga is not None and algb is not None
-    if with_algebras:
-        salga = sigma_algebra(s, alga)
-        salgb = salga if algb is alga else sigma_algebra(s, algb)
-        sa, sb = salga.module, salgb.module
-    else:
-        sa = sigma_module(s, ma)
-        sb = sa if mb is ma else sigma_module(s, mb)
+    f = cqt.host.field
+    ma, mb = alga.module, algb.module
+    salga = sigma_algebra(s, alga)
+    salgb = salga if algb is alga else sigma_algebra(s, algb)
+    sa, sb = salga.module, salgb.module
     rs = deform_cqt(cqt, s)
     sub, wmod = wedge(cqt, ma, mb)
     sub_s, wmod_s = wedge(rs, sa, sb)
@@ -422,16 +417,11 @@ def verify_sigma_wedge(s, cqt, ma, mb, alga=None, algb=None):
         restr = Matrix(f, sub.dim, sub_s.dim, coords)
         rep.merge(is_yd_map(YdMap(swmod, wmod_s, restr)), prefix="wedge_")
 
-    if with_algebras:
-        prod = braided_product(alga, algb, cqt=cqt)
-        sprod = sigma_algebra(s, prod)
-        prod_s = braided_product(salga, salgb, cqt=rs)
-        # η⁻¹(e_u) is row u of the row-as-image matrix
-        bad = first_mismatch((range(dim),) * 2, lambda u, v: (
-            apply_rowmap(sprod.mul.dense_row(u, v), eta_inv),
-            prod_s.mul_vec(eta_inv.data[u], eta_inv.data[v])))
-        rep.add("eta_inv_algebra_map", bad is None, bad,
-                "η⁻¹: σ̲(A#_RB) → σ̲A#_{R^σ}σ̲B")
+    sprod = sigma_algebra(s, braided_product(alga, algb, cqt=cqt))
+    prod_s = braided_product(salga, salgb, cqt=rs)
+    bad = first_multiplicative_mismatch(sprod.mul, prod_s.mul, eta_inv)
+    rep.add("eta_inv_algebra_map", bad is None, bad,
+            "η⁻¹: σ̲(A#_RB) → σ̲A#_{R^σ}σ̲B")
     return rep
 
 
@@ -519,8 +509,7 @@ def chi_maps(s):
 
     chi = Matrix(f, n, n, [chi(i) for i in range(n)])
     chi_inv = Matrix(f, n, n, [chi_inv(i) for i in range(n)])
-    ident = Matrix.identity(f, n)
-    if mat_mul(chi, chi_inv) != ident or mat_mul(chi_inv, chi) != ident:
+    if not are_inverse(chi, chi_inv):
         raise VerificationError("χ and χ⁻¹ are not mutually inverse")
     return chi, chi_inv, chi.transpose()
 
@@ -539,9 +528,7 @@ def verify_unit_deformation(s):
     rep.merge(is_yd_map(YdMap(si.module, i_s.module, chi_star)),
               prefix="chi_star_")
 
-    bad = first_mismatch((range(n),) * 2, lambda p, q: (
-        apply_rowmap(si.mul.dense_row(p, q), chi_star),
-        i_s.mul_vec(chi_star.data[p], chi_star.data[q])))
+    bad = first_multiplicative_mismatch(si.mul, i_s.mul, chi_star)
     rep.add("chi_star_algebra_map", bad is None, bad)
     rep.add("chi_star_unital",
             apply_rowmap(si.unit, chi_star) == i_s.unit)
@@ -600,8 +587,7 @@ def phi_psi_xi(s, alg):
 
     for name, a, b in (("phi", phi, phi_inv), ("psi", psi, psi_inv),
                        ("xi", xi, xi_inv)):
-        ident = Matrix.identity(f, a.rows)
-        if mat_mul(a, b) != ident or mat_mul(b, a) != ident:
+        if not are_inverse(a, b):
             raise VerificationError("%s round trip failed" % name)
     return phi, phi_inv, psi, psi_inv, xi, xi_inv
 
@@ -616,19 +602,13 @@ def _relations(alg, sub_basis_vecs):
     ms = range(m)
     row = alg.mul.row
 
-    def combine(terms):
-        """Σ c·t over the (c, sparse row t) given, as {index: coefficient}."""
-        out = {}
-        for c, t in terms:
-            for k, w in t:
-                out[k] = out[k] + c * w if k in out else c * w
-        return out
-
     rels = []
     for x in sub_basis_vecs:
         xs = [(j, c) for j, c in enumerate(x) if c]
-        ax = [combine((c, row(p, j)) for j, c in xs) for p in ms]  # v_p·x
-        xb = [combine((c, row(j, r)) for j, c in xs) for r in ms]  # x·v_r
+        ax = [sparse_sum((k, c * w) for j, c in xs for k, w in row(p, j))
+              for p in ms]                                      # v_p·x
+        xb = [sparse_sum((k, c * w) for j, c in xs for k, w in row(j, r))
+              for r in ms]                                      # x·v_r
         for p in ms:
             for r in ms:
                 rel = {t * m + r: v for t, v in ax[p].items()}
@@ -728,10 +708,10 @@ def comodule_coinvariants(alg):
 def _comodule_galois(alg):
     """comodule_galois's report with A₀ and β (β(a⊗b) = Σ ab₀ ⊗ b₁)."""
     rep = CheckReport()
-    table = [alg.module.coact.terms(p) for p in range(alg.dim)]
-    sub0 = _coinvariant_space(alg.host.field, table, alg.host.unit)
+    sub0 = comodule_coinvariants(alg)
     rep.add("coinvariants_computed", True, None, "dim %d" % sub0.dim)
-    beta = _galois_map(alg, table, False)
+    beta = _galois_map(alg, [alg.module.coact.terms(p)
+                             for p in range(alg.dim)], False)
     rep.add("galois", _beta_quotient_bijective(
         alg.host.field, beta, alg.dim * alg.host.dim,
         _relations(alg, sub0.vectors), rep, "beta"))

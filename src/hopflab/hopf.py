@@ -20,12 +20,15 @@ the units of H, of YD modules and algebras and of 𝓗_R's −▷ and ◁−;
 first_action_mismatch for the associativity of H and of YD algebras, the
 YD module axiom and 𝓗_R's actions; first_coaction_mismatch for H's
 coassociativity and the YD comodule axiom; first_antipode_mismatch for H
-and for 𝓗_R's ⋆ and S_R (galois.verify_braided_hopf).
+and for 𝓗_R's ⋆ and S_R (galois.verify_braided_hopf);
+first_multiplicative_mismatch for a matrix taking one product to another:
+hopf_map_checks' map_mult, galois.verify_sigma_wedge's η⁻¹ and
+galois.verify_unit_deformation's χ*.
 """
 
 from __future__ import annotations
 
-from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, check_dim,
+from .linalg import (Bilinear, apply_rowmap, are_inverse, check_dim,
                      check_shape, linear_combination, mat_mul)
 from .report import (CheckReport, first_block_mismatch, first_lifted_mismatch,
                      first_mismatch)
@@ -196,10 +199,7 @@ def verify_hopf_axioms(h):
     bad = first_antipode_mismatch(h, mul, h.antipode)
     rep.add("antipode", bad is None, bad)
 
-    ident = Matrix.identity(f, n)
-    ok = (mat_mul(h.antipode, h.antipode_inv) == ident
-          and mat_mul(h.antipode_inv, h.antipode) == ident)
-    rep.add("antipode_inverse", ok)
+    rep.add("antipode_inverse", are_inverse(h.antipode, h.antipode_inv))
     return rep
 
 
@@ -312,6 +312,15 @@ def first_action_mismatch(mul, act, right=False):
                                 (range(mul.tensor.shape[0]),) * 2, block, m)
 
 
+def first_multiplicative_mismatch(mul, image_mul, m):
+    """The first (u, v), in product order, at which the row-as-image matrix
+    m does not take the product mul to image_mul, m(e_u e_v) ≠ m(e_u)m(e_v),
+    or None."""
+    return first_mismatch((range(m.rows),) * 2, lambda u, v: (
+        apply_rowmap(mul.dense_row(u, v), m),
+        image_mul.apply(m.data[u], m.data[v])))
+
+
 def dual_hopf(h):
     """The dual Hopf algebra on the dual basis, built once per host object.
 
@@ -319,23 +328,12 @@ def dual_hopf(h):
     """
     if h._dual is not None:
         return h._dual
-    n = h.dim
-    f = h.field
-    mult = Tensor.zeros(f, (n, n, n))
-    comult = Tensor.zeros(f, (n, n, n))
-    hm = h.mult.data
-    hc = h.comult.data
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # (δ_i·δ_j)(e_k) = ⟨δ_i⊗δ_j, Δ(e_k)⟩
-                mult.data[(i * n + j) * n + k] = hc[(k * n + i) * n + j]
-                # Δ*(δ_k) = Σ mult[i,j,k] δ_i⊗δ_j
-                comult.data[(k * n + i) * n + j] = hm[(i * n + j) * n + k]
+    # (δ_i·δ_j)(e_k) = ⟨δ_i⊗δ_j, Δ(e_k)⟩ and Δ*(δ_k) = Σ mult[i,j,k] δ_i⊗δ_j
     dual = HopfAlgebra(
-        field=f, dim=n,
+        field=h.field, dim=h.dim,
         basis_names=[nm + "*" for nm in h.basis_names],
-        mult=mult, unit=list(h.counit), comult=comult, counit=list(h.unit),
+        mult=h.comult.permuted((1, 2, 0)), unit=list(h.counit),
+        comult=h.mult.permuted((2, 0, 1)), counit=list(h.unit),
         antipode=h.antipode.transpose(),
         antipode_inv=h.antipode_inv.transpose(),
         name=h.name + "*")
@@ -351,9 +349,7 @@ def hopf_map_checks(src, dst, m):
     rep = CheckReport()
     zero = dst.field.zero
     every = range(src.dim)
-    bad = first_mismatch((every,) * 2, lambda i, j: (
-        apply_rowmap(src.mul.dense_row(i, j), m),
-        dst.mul_vec(m.data[i], m.data[j])))
+    bad = first_multiplicative_mismatch(src.mul, dst.mul, m)
     rep.add("map_mult", bad is None, bad)
     rep.add("map_unit", apply_rowmap(src.unit, m) == dst.unit)
 

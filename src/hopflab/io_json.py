@@ -33,7 +33,7 @@ import json
 
 from .fields import field_from_spec
 from .hopf import HopfAlgebra, verify_hopf_axioms
-from .linalg import Matrix, Tensor, check_dim, mat_inverse, mat_mul
+from .linalg import Matrix, Tensor, are_inverse, check_dim, mat_inverse
 
 
 class InputError(ValueError):
@@ -159,9 +159,7 @@ def hopf_from_json(doc, strict=True):
     s = _square(field, doc["antipode"], n, "antipode")
     if "antipode_inv" in doc:
         s_inv = _square(field, doc["antipode_inv"], n, "antipode_inv")
-        ident = Matrix.identity(field, n)
-        if (mat_mul(s, s_inv) != ident or mat_mul(s_inv, s) != ident) \
-                and strict:
+        if strict and not are_inverse(s, s_inv):
             raise InputError("antipode_inv is not the inverse of antipode")
     else:
         s_inv = mat_inverse(s)

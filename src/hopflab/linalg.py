@@ -26,7 +26,11 @@ Conventions used throughout the package:
   on End(regular)), and yd.py's Azumaya maps F and G (256 rows of 256
   columns on End(regular), 0.7% nonzero).
 * ``linear_combination`` sums sparse rows, such as the ``Bilinear.row``
-  products of basis vectors, into one dense vector.
+  products of basis vectors, into one dense vector; ``sparse_sum`` sums
+  (key, value) pairs into one dict without zeros.
+* ``Tensor.permuted`` permutes a 3-tensor's legs, which builds H*, M*, the
+  opposite product and a product's coordinate functionals; ``are_inverse``
+  is the one check that two matrices are mutually inverse.
 * Constructors raise ``DimensionError`` on mis-shaped data.
 
 Dimensions are capped by HOPFLAB_MAX_DIM (default 64).
@@ -206,6 +210,15 @@ def sparse_rank(field, rows, cap=None):
     return len(_reduce(field, (row.items() for row in rows), cap))
 
 
+def sparse_sum(pairs):
+    """{k: Σ w} over the (k, w) given, keys in the order first given,
+    without the keys whose sum is 0."""
+    acc = {}
+    for k, w in pairs:
+        acc[k] = acc[k] + w if k in acc else w
+    return {k: w for k, w in acc.items() if w}
+
+
 def linear_combination(field, dim, terms):
     """Σ c·t over the (c, t) given, t a sparse row [(k, w)] of a vector of
     length dim, as a dense vector."""
@@ -274,6 +287,12 @@ def solve(m, b):
     return out
 
 
+def are_inverse(a, b):
+    """Are the matrices a and b mutually inverse, ab = 1 and ba = 1?"""
+    ident = Matrix.identity(a.field, a.rows)    # ba ≠ ident unless square
+    return mat_mul(a, b) == ident and mat_mul(b, a) == ident
+
+
 def mat_inverse(m):
     """Inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
@@ -317,6 +336,16 @@ class Tensor:
         for i in range(len(self.shape) - 2, -1, -1):
             st[i] = st[i + 1] * self.shape[i + 1]
         return st
+
+    def permuted(self, order):
+        """The 3-tensor whose axis a is axis order[a] of this one:
+        t.permuted((1, 2, 0))[p,q,i] = t[i,p,q]."""
+        shape = tuple(self.shape[a] for a in order)
+        st, d = self.strides(), self.data
+        xs, ys, zs = ([x * st[a] for x in range(n)]
+                      for n, a in zip(shape, order))
+        return Tensor(self.field, shape,
+                      [d[x + y + z] for x in xs for y in ys for z in zs])
 
     def __eq__(self, other):
         return (isinstance(other, Tensor) and self.shape == other.shape

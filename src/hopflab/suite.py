@@ -303,23 +303,21 @@ def criterion_10_section3_witnesses(ctx):
     """χχ⁻¹ = id and the φ/ψ/ξ round trips on H₄ for every sampled σ_t."""
     rep = CheckReport()
     uo = ctx.unit_obj()
-    # a VerificationError is a failed identity; any other error propagates
+
+    def built(name, build):
+        # a VerificationError is a failed identity; any other error propagates
+        try:
+            build()
+            rep.add(name, True)
+        except VerificationError as exc:
+            rep.add(name, False, None, str(exc))
+
     for t in ctx.t_values:
-        try:
-            chi_maps(ctx.sigma(t))
-            rep.add("chi_roundtrip_sigma_%s" % t, True)
-        except VerificationError as exc:
-            rep.add("chi_roundtrip_sigma_%s" % t, False, None, str(exc))
-        try:
-            phi_psi_xi(ctx.sigma(t), uo)
-            rep.add("phi_psi_xi_sigma_%s_on_I" % t, True)
-        except VerificationError as exc:
-            rep.add("phi_psi_xi_sigma_%s_on_I" % t, False, None, str(exc))
-    try:
-        phi_psi_xi(ctx.sigma(2), ctx.end_regular())
-        rep.add("phi_psi_xi_sigma_2_on_End", True)
-    except VerificationError as exc:
-        rep.add("phi_psi_xi_sigma_2_on_End", False, None, str(exc))
+        built("chi_roundtrip_sigma_%s" % t, lambda: chi_maps(ctx.sigma(t)))
+        built("phi_psi_xi_sigma_%s_on_I" % t,
+              lambda: phi_psi_xi(ctx.sigma(t), uo))
+    built("phi_psi_xi_sigma_2_on_End",
+          lambda: phi_psi_xi(ctx.sigma(2), ctx.end_regular()))
     return rep
 
 
@@ -332,8 +330,7 @@ def criterion_11_coinvariants_wedge(ctx):
               prefix="lemma3_3_regular_")
     rep.merge(verify_sigma_coinvariants(ctx.sigma(2), ctx.r(0), uo.module),
               prefix="lemma3_3_I_R0_")
-    rep.merge(verify_sigma_wedge(ctx.sigma(1), ctx.r(1), uo.module,
-                                 uo.module, alga=uo, algb=uo),
+    rep.merge(verify_sigma_wedge(ctx.sigma(1), ctx.r(1), uo, uo),
               prefix="lemma3_4_I_")
     return rep
 

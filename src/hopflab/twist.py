@@ -14,8 +14,8 @@ they equal the defining Sweedler sums for any σ and σ⁻¹.
 The θ side is the σ side on the dual.  An element of H⊗H is a functional on
 H*⊗H* through the same matrix, and the product of H⊗H is the convolution of
 (H*⊗H*)* (unit 1⊗1 = ε⊗ε of H*), so the H⊗H arithmetic is convolve2
-(hh_mul), eps_eps and conv_inverse2 on H* = hopf.dual_hopf(H).  A dual
-cocycle θ is a 2-cocycle σ_θ on H* (DualCocycle.sigma), and
+(hh_mul), eps_eps, conv_inverse2 and are_conv_inverse on H* = dual_hopf(H).
+A dual cocycle θ is a 2-cocycle σ_θ on H* (DualCocycle.sigma), and
 H_θ = ((H*)^{σ_θ})*.
 
 H^σ and H_θ are functions of the cocycle alone: deform(c) builds H^σ the
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .hopf import HopfAlgebra, dual_hopf
-from .linalg import Matrix, Tensor, solve
+from .linalg import Matrix, Tensor, solve, sparse_sum
 from .report import CheckReport, VerificationError, first_mismatch
 
 
@@ -76,6 +76,13 @@ def eps_eps(h):
     """The convolution unit ε⊗ε."""
     return Matrix(h.field, h.dim, h.dim,
                   [[x * y for y in h.counit] for x in h.counit])
+
+
+def are_conv_inverse(h, f, g):
+    """Are f and g mutually inverse in the convolution algebra (H⊗H)*,
+    f*g = g*f = ε⊗ε?  On H* this is fg = gf = 1⊗1 in H⊗H."""
+    ee = eps_eps(h)
+    return convolve2(h, f, g) == ee and convolve2(h, g, f) == ee
 
 
 def convolve2(h, f, g):
@@ -183,9 +190,7 @@ def verify_two_cocycle(c):
         (h.counit[i], h.counit[i])))
     rep.add("normalization", bad is None and ok, bad)
 
-    ee = eps_eps(h)
-    rep.add("convolution_inverse",
-            convolve2(h, sig, inv) == ee and convolve2(h, inv, sig) == ee)
+    rep.add("convolution_inverse", are_conv_inverse(h, sig, inv))
 
     sweedler2 = h.delta.terms
 
@@ -301,9 +306,10 @@ def deform(c):
 
 def _coordinate_functionals(h):
     """m_k(x⊗y) = the coefficient of e_k in xy, as n functionals on H⊗H."""
-    n, hs = h.dim, range(h.dim)
-    return [Matrix(h.field, n, n, [[h.mul.dense_row(i, j)[k] for j in hs]
-                                   for i in hs]) for k in hs]
+    n = h.dim
+    t = h.mult.permuted((2, 0, 1)).data     # t[k,i,j] = mult[i,j,k]
+    return [Matrix(h.field, n, n, [t[r:r + n] for r in range(b, b + n * n, n)])
+            for b in range(0, n * n * n, n * n)]
 
 
 def _delta_functional(h, value):
@@ -386,27 +392,33 @@ class LazyOneCocycle:
 
 
 def lazy_one_cocycle(host, mu, mu_inv=None):
-    """Normalized central convolution-invertible μ ∈ H*."""
-    f = host.field
-    if dual_hopf(host).counit_of(mu) != f.one:         # μ(1) = ε_{H*}(μ)
-        raise VerificationError("1-cocycle is not normalized: mu(1) != 1")
-    n = host.dim
-    for i in range(n):
-        lhs = [f.zero] * n
-        rhs = [f.zero] * n
-        for a, b, c in host.delta.terms(i):
-            if mu[a]:
-                lhs[b] = lhs[b] + c * mu[a]
-            if mu[b]:
-                rhs[a] = rhs[a] + c * mu[b]
-        if lhs != rhs:
-            raise VerificationError(
-                "1-cocycle is not central at basis index %d" % i)
-    if mu_inv is None:
+    """Normalized central convolution-invertible μ ∈ H*; μ⁻¹ is solved for
+    when not given."""
+    problem = one_cocycle_problem(host, mu, mu_inv)
+    if problem is None and mu_inv is None:
         mu_inv = conv_inverse1(host, mu)
         if mu_inv is None:
-            raise VerificationError("1-cocycle is not convolution invertible")
+            problem = "1-cocycle is not convolution invertible"
+    if problem is not None:
+        raise VerificationError(problem)
     return LazyOneCocycle(host, list(mu), list(mu_inv))
+
+
+def one_cocycle_problem(host, mu, mu_inv):
+    """The first of μ(1) = 1, μ central in H* and μμ⁻¹ = μ⁻¹μ = ε (skipped
+    when mu_inv is None) that fails, as text, or None if all hold."""
+    f, n, dual = host.field, host.dim, dual_hopf(host)
+    if dual.counit_of(mu) != f.one:         # μ(1) = ε_{H*}(μ)
+        return "1-cocycle is not normalized: mu(1) != 1"
+    for i in range(n):          # (μ⊗id)Δ(e_i) = (id⊗μ)Δ(e_i)
+        terms = host.delta.terms(i)
+        if (sparse_sum((b, c * mu[a]) for a, b, c in terms)
+                != sparse_sum((a, c * mu[b]) for a, b, c in terms)):
+            return "1-cocycle is not central at basis index %d" % i
+    if mu_inv is not None and not (dual.mul_vec(mu, mu_inv) == host.counit
+                                   == dual.mul_vec(mu_inv, mu)):
+        return "mu_inv is not the convolution inverse of mu"
+    return None
 
 
 def coboundary_from(mu):
@@ -534,10 +546,7 @@ def verify_dual_cocycle(d):
     rep.add("counit_normalization",
             counit_legs(h, theta) == (h.unit, h.unit))
 
-    one = eps_eps(dual_hopf(h))     # 1⊗1, the unit of H⊗H
-    rep.add("invertible",
-            hh_mul(h, d.theta, d.theta_inv) == one
-            and hh_mul(h, d.theta_inv, d.theta) == one)
+    rep.add("invertible", are_conv_inverse(dual_hopf(h), theta, d.theta_inv))
     return rep
 
 

@@ -23,8 +23,9 @@ reads Φ_{B,A}'s terms.
 report.require_agree raises at the first index where they differ
 (agreed_tensor for a 3-tensor).
 θ̲ is σ̲ on the dual.  M* (dual_module) is M over H* = hopf.dual_hopf(H)
-with its tensors swapped: M's coaction is its H*-action and M's action its
-H*-coaction.  θ̲(M) = (σ̲_θ(M*))* for the 2-cocycle σ_θ on H* that θ is
+with its tensors swapped and their legs permuted (linalg.Tensor.permuted):
+M's coaction is its H*-action and M's action its H*-coaction.
+θ̲(M) = (σ̲_θ(M*))* for the 2-cocycle σ_θ on H* that θ is
 (twist.DualCocycle.sigma), so θ̲'s coaction is checked in σ̲'s two forms,
 and verify_theta_braided is σ_θ's braided square on N*, M*.  θ̲'s monoidal
 structure φ and θ̲(A) = (A, μ∘φ) are built only by the tests, as references
@@ -50,8 +51,9 @@ from dataclasses import dataclass
 
 from .hopf import (dual_hopf, first_action_mismatch, first_coaction_mismatch,
                    first_unit_mismatch)
-from .linalg import (Bilinear, Matrix, Tensor, check_shape, kernel_basis,
-                     linear_combination, mat_mul, rank, sparse_rank)
+from .linalg import (Bilinear, Matrix, Tensor, are_inverse, check_shape,
+                     kernel_basis, linear_combination, mat_mul, rank,
+                     sparse_rank, sparse_sum)
 from .report import (CheckReport, VerificationError, first_block_mismatch,
                      first_lifted_mismatch, first_mismatch, require_agree)
 from .twist import deform, deform_dual, eval2
@@ -550,8 +552,7 @@ def eta(s, ma, mb):
     da, db = ma.dim, mb.dim
     mat = _matrix(f, _paired_terms(ma, mb, s.sigma_inv), da, db)
     mat_inv = _matrix(f, _paired_terms(ma, mb, s.sigma), da, db)
-    ident = Matrix.identity(f, da * db)
-    if mat_mul(mat, mat_inv) != ident or mat_mul(mat_inv, mat) != ident:
+    if not are_inverse(mat, mat_inv):
         raise VerificationError("η and ξ are not mutually inverse")
     return mat, mat_inv
 
@@ -655,26 +656,8 @@ def dual_module(mod):
         action*[k,p,q] = coaction[p,q,k],  coaction*[p,q,i] = action[i,p,q].
     The swap is an involution, and (M*)* lies on M's own host object."""
     return YdModule(dual_hopf(mod.host), mod.dim,
-                    _last_leg_first(mod.coaction),
-                    _first_leg_last(mod.action))
-
-
-def _first_leg_last(t):
-    """The 3-tensor t[i,p,q] as t'[p,q,i]."""
-    n0, n1, n2 = t.shape
-    d = t.data
-    return Tensor(t.field, (n1, n2, n0),
-                  [d[(i * n1 + p) * n2 + q] for p in range(n1)
-                   for q in range(n2) for i in range(n0)])
-
-
-def _last_leg_first(t):
-    """The 3-tensor t[p,q,k] as t'[k,p,q]."""
-    n0, n1, n2 = t.shape
-    d = t.data
-    return Tensor(t.field, (n2, n0, n1),
-                  [d[(p * n1 + q) * n2 + k] for k in range(n2)
-                   for p in range(n0) for q in range(n1)])
+                    mod.coaction.permuted((2, 0, 1)),
+                    mod.action.permuted((1, 2, 0)))
 
 
 def theta_module(d, mod):
@@ -914,18 +897,13 @@ def azumaya_check(alg):
     bar = h_opposite(alg)
     arow, brow = alg.mul.row, bar.mul.row
 
-    def summed(pairs):
-        """{k: Σ w} over the (k, w) given, without zero entries."""
-        acc = {}
-        for k, w in pairs:
-            acc[k] = acc[k] + w if k in acc else w
-        return {k: w for k, w in acc.items() if w}
-
     # entry p·m+q: F(e_p#ē_q) and G(ē_p#e_q)
-    frows = [summed((x * m + s, c * d) for x in ms for t, c in brow(q, x)
-                    for s, d in arow(p, t)) for p in ms for q in ms]
-    grows = [summed((x * m + s, c * d) for x in ms for t, c in brow(x, p)
-                    for s, d in arow(t, q)) for p in ms for q in ms]
+    frows = [sparse_sum((x * m + s, c * d) for x in ms
+                        for t, c in brow(q, x) for s, d in arow(p, t))
+             for p in ms for q in ms]
+    grows = [sparse_sum((x * m + s, c * d) for x in ms
+                        for t, c in brow(x, p) for s, d in arow(t, q))
+             for p in ms for q in ms]
 
     rank_f = sparse_rank(f, frows)
     rank_g = sparse_rank(f, grows)
@@ -934,8 +912,8 @@ def azumaya_check(alg):
 
     def f_of(terms):
         """F(Σ c·e_p#ē_q) for terms [(p, q, c)]."""
-        return summed((k, c * v) for p, q, c in terms
-                      for k, v in frows[p * m + q].items())
+        return sparse_sum((k, c * v) for p, q, c in terms
+                          for k, v in frows[p * m + q].items())
 
     def then(x, y):
         """x followed by y, for elements of End(A) given like F's rows."""
@@ -943,13 +921,9 @@ def azumaya_check(alg):
         for k, v in y.items():
             t, s = divmod(k, m)
             rows.setdefault(t, []).append((s, v))
-        acc = {}
-        for k, c in x.items():
-            r, t = divmod(k, m)
-            for s, v in rows.get(t, ()):
-                key = r * m + s
-                acc[key] = acc[key] + c * v if key in acc else c * v
-        return {k: v for k, v in acc.items() if v}
+        return sparse_sum((r * m + s, c * v) for k, c in x.items()
+                          for r, t in (divmod(k, m),)
+                          for s, v in rows.get(t, ()))
 
     unit = [(p, c) for p, c in enumerate(alg.unit) if c]
     # (1#ē_b)(e_g#1) = Σ g₀ # g₁·ē_b = Φ(ē_b⊗e_g), entry b·m+g

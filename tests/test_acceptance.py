@@ -84,6 +84,22 @@ def test_criterion_10_reports_failed_identities(monkeypatch, ctx, witness):
     assert bad.detail == "identity does not hold"
 
 
+@pytest.mark.parametrize("builder", ["sigma", "end_regular"])
+def test_criterion_10_counts_failed_builds_as_failed_checks(monkeypatch, ctx,
+                                                            builder):
+    """A VerificationError while building σ_t or End(regular) fails the
+    checks that use it, and criterion 10 still returns its report."""
+    def fails(*args):
+        raise VerificationError("cannot build")
+
+    monkeypatch.setattr(ctx, builder, fails)
+    rep = criterion_10_section3_witnesses(ctx)
+    assert {c.detail for c in rep.failures()} == {"cannot build"}
+    assert {c.name for c in rep.failures()} == (
+        {c.name for c in rep.checks} if builder == "sigma"
+        else {"phi_psi_xi_sigma_2_on_End"})
+
+
 @pytest.mark.parametrize("witness", ["chi_maps", "phi_psi_xi"])
 def test_criterion_10_propagates_programming_errors(monkeypatch, ctx,
                                                      witness):

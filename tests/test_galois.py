@@ -6,13 +6,15 @@ import random
 import pytest
 
 from hopflab.fields import QQ, PrimeField, field_from_spec
-from hopflab.linalg import (Matrix, Tensor, in_span, mat_mul, rank,
-                            same_span, solve)
+from hopflab.hopf import first_multiplicative_mismatch
+from hopflab.linalg import (Matrix, Tensor, apply_rowmap, in_span, mat_mul,
+                            rank, same_span, solve)
 from hopflab.report import CheckReport, VerificationError, first_mismatch
-from hopflab.twist import eps_eps, two_cocycle
+from hopflab.twist import deform, eps_eps, two_cocycle
 from hopflab.quasitriangular import cqt_structure, deform_cqt
-from hopflab.yd import (YdAlgebra, quantum_commutative, sigma_algebra,
-                        verify_yd, verify_yd_algebra)
+from hopflab.yd import (YdAlgebra, braided_product, eta,
+                        quantum_commutative, sigma_algebra, verify_yd,
+                        verify_yd_algebra)
 from hopflab.galois import (BimoduleActions, BraidedHopf, bimodule_actions,
                             build_hr, chi_maps, coinvariants,
                             comodule_coinvariants, comodule_galois,
@@ -227,14 +229,47 @@ def test_wedge_I_I_dim_n(r1, unit_obj):
 
 
 def test_sigma_wedge_and_prop35(s1, r1, unit_obj):
-    rep = verify_sigma_wedge(s1, r1, unit_obj.module, unit_obj.module,
-                             alga=unit_obj, algb=unit_obj)
+    rep = verify_sigma_wedge(s1, r1, unit_obj, unit_obj)
     assert rep.ok, rep.render_text()
+
+
+def closure_multiplicative(src, dst, m):
+    """The (u, v) closure that eta_inv_algebra_map and chi_star_algebra_map
+    wrote before hopf.first_multiplicative_mismatch: the reference."""
+    return first_mismatch((range(m.rows),) * 2, lambda u, v: (
+        apply_rowmap(src.mul.dense_row(u, v), m),
+        dst.mul_vec(m.data[u], m.data[v])))
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_multiplicative_check_matches_closure(spec):
+    """On χ* (σ₁) and on η⁻¹ on I⊗I, and on every ±1 one-entry change of
+    either, first_multiplicative_mismatch gives the closure's witness, and
+    every change but four rescalings of χ* is caught."""
+    h = sweedler_h4(field_from_spec(spec))
+    s, r, uo = sigma_t(h, 1), r_t(h, 1), unit_object(h)
+    suo = sigma_algebra(s, uo)
+    maps = {
+        "chi_star": (suo, unit_object(deform(s)), chi_maps(s)[2]),
+        "eta_inv": (sigma_algebra(s, braided_product(uo, uo, cqt=r)),
+                    braided_product(suo, suo, cqt=deform_cqt(r, s)),
+                    eta(s, uo.module, uo.module)[1])}
+    # χ* is the identity on H₄*'s basis; rescaling δ_h or δ_gh, its
+    # entries (2, 2) and (3, 3), is still multiplicative: 4 changes missed
+    for name, (src, dst, m) in maps.items():
+        missed = 4 if name == "chi_star" else 0
+        assert first_multiplicative_mismatch(src.mul, dst.mul, m) is None
+        caught = 0
+        for bad in one_matrix_changes(m):
+            got = first_multiplicative_mismatch(src.mul, dst.mul, bad)
+            assert got == closure_multiplicative(src, dst, bad), name
+            caught += got is not None
+        assert caught == 2 * m.rows * m.cols - missed, name
 
 
 def test_sigma_wedge_trivial_cocycle(h4, r1, unit_obj):
     triv = two_cocycle(h4, eps_eps(h4))
-    rep = verify_sigma_wedge(triv, r1, unit_obj.module, unit_obj.module)
+    rep = verify_sigma_wedge(triv, r1, unit_obj, unit_obj)
     assert rep.ok
 
 

@@ -547,3 +547,33 @@ def test_cli_closed_stdout_is_quiet():
         os.close(w)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_one_cocycle_verifier_decides_mu(spec):
+    """validate's one_cocycle verifier passes μ = 2 on kC₂'s g and μ = ε on
+    H₄, and fails every ±1 one-entry change of μ or of μ⁻¹ on a
+    LazyOneCocycle built directly, which skips the loader's check."""
+    from hopflab.cli import VERIFIERS
+    from hopflab.fields import field_from_spec
+    from hopflab.twist import LazyOneCocycle, lazy_one_cocycle
+    from test_hopf import one_vector_changes
+    field = field_from_spec(spec)
+    verify = VERIFIERS["one_cocycle"]
+    h4 = cat.sweedler_h4(field)
+    for mu in (cat.one_cocycle_c2(cat.group_algebra_c2(field), 2),
+               lazy_one_cocycle(h4, list(h4.counit))):
+        rep = verify(mu)
+        assert [(c.name, c.status, c.detail) for c in rep.checks] == \
+            [("one_cocycle_invariants", "pass", "")]
+        details = set()
+        for bad in one_vector_changes(mu.mu, field):
+            rep = verify(LazyOneCocycle(mu.host, bad, mu.mu_inv))
+            assert not rep.ok
+            details.add(rep.checks[0].detail)
+        for bad in one_vector_changes(mu.mu_inv, field):
+            rep = verify(LazyOneCocycle(mu.host, mu.mu, bad))
+            assert rep.checks[0].detail == \
+                "mu_inv is not the convolution inverse of mu"
+        assert "1-cocycle is not normalized: mu(1) != 1" in details
+    assert "1-cocycle is not central at basis index 2" in details

@@ -15,9 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from hopflab.fields import QQ, PrimeField
 from hopflab.linalg import (Bilinear, DimensionError, Matrix, Tensor,
-                            kernel_basis, mat_inverse, mat_mul, rank,
-                            row_space_echelon, solve, sparse_rank)
+                            are_inverse, kernel_basis, mat_inverse, mat_mul,
+                            rank, row_space_echelon, solve, sparse_rank,
+                            sparse_sum)
 from hopflab.catalog import sweedler_h4, sigma_t
+from hopflab.twist import are_conv_inverse
+from test_hopf import one_matrix_changes
 
 
 def mat_vec(m, x):
@@ -414,3 +417,70 @@ def test_bilinear_matches_dense_definition(n0, n1, n2, seed):
         terms = kernel.terms(i)
         assert kernel.lifted_terms()[i] == terms
         assert kernel.flat_tables()[i] == {j * n2 + k: c for j, k, c in terms}
+
+
+# -- leg permutations, sparse sums and inverse pairs --------------------------
+
+ORDERS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from(["Q", "F5"]), st.integers(0, 10 ** 6))
+def test_permuted_matches_index_formula(n0, n1, n2, fkind, seed):
+    """Axis a of t.permuted(order) is axis order[a] of t, for all six
+    orders, and permuting by the inverse order gives t back."""
+    rng = random.Random(seed)
+    field = QQ if fkind == "Q" else PrimeField(5)
+    shape = (n0, n1, n2)
+    t = Tensor(field, shape, [field.ratio(rng.randint(-3, 3), rng.choice(
+        [1, 2, 3])) for _ in range(n0 * n1 * n2)])
+    for order in ORDERS:
+        out = t.permuted(order)
+        assert out.shape == tuple(shape[a] for a in order)
+        for x in range(out.shape[0]):
+            for y in range(out.shape[1]):
+                for z in range(out.shape[2]):
+                    idx = [0, 0, 0]
+                    for a, v in zip(order, (x, y, z)):
+                        idx[a] = v
+                    assert out.data[(x * out.shape[1] + y) * out.shape[2]
+                                    + z] == t.data[(idx[0] * n1 + idx[1])
+                                                   * n2 + idx[2]]
+        inverse = tuple(order.index(a) for a in range(3))
+        assert out.permuted(inverse) == t
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(-2, 2)),
+                max_size=20), st.sampled_from(["Q", "F5"]))
+def test_sparse_sum_equals_dense_accumulation(pairs, fkind):
+    field = QQ if fkind == "Q" else PrimeField(5)
+    pairs = [(k, field.from_int(w)) for k, w in pairs]
+    dense = [field.zero] * 7
+    for k, w in pairs:
+        dense[k] = dense[k] + w
+    out = sparse_sum(pairs)
+    assert out == {k: w for k, w in enumerate(dense) if w}
+    assert all(out.values())
+    # keys keep the order in which they were first given
+    first = list(dict.fromkeys(k for k, _ in pairs))
+    assert list(out) == [k for k in first if k in out]
+
+
+@FIELDS
+def test_inverse_pairs_fail_after_one_entry_change(field):
+    """are_inverse on (S, S⁻¹) of H₄ and are_conv_inverse on (σ₁, σ₁⁻¹)
+    hold, and fail after every ±1 change of one entry of S⁻¹ or σ₁⁻¹, and
+    are_inverse fails on a one-sided inverse."""
+    h4 = sweedler_h4(field)
+    s1 = sigma_t(h4, 1)
+    assert are_inverse(h4.antipode, h4.antipode_inv)
+    assert are_conv_inverse(h4, s1.sigma, s1.sigma_inv)
+    for bad in one_matrix_changes(h4.antipode_inv):
+        assert not are_inverse(h4.antipode, bad)
+    # a one-sided inverse is not enough: ab = 1 but ba ≠ 1
+    row = Matrix(field, 1, 2, [[field.one, field.zero]])
+    assert not are_inverse(row, row.transpose())
+    for bad in one_matrix_changes(s1.sigma_inv):
+        assert not are_conv_inverse(h4, s1.sigma, bad)

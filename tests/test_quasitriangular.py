@@ -11,7 +11,7 @@ from hopflab.quasitriangular import (CqtStructure, QtStructure,
                                      cqt_structure, deform_cqt, deform_qt,
                                      qt_structure, verify_cqt, verify_qt,
                                      yd_from_comodule)
-from hopflab.yd import _first_leg_last, dual_module, verify_yd
+from hopflab.yd import dual_module, verify_yd
 from hopflab.catalog import (cqt_c2, group_algebra_c2, qt_c2, qt_t, r_t,
                              sigma_t, sweedler_h4, theta_t, trivial_module)
 from test_hopf import one_entry_changes, one_matrix_changes, report_rows
@@ -25,7 +25,7 @@ def yd_from_module(q, action):
     m = action.shape[1]
     check_shape("action", action.shape, (h.dim, m, m))
     r = CqtStructure(dual_hopf(h), q.rr, q.rr_inv)
-    return dual_module(yd_from_comodule(r, _first_leg_last(action)))
+    return dual_module(yd_from_comodule(r, action.permuted((1, 2, 0))))
 
 
 def test_r_t_passes(h4):
