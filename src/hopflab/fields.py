@@ -41,10 +41,19 @@ residue as a plain int, over ℚ x itself.  ``reduce(s)`` is the field
 element equal to a sum s of products of lifted values: over F_p the
 element of s mod p, over ℚ s itself.  Both are exact, because reduction
 mod p is a ring map from ℤ, so an identity holds in F_p exactly when its
-two lifted sides are congruent mod p; over ℚ both are the identity.  A
-loop lifts its tables once, sums without reducing, and reduces each
-coordinate once, where it is compared; linalg.Bilinear keeps the lifted
-tables, and hopf.py and yd.py's is_yd_map compare on them.
+two lifted sides are congruent mod p; over ℚ both are the identity
+(``Field.identity_lift``).  A loop lifts its tables once and sums without
+reducing.  A check reduces each coordinate once, where it is compared; a
+construction reduces each output vector once, with ``reduce_vec(vec)``,
+the list of elements equal to the lifted sums in vec: one call per vector,
+never one per coordinate.  Over ℚ ``reduce_vec`` is int-first, as ``div``
+is: a sum that is an integral Fraction comes back as its int, so a vector
+built through it holds no integral Fraction, and a vector with no Fraction
+is returned as it is.  ``reduce`` stays the identity over ℚ; it serves
+comparisons, where the type does not matter.  linalg.Bilinear keeps
+the lifted tables of the structure tensors; hopf.py, the Yetter-Drinfeld
+maps and σ̲ in yd.py, the convolutions of twist.py and the
+Miyashita-Ulbrich action in galois.py sum on them.
 """
 
 from __future__ import annotations
@@ -208,6 +217,10 @@ class Field:
     def fmt(self, x):
         raise NotImplementedError
 
+    # lift and reduce are the identity, so a lifted table may be the
+    # table itself
+    identity_lift = True
+
     def lift(self, x):
         """x as a plain number to sum with C arithmetic (module docstring)."""
         return x
@@ -215,6 +228,10 @@ class Field:
     def reduce(self, s):
         """The element equal to s, a sum of products of lifted values."""
         return s
+
+    def reduce_vec(self, vec):
+        """The list of elements equal to the lifted sums in vec."""
+        return vec
 
     def div(self, a, b):
         """Exact quotient a / b; ZeroDivisionError when b == 0."""
@@ -254,6 +271,11 @@ class Rationals(Field):
     def div(self, a, b):
         return _int_first(_RAT(a, b))
 
+    def reduce_vec(self, vec):
+        if _RAT not in set(map(type, vec)):
+            return vec
+        return [_int_first(x) if type(x) is _RAT else x for x in vec]
+
     def fmt(self, x):
         return str(x)
 
@@ -283,10 +305,15 @@ class PrimeField(Field):
     def from_int(self, k):
         return self.elem.residues[operator.index(k) % self.p]
 
+    identity_lift = False
     lift = staticmethod(int)
 
     def reduce(self, s):
         return self.elem.residues[s % self.p]
+
+    def reduce_vec(self, vec):
+        residues, p = self.elem.residues, self.p
+        return [residues[s % p] for s in vec]
 
     def fmt(self, x):
         return str(int(x))

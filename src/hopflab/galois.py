@@ -648,14 +648,20 @@ def _beta_quotient_bijective(f, beta, target, rels, rep, tag):
     onto = rk == target
     rep.add(tag + "_surjective", onto, None,
             "rank %d of %d" % (rk, target))
-    zero = [f.zero] * target
+    lift, red = f.lift, f.reduce
+    lbeta = [[(c, lift(v)) for c, v in row.items()] for row in beta]
 
-    def image(rel):
-        return linear_combination(f, target, ((x, beta[k].items())
-                                              for k, x in rel.items()))
+    def image_is_zero(rel):
+        # β(rel) summed lifted; only its nonzero sums are reduced
+        acc = {}
+        for k, x in rel.items():
+            x = lift(x)
+            for c, v in lbeta[k]:
+                acc[c] = acc.get(c, 0) + x * v
+        return not any(map(red, acc.values()))
 
     bad = first_mismatch((range(len(rels)),), lambda i: (
-        image(rels[i]), zero))
+        image_is_zero(rels[i]), True))
     rep.add(tag + "_relations_in_kernel", bad is None, bad)
     ker_dim = len(beta) - rk
     # relations inside ker β have rank ≤ dim ker β, so the elimination may
@@ -774,36 +780,47 @@ def _mu_action_and_pi(alg, alg_report):
 
     pi_vecs = pi_sub.vectors
     pd = pi_sub.dim
+    # The action sums lifted values (fields.Field.lift) over sparse rows:
+    # the columns of ker βᵀ and of the β-preimages as [(p·m+r, c)], and
+    # v_p·a·v_r as [(t, c)], reduced once per acted vector.
+    lift, lmul = f.lift, alg.mul.lifted_rows()
 
-    def dense(terms):
-        return linear_combination(f, m, terms)
+    def columns(mat):
+        return [[(src, lift(row[j])) for src, row in enumerate(mat.data)
+                 if row[j]] for j in range(mat.cols)]
+
+    def by_basis(vec, right):
+        """[r] is vec·v_r (right) or v_r·vec, as a sparse lifted row, for
+        vec a sparse lifted row [(t, c)]."""
+        out = []
+        for r in ms:
+            acc = [0] * m
+            for t, c in vec:
+                for k, w in (lmul[t][r] if right else lmul[r][t]):
+                    acc[k] += c * w
+            out.append([(k, w) for k, w in enumerate(acc) if w])
+        return out
 
     def triple_table(avs):
-        """T[p][r] = v_p · a · v_r as dense vectors, a a sparse row."""
-        out = []
-        for p in ms:
-            vas = [(t, c) for t, c in enumerate(
-                dense((c, mrow(p, j)) for j, c in avs)) if c]   # v_p · a
-            out.append([dense((c, mrow(t, r)) for t, c in vas) for r in ms])
-        return out
+        """T[p][r] = v_p · a · v_r as sparse lifted rows, a a sparse row."""
+        a = [(j, lift(c)) for j, c in avs]
+        return [by_basis(va, True) for va in by_basis(a, False)]
 
     tables = [triple_table(a) for a in pi_sub.rows]
 
     def act_by(coeffs, a_idx):
-        """Σ coeffs[p·m+r] v_p·a·v_r for the a_idx-th basis vector a."""
-        acc = [f.zero] * m
+        """Σ coeffs[p·m+r] v_p·a·v_r for the a_idx-th basis vector a, with
+        coeffs a sparse lifted column."""
+        acc = [0] * m
         tab = tables[a_idx]
-        for src, v in enumerate(coeffs):
-            if not v:
-                continue
+        for src, v in coeffs:
             p, r = divmod(src, m)
-            for t, w in enumerate(tab[p][r]):
-                if w:
-                    acc[t] = acc[t] + v * w
-        return acc
+            for t, w in tab[p][r]:
+                acc[t] += v * w
+        return f.reduce_vec(acc)
 
     zero = [f.zero] * m
-    kernel = [ker.column(j) for j in range(ker.cols)]
+    kernel = columns(ker)
     bad = first_mismatch((range(ker.cols), range(pd)), lambda j, a_idx: (
         act_by(kernel[j], a_idx), zero))
     rep.add("mu_action_well_defined", bad is None, bad,
@@ -820,7 +837,7 @@ def _mu_action_and_pi(alg, alg_report):
             raise VerificationError(error)
         return coords
 
-    parts = [part.column(k) for k in range(n)]
+    parts = columns(part)
     acts = closed_under("mu_action_lands_in_pi", (range(n), range(pd)),
                         lambda k, a_idx: act_by(parts[k], a_idx),
                         "MU action leaves the centralizer")

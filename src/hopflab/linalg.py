@@ -13,7 +13,8 @@ Conventions used throughout the package:
 * ``Bilinear`` is the one sparse structure-tensor kernel: the products,
   actions, coproducts and coactions of all structures are read through it.
   Its lifted tables (``lifted_rows``, ``lifted_terms``, ``flat_tables``)
-  serve the checks that sum on plain ints over F_p (``Field.lift``).
+  serve the loops that sum on plain ints over F_p (``Field.lift``), and
+  ``Matrix.lifted_rows`` lifts a matrix for the same loops.
 * There is one elimination, ``_reduce``, and it works on rows held as
   dicts {column: coefficient} of their nonzero entries: a Matrix row
   enters as its nonzero entries.  ``rank``, ``sparse_rank`` and
@@ -106,6 +107,14 @@ class Matrix:
     @property
     def entries(self):
         return [x for row in self.data for x in row]
+
+    def lifted_rows(self):
+        """data with every entry lifted (Field.lift), as new lists; over ℚ
+        data itself."""
+        if self.field.identity_lift:
+            return self.data
+        lift = self.field.lift
+        return [list(map(lift, row)) for row in self.data]
 
     def transpose(self):
         return Matrix(self.field, self.cols, self.rows,
@@ -287,10 +296,33 @@ def solve(m, b):
     return out
 
 
+def _product_is_identity(a, b):
+    """Is ab the identity matrix?  Each row of ab is summed lifted
+    (Field.lift) over b's sparse rows and only its nonzero sums are
+    reduced, so a product of sparse matrices costs its nonzero terms."""
+    if a.cols != b.rows:
+        raise DimensionError("matrix product %dx%d by %dx%d"
+                             % (a.rows, a.cols, b.rows, b.cols))
+    if a.rows != b.cols:
+        return False
+    field = a.field
+    lift, red, one = field.lift, field.reduce, field.one
+    brows = [[(c, lift(y)) for c, y in enumerate(row) if y] for row in b.data]
+    for r, row in enumerate(a.data):
+        acc = {}
+        for k, x in enumerate(row):
+            if x:
+                x = lift(x)
+                for c, y in brows[k]:
+                    acc[c] = acc.get(c, 0) + x * y
+        if red(acc.pop(r, 0)) != one or any(map(red, acc.values())):
+            return False
+    return True
+
+
 def are_inverse(a, b):
     """Are the matrices a and b mutually inverse, ab = 1 and ba = 1?"""
-    ident = Matrix.identity(a.field, a.rows)    # ba ≠ ident unless square
-    return mat_mul(a, b) == ident and mat_mul(b, a) == ident
+    return _product_is_identity(a, b) and _product_is_identity(b, a)
 
 
 def mat_inverse(m):
@@ -355,6 +387,12 @@ class Tensor:
         return "Tensor%s" % (self.shape,)
 
 
+def _terms_of(table):
+    """[i] is [(j, k, c)] over the sparse rows table[i][j] = [(k, c)]."""
+    return [[(j, k, c) for j, row in enumerate(rows) for k, c in row]
+            for rows in table]
+
+
 class Bilinear:
     """The sparse structure-tensor kernel over a 3-tensor t[i,j,k].
 
@@ -365,11 +403,14 @@ class Bilinear:
     lists and dicts it returns.
 
     The lifted tables hold the entries lifted (``Field.lift``), for sums
-    reduced once per compared coordinate: ``lifted_rows`` and
-    ``lifted_terms`` are ``row`` and ``terms`` lifted, and
-    ``flat_tables()[i]`` is t[i,:,:] as one dict {p·n₂+q: lifted
-    t[i,p,q]}.  hopf.py's associativity, action, comult-algebra-map and
-    counit-algebra-map checks and yd.is_yd_map read them.
+    reduced once per compared coordinate or per output vector:
+    ``lifted_rows`` and ``lifted_terms`` are ``row`` and ``terms`` lifted,
+    and ``flat_tables()[i]`` is t[i,:,:] as one dict {p·n₂+q: lifted
+    t[i,p,q]}.  Over ℚ lifting is the identity, and ``lifted_rows`` and
+    ``lifted_terms`` are the sparse tables of ``row`` and ``terms``
+    themselves, not copies.  hopf.py's axiom checks, yd.py's is_yd_map,
+    σ̲ and term kernel, twist.py's convolutions and galois.py's
+    Miyashita-Ulbrich action read them.
     """
     __slots__ = ("tensor", "_zeros", "_dense", "_rows", "_terms", "_lrows",
                  "_lterms", "_flat")
@@ -414,26 +455,33 @@ class Bilinear:
         """t[i,j,:] as [(k, c)] over its nonzero entries."""
         return (self._rows or self._table())[i][j]
 
+    def _all_terms(self):
+        if self._terms is None:
+            self._terms = _terms_of(self._table())
+        return self._terms
+
     def terms(self, i):
         """t[i,:,:] as [(j, k, c)] over its nonzero entries, j-major."""
-        if self._terms is None:
-            self._terms = [[(j, k, c) for j, row in enumerate(rows)
-                            for k, c in row] for rows in self._table()]
-        return self._terms[i]
+        return (self._terms or self._all_terms())[i]
 
     def lifted_rows(self):
         """The table of row(i, j) with lifted coefficients, [i][j]."""
         if self._lrows is None:
-            lift = self.tensor.field.lift
-            self._lrows = [[[(k, lift(c)) for k, c in row] for row in rows]
-                           for rows in self._table()]
+            field = self.tensor.field
+            if field.identity_lift:
+                self._lrows = self._table()
+            else:
+                lift = field.lift
+                self._lrows = [[[(k, lift(c)) for k, c in row]
+                                for row in rows] for rows in self._table()]
         return self._lrows
 
     def lifted_terms(self):
         """The table of terms(i) with lifted coefficients, [i]."""
         if self._lterms is None:
-            self._lterms = [[(j, k, c) for j, row in enumerate(rows)
-                             for k, c in row] for rows in self.lifted_rows()]
+            self._lterms = (self._all_terms()
+                            if self.tensor.field.identity_lift
+                            else _terms_of(self.lifted_rows()))
         return self._lterms
 
     def flat_tables(self):

@@ -86,40 +86,47 @@ def are_conv_inverse(h, f, g):
 
 
 def convolve2(h, f, g):
-    """(f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂)."""
+    """(f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂), summed on lifted values, one
+    reduced row per x."""
     n = h.dim
     if f.rows != n or g.rows != n:
         raise ValueError("functional shape mismatch")
-    out = Matrix.zeros(h.field, n, n)
-    for x in range(n):
-        dx = h.delta.terms(x)
-        for y in range(n):
-            dy = h.delta.terms(y)
-            acc = h.field.zero
+    fl, gl = f.lifted_rows(), g.lifted_rows()
+    delta = h.delta.lifted_terms()
+    out = []
+    for dx in delta:
+        acc = [0] * n
+        for y, dy in enumerate(delta):
+            s = 0
             for a, b, ca in dx:
+                fa, gb = fl[a], gl[b]
                 for c, d, cd in dy:
-                    fv = f.data[a][c]
+                    fv = fa[c]
                     if fv:
-                        gv = g.data[b][d]
+                        gv = gb[d]
                         if gv:
-                            acc = acc + ca * cd * fv * gv
-            out.data[x][y] = acc
-    return out
+                            s += ca * cd * fv * gv
+            acc[y] = s
+        out.append(h.field.reduce_vec(acc))
+    return Matrix(h.field, n, n, out)
 
 
 def conv_operator2(h, f):
     """Matrix of X ↦ f*X on (H⊗H)*; entry [(x,y)][(i,j)]."""
     n = h.dim
-    op = Matrix.zeros(h.field, n * n, n * n)
-    for x in range(n):
-        for y in range(n):
-            row = op.data[x * n + y]
-            for a, b, ca in h.delta.terms(x):
-                for c, d, cd in h.delta.terms(y):
-                    fv = f.data[a][c]
+    fl, delta = f.lifted_rows(), h.delta.lifted_terms()
+    data = []
+    for dx in delta:
+        for dy in delta:
+            row = [0] * (n * n)
+            for a, b, ca in dx:
+                fa = fl[a]
+                for c, d, cd in dy:
+                    fv = fa[c]
                     if fv:
-                        row[b * n + d] = row[b * n + d] + ca * cd * fv
-    return op
+                        row[b * n + d] += ca * cd * fv
+            data.append(h.field.reduce_vec(row))
+    return Matrix(h.field, n * n, n * n, data)
 
 
 def conv_inverse2(h, f):
@@ -164,6 +171,11 @@ class TwoCocycle:
     sigma_inv: Matrix
     _deformed: HopfAlgebra = field(default=None, init=False, repr=False,
                                    compare=False)    # H^σ, set by deform
+    # what σ̲ reads of σ alone: σ and σ⁻¹ lifted, the live terms of Δ²/Δ⁴
+    # and the pairing of the second displayed form, set by yd.sigma_module
+    # and yd.eta and filled as they read it
+    _sigma_tables: object = field(default=None, init=False, repr=False,
+                                  compare=False)
 
 
 def two_cocycle(host, sigma, sigma_inv=None):
@@ -192,87 +204,88 @@ def verify_two_cocycle(c):
 
     rep.add("convolution_inverse", are_conv_inverse(h, sig, inv))
 
-    sweedler2 = h.delta.terms
+    # The three identities walk all basis triples (g, h, l) and sum each
+    # side lifted (fields.Field.lift), reducing the two sides once.
+    sweedler2, mul = h.delta.lifted_terms(), h.mul.lifted_rows()
+    ls, li, red = sig.lifted_rows(), inv.lifted_rows(), f.reduce
 
-    # Eq-style identity checks walk all basis triples (g, h, l).
     def cocycle_identity(g, x, l):
-        lhs = f.zero
-        for a, b, ca in sweedler2(g):
-            for cc, d, cd in sweedler2(x):
-                s1 = sig.data[a][cc]
+        lhs = 0
+        for a, b, ca in sweedler2[g]:
+            for cc, d, cd in sweedler2[x]:
+                s1 = ls[a][cc]
                 if not s1:
                     continue
-                for k, cm in h.mul.row(b, d):
-                    s2 = sig.data[k][l]
+                for k, cm in mul[b][d]:
+                    s2 = ls[k][l]
                     if s2:
-                        lhs = lhs + ca * cd * cm * s1 * s2
-        rhs = f.zero
-        for a, b, ca in sweedler2(x):
-            for cc, d, cd in sweedler2(l):
-                s1 = sig.data[a][cc]
+                        lhs += ca * cd * cm * s1 * s2
+        rhs = 0
+        for a, b, ca in sweedler2[x]:
+            for cc, d, cd in sweedler2[l]:
+                s1 = ls[a][cc]
                 if not s1:
                     continue
-                for k, cm in h.mul.row(b, d):
-                    s2 = sig.data[g][k]
+                for k, cm in mul[b][d]:
+                    s2 = ls[g][k]
                     if s2:
-                        rhs = rhs + ca * cd * cm * s1 * s2
-        return lhs, rhs
+                        rhs += ca * cd * cm * s1 * s2
+        return red(lhs), red(rhs)
 
     bad = first_mismatch((every,) * 3, cocycle_identity)
     rep.add("cocycle_identity", bad is None, bad)
 
     def mixed_identity(g, x, l):
-        lhs = f.zero
+        lhs = 0
         # Σ σ(g1 h1 ⊗ l1) σ⁻¹(g2 ⊗ h2 l2)
-        for a, b, ca in sweedler2(g):
-            for cc, d, cd in sweedler2(x):
-                for e1, e2, ce in sweedler2(l):
-                    for k1, cm1 in h.mul.row(a, cc):
-                        s1 = sig.data[k1][e1]
+        for a, b, ca in sweedler2[g]:
+            for cc, d, cd in sweedler2[x]:
+                for e1, e2, ce in sweedler2[l]:
+                    for k1, cm1 in mul[a][cc]:
+                        s1 = ls[k1][e1]
                         if not s1:
                             continue
-                        for k2, cm2 in h.mul.row(d, e2):
-                            s2 = inv.data[b][k2]
+                        for k2, cm2 in mul[d][e2]:
+                            s2 = li[b][k2]
                             if s2:
-                                lhs = lhs + (ca * cd * ce * cm1 * cm2
-                                             * s1 * s2)
-        rhs = f.zero
+                                lhs += ca * cd * ce * cm1 * cm2 * s1 * s2
+        rhs = 0
         # Σ σ⁻¹(g ⊗ h1) σ(h2 ⊗ l)
-        for cc, d, cd in sweedler2(x):
-            s1 = inv.data[g][cc]
+        for cc, d, cd in sweedler2[x]:
+            s1 = li[g][cc]
             if not s1:
                 continue
-            s2 = sig.data[d][l]
+            s2 = ls[d][l]
             if s2:
-                rhs = rhs + cd * s1 * s2
-        return lhs, rhs
+                rhs += cd * s1 * s2
+        return red(lhs), red(rhs)
 
     bad = first_mismatch((every,) * 3, mixed_identity)
     rep.add("mixed_identity", bad is None, bad,
             "σ(g1h1⊗l1)σ⁻¹(g2⊗h2l2) = σ⁻¹(g⊗h1)σ(h2⊗l)")
 
     def inverse_cocycle_identity(g, x, l):
-        lhs = f.zero
+        lhs = 0
         # Σ σ⁻¹(g1 h1 ⊗ l) σ⁻¹(g2 ⊗ h2)
-        for a, b, ca in sweedler2(g):
-            for cc, d, cd in sweedler2(x):
-                for k, cm in h.mul.row(a, cc):
-                    s1 = inv.data[k][l]
+        for a, b, ca in sweedler2[g]:
+            for cc, d, cd in sweedler2[x]:
+                for k, cm in mul[a][cc]:
+                    s1 = li[k][l]
                     if s1:
-                        s2 = inv.data[b][d]
+                        s2 = li[b][d]
                         if s2:
-                            lhs = lhs + ca * cd * cm * s1 * s2
-        rhs = f.zero
+                            lhs += ca * cd * cm * s1 * s2
+        rhs = 0
         # Σ σ⁻¹(g ⊗ h1 l1) σ⁻¹(h2 ⊗ l2)
-        for cc, d, cd in sweedler2(x):
-            for e1, e2, ce in sweedler2(l):
-                for k, cm in h.mul.row(cc, e1):
-                    s1 = inv.data[g][k]
+        for cc, d, cd in sweedler2[x]:
+            for e1, e2, ce in sweedler2[l]:
+                for k, cm in mul[cc][e1]:
+                    s1 = li[g][k]
                     if s1:
-                        s2 = inv.data[d][e2]
+                        s2 = li[d][e2]
                         if s2:
-                            rhs = rhs + cd * ce * cm * s1 * s2
-        return lhs, rhs
+                            rhs += cd * ce * cm * s1 * s2
+        return red(lhs), red(rhs)
 
     bad = first_mismatch((every,) * 3, inverse_cocycle_identity)
     rep.add("inverse_cocycle_identity", bad is None, bad,

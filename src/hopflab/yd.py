@@ -9,8 +9,10 @@ Tensor conventions (m = module dimension, n = host dimension):
 The tensor product M⊗N carries h·(m⊗n) = Σ h₁·m ⊗ h₂·n and
 ρ(m⊗n) = Σ (m₀⊗n₀) ⊗ n₁m₁; basis index of v_p⊗w_q is p·dim(N)+q.
 mod.act, mod.coact and alg.mul read action, coaction and product through
-the sparse kernel linalg.Bilinear.  σ and σ⁻¹ are paired with vectors only
-by twist.eval2.
+the sparse kernel linalg.Bilinear.  σ and σ⁻¹ are read from the lifted
+tables kept on the cocycle (_SigmaTables).  The hot loops here sum lifted
+values (fields.Field.lift) from Bilinear's lifted tables, and a
+construction reduces each row it builds once (Field.reduce_vec).
 The linear maps on M⊗N share one term kernel: a producer gives, for each
 basis pair v_p⊗w_q, the terms [(a, b, c)] of its image Σ c·x_a⊗y_b, for
 the braiding Φ (_braid_terms), for η and ξ (a functional σ^{∓1} paired
@@ -56,7 +58,7 @@ from .linalg import (Bilinear, Matrix, Tensor, are_inverse, check_shape,
                      sparse_rank, sparse_sum)
 from .report import (CheckReport, VerificationError, first_block_mismatch,
                      first_lifted_mismatch, first_mismatch, require_agree)
-from .twist import deform, deform_dual, eval2
+from .twist import deform, deform_dual
 
 
 class YdModule:
@@ -79,15 +81,12 @@ class YdModule:
         return self.act.apply_basis(i, mvec)
 
     def coact2(self, p):
-        """Sparse (ρ⊗id)ρ(v_p) as [(q, k1, k2, coeff)] (m₀⊗m₁⊗m₂)."""
+        """Sparse (ρ⊗id)ρ(v_p) as [(q, k1, k2, lifted coeff)] (m₀⊗m₁⊗m₂)."""
         if self._coact2 is None:
-            self._coact2 = []
-            for p2 in range(self.dim):
-                terms = []
-                for q0, k2, c0 in self.coact.terms(p2):
-                    for q1, k1, c1 in self.coact.terms(q0):
-                        terms.append((q1, k1, k2, c0 * c1))
-                self._coact2.append(terms)
+            terms = self.coact.lifted_terms()
+            self._coact2 = [[(q1, k1, k2, c0 * c1) for q0, k2, c0 in terms[p2]
+                             for q1, k1, c1 in terms[q0]]
+                            for p2 in range(self.dim)]
         return self._coact2[p]
 
     def basis_vec(self, p):
@@ -300,24 +299,29 @@ def verify_yd_algebra(alg):
 
 # -- the term kernel for linear maps on M⊗N -----------------------------------
 # A producer returns, for each basis pair v_p⊗w_q (index p·dim(N)+q), the
-# terms [(a, b, c)] of its image Σ c·x_a⊗y_b; a consumer reads them.
+# terms [(a, b, c)] of its image Σ c·x_a⊗y_b, c lifted (fields.Field.lift)
+# and summed from the lifted tables of the modules; a consumer sums the
+# terms and reduces each row it builds once.
 
 def _braid_terms(ma, mb):
     """Φ(m⊗n) = Σ n₀ ⊗ n₁·m: M⊗N → N⊗M."""
-    return [[(q0, p1, c * x) for q0, k, c in mb.coact.terms(q)
-             for p1, x in ma.act.row(k, p)]
+    co_b, act_a = mb.coact.lifted_terms(), ma.act.lifted_rows()
+    return [[(q0, p1, c * x) for q0, k, c in co_b[q]
+             for p1, x in act_a[k][p]]
             for p in range(ma.dim) for q in range(mb.dim)]
 
 
 def _paired_terms(ma, mb, f):
-    """m⊗n ↦ Σ m₀⊗n₀ f(n₁⊗m₁) for a functional f on H⊗H."""
+    """m⊗n ↦ Σ m₀⊗n₀ f(n₁⊗m₁) for a functional f on H⊗H given as its
+    lifted rows, f[k2][k1] = f(e_k2⊗e_k1) lifted."""
+    co_a, co_b = ma.coact.lifted_terms(), mb.coact.lifted_terms()
     out = []
-    for p in range(ma.dim):
-        for q in range(mb.dim):
+    for ta in co_a:
+        for tb in co_b:
             ts = []
-            for p0, k1, c1 in ma.coact.terms(p):
-                for q0, k2, c2 in mb.coact.terms(q):
-                    v = eval2(f, k2, k1)
+            for p0, k1, c1 in ta:
+                for q0, k2, c2 in tb:
+                    v = f[k2][k1]
                     if v:
                         ts.append((p0, q0, c1 * c2 * v))
             out.append(ts)
@@ -326,19 +330,24 @@ def _paired_terms(ma, mb, f):
 
 def _acting_terms(ma, mb, x):
     """m⊗n ↦ X·(m⊗n) = Σ c·(e_a·m)⊗(e_b·n) for X = Σ c·e_a⊗e_b ∈ H⊗H given
-    as [(a, b, c)]."""
-    return [[(p1, q1, c * y * z) for a, b, c in x
-             for p1, y in ma.act.row(a, p) for q1, z in mb.act.row(b, q)]
+    as [(a, b, c)] with field coefficients."""
+    lift = ma.host.field.lift
+    xs = [(a, b, lift(c)) for a, b, c in x]
+    act_a, act_b = ma.act.lifted_rows(), mb.act.lifted_rows()
+    return [[(p1, q1, c * y * z) for a, b, c in xs
+             for p1, y in act_a[a][p] for q1, z in act_b[b][q]]
             for p in range(ma.dim) for q in range(mb.dim)]
 
 
 def _matrix(field, terms, da, db):
     """The row-as-image matrix of terms, into a target of dimension da·db."""
-    mat = Matrix.zeros(field, len(terms), da * db)
-    for row, ts in zip(mat.data, terms):
+    rows = []
+    for ts in terms:
+        row = [0] * (da * db)
         for a, b, c in ts:
-            row[a * db + b] = row[a * db + b] + c
-    return mat
+            row[a * db + b] += c
+        rows.append(field.reduce_vec(row))
+    return Matrix(field, len(terms), da * db, rows)
 
 
 def _pushed_product(alg, terms):
@@ -346,18 +355,22 @@ def _pushed_product(alg, terms):
     A⊗A."""
     f = alg.host.field
     m = alg.dim
+    mul = alg.mul.lifted_rows()
     data = []
     for ts in terms:
-        data += linear_combination(f, m, ((c, alg.mul.row(a, b))
-                                          for a, b, c in ts))
+        acc = [0] * m
+        for a, b, c in ts:
+            for k, w in mul[a][b]:
+                acc[k] += c * w
+        data += f.reduce_vec(acc)
     return Tensor(f, (m, m, m), data)
 
 
 def _kron(fa, fb):
     """The matrix of fa⊗fb: v_p⊗w_q ↦ fa(v_p)⊗fb(w_q), for row-as-image
     matrices fa and fb."""
-    ra = [[(a, x) for a, x in enumerate(row) if x] for row in fa.data]
-    rb = [[(b, y) for b, y in enumerate(row) if y] for row in fb.data]
+    ra = [[(a, x) for a, x in enumerate(row) if x] for row in fa.lifted_rows()]
+    rb = [[(b, y) for b, y in enumerate(row) if y] for row in fb.lifted_rows()]
     return _matrix(fa.field, [[(a, b, x * y) for a, x in ta for b, y in tb]
                               for ta in ra for tb in rb], fa.cols, fb.cols)
 
@@ -372,21 +385,26 @@ def yd_tensor(ma, mb):
     db = mb.dim
     dim = ma.dim * db
     zeros = [f.zero] * n
+    mul = h.mul.lifted_rows()
+    co_a, co_b = ma.coact.lifted_terms(), mb.coact.lifted_terms()
 
     def reversed_product(src):
         # ρ(v_p⊗w_q) = Σ v_p0⊗w_q0 ⊗ k2·k1, one row per p0⊗q0; rows never
         # written share the zero row
         p, q = divmod(src, db)
-        rows = [zeros] * dim
-        for p0, k1, c1 in ma.coact.terms(p):
-            for q0, k2, c2 in mb.coact.terms(q):
+        sums = {}
+        for p0, k1, c1 in co_a[p]:
+            for q0, k2, c2 in co_b[q]:
                 w = c1 * c2
                 t = p0 * db + q0
-                if rows[t] is zeros:
-                    rows[t] = zeros[:]
-                row = rows[t]
-                for k, cm in h.mul.row(k2, k1):
-                    row[k] = row[k] + w * cm
+                row = sums.get(t)
+                if row is None:
+                    row = sums[t] = [0] * n
+                for k, cm in mul[k2][k1]:
+                    row[k] += w * cm
+        rows = [zeros] * dim
+        for t, row in sums.items():
+            rows[t] = f.reduce_vec(row)
         return rows
 
     # e_i·(v_p⊗w_q) = Δ(e_i)·(v_p⊗w_q), one row per v_p⊗w_q
@@ -467,10 +485,75 @@ def agreed_tensor(what, field, shape, form, other):
     return Tensor.from_rows(field, shape, one)
 
 
+class _SigmaTables:
+    """What σ̲ reads of the cocycle alone, lifted (fields.Field.lift): σ and
+    σ⁻¹ as dense lifted rows (sig, inv), the live terms of Δ²(e_i) and
+    Δ⁴(e_i) (live), and the second displayed form's pairing
+    σ(h₄m₁S⁻¹(h₂) ⊗ h₁), as pairings[h₁, h₂, h₄][m₁] (filled by pair).
+    Built once per TwoCocycle, by _tables; the live terms and the pairings
+    are filled as they are first read, since an eager pairing table would
+    have n⁴ entries."""
+
+    def __init__(self, s):
+        h = self.host = s.host
+        self.sig, self.inv = s.sigma.lifted_rows(), s.sigma_inv.lifted_rows()
+        # A term of Δ^(k-1)(e_i) adds zero to both forms unless σ(·⊗h₁) and
+        # σ⁻¹(h_k⊗·) are nonzero functionals; both forms walk only the
+        # others.
+        self.first = [any(row[a] for row in self.sig) for a in range(h.dim)]
+        self.last = [any(row) for row in self.inv]
+        self._live = {}
+        self.pairings = {}
+        self._sinv = [[(j, y) for j, y in enumerate(row) if y]
+                      for row in h.antipode_inv.lifted_rows()]
+
+    def live(self, i, k):
+        """The terms (index tuple, lifted coefficient) of Δ^(k-1)(e_i) whose
+        first leg σ and last leg σ⁻¹ can pair to nonzero."""
+        got = self._live.get((i, k))
+        if got is None:
+            h, first, last = self.host, self.first, self.last
+            lift = h.field.lift
+            got = self._live[i, k] = [(idx, lift(w))
+                                      for idx, w in h.copower(i, k)
+                                      if first[idx[0]] and last[idx[-1]]]
+        return got
+
+    def pair(self, a, b, d):
+        """pairings[a, b, d], the list over k1 of σ(e_d e_k1 S⁻¹(e_b) ⊗ e_a)
+        lifted from its reduced value, and returned: each product is summed
+        from h.mul's lifted rows and S⁻¹, independently of the first form."""
+        h, sig = self.host, self.sig
+        mul = h.mul.lifted_rows()
+        sums = []
+        for dk in mul[d]:
+            acc = 0
+            for t, c in dk:
+                for j, y in self._sinv[b]:
+                    for k, cm in mul[t][j]:
+                        acc += c * y * cm * sig[k][a]
+            sums.append(acc)
+        f = h.field
+        got = self.pairings[a, b, d] = list(map(f.lift, f.reduce_vec(sums)))
+        return got
+
+
+def _tables(s):
+    """The cocycle's _SigmaTables, built on first use and kept on it."""
+    if s._sigma_tables is None:
+        s._sigma_tables = _SigmaTables(s)
+    return s._sigma_tables
+
+
 def sigma_module(s, mod):
     """σ̲(M): the twisted action, with the coaction unchanged.
 
-    Both displayed forms of the twisted action are computed; they must agree.
+    Both displayed forms of the twisted action are computed; they must
+    agree.  Each form sums lifted values and reduces one row per (i, p).
+    What depends on the cocycle alone (σ and σ⁻¹ lifted, the live terms of
+    Δ² and Δ⁴, the second form's pairing) is built once per cocycle object
+    and kept on it (_SigmaTables), so later calls on other modules, and
+    σ̲(M⊗N) after σ̲M and σ̲N, reuse it.
     """
     h = mod.host
     if not h.structures_equal(s.host):
@@ -478,35 +561,29 @@ def sigma_module(s, mod):
     n = h.dim
     m = mod.dim
     f = h.field
-    sig, inv = s.sigma, s.sigma_inv
-    # A term of Δ^(k-1)(e_i) adds zero to both forms unless σ(·⊗h₁) and
-    # σ⁻¹(h_k⊗·) are nonzero functionals; both forms walk only the others.
-    first = [any(row[a] for row in sig.data) for a in range(n)]
-    last = [any(row) for row in inv.data]
-    live = {}
-
-    def live_terms(i, k):
-        if (i, k) not in live:
-            live[i, k] = [(idx, w) for idx, w in h.copower(i, k)
-                          if first[idx[0]] and last[idx[-1]]]
-        return live[i, k]
+    red = f.reduce_vec
+    tabs = _tables(s)
+    sig, inv, live = tabs.sig, tabs.inv, tabs.live
+    pair, pairings = tabs.pair, tabs.pairings
+    coact, act = mod.coact.lifted_terms(), mod.act.lifted_rows()
 
     def twisted(i, p):
-        acc = [f.zero] * m
-        for (a, b, c3), w in live_terms(i, 3):
-            for q0, k0, c0 in mod.coact.terms(p):
-                s2 = inv.data[c3][k0]
+        acc = [0] * m
+        for (a, b, c3), w in live(i, 3):
+            inv_c3, act_b = inv[c3], act[b]
+            for q0, k0, c0 in coact[p]:
+                s2 = inv_c3[k0]
                 if not s2:
                     continue
-                for q1, x in mod.act.row(b, q0):
-                    w2 = w * c0 * s2 * x
-                    for q2, k2, c2 in mod.coact.terms(q1):
-                        s1 = sig.data[k2][a]
+                w0 = w * c0 * s2
+                for q1, x in act_b[q0]:
+                    w2 = w0 * x
+                    for q2, k2, c2 in coact[q1]:
+                        s1 = sig[k2][a]
                         if s1:
-                            acc[q2] = acc[q2] + w2 * c2 * s1
-        return acc
+                            acc[q2] += w2 * c2 * s1
+        return red(acc)
 
-    pairings = {}   # σ(h₄m₁S⁻¹(h₂) ⊗ h₁) by (h₁, h₂, h₄, m₁), for all (i, p)
     by_h5 = {}      # by p: per h₅, [(σ⁻¹(h₅⊗m₂), [(m₀, m₁, c)])] over m₂
 
     def grouped(p):
@@ -516,28 +593,26 @@ def sigma_module(s, mod):
             groups = {}
             for q0, k1, k2, c0 in mod.coact2(p):
                 groups.setdefault(k2, []).append((q0, k1, c0))
-            by_h5[p] = [[(inv.data[e][k2], g) for k2, g in groups.items()
-                         if inv.data[e][k2]] for e in range(n)]
+            by_h5[p] = [[(row[k2], g) for k2, g in groups.items() if row[k2]]
+                        for row in inv]
         return by_h5[p]
 
     def twisted_expanded(i, p):
         # Σ (h3·m0) σ(h4 m1 S⁻¹(h2) ⊗ h1) σ⁻¹(h5⊗m2)
-        acc = [f.zero] * m
+        acc = [0] * m
         per_h5 = grouped(p)
-        for (a, b, c3, d, e), w in live_terms(i, 5):
+        for (a, b, c3, d, e), w in live(i, 5):
+            act_c3 = act[c3]
+            row = pairings.get((a, b, d)) or pair(a, b, d)
             for s2, group in per_h5[e]:
+                ws = w * s2
                 for q0, k1, c0 in group:
-                    key = (a, b, d, k1)
-                    s1 = pairings.get(key)
-                    if s1 is None:
-                        u = h.mul_vec(h.mul.dense_row(d, k1), h.Sinv_basis(b))
-                        s1 = pairings[key] = eval2(sig, u, a)
-                    if not s1:
-                        continue
-                    w2 = w * c0 * s1 * s2
-                    for q, x in mod.act.row(c3, q0):
-                        acc[q] = acc[q] + w2 * x
-        return acc
+                    s1 = row[k1]
+                    if s1:
+                        w2 = ws * c0 * s1
+                        for q, x in act_c3[q0]:
+                            acc[q] += w2 * x
+        return red(acc)
 
     action = agreed_tensor("twisted-action", f, (n, m, m), twisted,
                            twisted_expanded)
@@ -550,8 +625,9 @@ def eta(s, ma, mb):
     and its inverse ξ(m⊗n) = Σ m₀⊗n₀ σ(n₁⊗m₁)."""
     f = ma.host.field
     da, db = ma.dim, mb.dim
-    mat = _matrix(f, _paired_terms(ma, mb, s.sigma_inv), da, db)
-    mat_inv = _matrix(f, _paired_terms(ma, mb, s.sigma), da, db)
+    tabs = _tables(s)
+    mat = _matrix(f, _paired_terms(ma, mb, tabs.inv), da, db)
+    mat_inv = _matrix(f, _paired_terms(ma, mb, tabs.sig), da, db)
     if not are_inverse(mat, mat_inv):
         raise VerificationError("η and ξ are not mutually inverse")
     return mat, mat_inv
@@ -617,7 +693,7 @@ def verify_braided_functor(s, ma, mb):
 def sigma_algebra(s, alg):
     """σ̲(A) with product a•b = μ(η(a⊗b)) = Σ a₀b₀ σ⁻¹(b₁⊗a₁)."""
     mod = alg.module
-    mult = _pushed_product(alg, _paired_terms(mod, mod, s.sigma_inv))
+    mult = _pushed_product(alg, _paired_terms(mod, mod, _tables(s).inv))
     return YdAlgebra(sigma_module(s, mod), mult, list(alg.unit))
 
 
@@ -702,18 +778,19 @@ def braided_product(alga, algb, cqt=None):
     dim = da * db
 
     phi = _braid_terms(modb, moda)     # Φ_{B,A}(b⊗c) = Σ c₀ ⊗ c₁·b
+    mul_a, mul_b = alga.mul.lifted_rows(), algb.mul.lifted_rows()
 
     def product(src1, src2):
         # (a#b)(c#d) = Σ a·c₀ # (c₁·b)·d for a#b = v_p#w_q, c#d = v_r#w_s
         (p, q), (r, s2) = divmod(src1, db), divmod(src2, db)
-        acc = [f.zero] * dim
+        acc = [0] * dim
         for r0, q1, c in phi[q * da + r]:
-            rb = algb.mul.row(q1, s2)
-            for p1, x in alga.mul.row(p, r0):
+            rb = mul_b[q1][s2]
+            for p1, x in mul_a[p][r0]:
                 w = c * x
                 for q2, y in rb:
-                    acc[p1 * db + q2] = acc[p1 * db + q2] + w * y
-        return acc
+                    acc[p1 * db + q2] += w * y
+        return f.reduce_vec(acc)
 
     ds = range(dim)
     mult = Tensor.from_rows(f, (dim, dim, dim),
@@ -927,7 +1004,8 @@ def azumaya_check(alg):
 
     unit = [(p, c) for p, c in enumerate(alg.unit) if c]
     # (1#ē_b)(e_g#1) = Σ g₀ # g₁·ē_b = Φ(ē_b⊗e_g), entry b·m+g
-    exchange = _braid_terms(mod, mod)
+    exchange = [[(p, q, f.reduce(c)) for p, q, c in ts]
+                for ts in _braid_terms(mod, mod)]
     gens_a = generating_set(alg)
     gens_b = generating_set(bar)
     fa = [f_of([(a, q, c) for q, c in unit]) for a in ms]
