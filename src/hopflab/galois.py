@@ -5,7 +5,8 @@ Miyashita-Ulbrich action on centralizers.
 
 Structures are read through the sparse kernel linalg.Bilinear (h.mul,
 h.delta, mod.act, mod.coact, alg.mul, and b.left/b.right for −▷ and ◁−).
-R, σ and σ⁻¹ are paired with vectors only by twist.eval2.  The R-induced
+Words in H such as S⁻¹(h₃)h₁ are sparse rows multiplied by h.product, and
+R, σ and σ⁻¹ are paired with them only by twist.eval2.  The R-induced
 action ▷₁ is quasitriangular.yd_from_comodule.  ▷₂, −▷, ◁− and the wedge
 action are each computed in two displayed forms, and report.require_agree
 raises at the first index where they differ.
@@ -27,8 +28,8 @@ from itertools import product
 from .hopf import (dual_hopf, first_action_mismatch, first_antipode_mismatch,
                    first_multiplicative_mismatch, first_unit_mismatch)
 from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, are_inverse,
-                     kernel_basis, linear_combination, mat_mul, rank,
-                     same_span, solve, sparse_rank, sparse_sum)
+                     kernel_basis, linear_combination, rank, same_span, solve,
+                     sparse_rank, sparse_sum)
 from .quasitriangular import deform_cqt, yd_from_comodule
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
@@ -106,14 +107,16 @@ class BimoduleActions:
 
 def act2_tensor(c, mod):
     """h▷₂m = Σ m₀ R(S(m₁)⊗h); the S⁻¹ form Σ m₀ R(m₁⊗S⁻¹(h)) must agree."""
-    h = c.host
-    ms = range(mod.dim)
-    rho = [[mod.coact.dense_row(p, q) for q in ms] for p in ms]
-    s_rho = [[h.apply_S(v) for v in row] for row in rho]
+    h, rho = c.host, mod.coact.rows
+    # R(S(m₁)⊗e_i) = Σ x R(S(e_k)⊗e_i) over the terms x e_k of m₁
+    r_s = [[eval2(c.r, s, i) for i in range(h.dim)]
+           for s in h.antipodes.rows(0)]
+    sinv = h.antipodes.rows(1)
     return agreed_tensor(
         "▷₂", h.field, (h.dim, mod.dim, mod.dim),
-        lambda i, p: [eval2(c.r, v, i) for v in s_rho[p]],
-        lambda i, p: [eval2(c.r, v, h.Sinv_basis(i)) for v in rho[p]])
+        lambda i, p: [sum((x * r_s[k][i] for k, x in row), h.field.zero)
+                      for row in rho(p)],
+        lambda i, p: [eval2(c.r, row, sinv[i]) for row in rho(p)])
 
 
 def build_hr(c):
@@ -123,13 +126,14 @@ def build_hr(c):
     h = c.host
     n = h.dim
     f = h.field
-    e, hs = h.basis_vec, range(n)
+    hs, one = range(n), f.one
+    s_rows, sinv = h.antipodes.rows(0), h.antipodes.rows(1)
 
     def star(i, j):
         # h⋆l = Σ l₂h₂ R(S⁻¹(l₃)l₁ ⊗ h₁), h = e_i, l = e_j
         acc = [f.zero] * n
         for (l1, l2, l3), w2 in h.copower(j, 3):
-            u = h.mul_vec(h.Sinv_basis(l3), e(l1))
+            u = h.product(sinv[l3], [(l1, one)])
             for h1, h2, w1 in h.delta.terms(i):
                 scal = eval2(c.r, u, h1)
                 if not scal:
@@ -139,18 +143,18 @@ def build_hr(c):
                     acc[k] = acc[k] + w * cm
         return acc
 
-    ss = mat_mul(h.antipode, h.antipode)  # S² (apply S twice)
+    ss = [sorted(sparse_sum((k, x * y) for t, x in s_rows[i]    # S²(e_i)
+                            for k, y in s_rows[t]).items()) for i in hs]
 
     def s_r(i):
         # S_R(h) = Σ S(h₂) R(S²(h₃)S(h₁) ⊗ h₄)
         acc = [f.zero] * n
         for (a, b, c3, d), w in h.copower(i, 4):
-            scal = eval2(c.r, h.mul_vec(ss.data[c3], h.S_basis(a)), d)
+            scal = eval2(c.r, h.product(ss[c3], s_rows[a]), d)
             if not scal:
                 continue
-            for k, cv in enumerate(h.S_basis(b)):
-                if cv:
-                    acc[k] = acc[k] + w * scal * cv
+            for k, cv in s_rows[b]:
+                acc[k] = acc[k] + w * scal * cv
         return acc
 
     def adjoint(i):
@@ -158,9 +162,8 @@ def build_hr(c):
         rows = [[f.zero] * n for _ in hs]
         for (a, b, c3), w in h.copower(i, 3):
             row = rows[b]
-            for k, cv in enumerate(h.mul_vec(h.S_basis(a), e(c3))):
-                if cv:
-                    row[k] = row[k] + w * cv
+            for k, cv in h.product(s_rows[a], [(c3, one)]):
+                row[k] = row[k] + w * cv
         return rows
 
     mod = yd_from_comodule(c, Tensor.from_rows(f, (n, n, n),
@@ -190,7 +193,7 @@ def bimodule_actions(bh, mod):
     f = h.field
     m = mod.dim
     shape = (h.dim, m, m)
-    sinv = h.Sinv_basis
+    s_rows, sinv = h.antipodes.rows(0), h.antipodes.rows(1)
     a2 = act2_tensor(bh.cqt, mod)
     act2 = Bilinear(a2)
 
@@ -200,7 +203,7 @@ def bimodule_actions(bh, mod):
         for a, b, w in h.delta.terms(i):
             for q0, x in mod.act.row(a, p):
                 for q, k, c0 in mod.coact.terms(q0):
-                    scal = eval2(r, sinv(b), k)
+                    scal = eval2(r, sinv[b], k)
                     if scal:
                         acc[q] = acc[q] + w * x * c0 * scal
         return acc
@@ -210,8 +213,7 @@ def bimodule_actions(bh, mod):
         acc = [f.zero] * m
         for (a, b, c3, d), w in h.copower(i, 4):
             for q0, k, c0 in mod.coact.terms(p):
-                scal = eval2(r, sinv(d),
-                             h.mul_vec(h.mul.dense_row(c3, k), sinv(a)))
+                scal = eval2(r, sinv[d], h.product(h.mul.row(c3, k), sinv[a]))
                 if not scal:
                     continue
                 for q, x in mod.act.row(b, q0):
@@ -222,10 +224,10 @@ def bimodule_actions(bh, mod):
         # m◁−h = Σ S(h₁) ▷₂ (h₂·m)
         acc = [f.zero] * m
         for a, b, w in h.delta.terms(i):
-            v = act2.apply(h.S_basis(a), mod.act.dense_row(b, p))
-            for q, x in enumerate(v):
-                if x:
-                    acc[q] = acc[q] + w * x
+            for t, y in s_rows[a]:
+                for q0, x in mod.act.row(b, p):
+                    for q, z in act2.row(t, q0):
+                        acc[q] = acc[q] + w * y * x * z
         return acc
 
     def right_expanded(i, p):
@@ -233,7 +235,7 @@ def bimodule_actions(bh, mod):
         acc = [f.zero] * m
         for (a, b, c3, d), w in h.copower(i, 4):
             for q0, k, c0 in mod.coact.terms(p):
-                scal = eval2(r, h.mul_vec(h.mul.dense_row(d, k), sinv(b)), a)
+                scal = eval2(r, h.product(h.mul.row(d, k), sinv[b]), a)
                 if not scal:
                     continue
                 for q, x in mod.act.row(c3, q0):
@@ -451,19 +453,11 @@ def wedge_algebra(cqt, alga, algb):
 def adjoint_module(host):
     """H as a YD module over itself: coaction Δ and the adjoint action
     h·a = Σ h₂ a S⁻¹(h₁)."""
-    f = host.field
-    n = host.dim
-    action = Tensor.zeros(f, (n, n, n))
-    for i in range(n):
-        for p in range(n):
-            acc = [f.zero] * n
-            for a, b, c in host.delta.terms(i):
-                v = host.mul_vec(host.mul.dense_row(b, p), host.Sinv_basis(a))
-                for k, x in enumerate(v):
-                    if x:
-                        acc[k] = acc[k] + c * x
-            for k in range(n):
-                action.data[(i * n + p) * n + k] = acc[k]
+    f, n, hs = host.field, host.dim, range(host.dim)
+    sinv = host.antipodes.rows(1)
+    action = Tensor.from_rows(f, (n, n, n), [[linear_combination(f, n, (
+        (c, host.product(host.mul.row(b, p), sinv[a]))
+        for a, b, c in host.delta.terms(i))) for p in hs] for i in hs])
     return YdModule(host, n, action, Tensor(f, (n, n, n),
                                             list(host.comult.data)))
 
@@ -486,12 +480,12 @@ def chi_maps(s):
     h = s.host
     n = h.dim
     f = h.field
-    e, sinv = h.basis_vec, h.Sinv_basis
+    sinv = h.antipodes.rows(1)
 
     def chi(i):
         acc = [f.zero] * n
         for (a, b, c, d), w in h.copower(i, 4):
-            scal = eval2(s.sigma_inv, d, h.mul_vec(sinv(c), e(a)))
+            scal = eval2(s.sigma_inv, d, h.product(sinv[c], [(a, f.one)]))
             if scal:
                 acc[b] = acc[b] + w * scal
         return acc
@@ -499,10 +493,10 @@ def chi_maps(s):
     def chi_inv(i):
         acc = [f.zero] * n
         for (a, b, c, d, e5), w in h.copower(i, 5):
-            s1 = eval2(s.sigma_inv, sinv(e5), a)
+            s1 = eval2(s.sigma_inv, sinv[e5], a)
             if not s1:
                 continue
-            s2 = eval2(s.sigma, sinv(d), c)
+            s2 = eval2(s.sigma, sinv[d], c)
             if s2:
                 acc[b] = acc[b] + w * s1 * s2
         return acc
@@ -543,7 +537,8 @@ def phi_psi_xi(s, alg):
     f = h.field
     mod = alg.module
     m = mod.dim
-    e, sinv, hs = h.basis_vec, h.Sinv_basis, range(n)
+    sinv, hs = h.antipodes.rows(1), range(n)
+    words = [[h.product(sinv[a], [(t, f.one)]) for t in hs] for a in hs]
 
     def spread(mat, w, pairing, at_row, at_col):
         """mat[at_row(p)][at_col(q)] += w·c·pairing[k] over the terms
@@ -561,7 +556,7 @@ def phi_psi_xi(s, alg):
         out = Matrix.zeros(f, m * n, m * n)
         for k in hs:
             for (k1, j, k3), w in h.copower(k, 3):
-                u = h.mul_vec(sinv(k3), e(k1))
+                u = words[k3][k1]
                 pairing = [eval2(mat2, u, t) if psi else eval2(mat2, t, u)
                            for t in hs]
                 spread(out, w, pairing, lambda p: at(p, j),
@@ -575,13 +570,13 @@ def phi_psi_xi(s, alg):
     xi_inv = Matrix.zeros(f, m * n, m * n)
     for i in hs:
         for (a, b, c, d), w in h.copower(i, 4):
-            s1 = eval2(s.sigma, sinv(b), a)
+            s1 = eval2(s.sigma, sinv[b], a)
             if s1:
                 spread(xi, w * s1,
-                       [eval2(s.sigma_inv, sinv(c), t) for t in hs],
+                       [eval2(s.sigma_inv, sinv[c], t) for t in hs],
                        lambda p: p * n + i, lambda q: q * n + d)
         for (a, b, c), w in h.copower(i, 3):
-            spread(xi_inv, w, [eval2(s.sigma_inv, b, h.mul_vec(sinv(a), e(t)))
+            spread(xi_inv, w, [eval2(s.sigma_inv, b, words[a][t])
                                for t in hs],
                    lambda p: p * n + i, lambda q: q * n + c)
 

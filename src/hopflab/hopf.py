@@ -4,8 +4,10 @@ Structure tensors follow the index conventions
     mult[i,j,k]   = coefficient of e_k in e_i·e_j
     comult[i,j,k] = coefficient of e_j⊗e_k in Δ(e_i)
     antipode.data[i][j] = coefficient of e_j in S(e_i)   (row-as-image)
-and the unit/counit are coordinate (co)vectors of length n.  h.mul and
-h.delta read mult and comult through the sparse kernel linalg.Bilinear.
+and the unit/counit are coordinate (co)vectors of length n.  h.mul, h.delta
+and h.antipodes (rows(0)[i] is S(e_i), rows(1)[i] S⁻¹(e_i)) read them
+through linalg.Bilinear.  An element of H built in a formula, such as
+h₄m₁S⁻¹(h₂), is a sparse row as h.mul.row returns; h.product multiplies two.
 The axioms read every product of basis vectors from h.mul's sparse rows;
 no dense basis vector is multiplied.  Associativity and the action axioms
 (first_action_mismatch), comult_algebra_map and counit_algebra_map sum on
@@ -28,7 +30,7 @@ galois.verify_unit_deformation's χ*.
 
 from __future__ import annotations
 
-from .linalg import (Bilinear, apply_rowmap, are_inverse, check_dim,
+from .linalg import (Bilinear, Tensor, apply_rowmap, are_inverse, check_dim,
                      check_shape, linear_combination, mat_mul)
 from .report import (CheckReport, first_block_mismatch, first_lifted_mismatch,
                      first_mismatch)
@@ -58,11 +60,24 @@ class HopfAlgebra:
         self.name = name
         self.mul = Bilinear(mult)
         self.delta = Bilinear(comult)
+        self.antipodes = Bilinear(Tensor(field, (2, n, n), antipode.entries
+                                         + antipode_inv.entries))
         self._copower = {}
         self._dual = None               # set by dual_hopf
 
     def mul_vec(self, u, v):
         return self.mul.apply(u, v)
+
+    def product(self, u, v):
+        """uv as a sparse row, for u and v any [(k, c)] pairs (zeros and
+        repeated k allowed), summed on field elements from h.mul's rows."""
+        acc = [self.field.zero] * self.dim
+        for i, x in u:
+            ri = self.mul.rows(i)
+            for j, y in v:
+                for k, c in ri[j]:
+                    acc[k] = acc[k] + x * y * c
+        return [(k, c) for k, c in enumerate(acc) if c]
 
     def copower(self, i, k):
         """Sparse Δ^(k-1)(e_i) as [(index_tuple_of_len_k, coeff)].
@@ -91,15 +106,6 @@ class HopfAlgebra:
             if x and e:
                 s = s + x * e
         return s
-
-    def apply_S(self, vec):
-        return apply_rowmap(vec, self.antipode)
-
-    def S_basis(self, i):
-        return self.antipode.data[i]
-
-    def Sinv_basis(self, i):
-        return self.antipode_inv.data[i]
 
     def basis_vec(self, i):
         v = [self.field.zero] * self.dim

@@ -238,7 +238,9 @@ def functional_from_json(doc, host):
     kind = doc.get("kind")
     if kind == "one_cocycle":
         mu = _sparse_to_tensor(f, (n,), doc.get("entries", []), kind)
-        return twist.lazy_one_cocycle(host, mu.data)
+        inv = (_sparse_to_tensor(f, (n,), doc["inverse"], "inverse").data
+               if "inverse" in doc else None)
+        return twist.lazy_one_cocycle(host, mu.data, inv)
 
     def matrix(entries, what):
         t = _sparse_to_tensor(f, (n, n), entries, what)

@@ -455,6 +455,10 @@ class Bilinear:
         """t[i,j,:] as [(k, c)] over its nonzero entries."""
         return (self._rows or self._table())[i][j]
 
+    def rows(self, i):
+        """[row(i, j) for every j], the table's own list."""
+        return (self._rows or self._table())[i]
+
     def _all_terms(self):
         if self._terms is None:
             self._terms = _terms_of(self._table())
@@ -510,11 +514,10 @@ class Bilinear:
         return out
 
     def apply_basis(self, i, v):
-        """Σ v_j t[i,j,:], that is apply(e_i, v)."""
-        field = self.tensor.field
-        e = [field.zero] * self.tensor.shape[0]
-        e[i] = field.one
-        return self.apply(e, v)
+        """Σ v_j t[i,j,:], that is apply(e_i, v), read from rows(i)."""
+        return linear_combination(
+            self.tensor.field, self.tensor.shape[2],
+            ((y, r) for y, r in zip(v, self.rows(i)) if y))
 
 
 def row_space_echelon(field, vectors, dim):

@@ -3,7 +3,8 @@ deformed Hopf algebras H^σ and H_θ.
 
 A functional on H⊗H is an n×n Matrix f with f.data[i][j] = f(e_i⊗e_j); an
 element of H⊗H is an n×n Matrix of coefficients.  Convolution is
-(f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂) with unit ε⊗ε.
+(f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂) with unit ε⊗ε.  eval2 pairs f with two
+elements of H, each a basis index or a sparse row (hopf.py), such as S(e_i).
 
 H^σ, ∂μ and laziness are convolutions: e_k's coefficient in the product of
 H^σ is σ * m_k * σ⁻¹ for m_k(x⊗y) = e_k's coefficient in xy, S^σ = u * S * v
@@ -44,31 +45,30 @@ from .report import CheckReport, VerificationError, first_mismatch
 # -- scalar-functional helpers ---------------------------------------------
 
 def eval2(f, u, v):
-    """f(u⊗v), the one place a functional on H⊗H is paired with vectors.
+    """f(u⊗v), the one place a functional on H⊗H is paired with elements.
 
-    u and v are coordinate vectors, or basis indices: an int i stands for
-    e_i, so f(e_i⊗v) reads row i of f and f(u⊗e_j) column j with no basis
-    vector built.  Only nonzero coordinates are read.
+    u and v are basis indices or sparse rows [(k, c)], hopf.py's elements
+    of H: an int i stands for e_i, so f(e_i⊗e_j) is f.data[i][j].
     """
-    acc = f.field.zero
     if type(u) is int:
         row = f.data[u]
         if type(v) is int:
             return row[v]
-        for y, c in zip(v, row):
-            if y and c:
-                acc = acc + y * c
-    elif type(v) is int:
-        for x, row in zip(u, f.data):
-            if x and row[v]:
+        acc = f.field.zero
+        for j, y in v:
+            if row[j]:
+                acc = acc + y * row[j]
+        return acc
+    acc = f.field.zero
+    for i, x in u:
+        row = f.data[i]
+        if type(v) is int:
+            if row[v]:
                 acc = acc + x * row[v]
-    else:
-        vs = [(j, y) for j, y in enumerate(v) if y]
-        for x, row in zip(u, f.data):
-            if x:
-                for j, y in vs:
-                    if row[j]:
-                        acc = acc + x * y * row[j]
+            continue
+        for j, y in v:
+            if row[j]:
+                acc = acc + x * y * row[j]
     return acc
 
 
@@ -195,10 +195,11 @@ def verify_two_cocycle(c):
     rep = CheckReport()
     sig, inv = c.sigma, c.sigma_inv
     every = range(h.dim)
+    unit = [(t, x) for t, x in enumerate(h.unit) if x]
 
-    ok = eval2(sig, h.unit, h.unit) == f.one
+    ok = eval2(sig, unit, unit) == f.one
     bad = first_mismatch((every,), lambda i: (
-        (eval2(sig, i, h.unit), eval2(sig, h.unit, i)),
+        (eval2(sig, i, unit), eval2(sig, unit, i)),
         (h.counit[i], h.counit[i])))
     rep.add("normalization", bad is None and ok, bad)
 
@@ -292,13 +293,13 @@ def verify_two_cocycle(c):
             "σ⁻¹(g1h1⊗l)σ⁻¹(g2⊗h2) = σ⁻¹(g⊗h1l1)σ⁻¹(h2⊗l2)")
 
     def antipode_pairing(x):
-        acc = f.zero
+        acc, s_rows = f.zero, h.antipodes.rows(0)
         for idx, w in h.copower(x, 4):
             a, b, cc, d = idx
-            s1 = eval2(sig, a, h.S_basis(b))
+            s1 = eval2(sig, a, s_rows[b])
             if not s1:
                 continue
-            s2 = eval2(inv, h.S_basis(cc), d)
+            s2 = eval2(inv, s_rows[cc], d)
             if s2:
                 acc = acc + w * s1 * s2
         return acc, h.counit[x]
@@ -335,7 +336,7 @@ def _deform(c):
     h = c.host
     n, f, hs = h.dim, h.field, range(h.dim)
     sig, inv = c.sigma, c.sigma_inv
-    S, Sinv = h.S_basis, h.Sinv_basis
+    S, Sinv = h.antipodes.rows(0), h.antipodes.rows(1)
     # m^σ = σ * m_k * σ⁻¹ for each coordinate functional m_k
     twisted = [convolve2(h, convolve2(h, sig, m_k), inv)
                for m_k in _coordinate_functionals(h)]
@@ -350,12 +351,12 @@ def _deform(c):
                                 for col in mat.transpose().data]).transpose()
 
     s_mat = sandwich(   # u(h) = σ(h₁⊗S(h₂)), v(h) = σ⁻¹(S(h₁)⊗h₂)
-        _delta_functional(h, lambda a, b: eval2(sig, a, S(b))), h.antipode,
-        _delta_functional(h, lambda a, b: eval2(inv, S(a), b)))
+        _delta_functional(h, lambda a, b: eval2(sig, a, S[b])), h.antipode,
+        _delta_functional(h, lambda a, b: eval2(inv, S[a], b)))
     s_inv_mat = sandwich(   # u'(h) = σ(S⁻¹(h₂)⊗h₁), v'(h) = σ⁻¹(h₂⊗S⁻¹(h₁))
-        _delta_functional(h, lambda a, b: eval2(sig, Sinv(b), a)),
+        _delta_functional(h, lambda a, b: eval2(sig, Sinv[b], a)),
         h.antipode_inv,
-        _delta_functional(h, lambda a, b: eval2(inv, b, Sinv(a))))
+        _delta_functional(h, lambda a, b: eval2(inv, b, Sinv[a])))
     return HopfAlgebra(f, n, list(h.basis_names), mult, list(h.unit),
                        h.comult, list(h.counit), s_mat, s_inv_mat,
                        name=h.name + "^s")

@@ -9,7 +9,8 @@ Tensor conventions (m = module dimension, n = host dimension):
 The tensor product M⊗N carries h·(m⊗n) = Σ h₁·m ⊗ h₂·n and
 ρ(m⊗n) = Σ (m₀⊗n₀) ⊗ n₁m₁; basis index of v_p⊗w_q is p·dim(N)+q.
 mod.act, mod.coact and alg.mul read action, coaction and product through
-the sparse kernel linalg.Bilinear.  σ and σ⁻¹ are read from the lifted
+the sparse kernel linalg.Bilinear, and words in H, such as e_c e_k S⁻¹(e_a),
+are h.product's sparse rows (hopf.py).  σ and σ⁻¹ are read from the lifted
 tables kept on the cocycle (_SigmaTables).  The hot loops here sum lifted
 values (fields.Field.lift) from Bilinear's lifted tables, and a
 construction reduces each row it builds once (Field.reduce_vec).
@@ -196,16 +197,15 @@ def verify_yd(mod):
             for q, k, c0 in coact.terms(q0):
                 key = (q, k)
                 lhs[key] = lhs.get(key, zero) + x * c0
-        rhs = {}
+        rhs, sinv = {}, h.antipodes.rows(1)
         for (a, b, c3), w in h.copower(i, 3):
             for q0, k, c0 in coact.terms(p):
+                word = h.product(h.mul.row(c3, k), sinv[a])
                 for q, x in act.row(b, q0):
                     w2 = w * c0 * x
-                    vec = h.mul_vec(h.mul.dense_row(c3, k), h.Sinv_basis(a))
-                    for k2, cv in enumerate(vec):
-                        if cv:
-                            key = (q, k2)
-                            rhs[key] = rhs.get(key, zero) + w2 * cv
+                    for k2, cv in word:
+                        key = (q, k2)
+                        rhs[key] = rhs.get(key, zero) + w2 * cv
         return lhs, rhs
 
     bad = first_mismatch((hs, ms), compatibility_sinv)
@@ -504,8 +504,6 @@ class _SigmaTables:
         self.last = [any(row) for row in self.inv]
         self._live = {}
         self.pairings = {}
-        self._sinv = [[(j, y) for j, y in enumerate(row) if y]
-                      for row in h.antipode_inv.lifted_rows()]
 
     def live(self, i, k):
         """The terms (index tuple, lifted coefficient) of Δ^(k-1)(e_i) whose
@@ -524,12 +522,12 @@ class _SigmaTables:
         lifted from its reduced value, and returned: each product is summed
         from h.mul's lifted rows and S⁻¹, independently of the first form."""
         h, sig = self.host, self.sig
-        mul = h.mul.lifted_rows()
+        mul, sinv = h.mul.lifted_rows(), h.antipodes.lifted_rows()[1]
         sums = []
         for dk in mul[d]:
             acc = 0
             for t, c in dk:
-                for j, y in self._sinv[b]:
+                for j, y in sinv[b]:
                     for k, cm in mul[t][j]:
                         acc += c * y * cm * sig[k][a]
             sums.append(acc)
@@ -838,8 +836,10 @@ def end_algebra(mod):
     for p in ms:
         unit[p * m + p] = one
 
+    s_rows, sinv = h.antipodes.rows(0), h.antipodes.rows(1)
     # s_act[b][r] = S(e_b)·v_r
-    s_act = [[mod.act_vec(h.S_basis(b), mod.basis_vec(r)) for r in ms]
+    s_act = [[linear_combination(f, m, ((c, mod.act.row(t, r))
+                                        for t, c in s_rows[b])) for r in ms]
              for b in range(n)]
 
     def conjugate(i, src):
@@ -867,10 +867,8 @@ def end_algebra(mod):
                 for q2, l, c2 in mod.coact.terms(q):
                     w = c1 * c2
                     row = rows[r * m + q2]
-                    hv = h.mul_vec(h.Sinv_basis(k), h.basis_vec(l))
-                    for k2, cv in enumerate(hv):
-                        if cv:
-                            row[k2] = row[k2] + w * cv
+                    for k2, cv in h.product(sinv[k], [(l, one)]):
+                        row[k2] = row[k2] + w * cv
         return rows
 
     mult = Tensor.from_rows(f, (dim, dim, dim),

@@ -21,8 +21,8 @@ from hopflab.quasitriangular import (CqtStructure, deform_cqt, deform_qt,
 from hopflab.report import VerificationError
 from hopflab.suite import T_DEFAULT
 from hopflab.twist import (LazyOneCocycle, TwoCocycle, conv_inverse1,
-                           conv_inverse2, coboundary_from, deform, eval2,
-                           is_lazy, two_cocycle, verify_two_cocycle)
+                           conv_inverse2, coboundary_from, deform, is_lazy,
+                           two_cocycle, verify_two_cocycle)
 from hopflab.yd import verify_braided_functor
 
 FIELDS = ("Q", "Fp:5")
@@ -56,6 +56,31 @@ def host(request):
 
 # -- the replaced sums ---------------------------------------------------------
 
+def dense_eval2(f, u, v):
+    """f(u⊗v) for coordinate vectors u and v, or basis indices: twist.eval2
+    before elements of H became sparse rows, kept for the references."""
+    acc = f.field.zero
+    if type(u) is int:
+        row = f.data[u]
+        if type(v) is int:
+            return row[v]
+        for y, c in zip(v, row):
+            if y and c:
+                acc = acc + y * c
+    elif type(v) is int:
+        for x, row in zip(u, f.data):
+            if x and row[v]:
+                acc = acc + x * row[v]
+    else:
+        vs = [(j, y) for j, y in enumerate(v) if y]
+        for x, row in zip(u, f.data):
+            if x:
+                for j, y in vs:
+                    if row[j]:
+                        acc = acc + x * y * row[j]
+    return acc
+
+
 def ref_deform(h, sig, inv):
     """mult, S and S⁻¹ of H^σ as the sums over Δ²(e_i)⊗Δ²(e_j) and Δ⁴(e_i)."""
     n = h.dim
@@ -72,17 +97,18 @@ def ref_deform(h, sig, inv):
                         mult[(i * n + j) * n + k] += w * cm
     s_mat = Matrix.zeros(f, n, n)
     s_inv_mat = Matrix.zeros(f, n, n)
+    s, sinv = h.antipode.data, h.antipode_inv.data
     for i in range(n):
         for (a, b, c1, d, e), w in h.copower(i, 5):
             # σ(i₁⊗S(i₂)) S(i₃) σ⁻¹(S(i₄)⊗i₅)
-            w2 = (w * eval2(sig, a, h.S_basis(b))
-                  * eval2(inv, h.S_basis(d), e))
-            for k, cv in enumerate(h.S_basis(c1)):
+            w2 = (w * dense_eval2(sig, a, s[b])
+                  * dense_eval2(inv, s[d], e))
+            for k, cv in enumerate(s[c1]):
                 s_mat.data[i][k] += w2 * cv
             # σ(S⁻¹(i₂)⊗i₁) S⁻¹(i₃) σ⁻¹(i₅⊗S⁻¹(i₄))
-            w3 = (w * eval2(inv, e, h.Sinv_basis(d))
-                  * eval2(sig, h.Sinv_basis(b), a))
-            for k, cv in enumerate(h.Sinv_basis(c1)):
+            w3 = (w * dense_eval2(inv, e, sinv[d])
+                  * dense_eval2(sig, sinv[b], a))
+            for k, cv in enumerate(sinv[c1]):
                 s_inv_mat.data[i][k] += w3 * cv
     return mult, s_mat, s_inv_mat
 

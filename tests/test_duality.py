@@ -118,8 +118,9 @@ def test_deform_dual_matches_conjugation_by_theta(h4, t):
         acc = [h.field.zero] * n
         for a, b, x in pairs(d.theta):
             for c, e, y in pairs(d.theta_inv):
-                v = product(h, h.basis_vec(a), h.S_basis(b), h.S_basis(i),
-                            h.S_basis(c), h.basis_vec(e))
+                s = h.antipode.data
+                v = product(h, h.basis_vec(a), s[b], s[i], s[c],
+                            h.basis_vec(e))
                 acc = [z + x * y * w for z, w in zip(acc, v)]
         s_rows.append(acc)
     s_theta = Matrix(h.field, n, n, s_rows)

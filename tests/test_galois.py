@@ -314,7 +314,7 @@ def ref_unit_object(host):
     def dual_action(i, j):
         acc = [f.zero] * n
         for a, b, c in hd.delta.terms(i):
-            u = hd.mul_vec(hd.mul.dense_row(b, j), hd.Sinv_basis(a))
+            u = hd.mul_vec(hd.mul.dense_row(b, j), hd.antipode_inv.data[a])
             for q, cv in enumerate(u):
                 if cv:
                     acc[q] = acc[q] + c * cv

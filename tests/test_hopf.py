@@ -87,7 +87,7 @@ def test_antipode_axiom_vector_form(h4):
     for i in range(4):
         acc = [QQ.zero] * 4
         for j, k, c in h4.delta.terms(i):
-            v = h4.mul_vec(h4.S_basis(j), h4.basis_vec(k))
+            v = h4.mul_vec(h4.antipode.data[j], h4.basis_vec(k))
             for t, x in enumerate(v):
                 acc[t] = acc[t] + c * x
         assert acc == [h4.counit[i] * u for u in h4.unit]
@@ -199,11 +199,11 @@ def closure_checks(h):
         left = [zero] * n
         right = [zero] * n
         for j, k, c in delta.terms(i):
-            for t, c2 in enumerate(h.S_basis(j)):
+            for t, c2 in enumerate(h.antipode.data[j]):
                 if c2:
                     for a, cm in mul.row(t, k):
                         left[a] = left[a] + c * c2 * cm
-            for t, c2 in enumerate(h.S_basis(k)):
+            for t, c2 in enumerate(h.antipode.data[k]):
                 if c2:
                     for a, cm in mul.row(j, t):
                         right[a] = right[a] + c * c2 * cm

@@ -577,3 +577,31 @@ def test_one_cocycle_verifier_decides_mu(spec):
                 "mu_inv is not the convolution inverse of mu"
         assert "1-cocycle is not normalized: mu(1) != 1" in details
     assert "1-cocycle is not central at basis index 2" in details
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_validate_decides_the_one_cocycle_inverse(tmp_path, capsys, spec):
+    """validate reads a one_cocycle document's "inverse": for μ = (1, 2) on
+    kC₂ the inverse (1, 7) exits 1, the true inverse exits 0, and without
+    an inverse the loader solves for it."""
+    from hopflab.fields import field_from_spec
+    field = field_from_spec(spec)
+    mu = cat.one_cocycle_c2(cat.group_algebra_c2(field), 2)
+    doc = io_json.one_cocycle_to_json(mu)
+    path = tmp_path / "mu.json"
+
+    def validate(**changed):
+        path.write_text(json.dumps(dict(doc, **changed)))
+        return main(["validate", str(path)]), capsys.readouterr()
+
+    code, out = validate(inverse=[[0, "1"], [1, "7"]])
+    assert code == 1
+    assert out.err == ("check failed: mu_inv is not the convolution inverse "
+                       "of mu\n")
+    code, out = validate()
+    assert (code, out.err) == (0, "")
+    assert out.out == "PASS  one_cocycle_invariants\n"
+    del doc["inverse"]
+    assert validate()[0] == 0
+    back = io_json.functional_from_json(doc, mu.host)
+    assert back.mu_inv == mu.mu_inv

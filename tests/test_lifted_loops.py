@@ -26,6 +26,7 @@ from hopflab.yd import (YdAlgebra, YdModule, _braid_terms, _kron, _matrix,
                         eta, sigma_algebra, sigma_module, yd_tensor)
 from hopflab.catalog import (end_regular, regular_comodule_module, r_t,
                              sigma_t, sweedler_h4)
+from test_convolution_routes import dense_eval2
 from test_hopf import one_entry_changes, one_matrix_changes
 
 
@@ -33,8 +34,8 @@ from test_hopf import one_entry_changes, one_matrix_changes
 
 def reference_sigma_module(s, mod):
     """σ̲(M) with both displayed forms summed on field elements, the
-    pairing σ(h₄m₁S⁻¹(h₂) ⊗ h₁) read through eval2, and the per-call live
-    terms: sigma_module before its per-cocycle lifted tables."""
+    pairing σ(h₄m₁S⁻¹(h₂) ⊗ h₁) read through dense_eval2, and the per-call
+    live terms: sigma_module before its per-cocycle lifted tables."""
     h = mod.host
     n, m, f = h.dim, mod.dim, h.field
     sig, inv = s.sigma, s.sigma_inv
@@ -68,8 +69,9 @@ def reference_sigma_module(s, mod):
                     s2 = inv.data[e][k0]
                     if not s2:
                         continue
-                    u = h.mul_vec(h.mul.dense_row(d, k1), h.Sinv_basis(b))
-                    s1 = eval2(sig, u, a)
+                    u = h.mul_vec(h.mul.dense_row(d, k1),
+                                  h.antipode_inv.data[b])
+                    s1 = dense_eval2(sig, u, a)
                     if not s1:
                         continue
                     w2 = w * c0 * c1 * s1 * s2

@@ -71,7 +71,7 @@ def dense_cqt4_prime(c):
         rhs = [f.zero] * n
         for (x1, x2, x3), w in h.copower(x, 3):
             for a, b, ca in h.delta.terms(g):
-                vec = h.mul_vec(h.mul_vec(h.S_basis(x1), e(b)), e(x3))
+                vec = h.mul_vec(h.mul_vec(h.antipode.data[x1], e(b)), e(x3))
                 for k, cv in enumerate(vec):
                     rhs[k] = rhs[k] + w * ca * r.data[a][x2] * cv
         return lhs, rhs
