@@ -5,19 +5,25 @@ x == 0).  Division goes through ``Field.div`` only, never the ``/``
 operator.  All arithmetic is exact and equality is decidable, which turns
 every identity in this package into a yes/no check with no tolerances.
 
-ℚ is int-first where a value is made: ``Rationals.from_int`` and
-``Rationals.parse`` give a Python ``int`` for an integer, and
-``Rationals.div``, the one place that builds a Fraction, returns the plain
-numerator when the denominator is 1, so ``int / int`` never makes a float.
-The structure tensors are mostly 0s and ±1s, so almost all arithmetic runs
-on small ints.  Arithmetic on a Fraction keeps the Fraction type, though:
-a sum or product that happens to be integral stays a ``Fraction``
-(``Fraction(1, 2) * 2`` is ``Fraction(1, 1)``), so an integral ℚ value may
-have either type.  Mixing the two types is exact (int ⊂ Fraction in
-Python's numeric tower), and ``==``, ``hash`` and ``str`` agree between an
-int and the equal Fraction: ``Fraction(2) == 2``, both hash alike, and both
-print as ``2``.  Reports, JSON documents and set/dict keys are therefore the
-same whichever of the two types a value happens to have.
+ℚ is int-first: an integral value is always a Python ``int``, and a
+non-integral one is a ``QFraction``, a lean subclass of
+``fractions.Fraction`` (bound to ``_RAT``) held in lowest terms with a
+denominator > 1.  Its one constructor, ``QFraction(n, d)`` for coprime n
+and d ≥ 1, returns the int n when d = 1; +, -, *, unary - and their
+reflected forms take an int or any ``Fraction`` as the other operand, sum
+on its numerator and denominator with ``math.gcd`` and build the result
+through that constructor, so a sum or product that happens to be integral
+comes back as an int (``QQ.div(1, 2) * 2`` is ``1``).  Any other operand
+type gets ``NotImplemented``.  ``Rationals.div``, the one division, builds
+its quotient the same way, so ``int / int`` never makes a float.  The
+structure tensors are mostly 0s and ±1s, so almost all arithmetic runs on
+small ints.  ``==``, ``hash``, ``str`` and ``bool`` are ``Fraction``'s, so
+they agree between an int and an equal rational of either type:
+``Fraction(2) == 2``, both hash alike, and both print as ``2``.  Reports,
+JSON documents and set/dict keys are therefore the same whatever type a
+value has.  A plain ``Fraction`` from outside (a test, or a user's t)
+mixes exactly and is turned into an int or a ``QFraction`` by
+``Rationals.reduce_vec``.
 
 F_p is int-backed too: an element of ``PrimeField(p)`` is an instance of
 an ``int`` subclass made for that field, holding its residue in [0, p).
@@ -46,11 +52,10 @@ two lifted sides are congruent mod p; over ℚ both are the identity
 reducing.  A check reduces each coordinate once, where it is compared; a
 construction reduces each output vector once, with ``reduce_vec(vec)``,
 the list of elements equal to the lifted sums in vec: one call per vector,
-never one per coordinate.  Over ℚ ``reduce_vec`` is int-first, as ``div``
-is: a sum that is an integral Fraction comes back as its int, so a vector
-built through it holds no integral Fraction, and a vector with no Fraction
-is returned as it is.  ``reduce`` stays the identity over ℚ; it serves
-comparisons, where the type does not matter.  linalg.Bilinear keeps
+never one per coordinate.  Over ℚ the lifted sums are already int-first,
+so ``reduce_vec`` returns a vector as it is unless it holds a plain
+``Fraction``, which it converts.  ``reduce`` stays the identity over ℚ; it
+serves comparisons, where the type does not matter.  linalg.Bilinear keeps
 the lifted tables of the structure tensors; hopf.py, the Yetter-Drinfeld
 maps and σ̲ in yd.py, the convolutions of twist.py and the
 Miyashita-Ulbrich action in galois.py sum on them.
@@ -60,7 +65,8 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction as _RAT
+from fractions import Fraction
+from math import gcd
 
 # A written scalar: an integer "a" or a quotient "a/b" of integers.
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -250,9 +256,123 @@ class Field:
         return "Field(%s)" % self.spec()
 
 
-def _int_first(q):
-    """The int equal to the Fraction q when q is integral, else q."""
-    return q.numerator if q.denominator == 1 else q
+_new_object = object.__new__
+
+
+class QFraction(Fraction):
+    """A non-integral rational n/d: n and d coprime, d > 1.
+
+    The operations read the other operand exactly when it is an int or a
+    ``Fraction`` (its ``_numerator`` and ``_denominator``), reduce with
+    ``math.gcd`` as ``Fraction`` does (Knuth, TAOCP 4.5.1), and return
+    ``QFraction(n, d)``: an int when the result is integral.  ``==``,
+    ``hash``, ``str`` and ``bool`` are ``Fraction``'s.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n, d):
+        """n/d for coprime ints n and d ≥ 1: the int n when d == 1."""
+        if d == 1:
+            return n
+        q = _new_object(cls)
+        q._numerator = n
+        q._denominator = d
+        return q
+
+    def _add(a, b):
+        """a + b"""
+        na, da = a._numerator, a._denominator
+        if type(b) is int:
+            return _new(_RAT, na + b * da, da)
+        if type(b) is not _RAT and not isinstance(b, Fraction):
+            return NotImplemented
+        nb, db = b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            return _new(_RAT, na * db + da * nb, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        return _new(_RAT, t // g2, s * (db // g2))
+
+    __add__ = __radd__ = _add
+
+    def _sub(a, b):
+        """a - b, for a any Fraction"""
+        na, da = a._numerator, a._denominator
+        if type(b) is int:
+            return _new(_RAT, na - b * da, da)
+        if type(b) is not _RAT and not isinstance(b, Fraction):
+            return NotImplemented
+        nb, db = b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            return _new(_RAT, na * db - da * nb, da * db)
+        s = da // g
+        t = na * (db // g) - nb * s
+        g2 = gcd(t, g)
+        return _new(_RAT, t // g2, s * (db // g2))
+
+    __sub__ = _sub
+
+    def __rsub__(a, b):
+        """b - a"""
+        if type(b) is int:
+            return _new(_RAT, b * a._denominator - a._numerator,
+                        a._denominator)
+        if isinstance(b, Fraction):
+            return _RAT._sub(b, a)
+        return NotImplemented
+
+    def _mul(a, b):
+        """a * b"""
+        na, da = a._numerator, a._denominator
+        if type(b) is int:
+            g = gcd(b, da)
+            return _new(_RAT, na * (b // g), da // g)
+        if type(b) is not _RAT and not isinstance(b, Fraction):
+            return NotImplemented
+        nb, db = b._numerator, b._denominator
+        g1, g2 = gcd(na, db), gcd(nb, da)
+        return _new(_RAT, (na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+    __mul__ = __rmul__ = _mul
+
+    def _div(a, b):
+        """a / b, for a and b ints or Fractions: ``Rationals.div``."""
+        na, da = (a, 1) if type(a) is int else (a._numerator, a._denominator)
+        if type(b) is int:
+            nb, db = b, 1
+        elif isinstance(b, Fraction):
+            nb, db = b._numerator, b._denominator
+        else:
+            return NotImplemented
+        if not nb:
+            raise ZeroDivisionError("division by zero in Q")
+        g1, g2 = gcd(na, nb), gcd(da, db)
+        n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
+        return _new(_RAT, n, d) if d > 0 else _new(_RAT, -n, -d)
+
+    __truediv__ = _div
+
+    def __rtruediv__(a, b):
+        """b / a"""
+        if type(b) is int or isinstance(b, Fraction):
+            return _RAT._div(b, a)
+        return NotImplemented
+
+    def __neg__(a):
+        """-a"""
+        return _new(_RAT, -a._numerator, a._denominator)
+
+    # perfbench/spans.py counts the calls of __bool__, read from this
+    # class's own namespace
+    __bool__ = Fraction.__bool__
+
+
+_RAT = QFraction
+_new = QFraction.__new__
 
 
 class Rationals(Field):
@@ -268,13 +388,13 @@ class Rationals(Field):
     def from_int(self, k):
         return operator.index(k)
 
-    def div(self, a, b):
-        return _int_first(_RAT(a, b))
+    div = staticmethod(QFraction._div)
 
     def reduce_vec(self, vec):
-        if _RAT not in set(map(type, vec)):
+        if Fraction not in set(map(type, vec)):
             return vec
-        return [_int_first(x) if type(x) is _RAT else x for x in vec]
+        return [_new(_RAT, x._numerator, x._denominator)
+                if type(x) is Fraction else x for x in vec]
 
     def fmt(self, x):
         return str(x)

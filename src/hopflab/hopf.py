@@ -10,11 +10,12 @@ through linalg.Bilinear.  An element of H built in a formula, such as
 h₄m₁S⁻¹(h₂), is a sparse row as h.mul.row returns; h.product multiplies two.
 The axioms read every product of basis vectors from h.mul's sparse rows;
 no dense basis vector is multiplied.  Associativity and the action axioms
-(first_action_mismatch), comult_algebra_map and counit_algebra_map sum on
-Bilinear's lifted tables (lifted_rows, lifted_terms, flat_tables; see
-fields.Field.lift) and reduce each coordinate once, where it is compared
-(report.first_block_mismatch, first_lifted_mismatch); their witnesses are
-those of the same sums on field elements.
+(first_action_mismatch), first_multiplicative_mismatch, comult_algebra_map
+and counit_algebra_map sum on Bilinear's lifted tables (lifted_rows,
+lifted_terms, flat_tables; see fields.Field.lift) and reduce each
+coordinate once, where it is compared (report.first_block_mismatch,
+first_lifted_mismatch); their witnesses are those of the same sums on
+field elements.
 
 Each axiom shape that several verifiers decide has one check here, which
 returns its first witness in nested-loop order: first_unit_mismatch for
@@ -321,10 +322,35 @@ def first_action_mismatch(mul, act, right=False):
 def first_multiplicative_mismatch(mul, image_mul, m):
     """The first (u, v), in product order, at which the row-as-image matrix
     m does not take the product mul to image_mul, m(e_u e_v) ≠ m(e_u)m(e_v),
-    or None."""
-    return first_mismatch((range(m.rows),) * 2, lambda u, v: (
-        apply_rowmap(mul.dense_row(u, v), m),
-        image_mul.apply(m.data[u], m.data[v])))
+    or None.
+
+    Each u is one block over every v, keyed v·m.cols + c and summed from
+    m's lifted nonzero rows: Σ_k (e_u e_v)_k m(e_k) from mul's lifted rows
+    minus m(e_u)m(e_v) from image_mul's.
+    """
+    width = m.cols
+    rows = [[(c, x) for c, x in enumerate(row) if x]
+            for row in m.lifted_rows()]
+    products, images = mul.lifted_rows(), image_mul.lifted_rows()
+
+    def block(u):
+        diff = {}
+        for v, uv in enumerate(products[u]):
+            base = v * width
+            for k, c in uv:
+                for col, w in rows[k]:
+                    key = base + col
+                    diff[key] = diff.get(key, 0) + c * w
+            for a, x in rows[u]:
+                image_a = images[a]
+                for b, y in rows[v]:
+                    xy = x * y
+                    for col, w in image_a[b]:
+                        key = base + col
+                        diff[key] = diff.get(key, 0) - xy * w
+        return diff
+
+    return first_block_mismatch(m.field, (range(m.rows),), block, width)
 
 
 def dual_hopf(h):

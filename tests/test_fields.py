@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopflab import fields
 from hopflab.fields import (QQ, FieldError, PrimeField, _is_prime,
@@ -20,7 +20,8 @@ def trial_division(n):
 def test_rationals_are_int_first():
     assert type(QQ.zero) is int and type(QQ.one) is int
     assert type(QQ.from_int(-3)) is int
-    assert fields._RAT is Fraction
+    assert fields._RAT is fields.QFraction
+    assert issubclass(fields._RAT, Fraction)
 
 
 def test_div_integral_quotient_is_int():
@@ -30,13 +31,16 @@ def test_div_integral_quotient_is_int():
 
 def test_div_non_integral_quotient_is_fraction():
     assert QQ.div(1, 2) == Fraction(1, 2)
+    assert type(QQ.div(1, 2)) is fields.QFraction
     assert QQ.div(Fraction(1, 2), Fraction(1, 4)) == 2
     assert type(QQ.div(Fraction(1, 2), Fraction(1, 4))) is int
 
 
 def test_div_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero in Q$"):
         QQ.div(1, 0)
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero in Q$"):
+        QQ.div(QQ.div(1, 2), Fraction(0))
 
 
 def test_parse_integral_is_int():
@@ -160,6 +164,73 @@ def test_fp_bad_scalar_message_names_the_scalar():
     with pytest.raises(InputError, match=r"^bad scalar '2/5': division by "
                                          r"zero in F_5$"):
         _parse_scalar(PrimeField(5), "2/5")
+
+
+def test_q_bad_scalar_message_names_the_scalar():
+    from hopflab.io_json import InputError, _parse_scalar
+    with pytest.raises(InputError, match=r"^bad scalar '1/0': division by "
+                                         r"zero in Q$"):
+        _parse_scalar(QQ, "1/0")
+
+
+# ℚ operands of each type: ints, plain Fractions and QFractions (QQ.div
+# of a non-integral quotient), over small and multi-word numerators
+SMALL = st.integers(-30, 30)
+BIG = st.integers(-2 ** 70, 2 ** 70)
+DENS = st.integers(1, 12) | st.integers(1, 2 ** 70)
+RATIONALS = st.tuples(SMALL | BIG, DENS).map(lambda nd: Fraction(*nd))
+Q_OPERANDS = st.one_of(
+    SMALL | BIG, RATIONALS,
+    RATIONALS.filter(lambda q: q.denominator > 1).map(
+        lambda q: QQ.div(q.numerator, q.denominator)))
+
+
+def assert_int_first(x, expected):
+    """x equals the Fraction expected, is an int exactly when expected is
+    integral, and agrees with expected on ==, hash, str and bool."""
+    assert type(expected) is Fraction
+    if expected.denominator == 1:
+        assert type(x) is int
+    else:
+        assert type(x) is fields.QFraction
+        assert (x.numerator, x.denominator) == (expected.numerator,
+                                                expected.denominator)
+    assert x == expected and expected == x and not x != expected
+    assert hash(x) == hash(expected) and str(x) == str(expected)
+    assert bool(x) is bool(expected)
+
+
+@settings(max_examples=300)
+@given(Q_OPERANDS, Q_OPERANDS)
+def test_qfraction_ops_agree_with_fraction(a, b):
+    """+, -, *, unary -, QQ.div and parse on an int, a Fraction or a
+    QFraction, in both orders, give Fraction's value, int-first whenever
+    a QFraction is an operand."""
+    fa, fb = Fraction(a), Fraction(b)
+    for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
+        if type(x) is fields.QFraction or type(y) is fields.QFraction:
+            for op in OPS:
+                assert_int_first(op(x, y), op(fx, fy))
+        if type(x) is fields.QFraction:
+            assert_int_first(-x, -fx)
+        if fy:
+            assert_int_first(QQ.div(x, y), fx / fy)
+        else:
+            with pytest.raises(ZeroDivisionError, match="division by zero "
+                                                        "in Q"):
+                QQ.div(x, y)
+    assert_int_first(QQ.parse(str(fa)), fa)
+    assert_int_first(QQ.reduce_vec([fa])[0], fa)
+
+
+def test_qfraction_rejects_other_operand_types():
+    half = QQ.div(1, 2)
+    for other in (0.5, 1j, "1", None):
+        for op in OPS:
+            with pytest.raises(TypeError):
+                op(half, other)
+            with pytest.raises(TypeError):
+                op(other, half)
 
 
 TABLE_PRIMES = (2, 3, 5, 7, 13)

@@ -148,6 +148,19 @@ def test_cli_check_cocycle(tmp_path, h4, s1, capsys):
     assert "lazy" in capsys.readouterr().out
 
 
+def test_cli_q_division_by_zero_is_input_error(tmp_path, s1, capsys):
+    """A σ document over ℚ holding the scalar "1/0" exits 2 with ℚ's
+    division message, as F_p's "division by zero in F_5"."""
+    doc = io_json.cocycle_to_json(s1)
+    doc["entries"][4][2] = "1/0"
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check-cocycle", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("input error: bad scalar '1/0': division "
+                                 "by zero in Q\n")
+
+
 def test_cli_wedge_and_galois(tmp_path, h4, r1, unit_obj, capsys):
     ip = tmp_path / "I.json"
     ip.write_text(json.dumps(io_json.yd_algebra_to_json(unit_obj, "h4")))

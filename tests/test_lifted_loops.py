@@ -378,7 +378,8 @@ def test_mu_action_matches_the_dense_loop(host):
 # -- int-first ℚ constructions -------------------------------------------------
 
 def integral_fractions(values):
-    return [x for x in values if type(x) is Fraction and x.denominator == 1]
+    return [x for x in values
+            if isinstance(x, Fraction) and x.denominator == 1]
 
 
 def test_sigma_images_hold_no_integral_fraction():
