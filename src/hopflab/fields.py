@@ -15,7 +15,8 @@ on its numerator and denominator with ``math.gcd`` and build the result
 through that constructor, so a sum or product that happens to be integral
 comes back as an int (``QQ.div(1, 2) * 2`` is ``1``).  Any other operand
 type gets ``NotImplemented``.  ``Rationals.div``, the one division, builds
-its quotient the same way, so ``int / int`` never makes a float.  The
+its quotient the same way, so ``int / int`` never makes a float, and
+raises TypeError, naming the type, for an operand that is neither.  The
 structure tensors are mostly 0s and ±1s, so almost all arithmetic runs on
 small ints.  ``==``, ``hash``, ``str`` and ``bool`` are ``Fraction``'s, so
 they agree between an int and an equal rational of either type:
@@ -259,6 +260,11 @@ class Field:
 _new_object = object.__new__
 
 
+def _operand_error(x):
+    return TypeError("unsupported operand type for division in Q: %r"
+                     % type(x).__name__)
+
+
 class QFraction(Fraction):
     """A non-integral rational n/d: n and d coprime, d > 1.
 
@@ -340,21 +346,31 @@ class QFraction(Fraction):
     __mul__ = __rmul__ = _mul
 
     def _div(a, b):
-        """a / b, for a and b ints or Fractions: ``Rationals.div``."""
-        na, da = (a, 1) if type(a) is int else (a._numerator, a._denominator)
+        """a / b, for a and b ints or Fractions: ``Rationals.div``.  Any
+        other operand type raises TypeError."""
+        if type(a) is int:
+            na, da = a, 1
+        elif type(a) is _RAT or isinstance(a, Fraction):
+            na, da = a._numerator, a._denominator
+        else:
+            raise _operand_error(a)
         if type(b) is int:
             nb, db = b, 1
-        elif isinstance(b, Fraction):
+        elif type(b) is _RAT or isinstance(b, Fraction):
             nb, db = b._numerator, b._denominator
         else:
-            return NotImplemented
+            raise _operand_error(b)
         if not nb:
             raise ZeroDivisionError("division by zero in Q")
         g1, g2 = gcd(na, nb), gcd(da, db)
         n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
         return _new(_RAT, n, d) if d > 0 else _new(_RAT, -n, -d)
 
-    __truediv__ = _div
+    def __truediv__(a, b):
+        """a / b"""
+        if type(b) is int or isinstance(b, Fraction):
+            return _RAT._div(a, b)
+        return NotImplemented
 
     def __rtruediv__(a, b):
         """b / a"""

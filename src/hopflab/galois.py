@@ -14,10 +14,14 @@ raises at the first index where they differ.
 Every Galois decision reads a coaction table, row p the terms (q, k, c) of
 v_p's image in A⊗H: ρ, or −▷ and ◁− read as the 𝓗_R*-coactions
 a ↦ Σ_i (e_i−▷a)⊗δ_i.  Its coinvariants are {a : ρ(a) = a⊗u}, u = 1 or ε;
-the one β builder turns it into sparse rows, which linalg.sparse_rank
-ranks.  A Subspace is the kernel_basis of its equations, a basis that
+the one β builder turns it into dict rows, which linalg.sparse_rank
+ranks, and the relations are built as dict rows too.  A Subspace is the
+linalg.sparse_kernel of its equations, given as dict rows, a basis that
 depends on the subspace alone, so membership, coordinates and equality
-are read off it without a new elimination.
+are read off it without a new elimination.  ker β and the β-preimages
+that the Miyashita-Ulbrich action reads are sparse_kernel and
+sparse_solve of βᵀ, transposed as dict rows: no dense matrix of the
+equations is built.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from itertools import product
 from .hopf import (dual_hopf, first_action_mismatch, first_antipode_mismatch,
                    first_multiplicative_mismatch, first_unit_mismatch)
 from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, are_inverse,
-                     kernel_basis, linear_combination, rank, same_span, solve,
-                     sparse_rank, sparse_sum)
+                     linear_combination, rank, same_span, sparse_kernel,
+                     sparse_rank, sparse_solve, sparse_sum)
 from .quasitriangular import deform_cqt, yd_from_comodule
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
@@ -41,25 +45,31 @@ from .yd import (YdAlgebra, YdMap, YdModule, agreed_tensor, braided_product,
 
 class Subspace:
     """The kernel of v_p ↦ images[p] ∈ k^size, images given as sparse rows
-    [(index, coefficient)] whose repeated indices add up.  Basis vector j,
-    from kernel_basis, is 1 at its free column free[j] (its last nonzero
-    entry) and 0 at the other free columns: equal subspaces have equal
-    bases, and a vector's coordinates are its entries at the free columns.
-    rows holds the basis vectors as sparse rows [(index, coefficient)].
+    [(index, coefficient)] whose repeated indices add up.  The equations
+    are dict rows {p: coefficient}, one per index of k^size, and the basis
+    is their linalg.sparse_kernel: vector j is 1 at its free column free[j]
+    (its last nonzero entry) and 0 at the other free columns, so equal
+    subspaces have equal bases, and a vector's coordinates are its entries
+    at the free columns.  rows holds the basis vectors as sparse rows
+    [(index, coefficient)], and vectors as dense lists.
     """
 
     def __init__(self, field, size, images):
         dim = len(images)
-        eqs = [[field.zero] * dim for _ in range(size)]
+        eqs = [{} for _ in range(size)]
         for p, image in enumerate(images):
             for k, c in image:
-                eqs[k][p] = eqs[k][p] + c
-        basis = kernel_basis(Matrix(field, size, dim, eqs)).data
+                eq = eqs[k]
+                eq[p] = eq[p] + c if p in eq else c
         self.field = field
         self.ambient_dim = dim
-        self.vectors = [list(v) for v in zip(*basis)]
-        self.rows = [[(k, x) for k, x in enumerate(v) if x]
-                     for v in self.vectors]
+        self.rows = sparse_kernel(field, (eq.items() for eq in eqs), dim)
+        self.vectors = []
+        for row in self.rows:
+            vec = [field.zero] * dim
+            for k, x in row:
+                vec[k] = x
+            self.vectors.append(vec)
         self.free = [row[-1][0] for row in self.rows]
 
     @property
@@ -79,7 +89,7 @@ class Subspace:
 
     def equals(self, other):
         return (self.ambient_dim == other.ambient_dim
-                and self.vectors == other.vectors)
+                and self.rows == other.rows)
 
 
 @dataclass
@@ -185,62 +195,83 @@ def verify_braided_hopf(bh):
 
 def bimodule_actions(bh, mod):
     """The 𝓗_R-bimodule structure of a YD module: −▷, ◁− and ▷₂, each
-    action checked against its expanded form."""
+    action checked against its expanded form.  Each form sums lifted values
+    (fields.Field.lift) and reduces one row per (i, p); the expanded forms
+    read each word (e_c e_k)·S⁻¹(e_a) from one h.word_table()."""
     h = bh.host
     r = bh.cqt.r
     if not mod.host.structures_equal(h):
         raise VerificationError("bimodule_actions: host mismatch")
     f = h.field
     m = mod.dim
+    hs = range(h.dim)
     shape = (h.dim, m, m)
-    s_rows, sinv = h.antipodes.rows(0), h.antipodes.rows(1)
+    lift, red = f.lift, f.reduce_vec
+    sinv = h.antipodes.rows(1)
+    s_rows = h.antipodes.lifted_rows()[0]
     a2 = act2_tensor(bh.cqt, mod)
-    act2 = Bilinear(a2)
+    act2 = Bilinear(a2).lifted_rows()
+    delta = h.delta.lifted_terms()
+    act, coact = mod.act.lifted_rows(), mod.coact.lifted_terms()
+    words = h.word_table()
+
+    copower4 = [[(idx, lift(w)) for idx, w in h.copower(i, 4)] for i in hs]
+
+    # R(S⁻¹(e_b)⊗e_k), the first form of −▷'s pairing
+    r_sinv = [[lift(eval2(r, sinv[b], k)) for k in hs] for b in hs]
 
     def left(i, p):
         # h−▷m = Σ S⁻¹(h₂) ▷₁ (h₁·m)
-        acc = [f.zero] * m
-        for a, b, w in h.delta.terms(i):
-            for q0, x in mod.act.row(a, p):
-                for q, k, c0 in mod.coact.terms(q0):
-                    scal = eval2(r, sinv[b], k)
+        acc = [0] * m
+        for a, b, w in delta[i]:
+            r_b = r_sinv[b]
+            for q0, x in act[a][p]:
+                wx = w * x
+                for q, k, c0 in coact[q0]:
+                    scal = r_b[k]
                     if scal:
-                        acc[q] = acc[q] + w * x * c0 * scal
-        return acc
+                        acc[q] += wx * c0 * scal
+        return red(acc)
 
     def left_expanded(i, p):
         # Σ(h₂·m₀) R(S⁻¹(h₄)⊗h₃m₁S⁻¹(h₁))
-        acc = [f.zero] * m
-        for (a, b, c3, d), w in h.copower(i, 4):
-            for q0, k, c0 in mod.coact.terms(p):
-                scal = eval2(r, sinv[d], h.product(h.mul.row(c3, k), sinv[a]))
+        acc = [0] * m
+        for (a, b, c3, d), w in copower4[i]:
+            act_b = act[b]
+            for q0, k, c0 in coact[p]:
+                scal = lift(eval2(r, sinv[d], words(c3, k, a)))
                 if not scal:
                     continue
-                for q, x in mod.act.row(b, q0):
-                    acc[q] = acc[q] + w * c0 * scal * x
-        return acc
+                wc = w * c0 * scal
+                for q, x in act_b[q0]:
+                    acc[q] += wc * x
+        return red(acc)
 
     def right(i, p):
         # m◁−h = Σ S(h₁) ▷₂ (h₂·m)
-        acc = [f.zero] * m
-        for a, b, w in h.delta.terms(i):
+        acc = [0] * m
+        for a, b, w in delta[i]:
             for t, y in s_rows[a]:
-                for q0, x in mod.act.row(b, p):
-                    for q, z in act2.row(t, q0):
-                        acc[q] = acc[q] + w * y * x * z
-        return acc
+                act2_t, wy = act2[t], w * y
+                for q0, x in act[b][p]:
+                    wx = wy * x
+                    for q, z in act2_t[q0]:
+                        acc[q] += wx * z
+        return red(acc)
 
     def right_expanded(i, p):
         # Σ(h₃·m₀) R(h₄m₁S⁻¹(h₂)⊗h₁)
-        acc = [f.zero] * m
-        for (a, b, c3, d), w in h.copower(i, 4):
-            for q0, k, c0 in mod.coact.terms(p):
-                scal = eval2(r, h.product(h.mul.row(d, k), sinv[b]), a)
+        acc = [0] * m
+        for (a, b, c3, d), w in copower4[i]:
+            act_c3 = act[c3]
+            for q0, k, c0 in coact[p]:
+                scal = lift(eval2(r, words(d, k, b), a))
                 if not scal:
                     continue
-                for q, x in mod.act.row(c3, q0):
-                    acc[q] = acc[q] + w * c0 * scal * x
-        return acc
+                wc = w * c0 * scal
+                for q, x in act_c3[q0]:
+                    acc[q] += wc * x
+        return red(acc)
 
     return BimoduleActions(
         mod, agreed_tensor("−▷", f, shape, left, left_expanded),
@@ -589,31 +620,71 @@ def phi_psi_xi(s, alg):
 
 # -- Galois decisions ---------------------------------------------------------
 
-def _relations(alg, sub_basis_vecs):
+def _relations(alg, sub_rows):
     """Generators (a·x)⊗b − a⊗(x·b) of the middle-subalgebra relations as
     sparse rows {p·m + r: coefficient} of A⊗A, one per (x, v_p, v_r) in
-    that nesting order, with the zero ones left out."""
+    that nesting order, with the zero ones left out; x runs over sub_rows,
+    sparse rows [(j, coefficient)].
+
+    The (a·x)⊗b part has the keys t·m + r and the a⊗(x·b) part the keys
+    p·m + t, so they meet only at p·m + r, where v_p·x meets x·v_r at
+    t = p and t = r: a relation is zero only when both parts are empty or
+    both are that one entry with one coefficient."""
     m = alg.dim
     ms = range(m)
     row = alg.mul.row
 
     rels = []
-    for x in sub_basis_vecs:
-        xs = [(j, c) for j, c in enumerate(x) if c]
+    for xs in sub_rows:
         ax = [sparse_sum((k, c * w) for j, c in xs for k, w in row(p, j))
               for p in ms]                                      # v_p·x
-        xb = [sparse_sum((k, c * w) for j, c in xs for k, w in row(j, r))
-              for r in ms]                                      # x·v_r
+        nxb = [sparse_sum((k, -c * w) for j, c in xs for k, w in row(j, r))
+               for r in ms]                                     # −x·v_r
         for p in ms:
+            axp, pm = ax[p].items(), p * m
+            at_p = ax[p].get(p)
             for r in ms:
-                rel = {t * m + r: v for t, v in ax[p].items()}
-                for t, v in xb[r].items():
-                    k = p * m + t
-                    rel[k] = rel[k] - v if k in rel else -v
-                rel = {k: v for k, v in rel.items() if v}
-                if rel:
-                    rels.append(rel)
+                nxbr = nxb[r]
+                if not axp and not nxbr:
+                    continue
+                rel = {t * m + r: v for t, v in axp}
+                for t, v in nxbr.items():
+                    rel[pm + t] = v
+                if at_p is not None and r in nxbr:
+                    v = at_p + nxbr[r]
+                    if v:
+                        rel[pm + r] = v
+                    elif len(rel) == 1:
+                        continue
+                    else:
+                        del rel[pm + r]
+                rels.append(rel)
     return rels
+
+
+def _kernel_and_preimages(f, beta, n, unit):
+    """ker β and the β-preimages of 1⊗e_k for k < n, for β: A⊗A → A⊗H
+    given as _galois_map's dict rows (row p·m+r the image of v_p⊗v_r;
+    column y·n + k the coordinate of v_y⊗e_k) and unit the coordinates of
+    1 ∈ A.  Both are read off βᵀ, built as dict rows by
+    transposing β's rows: the kernel vectors as linalg.sparse_kernel gives
+    them and the preimages as linalg.sparse_solve does (free variables 0),
+    each a sparse row [(p·m + r, coefficient)].  Raises VerificationError
+    if a preimage does not exist."""
+    size = len(beta)
+    beta_t = [{} for _ in range(len(unit) * n)]
+    for src, row in enumerate(beta):
+        for c, v in row.items():
+            beta_t[c][src] = v
+    kernel = sparse_kernel(f, (row.items() for row in beta_t), size)
+    for k in range(n):          # 1⊗e_k in the columns size + k
+        for y, u in enumerate(unit):
+            if u:
+                beta_t[y * n + k][size + k] = u
+    parts = sparse_solve(f, (row.items() for row in beta_t), size, n)
+    if parts is None:
+        raise VerificationError("β-preimages of 1⊗h do not exist")
+    return kernel, parts
 
 
 def _galois_map(alg, table, first):
@@ -685,10 +756,10 @@ def galois_maps(bh, b, alg):
     f, target = bh.host.field, alg.dim * bh.host.dim
     right_ok = _beta_quotient_bijective(
         f, _galois_map(alg, _coaction_table(b.left), True), target,
-        _relations(alg, sub_r.vectors), rep, "beta_r")
+        _relations(alg, sub_r.rows), rep, "beta_r")
     left_ok = _beta_quotient_bijective(
         f, _galois_map(alg, _coaction_table(b.right), False), target,
-        _relations(alg, sub_l.vectors), rep, "beta_l")
+        _relations(alg, sub_l.rows), rep, "beta_l")
 
     triv_r = sub_r.dim == 1 and sub_r.contains(alg.unit)
     triv_l = sub_l.dim == 1 and sub_l.contains(alg.unit)
@@ -715,7 +786,7 @@ def _comodule_galois(alg):
                              for p in range(alg.dim)], False)
     rep.add("galois", _beta_quotient_bijective(
         alg.host.field, beta, alg.dim * alg.host.dim,
-        _relations(alg, sub0.vectors), rep, "beta"))
+        _relations(alg, sub0.rows), rep, "beta"))
     return rep, sub0, beta
 
 
@@ -735,7 +806,12 @@ def mu_action_and_pi(alg):
 
 def _mu_action_and_pi(alg, alg_report):
     """mu_action_and_pi(alg) for a caller that holds alg_report, A's
-    verify_yd_algebra report, already."""
+    verify_yd_algebra report, already.
+
+    The action of h on a ∈ π(A) is Σ x_{pr} v_p·a·v_r for a β-preimage x
+    of 1⊗h; ker β acting by zero makes it well defined.  Both come from
+    _kernel_and_preimages as sparse rows over p·m + r, are lifted once, and
+    act through a per-a table of the v_p·a·v_r."""
     rep = CheckReport().merge(alg_report, prefix="A_")
     mod = alg.module
     h = alg.host
@@ -760,29 +836,16 @@ def _mu_action_and_pi(alg, alg_report):
                         [times(p, False) for p in ms])
     rep.add("centralizer_computed", True, None, "dim %d" % pi_sub.dim)
 
-    # βᵀ, since solve and kernel_basis read columns
-    beta = Matrix(f, m * n, m * m, [[row.get(c, f.zero) for row in beta_rows]
-                                    for c in range(m * n)])
-    rhs = Matrix.zeros(f, m * n, n)
-    for k in range(n):
-        for y, u in enumerate(alg.unit):
-            if u:
-                rhs.data[y * n + k][k] = u
-    part = solve(beta, rhs)
-    if part is None:
-        raise VerificationError("β-preimages of 1⊗h do not exist")
-    ker = kernel_basis(beta)
+    kernel, parts = _kernel_and_preimages(f, beta_rows, n, alg.unit)
 
     pi_vecs = pi_sub.vectors
     pd = pi_sub.dim
     # The action sums lifted values (fields.Field.lift) over sparse rows:
-    # the columns of ker βᵀ and of the β-preimages as [(p·m+r, c)], and
+    # the kernel vectors and the β-preimages as [(p·m+r, c)], and
     # v_p·a·v_r as [(t, c)], reduced once per acted vector.
     lift, lmul = f.lift, alg.mul.lifted_rows()
-
-    def columns(mat):
-        return [[(src, lift(row[j])) for src, row in enumerate(mat.data)
-                 if row[j]] for j in range(mat.cols)]
+    kernel = [[(src, lift(x)) for src, x in vec] for vec in kernel]
+    parts = [[(src, lift(x)) for src, x in vec] for vec in parts]
 
     def by_basis(vec, right):
         """[r] is vec·v_r (right) or v_r·vec, as a sparse lifted row, for
@@ -805,7 +868,7 @@ def _mu_action_and_pi(alg, alg_report):
 
     def act_by(coeffs, a_idx):
         """Σ coeffs[p·m+r] v_p·a·v_r for the a_idx-th basis vector a, with
-        coeffs a sparse lifted column."""
+        coeffs a sparse lifted row."""
         acc = [0] * m
         tab = tables[a_idx]
         for src, v in coeffs:
@@ -815,8 +878,7 @@ def _mu_action_and_pi(alg, alg_report):
         return f.reduce_vec(acc)
 
     zero = [f.zero] * m
-    kernel = columns(ker)
-    bad = first_mismatch((range(ker.cols), range(pd)), lambda j, a_idx: (
+    bad = first_mismatch((range(len(kernel)), range(pd)), lambda j, a_idx: (
         act_by(kernel[j], a_idx), zero))
     rep.add("mu_action_well_defined", bad is None, bad,
             "preimage perturbations act by zero on π(A)")
@@ -832,7 +894,6 @@ def _mu_action_and_pi(alg, alg_report):
             raise VerificationError(error)
         return coords
 
-    parts = columns(part)
     acts = closed_under("mu_action_lands_in_pi", (range(n), range(pd)),
                         lambda k, a_idx: act_by(parts[k], a_idx),
                         "MU action leaves the centralizer")

@@ -7,7 +7,8 @@ Structure tensors follow the index conventions
 and the unit/counit are coordinate (co)vectors of length n.  h.mul, h.delta
 and h.antipodes (rows(0)[i] is S(e_i), rows(1)[i] S⁻¹(e_i)) read them
 through linalg.Bilinear.  An element of H built in a formula, such as
-h₄m₁S⁻¹(h₂), is a sparse row as h.mul.row returns; h.product multiplies two.
+h₄m₁S⁻¹(h₂), is a sparse row as h.mul.row returns; h.product multiplies two,
+and h.word_table() memoizes the words (e_c e_k)·S⁻¹(e_a) for one call.
 The axioms read every product of basis vectors from h.mul's sparse rows;
 no dense basis vector is multiplied.  Associativity and the action axioms
 (first_action_mismatch), first_multiplicative_mismatch, comult_algebra_map
@@ -79,6 +80,22 @@ class HopfAlgebra:
                 for k, c in ri[j]:
                     acc[k] = acc[k] + x * y * c
         return [(k, c) for k, c in enumerate(acc) if c]
+
+    def word_table(self):
+        """A new, empty memo of the words (e_c e_k)·S⁻¹(e_a): word(c, k, a)
+        is h.product(h.mul.row(c, k), S⁻¹(e_a)), formed on first use and
+        kept for the memo's life (callers must not change it).  One memo
+        serves one call of a form that reads such words, where there are
+        at most n³ of them but many more reads."""
+        row, product, sinv = self.mul.row, self.product, self.antipodes.rows(1)
+        table = {}
+
+        def word(c, k, a):
+            got = table.get((c, k, a))
+            if got is None:
+                got = table[c, k, a] = product(row(c, k), sinv[a])
+            return got
+        return word
 
     def copower(self, i, k):
         """Sparse Δ^(k-1)(e_i) as [(index_tuple_of_len_k, coeff)].

@@ -7,7 +7,8 @@ Conventions used throughout the package:
 * A linear map f stored as a Matrix uses the row-as-image convention:
   f(e_r) = Σ_c data[r][c] e_c.  Applying f to a coordinate vector v is
   ``apply_rowmap(v, M)`` (v·M) and "apply A then B" is ``mat_mul(A, B)``.
-* ``kernel_basis``/``solve`` use the usual column-vector reading m·x = b.
+* ``kernel_basis``/``solve`` and their sparse forms use the usual
+  column-vector reading m·x = b.
 * The basis vector e_i⊗e_j of a tensor square has flat index i·n₂ + j;
   all tensor data is row-major over its shape.
 * ``Bilinear`` is the one sparse structure-tensor kernel: the products,
@@ -18,14 +19,17 @@ Conventions used throughout the package:
 * There is one elimination, ``_reduce``, and it works on rows held as
   dicts {column: coefficient} of their nonzero entries: a Matrix row
   enters as its nonzero entries.  ``rank``, ``sparse_rank`` and
-  ``row_space_echelon`` read its echelon rows; ``kernel_basis``, ``solve``
-  and ``mat_inverse`` read the reduced row echelon form ``_rref`` built
-  on it, which is unique, so their results do not depend on how the rows
-  were reduced.  ``sparse_rank`` serves families that are built sparse and
-  never exist as a Matrix: galois.py's relations (up to 2272 rows of 256
-  columns, ~1.3 nonzeros each) and Galois maps β (256 rows of 64 columns
-  on End(regular)), and yd.py's Azumaya maps F and G (256 rows of 256
-  columns on End(regular), 0.7% nonzero).
+  ``row_space_echelon`` read its echelon rows; ``sparse_kernel`` and
+  ``sparse_solve`` read the reduced row echelon form ``_rref`` built on
+  it, which is unique, so their results do not depend on how the rows
+  were reduced, and give the kernel vectors and the solution columns as
+  sparse rows.  ``kernel_basis``, ``solve`` and ``mat_inverse`` are their
+  Matrix wrappers.  The sparse entry points serve families that are built
+  sparse and never exist as a Matrix: galois.py's relations (up to 2272
+  rows of 256 columns, ~1.3 nonzeros each), Galois maps β (256 rows of
+  64 columns on End(regular)) and βᵀ's kernel and preimages, Subspace
+  equations, and yd.py's Azumaya maps F and G (256 rows of 256 columns
+  on End(regular), 0.7% nonzero).
 * ``linear_combination`` sums sparse rows, such as the ``Bilinear.row``
   products of basis vectors, into one dense vector; ``sparse_sum`` sums
   (key, value) pairs into one dict without zeros.
@@ -255,28 +259,54 @@ def _rref(field, rows):
     return pivots
 
 
+def sparse_kernel(field, rows, ncols):
+    """Basis of {x | M·x = 0} for the matrix M with ncols columns whose rows
+    are given as iterables of (column, coefficient) pairs (a dict row as its
+    items()).  One vector per free column fc of M's reduced row echelon
+    form, in increasing fc: 1 at fc, −row[fc] at the pivot column of each
+    pivot row, 0 elsewhere, as a sparse row [(index, coefficient)] over its
+    nonzero entries in increasing index, so fc is its last index."""
+    pivots = _rref(field, rows)
+    at_free = {}
+    for pc in sorted(pivots):
+        for c, x in pivots[pc].items():
+            if c != pc:
+                at_free.setdefault(c, []).append((pc, -x))
+    one = field.one
+    return [at_free.get(fc, []) + [(fc, one)]
+            for fc in range(ncols) if fc not in pivots]
+
+
+def sparse_solve(field, rows, ncols, nrhs):
+    """Some x with M·x = B (free variables set to 0), or None if unsolvable,
+    for M with ncols columns and B with nrhs columns, given as the rows of
+    [M | B] as iterables of (column, coefficient) pairs, B's column j at
+    ncols + j.  x's column j is a sparse row [(index, coefficient)] over
+    its nonzero entries in increasing index."""
+    pivots = _rref(field, rows)
+    if any(pc >= ncols for pc in pivots):
+        return None
+    out = [[] for _ in range(nrhs)]
+    for pc in sorted(pivots):
+        for c, x in pivots[pc].items():
+            if c >= ncols:
+                out[c - ncols].append((pc, x))
+    return out
+
+
 def kernel_basis(m):
-    """Columns form a basis of {x | m·x = 0}."""
-    field = m.field
-    zero, one = field.zero, field.one
-    pivots = _rref(field, (enumerate(row) for row in m.data))
-    basis = []
-    for fc in range(m.cols):
-        if fc in pivots:
-            continue
-        vec = [zero] * m.cols
-        vec[fc] = one
-        for pc, row in pivots.items():
-            x = row.get(fc)
-            if x:
-                vec[pc] = -x
-        basis.append(vec)
-    data = [[basis[j][i] for j in range(len(basis))] for i in range(m.cols)]
-    return Matrix(field, m.cols, len(basis), data)
+    """Columns form a basis of {x | m·x = 0}: sparse_kernel's vectors."""
+    vecs = sparse_kernel(m.field, (enumerate(row) for row in m.data), m.cols)
+    data = [[m.field.zero] * len(vecs) for _ in range(m.cols)]
+    for j, vec in enumerate(vecs):
+        for i, x in vec:
+            data[i][j] = x
+    return Matrix(m.field, m.cols, len(vecs), data)
 
 
 def solve(m, b):
-    """Some x with m·x = b (free variables set to 0), or None if unsolvable.
+    """Some x with m·x = b (free variables set to 0), or None if unsolvable:
+    sparse_solve's columns.
 
     b is a Matrix with b.rows == m.rows; one solution column per RHS column.
     """
@@ -284,15 +314,15 @@ def solve(m, b):
         raise DimensionError("solve: %d equations vs %d RHS rows"
                              % (m.rows, b.rows))
     nc = m.cols
-    pivots = _rref(m.field, (chain(enumerate(mr), enumerate(br, nc))
-                             for mr, br in zip(m.data, b.data)))
-    if any(pc >= nc for pc in pivots):
+    cols = sparse_solve(m.field, (chain(enumerate(mr), enumerate(br, nc))
+                                  for mr, br in zip(m.data, b.data)),
+                        nc, b.cols)
+    if cols is None:
         return None
     out = Matrix.zeros(m.field, nc, b.cols)
-    for pc, row in pivots.items():
-        for c, x in row.items():
-            if c >= nc:
-                out.data[pc][c - nc] = x
+    for j, col in enumerate(cols):
+        for i, x in col:
+            out.data[i][j] = x
     return out
 
 

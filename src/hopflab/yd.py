@@ -10,7 +10,8 @@ The tensor product M⊗N carries h·(m⊗n) = Σ h₁·m ⊗ h₂·n and
 ρ(m⊗n) = Σ (m₀⊗n₀) ⊗ n₁m₁; basis index of v_p⊗w_q is p·dim(N)+q.
 mod.act, mod.coact and alg.mul read action, coaction and product through
 the sparse kernel linalg.Bilinear, and words in H, such as e_c e_k S⁻¹(e_a),
-are h.product's sparse rows (hopf.py).  σ and σ⁻¹ are read from the lifted
+are h.product's sparse rows (hopf.py); verify_yd's S⁻¹ form reads them
+from one h.word_table() per call.  σ and σ⁻¹ are read from the lifted
 tables kept on the cocycle (_SigmaTables).  The hot loops here sum lifted
 values (fields.Field.lift) from Bilinear's lifted tables, and a
 construction reduces each row it builds once (Field.reduce_vec).
@@ -197,10 +198,10 @@ def verify_yd(mod):
             for q, k, c0 in coact.terms(q0):
                 key = (q, k)
                 lhs[key] = lhs.get(key, zero) + x * c0
-        rhs, sinv = {}, h.antipodes.rows(1)
+        rhs = {}
         for (a, b, c3), w in h.copower(i, 3):
             for q0, k, c0 in coact.terms(p):
-                word = h.product(h.mul.row(c3, k), sinv[a])
+                word = words(c3, k, a)
                 for q, x in act.row(b, q0):
                     w2 = w * c0 * x
                     for k2, cv in word:
@@ -208,6 +209,7 @@ def verify_yd(mod):
                         rhs[key] = rhs.get(key, zero) + w2 * cv
         return lhs, rhs
 
+    words = h.word_table()
     bad = first_mismatch((hs, ms), compatibility_sinv)
     rep.add("yd_compatibility_sinv_form", bad is None, bad,
             "ρ(h·m) = Σh2·m0⊗h3m1S⁻¹(h1)")

@@ -3,6 +3,7 @@ and primality."""
 
 import operator
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,28 @@ def test_qfraction_rejects_other_operand_types():
                 op(half, other)
             with pytest.raises(TypeError):
                 op(other, half)
+
+
+def test_q_div_rejects_other_operand_types():
+    """QQ.div raises TypeError naming the type of a non-ℚ operand, in
+    either place, also when the other operand is 0 or a zero divisor; a ℚ
+    zero divisor still raises ZeroDivisionError.  The / operator's own
+    methods still answer NotImplemented for such a type."""
+    half = QQ.div(1, 2)
+    for other, name in ((0.5, "float"), (1j, "complex"), ("1", "str"),
+                        (None, "NoneType"), (Decimal(1), "Decimal")):
+        for a, b in ((1, other), (other, 1), (half, other), (other, half),
+                     (Fraction(3, 4), other), (other, Fraction(3, 4)),
+                     (other, 0)):
+            with pytest.raises(TypeError, match=r"^unsupported operand type "
+                               r"for division in Q: '%s'$" % name):
+                QQ.div(a, b)
+        assert half.__truediv__(other) is NotImplemented
+        assert half.__rtruediv__(other) is NotImplemented
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero in Q$"):
+        QQ.div(half, 0)
+    assert half / Fraction(1, 4) == 2 and Fraction(1, 4) / half == half
+    assert half / 2 == Fraction(1, 4) and 2 / half == 4
 
 
 TABLE_PRIMES = (2, 3, 5, 7, 13)

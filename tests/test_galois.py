@@ -5,15 +5,16 @@ import random
 
 import pytest
 
+import hopflab.galois as galois
 from hopflab.fields import QQ, PrimeField, field_from_spec
 from hopflab.hopf import first_multiplicative_mismatch
-from hopflab.linalg import (Matrix, Tensor, apply_rowmap, in_span, mat_mul,
-                            rank, same_span, solve)
+from hopflab.linalg import (Bilinear, Matrix, Tensor, apply_rowmap, in_span,
+                            mat_mul, rank, same_span, solve)
 from hopflab.report import CheckReport, VerificationError, first_mismatch
-from hopflab.twist import deform, eps_eps, two_cocycle
+from hopflab.twist import deform, eps_eps, eval2, two_cocycle
 from hopflab.quasitriangular import cqt_structure, deform_cqt
-from hopflab.yd import (YdAlgebra, braided_product, eta,
-                        quantum_commutative, sigma_algebra, verify_yd,
+from hopflab.yd import (YdAlgebra, YdModule, agreed_tensor, braided_product,
+                        eta, quantum_commutative, sigma_algebra, verify_yd,
                         verify_yd_algebra)
 from hopflab.galois import (BimoduleActions, BraidedHopf, bimodule_actions,
                             build_hr, chi_maps, coinvariants,
@@ -27,6 +28,7 @@ from hopflab.catalog import (cqt_c2, dim1_hopf, end_regular,
                              regular_galois_algebra, r_t, sigma_t,
                              sweedler_h4, trivial_module)
 from test_hopf import one_entry_changes, one_matrix_changes, report_rows
+from test_linalg import _matrix_kernel_basis, _matrix_solve, columns_as_rows
 from test_yd import trivial_algebra
 
 
@@ -487,8 +489,9 @@ def dense_relations(alg, xs):
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_relations_match_dense_reference(field):
     """_relations gives the dense reference's nonzero relations, flattened
-    to {p·m + r: coefficient}, in the same order: for x over A₀ and over
-    two vectors outside it, on I, H_regular, End(regular) and σ̲_1 of each."""
+    to {p·m + r: coefficient}, in the same order: for x (given as a sparse
+    row) over A₀ and over two vectors outside it, on I, H_regular,
+    End(regular) and σ̲_1 of each."""
     from hopflab.galois import _relations
     h4 = sweedler_h4(field, verify=False)
     s1 = sigma_t(h4, 1)
@@ -502,7 +505,8 @@ def test_relations_match_dense_reference(field):
             [field.from_int(i % 3 - 1) for i in range(m)]]
         want = [{i: c for i, c in enumerate(vec) if c}
                 for vec in dense_relations(alg, xs)]
-        assert want and _relations(alg, xs) == want
+        rows = [[(j, c) for j, c in enumerate(x) if c] for x in xs]
+        assert want and _relations(alg, rows) == want
 
 
 def test_relation_rank_stops_at_the_kernel_only_inside_it():
@@ -784,3 +788,243 @@ def test_subspace_basis_ignores_how_equations_are_given(spec):
         assert sub.equals(Subspace(f, 0, [[]] * dim)) == (sub.dim == dim)
         nontrivial += 0 < sub.dim < dim
     assert nontrivial > 3
+
+
+# -- parity with the Matrix-based Galois layer -------------------------------
+
+class _MatrixSubspace(galois.Subspace):
+    """Subspace as it built its basis before it read dict rows: a dense
+    equation Matrix and the columns of its kernel.  The reference."""
+
+    def __init__(self, field, size, images):
+        dim = len(images)
+        eqs = [[field.zero] * dim for _ in range(size)]
+        for p, image in enumerate(images):
+            for k, c in image:
+                eqs[k][p] = eqs[k][p] + c
+        basis = _matrix_kernel_basis(Matrix(field, size, dim, eqs)).data
+        self.field = field
+        self.ambient_dim = dim
+        self.vectors = [list(v) for v in zip(*basis)]
+        self.rows = [[(k, x) for k, x in enumerate(v) if x]
+                     for v in self.vectors]
+        self.free = [row[-1][0] for row in self.rows]
+
+    def equals(self, other):
+        return (self.ambient_dim == other.ambient_dim
+                and self.vectors == other.vectors)
+
+
+def _dense_kernel_and_preimages(f, beta, n, unit):
+    """_kernel_and_preimages as _mu_action_and_pi read them before βᵀ was
+    built as dict rows: βᵀ as a dense Matrix, the preimages of 1⊗e_k
+    solved against a dense right-hand side, and the kernel and preimages
+    read as the columns of dense Matrices.  The reference."""
+    size, rows = len(beta), len(unit) * n
+    beta_t = Matrix(f, rows, size, [[row.get(c, f.zero) for row in beta]
+                                    for c in range(rows)])
+    rhs = Matrix.zeros(f, rows, n)
+    for k in range(n):
+        for y, u in enumerate(unit):
+            if u:
+                rhs.data[y * n + k][k] = u
+    part = _matrix_solve(beta_t, rhs)
+    if part is None:
+        raise VerificationError("β-preimages of 1⊗h do not exist")
+    return (columns_as_rows(_matrix_kernel_basis(beta_t)),
+            columns_as_rows(part))
+
+
+def _summed_bimodule_actions(bh, mod):
+    """bimodule_actions as it summed its four forms on field elements, with
+    every word and pairing formed again for each (i, p).  The reference."""
+    h = bh.host
+    r = bh.cqt.r
+    if not mod.host.structures_equal(h):
+        raise VerificationError("bimodule_actions: host mismatch")
+    f = h.field
+    m = mod.dim
+    shape = (h.dim, m, m)
+    s_rows, sinv = h.antipodes.rows(0), h.antipodes.rows(1)
+    a2 = galois.act2_tensor(bh.cqt, mod)
+    act2 = Bilinear(a2)
+
+    def left(i, p):
+        acc = [f.zero] * m
+        for a, b, w in h.delta.terms(i):
+            for q0, x in mod.act.row(a, p):
+                for q, k, c0 in mod.coact.terms(q0):
+                    scal = eval2(r, sinv[b], k)
+                    if scal:
+                        acc[q] = acc[q] + w * x * c0 * scal
+        return acc
+
+    def left_expanded(i, p):
+        acc = [f.zero] * m
+        for (a, b, c3, d), w in h.copower(i, 4):
+            for q0, k, c0 in mod.coact.terms(p):
+                scal = eval2(r, sinv[d], h.product(h.mul.row(c3, k), sinv[a]))
+                if not scal:
+                    continue
+                for q, x in mod.act.row(b, q0):
+                    acc[q] = acc[q] + w * c0 * scal * x
+        return acc
+
+    def right(i, p):
+        acc = [f.zero] * m
+        for a, b, w in h.delta.terms(i):
+            for t, y in s_rows[a]:
+                for q0, x in mod.act.row(b, p):
+                    for q, z in act2.row(t, q0):
+                        acc[q] = acc[q] + w * y * x * z
+        return acc
+
+    def right_expanded(i, p):
+        acc = [f.zero] * m
+        for (a, b, c3, d), w in h.copower(i, 4):
+            for q0, k, c0 in mod.coact.terms(p):
+                scal = eval2(r, h.product(h.mul.row(d, k), sinv[b]), a)
+                if not scal:
+                    continue
+                for q, x in mod.act.row(c3, q0):
+                    acc[q] = acc[q] + w * c0 * scal * x
+        return acc
+
+    return galois.BimoduleActions(
+        mod, agreed_tensor("−▷", f, shape, left, left_expanded),
+        agreed_tensor("◁−", f, shape, right, right_expanded), a2)
+
+
+def outcome(fn, *args):
+    """fn(*args), or ("raised", message) for a VerificationError."""
+    try:
+        return fn(*args)
+    except VerificationError as exc:
+        return ("raised", str(exc))
+
+
+def galois_outcomes(bh, b, alg, alg_report):
+    """The full (name, status, witness, detail) rows of comodule_galois,
+    galois_maps and mu_action_and_pi on alg, with π(A)'s tensors or its
+    error; alg_report is verify_yd_algebra(alg), which mu_action_and_pi
+    merges into its report."""
+    mu = outcome(galois._mu_action_and_pi, alg, alg_report)
+    if isinstance(mu[0], YdAlgebra):
+        pi, rep = mu
+        mu = (report_rows(rep), pi.mult, pi.module.action,
+              pi.module.coaction, pi.unit)
+    return (report_rows(comodule_galois(alg)),
+            report_rows(galois_maps(bh, b, alg)), mu)
+
+
+def remember(mp, name, key):
+    """Let galois.<name>, a function of its arguments alone, answer
+    arguments with a key it has seen with its earlier answer."""
+    answers, inner = {}, getattr(galois, name)
+
+    def remembered(*args):
+        k = key(*args)
+        if k not in answers:
+            answers[k] = inner(*args)
+        return answers[k]
+    mp.setattr(galois, name, remembered)
+
+
+def remember_shared_steps(mp):
+    """Two steps the reference layer does not replace, the relation ranks
+    and the relations themselves (test_relations_match_dense_reference is
+    their reference), answer a repeated input once: both runs of a case,
+    and coinvariant spaces that coincide, share them, so the reference run
+    costs about what it replaces."""
+    remember(mp, "sparse_rank", lambda f, rows, cap=None: (
+        f.spec(), cap, tuple(tuple(row.items()) for row in rows)))
+    remember(mp, "_relations", lambda alg, rows: (
+        id(alg), tuple(map(tuple, rows))))
+
+
+def bimodule_outcome(actions, bh, mod):
+    """actions(bh, mod)'s three tensors, or its error."""
+    b = outcome(actions, bh, mod)
+    return (b.left_hr, b.right_hr, b.act2) \
+        if isinstance(b, BimoduleActions) else b
+
+
+def reference_layer(mp):
+    """Route Subspace and the βᵀ path through the references above (the
+    bimodule actions are passed in)."""
+    mp.setattr(galois, "Subspace", _MatrixSubspace)
+    mp.setattr(galois, "_kernel_and_preimages", _dense_kernel_and_preimages)
+
+
+def corrupted_algebras(alg, rng=None, sample=None):
+    """alg with one mult entry raised or lowered by 1: every such change,
+    or, for `sample` seeded entries, one seeded change of each."""
+    t = alg.mult
+    if sample is None:
+        changes = list(one_entry_changes(t))
+    else:
+        changes = []
+        for flat in sorted(rng.sample(range(len(t.data)), sample)):
+            data = list(t.data)
+            data[flat] += rng.choice([t.field.one, -t.field.one])
+            changes.append(Tensor(t.field, t.shape, data))
+    return [YdAlgebra(alg.module, mult, alg.unit) for mult in changes]
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_galois_layer_matches_matrix_reference(spec):
+    """comodule_galois, galois_maps and mu_action_and_pi (as
+    _mu_action_and_pi given A's verify_yd_algebra report) give the
+    reference layer's full report rows (and π(A)'s tensors, or its error)
+    on every ±1 one-entry change of the product of I and H_regular, on one
+    seeded change of each of 64 seeded entries of End(regular)'s product
+    and on the three algebras themselves; bimodule_actions gives the
+    reference's tensors on their modules.  The decisions pass and
+    fail, and mu_action_and_pi both returns and raises."""
+    f = field_from_spec(spec)
+    h4 = sweedler_h4(f)
+    r1 = r_t(h4, 1)
+    bh = build_hr(r1)
+    rng = random.Random(27)
+    statuses = set()
+    for alg, sample in ((unit_object(h4), None),
+                        (regular_galois_algebra(h4), None),
+                        (end_regular(r1), 64)):
+        b = bimodule_actions(bh, alg.module)
+        b_ref = _summed_bimodule_actions(bh, alg.module)
+        assert bimodule_outcome(bimodule_actions, bh, alg.module) \
+            == bimodule_outcome(_summed_bimodule_actions, bh, alg.module)
+        for case in [alg] + corrupted_algebras(alg, rng, sample):
+            alg_report = verify_yd_algebra(case)
+            with pytest.MonkeyPatch.context() as mp:
+                remember_shared_steps(mp)
+                got = galois_outcomes(bh, b, case, alg_report)
+                reference_layer(mp)
+                want = galois_outcomes(bh, b_ref, case, alg_report)
+            assert got == want
+            statuses.update(row[1] for rows in got[:2] for row in rows)
+            statuses.add(got[2][0] == "raised")
+    assert statuses == {"pass", "fail", True, False}
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_bimodule_actions_match_summed_reference(spec):
+    """bimodule_actions gives the reference's tensors, or its error with
+    the same witness, on the modules of I, H_regular and End(regular) and
+    on every ±1 one-entry change of I's action and coaction."""
+    f = field_from_spec(spec)
+    h4 = sweedler_h4(f)
+    bh = build_hr(r_t(h4, 1))
+    uo = unit_object(h4)
+    mods = [uo.module, regular_galois_algebra(h4).module,
+            end_regular(r_t(h4, 1)).module]
+    mods += [YdModule(h4, uo.dim, act, uo.module.coaction)
+             for act in one_entry_changes(uo.module.action)]
+    mods += [YdModule(h4, uo.dim, uo.module.action, coact)
+             for coact in one_entry_changes(uo.module.coaction)]
+    raised = set()
+    for mod in mods:
+        got = bimodule_outcome(bimodule_actions, bh, mod)
+        assert got == bimodule_outcome(_summed_bimodule_actions, bh, mod)
+        raised.add(got[0] == "raised")
+    assert raised == {True, False}

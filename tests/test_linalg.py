@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopflab.fields import QQ, PrimeField
-from hopflab.linalg import (Bilinear, DimensionError, Matrix, Tensor,
+from itertools import chain
+
+from hopflab.linalg import (Bilinear, DimensionError, Matrix, Tensor, _rref,
                             are_inverse, kernel_basis, mat_inverse, mat_mul,
-                            rank, row_space_echelon, solve, sparse_rank,
-                            sparse_sum)
+                            rank, row_space_echelon, solve, sparse_kernel,
+                            sparse_rank, sparse_solve, sparse_sum)
 from hopflab.catalog import sweedler_h4, sigma_t
 from hopflab.twist import are_conv_inverse
 from test_hopf import one_matrix_changes
@@ -289,6 +291,152 @@ def test_row_space_echelon_matches_dense_reference(field):
             [row[:] for row in m.data], m.cols, field)]
         both = Matrix(field, len(ech) + m.rows, m.cols, ech + vectors)
         assert dense_rank(both) == dense_rank(m) == len(ech)
+
+
+# -- the dict-row kernel and solve ------------------------------------------
+
+def _matrix_kernel_basis(m):
+    """kernel_basis as it was before it read sparse_kernel: a dense column
+    per free column of _rref, built in place.  The reference."""
+    field = m.field
+    zero, one = field.zero, field.one
+    pivots = _rref(field, (enumerate(row) for row in m.data))
+    basis = []
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        vec = [zero] * m.cols
+        vec[fc] = one
+        for pc, row in pivots.items():
+            x = row.get(fc)
+            if x:
+                vec[pc] = -x
+        basis.append(vec)
+    data = [[basis[j][i] for j in range(len(basis))] for i in range(m.cols)]
+    return Matrix(field, m.cols, len(basis), data)
+
+
+def _matrix_solve(m, b):
+    """solve as it was before it read sparse_solve: a dense solution matrix
+    filled from _rref of [m | b].  The reference."""
+    nc = m.cols
+    pivots = _rref(m.field, (chain(enumerate(mr), enumerate(br, nc))
+                             for mr, br in zip(m.data, b.data)))
+    if any(pc >= nc for pc in pivots):
+        return None
+    out = Matrix.zeros(m.field, nc, b.cols)
+    for pc, row in pivots.items():
+        for c, x in row.items():
+            if c >= nc:
+                out.data[pc][c - nc] = x
+    return out
+
+
+def columns_as_rows(mat):
+    """The columns of mat as sparse rows [(index, entry)] of their nonzero
+    entries."""
+    return [[(i, x) for i, x in enumerate(mat.column(j)) if x]
+            for j in range(mat.cols)]
+
+
+@st.composite
+def systems(draw):
+    """(field, M, [B, ...]) over ℚ or F₅: M of kind random, zero, full rank
+    (a shuffled echelon block) or random with zero columns, and right-hand
+    sides M·X (solvable) and drawn ones (often not)."""
+    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["random", "zero", "full_rank",
+                                 "zero_columns"]))
+    nums = st.integers(-3, 3)
+    dens = st.integers(1, 3) if field is QQ else st.just(1)
+
+    def entry(nonzero=False):
+        n = draw(nums.filter(bool) if nonzero else nums)
+        return field.ratio(n, draw(dens))
+
+    data = [[field.zero] * cols for _ in range(rows)]
+    if kind in ("random", "zero_columns"):
+        data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero_columns" and cols:
+        for c in draw(st.sets(st.integers(0, cols - 1), min_size=1)):
+            for row in data:
+                row[c] = field.zero
+    if kind == "full_rank":
+        for i in range(min(rows, cols)):
+            data[i][i] = entry(nonzero=True)
+            for c in range(i + 1, cols):
+                data[i][c] = entry()
+        data = draw(st.permutations(data))
+    m = Matrix(field, rows, cols, [list(row) for row in data])
+    k = draw(st.integers(1, 3))
+    x = Matrix(field, cols, k, [[entry() for _ in range(k)]
+                                for _ in range(cols)])
+    drawn = Matrix(field, rows, k, [[entry() for _ in range(k)]
+                                    for _ in range(rows)])
+    return field, m, [mat_mul(m, x), drawn]
+
+
+def dict_rows(rng, data):
+    """data's rows as dicts, with some explicit zeros kept, as items()."""
+    return [{c: x for c, x in enumerate(row) if x or rng.random() < 0.3}
+            .items() for row in data]
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.integers(0, 10 ** 6))
+def test_dict_row_kernel_and_solve_match_matrix_reference(system, seed):
+    """sparse_kernel and sparse_solve on dict rows give exactly what the
+    Matrix kernel_basis and solve gave: the same kernel vectors in the
+    same order, the same particular solution (free variables 0) and None
+    where it was None; kernel_basis and solve, now read off them, still
+    equal those references."""
+    field, m, rhs = system
+    rng = random.Random(seed)
+    want = _matrix_kernel_basis(m)
+    got = sparse_kernel(field, dict_rows(rng, m.data), m.cols)
+    assert got == columns_as_rows(want)
+    for vec in got:         # 1 at its free column, the last index
+        assert vec[-1][1] == field.one
+        assert [i for i, _ in vec] == sorted({i for i, _ in vec})
+    assert kernel_basis(m) == want
+    for b in rhs:
+        want = _matrix_solve(m, b)
+        got = sparse_solve(field, dict_rows(rng, [
+            mr + br for mr, br in zip(m.data, b.data)]), m.cols, b.cols)
+        if want is None:
+            assert got is None
+        else:
+            assert got == columns_as_rows(want)
+        assert solve(m, b) == want
+    assert _matrix_solve(m, rhs[0]) is not None
+
+
+@FIELDS
+def test_dict_row_solve_unsolvable_and_edge_shapes(field):
+    """An unsolvable right-hand side gives None; the zero matrix has the
+    identity kernel, and no rows or no columns are handled."""
+    one, zero = field.one, field.zero
+    two = field.from_int(2)
+    # x₀ + x₁ = 1 and 2x₀ + 2x₁ = 1: inconsistent in any characteristic ≠ 2
+    rows = [{0: one, 1: one, 2: one}.items(), {0: two, 1: two, 2: one}.items()]
+    assert sparse_solve(field, rows, 2, 1) is None
+    assert sparse_solve(field, [{0: zero, 1: one}.items()], 1, 1) is None
+    assert sparse_kernel(field, [{}.items()] * 3, 4) == [
+        [(c, one)] for c in range(4)]
+    assert sparse_kernel(field, [], 2) == [[(0, one)], [(1, one)]]
+    assert sparse_kernel(field, [{0: one}.items()], 1) == []
+    assert sparse_kernel(field, [{}.items()], 0) == []
+    assert sparse_solve(field, [], 2, 3) == [[], [], []]
+    # full rank with a zero column: x₁ is free and stays 0
+    # 2x₀ + x₂ = (1, 0) and x₂ = (2, 1), the right-hand sides from column 3
+    rows = [{0: two, 2: one, 3: one}.items(),
+            {2: one, 3: two, 4: one}.items()]
+    half = field.div(one, two)
+    assert sparse_solve(field, rows, 3, 2) == [[(0, -half), (2, two)],
+                                               [(0, -half), (2, one)]]
+    assert sparse_kernel(field, [{0: two, 2: one}.items()], 3) == [
+        [(1, one)], [(0, field.div(-one, two)), (2, one)]]
 
 
 def test_kernel_identity_and_zero():

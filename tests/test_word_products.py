@@ -681,3 +681,36 @@ def test_formulas_multiply_no_dense_vector(monkeypatch):
     chi_maps(s1)
     phi_psi_xi(s1, alg)
     assert calls == []
+
+
+def test_word_table_forms_each_word_once(word_host, monkeypatch):
+    """h.word_table() gives (e_c e_k)·S⁻¹(e_a) as h.product does, forms
+    each word on its first read only, and a new table starts empty; on H₄
+    verify_yd and bimodule_actions form at most the n³ = 64 words."""
+    h = word_host
+    hs = range(h.dim)
+    sinv = h.antipodes.rows(1)
+    want = {(c, k, a): h.product(h.mul.row(c, k), sinv[a])
+            for c in hs for k in hs for a in hs}
+    calls = []
+    inner = HopfAlgebra.product
+
+    def counted(self, u, v):
+        calls.append(self)
+        return inner(self, u, v)
+
+    monkeypatch.setattr(HopfAlgebra, "product", counted)
+    words = h.word_table()
+    for _ in range(2):
+        assert {key: words(*key) for key in want} == want
+        assert len(calls) == len(want)
+    h.word_table()(0, 0, 0)
+    assert len(calls) == len(want) + 1
+    if h.dim == 4:
+        r1 = r_t(h, 1)
+        reg = regular_comodule_module(r1)
+        bh = build_hr(r1)
+        for run in (lambda: verify_yd(reg), lambda: bimodule_actions(bh, reg)):
+            del calls[:]
+            run()
+            assert 0 < len(calls) <= 64
