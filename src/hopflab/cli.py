@@ -253,6 +253,12 @@ def cmd_catalog(args):
         for name in cat.catalog_names():
             print(name)
         return 0
+    if args.name is None:
+        raise io_json.InputError("catalog export needs an entry name; "
+                                 "`hopflab catalog list` prints them")
+    if args.name not in cat.catalog_names():
+        raise io_json.InputError("no catalog entry named %r; `hopflab "
+                                 "catalog list` prints the names" % args.name)
     field = field_from_spec(args.field)
     entry = cat.get_entry(args.name, field, args.param)
     _emit(io_json.to_json_of(entry.payload))

@@ -3,8 +3,9 @@ actions and coinvariants, the generalized cotensor product, the unit object,
 the isomorphism witnesses χ/φ/ψ/ξ, Galois-extension decisions and the
 Miyashita-Ulbrich action on centralizers.
 
-Structures are read through the sparse kernel linalg.Bilinear (h.mul,
-h.delta, mod.act, mod.coact, alg.mul, and b.left/b.right for −▷ and ◁−).
+Structures are read through the sparse kernel linalg.Bilinear of their
+tensors, one per Tensor (h.mul, h.delta, mod.act, mod.coact, alg.mul, and
+b.left/b.right for −▷ and ◁−).
 Words in H such as S⁻¹(h₃)h₁ are sparse rows multiplied by h.product, and
 R, σ and σ⁻¹ are paired with them only by twist.eval2.  The R-induced
 action ▷₁ is quasitriangular.yd_from_comodule.  ▷₂, −▷, ◁− and the wedge
@@ -31,7 +32,7 @@ from itertools import product
 
 from .hopf import (dual_hopf, first_action_mismatch, first_antipode_mismatch,
                    first_multiplicative_mismatch, first_unit_mismatch)
-from .linalg import (Bilinear, Matrix, Tensor, apply_rowmap, are_inverse,
+from .linalg import (Matrix, Tensor, apply_rowmap, are_inverse,
                      linear_combination, rank, same_span, sparse_kernel,
                      sparse_rank, sparse_solve, sparse_sum)
 from .quasitriangular import deform_cqt, yd_from_comodule
@@ -111,8 +112,8 @@ class BimoduleActions:
     act2: Tensor                # h ▷₂ m
 
     def __post_init__(self):
-        self.left = Bilinear(self.left_hr)
-        self.right = Bilinear(self.right_hr)
+        self.left = self.left_hr.bilinear()
+        self.right = self.right_hr.bilinear()
 
 
 def act2_tensor(c, mod):
@@ -210,7 +211,7 @@ def bimodule_actions(bh, mod):
     sinv = h.antipodes.rows(1)
     s_rows = h.antipodes.lifted_rows()[0]
     a2 = act2_tensor(bh.cqt, mod)
-    act2 = Bilinear(a2).lifted_rows()
+    act2 = a2.bilinear().lifted_rows()
     delta = h.delta.lifted_terms()
     act, coact = mod.act.lifted_rows(), mod.coact.lifted_terms()
     words = h.word_table()
@@ -314,7 +315,7 @@ def _coaction_table(act):
     """An action read as the coaction a ↦ Σ_i (e_i·a)⊗δ_i: row p lists the
     terms (q, i, c) of v_p's image in A⊗H.  −▷ and ◁− are read so as
     𝓗_R*-coactions."""
-    n, m = act.tensor.shape[:2]
+    n, m = act.shape[:2]
     return [[(q, i, c) for i in range(n) for q, c in act.row(i, p)]
             for p in range(m)]
 
@@ -346,7 +347,7 @@ def coinvariants(bh, b, side):
         act = b.left
         other = yd_from_comodule(bh.cqt, mod.coaction).act
     else:
-        act, other = b.right, Bilinear(b.act2)
+        act, other = b.right, b.act2.bilinear()
     sub = _coinvariant_space(h.field, _coaction_table(act), h.counit)
     sub2 = _equalizer(h.field, h.dim, _coaction_table(mod.act),
                       _coaction_table(other))

@@ -6,7 +6,8 @@ Structure tensors follow the index conventions
     antipode.data[i][j] = coefficient of e_j in S(e_i)   (row-as-image)
 and the unit/counit are coordinate (co)vectors of length n.  h.mul, h.delta
 and h.antipodes (rows(0)[i] is S(e_i), rows(1)[i] S⁻¹(e_i)) read them
-through linalg.Bilinear.  An element of H built in a formula, such as
+through the tensors' own linalg.Bilinear (Tensor.bilinear), so H^σ, which
+keeps H's comult tensor, reads H's Δ tables.  An element of H built in a formula, such as
 h₄m₁S⁻¹(h₂), is a sparse row as h.mul.row returns; h.product multiplies two,
 and h.word_table() memoizes the words (e_c e_k)·S⁻¹(e_a) for one call.
 The axioms read every product of basis vectors from h.mul's sparse rows;
@@ -32,7 +33,7 @@ galois.verify_unit_deformation's χ*.
 
 from __future__ import annotations
 
-from .linalg import (Bilinear, Tensor, apply_rowmap, are_inverse, check_dim,
+from .linalg import (Tensor, apply_rowmap, are_inverse, check_dim,
                      check_shape, linear_combination, mat_mul)
 from .report import (CheckReport, first_block_mismatch, first_lifted_mismatch,
                      first_mismatch)
@@ -60,10 +61,10 @@ class HopfAlgebra:
         self.antipode = antipode
         self.antipode_inv = antipode_inv
         self.name = name
-        self.mul = Bilinear(mult)
-        self.delta = Bilinear(comult)
-        self.antipodes = Bilinear(Tensor(field, (2, n, n), antipode.entries
-                                         + antipode_inv.entries))
+        self.mul = mult.bilinear()
+        self.delta = comult.bilinear()
+        self.antipodes = Tensor(field, (2, n, n), antipode.entries
+                                + antipode_inv.entries).bilinear()
         self._copower = {}
         self._dual = None               # set by dual_hopf
 
@@ -237,8 +238,8 @@ def first_unit_mismatch(unit, act, two_sided=False):
     act is an algebra's own product and v_p·1 = v_p is checked at the same
     p.  Both sides are summed from act's sparse rows.
     """
-    f = act.tensor.field
-    m = act.tensor.shape[2]
+    f = act.field
+    m = act.shape[2]
     terms = [(t, x) for t, x in enumerate(unit) if x]
 
     def sides(p):
@@ -250,7 +251,7 @@ def first_unit_mismatch(unit, act, two_sided=False):
         return (left, linear_combination(f, m, ((x, act.row(p, t))
                                                 for t, x in terms))), (e, e)
 
-    return first_mismatch((range(act.tensor.shape[1]),), sides)
+    return first_mismatch((range(act.shape[1]),), sides)
 
 
 def first_coaction_mismatch(delta, coact):
@@ -260,7 +261,7 @@ def first_coaction_mismatch(delta, coact):
     coact[p,q,k] is the coefficient of v_q⊗e_k in ρ(v_p); with coact = delta
     this is Δ's coassociativity.
     """
-    zero = coact.tensor.field.zero
+    zero = coact.field.zero
 
     def sides(p):
         lhs = {}
@@ -275,7 +276,7 @@ def first_coaction_mismatch(delta, coact):
                 rhs[key] = rhs.get(key, zero) + c * c2
         return lhs, rhs
 
-    return first_mismatch((range(coact.tensor.shape[0]),), sides)
+    return first_mismatch((range(coact.shape[0]),), sides)
 
 
 def first_antipode_mismatch(h, mul, antipode):
@@ -313,7 +314,7 @@ def first_action_mismatch(mul, act, right=False):
     from act's lifted terms and rows, and p is the least row of the first
     block that differs.
     """
-    m = act.tensor.shape[2]
+    m = act.shape[2]
     rows, products, flat = (act.lifted_rows(), mul.lifted_rows(),
                             act.flat_tables())
     # act's lifted terms (p·m, t, c) of e_i·v_p = Σ c v_t
@@ -332,8 +333,8 @@ def first_action_mismatch(mul, act, right=False):
                 diff[k] = diff.get(k, 0) - c * w
         return diff
 
-    return first_block_mismatch(act.tensor.field,
-                                (range(mul.tensor.shape[0]),) * 2, block, m)
+    return first_block_mismatch(act.field,
+                                (range(mul.shape[0]),) * 2, block, m)
 
 
 def first_multiplicative_mismatch(mul, image_mul, m):

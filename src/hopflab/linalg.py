@@ -15,7 +15,12 @@ Conventions used throughout the package:
   actions, coproducts and coactions of all structures are read through it.
   Its lifted tables (``lifted_rows``, ``lifted_terms``, ``flat_tables``)
   serve the loops that sum on plain ints over F_p (``Field.lift``), and
-  ``Matrix.lifted_rows`` lifts a matrix for the same loops.
+  ``Matrix.lifted_rows`` lifts a matrix for the same loops.  The tables
+  belong to the tensor: ``Tensor.bilinear()`` builds one Bilinear per
+  Tensor object on first use, and every structure on that tensor reads it,
+  so each table is built once per tensor.  The contract is that a
+  Tensor's data does not change once any table of it has been read; a
+  corruption or an edited copy is a new Tensor over a new list.
 * There is one elimination, ``_reduce``, and it works on rows held as
   dicts {column: coefficient} of their nonzero entries: a Matrix row
   enters as its nonzero entries.  ``rank``, ``sparse_rank`` and
@@ -363,7 +368,14 @@ def mat_inverse(m):
 
 
 class Tensor:
-    __slots__ = ("field", "shape", "data")
+    """A tensor of field elements, row-major over its shape.
+
+    A 3-tensor's sparse and lifted tables are one Bilinear, built on first
+    use by bilinear() and kept on the tensor; it holds the data list but
+    not the tensor, so a Tensor is freed by reference counting alone.  The
+    data must not change once any table of it has been read: a corrupted
+    copy is a new Tensor over a new list."""
+    __slots__ = ("field", "shape", "data", "_bilinear", "__weakref__")
 
     def __init__(self, field, shape, data):
         shape = tuple(shape)
@@ -376,6 +388,14 @@ class Tensor:
         self.field = field
         self.shape = shape
         self.data = data
+        self._bilinear = None
+
+    def bilinear(self):
+        """The tensor's Bilinear, built on first use and then shared by
+        every structure that reads this tensor."""
+        if self._bilinear is None:
+            self._bilinear = Bilinear(self)
+        return self._bilinear
 
     @classmethod
     def zeros(cls, field, shape):
@@ -428,9 +448,13 @@ class Bilinear:
 
     t is read as the bilinear map (e_i, e_j) ↦ Σ_k t[i,j,k] e_k (a product
     or an action) and as the linear map e_i ↦ Σ t[i,j,k] e_j⊗e_k (a
-    coproduct or a coaction).  Each table is built once, on first use, and
-    the tensor must not change after that; callers must not change the
-    lists and dicts it returns.
+    coproduct or a coaction).  There is one per Tensor object, from
+    ``Tensor.bilinear()``, so every structure built on one tensor (H^σ on
+    H's Δ, σ̲M on M's coaction, the modules on one action) reads the same
+    tables.  It keeps t's field, shape and data list, not t itself, so a
+    tensor and its tables form no reference cycle.  Each table is built
+    once, on first use, and t's data must not change after any table has
+    been read; callers must not change the lists and dicts it returns.
 
     The lifted tables hold the entries lifted (``Field.lift``), for sums
     reduced once per compared coordinate or per output vector:
@@ -442,11 +466,13 @@ class Bilinear:
     σ̲ and term kernel, twist.py's convolutions and galois.py's
     Miyashita-Ulbrich action read them.
     """
-    __slots__ = ("tensor", "_zeros", "_dense", "_rows", "_terms", "_lrows",
-                 "_lterms", "_flat")
+    __slots__ = ("field", "shape", "_data", "_zeros", "_dense", "_rows",
+                 "_terms", "_lrows", "_lterms", "_flat")
 
     def __init__(self, tensor):
-        self.tensor = tensor
+        self.field = tensor.field
+        self.shape = tensor.shape
+        self._data = tensor.data
         self._zeros = [tensor.field.zero] * tensor.shape[2]
         self._dense = None
         self._rows = None
@@ -458,8 +484,8 @@ class Bilinear:
     def _dense_table(self):
         """dense[i][j] = t[i,j,:] as a list."""
         if self._dense is None:
-            n0, n1, n2 = self.tensor.shape
-            d = self.tensor.data
+            n0, n1, n2 = self.shape
+            d = self._data
             self._dense = [[d[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]
                             for j in range(n1)] for i in range(n0)]
         return self._dense
@@ -470,8 +496,8 @@ class Bilinear:
         Read from the tensor's data, so a caller that reads only sparse
         rows never builds the dense table."""
         if self._rows is None:
-            n0, n1, n2 = self.tensor.shape
-            d = self.tensor.data
+            n0, n1, n2 = self.shape
+            d = self._data
             self._rows = [[[(k, c) for k, c in enumerate(
                 d[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]) if c]
                 for j in range(n1)] for i in range(n0)]
@@ -501,7 +527,7 @@ class Bilinear:
     def lifted_rows(self):
         """The table of row(i, j) with lifted coefficients, [i][j]."""
         if self._lrows is None:
-            field = self.tensor.field
+            field = self.field
             if field.identity_lift:
                 self._lrows = self._table()
             else:
@@ -514,7 +540,7 @@ class Bilinear:
         """The table of terms(i) with lifted coefficients, [i]."""
         if self._lterms is None:
             self._lterms = (self._all_terms()
-                            if self.tensor.field.identity_lift
+                            if self.field.identity_lift
                             else _terms_of(self.lifted_rows()))
         return self._lterms
 
@@ -522,7 +548,7 @@ class Bilinear:
         """[i] is t[i,:,:] as {p·n₂+q: lifted t[i,p,q]} over its nonzero
         entries, in row-major order."""
         if self._flat is None:
-            n2 = self.tensor.shape[2]
+            n2 = self.shape[2]
             self._flat = [{j * n2 + k: c for j, k, c in terms}
                           for terms in self.lifted_terms()]
         return self._flat
@@ -546,7 +572,7 @@ class Bilinear:
     def apply_basis(self, i, v):
         """Σ v_j t[i,j,:], that is apply(e_i, v), read from rows(i)."""
         return linear_combination(
-            self.tensor.field, self.tensor.shape[2],
+            self.field, self.shape[2],
             ((y, r) for y, r in zip(v, self.rows(i)) if y))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import HopfAlgebra, dual_hopf
-from .linalg import Bilinear, Matrix, Tensor, check_shape
+from .linalg import Matrix, Tensor, check_shape
 from .report import CheckReport, VerificationError, first_mismatch
 from .twist import (are_conv_inverse, conv_inverse2, convolve2, counit_legs,
                     deform, deform_dual, eval2, hh_mul, hhh_delta, hhh_leg,
@@ -236,7 +236,7 @@ def yd_from_comodule(c, coaction):
     n = h.dim
     m = coaction.shape[0]
     check_shape("coaction", coaction.shape, (m, m, n))
-    coact, ms = Bilinear(coaction).row, range(m)
+    coact, ms = coaction.bilinear().row, range(m)
     action = Tensor.from_rows(h.field, (n, m, m), [
         [[eval2(c.r, i, coact(p, q)) for q in ms] for p in ms]
         for i in range(n)])

@@ -206,22 +206,25 @@ def criterion_05_cqt_qt_deformation(ctx):
 
 def criterion_06_braided_square(ctx):
     """Thm 2.3 and Thm 2.8 commuting squares on all catalog pairs, one
-    braided_squares call per cocycle."""
+    braided_squares call for the σ_t and one for the θ_t, so that Φ_{M,N}
+    and M⊗N are built once per pair for the three cocycles of each."""
     rep = CheckReport()
     names = ("reg", "I", "triv")
+    ts = (1, 2, -1)
     mods = [ctx.regular(1), ctx.unit_obj().module, ctx.trivial()]
     pairs = [(a, b) for a in range(3) for b in range(3)]
-    for t in (1, 2, -1):
-        squares = braided_squares(ctx.sigma(t), mods, pairs)
-        for (a, b), square in zip(pairs, squares):
+    squares = braided_squares([ctx.sigma(t) for t in ts], mods, pairs)
+    for t, reports in zip(ts, squares):
+        for (a, b), square in zip(pairs, reports):
             rep.add("thm2_3_sigma_%s_%s_%s" % (t, names[a], names[b]),
                     square.ok)
     # θ̲'s square on (M, N) is σ_θ's on (N*, M*), as in verify_theta_braided
     duals = [dual_module(m) for m in mods]
     swapped = [(b, a) for a, b in pairs]
-    for t in (1, 2, -1):
-        squares = braided_squares(ctx.theta(t).sigma, duals, swapped)
-        for (a, b), square in zip(pairs, squares):
+    squares = braided_squares([ctx.theta(t).sigma for t in ts], duals,
+                              swapped)
+    for t, reports in zip(ts, squares):
+        for (a, b), square in zip(pairs, reports):
             rep.add("thm2_8_theta_%s_%s_%s" % (t, names[a], names[b]),
                     square.ok)
     return rep
@@ -355,12 +358,13 @@ def criterion_13_galois_stability(ctx):
 
     bh = ctx.hr(1)
     bhs = build_hr(ctx.r_sigma(1, 1))
+    after = {}          # name: galois_maps of σ̲A over 𝓗_{R^σ}
     for name in ctx.ALGEBRAS:
         alg = ctx.algebra(name)
         rep_before = galois_maps(bh, bimodule_actions(bh, alg.module), alg)
         s_alg = ctx.sigma_algebra(1, name)
         bim_s = bimodule_actions(bhs, s_alg.module)
-        rep_after = galois_maps(bhs, bim_s, s_alg)
+        rep_after = after[name] = galois_maps(bhs, bim_s, s_alg)
         for nm in ("right_galois", "left_galois", "bigalois_object"):
             b = rep_before.status(nm)
             a = rep_after.status(nm)
@@ -378,9 +382,7 @@ def criterion_13_galois_stability(ctx):
         and verify_yd_algebra(ww).ok
     rep.add("thm3_11_wedge_of_members_is_member", member)
     s_uo = ctx.sigma_algebra(1, "I")
-    b_suo = bimodule_actions(bhs, s_uo.module)
-    s_member = galois_maps(bhs, b_suo, s_uo).ok \
-        and quantum_commutative(s_uo)
+    s_member = after["I"].ok and quantum_commutative(s_uo)
     rep.add("thm3_12_sigma_preserves_membership", s_member)
     return rep
 

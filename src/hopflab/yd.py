@@ -8,8 +8,9 @@ Tensor conventions (m = module dimension, n = host dimension):
     coaction[p,q,k] = coefficient of v_q⊗e_k in ρ(v_p)
 The tensor product M⊗N carries h·(m⊗n) = Σ h₁·m ⊗ h₂·n and
 ρ(m⊗n) = Σ (m₀⊗n₀) ⊗ n₁m₁; basis index of v_p⊗w_q is p·dim(N)+q.
-mod.act, mod.coact and alg.mul read action, coaction and product through
-the sparse kernel linalg.Bilinear, and words in H, such as e_c e_k S⁻¹(e_a),
+mod.act, mod.coact and alg.mul are the linalg.Bilinear tables of the
+action, coaction and product tensors (Tensor.bilinear), shared by every
+structure built on the same tensor, and words in H, such as e_c e_k S⁻¹(e_a),
 are h.product's sparse rows (hopf.py); verify_yd's S⁻¹ form reads them
 from one h.word_table() per call.  σ and σ⁻¹ are read from the lifted
 tables kept on the cocycle (_SigmaTables).  The hot loops here sum lifted
@@ -37,11 +38,14 @@ structure φ and θ̲(A) = (A, μ∘φ) are built only by the tests, as referenc
 is not (σ̲_θ(A*))*.
 σ̲ and θ̲ are fixed by their cocycle: the target hosts H^σ and H_θ come from
 twist.deform/deform_dual, which memoize them per cocycle object.  The
-monoidal structure eta returns matrices only.  The braided
-square has one kernel, braided_squares: for one cocycle and a list of
-modules it builds each σ̲ image, σ̲M⊗σ̲N, η and σ̲(M⊗N) once and checks
-every requested ordered pair; verify_braided_functor and
-verify_theta_braided are its single-pair calls.
+monoidal structure eta returns matrices only.  σ̲M keeps M's coaction
+tensor, so σ̲M reads M's coaction tables under every cocycle.  The
+braided square has one kernel, braided_squares: for a list of cocycles
+and a list of modules it builds Φ_{M,N} and M⊗N once per pair for all
+the cocycles, and under each cocycle each σ̲ image, σ̲M⊗σ̲N, η and
+σ̲(M⊗N) once, and checks every requested ordered pair;
+verify_braided_functor and verify_theta_braided are its calls on one
+cocycle and one pair.
 Linear maps are stored row-as-image; mat_mul(A, B) is "apply A, then B".
 The constructions here (σ̲, θ̲, braided products, H-opposites, End(M)) do
 not check the YD axioms of what they return; verify_yd and
@@ -55,9 +59,9 @@ from dataclasses import dataclass
 
 from .hopf import (dual_hopf, first_action_mismatch, first_coaction_mismatch,
                    first_unit_mismatch)
-from .linalg import (Bilinear, Matrix, Tensor, are_inverse, check_shape,
-                     kernel_basis, linear_combination, mat_mul, rank,
-                     sparse_rank, sparse_sum)
+from .linalg import (Matrix, Tensor, are_inverse, check_shape, kernel_basis,
+                     linear_combination, mat_mul, rank, sparse_rank,
+                     sparse_sum)
 from .report import (CheckReport, VerificationError, first_block_mismatch,
                      first_lifted_mismatch, first_mismatch, require_agree)
 from .twist import deform, deform_dual
@@ -71,8 +75,8 @@ class YdModule:
         self.dim = dim
         self.action = action
         self.coaction = coaction
-        self.act = Bilinear(action)
-        self.coact = Bilinear(coaction)
+        self.act = action.bilinear()
+        self.coact = coaction.bilinear()
         self._coact2 = None
 
     def act_vec(self, hvec, mvec):
@@ -113,7 +117,7 @@ class YdAlgebra:
         self.module = module
         self.mult = mult
         self.unit = list(unit)
-        self.mul = Bilinear(mult)
+        self.mul = mult.bilinear()
 
     @property
     def host(self):
@@ -546,14 +550,16 @@ def _tables(s):
 
 
 def sigma_module(s, mod):
-    """σ̲(M): the twisted action, with the coaction unchanged.
+    """σ̲(M): the twisted action, on M's own coaction tensor.
 
     Both displayed forms of the twisted action are computed; they must
     agree.  Each form sums lifted values and reduces one row per (i, p).
     What depends on the cocycle alone (σ and σ⁻¹ lifted, the live terms of
     Δ² and Δ⁴, the second form's pairing) is built once per cocycle object
     and kept on it (_SigmaTables), so later calls on other modules, and
-    σ̲(M⊗N) after σ̲M and σ̲N, reuse it.
+    σ̲(M⊗N) after σ̲M and σ̲N, reuse it.  σ̲M's coaction is M.coaction, the
+    same Tensor object, so σ̲M reads the coaction tables M has built, and
+    σ̲M under every cocycle shares them.
     """
     h = mod.host
     if not h.structures_equal(s.host):
@@ -616,8 +622,7 @@ def sigma_module(s, mod):
 
     action = agreed_tensor("twisted-action", f, (n, m, m), twisted,
                            twisted_expanded)
-    return YdModule(deform(s), m, action,
-                    Tensor(f, (m, m, n), list(mod.coaction.data)))
+    return YdModule(deform(s), m, action, mod.coaction)
 
 
 def eta(s, ma, mb):
@@ -633,61 +638,76 @@ def eta(s, ma, mb):
     return mat, mat_inv
 
 
-def braided_squares(s, mods, pairs):
+def braided_squares(cocycles, mods, pairs):
     """The braided square of σ̲ (Thm 2.3),
         η_{N,M} ∘ Φ_{σ̲M,σ̲N} = σ̲(Φ_{M,N}) ∘ η_{M,N},
-    on (M, N) = (mods[a], mods[b]) for each (a, b) in pairs: one report per
-    pair, in that order.
+    under each σ in cocycles, on (M, N) = (mods[a], mods[b]) for each
+    (a, b) in pairs: one list of reports per cocycle, in that order, each
+    with one report per pair, in that order.
 
     Each report checks the square, η_{M,N} as a YD map σ̲M⊗σ̲N → σ̲(M⊗N)
     (the eta_ checks) and Φ_{σ̲M,σ̲N} as a YD map (the phi_sigma_ checks);
-    eta raises unless η·ξ = id.  The σ̲ images, the products σ̲M⊗σ̲N and
-    the η are built once and shared: σ̲M⊗σ̲N is the source of (a, b)'s Φ
-    and the target of (b, a)'s, and η_{M,N} is η_ab of (a, b) and η_ba of
-    (b, a).  σ̲ images and η are first built in the order a pair-by-pair
-    check builds them, so the first of them that raises is the same.
+    eta raises unless η·ξ = id.  Φ_{M,N} and M⊗N do not depend on σ: each
+    is built once per pair and read under every cocycle.  Under one
+    cocycle the σ̲ images, the products σ̲M⊗σ̲N and the η are built once
+    and shared: σ̲M⊗σ̲N is the source of (a, b)'s Φ and the target of
+    (b, a)'s, and η_{M,N} is η_ab of (a, b) and η_ba of (b, a).  Every
+    object is first built in the order that pair-by-pair checks, cocycle
+    by cocycle, build it, so the first of them that raises is the same.
+    Nothing built here is kept after the call.
     """
-    f = s.host.field
-    memo = {}
+    shared = {}
 
-    def once(key, build, *args):
+    def once(memo, key, build, *args):
         if key not in memo:
             memo[key] = build(*args)
         return memo[key]
 
-    def sig(a):
-        return once(("sigma", a), sigma_module, s, mods[a])
+    def braiding(ma, mb):
+        return _matrix(ma.host.field, _braid_terms(ma, mb), mb.dim, ma.dim)
 
-    def sig_tensor(a, b):
-        return once(("tensor", a, b), yd_tensor, sig(a), sig(b))
+    def phi(a, b):
+        return once(shared, ("phi", a, b), braiding, mods[a], mods[b])
 
-    def eta_of(a, b):
-        return once(("eta", a, b), eta, s, mods[a], mods[b])[0]
+    def tensor(a, b):
+        return once(shared, ("tensor", a, b), yd_tensor, mods[a], mods[b])
 
-    reports = []
-    for a, b in pairs:
-        ma, mb = mods[a], mods[b]
-        if not ma.host.structures_equal(mb.host):
-            raise VerificationError("braiding: host mismatch")
-        phi = _matrix(f, _braid_terms(ma, mb), mb.dim, ma.dim)
-        phi_sigma = YdMap(sig_tensor(a, b), sig_tensor(b, a),
-                          _matrix(f, _braid_terms(sig(a), sig(b)),
-                                  mb.dim, ma.dim))
-        eta_ab, eta_ba = eta_of(a, b), eta_of(b, a)
-        rep = CheckReport()
-        rep.add("braided_square", mat_mul(phi_sigma.matrix, eta_ba)
-                == mat_mul(eta_ab, phi))
-        target = sigma_module(s, yd_tensor(ma, mb))
-        rep.merge(is_yd_map(YdMap(phi_sigma.source, target, eta_ab)),
-                  prefix="eta_")
-        rep.merge(is_yd_map(phi_sigma), prefix="phi_sigma_")
-        reports.append(rep)
-    return reports
+    out = []
+    for s in cocycles:
+        memo = {}
+
+        def sig(a):
+            return once(memo, ("sigma", a), sigma_module, s, mods[a])
+
+        def sig_tensor(a, b):
+            return once(memo, ("tensor", a, b), yd_tensor, sig(a), sig(b))
+
+        def eta_of(a, b):
+            return once(memo, ("eta", a, b), eta, s, mods[a], mods[b])[0]
+
+        reports = []
+        for a, b in pairs:
+            if not mods[a].host.structures_equal(mods[b].host):
+                raise VerificationError("braiding: host mismatch")
+            phi_ab = phi(a, b)
+            phi_sigma = YdMap(sig_tensor(a, b), sig_tensor(b, a),
+                              braiding(sig(a), sig(b)))
+            eta_ab, eta_ba = eta_of(a, b), eta_of(b, a)
+            rep = CheckReport()
+            rep.add("braided_square", mat_mul(phi_sigma.matrix, eta_ba)
+                    == mat_mul(eta_ab, phi_ab))
+            target = sigma_module(s, tensor(a, b))
+            rep.merge(is_yd_map(YdMap(phi_sigma.source, target, eta_ab)),
+                      prefix="eta_")
+            rep.merge(is_yd_map(phi_sigma), prefix="phi_sigma_")
+            reports.append(rep)
+        out.append(reports)
+    return out
 
 
 def verify_braided_functor(s, ma, mb):
-    """braided_squares on the one pair (M, N)."""
-    return braided_squares(s, [ma, mb], [(0, 1)])[0]
+    """braided_squares under the one cocycle s on the one pair (M, N)."""
+    return braided_squares([s], [ma, mb], [(0, 1)])[0][0]
 
 
 def sigma_algebra(s, alg):
@@ -753,8 +773,8 @@ def verify_theta_braided(d, ma, mb):
     square of σ_θ on N*, M*.  The flip τ conjugates one square into the
     other: Φ_{N*,M*} = τΦ_{M,N}τ, φ_{M,N} = τη_{N*,M*}τ and
     (M⊗N)* = τ(N*⊗M*)τ."""
-    return braided_squares(d.sigma, [dual_module(mb), dual_module(ma)],
-                           [(0, 1)])[0]
+    return braided_squares([d.sigma], [dual_module(mb), dual_module(ma)],
+                           [(0, 1)])[0][0]
 
 
 # -- algebra constructions ----------------------------------------------------

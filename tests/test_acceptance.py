@@ -72,6 +72,18 @@ def test_criterion_13_verdicts_are_pinned(ctx):
     assert got == GALOIS_VERDICTS
 
 
+def test_criterion_13_decides_each_galois_map_once(monkeypatch):
+    """Thm 3.12's membership of σ̲I reads the Galois maps that Prop 3.10's
+    loop decided for I: one bimodule_actions and one galois_maps call for
+    each of the 3 algebras and their 3 σ̲ images, and one for I∧I."""
+    from test_yd import count_calls
+    maps = count_calls(monkeypatch, "galois_maps", "hopflab.galois")
+    actions = count_calls(monkeypatch, "bimodule_actions", "hopflab.galois")
+    ctx = SuiteContext(QQ, suite.T_DEFAULT, 0)
+    assert criterion_13_galois_stability(ctx).ok
+    assert len(maps) == 7 and len(actions) == 7
+
+
 @pytest.mark.parametrize("witness", ["chi_maps", "phi_psi_xi"])
 def test_criterion_10_reports_failed_identities(monkeypatch, ctx, witness):
     def fails(*args):
@@ -161,11 +173,17 @@ def test_each_shared_instance_is_built_once(monkeypatch):
 def test_braided_squares_build_each_object_once(monkeypatch):
     """One criterion-06 run on a fresh context builds each σ̲ image once
     (3 modules and 9 tensor products under each of 6 cocycles), the dual of
-    each of its 3 modules once, and one η per (cocycle, ordered pair)."""
+    each of its 3 modules once, and one η per (cocycle, ordered pair).
+    Φ_{M,N} and M⊗N do not depend on σ, so each is built once per ordered
+    pair of each half (σ_t and θ_t) for its three cocycles: 18 of each,
+    beside the 54 Φ_{σ̲M,σ̲N} and σ̲M⊗σ̲N."""
     from test_yd import count_calls
+    from hopflab.hopf import dual_hopf
     sigmas = count_calls(monkeypatch, "sigma_module")
     etas = count_calls(monkeypatch, "eta")
     duals = count_calls(monkeypatch, "dual_module")
+    tensors = count_calls(monkeypatch, "yd_tensor")
+    braids = count_calls(monkeypatch, "_braid_terms")
     ctx = SuiteContext(QQ, suite.T_DEFAULT, 0)
     assert dict(CRITERIA)["06_braided_squares"](ctx).ok
 
@@ -181,6 +199,14 @@ def test_braided_squares_build_each_object_once(monkeypatch):
     assert distinct(duals) == 4 and [args[0] for args in duals[1:]] == mods
     # the cocycles are the six of criterion 06: σ_t, and σ_θ for θ_t
     assert len({id(args[0]) for args in sigmas + etas}) == 6
+    assert distinct(tensors) == 72 and distinct(braids) == 72
+    # M⊗N lies on H₄ or H₄*, σ̲M⊗σ̲N on a deformed host
+    hosts = (ctx.h4, dual_hopf(ctx.h4))
+    for calls in (tensors, braids):
+        on_mods = [args for args in calls
+                   if any(args[0].host is h for h in hosts)]
+        assert len(on_mods) == 18
+        assert all(args[0].host is args[1].host for args in on_mods)
 
 
 def test_sigma_images_are_verified():

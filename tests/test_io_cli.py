@@ -409,6 +409,22 @@ def test_cli_catalog_list(capsys):
     assert "h4" in out and "unit_object" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["catalog", "export", "nope"],
+     "input error: no catalog entry named 'nope'; `hopflab catalog list` "
+     "prints the names\n"),
+    (["catalog", "export"],
+     "input error: catalog export needs an entry name; `hopflab catalog "
+     "list` prints them\n"),
+], ids=["unknown", "missing"])
+def test_cli_catalog_export_names_unknown_entry(argv, message, capsys):
+    """An unknown or missing entry name is an input error in plain words,
+    not the quoted text of a KeyError."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == message
+
+
 @pytest.mark.parametrize("argv", [
     ["suite", "--t-values", "a,b"],
     ["catalog", "export", "sigma_t", "--param", "x"],

@@ -567,6 +567,31 @@ def test_bilinear_matches_dense_definition(n0, n1, n2, seed):
         assert kernel.flat_tables()[i] == {j * n2 + k: c for j, k, c in terms}
 
 
+def test_tensor_keeps_one_bilinear_and_frees_without_the_collector():
+    """A Tensor's tables are one Bilinear, built on first use; it holds no
+    reference back to the tensor, so with the cyclic collector off a
+    tensor whose lifted tables were read is freed by del alone."""
+    import gc
+    import weakref
+    field = PrimeField(5)
+    t = Tensor(field, (2, 2, 2), [field.from_int(x)
+                                  for x in (1, 0, 2, 0, 0, 3, 4, 1)])
+    kernel = t.bilinear()
+    assert t.bilinear() is kernel
+    kernel.lifted_rows(), kernel.lifted_terms(), kernel.flat_tables()
+    assert kernel.row(1, 0) == [(1, field.from_int(3))]
+    gone = weakref.ref(t)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del t
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert kernel.terms(0) == [(0, 0, field.one), (1, 0, field.from_int(2))]
+
+
 # -- leg permutations, sparse sums and inverse pairs --------------------------
 
 ORDERS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]

@@ -398,6 +398,33 @@ def test_sigma_module_trivial(mreg, h4):
     assert sm.coaction == mreg.coaction
 
 
+def test_structures_share_the_tables_of_their_tensors(mreg, s1, h4):
+    """A structure reads the tables of the Tensor objects it is built on:
+    σ̲M keeps M's coaction tensor, H^σ keeps H's Δ, and two modules on one
+    action tensor read one kernel."""
+    sm = sigma_module(s1, mreg)
+    assert sm.coaction is mreg.coaction and sm.coact is mreg.coact
+    assert deform(s1).comult is h4.comult and deform(s1).delta is h4.delta
+    twin = YdModule(h4, mreg.dim, mreg.action, sm.coaction)
+    assert twin.act is mreg.act and twin.coact is mreg.coact
+
+
+def test_braided_squares_raise_the_reference_first_error(h4, mreg):
+    """The first error braided_squares raises is the one the pair-by-pair
+    reference raises first: here the braiding of (reg, kC₂'s trivial
+    module), after (reg, reg) has passed under σ_1."""
+    other = trivial_module(group_algebra_c2(QQ), 1)
+    cocycles, mods = [sigma_t(h4, 1), sigma_t(h4, 2)], [mreg, other]
+    pairs = [(0, 0), (0, 1)]
+    with pytest.raises(VerificationError) as want:
+        for s in cocycles:
+            for a, b in pairs:
+                reference_braided_functor(s, mods[a], mods[b])
+    with pytest.raises(VerificationError) as got:
+        braided_squares(cocycles, mods, pairs)
+    assert str(got.value) == str(want.value) == "braiding: host mismatch"
+
+
 def test_sigma_module_roundtrip(mreg, s1):
     sm = sigma_module(s1, mreg)
     sinv = two_cocycle(deform(s1), s1.sigma_inv)
@@ -443,12 +470,13 @@ def reference_braided_functor(s, ma, mb):
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 def test_braided_squares_match_the_per_pair_reference(spec):
-    """Each pair's report of braided_squares, which shares σ̲ images,
-    tensor products and η between the pairs, equals the per-pair reference
-    on every (name, status, witness, detail): σ_2 on (reg, I, triv), and
-    σ_θ for θ_{-1} on their duals in criterion 06's swapped order; then
-    again with reg's action[2, 2, 0] raised by 1, which fails the square on
-    the θ side and Φ_{σ̲M,σ̲N}'s YD-map checks."""
+    """Each report of braided_squares, which shares Φ_{M,N} and M⊗N between
+    the cocycles and σ̲ images, tensor products and η between the pairs,
+    equals the per-pair reference on every (name, status, witness,
+    detail): σ_2 and σ_{-1} in one call on (reg, I, triv), and σ_θ for
+    θ_{-1} and θ_1 in one call on their duals in criterion 06's swapped
+    order; then again with reg's action[2, 2, 0] raised by 1, which fails
+    the square on the θ side and Φ_{σ̲M,σ̲N}'s YD-map checks."""
     f = field_from_spec(spec)
     h4 = sweedler_h4(f, verify=False)
     mods = [regular_comodule_module(r_t(h4, 1)), unit_object(h4).module,
@@ -458,20 +486,24 @@ def test_braided_squares_match_the_per_pair_reference(spec):
     data[(2 * 4 + 2) * 4 + 0] += f.one
     bad = YdModule(h4, 4, Tensor(f, reg.action.shape, data), reg.coaction)
     pairs = [(a, b) for a in range(3) for b in range(3)]
-    sigma, d = sigma_t(h4, 2), theta_t(h4, -1)
+    sigmas = [sigma_t(h4, 2), sigma_t(h4, -1)]
+    thetas = [theta_t(h4, -1).sigma, theta_t(h4, 1).sigma]
 
     def tuples(rep):
         return [(c.name, c.status, c.witness, c.detail) for c in rep.checks]
 
     failed = set()
     for on in (mods, [bad] + mods[1:]):
-        for s, ms, order in ((sigma, on, pairs),
-                             (d.sigma, [dual_module(m) for m in on],
-                              [(b, a) for a, b in pairs])):
-            for (a, b), rep in zip(order, braided_squares(s, ms, order)):
-                want = reference_braided_functor(s, ms[a], ms[b])
-                assert tuples(rep) == tuples(want), (spec, a, b)
-                failed.update(c.name for c in rep.failures())
+        for cocycles, ms, order in ((sigmas, on, pairs),
+                                    (thetas, [dual_module(m) for m in on],
+                                     [(b, a) for a, b in pairs])):
+            got = braided_squares(cocycles, ms, order)
+            assert len(got) == len(cocycles)
+            for s, reports in zip(cocycles, got):
+                for (a, b), rep in zip(order, reports):
+                    want = reference_braided_functor(s, ms[a], ms[b])
+                    assert tuples(rep) == tuples(want), (spec, a, b)
+                    failed.update(c.name for c in rep.failures())
     assert failed == {"braided_square", "phi_sigma_h_linear",
                       "phi_sigma_h_colinear"}
 
@@ -482,13 +514,13 @@ def test_braided_functor_square(mreg, s1, h4, unit_obj):
     assert verify_braided_functor(s2, mreg, unit_obj.module).ok
 
 
-def count_calls(monkeypatch, name):
-    """Wrap hopflab.yd.<name> in every hopflab module that binds it; the
+def count_calls(monkeypatch, name, owner="hopflab.yd"):
+    """Wrap <owner>.<name> in every hopflab module that binds it; the
     returned list grows by one per call."""
+    import importlib
     import sys
-    import hopflab.yd as yd
     calls = []
-    inner = getattr(yd, name)
+    inner = getattr(importlib.import_module(owner), name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
