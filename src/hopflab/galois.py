@@ -796,17 +796,18 @@ def comodule_galois(alg):
     return _comodule_galois(alg)[0]
 
 
-def mu_action_and_pi(alg):
+def mu_action_and_pi(alg, galois=None):
     """π(A) = C_A(A₀) with the Miyashita-Ulbrich action; requires A/A₀ to
     be Galois.  Returns (π(A) as a YdAlgebra, report).  The report holds
     A's YD-algebra checks (prefix A_; reported, not required), the Galois
     and centralizer checks, π(A)'s YD-algebra checks (prefix pi_) and π(A)'s
-    quantum commutativity."""
-    return _mu_action_and_pi(alg, verify_yd_algebra(alg))
+    quantum commutativity.  galois is A's _comodule_galois (report, A₀, β)
+    for a caller that holds it already; it is decided here when not given."""
+    return _mu_action_and_pi(alg, verify_yd_algebra(alg), galois)
 
 
-def _mu_action_and_pi(alg, alg_report):
-    """mu_action_and_pi(alg) for a caller that holds alg_report, A's
+def _mu_action_and_pi(alg, alg_report, galois=None):
+    """mu_action_and_pi(alg, galois) for a caller that holds alg_report, A's
     verify_yd_algebra report, already.
 
     The action of h on a ∈ π(A) is Σ x_{pr} v_p·a·v_r for a β-preimage x
@@ -820,7 +821,7 @@ def _mu_action_and_pi(alg, alg_report):
     n = h.dim
     m = alg.dim
 
-    gal, sub0, beta_rows = _comodule_galois(alg)
+    gal, sub0, beta_rows = galois or _comodule_galois(alg)
     rep.merge(gal, prefix="galois_")
     if not gal.ok:
         raise VerificationError("mu_action_and_pi requires a Galois input")

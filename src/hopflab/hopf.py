@@ -33,6 +33,8 @@ galois.verify_unit_deformation's χ*.
 
 from __future__ import annotations
 
+import weakref
+
 from .linalg import (Tensor, apply_rowmap, are_inverse, check_dim,
                      check_shape, linear_combination, mat_mul)
 from .report import (CheckReport, first_block_mismatch, first_lifted_mismatch,
@@ -66,7 +68,7 @@ class HopfAlgebra:
         self.antipodes = Tensor(field, (2, n, n), antipode.entries
                                 + antipode_inv.entries).bilinear()
         self._copower = {}
-        self._dual = None               # set by dual_hopf
+        self._dual = None       # set by dual_hopf: H*, or a weakref to H on H*
 
     def mul_vec(self, u, v):
         return self.mul.apply(u, v)
@@ -374,10 +376,15 @@ def first_multiplicative_mismatch(mul, image_mul, m):
 def dual_hopf(h):
     """The dual Hopf algebra on the dual basis, built once per host object.
 
-    The memo is kept on both objects, so dual_hopf(dual_hopf(h)) is h.
+    h keeps its dual, and the dual keeps a weak reference back to h, so
+    dual_hopf(dual_hopf(h)) is h while h is alive, and no reference cycle
+    keeps either alive: both are freed by reference counting alone.
     """
-    if h._dual is not None:
-        return h._dual
+    dual = h._dual
+    if isinstance(dual, weakref.ref):
+        dual = dual()
+    if dual is not None:
+        return dual
     # (δ_i·δ_j)(e_k) = ⟨δ_i⊗δ_j, Δ(e_k)⟩ and Δ*(δ_k) = Σ mult[i,j,k] δ_i⊗δ_j
     dual = HopfAlgebra(
         field=h.field, dim=h.dim,
@@ -387,7 +394,7 @@ def dual_hopf(h):
         antipode=h.antipode.transpose(),
         antipode_inv=h.antipode_inv.transpose(),
         name=h.name + "*")
-    h._dual, dual._dual = dual, h
+    h._dual, dual._dual = dual, weakref.ref(h)
     return dual
 
 

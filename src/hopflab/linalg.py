@@ -15,12 +15,19 @@ Conventions used throughout the package:
   actions, coproducts and coactions of all structures are read through it.
   Its lifted tables (``lifted_rows``, ``lifted_terms``, ``flat_tables``)
   serve the loops that sum on plain ints over F_p (``Field.lift``), and
-  ``Matrix.lifted_rows`` lifts a matrix for the same loops.  The tables
-  belong to the tensor: ``Tensor.bilinear()`` builds one Bilinear per
-  Tensor object on first use, and every structure on that tensor reads it,
-  so each table is built once per tensor.  The contract is that a
-  Tensor's data does not change once any table of it has been read; a
-  corruption or an edited copy is a new Tensor over a new list.
+  ``Matrix.lifted_rows`` lifts a matrix for the same loops.
+  ``Tensor.bilinear()`` gives one Bilinear per Tensor object, and every
+  structure on that tensor reads it.  The tables are shared per content:
+  when a Bilinear builds its first table, it reads from then on the
+  tables of a live Bilinear over the same field object with equal shape
+  and data, if there is one, so equal tensors (H^σ = H for a lazy σ, the
+  σ̲ images, M⊗N rebuilt for each check) build each table once.  The
+  registry holds weak references only and no copy of the data, so a
+  table lives only while some tensor of its content is read, and none
+  crosses from one suite pass to the next.  The contract: a Tensor's data
+  does not change once any table of it has been read, which keeps the
+  tables right for every equal tensor that reads them too; a corruption
+  or an edited copy is a new Tensor over a new list.
 * There is one elimination, ``_reduce``, and it works on rows held as
   dicts {column: coefficient} of their nonzero entries: a Matrix row
   enters as its nonzero entries.  ``rank``, ``sparse_rank`` and
@@ -49,6 +56,8 @@ Dimensions are capped by HOPFLAB_MAX_DIM (default 64).
 from __future__ import annotations
 
 import os
+import weakref
+from functools import partial
 from itertools import chain
 
 
@@ -370,11 +379,13 @@ def mat_inverse(m):
 class Tensor:
     """A tensor of field elements, row-major over its shape.
 
-    A 3-tensor's sparse and lifted tables are one Bilinear, built on first
-    use by bilinear() and kept on the tensor; it holds the data list but
-    not the tensor, so a Tensor is freed by reference counting alone.  The
-    data must not change once any table of it has been read: a corrupted
-    copy is a new Tensor over a new list."""
+    A 3-tensor's sparse and lifted tables are read through one Bilinear,
+    made on first use by bilinear() and kept on the tensor; it holds the
+    data list but not the tensor, so a Tensor is freed by reference
+    counting alone.  The tables are shared with the live tensors of equal
+    content over the same field object (see Bilinear), so the data must
+    not change once any table of it has been read, by this tensor or by
+    an equal one: a corrupted copy is a new Tensor over a new list."""
     __slots__ = ("field", "shape", "data", "_bilinear", "__weakref__")
 
     def __init__(self, field, shape, data):
@@ -391,8 +402,9 @@ class Tensor:
         self._bilinear = None
 
     def bilinear(self):
-        """The tensor's Bilinear, built on first use and then shared by
-        every structure that reads this tensor."""
+        """The tensor's Bilinear, made on first use and then shared by
+        every structure that reads this tensor.  Making it reads no table,
+        so data edited before the first table is read is what it shows."""
         if self._bilinear is None:
             self._bilinear = Bilinear(self)
         return self._bilinear
@@ -443,6 +455,18 @@ def _terms_of(table):
             for rows in table]
 
 
+# (id of the field, shape, hash of the data) → a weak reference to the live
+# Bilinear whose tables every Bilinear of that content reads
+_TABLES = {}
+_UNSEEN = object()      # a Bilinear's twin before its first table is built
+
+
+def _forget(key, ref):
+    """ref's Bilinear is freed: drop its entry, unless a new one took it."""
+    if _TABLES.get(key) is ref:
+        del _TABLES[key]
+
+
 class Bilinear:
     """The sparse structure-tensor kernel over a 3-tensor t[i,j,k].
 
@@ -452,9 +476,20 @@ class Bilinear:
     ``Tensor.bilinear()``, so every structure built on one tensor (H^σ on
     H's Δ, σ̲M on M's coaction, the modules on one action) reads the same
     tables.  It keeps t's field, shape and data list, not t itself, so a
-    tensor and its tables form no reference cycle.  Each table is built
-    once, on first use, and t's data must not change after any table has
-    been read; callers must not change the lists and dicts it returns.
+    tensor and its tables form no reference cycle.
+
+    The tables are shared per content.  When a Bilinear builds its first
+    table it looks for a live Bilinear over the same field object (not an
+    equal field: two ``PrimeField(5)`` objects share nothing) with equal
+    shape and data; if there is one, this Bilinear reads that one's tables
+    from then on, and holds it alive, else it registers itself as the one
+    to read.  The registry keeps weak references only, and no copy of the
+    data, so an entry lives exactly as long as some Bilinear reads it.
+    Each table is built once per content, on first use, and t's data must
+    not change after any table has been read: the tables are those of
+    every tensor of that content.  Data edited before the first table is
+    read is what the tables show.  Callers must not change the lists and
+    dicts it returns.
 
     The lifted tables hold the entries lifted (``Field.lift``), for sums
     reduced once per compared coordinate or per output vector:
@@ -466,14 +501,16 @@ class Bilinear:
     σ̲ and term kernel, twist.py's convolutions and galois.py's
     Miyashita-Ulbrich action read them.
     """
-    __slots__ = ("field", "shape", "_data", "_zeros", "_dense", "_rows",
-                 "_terms", "_lrows", "_lterms", "_flat")
+    __slots__ = ("field", "shape", "_data", "_zeros", "_twin", "_dense",
+                 "_rows", "_terms", "_lrows", "_lterms", "_flat",
+                 "__weakref__")
 
     def __init__(self, tensor):
         self.field = tensor.field
         self.shape = tensor.shape
         self._data = tensor.data
         self._zeros = [tensor.field.zero] * tensor.shape[2]
+        self._twin = _UNSEEN
         self._dense = None
         self._rows = None
         self._terms = None
@@ -481,13 +518,34 @@ class Bilinear:
         self._lterms = None
         self._flat = None
 
+    def _source(self):
+        """The live Bilinear of equal content whose tables this one reads,
+        or None if it builds its own; looked up when the first table is
+        built, and then kept."""
+        twin = self._twin
+        if twin is _UNSEEN:
+            data = self._data
+            key = (id(self.field), self.shape, hash(tuple(data)))
+            ref = _TABLES.get(key)
+            twin = None if ref is None else ref()
+            if twin is None:
+                _TABLES[key] = weakref.ref(self, partial(_forget, key))
+            elif twin._data is not data and twin._data != data:
+                twin = None             # equal hashes only: build, unshared
+            self._twin = twin
+        return twin
+
     def _dense_table(self):
         """dense[i][j] = t[i,j,:] as a list."""
         if self._dense is None:
-            n0, n1, n2 = self.shape
-            d = self._data
-            self._dense = [[d[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]
-                            for j in range(n1)] for i in range(n0)]
+            twin = self._source()
+            if twin is not None:
+                self._dense = twin._dense_table()
+            else:
+                n0, n1, n2 = self.shape
+                d = self._data
+                self._dense = [[d[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]
+                                for j in range(n1)] for i in range(n0)]
         return self._dense
 
     def _table(self):
@@ -496,11 +554,15 @@ class Bilinear:
         Read from the tensor's data, so a caller that reads only sparse
         rows never builds the dense table."""
         if self._rows is None:
-            n0, n1, n2 = self.shape
-            d = self._data
-            self._rows = [[[(k, c) for k, c in enumerate(
-                d[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]) if c]
-                for j in range(n1)] for i in range(n0)]
+            twin = self._source()
+            if twin is not None:
+                self._rows = twin._table()
+            else:
+                n0, n1, n2 = self.shape
+                d = self._data
+                self._rows = [[[(k, c) for k, c in enumerate(
+                    d[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]) if c]
+                    for j in range(n1)] for i in range(n0)]
         return self._rows
 
     def dense_row(self, i, j):
@@ -517,7 +579,9 @@ class Bilinear:
 
     def _all_terms(self):
         if self._terms is None:
-            self._terms = _terms_of(self._table())
+            twin = self._source()
+            self._terms = (_terms_of(self._table()) if twin is None
+                           else twin._all_terms())
         return self._terms
 
     def terms(self, i):
@@ -527,8 +591,10 @@ class Bilinear:
     def lifted_rows(self):
         """The table of row(i, j) with lifted coefficients, [i][j]."""
         if self._lrows is None:
-            field = self.field
-            if field.identity_lift:
+            field, twin = self.field, self._source()
+            if twin is not None:
+                self._lrows = twin.lifted_rows()
+            elif field.identity_lift:
                 self._lrows = self._table()
             else:
                 lift = field.lift
@@ -539,18 +605,26 @@ class Bilinear:
     def lifted_terms(self):
         """The table of terms(i) with lifted coefficients, [i]."""
         if self._lterms is None:
-            self._lterms = (self._all_terms()
-                            if self.field.identity_lift
-                            else _terms_of(self.lifted_rows()))
+            twin = self._source()
+            if twin is not None:
+                self._lterms = twin.lifted_terms()
+            elif self.field.identity_lift:
+                self._lterms = self._all_terms()
+            else:
+                self._lterms = _terms_of(self.lifted_rows())
         return self._lterms
 
     def flat_tables(self):
         """[i] is t[i,:,:] as {p·n₂+q: lifted t[i,p,q]} over its nonzero
         entries, in row-major order."""
         if self._flat is None:
-            n2 = self.shape[2]
-            self._flat = [{j * n2 + k: c for j, k, c in terms}
-                          for terms in self.lifted_terms()]
+            twin = self._source()
+            if twin is not None:
+                self._flat = twin.flat_tables()
+            else:
+                n2 = self.shape[2]
+                self._flat = [{j * n2 + k: c for j, k, c in terms}
+                              for terms in self.lifted_terms()]
         return self._flat
 
     def apply(self, u, v):

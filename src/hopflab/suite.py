@@ -17,10 +17,10 @@ from . import catalog as cat
 from .hopf import verify_hopf_axioms
 from .linalg import Matrix, rank, kernel_basis
 from .report import Check, CheckReport, VerificationError
-from .twist import (convolve2, conv_inverse2, deform, deform_dual,
-                    dual_cocycle, dual_cocycle_product, eps_eps, is_lazy,
-                    is_lazy_dual, two_cocycle, verify_dual_cocycle,
-                    verify_two_cocycle, coboundary_from, lazy_one_cocycle)
+from .twist import (convolve2, deform, deform_dual, dual_cocycle,
+                    dual_cocycle_product, eps_eps, is_lazy, is_lazy_dual,
+                    two_cocycle, verify_dual_cocycle, verify_two_cocycle,
+                    coboundary_from, lazy_one_cocycle)
 from .quasitriangular import (deform_cqt, deform_qt, verify_cqt, verify_qt,
                               yd_from_comodule)
 from .yd import (_kron, azumaya_check, braided_squares, dual_module,
@@ -28,8 +28,8 @@ from .yd import (_kron, azumaya_check, braided_squares, dual_module,
                  sigma_algebra, sigma_module, verify_yd_algebra, zeta_iso,
                  zeta_triangle, YdAlgebra, YdMap, random_yd_map,
                  yd_hom_basis)
-from .galois import (_mu_action_and_pi, bimodule_actions, build_hr, chi_maps,
-                     comodule_galois, galois_maps, mu_action_and_pi,
+from .galois import (_comodule_galois, _mu_action_and_pi, bimodule_actions,
+                     build_hr, chi_maps, galois_maps, mu_action_and_pi,
                      phi_psi_xi, unit_object, verify_sigma_coinvariants,
                      verify_sigma_wedge, verify_unit_deformation)
 
@@ -42,9 +42,13 @@ class SuiteContext:
     H₄ and kC₂ are built with the context; everything else (σ_t, θ_t, R_t,
     ℛ_t, R_t^{σ_s}, the YD modules, 𝓗_R, the Galois test algebras and
     their σ̲ images) is built on first use and memoized by name and
-    parameters.  Apart from regular_comodule_module's YD precondition and
-    the σ̲ images, which must pass verify_yd_algebra, nothing here
-    verifies: each criterion checks what it reads.
+    parameters, and so is the comodule Galois decision of each test
+    algebra and σ̲ image (galois), which criterion 13 reports and criterion
+    14's π(A) reads.  Apart from regular_comodule_module's YD precondition
+    and the σ̲ images, which must pass verify_yd_algebra, nothing here
+    verifies: each criterion checks what it reads.  Memos stay with their
+    context; only the tables of live equal tensors are shared between
+    contexts (linalg.Bilinear).
     """
 
     # the Galois test algebras, End_regular being End(regular(1))
@@ -122,6 +126,12 @@ class SuiteContext:
                 "sigma_%s(%s)" % (t, name))
         return self._once(("sigma_algebra", t, name), build)
 
+    def galois(self, name, t=None):
+        """galois._comodule_galois of algebra(name), or of its σ̲_t image
+        when t is given: its report, A₀ and β, decided once per context."""
+        alg = self.algebra(name) if t is None else self.sigma_algebra(t, name)
+        return self._once(("galois", name, t), _comodule_galois, alg)
+
 
 def criterion_01_h4_validity(ctx):
     """H₄ passes all Hopf axioms over ℚ and F₅."""
@@ -149,9 +159,9 @@ def criterion_02_cocycle_family(ctx):
             got = convolve2(h4, ctx.sigma(t).sigma, ctx.sigma(s).sigma)
             rep.add("sigma_group_law_%s_%s" % (t, s), got == want)
     for t in ctx.t_values:
-        inv = conv_inverse2(h4, ctx.sigma(t).sigma)
+        # σ_t's inverse, solved by conv_inverse2 when σ_t was built
         rep.add("sigma_%s_inverse_is_minus" % t,
-                inv == ctx.sigma(-t).sigma)
+                ctx.sigma(t).sigma_inv == ctx.sigma(-t).sigma)
     return rep
 
 
@@ -174,14 +184,17 @@ def criterion_04_roundtrips(ctx):
     """(H^σ)^{σ⁻¹} = H, (H_θ)_{θ⁻¹} = H, lazy ⇒ H^σ = H."""
     rep = CheckReport()
     h4 = ctx.h4
+    # H^σ has H's Δ and H_θ has H's product, so the convolution inverse of
+    # σ⁻¹ on H^σ is σ, and that of θ⁻¹ on H_θ is θ
     for t in ctx.t_values:
-        hs = deform(ctx.sigma(t))
+        c, d = ctx.sigma(t), ctx.theta(t)
+        hs = deform(c)
         rep.add("lazy_sigma_%s_fixes_H" % t, hs.mult == h4.mult)
-        back = deform(two_cocycle(hs, ctx.sigma(t).sigma_inv))
+        back = deform(two_cocycle(hs, c.sigma_inv, c.sigma))
         rep.add("sigma_%s_roundtrip" % t, back.structures_equal(h4))
-        ht = deform_dual(ctx.theta(t))
+        ht = deform_dual(d)
         rep.add("lazy_theta_%s_fixes_H" % t, ht.comult == h4.comult)
-        back_t = deform_dual(dual_cocycle(ht, ctx.theta(t).theta_inv))
+        back_t = deform_dual(dual_cocycle(ht, d.theta_inv, d.theta))
         rep.add("theta_%s_roundtrip" % t, back_t.structures_equal(h4))
     return rep
 
@@ -351,8 +364,8 @@ def criterion_13_galois_stability(ctx):
     """Prop 3.10 / Lemma 3.14: the Galois verdicts agree across σ̲."""
     rep = CheckReport()
     for name in ctx.ALGEBRAS:
-        b = comodule_galois(ctx.algebra(name)).status("galois")
-        a = comodule_galois(ctx.sigma_algebra(1, name)).status("galois")
+        b = ctx.galois(name)[0].status("galois")
+        a = ctx.galois(name, 1)[0].status("galois")
         rep.add("lemma3_14_%s" % name, a == b, None,
                 "Galois(A)=%s, Galois(σ̲A)=%s" % (b, a))
 
@@ -391,11 +404,13 @@ def criterion_14_thm315(ctx):
     """Thm 3.15 core equality π(σ̲(A)) = σ̲(π(A)) on A = End(regular),
     plus the MU well-definedness certificate."""
     rep = CheckReport()
-    pi_e, rep_e = mu_action_and_pi(ctx.end_regular())
+    pi_e, rep_e = mu_action_and_pi(ctx.end_regular(),
+                                   ctx.galois("End_regular"))
     rep.add("mu_well_defined_A",
             rep_e.status("mu_action_well_defined") == "pass")
     pi_se, rep_se = _mu_action_and_pi(
-        *ctx._verified_sigma_algebra(1, "End_regular"))
+        *ctx._verified_sigma_algebra(1, "End_regular"),
+        ctx.galois("End_regular", 1))
     rep.add("mu_well_defined_sigmaA",
             rep_se.status("mu_action_well_defined") == "pass")
     s_pi = sigma_algebra(ctx.sigma(1), pi_e)
@@ -411,7 +426,12 @@ def criterion_14_thm315(ctx):
 
 
 def criterion_15_determinism(ctx):
-    """Two runs of the cheap criteria produce byte-identical JSON."""
+    """Two runs of the cheap criteria produce byte-identical JSON.
+
+    Each run builds a fresh SuiteContext on ctx's field object, so its
+    tensors read the tables of the live equal tensors of ctx and of each
+    other (linalg.Bilinear); the reports, σ̲ images and Galois decisions,
+    which a context memoizes, never cross contexts."""
     rep = CheckReport()
 
     def snapshot():

@@ -19,6 +19,13 @@ H*⊗H* through the same matrix, and the product of H⊗H is the convolution of
 A dual cocycle θ is a 2-cocycle σ_θ on H* (DualCocycle.sigma), and
 H_θ = ((H*)^{σ_θ})*.
 
+A product's inverse is the product of the known inverses in reverse
+order, never solved for again: compose_cocycles gives σ₁*σ the inverse
+σ⁻¹*σ₁⁻¹, and dual_cocycle_product gives θ₁θ₂ the inverse θ₂⁻¹θ₁⁻¹.  Like
+any inverse passed to two_cocycle or dual_cocycle, it is a witness that
+verify_two_cocycle and verify_dual_cocycle check (are_conv_inverse);
+conv_inverse2 solves only where no inverse is known.
+
 H^σ and H_θ are functions of the cocycle alone: deform(c) builds H^σ the
 first time it is asked for a cocycle object and memoizes it on it, and
 deform_dual(d) is the memoized dual of deform(d.sigma), so every σ̲/θ̲
@@ -387,8 +394,9 @@ def compose_cocycles(c1, c):
     hs = deform(c)
     if c1.host.mult != hs.mult:
         raise VerificationError("compose_cocycles: c1 does not live on H^σ")
-    prod = convolve2(h, c1.sigma, c.sigma)
-    out = two_cocycle(h, prod)
+    # (σ₁*σ)⁻¹ = σ⁻¹*σ₁⁻¹: both inverses are known, so none is solved for
+    out = two_cocycle(h, convolve2(h, c1.sigma, c.sigma),
+                      convolve2(h, c.sigma_inv, c1.sigma_inv))
     left = deform(out)
     right = deform(TwoCocycle(hs, c1.sigma, c1.sigma_inv))
     if not left.structures_equal(right):
@@ -580,6 +588,8 @@ def is_lazy_dual(d):
 
 
 def dual_cocycle_product(d1, d2):
-    """θ₁·θ₂ in H⊗H as a DualCocycle candidate (not auto-verified)."""
+    """θ₁·θ₂ in H⊗H as a DualCocycle candidate (not auto-verified), with
+    the inverse θ₂⁻¹·θ₁⁻¹ of the given inverses."""
     h = d1.host
-    return dual_cocycle(h, hh_mul(h, d1.theta, d2.theta))
+    return dual_cocycle(h, hh_mul(h, d1.theta, d2.theta),
+                        hh_mul(h, d2.theta_inv, d1.theta_inv))

@@ -84,6 +84,57 @@ def test_criterion_13_decides_each_galois_map_once(monkeypatch):
     assert len(maps) == 7 and len(actions) == 7
 
 
+def test_criteria_13_and_14_decide_each_comodule_galois_once(monkeypatch):
+    """Criterion 14's π(A) and π(σ̲A) read the comodule Galois decisions
+    that criterion 13 made on End(regular) and σ̲₁End(regular), through
+    SuiteContext.galois: one _comodule_galois call for each of the 3
+    algebras and their 3 σ̲ images, and none in criterion 14."""
+    from test_yd import count_calls
+    calls = count_calls(monkeypatch, "_comodule_galois", "hopflab.galois")
+    ctx = SuiteContext(QQ, suite.T_DEFAULT, 0)
+    assert criterion_13_galois_stability(ctx).ok
+    assert len(calls) == 6
+    assert dict(CRITERIA)["14_thm315_centralizer"](ctx).ok
+    assert len(calls) == 6
+    assert [args[0] for args in calls[4:]] == [
+        ctx.end_regular(), ctx.sigma_algebra(1, "End_regular")]
+
+
+def test_suite_pass_builds_each_live_content_once(monkeypatch):
+    """One seed-0 F₅ pass builds at most 164 sparse tables and 131 lifted
+    row tables (484 and 387 before tables were shared per content: most
+    tensors of a pass repeat a live tensor's content, as H^σ = H for every
+    lazy σ_t), and makes 75 conv_inverse2 solves (141 before known
+    inverses were passed in).  A table is counted once however many
+    Bilinears read it."""
+    from test_yd import count_calls
+    from hopflab.fields import PrimeField
+    from hopflab.linalg import Bilinear
+    built = {"_table": [], "lifted_rows": []}
+
+    def keep(name):
+        inner = getattr(Bilinear, name)
+
+        def kept(self):
+            table = inner(self)
+            built[name].append(table)       # kept, so no id is reused
+            return table
+        monkeypatch.setattr(Bilinear, name, kept)
+
+    keep("_table")
+    keep("lifted_rows")
+    solves = count_calls(monkeypatch, "conv_inverse2", "hopflab.twist")
+    overall, _ = suite.run_suite(PrimeField(5), suite.T_DEFAULT, 0)
+    assert overall.ok
+
+    def distinct(tables):
+        return len({id(t) for t in tables})
+
+    assert distinct(built["_table"]) <= 164
+    assert distinct(built["lifted_rows"]) <= 131
+    assert len(solves) == 75
+
+
 @pytest.mark.parametrize("witness", ["chi_maps", "phi_psi_xi"])
 def test_criterion_10_reports_failed_identities(monkeypatch, ctx, witness):
     def fails(*args):

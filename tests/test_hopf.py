@@ -69,6 +69,30 @@ def test_dual_of_kc2_is_kc2_up_to_basis_change(kc2):
     assert rep.ok, rep.render_text()
 
 
+def test_dual_keeps_a_weak_reference_to_its_host():
+    """dual_hopf(dual_hopf(h)) is h while h is alive; the dual refers back
+    to h weakly, so with the cyclic collector off, h and its dual are freed
+    by del alone, and a dual that outlives h takes a new dual of its own."""
+    import gc
+    import weakref
+    h = sweedler_h4(QQ, verify=False)
+    d = dual_hopf(h)
+    assert dual_hopf(d) is h and dual_hopf(h) is d
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gone_h, gone_d = weakref.ref(h), weakref.ref(d)
+        del h
+        assert gone_h() is None
+        dd = dual_hopf(d)
+        assert dd.mult == d.comult.permuted((1, 2, 0)) and dual_hopf(d) is dd
+        del d, dd
+        assert gone_d() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_double_dual_identity(h4):
     dd = dual_hopf(dual_hopf(h4))
     assert dd.mult == h4.mult

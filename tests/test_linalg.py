@@ -592,6 +592,142 @@ def test_tensor_keeps_one_bilinear_and_frees_without_the_collector():
     assert kernel.terms(0) == [(0, 0, field.one), (1, 0, field.from_int(2))]
 
 
+# -- tables shared per content ---------------------------------------------
+
+def _tables_of(kernel):
+    """Every table of a Bilinear, each read once."""
+    return (kernel.rows(0), kernel.terms(0), kernel.lifted_rows(),
+            kernel.lifted_terms(), kernel.flat_tables(), kernel.dense_row(0, 0))
+
+
+def _f5_tensor(field, values=(1, 0, 2, 0, 0, 3, 4, 1)):
+    return Tensor(field, (2, 2, 2), [field.from_int(x) for x in values])
+
+
+@FIELDS
+def test_equal_live_tensors_read_the_same_tables(field):
+    """Two live tensors with equal shape and data over one field object
+    read the same table lists, whichever of them reads which table first;
+    a tensor with other data, or another shape, reads its own."""
+    a, b = _f5_tensor(field), _f5_tensor(field)
+    ka, kb = a.bilinear(), b.bilinear()
+    assert ka is not kb
+    ka.rows(0), kb.lifted_rows()            # each builds a first table
+    for x, y in zip(_tables_of(ka), _tables_of(kb)):
+        assert x is y
+    other = _f5_tensor(field, (1, 0, 2, 0, 0, 3, 4, 2)).bilinear()
+    reshaped = Tensor(field, (1, 4, 2), list(a.data)).bilinear()
+    for kernel in (other, reshaped):
+        assert all(x is not y for x, y in zip(_tables_of(kernel),
+                                               _tables_of(ka)))
+    assert other.row(1, 1) == [(0, field.from_int(4)), (1, field.from_int(2))]
+
+
+def test_tables_are_not_shared_across_field_objects():
+    """Fields compare by spec, but sharing is per field object: tensors over
+    two PrimeField(5) objects build their own tables, each with its own
+    field's elements."""
+    f1, f2 = PrimeField(5), PrimeField(5)
+    assert f1 == f2
+    k1, k2 = _f5_tensor(f1).bilinear(), _f5_tensor(f2).bilinear()
+    for x, y in zip(_tables_of(k1), _tables_of(k2)):
+        assert x == y and x is not y
+    assert type(k2.row(0, 0)[0][1]) is type(f2.one)
+    assert type(k1.row(0, 0)[0][1]) is not type(f2.one)
+
+
+@FIELDS
+def test_data_edited_before_the_first_table_is_what_is_read(field):
+    """A structure on a tensor takes its Bilinear at once but reads no table
+    until asked: data edited in place before then is what it reads, and
+    whether it shares is decided on the edited data."""
+    a = _f5_tensor(field)
+    ka = a.bilinear()
+    ka.rows(0)
+    b = _f5_tensor(field)                   # equal to a until edited
+    kb = b.bilinear()
+    b.data[0] = field.from_int(2)
+    assert kb.row(0, 0) == [(0, field.from_int(2))]
+    assert kb.rows(0) is not ka.rows(0)
+    c = _f5_tensor(field, (2, 0, 2, 0, 0, 3, 4, 1))
+    kc = c.bilinear()
+    c.data[0] = field.one                   # now equal to a
+    assert kc.rows(0) is ka.rows(0)
+
+
+def test_registry_empties_with_the_last_tensor_without_the_collector():
+    """With the cyclic collector off, the registry entry of a content lives
+    as long as some tensor of that content whose tables were read, and no
+    longer; a later tensor of that content then builds its tables anew."""
+    import gc
+    from hopflab import linalg
+    field = PrimeField(5)
+
+    def entries():
+        return [key for key in linalg._TABLES if key[0] == id(field)]
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        a, b = _f5_tensor(field), _f5_tensor(field)
+        rows = b.bilinear().rows(0)
+        a.bilinear().lifted_terms()
+        assert len(entries()) == 1
+        del b
+        assert len(entries()) == 1 and a.bilinear().rows(0) is rows
+        del a
+        assert entries() == []
+        c = _f5_tensor(field)
+        assert c.bilinear().rows(0) == rows and c.bilinear().rows(0) is not rows
+        del c
+        assert entries() == []
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_no_tensor_or_table_outlives_a_suite_pass_without_the_collector():
+    """A run_suite call frees every Tensor it built, and every registry
+    entry, by reference counting alone: no table crosses passes."""
+    import gc
+    from hopflab import linalg
+    from hopflab.suite import run_suite
+
+    def tensors():
+        return sum(1 for o in gc.get_objects() if type(o) is Tensor)
+
+    field = PrimeField(5)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before, keys = tensors(), set(linalg._TABLES)
+        overall, details = run_suite(field)
+        assert overall.ok
+        del overall, details
+        assert tensors() == before
+        assert set(linalg._TABLES) <= keys
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@FIELDS
+def test_dual_cocycle_product_inverse_is_a_convolution_inverse(field):
+    """θ_t·θ_s gets θ_s⁻¹·θ_t⁻¹ as its inverse, unsolved: it is the
+    convolution inverse on H* for every default (t, s)."""
+    from hopflab.catalog import theta_t
+    from hopflab.hopf import dual_hopf
+    from hopflab.suite import T_DEFAULT
+    from hopflab.twist import dual_cocycle_product
+    h4 = sweedler_h4(field)
+    thetas = {t: theta_t(h4, t) for t in T_DEFAULT}
+    for t in T_DEFAULT:
+        for s in T_DEFAULT:
+            d = dual_cocycle_product(thetas[t], thetas[s])
+            assert are_conv_inverse(dual_hopf(h4), d.theta, d.theta_inv)
+
+
 # -- leg permutations, sparse sums and inverse pairs --------------------------
 
 ORDERS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]

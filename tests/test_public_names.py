@@ -20,6 +20,8 @@ ALLOWED = {
     "hopf_map_checks": "reserved for the Taft deformations (ROADMAP item 4)",
     "compose_cocycles": "reserved for the BQ group map (ROADMAP item 5)",
     "verify_theta_braided": "θ̲'s single-pair braided square, tests only",
+    "comodule_galois": "the public form of _comodule_galois, which "
+                       "SuiteContext.galois memoizes for criteria 13 and 14",
 }
 
 

@@ -9,7 +9,8 @@ from hopflab.fields import QQ, field_from_spec
 from hopflab.hopf import dual_hopf, verify_hopf_axioms
 from hopflab.linalg import Matrix
 from hopflab.report import CheckReport, VerificationError, first_mismatch
-from hopflab.twist import (coboundary_from, compose_cocycles, conv_inverse2,
+from hopflab.twist import (are_conv_inverse, coboundary_from,
+                           compose_cocycles, conv_inverse2,
                            convolve2, deform, deform_dual, dual_cocycle,
                            dual_cocycle_product, eps_eps, is_lazy,
                            is_lazy_dual, lazy_one_cocycle, two_cocycle,
@@ -162,6 +163,17 @@ def test_compose_cocycles(h4):
     # composing with the inverse gives the trivial cocycle
     sinv = two_cocycle(hs, s1.sigma_inv)
     assert compose_cocycles(sinv, s1).sigma == eps_eps(h4)
+
+
+@pytest.mark.parametrize("t1,t2", [(1, 2), (2, -1), (-2, 3)])
+def test_compose_cocycles_inverse_is_a_convolution_inverse(h4, t1, t2):
+    """σ₁*σ gets σ⁻¹*σ₁⁻¹ as its inverse, unsolved: it is the two-sided
+    convolution inverse, and the one conv_inverse2 solves."""
+    s = sigma_t(h4, t1)
+    s1 = two_cocycle(deform(s), sigma_t(h4, t2).sigma)
+    comp = compose_cocycles(s1, s)
+    assert are_conv_inverse(h4, comp.sigma, comp.sigma_inv)
+    assert comp.sigma_inv == conv_inverse2(h4, comp.sigma)
 
 
 # -- lazy 1-cocycles and coboundaries -----------------------------------------
