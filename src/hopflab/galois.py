@@ -32,9 +32,9 @@ from itertools import product
 
 from .hopf import (dual_hopf, first_action_mismatch, first_antipode_mismatch,
                    first_multiplicative_mismatch, first_unit_mismatch)
-from .linalg import (Matrix, Tensor, apply_rowmap, are_inverse,
-                     linear_combination, rank, same_span, sparse_kernel,
-                     sparse_rank, sparse_solve, sparse_sum)
+from .linalg import (Matrix, Tensor, are_inverse, linear_combination, rank,
+                     same_span, sparse_kernel, sparse_rank, sparse_solve,
+                     sparse_sum)
 from .quasitriangular import deform_cqt, yd_from_comodule
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
@@ -91,6 +91,13 @@ class Subspace:
     def equals(self, other):
         return (self.ambient_dim == other.ambient_dim
                 and self.rows == other.rows)
+
+
+def _times(mul, u, v):
+    """uv as a dense vector, for u and v sparse rows [(index, coefficient)]
+    multiplied through the Bilinear mul's rows."""
+    return linear_combination(mul.field, mul.shape[2], (
+        (x * y, mul.row(i, j)) for i, x in u for j, y in v))
 
 
 @dataclass
@@ -438,7 +445,8 @@ def verify_sigma_wedge(s, cqt, alga, algb):
 
     _, eta_inv = eta(s, ma, mb)
     dim = ma.dim * mb.dim
-    image = [apply_rowmap(v, eta_inv) for v in sub.vectors]
+    image = [linear_combination(f, dim, ((x, enumerate(eta_inv.data[k]))
+                                         for k, x in row)) for row in sub.rows]
     rep.add("wedge_span_stable", same_span(f, image, sub_s.vectors, dim),
             None, "dim %d vs %d" % (sub.dim, sub_s.dim))
 
@@ -470,9 +478,8 @@ def wedge_algebra(cqt, alga, algb):
     sub, wmod = wedge(cqt, alga.module, algb.module)
     prod = braided_product(alga, algb, cqt=cqt)
     wd = sub.dim
-    basis_vecs = sub.vectors
-    coords = [sub.coordinates(prod.mul_vec(u, v))
-              for u in basis_vecs for v in basis_vecs]
+    coords = [sub.coordinates(_times(prod.mul, u, v))
+              for u in sub.rows for v in sub.rows]
     unit_coords = sub.coordinates(prod.unit)
     if unit_coords is None or None in coords:
         raise VerificationError("wedge is not closed as an algebra")
@@ -556,8 +563,9 @@ def verify_unit_deformation(s):
 
     bad = first_multiplicative_mismatch(si.mul, i_s.mul, chi_star)
     rep.add("chi_star_algebra_map", bad is None, bad)
-    rep.add("chi_star_unital",
-            apply_rowmap(si.unit, chi_star) == i_s.unit)
+    rep.add("chi_star_unital", linear_combination(h.field, n, (
+        (x, enumerate(chi_star.data[r])) for r, x in enumerate(si.unit) if x))
+        == i_s.unit)
     return rep
 
 
@@ -840,7 +848,6 @@ def _mu_action_and_pi(alg, alg_report, galois=None):
 
     kernel, parts = _kernel_and_preimages(f, beta_rows, n, alg.unit)
 
-    pi_vecs = pi_sub.vectors
     pd = pi_sub.dim
     # The action sums lifted values (fields.Field.lift) over sparse rows:
     # the kernel vectors and the β-preimages as [(p·m+r, c)], and
@@ -917,7 +924,8 @@ def _mu_action_and_pi(alg, alg_report, galois=None):
                                        for t in range(pd) for k in range(n)])
 
     prods = closed_under("pi_subalgebra", (range(pd), range(pd)),
-                         lambda a, b: alg.mul_vec(pi_vecs[a], pi_vecs[b]),
+                         lambda a, b: _times(alg.mul, pi_sub.rows[a],
+                                             pi_sub.rows[b]),
                          "π(A) is not a subalgebra")
     mult = Tensor(f, (pd, pd, pd), [x for c in prods.values() for x in c])
 

@@ -6,7 +6,8 @@ Conventions used throughout the package:
   column c.  ``entries`` flattens row-major for serialization.
 * A linear map f stored as a Matrix uses the row-as-image convention:
   f(e_r) = Σ_c data[r][c] e_c.  Applying f to a coordinate vector v is
-  ``apply_rowmap(v, M)`` (v·M) and "apply A then B" is ``mat_mul(A, B)``.
+  the ``linear_combination`` of M's rows with v's entries (v·M), and
+  "apply A then B" is ``mat_mul(A, B)``.
 * ``kernel_basis``/``solve`` and their sparse forms use the usual
   column-vector reading m·x = b.
 * The basis vector e_i⊗e_j of a tensor square has flat index i·n₂ + j;
@@ -169,21 +170,6 @@ def mat_mul(a, b):
                     acc[c] = acc[c] + x * y
         out.append(acc)
     return Matrix(a.field, a.rows, b.cols, out)
-
-
-def apply_rowmap(vec, m):
-    """Image of the coordinate vector under the row-as-image map m (v·M)."""
-    zero = m.field.zero
-    out = [zero] * m.cols
-    for r, x in enumerate(vec):
-        if not x:
-            continue
-        row = m.data[r]
-        for c in range(m.cols):
-            y = row[c]
-            if y:
-                out[c] = out[c] + x * y
-    return out
 
 
 def _subtract(zero, row, piv, mlt):
@@ -476,7 +462,9 @@ class Bilinear:
     ``Tensor.bilinear()``, so every structure built on one tensor (H^σ on
     H's Δ, σ̲M on M's coaction, the modules on one action) reads the same
     tables.  It keeps t's field, shape and data list, not t itself, so a
-    tensor and its tables form no reference cycle.
+    tensor and its tables form no reference cycle.  Every product in the
+    package reads its sparse rows; ``apply`` remains only as the body of
+    the dense wrappers that perfbench traces (``mul_vec``, ``act_vec``).
 
     The tables are shared per content.  When a Bilinear builds its first
     table it looks for a live Bilinear over the same field object (not an
@@ -501,9 +489,8 @@ class Bilinear:
     σ̲ and term kernel, twist.py's convolutions and galois.py's
     Miyashita-Ulbrich action read them.
     """
-    __slots__ = ("field", "shape", "_data", "_zeros", "_twin", "_dense",
-                 "_rows", "_terms", "_lrows", "_lterms", "_flat",
-                 "__weakref__")
+    __slots__ = ("field", "shape", "_data", "_zeros", "_twin", "_rows",
+                 "_terms", "_lrows", "_lterms", "_flat", "__weakref__")
 
     def __init__(self, tensor):
         self.field = tensor.field
@@ -511,7 +498,6 @@ class Bilinear:
         self._data = tensor.data
         self._zeros = [tensor.field.zero] * tensor.shape[2]
         self._twin = _UNSEEN
-        self._dense = None
         self._rows = None
         self._terms = None
         self._lrows = None
@@ -535,24 +521,9 @@ class Bilinear:
             self._twin = twin
         return twin
 
-    def _dense_table(self):
-        """dense[i][j] = t[i,j,:] as a list."""
-        if self._dense is None:
-            twin = self._source()
-            if twin is not None:
-                self._dense = twin._dense_table()
-            else:
-                n0, n1, n2 = self.shape
-                d = self._data
-                self._dense = [[d[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]
-                                for j in range(n1)] for i in range(n0)]
-        return self._dense
-
     def _table(self):
-        """rows[i][j] = [(k, c)] over the nonzero t[i,j,k], k ascending.
-
-        Read from the tensor's data, so a caller that reads only sparse
-        rows never builds the dense table."""
+        """rows[i][j] = [(k, c)] over the nonzero t[i,j,k], k ascending,
+        read from the tensor's data."""
         if self._rows is None:
             twin = self._source()
             if twin is not None:
@@ -564,10 +535,6 @@ class Bilinear:
                     d[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]) if c]
                     for j in range(n1)] for i in range(n0)]
         return self._rows
-
-    def dense_row(self, i, j):
-        """t[i,j,:] as a dense list."""
-        return (self._dense or self._dense_table())[i][j]
 
     def row(self, i, j):
         """t[i,j,:] as [(k, c)] over its nonzero entries."""
@@ -628,7 +595,8 @@ class Bilinear:
         return self._flat
 
     def apply(self, u, v):
-        """Σ u_i v_j t[i,j,:] for coordinate vectors u and v."""
+        """Σ u_i v_j t[i,j,:] for dense coordinate vectors u and v: the
+        body of the mul_vec and act_vec wrappers only."""
         rows = self._rows or self._table()
         out = self._zeros[:]
         for i, x in enumerate(u):

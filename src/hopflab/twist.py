@@ -8,9 +8,11 @@ elements of H, each a basis index or a sparse row (hopf.py), such as S(e_i).
 
 H^σ, ∂μ and laziness are convolutions: e_k's coefficient in the product of
 H^σ is σ * m_k * σ⁻¹ for m_k(x⊗y) = e_k's coefficient in xy, S^σ = u * S * v
-in H*, ∂μ = (μ⊗μ) * (μ⁻¹∘m), and σ is lazy iff σ * m_k = m_k * σ for all k.
-These regroup Δ^k by coassociativity alone, not by σ's cocycle identity, so
-they equal the defining Sweedler sums for any σ and σ⁻¹.
+in H*, summed as Σ u(x₁)v(x₃)·S(x₂) over Δ²(x) on S's sparse rows, ∂μ =
+(μ⊗μ) * (μ⁻¹∘m), and σ is lazy iff σ * m_k = m_k * σ for all k.  These
+regroup Δ^k by coassociativity alone, not by σ's cocycle identity, so they
+equal the defining Sweedler sums for any σ and σ⁻¹.  The 1-cocycle routes
+multiply in H* over Δ's terms too, and build no H*.
 
 The θ side is the σ side on the dual.  An element of H⊗H is a functional on
 H*⊗H* through the same matrix, and the product of H⊗H is the convolution of
@@ -43,9 +45,11 @@ H⊗H⊗H, not through σ_θ or H*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .hopf import HopfAlgebra, dual_hopf
-from .linalg import Matrix, Tensor, solve, sparse_sum
+from .linalg import (Matrix, Tensor, linear_combination, solve, sparse_solve,
+                     sparse_sum)
 from .report import CheckReport, VerificationError, first_mismatch
 
 
@@ -155,18 +159,25 @@ def conv_inverse2(h, f):
 def conv_inverse1(h, mu):
     """Convolution inverse of a functional on H, or None: ν with μν = ε in
     H*, checked to give νμ = ε too."""
-    n, dual = h.dim, dual_hopf(h)
-    # column b of the operator ν ↦ μν is μ·δ_b
-    op = Matrix(h.field, n, n, [dual.mul_vec(mu, dual.basis_vec(b))
-                                for b in range(n)]).transpose()
-    rhs = Matrix(h.field, n, 1, [[e] for e in h.counit])
-    sol = solve(op, rhs)
+    n = h.dim
+    # (μν)(e_x) = Σ c·μ(a)ν(b) over Δ(e_x) = Σ c e_a⊗e_b: row x of the
+    # system is {b: Σ c·μ(a)}, with ε(x) on the right-hand side
+    sol = sparse_solve(h.field, (chain(
+        sparse_sum((b, c * mu[a]) for a, b, c in h.delta.terms(x)).items(),
+        ((n, h.counit[x]),)) for x in range(n)), n, 1)
     if sol is None:
         return None
-    nu = [sol.data[i][0] for i in range(n)]
-    if dual.mul_vec(nu, mu) != h.counit:
+    nu = [h.field.zero] * n
+    for b, x in sol[0]:
+        nu[b] = x
+    if _dual_product(h, nu, mu) != h.counit:
         raise VerificationError("one-sided inverse of 1-cocycle")
     return nu
+
+
+def _dual_product(h, mu, nu):
+    """μν in H* for functionals μ and ν on H: (μν)(x) = Σ μ(x₁)ν(x₂)."""
+    return _delta_functional(h, lambda a, b: mu[a] * nu[b])
 
 
 # -- 2-cocycles --------------------------------------------------------------
@@ -350,19 +361,18 @@ def _deform(c):
     mult = Tensor.from_rows(f, (n, n, n), [
         [[t.data[i][j] for t in twisted] for j in hs] for i in hs])
 
-    # S^σ = u * S * v and (S^σ)⁻¹ = u' * S⁻¹ * v', column by column in H*
-    dual = dual_hopf(h)
-
-    def sandwich(u, mat, v):
-        return Matrix(f, n, n, [dual.mul_vec(dual.mul_vec(u, col), v)
-                                for col in mat.transpose().data]).transpose()
+    # S^σ = u * S * v and (S^σ)⁻¹ = u' * S⁻¹ * v' in H*: the image of e_x
+    # is Σ u(x₁)v(x₃)·S(x₂) over Δ²(e_x), and the same with S⁻¹
+    def sandwich(u, rows, v):
+        return Matrix(f, n, n, [linear_combination(f, n, (
+            (w * u[a] * v[d], rows[b]) for (a, b, d), w in h.copower(x, 3)
+            if u[a] and v[d])) for x in hs])
 
     s_mat = sandwich(   # u(h) = σ(h₁⊗S(h₂)), v(h) = σ⁻¹(S(h₁)⊗h₂)
-        _delta_functional(h, lambda a, b: eval2(sig, a, S[b])), h.antipode,
+        _delta_functional(h, lambda a, b: eval2(sig, a, S[b])), S,
         _delta_functional(h, lambda a, b: eval2(inv, S[a], b)))
     s_inv_mat = sandwich(   # u'(h) = σ(S⁻¹(h₂)⊗h₁), v'(h) = σ⁻¹(h₂⊗S⁻¹(h₁))
-        _delta_functional(h, lambda a, b: eval2(sig, Sinv[b], a)),
-        h.antipode_inv,
+        _delta_functional(h, lambda a, b: eval2(sig, Sinv[b], a)), Sinv,
         _delta_functional(h, lambda a, b: eval2(inv, b, Sinv[a])))
     return HopfAlgebra(f, n, list(h.basis_names), mult, list(h.unit),
                        h.comult, list(h.counit), s_mat, s_inv_mat,
@@ -429,16 +439,17 @@ def lazy_one_cocycle(host, mu, mu_inv=None):
 def one_cocycle_problem(host, mu, mu_inv):
     """The first of μ(1) = 1, μ central in H* and μμ⁻¹ = μ⁻¹μ = ε (skipped
     when mu_inv is None) that fails, as text, or None if all hold."""
-    f, n, dual = host.field, host.dim, dual_hopf(host)
-    if dual.counit_of(mu) != f.one:         # μ(1) = ε_{H*}(μ)
+    f, n = host.field, host.dim
+    if sum((x * m for x, m in zip(host.unit, mu)), f.zero) != f.one:
         return "1-cocycle is not normalized: mu(1) != 1"
     for i in range(n):          # (μ⊗id)Δ(e_i) = (id⊗μ)Δ(e_i)
         terms = host.delta.terms(i)
         if (sparse_sum((b, c * mu[a]) for a, b, c in terms)
                 != sparse_sum((a, c * mu[b]) for a, b, c in terms)):
             return "1-cocycle is not central at basis index %d" % i
-    if mu_inv is not None and not (dual.mul_vec(mu, mu_inv) == host.counit
-                                   == dual.mul_vec(mu_inv, mu)):
+    if mu_inv is not None and not (_dual_product(host, mu, mu_inv)
+                                   == host.counit
+                                   == _dual_product(host, mu_inv, mu)):
         return "mu_inv is not the convolution inverse of mu"
     return None
 

@@ -59,9 +59,9 @@ from dataclasses import dataclass
 
 from .hopf import (dual_hopf, first_action_mismatch, first_coaction_mismatch,
                    first_unit_mismatch)
-from .linalg import (Matrix, Tensor, are_inverse, check_shape, kernel_basis,
-                     linear_combination, mat_mul, rank, sparse_rank,
-                     sparse_sum)
+from .linalg import (Matrix, Tensor, are_inverse, check_shape,
+                     linear_combination, mat_mul, rank, sparse_kernel,
+                     sparse_rank, sparse_sum)
 from .report import (CheckReport, VerificationError, first_block_mismatch,
                      first_lifted_mismatch, first_mismatch, require_agree)
 from .twist import deform, deform_dual
@@ -1061,45 +1061,40 @@ def azumaya_check(alg):
 def yd_hom_basis(ma, mb):
     """Basis of Hom_YD(M, N) as row-as-image matrices.
 
-    Unknowns are the entries T[q][t]; the constraints say T intertwines the
-    action (T(e_i·v_p) = e_i·T(v_p)) and the coaction.
+    Unknowns are the entries T[q][t], at index q·dim N + t; the constraints
+    say T intertwines the action (T(e_i·v_p) = e_i·T(v_p)) and the coaction.
+    The constraints are dict rows and the basis is their sparse_kernel,
+    whose reduced echelon form fixes the basis and its order.
     """
-    h = ma.host
-    f = h.field
-    n = h.dim
+    f = ma.host.field
     da, db = ma.dim, mb.dim
-    unknowns = da * db
-    rows = []
-    for i in range(n):
+    eqs = {}        # constraint → {unknown: coefficient}
+
+    def add(key, col, c):
+        eq = eqs.setdefault(key, {})
+        eq[col] = eq.get(col, f.zero) + c
+
+    for i in range(ma.host.dim):
         for p in range(da):
-            arow = ma.act.row(i, p)
-            for t in range(db):
-                coeffs = [f.zero] * unknowns
-                for q, x in arow:
-                    coeffs[q * db + t] = coeffs[q * db + t] + x
-                for t2 in range(db):
-                    c = mb.act.dense_row(i, t2)[t]
-                    if c:
-                        coeffs[p * db + t2] = coeffs[p * db + t2] - c
-                rows.append(coeffs)
+            for q, x in ma.act.row(i, p):               # T(e_i·v_p)
+                for t in range(db):
+                    add((0, i, p, t), q * db + t, x)
+            for t2 in range(db):                        # e_i·T(v_p)
+                for t, c in mb.act.row(i, t2):
+                    add((0, i, p, t), p * db + t2, -c)
     for p in range(da):
-        for t in range(db):
-            for k in range(n):
-                coeffs = [f.zero] * unknowns
-                for q, k2, c in ma.coact.terms(p):
-                    if k2 == k:
-                        coeffs[q * db + t] = coeffs[q * db + t] + c
-                for q2 in range(db):
-                    c = mb.coact.dense_row(q2, t)[k]
-                    if c:
-                        coeffs[p * db + q2] = coeffs[p * db + q2] - c
-                rows.append(coeffs)
-    system = Matrix(f, len(rows), unknowns, rows)
-    basis = kernel_basis(system)
+        for q, k, c in ma.coact.terms(p):               # (T⊗id)ρ(v_p)
+            for t in range(db):
+                add((1, p, t, k), q * db + t, c)
+        for q2 in range(db):                            # ρ(T(v_p))
+            for t, k, c in mb.coact.terms(q2):
+                add((1, p, t, k), p * db + q2, -c)
     out = []
-    for j in range(basis.cols):
-        mat = Matrix(f, da, db, [[basis.data[p * db + t][j]
-                                  for t in range(db)] for p in range(da)])
+    for vec in sparse_kernel(f, (eq.items() for eq in eqs.values()),
+                             da * db):
+        mat = Matrix.zeros(f, da, db)
+        for x, c in vec:
+            mat.data[x // db][x % db] = c
         out.append(mat)
     return out
 

@@ -7,18 +7,19 @@ from hopflab.fields import QQ, FieldError, PrimeField
 from hopflab.linalg import mat_mul
 from hopflab import catalog as cat
 from hopflab.report import VerificationError
+from conftest import dense_row
 
 
 def test_h4_multiplication_table(h4):
     # h·g = -gh
-    assert h4.mul.dense_row(2, 1) == [QQ.zero, QQ.zero, QQ.zero, -QQ.one]
+    assert dense_row(h4.mult, 2, 1) == [QQ.zero, QQ.zero, QQ.zero, -QQ.one]
     # g·h = gh, g·gh = h, gh·g = -h
-    assert h4.mul.dense_row(1, 2)[3] == QQ.one
-    assert h4.mul.dense_row(1, 3)[2] == QQ.one
-    assert h4.mul.dense_row(3, 1)[2] == -QQ.one
+    assert dense_row(h4.mult, 1, 2)[3] == QQ.one
+    assert dense_row(h4.mult, 1, 3)[2] == QQ.one
+    assert dense_row(h4.mult, 3, 1)[2] == -QQ.one
     # h² = 0 and (gh)² = 0
-    assert not any(h4.mul.dense_row(2, 2))
-    assert not any(h4.mul.dense_row(3, 3))
+    assert not any(dense_row(h4.mult, 2, 2))
+    assert not any(dense_row(h4.mult, 3, 3))
 
 
 def test_h4_antipode_square_is_minus_one_on_h(h4):

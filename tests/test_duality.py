@@ -16,6 +16,7 @@ from hopflab.suite import T_DEFAULT
 from hopflab.twist import deform_dual, dual_cocycle, eps_eps
 from hopflab.yd import (dual_module, sigma_module, theta_module, verify_yd,
                         yd_tensor)
+from conftest import dense_row
 from test_quasitriangular import yd_from_module
 
 
@@ -55,8 +56,8 @@ def hh_product(h, a, b):
                     x = a.data[i][j] * b.data[k][l]
                     if not x:
                         continue
-                    left = h.mul.dense_row(i, k)
-                    right = h.mul.dense_row(j, l)
+                    left = dense_row(h.mult, i, k)
+                    right = dense_row(h.mult, j, l)
                     for p in range(n):
                         for q in range(n):
                             out[p][q] = out[p][q] + x * left[p] * right[q]

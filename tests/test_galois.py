@@ -2,14 +2,15 @@
 witnesses and Galois/Miyashita-Ulbrich machinery."""
 
 import random
+from functools import partial
 
 import pytest
 
 import hopflab.galois as galois
 from hopflab.fields import QQ, PrimeField, field_from_spec
 from hopflab.hopf import first_multiplicative_mismatch
-from hopflab.linalg import (Bilinear, Matrix, Tensor, apply_rowmap, in_span,
-                            mat_mul, rank, same_span, solve)
+from hopflab.linalg import (Bilinear, Matrix, Tensor, in_span, mat_mul, rank,
+                            same_span, solve)
 from hopflab.report import CheckReport, VerificationError, first_mismatch
 from hopflab.twist import deform, eps_eps, eval2, two_cocycle
 from hopflab.quasitriangular import cqt_structure, deform_cqt
@@ -27,6 +28,7 @@ from hopflab.catalog import (cqt_c2, dim1_hopf, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
                              sweedler_h4, trivial_module)
+from conftest import apply_rowmap, dense_row
 from test_hopf import one_entry_changes, one_matrix_changes, report_rows
 from test_linalg import _matrix_kernel_basis, _matrix_solve, columns_as_rows
 from test_yd import trivial_algebra
@@ -89,7 +91,7 @@ def dense_bimodule_checks(bh, b):
     match."""
     rep = CheckReport()
     h, mod = bh.host, b.module
-    star = bh.underlying.mul.dense_row
+    star = partial(dense_row, bh.underlying.mult)
     left, right = b.left, b.right
     e, hs, ms = mod.basis_vec, range(h.dim), range(mod.dim)
 
@@ -239,7 +241,7 @@ def closure_multiplicative(src, dst, m):
     """The (u, v) closure that eta_inv_algebra_map and chi_star_algebra_map
     wrote before hopf.first_multiplicative_mismatch: the reference."""
     return first_mismatch((range(m.rows),) * 2, lambda u, v: (
-        apply_rowmap(src.mul.dense_row(u, v), m),
+        apply_rowmap(dense_row(src.mult, u, v), m),
         dst.mul_vec(m.data[u], m.data[v])))
 
 
@@ -316,7 +318,7 @@ def ref_unit_object(host):
     def dual_action(i, j):
         acc = [f.zero] * n
         for a, b, c in hd.delta.terms(i):
-            u = hd.mul_vec(hd.mul.dense_row(b, j), hd.antipode_inv.data[a])
+            u = hd.mul_vec(dense_row(hd.mult, b, j), hd.antipode_inv.data[a])
             for q, cv in enumerate(u):
                 if cv:
                     acc[q] = acc[q] + c * cv
@@ -324,7 +326,7 @@ def ref_unit_object(host):
 
     dual = [[dual_action(i, j) for j in hs] for i in hs]
     action = Tensor.from_rows(f, (n, n, n), [
-        [[host.mul.dense_row(a, i)[j] for a in hs] for j in hs] for i in hs])
+        [[dense_row(host.mult, a, i)[j] for a in hs] for j in hs] for i in hs])
     coaction = Tensor.from_rows(f, (n, n, n), [
         [[dual[i][j][q] for i in hs] for q in hs] for j in hs])
     return action, coaction, list(hd.mult.data), list(hd.unit)

@@ -16,6 +16,7 @@ from hopflab.hopf import (HopfAlgebra, dual_hopf, hopf_map_checks,
 from hopflab.report import CheckReport, first_mismatch
 from hopflab.twist import conv_inverse1, deform, two_cocycle
 from hopflab.catalog import dim1_hopf, group_algebra_c2, sweedler_h4
+from conftest import dense_row
 from test_convolution_routes import ref_coboundary
 
 
@@ -127,10 +128,10 @@ def dense_product_checks(h):
     """associativity and unit as products of dense basis vectors through
     h.mul_vec, the reference the sparse-row checks must match."""
     rep = CheckReport()
-    mul, e, every = h.mul, h.basis_vec, range(h.dim)
+    mult, e, every = h.mult, h.basis_vec, range(h.dim)
     bad = first_mismatch((every,) * 3, lambda i, j, k: (
-        h.mul_vec(mul.dense_row(i, j), e(k)),
-        h.mul_vec(e(i), mul.dense_row(j, k))))
+        h.mul_vec(dense_row(mult, i, j), e(k)),
+        h.mul_vec(e(i), dense_row(mult, j, k))))
     rep.add("associativity", bad is None, bad)
     bad = first_mismatch((every,), lambda i: (
         (h.mul_vec(h.unit, e(i)), h.mul_vec(e(i), h.unit)), (e(i), e(i))))
@@ -330,7 +331,7 @@ def closure_algebra_map_checks(h):
     rep.add("comult_algebra_map", bad is None, bad)
 
     bad = first_mismatch((every,) * 2, lambda i, j: (
-        h.counit_of(mul.dense_row(i, j)), h.counit[i] * h.counit[j]))
+        h.counit_of(dense_row(h.mult, i, j)), h.counit[i] * h.counit[j]))
     if bad is None:
         bad = first_mismatch((), lambda: (h.counit_of(h.unit), f.one))
     rep.add("counit_algebra_map", bad is None, bad)

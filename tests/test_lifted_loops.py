@@ -26,6 +26,7 @@ from hopflab.yd import (YdAlgebra, YdModule, _braid_terms, _kron, _matrix,
                         eta, sigma_algebra, sigma_module, yd_tensor)
 from hopflab.catalog import (end_regular, regular_comodule_module, r_t,
                              sigma_t, sweedler_h4)
+from conftest import dense_row
 from test_convolution_routes import dense_eval2
 from test_hopf import one_entry_changes, one_matrix_changes
 
@@ -69,7 +70,7 @@ def reference_sigma_module(s, mod):
                     s2 = inv.data[e][k0]
                     if not s2:
                         continue
-                    u = h.mul_vec(h.mul.dense_row(d, k1),
+                    u = h.mul_vec(dense_row(h.mult, d, k1),
                                   h.antipode_inv.data[b])
                     s1 = dense_eval2(sig, u, a)
                     if not s1:

@@ -22,6 +22,7 @@ from hopflab.linalg import (Bilinear, DimensionError, Matrix, Tensor, _rref,
                             sparse_rank, sparse_solve, sparse_sum)
 from hopflab.catalog import sweedler_h4, sigma_t
 from hopflab.twist import are_conv_inverse
+from conftest import dense_row
 from test_hopf import one_matrix_changes
 
 
@@ -556,7 +557,7 @@ def test_bilinear_matches_dense_definition(n0, n1, n2, seed):
                                    for k in range(n2) if entry(i, j, k)]
         for j in range(n1):
             dense = [entry(i, j, k) for k in range(n2)]
-            assert kernel.dense_row(i, j) == dense
+            assert dense_row(t, i, j) == dense
             assert kernel.row(i, j) == [(k, c) for k, c in enumerate(dense)
                                         if c]
             lifted = kernel.lifted_rows()[i][j]
@@ -597,7 +598,7 @@ def test_tensor_keeps_one_bilinear_and_frees_without_the_collector():
 def _tables_of(kernel):
     """Every table of a Bilinear, each read once."""
     return (kernel.rows(0), kernel.terms(0), kernel.lifted_rows(),
-            kernel.lifted_terms(), kernel.flat_tables(), kernel.dense_row(0, 0))
+            kernel.lifted_terms(), kernel.flat_tables())
 
 
 def _f5_tensor(field, values=(1, 0, 2, 0, 0, 3, 4, 1)):

@@ -14,6 +14,7 @@ from hopflab.quasitriangular import (CqtStructure, QtStructure,
 from hopflab.yd import dual_module, verify_yd
 from hopflab.catalog import (cqt_c2, group_algebra_c2, qt_c2, qt_t, r_t,
                              sigma_t, sweedler_h4, theta_t, trivial_module)
+from conftest import dense_row
 from test_hopf import one_entry_changes, one_matrix_changes, report_rows
 
 
@@ -260,8 +261,8 @@ def test_yd_from_comodule_kc2_hand_contraction(kc2):
     mod = yd_from_comodule(c, coaction)
     assert verify_yd(mod).ok
     # g acts on basis vector g by R(g⊗g) = -1
-    assert mod.act.dense_row(1, 1) == [QQ.zero, -QQ.one]
-    assert mod.act.dense_row(1, 0) == [QQ.one, QQ.zero]
+    assert dense_row(mod.action, 1, 1) == [QQ.zero, -QQ.one]
+    assert dense_row(mod.action, 1, 0) == [QQ.one, QQ.zero]
 
 
 def test_yd_from_module_trivial_rr(kc2):

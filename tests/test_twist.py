@@ -10,7 +10,7 @@ from hopflab.hopf import dual_hopf, verify_hopf_axioms
 from hopflab.linalg import Matrix
 from hopflab.report import CheckReport, VerificationError, first_mismatch
 from hopflab.twist import (are_conv_inverse, coboundary_from,
-                           compose_cocycles, conv_inverse2,
+                           compose_cocycles, conv_inverse1, conv_inverse2,
                            convolve2, deform, deform_dual, dual_cocycle,
                            dual_cocycle_product, eps_eps, is_lazy,
                            is_lazy_dual, lazy_one_cocycle, two_cocycle,
@@ -19,6 +19,7 @@ from hopflab.twist import (are_conv_inverse, coboundary_from,
                            hhh_mul)
 from hopflab.catalog import (group_algebra_c2, one_cocycle_c2, sigma_t,
                              sweedler_h4, theta_t)
+from conftest import dense_row
 from test_hopf import one_matrix_changes, report_rows
 
 
@@ -72,6 +73,8 @@ def test_conv_inverse_of_unit(h4):
 def test_conv_inverse_absent_for_zero(kc2):
     zero = Matrix.zeros(QQ, 2, 2)
     assert conv_inverse2(kc2, zero) is None
+    # μ = δ_1 on kC₂: (μν)(g) = μ(g)ν(g) = 0 ≠ ε(g), so μν = ε has no ν
+    assert conv_inverse1(kc2, [QQ.one, QQ.zero]) is None
 
 
 def test_verify_sigma_t(h4):
@@ -196,6 +199,14 @@ def test_noncentral_mu_rejected(h4):
     bad = [QQ.one, QQ.one, QQ.one, QQ.zero]   # μ(h) = 1 breaks centrality
     with pytest.raises(VerificationError):
         lazy_one_cocycle(h4, bad)
+    # μ = ε is its own inverse; every one-entry change of μ⁻¹ is refused
+    mu = list(h4.counit)
+    for i in range(h4.dim):
+        mu_inv = list(mu)
+        mu_inv[i] = mu_inv[i] + QQ.one
+        with pytest.raises(VerificationError, match="mu_inv is not the "
+                           "convolution inverse of mu"):
+            lazy_one_cocycle(h4, mu, mu_inv)
 
 
 def test_character_coboundary_on_h4(h4):
@@ -203,7 +214,6 @@ def test_character_coboundary_on_h4(h4):
     decided by the brute-force identity and cross-checked against H^σ = H
     (it is in fact the trivial cocycle, hence lazy)."""
     mu = h4_character_mu(h4)
-    from hopflab.twist import conv_inverse1
     mu_inv = conv_inverse1(h4, mu)
     assert mu_inv is not None
     n = 4
@@ -216,7 +226,7 @@ def test_character_coboundary_on_h4(h4):
                     if not (mu[a] and mu[c]):
                         continue
                     w = ca * cd * mu[a] * mu[c]
-                    prod = h4.mul.dense_row(b, d)
+                    prod = dense_row(h4.mult, b, d)
                     for k, x in enumerate(prod):
                         if x and mu_inv[k]:
                             acc = acc + w * x * mu_inv[k]

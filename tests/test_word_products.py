@@ -5,10 +5,13 @@ they replaced.
 Each reference below is the replaced construction as it was written on
 dense vectors of H: basis vectors and the rows of S and S⁻¹
 (h.antipode.data, h.antipode_inv.data) multiplied through h.mul_vec and
-h.mul.dense_row, and paired through dense_eval2.  The sparse construction
-must give the same object, report or error on every ±1 one-entry change of
-its input, over ℚ and F₅.  A guard keeps h.mul_vec out of them.
+the tests' dense_row, and paired through dense_eval2.  The sparse
+construction must give the same object, report or error on every ±1
+one-entry change of its input, over ℚ and F₅.  A guard keeps h.mul_vec out
+of them, and every dense product out of a seed-0 F₅ suite pass.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,14 +23,16 @@ from hopflab.galois import (BimoduleActions, BraidedHopf, act2_tensor,
                             adjoint_module, bimodule_actions, build_hr,
                             chi_maps, phi_psi_xi, unit_object)
 from hopflab.hopf import HopfAlgebra, dual_hopf
-from hopflab.linalg import (Bilinear, Matrix, Tensor, apply_rowmap,
-                            are_inverse, linear_combination, mat_mul)
+from hopflab.linalg import (Bilinear, Matrix, Tensor, are_inverse,
+                            linear_combination, mat_mul)
 from hopflab.quasitriangular import CqtStructure, verify_cqt
 from hopflab.report import CheckReport, VerificationError, first_mismatch
+from hopflab.suite import run_suite
 from hopflab.twist import (TwoCocycle, _coordinate_functionals, _deform,
                            convolve2)
 from hopflab.yd import (YdAlgebra, YdModule, agreed_tensor, end_algebra,
                         verify_yd)
+from conftest import apply_rowmap, dense_row
 from test_convolution_routes import dense_eval2
 from test_hopf import (hopf_with, one_entry_changes, one_matrix_changes,
                        report_rows, taft_algebra)
@@ -54,7 +59,7 @@ def reference_sinv_form(mod):
             for q0, k, c0 in coact.terms(p):
                 for q, x in act.row(b, q0):
                     w2 = w * c0 * x
-                    vec = h.mul_vec(h.mul.dense_row(c3, k),
+                    vec = h.mul_vec(dense_row(h.mult, c3, k),
                                     h.antipode_inv.data[a])
                     for k2, cv in enumerate(vec):
                         if cv:
@@ -112,7 +117,7 @@ def reference_cqt4_forms(c):
                 v = r.data[g2][a]
                 if not v:
                     continue
-                vec = h.mul_vec(h.mul.dense_row(g3, b),
+                vec = h.mul_vec(dense_row(h.mult, g3, b),
                                 h.antipode_inv.data[g1])
                 for k, cv in enumerate(vec):
                     if cv:
@@ -129,7 +134,7 @@ def reference_cqt4_forms(c):
 def reference_yd_from_comodule(c, coaction):
     h = c.host
     m = coaction.shape[0]
-    coact, ms = Bilinear(coaction).dense_row, range(m)
+    coact, ms = partial(dense_row, coaction), range(m)
     action = Tensor.from_rows(h.field, (h.dim, m, m), [
         [[dense_eval2(c.r, i, coact(p, q)) for q in ms] for p in ms]
         for i in range(h.dim)])
@@ -139,7 +144,7 @@ def reference_yd_from_comodule(c, coaction):
 def reference_act2_tensor(c, mod):
     h = c.host
     ms = range(mod.dim)
-    rho = [[mod.coact.dense_row(p, q) for q in ms] for p in ms]
+    rho = [[dense_row(mod.coaction, p, q) for q in ms] for p in ms]
     s_rho = [[apply_rowmap(v, h.antipode) for v in row] for row in rho]
     return agreed_tensor(
         "▷₂", h.field, (h.dim, mod.dim, mod.dim),
@@ -222,8 +227,8 @@ def reference_bimodule_actions(bh, mod):
         acc = [f.zero] * m
         for (a, b, c3, d), w in h.copower(i, 4):
             for q0, k, c0 in mod.coact.terms(p):
-                scal = dense_eval2(r, sinv[d],
-                                   h.mul_vec(h.mul.dense_row(c3, k), sinv[a]))
+                scal = dense_eval2(r, sinv[d], h.mul_vec(
+                    dense_row(h.mult, c3, k), sinv[a]))
                 if not scal:
                     continue
                 for q, x in mod.act.row(b, q0):
@@ -233,7 +238,7 @@ def reference_bimodule_actions(bh, mod):
     def right(i, p):
         acc = [f.zero] * m
         for a, b, w in h.delta.terms(i):
-            v = act2.apply(s[a], mod.act.dense_row(b, p))
+            v = act2.apply(s[a], dense_row(mod.action, b, p))
             for q, x in enumerate(v):
                 if x:
                     acc[q] = acc[q] + w * x
@@ -244,7 +249,7 @@ def reference_bimodule_actions(bh, mod):
         for (a, b, c3, d), w in h.copower(i, 4):
             for q0, k, c0 in mod.coact.terms(p):
                 scal = dense_eval2(
-                    r, h.mul_vec(h.mul.dense_row(d, k), sinv[b]), a)
+                    r, h.mul_vec(dense_row(h.mult, d, k), sinv[b]), a)
                 if not scal:
                     continue
                 for q, x in mod.act.row(c3, q0):
@@ -264,7 +269,7 @@ def reference_adjoint_module(host):
         for p in range(n):
             acc = [f.zero] * n
             for a, b, c in host.delta.terms(i):
-                v = host.mul_vec(host.mul.dense_row(b, p),
+                v = host.mul_vec(dense_row(host.mult, b, p),
                                  host.antipode_inv.data[a])
                 for k, x in enumerate(v):
                     if x:
@@ -656,21 +661,31 @@ def test_product_and_antipode_rows_match_dense(word_host, data):
 
 def test_formulas_multiply_no_dense_vector(monkeypatch):
     """On H₄ over F₅, the constructions and checks whose words are sparse
-    rows make no HopfAlgebra.mul_vec call."""
+    rows make no HopfAlgebra.mul_vec call, and a seed-0 F₅ suite pass makes
+    no dense product at all: no HopfAlgebra.mul_vec, YdAlgebra.mul_vec or
+    Bilinear.apply call."""
     h = sweedler_h4(field_from_spec("Fp:5"))
     r1, s1 = r_t(h, 1), sigma_t(h, 1)
     reg = regular_comodule_module(r1)
     alg = unit_object(h)
     bh = build_hr(r1)
     calls = []
-    inner = HopfAlgebra.mul_vec
 
-    def counted(self, u, v):
-        calls.append(self)
-        return inner(self, u, v)
+    def count(cls, name):
+        inner = getattr(cls, name)
 
-    monkeypatch.setattr(HopfAlgebra, "mul_vec", counted)
-    assert h.mul_vec(h.unit, h.unit) == h.unit and calls     # the wrap counts
+        def counted(self, u, v):
+            calls.append((cls.__name__, name))
+            return inner(self, u, v)
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls in (HopfAlgebra, YdAlgebra):
+        count(cls, "mul_vec")
+    count(Bilinear, "apply")
+    assert h.mul_vec(h.unit, h.unit) == h.unit            # the wraps count
+    assert alg.mul_vec(alg.unit, alg.unit) == alg.unit
+    assert calls == [("HopfAlgebra", "mul_vec"), ("Bilinear", "apply"),
+                     ("YdAlgebra", "mul_vec"), ("Bilinear", "apply")]
     del calls[:]
     verify_yd(reg)
     verify_cqt(r1)
@@ -681,6 +696,8 @@ def test_formulas_multiply_no_dense_vector(monkeypatch):
     chi_maps(s1)
     phi_psi_xi(s1, alg)
     assert calls == []
+    report, _ = run_suite(h.field, seed=0)
+    assert report.ok and calls == []
 
 
 def test_word_table_forms_each_word_once(word_host, monkeypatch):

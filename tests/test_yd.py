@@ -8,7 +8,7 @@ import pytest
 from hopflab.fields import QQ, field_from_spec
 from hopflab.galois import unit_object
 from hopflab.hopf import dual_hopf
-from hopflab.linalg import (DimensionError, Matrix, Tensor,
+from hopflab.linalg import (DimensionError, Matrix, Tensor, kernel_basis,
                             linear_combination, mat_mul, rank,
                             row_space_echelon, solve)
 from hopflab.twist import deform, eps_eps, two_cocycle, dual_cocycle
@@ -27,6 +27,7 @@ from hopflab.catalog import (catalog_entries, cqt_c2, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
                              sweedler_h4, theta_t, trivial_module)
+from conftest import apply_rowmap, dense_row
 from test_hopf import (one_entry_changes, one_matrix_changes,
                        one_vector_changes, report_rows)
 
@@ -111,8 +112,8 @@ def dense_module_axioms(mod):
     bad = first_mismatch((ms,), lambda p: (mod.act_vec(h.unit, e(p)), e(p)))
     if bad is None:
         bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
-            mod.act_vec(h.mul.dense_row(i, j), e(p)),
-            mod.act_basis_vec(i, mod.act.dense_row(j, p))))
+            mod.act_vec(dense_row(h.mult, i, j), e(p)),
+            mod.act_basis_vec(i, dense_row(mod.action, j, p))))
     rep.add("module_axioms", bad is None, bad)
     return rep
 
@@ -368,7 +369,7 @@ def rebased(mod):
     back = Matrix.identity(QQ, m)    # v_q = Σ back[q][t] u_t
     back.data[0][1] = -one
     act = Tensor.from_rows(QQ, (n, m, m), [
-        mat_mul(mat_mul(fwd, Matrix(QQ, m, m, [mod.act.dense_row(i, p)
+        mat_mul(mat_mul(fwd, Matrix(QQ, m, m, [dense_row(mod.action, i, p)
                                                for p in range(m)])),
                 back).data for i in range(n)])
     co = Tensor.zeros(QQ, (m, m, n))
@@ -603,6 +604,70 @@ def test_sigma_functoriality_random(mreg, unit_obj, s1):
         assert is_yd_map(YdMap(sm, su, f.matrix)).ok
 
 
+def dense_hom_basis(ma, mb):
+    """yd_hom_basis as written with dense coefficient rows read through
+    dense_row and solved by kernel_basis: the reference."""
+    f = ma.host.field
+    n = ma.host.dim
+    da, db = ma.dim, mb.dim
+    unknowns = da * db
+    rows = []
+    for i in range(n):
+        for p in range(da):
+            arow = ma.act.row(i, p)
+            for t in range(db):
+                coeffs = [f.zero] * unknowns
+                for q, x in arow:
+                    coeffs[q * db + t] = coeffs[q * db + t] + x
+                for t2 in range(db):
+                    c = dense_row(mb.action, i, t2)[t]
+                    if c:
+                        coeffs[p * db + t2] = coeffs[p * db + t2] - c
+                rows.append(coeffs)
+    for p in range(da):
+        for t in range(db):
+            for k in range(n):
+                coeffs = [f.zero] * unknowns
+                for q, k2, c in ma.coact.terms(p):
+                    if k2 == k:
+                        coeffs[q * db + t] = coeffs[q * db + t] + c
+                for q2 in range(db):
+                    c = dense_row(mb.coaction, q2, t)[k]
+                    if c:
+                        coeffs[p * db + q2] = coeffs[p * db + q2] - c
+                rows.append(coeffs)
+    basis = kernel_basis(Matrix(f, len(rows), unknowns, rows))
+    return [Matrix(f, da, db, [[basis.data[p * db + t][j] for t in range(db)]
+                               for p in range(da)])
+            for j in range(basis.cols)]
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_hom_basis_matches_dense_reference(spec):
+    """On every ordered pair of catalog YD modules of different dimensions
+    (the modules of the YD module and YD algebra entries, of dimensions 1,
+    4 and 16), yd_hom_basis gives the reference's basis, matrix for matrix
+    in the same order, and every basis map is a YD map."""
+    mods = []
+    for entry in catalog_entries(field_from_spec(spec)):
+        obj = entry.payload
+        if isinstance(obj, YdAlgebra):
+            obj = obj.module
+        if isinstance(obj, YdModule):
+            mods.append((entry.name, obj))
+    assert sorted({m.dim for _, m in mods}) == [1, 4, 16]
+    pairs = [(a, b) for a in mods for b in mods if a[1].dim != b[1].dim]
+    assert len(pairs) == 14
+    dims = set()
+    for (_, ma), (_, mb) in pairs:
+        basis = yd_hom_basis(ma, mb)
+        assert basis == dense_hom_basis(ma, mb)
+        dims.add(len(basis))
+        for mat in basis:
+            assert is_yd_map(YdMap(ma, mb, mat)).ok
+    assert max(dims) > 1        # some pair has a Hom space to order
+
+
 def test_sigma_algebra_roundtrip(unit_obj, s1):
     sa = sigma_algebra(s1, unit_obj)
     sinv = two_cocycle(deform(s1), s1.sigma_inv)
@@ -770,7 +835,7 @@ def corrupted_end_regular(r1, where):
 def assert_opposite_is_twist_table(alg):
     bar = h_opposite(alg)
     ms = range(alg.dim)
-    assert [[bar.mul.dense_row(t, s) for t in ms] for s in ms] == \
+    assert [[dense_row(bar.mult, t, s) for t in ms] for s in ms] == \
         [[twist_formula(alg, s, t) for t in ms] for s in ms]
 
 
@@ -957,7 +1022,6 @@ def test_azumaya_invariance_under_sigma(kc2):
 def dense_azumaya(alg):
     """azumaya_check as written with dense F and G matrices and dense
     basis-vector products; its reports are the reference."""
-    from hopflab.linalg import apply_rowmap
     from hopflab.report import CheckReport, first_mismatch
     from hopflab.yd import _braid_terms, _matrix
     rep = CheckReport()
@@ -969,10 +1033,10 @@ def dense_azumaya(alg):
     es = [mod.basis_vec(p) for p in ms]
     bar = h_opposite(alg)
     fmat = Matrix(f, dim, dim, [
-        [c for x in ms for c in alg.mul_vec(es[p], bar.mul.dense_row(q, x))]
+        [c for x in ms for c in alg.mul_vec(es[p], dense_row(bar.mult, q, x))]
         for p in ms for q in ms])
     gmat = Matrix(f, dim, dim, [
-        [c for x in ms for c in alg.mul_vec(bar.mul.dense_row(x, p), es[q])]
+        [c for x in ms for c in alg.mul_vec(dense_row(bar.mult, x, p), es[q])]
         for p in ms for q in ms])
     rank_f = rank(fmat)
     rank_g = rank(gmat)
@@ -995,10 +1059,10 @@ def dense_azumaya(alg):
     fb = [f_of(sharp(alg.unit, es[b])) for b in ms]
     families = (
         ("(i) F(ga#1) = F(g#1)F(a#1)", (gens_a, ms), lambda g, a: (
-            f_of(sharp(alg.mul.dense_row(g, a), alg.unit)),
+            f_of(sharp(dense_row(alg.mult, g, a), alg.unit)),
             mat_mul(fa[a], fa[g]))),
         ("(ii) F(1#ḡ∘b̄) = F(1#ḡ)F(1#b̄)", (gens_b, ms), lambda g, b: (
-            f_of(sharp(alg.unit, bar.mul.dense_row(g, b))),
+            f_of(sharp(alg.unit, dense_row(bar.mult, g, b))),
             mat_mul(fb[b], fb[g]))),
         ("(iii) F(a#b̄) = F(a#1)F(1#b̄)", (ms, ms), lambda a, b: (
             end(fmat.data[a * m + b]), mat_mul(fb[b], fa[a]))),
@@ -1025,25 +1089,26 @@ def dense_algebra_checks(alg):
     h = alg.host
     m = alg.dim
     mod = alg.module
-    mul, e = alg.mul, mod.basis_vec
+    e = mod.basis_vec
     hs, ms = range(h.dim), range(m)
     bad = first_mismatch((ms,), lambda p: (
         (alg.mul_vec(alg.unit, e(p)), alg.mul_vec(e(p), alg.unit)),
         (e(p), e(p))))
     if bad is None:
         bad = first_mismatch((ms,) * 3, lambda p, q, r: (
-            alg.mul_vec(mul.dense_row(p, q), e(r)),
-            alg.mul_vec(e(p), mul.dense_row(q, r))))
+            alg.mul_vec(dense_row(alg.mult, p, q), e(r)),
+            alg.mul_vec(e(p), dense_row(alg.mult, q, r))))
     rep.add("algebra_axioms", bad is None, bad)
 
     def module_algebra(i, p, q):
         rhs = [h.field.zero] * m
         for a, b, ca in h.delta.terms(i):
-            w = alg.mul_vec(mod.act.dense_row(a, p), mod.act.dense_row(b, q))
+            w = alg.mul_vec(dense_row(mod.action, a, p),
+                            dense_row(mod.action, b, q))
             for k in range(m):
                 if w[k]:
                     rhs[k] = rhs[k] + ca * w[k]
-        return mod.act_basis_vec(i, mul.dense_row(p, q)), rhs
+        return mod.act_basis_vec(i, dense_row(alg.mult, p, q)), rhs
 
     bad = first_mismatch((hs, ms, ms), module_algebra)
     if bad is None:
