@@ -57,9 +57,9 @@ never one per coordinate.  Over ℚ the lifted sums are already int-first,
 so ``reduce_vec`` returns a vector as it is unless it holds a plain
 ``Fraction``, which it converts.  ``reduce`` stays the identity over ℚ; it
 serves comparisons, where the type does not matter.  linalg.Bilinear keeps
-the lifted tables of the structure tensors; hopf.py, the Yetter-Drinfeld
-maps and σ̲ in yd.py, the convolutions of twist.py and the
-Miyashita-Ulbrich action in galois.py sum on them.
+the lifted tables of the structure tensors, and the checks and
+constructions of hopf.py, yd.py, twist.py and galois.py sum on them (its
+docstring lists the readers).
 """
 
 from __future__ import annotations
@@ -239,6 +239,12 @@ class Field:
     def reduce_vec(self, vec):
         """The list of elements equal to the lifted sums in vec."""
         return vec
+
+    def reduce_row(self, row):
+        """The dict {k: element} of the lifted sums in the dict row, in
+        row's order, without those that reduce to 0."""
+        return {k: v for k, v in zip(row, map(self.reduce, row.values()))
+                if v}
 
     def div(self, a, b):
         """Exact quotient a / b; ZeroDivisionError when b == 0."""

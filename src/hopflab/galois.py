@@ -7,7 +7,9 @@ Structures are read through the sparse kernel linalg.Bilinear of their
 tensors, one per Tensor (h.mul, h.delta, mod.act, mod.coact, alg.mul, and
 b.left/b.right for −▷ and ◁−).
 Words in H such as S⁻¹(h₃)h₁ are sparse rows multiplied by h.product, and
-R, σ and σ⁻¹ are paired with them only by twist.eval2.  The R-induced
+R, σ and σ⁻¹ are paired with them only by twist.eval2, or by
+twist.eval2_lifted where a loop sums lifted values (χ, φ, ψ and ξ read
+their words and pairings from _pairing_tables).  The R-induced
 action ▷₁ is quasitriangular.yd_from_comodule.  ▷₂, −▷, ◁− and the wedge
 action are each computed in two displayed forms, and report.require_agree
 raises at the first index where they differ.
@@ -16,7 +18,10 @@ Every Galois decision reads a coaction table, row p the terms (q, k, c) of
 v_p's image in A⊗H: ρ, or −▷ and ◁− read as the 𝓗_R*-coactions
 a ↦ Σ_i (e_i−▷a)⊗δ_i.  Its coinvariants are {a : ρ(a) = a⊗u}, u = 1 or ε;
 the one β builder turns it into dict rows, which linalg.sparse_rank
-ranks, and the relations are built as dict rows too.  A Subspace is the
+ranks.  The relations are read from their two parts, v_p·x and −x·v_r
+(_relation_parts): β(relation) is summed from the parts, and the relation
+rank reads dict rows made one at a time, so a capped rank makes only the
+rows it reads.  A Subspace is the
 linalg.sparse_kernel of its equations, given as dict rows, a basis that
 depends on the subspace alone, so membership, coordinates and equality
 are read off it without a new elimination.  ker β and the β-preimages
@@ -38,7 +43,7 @@ from .linalg import (Matrix, Tensor, are_inverse, linear_combination, rank,
 from .quasitriangular import deform_cqt, yd_from_comodule
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
-from .twist import deform, eval2
+from .twist import deform, eval2, eval2_lifted
 from .yd import (YdAlgebra, YdMap, YdModule, agreed_tensor, braided_product,
                  dual_module, eta, is_yd_map, quantum_commutative,
                  sigma_algebra, sigma_module, verify_yd_algebra, yd_tensor)
@@ -514,31 +519,63 @@ def unit_object(host):
 
 # -- χ, φ, ψ, ξ ---------------------------------------------------------------
 
+def _pairing_tables(s):
+    """What χ, φ, ψ and ξ read of σ, lifted (fields.Field.lift): σ and
+    σ⁻¹ as lifted rows, the words S⁻¹(e_a)e_t as sparse rows of lifted
+    sums words[a][t], and σ(S⁻¹(e_b)⊗e_a) and σ⁻¹(S⁻¹(e_b)⊗e_a) as tables
+    [b][a], lifted from their reduced values."""
+    h = s.host
+    f, hs = h.field, range(h.dim)
+    lift, mul = f.lift, h.mul.lifted_rows()
+    sinv = h.antipodes.lifted_rows()[1]
+    sig, inv = s.sigma.lifted_rows(), s.sigma_inv.lifted_rows()
+
+    def lifted(vec):
+        return list(map(lift, f.reduce_vec(vec)))
+
+    words = []
+    for a in hs:
+        row = []
+        for t in hs:
+            acc = [0] * h.dim
+            for j, y in sinv[a]:
+                for k, c in mul[j][t]:
+                    acc[k] += y * c
+            row.append([(k, c) for k, c in enumerate(acc) if c])
+        words.append(row)
+    sig_sinv, inv_sinv = ([lifted([eval2_lifted(rows, sinv[b], a) for a in hs])
+                           for b in hs] for rows in (sig, inv))
+    return sig, inv, words, sig_sinv, inv_sinv
+
+
 def chi_maps(s):
-    """χ, χ⁻¹ and χ* = transpose pairing; χχ⁻¹ = id is verified."""
+    """χ, χ⁻¹ and χ* = transpose pairing; χχ⁻¹ = id is verified.  Both are
+    summed lifted, one reduced row per basis vector."""
     h = s.host
     n = h.dim
     f = h.field
-    sinv = h.antipodes.rows(1)
+    lift = f.lift
+    _, inv, words, sig_sinv, inv_sinv = _pairing_tables(s)
 
     def chi(i):
-        acc = [f.zero] * n
+        # Σ σ⁻¹(h₄ ⊗ S⁻¹(h₃)h₁) h₂
+        acc = [0] * n
         for (a, b, c, d), w in h.copower(i, 4):
-            scal = eval2(s.sigma_inv, d, h.product(sinv[c], [(a, f.one)]))
+            scal = eval2_lifted(inv, d, words[c][a])
             if scal:
-                acc[b] = acc[b] + w * scal
-        return acc
+                acc[b] += lift(w) * scal
+        return f.reduce_vec(acc)
 
     def chi_inv(i):
-        acc = [f.zero] * n
+        # Σ σ⁻¹(S⁻¹(h₅) ⊗ h₁) σ(S⁻¹(h₄) ⊗ h₃) h₂
+        acc = [0] * n
         for (a, b, c, d, e5), w in h.copower(i, 5):
-            s1 = eval2(s.sigma_inv, sinv[e5], a)
-            if not s1:
-                continue
-            s2 = eval2(s.sigma, sinv[d], c)
-            if s2:
-                acc[b] = acc[b] + w * s1 * s2
-        return acc
+            s1 = inv_sinv[e5][a]
+            if s1:
+                s2 = sig_sinv[d][c]
+                if s2:
+                    acc[b] += lift(w) * s1 * s2
+        return f.reduce_vec(acc)
 
     chi = Matrix(f, n, n, [chi(i) for i in range(n)])
     chi_inv = Matrix(f, n, n, [chi_inv(i) for i in range(n)])
@@ -571,54 +608,68 @@ def verify_unit_deformation(s):
 
 def phi_psi_xi(s, alg):
     """The Lemma 3.8/3.9/3.13 isomorphism witnesses with their displayed
-    inverses; all round trips are asserted to be identities."""
+    inverses; all round trips are asserted to be identities.  Each matrix
+    is summed lifted and reduced once per row."""
     h = s.host
     n = h.dim
     f = h.field
-    mod = alg.module
-    m = mod.dim
-    sinv, hs = h.antipodes.rows(1), range(n)
-    words = [[h.product(sinv[a], [(t, f.one)]) for t in hs] for a in hs]
+    lift = f.lift
+    m = alg.module.dim
+    size, hs = m * n, range(n)
+    coact = alg.module.coact.lifted_terms()
+    sig, inv, words, sig_sinv, inv_sinv = _pairing_tables(s)
 
-    def spread(mat, w, pairing, at_row, at_col):
-        """mat[at_row(p)][at_col(q)] += w·c·pairing[k] over the terms
-        c v_q⊗e_k of ρ(v_p), for every p."""
+    def spread(rows, w, pairing, at_row, at_col):
+        """rows[at_row(p)][at_col(q)] += w·c·pairing[k] over the terms
+        c v_q⊗e_k of ρ(v_p), for every p; rows are dicts of lifted sums."""
         for p in range(m):
-            row = mat.data[at_row(p)]
-            for q, k, c in mod.coact.terms(p):
+            row = rows[at_row(p)]
+            for q, k, c in coact[p]:
                 if pairing[k]:
-                    row[at_col(q)] = row[at_col(q)] + w * c * pairing[k]
+                    col = at_col(q)
+                    row[col] = row.get(col, 0) + w * c * pairing[k]
+
+    def matrix(rows):
+        """The matrix of dict rows of lifted sums, each sum reduced once."""
+        red, zeros = f.reduce, [f.zero] * size
+        data = []
+        for row in rows:
+            dense = zeros[:]
+            for col, v in row.items():
+                dense[col] = red(v)
+            data.append(dense)
+        return Matrix(f, size, size, data)
 
     def build(mat2, psi):
         """φ on M⊗H pairs mat2(m₁ ⊗ S⁻¹(k₃)k₁); ψ on H⊗M is the same map
         with the pairing transposed, mat2(S⁻¹(k₃)k₁ ⊗ m₁)."""
         at = (lambda p, j: j * m + p) if psi else (lambda p, j: p * n + j)
-        out = Matrix.zeros(f, m * n, m * n)
+        out = [{} for _ in range(size)]
         for k in hs:
             for (k1, j, k3), w in h.copower(k, 3):
                 u = words[k3][k1]
-                pairing = [eval2(mat2, u, t) if psi else eval2(mat2, t, u)
-                           for t in hs]
-                spread(out, w, pairing, lambda p: at(p, j),
+                pairing = [eval2_lifted(mat2, u, t) if psi
+                           else eval2_lifted(mat2, t, u) for t in hs]
+                spread(out, lift(w), pairing, lambda p: at(p, j),
                        lambda q: at(q, k))
-        return out
+        return matrix(out)
 
-    phi, phi_inv = build(s.sigma, False), build(s.sigma_inv, False)
-    psi, psi_inv = build(s.sigma, True), build(s.sigma_inv, True)
+    phi, phi_inv = build(sig, False), build(inv, False)
+    psi, psi_inv = build(sig, True), build(inv, True)
 
-    xi = Matrix.zeros(f, m * n, m * n)
-    xi_inv = Matrix.zeros(f, m * n, m * n)
+    xi = [{} for _ in range(size)]
+    xi_inv = [{} for _ in range(size)]
     for i in hs:
         for (a, b, c, d), w in h.copower(i, 4):
-            s1 = eval2(s.sigma, sinv[b], a)
+            s1 = sig_sinv[b][a]
             if s1:
-                spread(xi, w * s1,
-                       [eval2(s.sigma_inv, sinv[c], t) for t in hs],
+                spread(xi, lift(w) * s1, inv_sinv[c],
                        lambda p: p * n + i, lambda q: q * n + d)
         for (a, b, c), w in h.copower(i, 3):
-            spread(xi_inv, w, [eval2(s.sigma_inv, b, words[a][t])
-                               for t in hs],
+            spread(xi_inv, lift(w), [eval2_lifted(inv, b, words[a][t])
+                                     for t in hs],
                    lambda p: p * n + i, lambda q: q * n + c)
+    xi, xi_inv = matrix(xi), matrix(xi_inv)
 
     for name, a, b in (("phi", phi, phi_inv), ("psi", psi, psi_inv),
                        ("xi", xi, xi_inv)):
@@ -629,46 +680,65 @@ def phi_psi_xi(s, alg):
 
 # -- Galois decisions ---------------------------------------------------------
 
-def _relations(alg, sub_rows):
-    """Generators (a·x)⊗b − a⊗(x·b) of the middle-subalgebra relations as
-    sparse rows {p·m + r: coefficient} of A⊗A, one per (x, v_p, v_r) in
-    that nesting order, with the zero ones left out; x runs over sub_rows,
-    sparse rows [(j, coefficient)].
+def _relation_parts(alg, sub_rows):
+    """The two parts of the middle-subalgebra relations
+    (a·x)⊗b − a⊗(x·b) for x over sub_rows, sparse rows [(j, coefficient)]:
+    per x, the pair ([v_p·x for p], [−x·v_r for r]) of dicts
+    {t: coefficient} without zeros, summed lifted and reduced once.  The
+    relation of (x, v_p, v_r) is Σ_t (v_p·x)_t e_{t·m+r} +
+    Σ_t (−x·v_r)_t e_{p·m+t} in A⊗A."""
+    f = alg.host.field
+    ms, mul = range(alg.dim), alg.mul.lifted_rows()
+    parts = []
+    for xs in sub_rows:
+        xs = [(j, f.lift(c)) for j, c in xs]
+        ax = [f.reduce_row(sparse_sum((k, c * w) for j, c in xs
+                                      for k, w in mul[p][j]))
+              for p in ms]                                      # v_p·x
+        nxb = [f.reduce_row(sparse_sum((k, -c * w) for j, c in xs
+                                       for k, w in mul[j][r]))
+               for r in ms]                                     # −x·v_r
+        parts.append((ax, nxb))
+    return parts
+
+
+def _nonzero_relations(parts):
+    """(x, p, r) for each nonzero relation of _relation_parts' parts, x the
+    index of the part, in (x, v_p, v_r) order.
 
     The (a·x)⊗b part has the keys t·m + r and the a⊗(x·b) part the keys
     p·m + t, so they meet only at p·m + r, where v_p·x meets x·v_r at
     t = p and t = r: a relation is zero only when both parts are empty or
-    both are that one entry with one coefficient."""
-    m = alg.dim
-    ms = range(m)
-    row = alg.mul.row
+    both are that one entry with opposite coefficients."""
+    for x, (ax, nxb) in enumerate(parts):
+        # the coefficient of e_r in x·v_r where that is its one entry
+        alone = [-nxbr[r] if len(nxbr) == 1 and r in nxbr else None
+                 for r, nxbr in enumerate(nxb)]
+        for p, axp in enumerate(ax):
+            at_p = axp.get(p) if len(axp) == 1 else None
+            for r, nxbr in enumerate(nxb):
+                if (axp or nxbr) and (at_p is None or at_p != alone[r]):
+                    yield x, p, r
 
-    rels = []
-    for xs in sub_rows:
-        ax = [sparse_sum((k, c * w) for j, c in xs for k, w in row(p, j))
-              for p in ms]                                      # v_p·x
-        nxb = [sparse_sum((k, -c * w) for j, c in xs for k, w in row(j, r))
-               for r in ms]                                     # −x·v_r
-        for p in ms:
-            axp, pm = ax[p].items(), p * m
-            at_p = ax[p].get(p)
-            for r in ms:
-                nxbr = nxb[r]
-                if not axp and not nxbr:
-                    continue
-                rel = {t * m + r: v for t, v in axp}
-                for t, v in nxbr.items():
-                    rel[pm + t] = v
-                if at_p is not None and r in nxbr:
-                    v = at_p + nxbr[r]
-                    if v:
-                        rel[pm + r] = v
-                    elif len(rel) == 1:
-                        continue
-                    else:
-                        del rel[pm + r]
-                rels.append(rel)
-    return rels
+
+def _relations(parts):
+    """The nonzero relations of _relation_parts' parts as sparse rows
+    {p·m + r: coefficient} of A⊗A, made one at a time as they are read,
+    in (x, v_p, v_r) order."""
+    m = len(parts[0][0]) if parts else 0
+    for x, p, r in _nonzero_relations(parts):
+        axp, nxbr = parts[x][0][p], parts[x][1][r]
+        pm = p * m
+        rel = {t * m + r: v for t, v in axp.items()}
+        for t, v in nxbr.items():
+            rel[pm + t] = v
+        if p in axp and r in nxbr:      # the one key both parts write
+            v = axp[p] + nxbr[r]
+            if v:
+                rel[pm + r] = v
+            else:
+                del rel[pm + r]
+        yield rel
 
 
 def _kernel_and_preimages(f, beta, n, unit):
@@ -715,33 +785,47 @@ def _galois_map(alg, table, first):
     return beta
 
 
-def _beta_quotient_bijective(f, beta, target, rels, rep, tag):
+def _beta_quotient_bijective(f, beta, target, parts, rep, tag):
     """β̄ on A⊗_{A₀}A is bijective iff β is onto and ker β = relations; β
-    is dict rows into k^target, as _galois_map gives them, and rels are
-    sparse rows of A⊗A as _relations gives them."""
+    is dict rows into k^target, as _galois_map gives them, and parts are
+    the relations' parts, as _relation_parts gives them.
+
+    β(relation) is β((v_p·x)⊗v_r) − β(v_p⊗(x·v_r)), summed lifted from β's
+    lifted rows and the two parts, with no relation row built; the witness
+    counts the nonzero relations in _relations' order.  The relation rows
+    are made only as the rank reads them."""
     rk = sparse_rank(f, beta)
     onto = rk == target
     rep.add(tag + "_surjective", onto, None,
             "rank %d of %d" % (rk, target))
     lift, red = f.lift, f.reduce
+    m = len(parts[0][0]) if parts else 0
     lbeta = [[(c, lift(v)) for c, v in row.items()] for row in beta]
+    lparts = [[[[(t, lift(v)) for t, v in d.items()] for d in side]
+               for side in part] for part in parts]
 
-    def image_is_zero(rel):
-        # β(rel) summed lifted; only its nonzero sums are reduced
-        acc = {}
-        for k, x in rel.items():
-            x = lift(x)
-            for c, v in lbeta[k]:
-                acc[c] = acc.get(c, 0) + x * v
-        return not any(map(red, acc.values()))
+    def first_outside():
+        """(i,) for the first relation i that β does not send to 0, or
+        None."""
+        for i, (x, p, r) in enumerate(_nonzero_relations(parts)):
+            acc, pm = {}, p * m
+            for t, w in lparts[x][0][p]:
+                for c, v in lbeta[t * m + r]:
+                    acc[c] = acc.get(c, 0) + w * v
+            for t, w in lparts[x][1][r]:
+                for c, v in lbeta[pm + t]:
+                    acc[c] = acc.get(c, 0) + w * v
+            if any(map(red, acc.values())):
+                return (i,)
+        return None
 
-    bad = first_mismatch((range(len(rels)),), lambda i: (
-        image_is_zero(rels[i]), True))
+    bad = first_outside()
     rep.add(tag + "_relations_in_kernel", bad is None, bad)
     ker_dim = len(beta) - rk
     # relations inside ker β have rank ≤ dim ker β, so the elimination may
     # stop there; relations outside it are ranked in full for the detail
-    rel_rank = sparse_rank(f, rels, ker_dim if bad is None else None)
+    rel_rank = sparse_rank(f, _relations(parts),
+                           ker_dim if bad is None else None)
     rep.add(tag + "_kernel_is_relations", rel_rank == ker_dim, None,
             "relation rank %d vs kernel dim %d" % (rel_rank, ker_dim))
     return onto and bad is None and rel_rank == ker_dim
@@ -765,10 +849,10 @@ def galois_maps(bh, b, alg):
     f, target = bh.host.field, alg.dim * bh.host.dim
     right_ok = _beta_quotient_bijective(
         f, _galois_map(alg, _coaction_table(b.left), True), target,
-        _relations(alg, sub_r.rows), rep, "beta_r")
+        _relation_parts(alg, sub_r.rows), rep, "beta_r")
     left_ok = _beta_quotient_bijective(
         f, _galois_map(alg, _coaction_table(b.right), False), target,
-        _relations(alg, sub_l.rows), rep, "beta_l")
+        _relation_parts(alg, sub_l.rows), rep, "beta_l")
 
     triv_r = sub_r.dim == 1 and sub_r.contains(alg.unit)
     triv_l = sub_l.dim == 1 and sub_l.contains(alg.unit)
@@ -795,7 +879,7 @@ def _comodule_galois(alg):
                              for p in range(alg.dim)], False)
     rep.add("galois", _beta_quotient_bijective(
         alg.host.field, beta, alg.dim * alg.host.dim,
-        _relations(alg, sub0.rows), rep, "beta"))
+        _relation_parts(alg, sub0.rows), rep, "beta"))
     return rep, sub0, beta
 
 

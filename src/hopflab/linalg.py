@@ -182,7 +182,7 @@ def _subtract(zero, row, piv, mlt):
             del row[c]
 
 
-def _reduce(field, rows, cap=None):
+def _reduce(field, rows, cap=None, pivots=None):
     """Row echelon form of rows given as iterables of (column, coefficient)
     pairs: {pivot column: row}, each row a dict {column: coefficient} over
     its nonzero entries whose lowest column is its pivot.
@@ -192,13 +192,16 @@ def _reduce(field, rows, cap=None):
     pivot row of that column if anything is left; so no dense row is ever
     built, and a row of a few nonzeros costs a few dict operations per
     step.  The given rows are not changed.  With a cap the elimination
-    stops once it has cap pivots, leaving the remaining rows unread.
+    stops once it has cap pivots, leaving the remaining rows unread.  Given
+    pivots, an echelon this function returned, the rows are reduced into
+    it: it gains their pivot rows, in the order found, and is returned.
     """
     zero, div = field.zero, field.div
-    pivots = {}
+    if pivots is None:
+        pivots = {}
+    if len(pivots) == cap:
+        return pivots
     for row in rows:
-        if len(pivots) == cap:
-            break
         row = {c: v for c, v in row if v}
         while row:
             col = min(row)
@@ -207,6 +210,8 @@ def _reduce(field, rows, cap=None):
                 pivots[col] = row
                 break
             _subtract(zero, row, piv, div(row[col], piv[col]))
+        if len(pivots) == cap:
+            break
     return pivots
 
 
@@ -485,9 +490,12 @@ class Bilinear:
     and ``flat_tables()[i]`` is t[i,:,:] as one dict {p·n₂+q: lifted
     t[i,p,q]}.  Over ℚ lifting is the identity, and ``lifted_rows`` and
     ``lifted_terms`` are the sparse tables of ``row`` and ``terms``
-    themselves, not copies.  hopf.py's axiom checks, yd.py's is_yd_map,
-    σ̲ and term kernel, twist.py's convolutions and galois.py's
-    Miyashita-Ulbrich action read them.
+    themselves, not copies.  They are read by hopf.py's axiom checks;
+    yd.py's verify_yd and verify_yd_algebra, is_yd_map, σ̲, the term
+    kernel, generating_set and azumaya_check (A's and Ā's products);
+    twist.py's convolutions, S^σ and H* products; and galois.py's
+    Miyashita-Ulbrich action, relation parts and the words of χ, φ, ψ
+    and ξ.
     """
     __slots__ = ("field", "shape", "_data", "_zeros", "_twin", "_rows",
                  "_terms", "_lrows", "_lterms", "_flat", "__weakref__")

@@ -4,15 +4,18 @@ deformed Hopf algebras H^σ and H_θ.
 A functional on H⊗H is an n×n Matrix f with f.data[i][j] = f(e_i⊗e_j); an
 element of H⊗H is an n×n Matrix of coefficients.  Convolution is
 (f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂) with unit ε⊗ε.  eval2 pairs f with two
-elements of H, each a basis index or a sparse row (hopf.py), such as S(e_i).
+elements of H, each a basis index or a sparse row (hopf.py), such as S(e_i);
+eval2_lifted does the same on lifted values (fields.Field.lift).
 
 H^σ, ∂μ and laziness are convolutions: e_k's coefficient in the product of
 H^σ is σ * m_k * σ⁻¹ for m_k(x⊗y) = e_k's coefficient in xy, S^σ = u * S * v
-in H*, summed as Σ u(x₁)v(x₃)·S(x₂) over Δ²(x) on S's sparse rows, ∂μ =
+in H*, summed as Σ u(x₁)v(x₃)·S(x₂) over Δ²(x) on S's lifted rows, ∂μ =
 (μ⊗μ) * (μ⁻¹∘m), and σ is lazy iff σ * m_k = m_k * σ for all k.  These
 regroup Δ^k by coassociativity alone, not by σ's cocycle identity, so they
 equal the defining Sweedler sums for any σ and σ⁻¹.  The 1-cocycle routes
-multiply in H* over Δ's terms too, and build no H*.
+multiply in H* over Δ's lifted terms too, and build no H*.  The
+convolutions, S^σ and the H* products sum lifted values and reduce each
+output vector once.
 
 The θ side is the σ side on the dual.  An element of H⊗H is a functional on
 H*⊗H* through the same matrix, and the product of H⊗H is the convolution of
@@ -48,15 +51,15 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .hopf import HopfAlgebra, dual_hopf
-from .linalg import (Matrix, Tensor, linear_combination, solve, sparse_solve,
-                     sparse_sum)
+from .linalg import Matrix, Tensor, solve, sparse_solve, sparse_sum
 from .report import CheckReport, VerificationError, first_mismatch
 
 
 # -- scalar-functional helpers ---------------------------------------------
 
 def eval2(f, u, v):
-    """f(u⊗v), the one place a functional on H⊗H is paired with elements.
+    """f(u⊗v) on field elements, the one place a functional on H⊗H is
+    paired with elements (eval2_lifted is its form on lifted values).
 
     u and v are basis indices or sparse rows [(k, c)], hopf.py's elements
     of H: an int i stands for e_i, so f(e_i⊗e_j) is f.data[i][j].
@@ -80,6 +83,23 @@ def eval2(f, u, v):
         for j, y in v:
             if row[j]:
                 acc = acc + x * y * row[j]
+    return acc
+
+
+def eval2_lifted(rows, u, v):
+    """eval2 on lifted values (fields.Field.lift): f(u⊗v) for f given as
+    its lifted rows (Matrix.lifted_rows) and u and v basis indices or
+    sparse rows with lifted coefficients, as an unreduced lifted sum."""
+    acc = 0
+    for i, x in ((u, 1),) if type(u) is int else u:
+        row = rows[i]
+        if type(v) is int:
+            if row[v]:
+                acc += x * row[v]
+            continue
+        for j, y in v:
+            if row[j]:
+                acc += x * y * row[j]
     return acc
 
 
@@ -177,6 +197,8 @@ def conv_inverse1(h, mu):
 
 def _dual_product(h, mu, nu):
     """μν in H* for functionals μ and ν on H: (μν)(x) = Σ μ(x₁)ν(x₂)."""
+    lift = h.field.lift
+    mu, nu = list(map(lift, mu)), list(map(lift, nu))
     return _delta_functional(h, lambda a, b: mu[a] * nu[b])
 
 
@@ -345,35 +367,50 @@ def _coordinate_functionals(h):
 
 
 def _delta_functional(h, value):
-    """The functional e_i ↦ Σ value(i₁, i₂) over Δ(e_i), as a vector of H*."""
-    return [sum((cd * value(a, b) for a, b, cd in h.delta.terms(i)),
-                h.field.zero) for i in range(h.dim)]
+    """The functional e_i ↦ Σ value(i₁, i₂) over Δ(e_i), as a vector of H*,
+    for value giving lifted numbers: summed lifted, reduced once."""
+    return h.field.reduce_vec([sum(c * value(a, b) for a, b, c in terms)
+                               for terms in h.delta.lifted_terms()])
 
 
 def _deform(c):
     h = c.host
     n, f, hs = h.dim, h.field, range(h.dim)
-    sig, inv = c.sigma, c.sigma_inv
-    S, Sinv = h.antipodes.rows(0), h.antipodes.rows(1)
+    lift = f.lift
+    sig, inv = c.sigma.lifted_rows(), c.sigma_inv.lifted_rows()
+    S, Sinv = h.antipodes.lifted_rows()
     # m^σ = σ * m_k * σ⁻¹ for each coordinate functional m_k
-    twisted = [convolve2(h, convolve2(h, sig, m_k), inv)
+    twisted = [convolve2(h, convolve2(h, c.sigma, m_k), c.sigma_inv)
                for m_k in _coordinate_functionals(h)]
     mult = Tensor.from_rows(f, (n, n, n), [
         [[t.data[i][j] for t in twisted] for j in hs] for i in hs])
 
+    def functional(value):
+        """_delta_functional(h, value), lifted from its reduced value."""
+        return list(map(lift, _delta_functional(h, value)))
+
     # S^σ = u * S * v and (S^σ)⁻¹ = u' * S⁻¹ * v' in H*: the image of e_x
-    # is Σ u(x₁)v(x₃)·S(x₂) over Δ²(e_x), and the same with S⁻¹
+    # is Σ u(x₁)v(x₃)·S(x₂) over Δ²(e_x), and the same with S⁻¹, summed
+    # lifted and reduced once per row
     def sandwich(u, rows, v):
-        return Matrix(f, n, n, [linear_combination(f, n, (
-            (w * u[a] * v[d], rows[b]) for (a, b, d), w in h.copower(x, 3)
-            if u[a] and v[d])) for x in hs])
+        out = []
+        for x in hs:
+            acc = [0] * n
+            for (a, b, d), w in h.copower(x, 3):
+                uv = u[a] * v[d]
+                if uv:
+                    uv *= lift(w)
+                    for k, y in rows[b]:
+                        acc[k] += uv * y
+            out.append(f.reduce_vec(acc))
+        return Matrix(f, n, n, out)
 
     s_mat = sandwich(   # u(h) = σ(h₁⊗S(h₂)), v(h) = σ⁻¹(S(h₁)⊗h₂)
-        _delta_functional(h, lambda a, b: eval2(sig, a, S[b])), S,
-        _delta_functional(h, lambda a, b: eval2(inv, S[a], b)))
+        functional(lambda a, b: eval2_lifted(sig, a, S[b])), S,
+        functional(lambda a, b: eval2_lifted(inv, S[a], b)))
     s_inv_mat = sandwich(   # u'(h) = σ(S⁻¹(h₂)⊗h₁), v'(h) = σ⁻¹(h₂⊗S⁻¹(h₁))
-        _delta_functional(h, lambda a, b: eval2(sig, Sinv[b], a)), Sinv,
-        _delta_functional(h, lambda a, b: eval2(inv, b, Sinv[a])))
+        functional(lambda a, b: eval2_lifted(sig, Sinv[b], a)), Sinv,
+        functional(lambda a, b: eval2_lifted(inv, b, Sinv[a])))
     return HopfAlgebra(f, n, list(h.basis_names), mult, list(h.unit),
                        h.comult, list(h.counit), s_mat, s_inv_mat,
                        name=h.name + "^s")

@@ -54,12 +54,11 @@ verify_yd_algebra do, when a caller asks.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .hopf import (dual_hopf, first_action_mismatch, first_coaction_mismatch,
                    first_unit_mismatch)
-from .linalg import (Matrix, Tensor, are_inverse, check_shape,
+from .linalg import (Matrix, Tensor, _reduce, are_inverse, check_shape,
                      linear_combination, mat_mul, rank, sparse_kernel,
                      sparse_rank, sparse_sum)
 from .report import (CheckReport, VerificationError, first_block_mismatch,
@@ -147,12 +146,16 @@ class YdMap:
 
 def verify_yd(mod):
     """Module and comodule axioms plus the crossed compatibility; the
-    equivalent S⁻¹-form is recomputed independently as a cross-check."""
+    equivalent S⁻¹-form is recomputed independently as a cross-check.
+    Both compatibility forms sum lifted values, keyed q·n + k for v_q⊗e_k,
+    and compare them reduced (report.first_lifted_mismatch)."""
     h = mod.host
+    f = h.field
+    n = h.dim
     m = mod.dim
-    zero = h.field.zero
+    zero = f.zero
     act, coact, e = mod.act, mod.coact, mod.basis_vec
-    hs, ms = range(h.dim), range(m)
+    hs, ms = range(n), range(m)
     rep = CheckReport()
 
     bad = first_unit_mismatch(h.unit, act)
@@ -172,49 +175,63 @@ def verify_yd(mod):
         bad = first_coaction_mismatch(h.delta, coact)
     rep.add("comodule_axioms", bad is None, bad)
 
+    lift = f.lift
+    delta, hmul = h.delta.lifted_terms(), h.mul.lifted_rows()
+    arows, cterms = act.lifted_rows(), coact.lifted_terms()
+
     def compatibility(i, p):
-        di = h.delta.terms(i)
         lhs = {}
-        for a, b, ca in di:
-            for q0, k, c0 in coact.terms(p):
-                for q, x in act.row(a, q0):
-                    w = ca * c0 * x
-                    for k2, cm in h.mul.row(b, k):
-                        key = (q, k2)
-                        lhs[key] = lhs.get(key, zero) + w * cm
+        for a, b, ca in delta[i]:
+            for q0, k, c0 in cterms[p]:
+                for q, x in arows[a][q0]:
+                    w, base = ca * c0 * x, q * n
+                    for k2, cm in hmul[b][k]:
+                        key = base + k2
+                        lhs[key] = lhs.get(key, 0) + w * cm
         rhs = {}
-        for a, b, ca in di:
-            for q0, x in act.row(b, p):
+        for a, b, ca in delta[i]:
+            for q0, x in arows[b][p]:
                 w = ca * x
-                for q, k, c0 in coact.terms(q0):
-                    for k2, cm in h.mul.row(k, a):
-                        key = (q, k2)
-                        rhs[key] = rhs.get(key, zero) + w * c0 * cm
+                for q, k, c0 in cterms[q0]:
+                    w0, base = w * c0, q * n
+                    for k2, cm in hmul[k][a]:
+                        key = base + k2
+                        rhs[key] = rhs.get(key, 0) + w0 * cm
         return lhs, rhs
 
-    bad = first_mismatch((hs, ms), compatibility)
+    bad = first_lifted_mismatch(f, (hs, ms), compatibility, n)
     rep.add("yd_compatibility", bad is None, bad,
             "Σh1·m0⊗h2m1 = Σ(h2·m)0⊗(h2·m)1h1")
 
+    words, lifted_words = h.word_table(), {}
+
+    def word(c, k, a):
+        """words(c, k, a) with lifted coefficients, lifted once."""
+        got = lifted_words.get((c, k, a))
+        if got is None:
+            got = lifted_words[c, k, a] = [(k2, lift(v))
+                                           for k2, v in words(c, k, a)]
+        return got
+
     def compatibility_sinv(i, p):
         lhs = {}
-        for q0, x in act.row(i, p):
-            for q, k, c0 in coact.terms(q0):
-                key = (q, k)
-                lhs[key] = lhs.get(key, zero) + x * c0
+        for q0, x in arows[i][p]:
+            for q, k, c0 in cterms[q0]:
+                key = q * n + k
+                lhs[key] = lhs.get(key, 0) + x * c0
         rhs = {}
         for (a, b, c3), w in h.copower(i, 3):
-            for q0, k, c0 in coact.terms(p):
-                word = words(c3, k, a)
-                for q, x in act.row(b, q0):
-                    w2 = w * c0 * x
-                    for k2, cv in word:
-                        key = (q, k2)
-                        rhs[key] = rhs.get(key, zero) + w2 * cv
+            w = lift(w)
+            for q0, k, c0 in cterms[p]:
+                wk, w0 = word(c3, k, a), w * c0
+                for q, x in arows[b][q0]:
+                    w2, base = w0 * x, q * n
+                    for k2, cv in wk:
+                        key = base + k2
+                        rhs[key] = rhs.get(key, 0) + w2 * cv
         return lhs, rhs
 
-    words = h.word_table()
-    bad = first_mismatch((hs, ms), compatibility_sinv)
+    bad = first_lifted_mismatch(f, (hs, ms), compatibility_sinv, n)
     rep.add("yd_compatibility_sinv_form", bad is None, bad,
             "ρ(h·m) = Σh2·m0⊗h3m1S⁻¹(h1)")
     return rep
@@ -223,44 +240,47 @@ def verify_yd(mod):
 def verify_yd_algebra(alg):
     """YD module checks plus associative unital algebra, left H-module
     algebra, and right H^op-comodule algebra axioms.  Products and actions
-    of basis vectors are read from the sparse rows of alg.mul and mod.act."""
+    of basis vectors are read from the lifted rows of alg.mul and mod.act,
+    and the module- and comodule-algebra sides are summed lifted and
+    compared reduced (report.first_block_mismatch, first_lifted_mismatch)."""
     rep = verify_yd(alg.module)
     h = alg.host
+    f = h.field
+    n = h.dim
     m = alg.dim
-    zero = h.field.zero
+    zero = f.zero
     mod = alg.module
-    mul, act = alg.mul, mod.act
-    hs, ms = range(h.dim), range(m)
+    hs, ms = range(n), range(m)
 
-    bad = first_unit_mismatch(alg.unit, mul, two_sided=True)
+    bad = first_unit_mismatch(alg.unit, alg.mul, two_sided=True)
     if bad is None:
-        bad = first_action_mismatch(mul, mul)
+        bad = first_action_mismatch(alg.mul, alg.mul)
     rep.add("algebra_axioms", bad is None, bad)
 
-    def module_algebra(i, p):
-        # h·(v_p v_q) and Σ(h₁·v_p)(h₂·v_q) for h = e_i, over every q
-        hp = [(b, s, ca * x) for a, b, ca in h.delta.terms(i)
-              for s, x in act.row(a, p)]
-        lhs, rhs = [], []
-        for q in ms:
-            acc = [zero] * m
-            for t, c in mul.row(p, q):
-                for k, w in act.row(i, t):
-                    acc[k] = acc[k] + c * w
-            lhs.append(acc)
-            acc = [zero] * m
-            for b, s, w in hp:
-                for t, y in act.row(b, q):
-                    for k, c in mul.row(s, t):
-                        acc[k] = acc[k] + w * y * c
-            rhs.append(acc)
-        return lhs, rhs
+    delta, hmul = h.delta.lifted_terms(), h.mul.lifted_rows()
+    mul, act = alg.mul.lifted_rows(), mod.act.lifted_rows()
+    coact = mod.coact.lifted_terms()
 
-    bad = first_mismatch((hs, ms), module_algebra)
-    if bad is not None:
-        lhs, rhs = module_algebra(*bad)
-        bad += first_mismatch((ms,), lambda q: (lhs[q], rhs[q]))
-    else:
+    def module_algebra(i, p):
+        # h·(v_p v_q) − Σ(h₁·v_p)(h₂·v_q) for h = e_i, one row per q
+        hp = [(b, s, ca * x) for a, b, ca in delta[i] for s, x in act[a][p]]
+        diff = {}
+        for q in ms:
+            base = q * m
+            for t, c in mul[p][q]:
+                for k, w in act[i][t]:
+                    key = base + k
+                    diff[key] = diff.get(key, 0) + c * w
+            for b, s, w in hp:
+                for t, y in act[b][q]:
+                    wy = w * y
+                    for k, c in mul[s][t]:
+                        key = base + k
+                        diff[key] = diff.get(key, 0) - wy * c
+        return diff
+
+    bad = first_block_mismatch(f, (hs, ms), module_algebra, m)
+    if bad is None:
         bad = first_mismatch((hs,), lambda i: (
             mod.act_basis_vec(i, alg.unit),
             [h.counit[i] * x for x in alg.unit]))
@@ -269,24 +289,24 @@ def verify_yd_algebra(alg):
 
     def comodule_algebra(p, q):
         lhs = {}
-        for k2, c in mul.row(p, q):
-            for q2, k, c2 in mod.coact.terms(k2):
-                key = (q2, k)
-                lhs[key] = lhs.get(key, zero) + c * c2
+        for k2, c in mul[p][q]:
+            for q2, k, c2 in coact[k2]:
+                key = q2 * n + k
+                lhs[key] = lhs.get(key, 0) + c * c2
         rhs = {}
-        for p0, k1, c1 in mod.coact.terms(p):
-            for q0, k2, c2 in mod.coact.terms(q):
-                w = c1 * c2
-                prod = mul.row(p0, q0)
-                for k3, cm in h.mul.row(k2, k1):
+        for p0, k1, c1 in coact[p]:
+            for q0, k2, c2 in coact[q]:
+                w, prod = c1 * c2, mul[p0][q0]
+                for k3, cm in hmul[k2][k1]:
+                    wm = w * cm
                     for t, ct in prod:
-                        key = (t, k3)
-                        rhs[key] = rhs.get(key, zero) + w * cm * ct
+                        key = t * n + k3
+                        rhs[key] = rhs.get(key, 0) + wm * ct
         return lhs, rhs
 
     def unit_coaction():
-        lhs = [[zero] * h.dim for _ in ms]
-        rhs = [[zero] * h.dim for _ in ms]
+        lhs = [[zero] * n for _ in ms]
+        rhs = [[zero] * n for _ in ms]
         for p, x in enumerate(alg.unit):
             if x:
                 for q, k, c in mod.coact.terms(p):
@@ -295,7 +315,7 @@ def verify_yd_algebra(alg):
                     rhs[p][k] = rhs[p][k] + x * u
         return lhs, rhs
 
-    bad = first_mismatch((ms, ms), comodule_algebra)
+    bad = first_lifted_mismatch(f, (ms, ms), comodule_algebra, n)
     if bad is None:
         bad = first_mismatch((), unit_coaction)
     rep.add("comodule_algebra", bad is None, bad,
@@ -913,42 +933,44 @@ def generating_set(alg):
     """A small set of basis vectors generating alg as a unital algebra.
 
     Greedy: walk the basis, keep an element when it is outside the unital
-    subalgebra generated so far, and re-close.  Closing multiplies the span
-    by the new generator, and then only each row that adds a pivot column
-    by every generator: the span is the old span plus those rows.
+    subalgebra generated so far, and re-close.  The span is one echelon,
+    linalg._reduce's {pivot column: row}, kept for the whole walk: closing
+    reduces into it the products of the span by the new generator, and
+    then only those of each row that adds a pivot by every generator.  The
+    products are summed lifted and reduced once per coordinate.
     """
-    from .linalg import row_space_echelon, in_span
     f = alg.host.field
-    m = alg.dim
-    e, row = alg.module.basis_vec, alg.mul.row
+    lift, red = f.lift, f.reduce
+    mul = alg.mul.lifted_rows()
     gens = []
-    span = row_space_echelon(f, [alg.unit], m)
+    span = _reduce(f, [enumerate(alg.unit)])
 
-    def lead(row):
-        return next(i for i, x in enumerate(row) if x)
+    def products(rows, new):
+        """u·e_g and e_g·u for every row u and every g in new."""
+        for u in rows:
+            lu = [(p, lift(c)) for p, c in u.items()]
+            for g in new:
+                for left in (False, True):
+                    acc = {}
+                    for p, c in lu:
+                        for k, w in (mul[g][p] if left else mul[p][g]):
+                            acc[k] = acc.get(k, 0) + c * w
+                    yield [(k, red(v)) for k, v in acc.items()]
 
-    def products(u, g):
-        """u·e_g and e_g·u, from the sparse product rows."""
-        nz = [(p, c) for p, c in enumerate(u) if c]
-        return (linear_combination(f, m, ((c, row(p, g)) for p, c in nz)),
-                linear_combination(f, m, ((c, row(g, p)) for p, c in nz)))
-
-    def close(frontier, new):
-        nonlocal span
-        while frontier:
-            pivots = {lead(r) for r in span}
-            span = row_space_echelon(f, span + [
-                w for u in frontier for g in new for w in products(u, g)], m)
-            frontier = [r for r in span if lead(r) not in pivots]
+    def close(rows, new):
+        while rows:
+            size = len(span)
+            _reduce(f, products(rows, new), pivots=span)
+            rows = list(span.values())[size:]
             new = gens
 
-    for g in range(m):
-        if len(span) == m:
+    for g in range(alg.dim):
+        if len(span) == alg.dim:
             break
-        if in_span(f, e(g), span, m):
+        if len(_reduce(f, [((g, f.one),)], pivots=dict(span))) == len(span):
             continue
         gens.append(g)
-        close(span, [g])
+        close(list(span.values()), [g])
     return gens
 
 
@@ -960,12 +982,14 @@ def azumaya_check(alg):
     Precondition: alg is a verified YD algebra (cmd_azumaya runs
     verify_yd_algebra first); the argument below uses its axioms.
 
-    F and G are read off the sparse product rows of A and of Ā, where
+    F and G are read off the lifted product rows of A and of Ā, where
     ē_s∘ē_t = Σ t₀ (t₁·e_s): F(e_p#ē_q)(e_x) = e_p·(ē_q∘ē_x) and
     G(ē_p#e_q)(e_x) = (ē_x∘ē_p)·e_q.  An element of End(A) is kept as
     {x·m+s: coefficient of e_s in the image of e_x}, so F and G are dict
-    rows, ranked by sparse_rank, and F is applied to an element of A#Ā
-    given as terms (p, q, c) of Σ c·e_p#ē_q.
+    rows, reduced once per entry and ranked by sparse_rank, and F is
+    applied to an element of A#Ā given as terms (p, q, c) of Σ c·e_p#ē_q.
+    The algebra-map sides are summed on F's lifted rows and compared
+    reduced.
 
     Maps are row-as-image, so F(X)F(Y) = F(X)∘F(Y) is then(F(Y), F(X)).
     With F_A(a) = F(a#1), F_B(b̄) = F(1#b̄) and F(1#1) = id (F_unital),
@@ -992,66 +1016,76 @@ def azumaya_check(alg):
     dim = m * m
     ms = range(m)
     bar = h_opposite(alg)
-    arow, brow = alg.mul.row, bar.mul.row
+    arow, brow = alg.mul.lifted_rows(), bar.mul.lifted_rows()
 
-    # entry p·m+q: F(e_p#ē_q) and G(ē_p#e_q)
+    # entry p·m+q: F(e_p#ē_q) and G(ē_p#e_q), lifted sums
     frows = [sparse_sum((x * m + s, c * d) for x in ms
-                        for t, c in brow(q, x) for s, d in arow(p, t))
+                        for t, c in brow[q][x] for s, d in arow[p][t])
              for p in ms for q in ms]
     grows = [sparse_sum((x * m + s, c * d) for x in ms
-                        for t, c in brow(x, p) for s, d in arow(t, q))
+                        for t, c in brow[x][p] for s, d in arow[t][q])
              for p in ms for q in ms]
 
-    rank_f = sparse_rank(f, frows)
-    rank_g = sparse_rank(f, grows)
+    rank_f = sparse_rank(f, map(f.reduce_row, frows))
+    rank_g = sparse_rank(f, map(f.reduce_row, grows))
     rep.add("F_bijective", rank_f == dim, None, "rank %d of %d" % (rank_f, dim))
     rep.add("G_bijective", rank_g == dim, None, "rank %d of %d" % (rank_g, dim))
 
     def f_of(terms):
-        """F(Σ c·e_p#ē_q) for terms [(p, q, c)]."""
+        """F(Σ c·e_p#ē_q) for terms [(p, q, c)], c lifted."""
         return sparse_sum((k, c * v) for p, q, c in terms
                           for k, v in frows[p * m + q].items())
 
-    def then(x, y):
-        """x followed by y, for elements of End(A) given like F's rows."""
+    def by_source(y):
+        """An element of End(A) given like F's rows, as {x: [(s, c)]}."""
         rows = {}
         for k, v in y.items():
-            t, s = divmod(k, m)
-            rows.setdefault(t, []).append((s, v))
+            x, s = divmod(k, m)
+            rows.setdefault(x, []).append((s, v))
+        return rows
+
+    def then(x, rows):
+        """x followed by the element of End(A) that by_source gave rows."""
         return sparse_sum((r * m + s, c * v) for k, c in x.items()
                           for r, t in (divmod(k, m),)
                           for s, v in rows.get(t, ()))
 
-    unit = [(p, c) for p, c in enumerate(alg.unit) if c]
+    def agree(lhs, rhs):
+        diff = dict(lhs)
+        for k, v in rhs.items():
+            diff[k] = diff.get(k, 0) - v
+        return not f.reduce_row(diff)
+
+    unit = [(p, f.lift(c)) for p, c in enumerate(alg.unit) if c]
     # (1#ē_b)(e_g#1) = Σ g₀ # g₁·ē_b = Φ(ē_b⊗e_g), entry b·m+g
-    exchange = [[(p, q, f.reduce(c)) for p, q, c in ts]
-                for ts in _braid_terms(mod, mod)]
+    exchange = _braid_terms(mod, mod)
     gens_a = generating_set(alg)
     gens_b = generating_set(bar)
     fa = [f_of([(a, q, c) for q, c in unit]) for a in ms]
     fb = [f_of([(p, b, c) for p, c in unit]) for b in ms]
+    fa_rows, fb_rows = list(map(by_source, fa)), list(map(by_source, fb))
     families = (
         ("(i) F(ga#1) = F(g#1)F(a#1)", (gens_a, ms), lambda g, a: (
-            f_of([(t, q, c * u) for t, c in arow(g, a) for q, u in unit]),
-            then(fa[a], fa[g]))),
+            f_of([(t, q, c * u) for t, c in arow[g][a] for q, u in unit]),
+            then(fa[a], fa_rows[g]))),
         ("(ii) F(1#ḡ∘b̄) = F(1#ḡ)F(1#b̄)", (gens_b, ms), lambda g, b: (
-            f_of([(p, t, u * c) for p, u in unit for t, c in brow(g, b)]),
-            then(fb[b], fb[g]))),
+            f_of([(p, t, u * c) for p, u in unit for t, c in brow[g][b]]),
+            then(fb[b], fb_rows[g]))),
         ("(iii) F(a#b̄) = F(a#1)F(1#b̄)", (ms, ms), lambda a, b: (
-            frows[a * m + b], then(fb[b], fa[a]))),
+            frows[a * m + b], then(fb[b], fa_rows[a]))),
         ("(iv) F((1#b̄)(g#1)) = F(1#b̄)F(g#1)", (gens_a, ms), lambda g, b: (
-            f_of(exchange[b * m + g]), then(fa[g], fb[b]))))
+            f_of(exchange[b * m + g]), then(fa[g], fb_rows[b]))))
     detail = "checked against %d generators" % (len(gens_a) + len(gens_b))
     for family, space, sides in families:
         # one verdict per index pair, so that the witness is the pair
-        bad = first_mismatch(space, lambda *idx: (operator.eq(*sides(*idx)),
-                                                  True))
+        bad = first_mismatch(space, lambda *idx: (agree(*sides(*idx)), True))
         if bad is not None:
             detail = family
             break
     rep.add("F_algebra_map", bad is None, bad, detail)
-    rep.add("F_unital", f_of([(p, q, c * u) for p, c in unit for q, u in unit])
-            == {x * m + x: f.one for x in ms})
+    rep.add("F_unital", agree(
+        f_of([(p, q, c * u) for p, c in unit for q, u in unit]),
+        {x * m + x: 1 for x in ms}))
 
     nonzero = any(alg.unit)
     rep.add("is_azumaya", nonzero and rank_f == dim and rank_g == dim)

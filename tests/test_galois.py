@@ -2,6 +2,7 @@
 witnesses and Galois/Miyashita-Ulbrich machinery."""
 
 import random
+from collections.abc import Iterator
 from functools import partial
 
 import pytest
@@ -447,10 +448,10 @@ def test_galois_maps_beta_matrices(monkeypatch, bh1, r1, s1, unit_obj):
     seen = {}
     inner = galois._beta_quotient_bijective
 
-    def capture(f, beta, target, rels, rep, tag):
+    def capture(f, beta, target, parts, rep, tag):
         seen[tag] = [[row.get(c, f.zero) for c in range(target)]
                      for row in beta]
-        return inner(f, beta, target, rels, rep, tag)
+        return inner(f, beta, target, parts, rep, tag)
 
     monkeypatch.setattr(galois, "_beta_quotient_bijective", capture)
     bhs = build_hr(deform_cqt(r1, s1))
@@ -488,46 +489,107 @@ def dense_relations(alg, xs):
     return rels
 
 
+def check_relations(alg, xs, beta):
+    """test_relations_match_dense_reference on one algebra, its β rows and
+    one list xs of dense vectors x; returns the relations and the
+    witness."""
+    from hopflab.galois import (_beta_quotient_bijective, _relation_parts,
+                                _relations)
+    from hopflab.linalg import sparse_rank
+    f = alg.host.field
+    target = alg.dim * alg.host.dim
+    want = [{i: c for i, c in enumerate(vec) if c}
+            for vec in dense_relations(alg, xs)]
+    parts = _relation_parts(alg, [[(j, c) for j, c in enumerate(x) if c]
+                                  for x in xs])
+    assert list(_relations(parts)) == want
+
+    def image(rel):
+        """β(rel) as a dense vector, summed on field elements."""
+        acc = [f.zero] * target
+        for k, x in rel.items():
+            for c, v in beta[k].items():
+                acc[c] = acc[c] + x * v
+        return acc
+
+    witness = next(((i,) for i, rel in enumerate(want) if any(image(rel))),
+                   None)
+    rep = CheckReport()
+    _beta_quotient_bijective(f, beta, target, parts, rep, "beta")
+    assert rep.checks[1].witness == witness
+    if witness is not None:
+        assert rep.checks[2].detail.startswith(
+            "relation rank %d " % sparse_rank(f, want))
+    return want, witness
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_relations_match_dense_reference(field):
     """_relations gives the dense reference's nonzero relations, flattened
     to {p·m + r: coefficient}, in the same order: for x (given as a sparse
-    row) over A₀ and over two vectors outside it, on I, H_regular,
-    End(regular) and σ̲_1 of each."""
-    from hopflab.galois import _relations
+    row) over A₀, and over A₀ and two vectors outside it, on I, H_regular,
+    End(regular) and σ̲_1 of each.  On the same relations,
+    _beta_quotient_bijective, which reads β(relation) from the parts,
+    gives as witness the index in that list of the first relation whose
+    dense β image is not 0, and as relation rank the rank of the list."""
+    from hopflab.galois import _galois_map
     h4 = sweedler_h4(field, verify=False)
     s1 = sigma_t(h4, 1)
     algebras = [unit_object(h4), regular_galois_algebra(h4),
                 end_regular(r_t(h4, 1))]
     algebras += [sigma_algebra(s1, alg) for alg in algebras]
+    witnesses = set()
     for alg in algebras:
         m = alg.dim
-        xs = comodule_coinvariants(alg).vectors + [
+        beta = _galois_map(alg, [alg.module.coact.terms(p)
+                                 for p in range(m)], False)
+        sub0 = comodule_coinvariants(alg).vectors
+        witnesses.add(check_relations(alg, sub0, beta)[1])
+        want, witness = check_relations(alg, sub0 + [
             alg.module.basis_vec(m - 1),
-            [field.from_int(i % 3 - 1) for i in range(m)]]
-        want = [{i: c for i, c in enumerate(vec) if c}
-                for vec in dense_relations(alg, xs)]
-        rows = [[(j, c) for j, c in enumerate(x) if c] for x in xs]
-        assert want and _relations(alg, rows) == want
+            [field.from_int(i % 3 - 1) for i in range(m)]], beta)
+        assert want
+        witnesses.add(witness)
+    assert None in witnesses and len(witnesses) > 1
 
 
-def test_relation_rank_stops_at_the_kernel_only_inside_it():
+def test_relation_rank_stops_at_the_kernel_only_inside_it(monkeypatch):
     """The relation rank is capped at dim ker β only once every relation
-    lies in ker β, where the cap cannot bind; relations that leave ker β
-    are ranked in full, so the detail shows their whole rank."""
-    from hopflab.galois import _beta_quotient_bijective
-    from hopflab.report import CheckReport
-    beta = [{0: 1}, {1: 1}, {}]                 # 3 rows of 2; ker β = ⟨e_2⟩
-    cases = [([{2: 1}, {2: -2}, {}], "pass", None, 1),
-             ([{2: 1}, {0: 1}, {1: 1}], "fail", (1,), 3)]
-    for rels, status, witness, rel_rank in cases:
+    lies in ker β, where the cap cannot bind, and the capped rank makes
+    only the relation rows it reads; relations that leave ker β are ranked
+    in full, so the detail shows their whole rank.  The witness counts
+    only the nonzero relations.
+
+    The parts are m = 2 hand-made ones: the relation of (x, v_p, v_r) is
+    Σ_t ax[p]_t e_{2t+r} + Σ_t nxb[r]_t e_{2p+t}, and ker β = ⟨e_2, e_3⟩."""
+    beta = [{0: 1}, {1: 1}, {}, {}]       # 4 rows of 2
+    inside = ([{1: 1}, {}], [{}, {}])     # relations e_2, e_3
+    twice = ([{1: -2}, {}], [{}, {}])     # relations −2e_2, −2e_3
+    # (0, 0) is zero, (0, 1) is e_1 ∉ ker β, (1, 0) is −e_2, (1, 1) none
+    leaves = ([{0: 1}, {}], [{0: -1}, {}])
+    made = []
+    inner = galois._relations
+
+    def counted(parts):
+        for rel in inner(parts):
+            made.append(rel)
+            yield rel
+
+    monkeypatch.setattr(galois, "_relations", counted)
+    cases = [([inside, twice], "pass", None, 2, 2),
+             ([inside, leaves], "fail", (2,), 3, 4)]
+    for parts, status, witness, rel_rank, rows_made in cases:
         rep = CheckReport()
-        _beta_quotient_bijective(QQ, beta, 2, rels, rep, "beta")
+        del made[:]
+        galois._beta_quotient_bijective(QQ, beta, 2, parts, rep, "beta")
         assert [(c.name, c.status, c.witness, c.detail)
                 for c in rep.checks[1:]] == [
             ("beta_relations_in_kernel", status, witness, ""),
-            ("beta_kernel_is_relations", "pass" if rel_rank == 1 else "fail",
-             None, "relation rank %d vs kernel dim 1" % rel_rank)]
+            ("beta_kernel_is_relations", "pass" if rel_rank == 2 else "fail",
+             None, "relation rank %d vs kernel dim 2" % rel_rank)]
+        assert len(made) == rows_made
+    assert list(inner([inside, leaves])) == [
+        {2: 1}, {3: 1}, {1: 1}, {2: -1}]
 
 
 def test_galois_maps_trivial_not_galois(kc2):
@@ -921,10 +983,13 @@ def galois_outcomes(bh, b, alg, alg_report):
 
 def remember(mp, name, key):
     """Let galois.<name>, a function of its arguments alone, answer
-    arguments with a key it has seen with its earlier answer."""
+    arguments with a key it has seen with its earlier answer.  An argument
+    that is an iterator, such as the relation rows that _relations makes
+    as they are read, is read into a list first."""
     answers, inner = {}, getattr(galois, name)
 
     def remembered(*args):
+        args = [list(a) if isinstance(a, Iterator) else a for a in args]
         k = key(*args)
         if k not in answers:
             answers[k] = inner(*args)
@@ -934,13 +999,13 @@ def remember(mp, name, key):
 
 def remember_shared_steps(mp):
     """Two steps the reference layer does not replace, the relation ranks
-    and the relations themselves (test_relations_match_dense_reference is
+    and the relations' parts (test_relations_match_dense_reference is
     their reference), answer a repeated input once: both runs of a case,
     and coinvariant spaces that coincide, share them, so the reference run
     costs about what it replaces."""
     remember(mp, "sparse_rank", lambda f, rows, cap=None: (
         f.spec(), cap, tuple(tuple(row.items()) for row in rows)))
-    remember(mp, "_relations", lambda alg, rows: (
+    remember(mp, "_relation_parts", lambda alg, rows: (
         id(alg), tuple(map(tuple, rows))))
 
 

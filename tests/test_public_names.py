@@ -17,8 +17,9 @@ ALLOWED = {
     "catalog_entries": "read by perfbench/workloads.py",
     "theta_module": "a span group of perfbench/spans.py",
     "verify_braided_functor": "a span group of perfbench/spans.py",
-    "hopf_map_checks": "reserved for the Taft deformations (ROADMAP item 4)",
-    "compose_cocycles": "reserved for the BQ group map (ROADMAP item 5)",
+    "hopf_map_checks": "reserved for the Taft deformations (ROADMAP item 5)",
+    "compose_cocycles": "reserved for the BQ group map (ROADMAP item 11)",
+    "in_span": "a span group of perfbench/spans.py",
     "verify_theta_braided": "θ̲'s single-pair braided square, tests only",
     "comodule_galois": "the public form of _comodule_galois, which "
                        "SuiteContext.galois memoizes for criteria 13 and 14",
