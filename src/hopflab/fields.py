@@ -23,8 +23,8 @@ they agree between an int and an equal rational of either type:
 ``Fraction(2) == 2``, both hash alike, and both print as ``2``.  Reports,
 JSON documents and set/dict keys are therefore the same whatever type a
 value has.  A plain ``Fraction`` from outside (a test, or a user's t)
-mixes exactly and is turned into an int or a ``QFraction`` by
-``Rationals.reduce_vec``.
+mixes exactly, and lifting it reads its numerator and denominator, so the
+sums a loop builds from it come back as ints and ``QFraction``s.
 
 F_p is int-backed too: an element of ``PrimeField(p)`` is an instance of
 an ``int`` subclass made for that field, holding its residue in [0, p).
@@ -43,23 +43,33 @@ equal elements of one field are the same object.  A larger p gets no
 p-sized table; its ``residues`` builds the element on each lookup.
 
 ``Field.lift`` and ``Field.reduce`` let a hot loop sum on plain Python
-numbers.  ``lift(x)`` is a value whose +, - and * run in C: over F_p the
-residue as a plain int, over ℚ x itself.  ``reduce(s)`` is the field
-element equal to a sum s of products of lifted values: over F_p the
-element of s mod p, over ℚ s itself.  Both are exact, because reduction
-mod p is a ring map from ℤ, so an identity holds in F_p exactly when its
-two lifted sides are congruent mod p; over ℚ both are the identity
-(``Field.identity_lift``).  A loop lifts its tables once and sums without
-reducing.  A check reduces each coordinate once, where it is compared; a
-construction reduces each output vector once, with ``reduce_vec(vec)``,
-the list of elements equal to the lifted sums in vec: one call per vector,
-never one per coordinate.  Over ℚ the lifted sums are already int-first,
-so ``reduce_vec`` returns a vector as it is unless it holds a plain
-``Fraction``, which it converts.  ``reduce`` stays the identity over ℚ; it
-serves comparisons, where the type does not matter.  linalg.Bilinear keeps
-the lifted tables of the structure tensors, and the checks and
-constructions of hopf.py, yd.py, twist.py and galois.py sum on them (its
-docstring lists the readers).
+ints on both fields.  ``lift(values)`` is the pair (ints, D) of a list of
+field elements, such as a tensor's data or a matrix's entries, written
+as integers over one scale D: over F_p the residues as plain ints, with
+D = 1; over ℚ the values times their common denominator D (the lcm of
+their denominators, 1 when all are ints, and then ints is values itself,
+not a copy).  A loop lifts each table once, sums products of lifted
+values with C arithmetic, and reduces the sums once: a sum of products
+of factors at scales D₁, …, D_k is at the scale D₁⋯D_k, which the loop
+multiplies once per call.  ``reduce(s, scale)`` is the field element
+s / scale: over F_p the element of s mod p (F_p's scale is always 1),
+over ℚ the int-first rational s / scale.  Both are exact, because
+reduction mod p is a ring map from ℤ, so an identity holds in F_p
+exactly when its two lifted sides are congruent mod p, and over ℚ, at a
+common positive scale, two int sums are equal exactly when the
+rationals are.  A check therefore puts its two sides on one scale,
+applying a complementary scale (``complements``) as a scaled copy of the
+smaller table (``scaled``), and tests each coordinate of their
+difference once with ``nonzero(s)``, which reads only zero-ness and so
+needs no scale.  A construction reduces what it builds once, with
+``reduce_vec(vec, scale)``, the list of elements equal to the lifted
+sums in vec over scale: one call per row, matrix or tensor, never one
+per coordinate; at scale 1 over ℚ it returns vec as it is.
+linalg.Bilinear keeps the lifted tables of the structure tensors with
+their scales, and a Matrix its lifted rows; the checks and constructions
+of hopf.py, yd.py, twist.py and galois.py sum on them (Bilinear's
+docstring lists the readers), and a matrix built from lifted sums keeps
+them (Matrix.from_sums), so it is not lifted again.
 """
 
 from __future__ import annotations
@@ -67,7 +77,9 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import is_not
 
 # A written scalar: an integer "a" or a quotient "a/b" of integers.
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -224,27 +236,31 @@ class Field:
     def fmt(self, x):
         raise NotImplementedError
 
-    # lift and reduce are the identity, so a lifted table may be the
-    # table itself
-    identity_lift = True
+    def lift(self, values):
+        """(ints, scale): the list values as ints over one scale, whose
+        quotients are the values (module docstring)."""
+        raise NotImplementedError
 
-    def lift(self, x):
-        """x as a plain number to sum with C arithmetic (module docstring)."""
-        return x
+    def reduce(self, s, scale):
+        """The element s / scale, for s a sum of products of lifted values
+        at that scale."""
+        raise NotImplementedError
 
-    def reduce(self, s):
-        """The element equal to s, a sum of products of lifted values."""
-        return s
+    # nonzero(s): is the lifted sum s, at any positive scale, nonzero in
+    # the field?  A C callable on both fields (ℚ: truth, F_p: s mod p), for
+    # the comparisons, which read only zero-ness
+    nonzero = None
 
-    def reduce_vec(self, vec):
-        """The list of elements equal to the lifted sums in vec."""
-        return vec
+    def reduce_vec(self, vec, scale):
+        """The list of elements equal to the lifted sums in vec over
+        scale."""
+        raise NotImplementedError
 
-    def reduce_row(self, row):
-        """The dict {k: element} of the lifted sums in the dict row, in
-        row's order, without those that reduce to 0."""
-        return {k: v for k, v in zip(row, map(self.reduce, row.values()))
-                if v}
+    def reduce_row(self, row, scale):
+        """The dict {k: element} of the lifted sums in the dict row over
+        scale, in row's order, without those that reduce to 0."""
+        return {k: v for k, v in zip(row, map(self.reduce, row.values(),
+                                              repeat(scale))) if v}
 
     def div(self, a, b):
         """Exact quotient a / b; ZeroDivisionError when b == 0."""
@@ -395,6 +411,13 @@ class QFraction(Fraction):
 
 _RAT = QFraction
 _new = QFraction.__new__
+_INT = {int}
+
+
+def _quotient(s, d):
+    """The non-integral rational s/d, for ints s and d > 1 with d ∤ s."""
+    g = gcd(s, d)
+    return _new(_RAT, s // g, d // g)
 
 
 class Rationals(Field):
@@ -411,12 +434,40 @@ class Rationals(Field):
         return operator.index(k)
 
     div = staticmethod(QFraction._div)
+    nonzero = staticmethod(operator.truth)
 
-    def reduce_vec(self, vec):
-        if Fraction not in set(map(type, vec)):
+    def lift(self, values):
+        # the scans run in C; Python reads only the nonzero values
+        if set(map(type, values)) <= _INT:
+            return values, 1
+        at = range(len(values))
+        fracs = list(compress(at, map(is_not, map(type, values),
+                                      repeat(int))))
+        d = lcm(*{values[i]._denominator for i in fracs})
+        out = list(values)
+        for i in fracs:
+            out[i] = 0
+        for i in compress(at, out):         # the nonzero ints
+            out[i] *= d
+        for i in fracs:
+            x = values[i]
+            out[i] = x._numerator * (d // x._denominator)
+        return out, d
+
+    def reduce(self, s, scale):
+        if scale == 1:
+            return s
+        return _quotient(s, scale) if s % scale else s // scale
+
+    def reduce_vec(self, vec, scale):
+        if scale == 1:
             return vec
-        return [_new(_RAT, x._numerator, x._denominator)
-                if type(x) is Fraction else x for x in vec]
+        # the scan runs in C; Python reads only the nonzero sums
+        out = list(vec)
+        for i in compress(range(len(vec)), vec):
+            s = vec[i]
+            out[i] = _quotient(s, scale) if s % scale else s // scale
+        return out
 
     def fmt(self, x):
         return str(x)
@@ -440,6 +491,7 @@ class PrimeField(Field):
                          else _AllocatingResidues(elem))
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
+        self.nonzero = p.__rmod__
 
     def spec(self):
         return "Fp:%d" % self.p
@@ -447,21 +499,49 @@ class PrimeField(Field):
     def from_int(self, k):
         return self.elem.residues[operator.index(k) % self.p]
 
-    identity_lift = False
-    lift = staticmethod(int)
+    def lift(self, values):
+        return list(map(int, values)), 1
 
-    def reduce(self, s):
+    def reduce(self, s, scale):
         return self.elem.residues[s % self.p]
 
-    def reduce_vec(self, vec):
+    def reduce_vec(self, vec, scale):
+        # the scan runs in C; Python reads only the nonzero sums
         residues, p = self.elem.residues, self.p
-        return [residues[s % p] for s in vec]
+        out = [residues[0]] * len(vec)
+        for i in compress(range(len(vec)), vec):
+            out[i] = residues[vec[i] % p]
+        return out
 
     def fmt(self, x):
         return str(int(x))
 
 
 QQ = Rationals()
+
+
+def complements(a, b):
+    """(b/g, a/g) for g = gcd(a, b), so that a·(b/g) = b·(a/g) = lcm(a, b):
+    the factors that put sums at the scales a and b on one scale."""
+    g = gcd(a, b)
+    return b // g, a // g
+
+
+def scaled(table, k):
+    """table with every lifted coefficient multiplied by k, as a new table
+    when k ≠ 1 and table itself when k = 1.  table is an int, a list of
+    coefficients, a tuple whose last item is the coefficient ((k, c),
+    (j, k, c), (index tuple, c)), a dict of coefficients, or a list of
+    such tables."""
+    if k == 1:
+        return table
+    if type(table) is int:
+        return table * k
+    if type(table) is tuple:
+        return table[:-1] + (table[-1] * k,)
+    if type(table) is dict:
+        return {key: v * k for key, v in table.items()}
+    return [scaled(x, k) for x in table]
 
 
 def field_from_spec(spec):

@@ -46,7 +46,8 @@ from .report import (CheckReport, VerificationError, first_mismatch,
 from .twist import deform, eval2, eval2_lifted
 from .yd import (YdAlgebra, YdMap, YdModule, agreed_tensor, braided_product,
                  dual_module, eta, is_yd_map, quantum_commutative,
-                 sigma_algebra, sigma_module, verify_yd_algebra, yd_tensor)
+                 reduced_rows, sigma_algebra, sigma_module,
+                 verify_yd_algebra, yd_tensor)
 
 
 class Subspace:
@@ -209,8 +210,10 @@ def verify_braided_hopf(bh):
 def bimodule_actions(bh, mod):
     """The 𝓗_R-bimodule structure of a YD module: −▷, ◁− and ▷₂, each
     action checked against its expanded form.  Each form sums lifted values
-    (fields.Field.lift) and reduces one row per (i, p); the expanded forms
-    read each word (e_c e_k)·S⁻¹(e_a) from one h.word_table()."""
+    (fields.Field.lift), R's among them, and reduces all its rows in one
+    call (yd.reduced_rows) at the product of its factors' scales; the
+    expanded forms read each word (e_c e_k)·S⁻¹(e_a) from one
+    h.word_table()."""
     h = bh.host
     r = bh.cqt.r
     if not mod.host.structures_equal(h):
@@ -219,19 +222,22 @@ def bimodule_actions(bh, mod):
     m = mod.dim
     hs = range(h.dim)
     shape = (h.dim, m, m)
-    lift, red = f.lift, f.reduce_vec
-    sinv = h.antipodes.rows(1)
-    s_rows = h.antipodes.lifted_rows()[0]
+    (s_rows, sinv), ss = h.antipodes.lifted_rows()
     a2 = act2_tensor(bh.cqt, mod)
-    act2 = a2.bilinear().lifted_rows()
-    delta = h.delta.lifted_terms()
-    act, coact = mod.act.lifted_rows(), mod.coact.lifted_terms()
-    words = h.word_table()
-
-    copower4 = [[(idx, lift(w)) for idx, w in h.copower(i, 4)] for i in hs]
+    act2, s2 = a2.bilinear().lifted_rows()
+    delta, sd = h.delta.lifted_terms()
+    (act, sa), (coact, sc) = mod.act.lifted_rows(), mod.coact.lifted_terms()
+    rows, sr = r.lifted_rows()
+    words, sw = h.word_table()
+    copower4, s4 = h.lifted_copower(4)
+    # the scales of the four forms' sums
+    scale_left = sd * sa * sc * sr * ss
+    scale_right = sd * ss * s2 * sa
+    scale_right_expanded = s4 * sc * sr * sw * sa
+    scale_left_expanded = scale_right_expanded * ss
 
     # R(S⁻¹(e_b)⊗e_k), the first form of −▷'s pairing
-    r_sinv = [[lift(eval2(r, sinv[b], k)) for k in hs] for b in hs]
+    r_sinv = [[eval2_lifted(rows, sinv[b], k) for k in hs] for b in hs]
 
     def left(i, p):
         # h−▷m = Σ S⁻¹(h₂) ▷₁ (h₁·m)
@@ -244,7 +250,7 @@ def bimodule_actions(bh, mod):
                     scal = r_b[k]
                     if scal:
                         acc[q] += wx * c0 * scal
-        return red(acc)
+        return acc
 
     def left_expanded(i, p):
         # Σ(h₂·m₀) R(S⁻¹(h₄)⊗h₃m₁S⁻¹(h₁))
@@ -252,13 +258,13 @@ def bimodule_actions(bh, mod):
         for (a, b, c3, d), w in copower4[i]:
             act_b = act[b]
             for q0, k, c0 in coact[p]:
-                scal = lift(eval2(r, sinv[d], words(c3, k, a)))
+                scal = eval2_lifted(rows, sinv[d], words(c3, k, a))
                 if not scal:
                     continue
                 wc = w * c0 * scal
                 for q, x in act_b[q0]:
                     acc[q] += wc * x
-        return red(acc)
+        return acc
 
     def right(i, p):
         # m◁−h = Σ S(h₁) ▷₂ (h₂·m)
@@ -270,7 +276,7 @@ def bimodule_actions(bh, mod):
                     wx = wy * x
                     for q, z in act2_t[q0]:
                         acc[q] += wx * z
-        return red(acc)
+        return acc
 
     def right_expanded(i, p):
         # Σ(h₃·m₀) R(h₄m₁S⁻¹(h₂)⊗h₁)
@@ -278,17 +284,23 @@ def bimodule_actions(bh, mod):
         for (a, b, c3, d), w in copower4[i]:
             act_c3 = act[c3]
             for q0, k, c0 in coact[p]:
-                scal = lift(eval2(r, words(d, k, b), a))
+                scal = eval2_lifted(rows, words(d, k, b), a)
                 if not scal:
                     continue
                 wc = w * c0 * scal
                 for q, x in act_c3[q0]:
                     acc[q] += wc * x
-        return red(acc)
+        return acc
 
     return BimoduleActions(
-        mod, agreed_tensor("−▷", f, shape, left, left_expanded),
-        agreed_tensor("◁−", f, shape, right, right_expanded), a2)
+        mod, agreed_tensor("−▷", f, shape,
+                           reduced_rows(f, shape, left, scale_left),
+                           reduced_rows(f, shape, left_expanded,
+                                        scale_left_expanded)),
+        agreed_tensor("◁−", f, shape,
+                      reduced_rows(f, shape, right, scale_right),
+                      reduced_rows(f, shape, right_expanded,
+                                   scale_right_expanded)), a2)
 
 
 def verify_bimodule(bh, b):
@@ -520,19 +532,15 @@ def unit_object(host):
 # -- χ, φ, ψ, ξ ---------------------------------------------------------------
 
 def _pairing_tables(s):
-    """What χ, φ, ψ and ξ read of σ, lifted (fields.Field.lift): σ and
-    σ⁻¹ as lifted rows, the words S⁻¹(e_a)e_t as sparse rows of lifted
-    sums words[a][t], and σ(S⁻¹(e_b)⊗e_a) and σ⁻¹(S⁻¹(e_b)⊗e_a) as tables
-    [b][a], lifted from their reduced values."""
+    """What χ, φ, ψ and ξ read of σ, lifted (fields.Field.lift), each with
+    its scale: σ and σ⁻¹ as lifted rows, the words S⁻¹(e_a)e_t as sparse
+    rows of lifted sums words[a][t], and σ(S⁻¹(e_b)⊗e_a) and
+    σ⁻¹(S⁻¹(e_b)⊗e_a) as tables [b][a] of unreduced lifted sums."""
     h = s.host
-    f, hs = h.field, range(h.dim)
-    lift, mul = f.lift, h.mul.lifted_rows()
-    sinv = h.antipodes.lifted_rows()[1]
+    hs = range(h.dim)
+    mul, sm = h.mul.lifted_rows()
+    (_, sinv), sa = h.antipodes.lifted_rows()
     sig, inv = s.sigma.lifted_rows(), s.sigma_inv.lifted_rows()
-
-    def lifted(vec):
-        return list(map(lift, f.reduce_vec(vec)))
-
     words = []
     for a in hs:
         row = []
@@ -543,42 +551,47 @@ def _pairing_tables(s):
                     acc[k] += y * c
             row.append([(k, c) for k, c in enumerate(acc) if c])
         words.append(row)
-    sig_sinv, inv_sinv = ([lifted([eval2_lifted(rows, sinv[b], a) for a in hs])
-                           for b in hs] for rows in (sig, inv))
-    return sig, inv, words, sig_sinv, inv_sinv
+    sig_sinv, inv_sinv = (([[eval2_lifted(rows, sinv[b], a) for a in hs]
+                            for b in hs], scale * sa)
+                          for rows, scale in (sig, inv))
+    return sig, inv, (words, sa * sm), sig_sinv, inv_sinv
 
 
 def chi_maps(s):
     """χ, χ⁻¹ and χ* = transpose pairing; χχ⁻¹ = id is verified.  Both are
-    summed lifted, one reduced row per basis vector."""
+    summed lifted and reduced once each."""
     h = s.host
     n = h.dim
     f = h.field
-    lift = f.lift
-    _, inv, words, sig_sinv, inv_sinv = _pairing_tables(s)
+    _, (inv, si), (words, sw), (sig_sinv, s1), (inv_sinv, s2) = \
+        _pairing_tables(s)
+    (copower4, s4), (copower5, s5) = h.lifted_copower(4), h.lifted_copower(5)
+    scale, scale_inv = s4 * si * sw, s5 * s1 * s2
 
     def chi(i):
         # Σ σ⁻¹(h₄ ⊗ S⁻¹(h₃)h₁) h₂
         acc = [0] * n
-        for (a, b, c, d), w in h.copower(i, 4):
+        for (a, b, c, d), w in copower4[i]:
             scal = eval2_lifted(inv, d, words[c][a])
             if scal:
-                acc[b] += lift(w) * scal
-        return f.reduce_vec(acc)
+                acc[b] += w * scal
+        return acc
 
     def chi_inv(i):
         # Σ σ⁻¹(S⁻¹(h₅) ⊗ h₁) σ(S⁻¹(h₄) ⊗ h₃) h₂
         acc = [0] * n
-        for (a, b, c, d, e5), w in h.copower(i, 5):
-            s1 = inv_sinv[e5][a]
-            if s1:
-                s2 = sig_sinv[d][c]
-                if s2:
-                    acc[b] += lift(w) * s1 * s2
-        return f.reduce_vec(acc)
+        for (a, b, c, d, e5), w in copower5[i]:
+            x = inv_sinv[e5][a]
+            if x:
+                y = sig_sinv[d][c]
+                if y:
+                    acc[b] += w * x * y
+        return acc
 
-    chi = Matrix(f, n, n, [chi(i) for i in range(n)])
-    chi_inv = Matrix(f, n, n, [chi_inv(i) for i in range(n)])
+    hs = range(n)
+    chi = Matrix.from_sums(f, n, n, [x for i in hs for x in chi(i)], scale)
+    chi_inv = Matrix.from_sums(f, n, n, [x for i in hs for x in chi_inv(i)],
+                               scale_inv)
     if not are_inverse(chi, chi_inv):
         raise VerificationError("χ and χ⁻¹ are not mutually inverse")
     return chi, chi_inv, chi.transpose()
@@ -609,15 +622,16 @@ def verify_unit_deformation(s):
 def phi_psi_xi(s, alg):
     """The Lemma 3.8/3.9/3.13 isomorphism witnesses with their displayed
     inverses; all round trips are asserted to be identities.  Each matrix
-    is summed lifted and reduced once per row."""
+    is summed lifted and reduced once (linalg.Matrix.from_sums)."""
     h = s.host
     n = h.dim
     f = h.field
-    lift = f.lift
     m = alg.module.dim
     size, hs = m * n, range(n)
-    coact = alg.module.coact.lifted_terms()
-    sig, inv, words, sig_sinv, inv_sinv = _pairing_tables(s)
+    coact, sc = alg.module.coact.lifted_terms()
+    (sig, ss), (inv, si), (words, sw), (sig_sinv, s1), (inv_sinv, s2) = \
+        _pairing_tables(s)
+    (copower3, s3), (copower4, s4) = h.lifted_copower(3), h.lifted_copower(4)
 
     def spread(rows, w, pairing, at_row, at_col):
         """rows[at_row(p)][at_col(q)] += w·c·pairing[k] over the terms
@@ -629,47 +643,48 @@ def phi_psi_xi(s, alg):
                     col = at_col(q)
                     row[col] = row.get(col, 0) + w * c * pairing[k]
 
-    def matrix(rows):
-        """The matrix of dict rows of lifted sums, each sum reduced once."""
-        red, zeros = f.reduce, [f.zero] * size
-        data = []
+    def matrix(rows, scale):
+        """The matrix of dict rows of lifted sums at scale, reduced once."""
+        sums = []
         for row in rows:
-            dense = zeros[:]
+            dense = [0] * size
             for col, v in row.items():
-                dense[col] = red(v)
-            data.append(dense)
-        return Matrix(f, size, size, data)
+                dense[col] = v
+            sums += dense
+        return Matrix.from_sums(f, size, size, sums, scale)
 
-    def build(mat2, psi):
+    def build(mat2, psi, scale):
         """φ on M⊗H pairs mat2(m₁ ⊗ S⁻¹(k₃)k₁); ψ on H⊗M is the same map
-        with the pairing transposed, mat2(S⁻¹(k₃)k₁ ⊗ m₁)."""
+        with the pairing transposed, mat2(S⁻¹(k₃)k₁ ⊗ m₁); mat2's lifted
+        rows are at scale."""
         at = (lambda p, j: j * m + p) if psi else (lambda p, j: p * n + j)
         out = [{} for _ in range(size)]
         for k in hs:
-            for (k1, j, k3), w in h.copower(k, 3):
+            for (k1, j, k3), w in copower3[k]:
                 u = words[k3][k1]
                 pairing = [eval2_lifted(mat2, u, t) if psi
                            else eval2_lifted(mat2, t, u) for t in hs]
-                spread(out, lift(w), pairing, lambda p: at(p, j),
+                spread(out, w, pairing, lambda p: at(p, j),
                        lambda q: at(q, k))
-        return matrix(out)
+        return matrix(out, s3 * sc * scale * sw)
 
-    phi, phi_inv = build(sig, False), build(inv, False)
-    psi, psi_inv = build(sig, True), build(inv, True)
+    phi, phi_inv = build(sig, False, ss), build(inv, False, si)
+    psi, psi_inv = build(sig, True, ss), build(inv, True, si)
 
     xi = [{} for _ in range(size)]
     xi_inv = [{} for _ in range(size)]
     for i in hs:
-        for (a, b, c, d), w in h.copower(i, 4):
-            s1 = sig_sinv[b][a]
-            if s1:
-                spread(xi, lift(w) * s1, inv_sinv[c],
+        for (a, b, c, d), w in copower4[i]:
+            x = sig_sinv[b][a]
+            if x:
+                spread(xi, w * x, inv_sinv[c],
                        lambda p: p * n + i, lambda q: q * n + d)
-        for (a, b, c), w in h.copower(i, 3):
-            spread(xi_inv, lift(w), [eval2_lifted(inv, b, words[a][t])
-                                     for t in hs],
+        for (a, b, c), w in copower3[i]:
+            spread(xi_inv, w, [eval2_lifted(inv, b, words[a][t])
+                               for t in hs],
                    lambda p: p * n + i, lambda q: q * n + c)
-    xi, xi_inv = matrix(xi), matrix(xi_inv)
+    xi, xi_inv = matrix(xi, s4 * s1 * sc * s2), matrix(xi_inv,
+                                                       s3 * sc * si * sw)
 
     for name, a, b in (("phi", phi, phi_inv), ("psi", psi, psi_inv),
                        ("xi", xi, xi_inv)):
@@ -688,15 +703,16 @@ def _relation_parts(alg, sub_rows):
     relation of (x, v_p, v_r) is Σ_t (v_p·x)_t e_{t·m+r} +
     Σ_t (−x·v_r)_t e_{p·m+t} in A⊗A."""
     f = alg.host.field
-    ms, mul = range(alg.dim), alg.mul.lifted_rows()
+    ms, (mul, sm) = range(alg.dim), alg.mul.lifted_rows()
     parts = []
     for xs in sub_rows:
-        xs = [(j, f.lift(c)) for j, c in xs]
+        cs, sx = f.lift([c for _, c in xs])
+        xs, scale = [(j, c) for (j, _), c in zip(xs, cs)], sx * sm
         ax = [f.reduce_row(sparse_sum((k, c * w) for j, c in xs
-                                      for k, w in mul[p][j]))
+                                      for k, w in mul[p][j]), scale)
               for p in ms]                                      # v_p·x
         nxb = [f.reduce_row(sparse_sum((k, -c * w) for j, c in xs
-                                       for k, w in mul[j][r]))
+                                       for k, w in mul[j][r]), scale)
                for r in ms]                                     # −x·v_r
         parts.append((ax, nxb))
     return parts
@@ -798,10 +814,17 @@ def _beta_quotient_bijective(f, beta, target, parts, rep, tag):
     onto = rk == target
     rep.add(tag + "_surjective", onto, None,
             "rank %d of %d" % (rk, target))
-    lift, red = f.lift, f.reduce
+    nonzero = f.nonzero
     m = len(parts[0][0]) if parts else 0
-    lbeta = [[(c, lift(v)) for c, v in row.items()] for row in beta]
-    lparts = [[[[(t, lift(v)) for t, v in d.items()] for d in side]
+    # β's rows on one scale and the parts on another: each relation's
+    # image is then at their product, and only its zero-ness is read
+    vs, _ = f.lift([v for row in beta for v in row.values()])
+    vs = iter(vs)
+    lbeta = [[(c, next(vs)) for c in row] for row in beta]
+    vs, _ = f.lift([v for part in parts for side in part for d in side
+                    for v in d.values()])
+    vs = iter(vs)
+    lparts = [[[[(t, next(vs)) for t in d] for d in side]
                for side in part] for part in parts]
 
     def first_outside():
@@ -815,7 +838,7 @@ def _beta_quotient_bijective(f, beta, target, parts, rep, tag):
             for t, w in lparts[x][1][r]:
                 for c, v in lbeta[pm + t]:
                     acc[c] = acc.get(c, 0) + w * v
-            if any(map(red, acc.values())):
+            if any(map(nonzero, acc.values())):
                 return (i,)
         return None
 
@@ -936,9 +959,15 @@ def _mu_action_and_pi(alg, alg_report, galois=None):
     # The action sums lifted values (fields.Field.lift) over sparse rows:
     # the kernel vectors and the β-preimages as [(p·m+r, c)], and
     # v_p·a·v_r as [(t, c)], reduced once per acted vector.
-    lift, lmul = f.lift, alg.mul.lifted_rows()
-    kernel = [[(src, lift(x)) for src, x in vec] for vec in kernel]
-    parts = [[(src, lift(x)) for src, x in vec] for vec in parts]
+    lmul, sm = alg.mul.lifted_rows()
+
+    def lifted_rows(vecs):
+        """(rows, scale): the sparse rows vecs lifted over one scale."""
+        cs, scale = f.lift([x for vec in vecs for _, x in vec])
+        cs = iter(cs)
+        return [[(src, next(cs)) for src, _ in vec] for vec in vecs], scale
+
+    (kernel, sk), (parts, sp) = lifted_rows(kernel), lifted_rows(parts)
 
     def by_basis(vec, right):
         """[r] is vec·v_r (right) or v_r·vec, as a sparse lifted row, for
@@ -952,27 +981,29 @@ def _mu_action_and_pi(alg, alg_report, galois=None):
             out.append([(k, w) for k, w in enumerate(acc) if w])
         return out
 
-    def triple_table(avs):
-        """T[p][r] = v_p · a · v_r as sparse lifted rows, a a sparse row."""
-        a = [(j, lift(c)) for j, c in avs]
+    def triple_table(a):
+        """T[p][r] = v_p · a · v_r as sparse lifted rows, a a sparse lifted
+        row."""
         return [by_basis(va, True) for va in by_basis(a, False)]
 
-    tables = [triple_table(a) for a in pi_sub.rows]
+    pi_rows, s_pi = lifted_rows(pi_sub.rows)
+    tables = [triple_table(a) for a in pi_rows]
+    s_tables = s_pi * sm * sm
 
-    def act_by(coeffs, a_idx):
+    def act_by(coeffs, a_idx, scale):
         """Σ coeffs[p·m+r] v_p·a·v_r for the a_idx-th basis vector a, with
-        coeffs a sparse lifted row."""
+        coeffs a sparse lifted row at scale."""
         acc = [0] * m
         tab = tables[a_idx]
         for src, v in coeffs:
             p, r = divmod(src, m)
             for t, w in tab[p][r]:
                 acc[t] += v * w
-        return f.reduce_vec(acc)
+        return f.reduce_vec(acc, scale * s_tables)
 
     zero = [f.zero] * m
     bad = first_mismatch((range(len(kernel)), range(pd)), lambda j, a_idx: (
-        act_by(kernel[j], a_idx), zero))
+        act_by(kernel[j], a_idx, sk), zero))
     rep.add("mu_action_well_defined", bad is None, bad,
             "preimage perturbations act by zero on π(A)")
 
@@ -988,7 +1019,7 @@ def _mu_action_and_pi(alg, alg_report, galois=None):
         return coords
 
     acts = closed_under("mu_action_lands_in_pi", (range(n), range(pd)),
-                        lambda k, a_idx: act_by(parts[k], a_idx),
+                        lambda k, a_idx: act_by(parts[k], a_idx, sp),
                         "MU action leaves the centralizer")
     action = Tensor(f, (n, pd, pd), [x for c in acts.values() for x in c])
 

@@ -9,13 +9,16 @@ and h.antipodes (rows(0)[i] is S(e_i), rows(1)[i] S⁻¹(e_i)) read them
 through the tensors' own linalg.Bilinear (Tensor.bilinear), so H^σ, which
 keeps H's comult tensor, reads H's Δ tables.  An element of H built in a formula, such as
 h₄m₁S⁻¹(h₂), is a sparse row as h.mul.row returns; h.product multiplies two,
-and h.word_table() memoizes the words (e_c e_k)·S⁻¹(e_a) for one call.
+and h.word_table() memoizes the words (e_c e_k)·S⁻¹(e_a), lifted, for
+one call; h.lifted_copower(k) is Δ^(k-1) lifted, kept with the copowers.
 The axioms read every product of basis vectors from h.mul's sparse rows;
 no dense basis vector is multiplied.  Associativity and the action axioms
-(first_action_mismatch), first_multiplicative_mismatch, comult_algebra_map
-and counit_algebra_map sum on Bilinear's lifted tables (lifted_rows,
-lifted_terms, flat_tables; see fields.Field.lift) and reduce each
-coordinate once, where it is compared (report.first_block_mismatch,
+(first_action_mismatch), first_multiplicative_mismatch, comult_algebra_map,
+counit_algebra_map and coassociativity and the comodule axiom
+(first_coaction_mismatch) sum on Bilinear's lifted tables (lifted_rows,
+lifted_terms, flat_tables; see fields.Field.lift), put both sides on one
+scale (fields.complements and scaled) and reduce each coordinate once,
+where it is compared (report.first_block_mismatch,
 first_lifted_mismatch); their witnesses are those of the same sums on
 field elements.
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import weakref
 
+from .fields import complements, scaled
 from .linalg import (Tensor, are_inverse, check_dim, check_shape,
                      linear_combination, mat_mul)
 from .report import (CheckReport, first_block_mismatch, first_lifted_mismatch,
@@ -67,6 +71,8 @@ class HopfAlgebra:
         self.delta = comult.bilinear()
         self.antipodes = Tensor(field, (2, n, n), antipode.entries
                                 + antipode_inv.entries).bilinear()
+        # k → [copower(i, k) for each i], and −k → lifted_copower(k); depends
+        # on Δ alone, so twist._deform gives H^σ, built on H's Δ, this dict
         self._copower = {}
         self._dual = None       # set by dual_hopf: H*, or a weakref to H on H*
 
@@ -85,20 +91,30 @@ class HopfAlgebra:
         return [(k, c) for k, c in enumerate(acc) if c]
 
     def word_table(self):
-        """A new, empty memo of the words (e_c e_k)·S⁻¹(e_a): word(c, k, a)
-        is h.product(h.mul.row(c, k), S⁻¹(e_a)), formed on first use and
-        kept for the memo's life (callers must not change it).  One memo
-        serves one call of a form that reads such words, where there are
-        at most n³ of them but many more reads."""
+        """(word, scale): a new, empty memo of the words (e_c e_k)·S⁻¹(e_a),
+        lifted.  word(c, k, a) is h.product(h.mul.row(c, k), S⁻¹(e_a)) with
+        its coefficients lifted over scale, the square of h.mul's lifted
+        scale times h.antipodes', which every word's denominators divide;
+        it is formed on first use and kept for the memo's life (callers
+        must not change it).  One memo serves one call of a form that
+        reads such words, where there are at most n³ of them but many more
+        reads."""
         row, product, sinv = self.mul.row, self.product, self.antipodes.rows(1)
+        lift = self.field.lift
+        scale = (self.mul.lifted_rows()[1] ** 2
+                 * self.antipodes.lifted_rows()[1])
         table = {}
 
         def word(c, k, a):
             got = table.get((c, k, a))
             if got is None:
-                got = table[c, k, a] = product(row(c, k), sinv[a])
+                w = product(row(c, k), sinv[a])
+                cs, d = lift([v for _, v in w])
+                d = scale // d
+                got = table[c, k, a] = [(k2, v * d)
+                                        for (k2, _), v in zip(w, cs)]
             return got
-        return word
+        return word, scale
 
     def copower(self, i, k):
         """Sparse Δ^(k-1)(e_i) as [(index_tuple_of_len_k, coeff)].
@@ -120,6 +136,18 @@ class HopfAlgebra:
                 per_basis.append(terms)
             self._copower[k] = per_basis
         return per_basis[i]
+
+    def lifted_copower(self, k):
+        """(table, scale): [i] is copower(i, k) with its coefficients lifted
+        over one scale, built once per k and kept with the copowers."""
+        got = self._copower.get(-k)
+        if got is None:
+            terms = [self.copower(i, k) for i in range(self.dim)]
+            cs, scale = self.field.lift([w for ts in terms for _, w in ts])
+            it = iter(cs)
+            got = self._copower[-k] = ([[(idx, next(it)) for idx, _ in ts]
+                                        for ts in terms], scale)
+        return got
 
     def counit_of(self, vec):
         s = self.field.zero
@@ -175,12 +203,14 @@ def verify_hopf_axioms(h):
     bad = first_mismatch((every,), counit)
     rep.add("counit", bad is None, bad)
 
-    rows, terms = mul.lifted_rows(), delta.lifted_terms()
+    (rows, sm), (terms, sd) = mul.lifted_rows(), delta.lifted_terms()
+    # the left side is at scale sm·sd, the right one at sd²·sm²
+    lrows = scaled(rows, sm * sd)
 
     # Δ(e_i e_j) and Δ(e_i)Δ(e_j), keyed a·n+b for e_a⊗e_b
     def comult_of_product(i, j):
         lhs = {}
-        for k, c in rows[i][j]:
+        for k, c in lrows[i][j]:
             for a, b, c2 in terms[k]:
                 key = a * n + b
                 lhs[key] = lhs.get(key, 0) + c * c2
@@ -194,27 +224,30 @@ def verify_hopf_axioms(h):
                         rhs[key] = rhs.get(key, 0) + c3 * cb
         return lhs, rhs
 
-    bad = first_lifted_mismatch(f, (every,) * 2, comult_of_product, n)
+    bad = first_lifted_mismatch(f, (every,) * 2, comult_of_product, (n,))
     if bad is None:
         # Δ(1) − 1⊗1, one row {b: coefficient of e_a⊗e_b} per a
-        unit = [f.lift(x) for x in h.unit]
-        du = [{b: -x * y for b, y in enumerate(unit)} for x in unit]
+        unit, su = f.lift(h.unit)
+        k1, kd = complements(su * su, su * sd)
+        du = [{b: -x * y * k1 for b, y in enumerate(unit)} for x in unit]
         for j, x in enumerate(unit):
             if x:
                 for a, b, c in terms[j]:
-                    du[a][b] += x * c
+                    du[a][b] += x * c * kd
         bad = first_block_mismatch(f, (every,), du.__getitem__, 1)
     rep.add("comult_algebra_map", bad is None, bad)
 
-    eps = [f.lift(x) for x in h.counit]
+    eps, se = f.lift(h.counit)
+    k1, km = complements(se * se, sm * se)
+    eps1, epsm = scaled(eps, k1), scaled(eps, km)
 
     def counit_of_products(i):
         # ε(e_i e_j) − ε(e_i)ε(e_j), one row per j
         out = {}
         for j in every:
-            s = -eps[i] * eps[j]
+            s = -eps1[i] * eps[j]
             for k, c in rows[i][j]:
-                s += c * eps[k]
+                s += c * epsm[k]
             out[j] = s
         return out
 
@@ -261,24 +294,32 @@ def first_coaction_mismatch(delta, coact):
     the first differing key (q, k1, k2) of v_q⊗e_k1⊗e_k2, or None.
 
     coact[p,q,k] is the coefficient of v_q⊗e_k in ρ(v_p); with coact = delta
-    this is Δ's coassociativity.
+    this is Δ's coassociativity.  Both sides are summed from the lifted
+    terms of coact and delta, keyed q·n² + k1·n + k2 and filled in the
+    order of the tuple-keyed dicts whose first_mismatch is the witness
+    (report.first_lifted_mismatch).
     """
-    zero = coact.field.zero
+    (terms, sc), (dterms, sd) = coact.lifted_terms(), delta.lifted_terms()
+    kc, kd = complements(sc * sc, sc * sd)
+    outer, dterms = scaled(terms, kc), scaled(dterms, kd)
+    n = coact.shape[2]
+    nn = n * n
 
     def sides(p):
         lhs = {}
-        for q0, k, c in coact.terms(p):
-            for q1, k1, c1 in coact.terms(q0):
-                key = (q1, k1, k)
-                lhs[key] = lhs.get(key, zero) + c * c1
+        for q0, k, c in outer[p]:
+            for q1, k1, c1 in terms[q0]:
+                key = q1 * nn + k1 * n + k
+                lhs[key] = lhs.get(key, 0) + c * c1
         rhs = {}
-        for q0, k, c in coact.terms(p):
-            for a, b, c2 in delta.terms(k):
-                key = (q0, a, b)
-                rhs[key] = rhs.get(key, zero) + c * c2
+        for q0, k, c in terms[p]:
+            for a, b, c2 in dterms[k]:
+                key = q0 * nn + a * n + b
+                rhs[key] = rhs.get(key, 0) + c * c2
         return lhs, rhs
 
-    return first_mismatch((range(coact.shape[0]),), sides)
+    return first_lifted_mismatch(coact.field, (range(coact.shape[0]),),
+                                 sides, (n, n))
 
 
 def first_antipode_mismatch(h, mul, antipode):
@@ -317,11 +358,14 @@ def first_action_mismatch(mul, act, right=False):
     block that differs.
     """
     m = act.shape[2]
-    rows, products, flat = (act.lifted_rows(), mul.lifted_rows(),
-                            act.flat_tables())
+    (rows, sa), (products, sm) = act.lifted_rows(), mul.lifted_rows()
+    flat = act.flat_tables()[0]
+    # the left side is at scale sm·sa, the right one at sa²
+    kl, kr = complements(sm * sa, sa * sa)
+    products = scaled(products, kl)
     # act's lifted terms (p·m, t, c) of e_i·v_p = Σ c v_t
     inners = [[(p * m, t, c) for p, t, c in terms]
-              for terms in act.lifted_terms()]
+              for terms in scaled(act.lifted_terms()[0], kr)]
 
     def block(i, j):
         diff = {}
@@ -349,9 +393,11 @@ def first_multiplicative_mismatch(mul, image_mul, m):
     minus m(e_u)m(e_v) from image_mul's.
     """
     width = m.cols
-    rows = [[(c, x) for c, x in enumerate(row) if x]
-            for row in m.lifted_rows()]
-    products, images = mul.lifted_rows(), image_mul.lifted_rows()
+    rows, s = m.lifted_nonzeros()
+    (products, sm), (images, si) = mul.lifted_rows(), image_mul.lifted_rows()
+    # the left side is at scale sm·s, the right one at s²·si
+    kl, kr = complements(sm * s, s * s * si)
+    products, images = scaled(products, kl), scaled(images, kr)
 
     def block(u):
         diff = {}

@@ -15,8 +15,11 @@ Conventions used throughout the package:
 * ``Bilinear`` is the one sparse structure-tensor kernel: the products,
   actions, coproducts and coactions of all structures are read through it.
   Its lifted tables (``lifted_rows``, ``lifted_terms``, ``flat_tables``)
-  serve the loops that sum on plain ints over F_p (``Field.lift``), and
-  ``Matrix.lifted_rows`` lifts a matrix for the same loops.
+  serve the loops that sum on plain ints over both fields
+  (``Field.lift``); each comes as (table, scale), and
+  ``Matrix.lifted_rows`` and ``lifted_nonzeros`` lift a matrix, dense and
+  sparse, for the same loops, once per Matrix; ``Matrix.from_sums``
+  builds a matrix from lifted sums and keeps them as its lifted rows.
   ``Tensor.bilinear()`` gives one Bilinear per Tensor object, and every
   structure on that tensor reads it.  The tables are shared per content:
   when a Bilinear builds its first table, it reads from then on the
@@ -59,7 +62,8 @@ from __future__ import annotations
 import os
 import weakref
 from functools import partial
-from itertools import chain
+from itertools import chain, compress
+from operator import itemgetter
 
 
 class DimensionError(ValueError):
@@ -95,7 +99,13 @@ def check_shape(what, shape, expected):
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data")
+    """A matrix of field elements, rows as lists.  Its lifted rows, dense
+    and sparse, are built on first use and kept, like a Tensor's tables,
+    so the data must not change once either has been read: an edited copy
+    is a new Matrix over new lists.  A matrix built from lifted sums
+    (from_sums) keeps those sums as its lifted rows, so a loop that reads
+    it lifted does not lift its reduced entries again."""
+    __slots__ = ("field", "rows", "cols", "data", "_lifted", "_nonzeros")
 
     def __init__(self, field, rows, cols, data):
         if len(data) != rows or any(len(r) != cols for r in data):
@@ -105,6 +115,8 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._lifted = None
+        self._nonzeros = None
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -119,6 +131,17 @@ class Matrix:
         return m
 
     @classmethod
+    def from_sums(cls, field, rows, cols, sums, scale):
+        """The rows × cols matrix of the lifted sums (a flat row-major
+        list) at scale, reduced once (Field.reduce_vec); it keeps the sums
+        as its lifted rows."""
+        out = field.reduce_vec(sums, scale)
+        at = range(0, rows * cols, cols) if cols else [0] * rows
+        m = cls(field, rows, cols, [out[r:r + cols] for r in at])
+        m._lifted = [sums[r:r + cols] for r in at], scale
+        return m
+
+    @classmethod
     def from_rows(cls, field, rows):
         rows = [list(r) for r in rows]
         return cls(field, len(rows), len(rows[0]) if rows else 0, rows)
@@ -128,12 +151,28 @@ class Matrix:
         return [x for row in self.data for x in row]
 
     def lifted_rows(self):
-        """data with every entry lifted (Field.lift), as new lists; over ℚ
-        data itself."""
-        if self.field.identity_lift:
-            return self.data
-        lift = self.field.lift
-        return [list(map(lift, row)) for row in self.data]
+        """(rows, scale): data lifted (Field.lift) over one scale, as new
+        lists, or data itself when lifting changes nothing (ℚ, integral);
+        built once and kept."""
+        if self._lifted is None:
+            flat = list(chain.from_iterable(self.data))
+            ints, scale = self.field.lift(flat)
+            c = self.cols
+            self._lifted = (self.data if ints is flat else
+                            [ints[r:r + c] for r in range(0, len(ints), c)],
+                            scale)
+        return self._lifted
+
+    def lifted_nonzeros(self):
+        """(rows, scale): each row's nonzero entries as [(column, lifted
+        entry)], read from lifted_rows where data is nonzero, for the
+        loops that read a matrix sparsely.  Built once and kept."""
+        if self._nonzeros is None:
+            rows, scale = self.lifted_rows()
+            cols = range(self.cols)
+            self._nonzeros = [[(c, lifted[c]) for c in compress(cols, row)]
+                              for row, lifted in zip(self.data, rows)], scale
+        return self._nonzeros
 
     def transpose(self):
         return Matrix(self.field, self.cols, self.rows,
@@ -333,24 +372,23 @@ def solve(m, b):
 
 def _product_is_identity(a, b):
     """Is ab the identity matrix?  Each row of ab is summed lifted
-    (Field.lift) over b's sparse rows and only its nonzero sums are
-    reduced, so a product of sparse matrices costs its nonzero terms."""
+    (Field.lift), at the product of a's and b's scales, over the sparse
+    rows of a and b, and tested with Field.nonzero, so a product of
+    sparse matrices costs its nonzero terms."""
     if a.cols != b.rows:
         raise DimensionError("matrix product %dx%d by %dx%d"
                              % (a.rows, a.cols, b.rows, b.cols))
     if a.rows != b.cols:
         return False
-    field = a.field
-    lift, red, one = field.lift, field.reduce, field.one
-    brows = [[(c, lift(y)) for c, y in enumerate(row) if y] for row in b.data]
-    for r, row in enumerate(a.data):
+    nonzero = a.field.nonzero
+    (arows, sa), (brows, sb) = a.lifted_nonzeros(), b.lifted_nonzeros()
+    one = sa * sb               # the identity's diagonal at the sums' scale
+    for r, row in enumerate(arows):
         acc = {}
-        for k, x in enumerate(row):
-            if x:
-                x = lift(x)
-                for c, y in brows[k]:
-                    acc[c] = acc.get(c, 0) + x * y
-        if red(acc.pop(r, 0)) != one or any(map(red, acc.values())):
+        for k, x in row:
+            for c, y in brows[k]:
+                acc[c] = acc.get(c, 0) + x * y
+        if nonzero(acc.pop(r, 0) - one) or any(map(nonzero, acc.values())):
             return False
     return True
 
@@ -440,6 +478,9 @@ class Tensor:
         return "Tensor%s" % (self.shape,)
 
 
+_second = itemgetter(1)
+
+
 def _terms_of(table):
     """[i] is [(j, k, c)] over the sparse rows table[i][j] = [(k, c)]."""
     return [[(j, k, c) for j, row in enumerate(rows) for k, c in row]
@@ -484,18 +525,22 @@ class Bilinear:
     read is what the tables show.  Callers must not change the lists and
     dicts it returns.
 
-    The lifted tables hold the entries lifted (``Field.lift``), for sums
-    reduced once per compared coordinate or per output vector:
+    The lifted tables hold the entries lifted (``Field.lift``) as ints
+    over one scale, the lcm of the data's denominators over ℚ and 1 over
+    F_p, for sums reduced once per compared coordinate or per output
+    vector at the product of their factors' scales.  Each is returned
+    with that scale, as (table, scale), and is built once with it:
     ``lifted_rows`` and ``lifted_terms`` are ``row`` and ``terms`` lifted,
-    and ``flat_tables()[i]`` is t[i,:,:] as one dict {p·n₂+q: lifted
-    t[i,p,q]}.  Over ℚ lifting is the identity, and ``lifted_rows`` and
-    ``lifted_terms`` are the sparse tables of ``row`` and ``terms``
-    themselves, not copies.  They are read by hopf.py's axiom checks;
-    yd.py's verify_yd and verify_yd_algebra, is_yd_map, σ̲, the term
-    kernel, generating_set and azumaya_check (A's and Ā's products);
-    twist.py's convolutions, S^σ and H* products; and galois.py's
-    Miyashita-Ulbrich action, relation parts and the words of χ, φ, ψ
-    and ξ.
+    and ``flat_tables()[0][i]`` is t[i,:,:] as one dict {p·n₂+q: lifted
+    t[i,p,q]}.  Over ℚ, integral data has scale 1 and its ``lifted_rows``
+    and ``lifted_terms`` are the sparse tables of ``row`` and ``terms``
+    themselves, not copies.  They are read by hopf.py's axiom checks,
+    word table and copowers' users; yd.py's verify_yd and
+    verify_yd_algebra, is_yd_map, σ̲, the term kernel, yd_tensor,
+    braided_product, generating_set and azumaya_check (A's and Ā's
+    products); twist.py's convolutions, the cocycle identities, S^σ and
+    H* products; and galois.py's −▷, ◁− and ▷₂, Miyashita-Ulbrich
+    action, relation parts and the words of χ, φ, ψ and ξ.
     """
     __slots__ = ("field", "shape", "_data", "_zeros", "_twin", "_rows",
                  "_terms", "_lrows", "_lterms", "_flat", "__weakref__")
@@ -564,42 +609,50 @@ class Bilinear:
         return (self._terms or self._all_terms())[i]
 
     def lifted_rows(self):
-        """The table of row(i, j) with lifted coefficients, [i][j]."""
+        """(table, scale): the table of row(i, j) with coefficients lifted
+        over one scale (Field.lift), [i][j]."""
         if self._lrows is None:
-            field, twin = self.field, self._source()
+            twin = self._source()
             if twin is not None:
                 self._lrows = twin.lifted_rows()
-            elif field.identity_lift:
-                self._lrows = self._table()
             else:
-                lift = field.lift
-                self._lrows = [[[(k, lift(c)) for k, c in row]
-                                for row in rows] for rows in self._table()]
+                # the coefficients of the sparse table, lifted as one list
+                table = self._table()
+                values = list(map(_second, chain.from_iterable(
+                    chain.from_iterable(table))))
+                ints, scale = self.field.lift(values)
+                if ints is not values:
+                    it = iter(ints)
+                    table = [[[(k, next(it)) for k, _ in row] for row in rows]
+                             for rows in table]
+                self._lrows = table, scale
         return self._lrows
 
     def lifted_terms(self):
-        """The table of terms(i) with lifted coefficients, [i]."""
+        """(table, scale): the table of terms(i) with coefficients lifted
+        over lifted_rows' scale, [i]."""
         if self._lterms is None:
             twin = self._source()
             if twin is not None:
                 self._lterms = twin.lifted_terms()
-            elif self.field.identity_lift:
-                self._lterms = self._all_terms()
             else:
-                self._lterms = _terms_of(self.lifted_rows())
+                rows, scale = self.lifted_rows()
+                self._lterms = (self._all_terms() if rows is self._rows
+                                else _terms_of(rows)), scale
         return self._lterms
 
     def flat_tables(self):
-        """[i] is t[i,:,:] as {p·n₂+q: lifted t[i,p,q]} over its nonzero
-        entries, in row-major order."""
+        """(tables, scale): [i] is t[i,:,:] as {p·n₂+q: lifted t[i,p,q]} over
+        its nonzero entries, in row-major order, at lifted_rows' scale."""
         if self._flat is None:
             twin = self._source()
             if twin is not None:
                 self._flat = twin.flat_tables()
             else:
                 n2 = self.shape[2]
-                self._flat = [{j * n2 + k: c for j, k, c in terms}
-                              for terms in self.lifted_terms()]
+                terms, scale = self.lifted_terms()
+                self._flat = [{j * n2 + k: c for j, k, c in ts}
+                              for ts in terms], scale
         return self._flat
 
     def apply(self, u, v):

@@ -3,9 +3,11 @@ identity-checking loop that finds those witnesses.  Constructions that give
 an object in two displayed forms check them with require_agree.
 
 first_block_mismatch and first_lifted_mismatch are first_mismatch for
-sides summed from lifted tables (fields.Field.lift): each compares
-reduced coordinates, and each gives the witness first_mismatch gives on
-the same identity written with field elements."""
+sides summed from lifted tables (fields.Field.lift): both sides of the
+identity are at one positive scale, so each tests the coordinates of
+their difference with field.nonzero, which reads only zero-ness, and
+each gives the witness first_mismatch gives on the same identity written
+with field elements."""
 
 from __future__ import annotations
 
@@ -130,35 +132,49 @@ def first_block_mismatch(field, space, block, width):
     block(*idx) returns the block's lhs − rhs as one dict {p·width+q:
     lifted coefficient of row p, column q}, absent keys read as 0.  The
     witness is idx followed by the least row p holding a coefficient that
-    field.reduce does not send to 0: the witness of first_mismatch over
+    field.nonzero finds nonzero: the witness of first_mismatch over
     (*space, rows), with each row's two sides compared as dense lists.
     """
-    red = field.reduce
+    nonzero = field.nonzero
     for idx in product(*space):
         diff = block(*idx)
-        if any(map(red, diff.values())):
-            return idx + (min(k for k, v in diff.items() if red(v)) // width,)
+        if any(map(nonzero, diff.values())):
+            return idx + (min(k for k, v in diff.items() if nonzero(v))
+                          // width,)
     return None
 
 
-def first_lifted_mismatch(field, space, sides, width):
-    """first_mismatch for dict sides keyed by pairs, summed lifted.
+def _key_tuple(k, widths):
+    """The tuple (a, b, …) of the flat key k = (a·w₁ + b)·w₂ + … for the
+    trailing widths (w₁, w₂, …)."""
+    digits = []
+    for w in reversed(widths):
+        k, d = divmod(k, w)
+        digits.append(d)
+    digits.append(k)
+    return tuple(reversed(digits))
 
-    sides(*idx) returns (lhs, rhs) as dicts {a·width+b: lifted
-    coefficient}, each standing for a dict {(a, b): coefficient} and
-    filled in the order that dict would be.  The witness is the one
-    first_mismatch gives on those tuple-keyed dicts, reduced: idx followed
-    by the first (a, b) of their key set whose coefficients differ.
+
+def first_lifted_mismatch(field, space, sides, widths):
+    """first_mismatch for dict sides keyed by tuples, summed lifted.
+
+    sides(*idx) returns (lhs, rhs) as dicts {flat key: lifted
+    coefficient}, the flat key of (a, b) being a·w + b for widths (w,) and
+    that of (a, b, c) (a·w₁ + b)·w₂ + c for widths (w₁, w₂); each stands
+    for a dict {tuple: coefficient} and is filled in the order that dict
+    would be.  The witness is the one first_mismatch gives on those
+    tuple-keyed dicts, reduced: idx followed by the first tuple of their
+    key set whose coefficients differ.
     """
-    red = field.reduce
+    red, nonzero = field.reduce, field.nonzero
     for idx in product(*space):
         lhs, rhs = sides(*idx)
         diff = dict(lhs)
         for k, v in rhs.items():
             diff[k] = diff.get(k, 0) - v
-        if any(map(red, diff.values())):
+        if any(map(nonzero, diff.values())):
             return idx + first_mismatch((), lambda: tuple(
-                {divmod(k, width): red(v) for k, v in side.items()}
+                {_key_tuple(k, widths): red(v, 1) for k, v in side.items()}
                 for side in (lhs, rhs)))
     return None
 

@@ -14,8 +14,10 @@ in H*, summed as Σ u(x₁)v(x₃)·S(x₂) over Δ²(x) on S's lifted rows, ∂
 regroup Δ^k by coassociativity alone, not by σ's cocycle identity, so they
 equal the defining Sweedler sums for any σ and σ⁻¹.  The 1-cocycle routes
 multiply in H* over Δ's lifted terms too, and build no H*.  The
-convolutions, S^σ and the H* products sum lifted values and reduce each
-output vector once.
+convolutions, S^σ and the H* products sum lifted values and reduce what
+they build once; a matrix keeps its sums as its lifted rows
+(linalg.Matrix.from_sums), so a convolution of convolutions lifts nothing
+again.
 
 The θ side is the σ side on the dual.  An element of H⊗H is a functional on
 H*⊗H* through the same matrix, and the product of H⊗H is the convolution of
@@ -50,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
+from .fields import complements
 from .hopf import HopfAlgebra, dual_hopf
 from .linalg import Matrix, Tensor, solve, sparse_solve, sparse_sum
 from .report import CheckReport, VerificationError, first_mismatch
@@ -89,7 +92,8 @@ def eval2(f, u, v):
 def eval2_lifted(rows, u, v):
     """eval2 on lifted values (fields.Field.lift): f(u⊗v) for f given as
     its lifted rows (Matrix.lifted_rows) and u and v basis indices or
-    sparse rows with lifted coefficients, as an unreduced lifted sum."""
+    sparse rows with lifted coefficients, as an unreduced lifted sum at
+    the product of the scales of f, u and v (a basis index is at 1)."""
     acc = 0
     for i, x in ((u, 1),) if type(u) is int else u:
         row = rows[i]
@@ -117,17 +121,16 @@ def are_conv_inverse(h, f, g):
 
 
 def convolve2(h, f, g):
-    """(f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂), summed on lifted values, one
-    reduced row per x."""
+    """(f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂), summed on lifted values and
+    reduced once, as one vector of the n² values."""
     n = h.dim
     if f.rows != n or g.rows != n:
         raise ValueError("functional shape mismatch")
-    fl, gl = f.lifted_rows(), g.lifted_rows()
-    delta = h.delta.lifted_terms()
-    out = []
+    (fl, sf), (gl, sg) = f.lifted_rows(), g.lifted_rows()
+    delta, sd = h.delta.lifted_terms()
+    sums = []
     for dx in delta:
-        acc = [0] * n
-        for y, dy in enumerate(delta):
+        for dy in delta:
             s = 0
             for a, b, ca in dx:
                 fa, gb = fl[a], gl[b]
@@ -137,16 +140,15 @@ def convolve2(h, f, g):
                         gv = gb[d]
                         if gv:
                             s += ca * cd * fv * gv
-            acc[y] = s
-        out.append(h.field.reduce_vec(acc))
-    return Matrix(h.field, n, n, out)
+            sums.append(s)
+    return Matrix.from_sums(h.field, n, n, sums, sd * sd * sf * sg)
 
 
 def conv_operator2(h, f):
     """Matrix of X ↦ f*X on (H⊗H)*; entry [(x,y)][(i,j)]."""
     n = h.dim
-    fl, delta = f.lifted_rows(), h.delta.lifted_terms()
-    data = []
+    (fl, sf), (delta, sd) = f.lifted_rows(), h.delta.lifted_terms()
+    sums = []
     for dx in delta:
         for dy in delta:
             row = [0] * (n * n)
@@ -156,8 +158,8 @@ def conv_operator2(h, f):
                     fv = fa[c]
                     if fv:
                         row[b * n + d] += ca * cd * fv
-            data.append(h.field.reduce_vec(row))
-    return Matrix(h.field, n * n, n * n, data)
+            sums += row
+    return Matrix.from_sums(h.field, n * n, n * n, sums, sd * sd * sf)
 
 
 def conv_inverse2(h, f):
@@ -197,9 +199,9 @@ def conv_inverse1(h, mu):
 
 def _dual_product(h, mu, nu):
     """μν in H* for functionals μ and ν on H: (μν)(x) = Σ μ(x₁)ν(x₂)."""
-    lift = h.field.lift
-    mu, nu = list(map(lift, mu)), list(map(lift, nu))
-    return _delta_functional(h, lambda a, b: mu[a] * nu[b])
+    (mu, su), (nu, sn) = h.field.lift(mu), h.field.lift(nu)
+    return h.field.reduce_vec(*_delta_functional(
+        h, lambda a, b: mu[a] * nu[b], su * sn))
 
 
 # -- 2-cocycles --------------------------------------------------------------
@@ -246,9 +248,13 @@ def verify_two_cocycle(c):
     rep.add("convolution_inverse", are_conv_inverse(h, sig, inv))
 
     # The three identities walk all basis triples (g, h, l) and sum each
-    # side lifted (fields.Field.lift), reducing the two sides once.
-    sweedler2, mul = h.delta.lifted_terms(), h.mul.lifted_rows()
-    ls, li, red = sig.lifted_rows(), inv.lifted_rows(), f.reduce
+    # side lifted (fields.Field.lift), reducing the two sides once; the
+    # two sides of the cocycle identity and of the inverse one are at one
+    # scale, and the mixed identity's are put on one by kl and kr.
+    (sweedler2, sd), (mul, sm) = h.delta.lifted_terms(), h.mul.lifted_rows()
+    (ls, ss), (li, si) = sig.lifted_rows(), inv.lifted_rows()
+    red = f.reduce
+    kl, kr = complements(sd ** 3 * sm * sm * ss * si, sd * si * ss)
 
     def cocycle_identity(g, x, l):
         lhs = 0
@@ -271,7 +277,7 @@ def verify_two_cocycle(c):
                     s2 = ls[g][k]
                     if s2:
                         rhs += ca * cd * cm * s1 * s2
-        return red(lhs), red(rhs)
+        return red(lhs, 1), red(rhs, 1)
 
     bad = first_mismatch((every,) * 3, cocycle_identity)
     rep.add("cocycle_identity", bad is None, bad)
@@ -299,7 +305,7 @@ def verify_two_cocycle(c):
             s2 = ls[d][l]
             if s2:
                 rhs += cd * s1 * s2
-        return red(lhs), red(rhs)
+        return red(lhs * kl, 1), red(rhs * kr, 1)
 
     bad = first_mismatch((every,) * 3, mixed_identity)
     rep.add("mixed_identity", bad is None, bad,
@@ -326,7 +332,7 @@ def verify_two_cocycle(c):
                         s2 = li[d][e2]
                         if s2:
                             rhs += cd * ce * cm * s1 * s2
-        return red(lhs), red(rhs)
+        return red(lhs, 1), red(rhs, 1)
 
     bad = first_mismatch((every,) * 3, inverse_cocycle_identity)
     rep.add("inverse_cocycle_identity", bad is None, bad,
@@ -366,54 +372,60 @@ def _coordinate_functionals(h):
             for b in range(0, n * n * n, n * n)]
 
 
-def _delta_functional(h, value):
-    """The functional e_i ↦ Σ value(i₁, i₂) over Δ(e_i), as a vector of H*,
-    for value giving lifted numbers: summed lifted, reduced once."""
-    return h.field.reduce_vec([sum(c * value(a, b) for a, b, c in terms)
-                               for terms in h.delta.lifted_terms()])
+def _delta_functional(h, value, scale):
+    """The functional e_i ↦ Σ value(i₁, i₂) over Δ(e_i), for value giving
+    lifted numbers at scale: (the lifted sums, their scale)."""
+    delta, sd = h.delta.lifted_terms()
+    return ([sum(c * value(a, b) for a, b, c in terms) for terms in delta],
+            sd * scale)
 
 
 def _deform(c):
     h = c.host
     n, f, hs = h.dim, h.field, range(h.dim)
-    lift = f.lift
-    sig, inv = c.sigma.lifted_rows(), c.sigma_inv.lifted_rows()
-    S, Sinv = h.antipodes.lifted_rows()
+    (sig, ss), (inv, si) = c.sigma.lifted_rows(), c.sigma_inv.lifted_rows()
+    (S, Sinv), sa = h.antipodes.lifted_rows()
     # m^σ = σ * m_k * σ⁻¹ for each coordinate functional m_k
     twisted = [convolve2(h, convolve2(h, c.sigma, m_k), c.sigma_inv)
                for m_k in _coordinate_functionals(h)]
     mult = Tensor.from_rows(f, (n, n, n), [
         [[t.data[i][j] for t in twisted] for j in hs] for i in hs])
 
-    def functional(value):
-        """_delta_functional(h, value), lifted from its reduced value."""
-        return list(map(lift, _delta_functional(h, value)))
+    copower, s3 = h.lifted_copower(3)
 
     # S^σ = u * S * v and (S^σ)⁻¹ = u' * S⁻¹ * v' in H*: the image of e_x
     # is Σ u(x₁)v(x₃)·S(x₂) over Δ²(e_x), and the same with S⁻¹, summed
-    # lifted and reduced once per row
+    # lifted and reduced once; u and v are kept as unreduced lifted
+    # sums with their scales
     def sandwich(u, rows, v):
-        out = []
+        (u, su), (v, sv) = u, v
+        sums = []
         for x in hs:
             acc = [0] * n
-            for (a, b, d), w in h.copower(x, 3):
+            for (a, b, d), w in copower[x]:
                 uv = u[a] * v[d]
                 if uv:
-                    uv *= lift(w)
+                    uv *= w
                     for k, y in rows[b]:
                         acc[k] += uv * y
-            out.append(f.reduce_vec(acc))
-        return Matrix(f, n, n, out)
+            sums += acc
+        return Matrix.from_sums(f, n, n, sums, su * sv * s3 * sa)
 
     s_mat = sandwich(   # u(h) = σ(h₁⊗S(h₂)), v(h) = σ⁻¹(S(h₁)⊗h₂)
-        functional(lambda a, b: eval2_lifted(sig, a, S[b])), S,
-        functional(lambda a, b: eval2_lifted(inv, S[a], b)))
+        _delta_functional(h, lambda a, b: eval2_lifted(sig, a, S[b]),
+                          ss * sa), S,
+        _delta_functional(h, lambda a, b: eval2_lifted(inv, S[a], b),
+                          si * sa))
     s_inv_mat = sandwich(   # u'(h) = σ(S⁻¹(h₂)⊗h₁), v'(h) = σ⁻¹(h₂⊗S⁻¹(h₁))
-        functional(lambda a, b: eval2_lifted(sig, Sinv[b], a)), Sinv,
-        functional(lambda a, b: eval2_lifted(inv, b, Sinv[a])))
-    return HopfAlgebra(f, n, list(h.basis_names), mult, list(h.unit),
-                       h.comult, list(h.counit), s_mat, s_inv_mat,
-                       name=h.name + "^s")
+        _delta_functional(h, lambda a, b: eval2_lifted(sig, Sinv[b], a),
+                          ss * sa), Sinv,
+        _delta_functional(h, lambda a, b: eval2_lifted(inv, b, Sinv[a]),
+                          si * sa))
+    deformed = HopfAlgebra(f, n, list(h.basis_names), mult, list(h.unit),
+                           h.comult, list(h.counit), s_mat, s_inv_mat,
+                           name=h.name + "^s")
+    deformed._copower = h._copower      # Δ^(k-1) is Δ's alone
+    return deformed
 
 
 def is_lazy(c):

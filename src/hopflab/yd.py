@@ -15,7 +15,8 @@ are h.product's sparse rows (hopf.py); verify_yd's S⁻¹ form reads them
 from one h.word_table() per call.  σ and σ⁻¹ are read from the lifted
 tables kept on the cocycle (_SigmaTables).  The hot loops here sum lifted
 values (fields.Field.lift) from Bilinear's lifted tables, and a
-construction reduces each row it builds once (Field.reduce_vec).
+construction reduces what it builds once (Field.reduce_vec,
+linalg.Matrix.from_sums, reduced_rows).
 The linear maps on M⊗N share one term kernel: a producer gives, for each
 basis pair v_p⊗w_q, the terms [(a, b, c)] of its image Σ c·x_a⊗y_b, for
 the braiding Φ (_braid_terms), for η and ξ (a functional σ^{∓1} paired
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import complements, scaled
 from .hopf import (dual_hopf, first_action_mismatch, first_coaction_mismatch,
                    first_unit_mismatch)
 from .linalg import (Matrix, Tensor, _reduce, are_inverse, check_shape,
@@ -86,9 +88,10 @@ class YdModule:
         return self.act.apply_basis(i, mvec)
 
     def coact2(self, p):
-        """Sparse (ρ⊗id)ρ(v_p) as [(q, k1, k2, lifted coeff)] (m₀⊗m₁⊗m₂)."""
+        """Sparse (ρ⊗id)ρ(v_p) as [(q, k1, k2, lifted coeff)] (m₀⊗m₁⊗m₂),
+        at the square of the scale of coact's lifted terms."""
         if self._coact2 is None:
-            terms = self.coact.lifted_terms()
+            terms = self.coact.lifted_terms()[0]
             self._coact2 = [[(q1, k1, k2, c0 * c1) for q0, k2, c0 in terms[p2]
                              for q1, k1, c1 in terms[q0]]
                             for p2 in range(self.dim)]
@@ -175,10 +178,10 @@ def verify_yd(mod):
         bad = first_coaction_mismatch(h.delta, coact)
     rep.add("comodule_axioms", bad is None, bad)
 
-    lift = f.lift
-    delta, hmul = h.delta.lifted_terms(), h.mul.lifted_rows()
-    arows, cterms = act.lifted_rows(), coact.lifted_terms()
+    (delta, _), (hmul, _) = h.delta.lifted_terms(), h.mul.lifted_rows()
+    (arows, sa), (cterms, sc) = act.lifted_rows(), coact.lifted_terms()
 
+    # both sides of the first form are at one scale
     def compatibility(i, p):
         lhs = {}
         for a, b, ca in delta[i]:
@@ -199,29 +202,24 @@ def verify_yd(mod):
                         rhs[key] = rhs.get(key, 0) + w0 * cm
         return lhs, rhs
 
-    bad = first_lifted_mismatch(f, (hs, ms), compatibility, n)
+    bad = first_lifted_mismatch(f, (hs, ms), compatibility, (n,))
     rep.add("yd_compatibility", bad is None, bad,
             "Σh1·m0⊗h2m1 = Σ(h2·m)0⊗(h2·m)1h1")
 
-    words, lifted_words = h.word_table(), {}
-
-    def word(c, k, a):
-        """words(c, k, a) with lifted coefficients, lifted once."""
-        got = lifted_words.get((c, k, a))
-        if got is None:
-            got = lifted_words[c, k, a] = [(k2, lift(v))
-                                           for k2, v in words(c, k, a)]
-        return got
+    word, sw = h.word_table()
+    copower, s3 = h.lifted_copower(3)
+    # the left side is at scale sa·sc, the right one at s3·sc·sa·sw
+    kl, kr = complements(sa * sc, s3 * sc * sa * sw)
+    lrows, copower = scaled(arows, kl), scaled(copower, kr)
 
     def compatibility_sinv(i, p):
         lhs = {}
-        for q0, x in arows[i][p]:
+        for q0, x in lrows[i][p]:
             for q, k, c0 in cterms[q0]:
                 key = q * n + k
                 lhs[key] = lhs.get(key, 0) + x * c0
         rhs = {}
-        for (a, b, c3), w in h.copower(i, 3):
-            w = lift(w)
+        for (a, b, c3), w in copower[i]:
             for q0, k, c0 in cterms[p]:
                 wk, w0 = word(c3, k, a), w * c0
                 for q, x in arows[b][q0]:
@@ -231,7 +229,7 @@ def verify_yd(mod):
                         rhs[key] = rhs.get(key, 0) + w2 * cv
         return lhs, rhs
 
-    bad = first_lifted_mismatch(f, (hs, ms), compatibility_sinv, n)
+    bad = first_lifted_mismatch(f, (hs, ms), compatibility_sinv, (n,))
     rep.add("yd_compatibility_sinv_form", bad is None, bad,
             "ρ(h·m) = Σh2·m0⊗h3m1S⁻¹(h1)")
     return rep
@@ -257,17 +255,20 @@ def verify_yd_algebra(alg):
         bad = first_action_mismatch(alg.mul, alg.mul)
     rep.add("algebra_axioms", bad is None, bad)
 
-    delta, hmul = h.delta.lifted_terms(), h.mul.lifted_rows()
-    mul, act = alg.mul.lifted_rows(), mod.act.lifted_rows()
-    coact = mod.coact.lifted_terms()
+    (delta, sd), (hmul, sm) = h.delta.lifted_terms(), h.mul.lifted_rows()
+    (mul, sA), (act, sa) = alg.mul.lifted_rows(), mod.act.lifted_rows()
+    coact, sc = mod.coact.lifted_terms()
+    # module_algebra's sides are at scales sA·sa and sd·sa²·sA
+    kl, kr = complements(sA * sa, sd * sa * sa * sA)
+    lmul, rdelta = scaled(mul, kl), scaled(delta, kr)
 
     def module_algebra(i, p):
         # h·(v_p v_q) − Σ(h₁·v_p)(h₂·v_q) for h = e_i, one row per q
-        hp = [(b, s, ca * x) for a, b, ca in delta[i] for s, x in act[a][p]]
+        hp = [(b, s, ca * x) for a, b, ca in rdelta[i] for s, x in act[a][p]]
         diff = {}
         for q in ms:
             base = q * m
-            for t, c in mul[p][q]:
+            for t, c in lmul[p][q]:
                 for k, w in act[i][t]:
                     key = base + k
                     diff[key] = diff.get(key, 0) + c * w
@@ -287,9 +288,13 @@ def verify_yd_algebra(alg):
     rep.add("module_algebra", bad is None, bad,
             "h·(ab) = Σ(h1·a)(h2·b), h·1 = ε(h)1")
 
+    # comodule_algebra's sides are at scales sA·sc and sc²·sm·sA
+    kl, kr = complements(sA * sc, sc * sc * sm * sA)
+    cmul, hmul = scaled(mul, kl), scaled(hmul, kr)
+
     def comodule_algebra(p, q):
         lhs = {}
-        for k2, c in mul[p][q]:
+        for k2, c in cmul[p][q]:
             for q2, k, c2 in coact[k2]:
                 key = q2 * n + k
                 lhs[key] = lhs.get(key, 0) + c * c2
@@ -315,7 +320,7 @@ def verify_yd_algebra(alg):
                     rhs[p][k] = rhs[p][k] + x * u
         return lhs, rhs
 
-    bad = first_lifted_mismatch(f, (ms, ms), comodule_algebra, n)
+    bad = first_lifted_mismatch(f, (ms, ms), comodule_algebra, (n,))
     if bad is None:
         bad = first_mismatch((), unit_coaction)
     rep.add("comodule_algebra", bad is None, bad,
@@ -324,23 +329,24 @@ def verify_yd_algebra(alg):
 
 
 # -- the term kernel for linear maps on M⊗N -----------------------------------
-# A producer returns, for each basis pair v_p⊗w_q (index p·dim(N)+q), the
-# terms [(a, b, c)] of its image Σ c·x_a⊗y_b, c lifted (fields.Field.lift)
-# and summed from the lifted tables of the modules; a consumer sums the
-# terms and reduces each row it builds once.
+# A producer returns (terms, scale): for each basis pair v_p⊗w_q (index
+# p·dim(N)+q), the terms [(a, b, c)] of its image Σ c·x_a⊗y_b, c lifted
+# (fields.Field.lift) at scale and summed from the lifted tables of the
+# modules; a consumer sums the terms and reduces what it builds once.
 
 def _braid_terms(ma, mb):
     """Φ(m⊗n) = Σ n₀ ⊗ n₁·m: M⊗N → N⊗M."""
-    co_b, act_a = mb.coact.lifted_terms(), ma.act.lifted_rows()
+    (co_b, sb), (act_a, sa) = mb.coact.lifted_terms(), ma.act.lifted_rows()
     return [[(q0, p1, c * x) for q0, k, c in co_b[q]
              for p1, x in act_a[k][p]]
-            for p in range(ma.dim) for q in range(mb.dim)]
+            for p in range(ma.dim) for q in range(mb.dim)], sb * sa
 
 
 def _paired_terms(ma, mb, f):
     """m⊗n ↦ Σ m₀⊗n₀ f(n₁⊗m₁) for a functional f on H⊗H given as its
-    lifted rows, f[k2][k1] = f(e_k2⊗e_k1) lifted."""
-    co_a, co_b = ma.coact.lifted_terms(), mb.coact.lifted_terms()
+    lifted rows with their scale, f[0][k2][k1] = f(e_k2⊗e_k1) lifted."""
+    (co_a, sa), (co_b, sb) = ma.coact.lifted_terms(), mb.coact.lifted_terms()
+    f, sf = f
     out = []
     for ta in co_a:
         for tb in co_b:
@@ -351,54 +357,56 @@ def _paired_terms(ma, mb, f):
                     if v:
                         ts.append((p0, q0, c1 * c2 * v))
             out.append(ts)
-    return out
+    return out, sa * sb * sf
 
 
 def _acting_terms(ma, mb, x):
     """m⊗n ↦ X·(m⊗n) = Σ c·(e_a·m)⊗(e_b·n) for X = Σ c·e_a⊗e_b ∈ H⊗H given
     as [(a, b, c)] with field coefficients."""
-    lift = ma.host.field.lift
-    xs = [(a, b, lift(c)) for a, b, c in x]
-    act_a, act_b = ma.act.lifted_rows(), mb.act.lifted_rows()
-    return [[(p1, q1, c * y * z) for a, b, c in xs
+    cs, sx = ma.host.field.lift([c for _, _, c in x])
+    (act_a, sa), (act_b, sb) = ma.act.lifted_rows(), mb.act.lifted_rows()
+    return [[(p1, q1, c * y * z) for (a, b, _), c in zip(x, cs)
              for p1, y in act_a[a][p] for q1, z in act_b[b][q]]
-            for p in range(ma.dim) for q in range(mb.dim)]
+            for p in range(ma.dim) for q in range(mb.dim)], sx * sa * sb
 
 
 def _matrix(field, terms, da, db):
-    """The row-as-image matrix of terms, into a target of dimension da·db."""
-    rows = []
+    """The row-as-image matrix of a producer's (terms, scale), into a
+    target of dimension da·db."""
+    terms, scale = terms
+    width = da * db
+    sums = []
     for ts in terms:
-        row = [0] * (da * db)
+        row = [0] * width
         for a, b, c in ts:
             row[a * db + b] += c
-        rows.append(field.reduce_vec(row))
-    return Matrix(field, len(terms), da * db, rows)
+        sums += row
+    return Matrix.from_sums(field, len(terms), width, sums, scale)
 
 
 def _pushed_product(alg, terms):
-    """The product table of a•b = μ(J(a⊗b)), for J given by its terms on
-    A⊗A."""
+    """The product table of a•b = μ(J(a⊗b)), for J given by its (terms,
+    scale) on A⊗A."""
     f = alg.host.field
     m = alg.dim
-    mul = alg.mul.lifted_rows()
+    (terms, st), (mul, sm) = terms, alg.mul.lifted_rows()
     data = []
     for ts in terms:
         acc = [0] * m
         for a, b, c in ts:
             for k, w in mul[a][b]:
                 acc[k] += c * w
-        data += f.reduce_vec(acc)
-    return Tensor(f, (m, m, m), data)
+        data += acc
+    return Tensor(f, (m, m, m), f.reduce_vec(data, st * sm))
 
 
 def _kron(fa, fb):
     """The matrix of fa⊗fb: v_p⊗w_q ↦ fa(v_p)⊗fb(w_q), for row-as-image
     matrices fa and fb."""
-    ra = [[(a, x) for a, x in enumerate(row) if x] for row in fa.lifted_rows()]
-    rb = [[(b, y) for b, y in enumerate(row) if y] for row in fb.lifted_rows()]
-    return _matrix(fa.field, [[(a, b, x * y) for a, x in ta for b, y in tb]
-                              for ta in ra for tb in rb], fa.cols, fb.cols)
+    (ra, sa), (rb, sb) = fa.lifted_nonzeros(), fb.lifted_nonzeros()
+    return _matrix(fa.field, ([[(a, b, x * y) for a, x in ta for b, y in tb]
+                               for ta in ra for tb in rb], sa * sb),
+                   fa.cols, fb.cols)
 
 
 # -- tensor products and the braiding ---------------------------------------
@@ -411,8 +419,9 @@ def yd_tensor(ma, mb):
     db = mb.dim
     dim = ma.dim * db
     zeros = [f.zero] * n
-    mul = h.mul.lifted_rows()
-    co_a, co_b = ma.coact.lifted_terms(), mb.coact.lifted_terms()
+    (mul, sm), (co_a, sa) = h.mul.lifted_rows(), ma.coact.lifted_terms()
+    co_b, sb = mb.coact.lifted_terms()
+    scale = sa * sb * sm
 
     def reversed_product(src):
         # ρ(v_p⊗w_q) = Σ v_p0⊗w_q0 ⊗ k2·k1, one row per p0⊗q0; rows never
@@ -430,7 +439,7 @@ def yd_tensor(ma, mb):
                     row[k] += w * cm
         rows = [zeros] * dim
         for t, row in sums.items():
-            rows[t] = f.reduce_vec(row)
+            rows[t] = f.reduce_vec(row, scale)
         return rows
 
     # e_i·(v_p⊗w_q) = Δ(e_i)·(v_p⊗w_q), one row per v_p⊗w_q
@@ -455,10 +464,16 @@ def is_yd_map(f_map):
     if not h.structures_equal(dst.host):
         raise VerificationError("yd map between different hosts")
     f, n, dm = h.field, h.dim, dst.dim
-    mrows = [[(t, f.lift(y)) for t, y in enumerate(row) if y]
-             for row in f_map.matrix.data]
-    src_act, dst_act = src.act.lifted_rows(), dst.act.lifted_rows()
-    src_co, dst_co = src.coact.lifted_terms(), dst.coact.lifted_terms()
+    mrows = f_map.matrix.lifted_nonzeros()[0]
+    (src_act, sa), (dst_act, da) = src.act.lifted_rows(), dst.act.lifted_rows()
+    (src_co, sc), (dst_co, dc) = (src.coact.lifted_terms(),
+                                  dst.coact.lifted_terms())
+    # both sides of each check are at the map's scale times that of the
+    # source's or of the target's tables
+    ks, kd = complements(sa, da)
+    src_act, dst_act = scaled(src_act, ks), scaled(dst_act, kd)
+    ks, kd = complements(sc, dc)
+    src_co, dst_co = scaled(src_co, ks), scaled(dst_co, kd)
 
     def linear(i):
         # f(e_i·v_p) − e_i·f(v_p), one row per p, keyed p·dim(N)+t
@@ -491,12 +506,22 @@ def is_yd_map(f_map):
 
     bad = first_block_mismatch(f, (range(n),), linear, dm)
     rep.add("h_linear", bad is None, bad)
-    bad = first_lifted_mismatch(f, (range(src.dim),), colinear, n)
+    bad = first_lifted_mismatch(f, (range(src.dim),), colinear, (n,))
     rep.add("h_colinear", bad is None, bad)
     return rep
 
 
 # -- the σ̲ functor -----------------------------------------------------------
+
+def reduced_rows(field, shape, form, scale):
+    """The rows form(i, j) of lifted sums at scale, for each (i, j) of
+    shape's first two legs, reduced in one call: a function (i, j) ↦ the
+    reduced row, to give agreed_tensor."""
+    n0, n1, n2 = shape
+    flat = field.reduce_vec([x for i in range(n0) for j in range(n1)
+                             for x in form(i, j)], scale)
+    return lambda i, j: flat[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]
+
 
 def agreed_tensor(what, field, shape, form, other):
     """The 3-tensor t[i,j,:] = form(i, j) of a construction with two
@@ -513,21 +538,26 @@ def agreed_tensor(what, field, shape, form, other):
 
 class _SigmaTables:
     """What σ̲ reads of the cocycle alone, lifted (fields.Field.lift): σ and
-    σ⁻¹ as dense lifted rows (sig, inv), the live terms of Δ²(e_i) and
-    Δ⁴(e_i) (live), and the second displayed form's pairing
-    σ(h₄m₁S⁻¹(h₂) ⊗ h₁), as pairings[h₁, h₂, h₄][m₁] (filled by pair).
-    Built once per TwoCocycle, by _tables; the live terms and the pairings
-    are filled as they are first read, since an eager pairing table would
-    have n⁴ entries."""
+    σ⁻¹ as dense lifted rows with their scales (sig, inv), the live terms
+    of Δ²(e_i) and Δ⁴(e_i) (live, at live_scale[k]), and the second
+    displayed form's pairing σ(h₄m₁S⁻¹(h₂) ⊗ h₁), as unreduced lifted sums
+    pairings[h₁, h₂, h₄][m₁] (filled by pair) at pair_scale.  Built once
+    per TwoCocycle, by _tables; the live terms and the pairings are filled
+    as they are first read, since an eager pairing table would have n⁴
+    entries."""
 
     def __init__(self, s):
         h = self.host = s.host
         self.sig, self.inv = s.sigma.lifted_rows(), s.sigma_inv.lifted_rows()
+        sig, inv = self.sig[0], self.inv[0]
         # A term of Δ^(k-1)(e_i) adds zero to both forms unless σ(·⊗h₁) and
         # σ⁻¹(h_k⊗·) are nonzero functionals; both forms walk only the
         # others.
-        self.first = [any(row[a] for row in self.sig) for a in range(h.dim)]
-        self.last = [any(row) for row in self.inv]
+        self.first = [any(row[a] for row in sig) for a in range(h.dim)]
+        self.last = [any(row) for row in inv]
+        self.live_scale = {k: h.lifted_copower(k)[1] for k in (3, 5)}
+        self.pair_scale = (h.mul.lifted_rows()[1] ** 2 * self.sig[1]
+                           * h.antipodes.lifted_rows()[1])
         self._live = {}
         self.pairings = {}
 
@@ -536,19 +566,18 @@ class _SigmaTables:
         first leg σ and last leg σ⁻¹ can pair to nonzero."""
         got = self._live.get((i, k))
         if got is None:
-            h, first, last = self.host, self.first, self.last
-            lift = h.field.lift
-            got = self._live[i, k] = [(idx, lift(w))
-                                      for idx, w in h.copower(i, k)
-                                      if first[idx[0]] and last[idx[-1]]]
+            first, last = self.first, self.last
+            got = self._live[i, k] = [
+                (idx, w) for idx, w in self.host.lifted_copower(k)[0][i]
+                if first[idx[0]] and last[idx[-1]]]
         return got
 
     def pair(self, a, b, d):
         """pairings[a, b, d], the list over k1 of σ(e_d e_k1 S⁻¹(e_b) ⊗ e_a)
-        lifted from its reduced value, and returned: each product is summed
-        from h.mul's lifted rows and S⁻¹, independently of the first form."""
-        h, sig = self.host, self.sig
-        mul, sinv = h.mul.lifted_rows(), h.antipodes.lifted_rows()[1]
+        as unreduced lifted sums, and returned: each product is summed from
+        h.mul's lifted rows and S⁻¹, independently of the first form."""
+        h, sig = self.host, self.sig[0]
+        mul, sinv = h.mul.lifted_rows()[0], h.antipodes.lifted_rows()[0][1]
         sums = []
         for dk in mul[d]:
             acc = 0
@@ -557,9 +586,8 @@ class _SigmaTables:
                     for k, cm in mul[t][j]:
                         acc += c * y * cm * sig[k][a]
             sums.append(acc)
-        f = h.field
-        got = self.pairings[a, b, d] = list(map(f.lift, f.reduce_vec(sums)))
-        return got
+        self.pairings[a, b, d] = sums
+        return sums
 
 
 def _tables(s):
@@ -573,7 +601,8 @@ def sigma_module(s, mod):
     """σ̲(M): the twisted action, on M's own coaction tensor.
 
     Both displayed forms of the twisted action are computed; they must
-    agree.  Each form sums lifted values and reduces one row per (i, p).
+    agree.  Each form sums lifted values and reduces all its rows in one
+    call (reduced_rows).
     What depends on the cocycle alone (σ and σ⁻¹ lifted, the live terms of
     Δ² and Δ⁴, the second form's pairing) is built once per cocycle object
     and kept on it (_SigmaTables), so later calls on other modules, and
@@ -587,11 +616,13 @@ def sigma_module(s, mod):
     n = h.dim
     m = mod.dim
     f = h.field
-    red = f.reduce_vec
     tabs = _tables(s)
-    sig, inv, live = tabs.sig, tabs.inv, tabs.live
+    (sig, ss), (inv, si), live = tabs.sig, tabs.inv, tabs.live
     pair, pairings = tabs.pair, tabs.pairings
-    coact, act = mod.coact.lifted_terms(), mod.act.lifted_rows()
+    (coact, sc), (act, sa) = mod.coact.lifted_terms(), mod.act.lifted_rows()
+    # each form's sums are at the product of its factors' scales
+    scale_one = tabs.live_scale[3] * sc * si * sa * sc * ss
+    scale_two = tabs.live_scale[5] * si * sc * sc * tabs.pair_scale * sa
 
     def twisted(i, p):
         acc = [0] * m
@@ -608,7 +639,7 @@ def sigma_module(s, mod):
                         s1 = sig[k2][a]
                         if s1:
                             acc[q2] += w2 * c2 * s1
-        return red(acc)
+        return acc
 
     by_h5 = {}      # by p: per h₅, [(σ⁻¹(h₅⊗m₂), [(m₀, m₁, c)])] over m₂
 
@@ -638,10 +669,12 @@ def sigma_module(s, mod):
                         w2 = ws * c0 * s1
                         for q, x in act_c3[q0]:
                             acc[q] += w2 * x
-        return red(acc)
+        return acc
 
-    action = agreed_tensor("twisted-action", f, (n, m, m), twisted,
-                           twisted_expanded)
+    shape = (n, m, m)
+    action = agreed_tensor("twisted-action", f, shape,
+                           reduced_rows(f, shape, twisted, scale_one),
+                           reduced_rows(f, shape, twisted_expanded, scale_two))
     return YdModule(deform(s), m, action, mod.coaction)
 
 
@@ -817,8 +850,9 @@ def braided_product(alga, algb, cqt=None):
     da, db = moda.dim, modb.dim
     dim = da * db
 
-    phi = _braid_terms(modb, moda)     # Φ_{B,A}(b⊗c) = Σ c₀ ⊗ c₁·b
-    mul_a, mul_b = alga.mul.lifted_rows(), algb.mul.lifted_rows()
+    phi, sp = _braid_terms(modb, moda)     # Φ_{B,A}(b⊗c) = Σ c₀ ⊗ c₁·b
+    (mul_a, sa), (mul_b, sb) = alga.mul.lifted_rows(), algb.mul.lifted_rows()
+    scale = sp * sa * sb
 
     def product(src1, src2):
         # (a#b)(c#d) = Σ a·c₀ # (c₁·b)·d for a#b = v_p#w_q, c#d = v_r#w_s
@@ -830,7 +864,7 @@ def braided_product(alga, algb, cqt=None):
                 w = c * x
                 for q2, y in rb:
                     acc[p1 * db + q2] += w * y
-        return f.reduce_vec(acc)
+        return f.reduce_vec(acc, scale)
 
     ds = range(dim)
     mult = Tensor.from_rows(f, (dim, dim, dim),
@@ -940,22 +974,23 @@ def generating_set(alg):
     products are summed lifted and reduced once per coordinate.
     """
     f = alg.host.field
-    lift, red = f.lift, f.reduce
-    mul = alg.mul.lifted_rows()
+    red = f.reduce
+    mul, sm = alg.mul.lifted_rows()
     gens = []
     span = _reduce(f, [enumerate(alg.unit)])
 
     def products(rows, new):
         """u·e_g and e_g·u for every row u and every g in new."""
         for u in rows:
-            lu = [(p, lift(c)) for p, c in u.items()]
+            cs, su = f.lift(list(u.values()))
+            lu, scale = list(zip(u, cs)), su * sm
             for g in new:
                 for left in (False, True):
                     acc = {}
                     for p, c in lu:
                         for k, w in (mul[g][p] if left else mul[p][g]):
                             acc[k] = acc.get(k, 0) + c * w
-                    yield [(k, red(v)) for k, v in acc.items()]
+                    yield [(k, red(v, scale)) for k, v in acc.items()]
 
     def close(rows, new):
         while rows:
@@ -1016,9 +1051,10 @@ def azumaya_check(alg):
     dim = m * m
     ms = range(m)
     bar = h_opposite(alg)
-    arow, brow = alg.mul.lifted_rows(), bar.mul.lifted_rows()
+    (arow, sa), (brow, sb) = alg.mul.lifted_rows(), bar.mul.lifted_rows()
+    sf = sa * sb
 
-    # entry p·m+q: F(e_p#ē_q) and G(ē_p#e_q), lifted sums
+    # entry p·m+q: F(e_p#ē_q) and G(ē_p#e_q), lifted sums at scale sf
     frows = [sparse_sum((x * m + s, c * d) for x in ms
                         for t, c in brow[q][x] for s, d in arow[p][t])
              for p in ms for q in ms]
@@ -1026,13 +1062,14 @@ def azumaya_check(alg):
                         for t, c in brow[x][p] for s, d in arow[t][q])
              for p in ms for q in ms]
 
-    rank_f = sparse_rank(f, map(f.reduce_row, frows))
-    rank_g = sparse_rank(f, map(f.reduce_row, grows))
+    rank_f = sparse_rank(f, (f.reduce_row(row, sf) for row in frows))
+    rank_g = sparse_rank(f, (f.reduce_row(row, sf) for row in grows))
     rep.add("F_bijective", rank_f == dim, None, "rank %d of %d" % (rank_f, dim))
     rep.add("G_bijective", rank_g == dim, None, "rank %d of %d" % (rank_g, dim))
 
     def f_of(terms):
-        """F(Σ c·e_p#ē_q) for terms [(p, q, c)], c lifted."""
+        """F(Σ c·e_p#ē_q) for terms [(p, q, c)], c lifted, at sf times the
+        terms' scale."""
         return sparse_sum((k, c * v) for p, q, c in terms
                           for k, v in frows[p * m + q].items())
 
@@ -1045,36 +1082,50 @@ def azumaya_check(alg):
         return rows
 
     def then(x, rows):
-        """x followed by the element of End(A) that by_source gave rows."""
+        """x followed by the element of End(A) that by_source gave rows, at
+        the product of their scales."""
         return sparse_sum((r * m + s, c * v) for k, c in x.items()
                           for r, t in (divmod(k, m),)
                           for s, v in rows.get(t, ()))
 
     def agree(lhs, rhs):
+        """Are the two sides, at one scale, equal?"""
         diff = dict(lhs)
         for k, v in rhs.items():
             diff[k] = diff.get(k, 0) - v
-        return not f.reduce_row(diff)
+        return not any(map(f.nonzero, diff.values()))
 
-    unit = [(p, f.lift(c)) for p, c in enumerate(alg.unit) if c]
+    us, su = f.lift(alg.unit)
+    unit = [(p, c) for p, c in enumerate(us) if c]
     # (1#ē_b)(e_g#1) = Σ g₀ # g₁·ē_b = Φ(ē_b⊗e_g), entry b·m+g
-    exchange = _braid_terms(mod, mod)
+    exchange, sx = _braid_terms(mod, mod)
     gens_a = generating_set(alg)
     gens_b = generating_set(bar)
     fa = [f_of([(a, q, c) for q, c in unit]) for a in ms]
     fb = [f_of([(p, b, c) for p, c in unit]) for b in ms]
     fa_rows, fb_rows = list(map(by_source, fa)), list(map(by_source, fb))
+    # every right side is at (su·sf)²; each family puts its left side on
+    # that scale by a scaled copy of one table of each side
+    right = (su * sf) ** 2
+    k1, r1 = complements(sa * su * sf, right)
+    k2, r2 = complements(su * sb * sf, right)
+    k3, r3 = complements(sf, right)
+    k4, r4 = complements(sx * sf, right)
+    arow1, fa1, brow2, fb2 = (scaled(arow, k1), scaled(fa, r1),
+                              scaled(brow, k2), scaled(fb, r2))
+    frows3, fb3 = scaled(frows, k3), scaled(fb, r3)
+    exchange4, fa4 = scaled(exchange, k4), scaled(fa, r4)
     families = (
         ("(i) F(ga#1) = F(g#1)F(a#1)", (gens_a, ms), lambda g, a: (
-            f_of([(t, q, c * u) for t, c in arow[g][a] for q, u in unit]),
-            then(fa[a], fa_rows[g]))),
+            f_of([(t, q, c * u) for t, c in arow1[g][a] for q, u in unit]),
+            then(fa1[a], fa_rows[g]))),
         ("(ii) F(1#ḡ∘b̄) = F(1#ḡ)F(1#b̄)", (gens_b, ms), lambda g, b: (
-            f_of([(p, t, u * c) for p, u in unit for t, c in brow[g][b]]),
-            then(fb[b], fb_rows[g]))),
+            f_of([(p, t, u * c) for p, u in unit for t, c in brow2[g][b]]),
+            then(fb2[b], fb_rows[g]))),
         ("(iii) F(a#b̄) = F(a#1)F(1#b̄)", (ms, ms), lambda a, b: (
-            frows[a * m + b], then(fb[b], fa_rows[a]))),
+            frows3[a * m + b], then(fb3[b], fa_rows[a]))),
         ("(iv) F((1#b̄)(g#1)) = F(1#b̄)F(g#1)", (gens_a, ms), lambda g, b: (
-            f_of(exchange[b * m + g]), then(fa[g], fb_rows[b]))))
+            f_of(exchange4[b * m + g]), then(fa4[g], fb_rows[b]))))
     detail = "checked against %d generators" % (len(gens_a) + len(gens_b))
     for family, space, sides in families:
         # one verdict per index pair, so that the witness is the pair
@@ -1083,9 +1134,10 @@ def azumaya_check(alg):
             detail = family
             break
     rep.add("F_algebra_map", bad is None, bad, detail)
+    one = su * su * sf          # the identity at the left side's scale
     rep.add("F_unital", agree(
         f_of([(p, q, c * u) for p, c in unit for q, u in unit]),
-        {x * m + x: 1 for x in ms}))
+        {x * m + x: one for x in ms}))
 
     nonzero = any(alg.unit)
     rep.add("is_azumaya", nonzero and rank_f == dim and rank_g == dim)

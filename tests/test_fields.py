@@ -122,18 +122,27 @@ def test_fp_ops_agree_with_int_arithmetic_mod_p(p, a, b):
 @given(st.sampled_from(PRIMES),
        st.lists(st.tuples(st.integers(), st.integers()), max_size=6))
 def test_lifted_sum_reduces_to_the_field_sum(p, pairs):
-    """Σ x·y summed on lifted values and reduced once is the sum computed
-    on F_p elements, and ℚ lifts and reduces as the identity."""
+    """Σ x·y summed on lifted values and reduced once, at the product of
+    the two lists' scales, is the sum computed on field elements: over F_p
+    every scale is 1, and over ℚ, for rationals of denominators 1, 2, 3
+    and 6, the scale is their common denominator and the sum int-first."""
     f = FIELDS[p]
     xs = [(f.from_int(a), f.from_int(b)) for a, b in pairs]
     field_sum = f.zero
     for x, y in xs:
         field_sum = field_sum + x * y
-    lifted = sum(f.lift(x) * f.lift(y) for x, y in xs)
-    assert type(f.lift(f.one)) is int
-    assert_residue(f, f.reduce(lifted), field_sum)
-    q = Fraction(sum(a for a, _ in pairs), 3)
-    assert QQ.lift(q) is q and QQ.reduce(q) is q
+    (lx, sx), (ly, sy) = f.lift([x for x, _ in xs]), f.lift([y for _, y in xs])
+    assert sx == sy == 1 and all(type(v) is int for v in lx + ly)
+    assert_residue(f, f.reduce(sum(map(operator.mul, lx, ly)), 1), field_sum)
+    qs = [(QQ.ratio(a, 1 + a % 3), QQ.ratio(b, 1 + b % 2)) for a, b in pairs]
+    (lx, sx), (ly, sy) = (QQ.lift([pair[leg] for pair in qs])
+                          for leg in (0, 1))
+    assert all(type(v) is int for v in lx + ly) and {sx, sy} <= {1, 2, 3, 6}
+    assert [Fraction(v, sx) for v in lx] == [x for x, _ in qs]
+    want = sum((Fraction(x) * Fraction(y) for x, y in qs), Fraction(0))
+    assert_int_first(QQ.reduce(sum(map(operator.mul, lx, ly)), sx * sy), want)
+    ints = [x for x, _ in qs if type(x) is int]
+    assert QQ.lift(ints) == (ints, 1) and QQ.lift(ints)[0] is ints
 
 
 def test_fp_mixed_int_operands_reduce():
@@ -221,7 +230,7 @@ def test_qfraction_ops_agree_with_fraction(a, b):
                                                         "in Q"):
                 QQ.div(x, y)
     assert_int_first(QQ.parse(str(fa)), fa)
-    assert_int_first(QQ.reduce_vec([fa])[0], fa)
+    assert_int_first(QQ.reduce_vec(*QQ.lift([fa]))[0], fa)
 
 
 def test_qfraction_rejects_other_operand_types():

@@ -11,11 +11,12 @@ import pytest
 from hopflab.fields import QQ, PrimeField, field_from_spec
 from hopflab.linalg import (DimensionError, Matrix, Tensor,
                             linear_combination, mat_mul)
-from hopflab.hopf import (HopfAlgebra, dual_hopf, hopf_map_checks,
-                          verify_hopf_axioms)
+from hopflab.hopf import (HopfAlgebra, dual_hopf, first_coaction_mismatch,
+                          hopf_map_checks, verify_hopf_axioms)
 from hopflab.report import CheckReport, first_mismatch
 from hopflab.twist import conv_inverse1, deform, two_cocycle
-from hopflab.catalog import dim1_hopf, group_algebra_c2, sweedler_h4
+from hopflab.catalog import (dim1_hopf, group_algebra_c2, r_t,
+                             regular_comodule_module, sweedler_h4)
 from conftest import dense_row
 from test_convolution_routes import ref_coboundary
 
@@ -146,10 +147,21 @@ def report_rows(rep, names=None):
             if names is None or c.name in names]
 
 
-def one_entry_changes(t):
-    """Every copy of the tensor t with one entry raised or lowered by 1."""
+def steps(field, thirds=False):
+    """±1, and with thirds over ℚ also ±1/3: a changed table then has
+    denominators 3, or 6 where it had halves, and its lifted scale moves."""
+    one = field.one
+    if thirds and field.kind == "Q":
+        third = field.ratio(1, 3)
+        return one, -one, third, -third
+    return one, -one
+
+
+def one_entry_changes(t, thirds=False):
+    """Every copy of the tensor t with one entry raised or lowered by 1
+    (or by 1/3, with thirds over ℚ)."""
     for flat in range(len(t.data)):
-        for step in (t.field.one, -t.field.one):
+        for step in steps(t.field, thirds):
             data = list(t.data)
             data[flat] = data[flat] + step
             yield Tensor(t.field, t.shape, data)
@@ -172,14 +184,15 @@ def product_host(name, f):
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 @pytest.mark.parametrize("name", ["H4", "H4*", "kC2", "H4^dg"])
 def test_product_checks_match_dense_products(name, spec):
-    """On every ±1 one-entry change of mult, associativity and unit give
-    the dense reference's report tuples, witnesses included."""
+    """On every ±1 one-entry change of mult (and ±1/3 over ℚ), associativity
+    and unit give the dense reference's report tuples, witnesses
+    included."""
     h = product_host(name, field_from_spec(spec))
     names = ("associativity", "unit")
     assert report_rows(verify_hopf_axioms(h), names) == \
         report_rows(dense_product_checks(h), names)
     failing = set()
-    for mult in one_entry_changes(h.mult):
+    for mult in one_entry_changes(h.mult, thirds=True):
         bad = HopfAlgebra(h.field, h.dim, h.basis_names, mult, h.unit,
                           h.comult, h.counit, h.antipode, h.antipode_inv)
         rows = report_rows(verify_hopf_axioms(bad), names)
@@ -240,19 +253,21 @@ def closure_checks(h):
     return rep
 
 
-def one_vector_changes(v, field):
-    """Every copy of the list v with one entry raised or lowered by 1."""
+def one_vector_changes(v, field, thirds=False):
+    """Every copy of the list v with one entry raised or lowered by 1 (or
+    by 1/3, with thirds over ℚ)."""
     for i in range(len(v)):
-        for step in (field.one, -field.one):
+        for step in steps(field, thirds):
             out = list(v)
             out[i] = out[i] + step
             yield out
 
 
-def one_matrix_changes(m):
-    """Every copy of the Matrix m with one entry raised or lowered by 1."""
+def one_matrix_changes(m, thirds=False):
+    """Every copy of the Matrix m with one entry raised or lowered by 1 (or
+    by 1/3, with thirds over ℚ)."""
     for i in range(m.rows):
-        for data in one_vector_changes(m.data[i], m.field):
+        for data in one_vector_changes(m.data[i], m.field, thirds):
             yield Matrix(m.field, m.rows, m.cols,
                          m.data[:i] + [data] + m.data[i + 1:])
 
@@ -268,21 +283,23 @@ def hopf_with(h, **changed):
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 @pytest.mark.parametrize("name", ["H4", "H4*", "kC2", "H4^dg"])
 def test_shared_checks_match_closures(name, spec):
-    """On every ±1 one-entry change of mult, comult, unit or antipode, the
-    unit, coassociativity and antipode checks give the replaced closures'
-    report tuples, and every family fails one of them somewhere."""
+    """On every ±1 one-entry change of mult, comult, unit or antipode (and
+    ±1/3 over ℚ), the unit, coassociativity and antipode checks give the
+    replaced closures' report tuples, and every family fails one of them
+    somewhere."""
     h = product_host(name, field_from_spec(spec))
     names = ("unit", "coassociativity", "antipode")
     assert report_rows(verify_hopf_axioms(h), names) == \
         report_rows(closure_checks(h))
     families = {
-        "mult": (hopf_with(h, mult=t) for t in one_entry_changes(h.mult)),
+        "mult": (hopf_with(h, mult=t)
+                 for t in one_entry_changes(h.mult, thirds=True)),
         "comult": (hopf_with(h, comult=t)
-                   for t in one_entry_changes(h.comult)),
+                   for t in one_entry_changes(h.comult, thirds=True)),
         "unit": (hopf_with(h, unit=u)
-                 for u in one_vector_changes(h.unit, h.field)),
+                 for u in one_vector_changes(h.unit, h.field, thirds=True)),
         "antipode": (hopf_with(h, antipode=s)
-                     for s in one_matrix_changes(h.antipode))}
+                     for s in one_matrix_changes(h.antipode, thirds=True))}
     failing = set()
     for family, hosts in families.items():
         for bad in hosts:
@@ -291,6 +308,52 @@ def test_shared_checks_match_closures(name, spec):
             if any(r[1] == "fail" and r[2] is not None for r in rows):
                 failing.add(family)
     assert failing == set(families)
+
+
+def reference_coaction_mismatch(delta, coact):
+    """first_coaction_mismatch as it was written on field elements, before
+    it summed lifted terms: dicts keyed (q, k1, k2), compared by
+    first_mismatch."""
+    zero = coact.field.zero
+
+    def sides(p):
+        lhs = {}
+        for q0, k, c in coact.terms(p):
+            for q1, k1, c1 in coact.terms(q0):
+                key = (q1, k1, k)
+                lhs[key] = lhs.get(key, zero) + c * c1
+        rhs = {}
+        for q0, k, c in coact.terms(p):
+            for a, b, c2 in delta.terms(k):
+                key = (q0, a, b)
+                rhs[key] = rhs.get(key, zero) + c * c2
+        return lhs, rhs
+
+    return first_mismatch((range(coact.shape[0]),), sides)
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_coaction_check_matches_the_field_element_loop(spec):
+    """first_coaction_mismatch gives the field-element loop's witness
+    (p, q, k1, k2) for H₄'s Δ as its own coaction and for the regular YD
+    module's coaction under H₄'s Δ, and for every ±1 one-entry change of
+    either (and ±1/3 over ℚ); each passes and fails somewhere."""
+    f = field_from_spec(spec)
+    h = sweedler_h4(f, verify=False)
+    reg = regular_comodule_module(r_t(h, 1))
+    seen = set()
+    for t in [h.comult] + list(one_entry_changes(h.comult, thirds=True)):
+        d = t.bilinear()
+        got = first_coaction_mismatch(d, d)
+        assert got == reference_coaction_mismatch(d, d)
+        seen.add(("delta", got is None or len(got)))
+    for t in [reg.coaction] + list(one_entry_changes(reg.coaction,
+                                                     thirds=True)):
+        c = t.bilinear()
+        got = first_coaction_mismatch(h.delta, c)
+        assert got == reference_coaction_mismatch(h.delta, c)
+        seen.add(("coaction", got is None or len(got)))
+    assert seen == {(x, y) for x in ("delta", "coaction") for y in (True, 4)}
 
 
 # -- the algebra-map checks against the closures they replaced -----------------
@@ -341,19 +404,22 @@ def closure_algebra_map_checks(h):
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 @pytest.mark.parametrize("name", ["H4", "H4*", "kC2", "H4^dg"])
 def test_algebra_map_checks_match_closures(name, spec):
-    """On every ±1 one-entry change of mult, comult, unit or counit, the
-    comult_algebra_map and counit_algebra_map checks give the replaced
-    closures' report tuples, and both stages of each fail somewhere."""
+    """On every ±1 one-entry change of mult, comult, unit or counit (and
+    ±1/3 over ℚ), the comult_algebra_map and counit_algebra_map checks give
+    the replaced closures' report tuples, and both stages of each fail
+    somewhere."""
     h = product_host(name, field_from_spec(spec))
     names = ("comult_algebra_map", "counit_algebra_map")
     assert report_rows(verify_hopf_axioms(h), names) == \
         report_rows(closure_algebra_map_checks(h))
-    hosts = [hopf_with(h, mult=t) for t in one_entry_changes(h.mult)]
-    hosts += [hopf_with(h, comult=t) for t in one_entry_changes(h.comult)]
+    hosts = [hopf_with(h, mult=t)
+             for t in one_entry_changes(h.mult, thirds=True)]
+    hosts += [hopf_with(h, comult=t)
+              for t in one_entry_changes(h.comult, thirds=True)]
     hosts += [hopf_with(h, unit=u)
-              for u in one_vector_changes(h.unit, h.field)]
+              for u in one_vector_changes(h.unit, h.field, thirds=True)]
     hosts += [hopf_with(h, counit=u)
-              for u in one_vector_changes(h.counit, h.field)]
+              for u in one_vector_changes(h.counit, h.field, thirds=True)]
     witness_sizes = set()
     for bad in hosts:
         rows = report_rows(verify_hopf_axioms(bad), names)

@@ -10,8 +10,11 @@ Each reference below is the replaced loop as it was written on field
 elements; the lifted loop must give the same object, the same report rows
 (verdict, witness and detail), or raise the same error, on every ±1
 one-entry change of its input, over ℚ and F₅, and on one input over
-F_4099, whose elements are not tabled.  A guard counts F_p element
-operations, so that field arithmetic does not come back into these loops.
+F_4099, whose elements are not tabled.  Over ℚ every ±1/3 one-entry
+change is compared too, so that the lifted tables have denominators 1,
+2, 3 and 6 and the loops sum at scales other than 1.  Two guards count
+field operations, F_p element operations and ℚ QFraction operations, so
+that field arithmetic does not come back into these loops.
 The Galois relation checks are compared with their dense reference in
 test_galois.py.
 """
@@ -24,8 +27,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopflab import fields, galois, twist, yd
+from hopflab import fields, galois, hopf, twist, yd
 from hopflab.fields import PrimeField, RESIDUE_TABLE_BOUND, field_from_spec
+from hopflab.hopf import HopfAlgebra
 from hopflab.galois import (_comodule_galois, _equalizer, chi_maps,
                             mu_action_and_pi, phi_psi_xi, unit_object)
 from hopflab.linalg import (Matrix, Tensor, are_inverse, kernel_basis,
@@ -44,7 +48,7 @@ from hopflab.catalog import (end_regular, regular_comodule_module, r_t,
 from conftest import dense_row
 from test_convolution_routes import dense_eval2
 from test_hopf import (one_entry_changes, one_matrix_changes,
-                       one_vector_changes, report_rows)
+                       one_vector_changes, report_rows, steps)
 
 
 # -- the replaced field-element loops ------------------------------------------
@@ -307,7 +311,7 @@ def reference_yd_rows(mod):
         rhs = {}
         for (a, b, c3), w in h.copower(i, 3):
             for q0, k, c0 in coact.terms(p):
-                word = words(c3, k, a)
+                word = h.product(h.mul.row(c3, k), sinv[a])
                 for q, x in act.row(b, q0):
                     w2 = w * c0 * x
                     for k2, cv in word:
@@ -315,7 +319,7 @@ def reference_yd_rows(mod):
                         rhs[key] = rhs.get(key, zero) + w2 * cv
         return lhs, rhs
 
-    words = h.word_table()
+    sinv = h.antipodes.rows(1)
     return [row("yd_compatibility", first_mismatch((hs, ms), compatibility),
                 "Σh1·m0⊗h2m1 = Σ(h2·m)0⊗(h2·m)1h1"),
             row("yd_compatibility_sinv_form",
@@ -433,8 +437,8 @@ def reference_azumaya(alg):
                           for s, v in rows.get(t, ()))
 
     unit = [(p, c) for p, c in enumerate(alg.unit) if c]
-    exchange = [[(p, q, f.reduce(c)) for p, q, c in ts]
-                for ts in _braid_terms(mod, mod)]
+    exchange = [[(q0, p1, c * x) for q0, k, c in mod.coact.terms(q)
+                 for p1, x in mod.act.row(k, p)] for p in ms for q in ms]
     gens_a = generating_set(alg)
     gens_b = generating_set(bar)
     fa = [f_of([(a, q, c) for q, c in unit]) for a in ms]
@@ -596,13 +600,13 @@ def same_module(a, b):
     return a.structures_equal(b)
 
 
-def module_changes(mod):
+def module_changes(mod, thirds=False):
     """mod, then every copy with one entry of its action or of its
-    coaction raised or lowered by 1."""
+    coaction raised or lowered by 1 (or by 1/3, with thirds over ℚ)."""
     yield mod
-    for t in one_entry_changes(mod.action):
+    for t in one_entry_changes(mod.action, thirds):
         yield YdModule(mod.host, mod.dim, t, mod.coaction)
-    for t in one_entry_changes(mod.coaction):
+    for t in one_entry_changes(mod.coaction, thirds):
         yield YdModule(mod.host, mod.dim, mod.action, t)
 
 
@@ -619,7 +623,7 @@ def test_sigma_images_match_the_field_element_forms(host, which):
     h, s, reg = host
     mod = reg if which == "regular" else unit_object(h).module
     raised = 0
-    for bad in module_changes(mod):
+    for bad in module_changes(mod, thirds=True):
         got = outcome(sigma_module, s, bad)
         assert same_module(got, outcome(reference_sigma_module, s, bad))
         raised += isinstance(got, str)
@@ -631,7 +635,8 @@ def test_sigma_of_regular_tensor_regular_matches(host):
     M's coaction, so each change reaches M⊗M through both factors."""
     h, s, reg = host
     raised = 0
-    for t in [reg.coaction] + list(one_entry_changes(reg.coaction)):
+    for t in [reg.coaction] + list(one_entry_changes(reg.coaction,
+                                                     thirds=True)):
         m2 = YdModule(h, 4, reg.action, t)
         tens = yd_tensor(m2, m2)
         assert same_module(tens, reference_yd_tensor(m2, m2))
@@ -645,7 +650,7 @@ def test_convolutions_match(host):
     """σ₁ * σ₁⁻¹ and the operator X ↦ σ₁ * X, for σ₁ and every one-entry
     change of it."""
     h, s, _ = host
-    for f in [s.sigma] + list(one_matrix_changes(s.sigma)):
+    for f in [s.sigma] + list(one_matrix_changes(s.sigma, thirds=True)):
         assert convolve2(h, f, s.sigma_inv) == reference_convolve2(
             h, f, s.sigma_inv)
         assert convolve2(h, s.sigma_inv, f) == reference_convolve2(
@@ -659,7 +664,7 @@ def test_term_kernel_matrices_match(host):
     for every one-entry change of σ₁."""
     h, s, reg = host
     uo = unit_object(h).module
-    for bad in module_changes(reg):
+    for bad in module_changes(reg, thirds=True):
         try:
             got = eta(s, bad, uo)
         except VerificationError:
@@ -671,21 +676,21 @@ def test_term_kernel_matrices_match(host):
             reference_braid(bad, uo)
         assert _matrix(h.field, _braid_terms(uo, bad), bad.dim, uo.dim) == \
             reference_braid(uo, bad)
-    for bad in [s.sigma] + list(one_matrix_changes(s.sigma)):
+    for bad in [s.sigma] + list(one_matrix_changes(s.sigma, thirds=True)):
         assert _kron(bad, s.sigma_inv) == reference_kron(bad, s.sigma_inv)
         assert _kron(s.sigma_inv, bad) == reference_kron(s.sigma_inv, bad)
 
 
 def test_mu_action_matches_the_dense_loop(host):
     """π(End(M))'s action, for M the regular module, and for every ±1
-    change of one entry of End(M)'s unit, which moves the β-preimages of
-    1⊗e_k: the same mu_action_well_defined witness and the same action, or
-    the same refusal."""
+    (and, over ℚ, ±1/3) change of one entry of End(M)'s unit, which moves
+    the β-preimages of 1⊗e_k: the same mu_action_well_defined witness and
+    the same action, or the same refusal."""
     h, _, reg = host
     end = end_regular(r_t(h, 1))
     changes = [list(end.unit)] + [
         end.unit[:i] + [end.unit[i] + step] + end.unit[i + 1:]
-        for i in range(end.dim) for step in (h.field.one, -h.field.one)]
+        for i in range(end.dim) for step in steps(h.field, thirds=True)]
     built = 0
     for unit in changes:
         alg = YdAlgebra(end.module, end.mult, unit)
@@ -718,22 +723,22 @@ ALGEBRA_ROWS = ["module_algebra", "comodule_algebra"]
 
 def algebra_changes(alg):
     """alg, then every copy with one entry of its product, of its action or
-    of its coaction raised or lowered by 1."""
+    of its coaction raised or lowered by 1 (and by 1/3 over ℚ)."""
     yield alg
-    for t in one_entry_changes(alg.mult):
+    for t in one_entry_changes(alg.mult, thirds=True):
         yield YdAlgebra(alg.module, t, alg.unit)
-    for mod in module_changes(alg.module):
+    for mod in module_changes(alg.module, thirds=True):
         if mod is not alg.module:
             yield YdAlgebra(mod, alg.mult, alg.unit)
 
 
 def cocycle_changes(s):
     """s, then every cocycle with one entry of σ or of σ⁻¹ raised or
-    lowered by 1 (a cocycle or not)."""
+    lowered by 1 (and by 1/3 over ℚ; a cocycle or not)."""
     yield s
-    for bad in one_matrix_changes(s.sigma):
+    for bad in one_matrix_changes(s.sigma, thirds=True):
         yield TwoCocycle(s.host, bad, s.sigma_inv)
-    for bad in one_matrix_changes(s.sigma_inv):
+    for bad in one_matrix_changes(s.sigma_inv, thirds=True):
         yield TwoCocycle(s.host, s.sigma, bad)
 
 
@@ -744,7 +749,7 @@ def test_yd_checks_match_the_field_element_loops(host):
     witnesses and details."""
     h, _, reg = host
     statuses = set()
-    for mod in module_changes(reg):
+    for mod in module_changes(reg, thirds=True):
         got = report_rows(verify_yd(mod), YD_ROWS)
         assert got == reference_yd_rows(mod)
         statuses.update(r[1] for r in got)
@@ -784,8 +789,8 @@ def test_dual_products_match(host):
     f = h.field
     mu = [x + (f.one if i == 1 else f.zero) for i, x in enumerate(h.counit)]
     nu = [x - (f.one if i == 1 else f.zero) for i, x in enumerate(h.counit)]
-    for a in [mu] + list(one_vector_changes(mu, f)):
-        for b in [nu] + list(one_vector_changes(nu, f)):
+    for a in [mu] + list(one_vector_changes(mu, f, thirds=True)):
+        for b in [nu] + list(one_vector_changes(nu, f, thirds=True)):
             assert _dual_product(h, a, b) == reference_dual_product(h, a, b)
 
 
@@ -803,7 +808,7 @@ def test_section3_witnesses_match(host):
         got = outcome(phi_psi_xi, c, uo)
         assert got == reference_phi_psi_xi(c, uo)
         raised.add(isinstance(got, str))
-    for t in one_entry_changes(uo.module.coaction):
+    for t in one_entry_changes(uo.module.coaction, thirds=True):
         alg = YdAlgebra(YdModule(h, uo.dim, uo.module.action, t), uo.mult,
                         uo.unit)
         got = outcome(phi_psi_xi, s, alg)
@@ -842,25 +847,37 @@ assert LARGE > RESIDUE_TABLE_BOUND
        st.lists(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
                                    st.integers(-10 ** 6, 10 ** 6),
                                    st.integers(1, 4)), max_size=5),
-                max_size=6))
-def test_reduce_vec_of_lifted_sums_is_the_field_sum(spec, coords):
-    """reduce_vec of Σ lift(x)·lift(y) per coordinate equals the sum of the
-    products taken on field elements, coordinate by coordinate, and
-    reduce_row gives the nonzero ones of them keyed by coordinate."""
+                max_size=6),
+       st.integers(1, 12))
+def test_reduce_vec_of_lifted_sums_is_the_field_sum(spec, coords, extra):
+    """reduce_vec of Σ x·y per coordinate, summed on the x and the y lifted
+    as two lists and so at the product of their scales, equals the sum of
+    the products taken on field elements, coordinate by coordinate, and
+    reduce_row gives the nonzero ones of them keyed by coordinate.  Over ℚ
+    the sums are also multiplied by a drawn factor, which the scale they
+    are reduced at carries too; over F_p every scale is 1."""
     f = field_from_spec(spec)
     pairs = [[(f.ratio(a, c), f.from_int(b)) for a, b, c in terms]
              for terms in coords]
-    lifted = [sum(f.lift(x) * f.lift(y) for x, y in terms)
+    (xs, sx), (ys, sy) = (f.lift([pair[leg] for terms in pairs
+                                  for pair in terms]) for leg in (0, 1))
+    assert all(type(v) is int for v in xs + ys)
+    if f.kind == "Fp":
+        assert sx == sy == 1
+        extra = 1
+    xs, ys = iter(xs), iter(ys)
+    lifted = [extra * sum(next(xs) * next(ys) for _ in terms)
               for terms in pairs]
+    scale = sx * sy * extra
     field_sums = []
     for terms in pairs:
         acc = f.zero
         for x, y in terms:
             acc = acc + x * y
         field_sums.append(acc)
-    got = f.reduce_vec(lifted)
+    got = f.reduce_vec(lifted, scale)
     assert got == field_sums
-    row = f.reduce_row(dict(enumerate(lifted)))
+    row = f.reduce_row(dict(enumerate(lifted)), scale)
     assert row == {i: x for i, x in enumerate(field_sums) if x}
     assert list(map(type, row.values())) == [type(got[i]) for i in row]
     if f.kind == "Fp":
@@ -933,11 +950,14 @@ def code_tree(fn, names=None):
 
 
 def lifted_loop_codes():
-    """The code of the loops that sum lifted values in the YD-algebra,
-    Azumaya, deformation, Section 3 and Galois relation checks."""
+    """The code of the loops that sum lifted values in the shared axiom
+    checks and the YD-algebra, Azumaya, deformation, Section 3 and Galois
+    relation checks."""
     return set().union(
-        code_tree(yd.verify_yd, ("compatibility", "compatibility_sinv",
-                                 "word")),
+        code_tree(hopf.first_action_mismatch, ("block",)),
+        code_tree(hopf.first_coaction_mismatch, ("sides",)),
+        code_tree(yd.verify_yd, ("compatibility", "compatibility_sinv")),
+        code_tree(HopfAlgebra.word_table, ("word",)),
         code_tree(yd.verify_yd_algebra, ("module_algebra",
                                          "comodule_algebra")),
         code_tree(yd.azumaya_check), code_tree(yd.generating_set, (
@@ -949,15 +969,13 @@ def lifted_loop_codes():
         code_tree(galois._beta_quotient_bijective, ("first_outside",)))
 
 
-def test_repeated_constructions_do_no_field_arithmetic(monkeypatch):
-    """Once a cocycle and the modules have been used, a second sigma_module,
-    convolve2, yd_tensor and eta over F₅ sum only plain ints: no FpElem
-    +, - or * runs.  The YD-algebra checks, azumaya_check, H^σ's
-    antipodes, the H* products, χ, φ, ψ, ξ and the Galois decisions run
-    none in their lifted loops (lifted_loop_codes): the F_p operations
-    they make are those of the code around the loops, such as the
-    eliminations."""
-    h = sweedler_h4(PrimeField(5), verify=False)
+def guarded_runs(monkeypatch, field, elem):
+    """(runs, checks, calls) for the guards: the second sigma_module,
+    convolve2, yd_tensor and eta on σ₁ and R₁ over field, and the checks
+    whose lifted loops are lifted_loop_codes, each run once already; from
+    now on every +, - or * of elem, field's scalar class, appends its
+    caller's code to calls."""
+    h = sweedler_h4(field, verify=False)
     s = sigma_t(h, 1)
     reg = regular_comodule_module(r_t(h, 1))
     uo = unit_object(h)
@@ -973,7 +991,6 @@ def test_repeated_constructions_do_no_field_arithmetic(monkeypatch):
     for run in runs + checks:
         run()
     calls = []
-    elem = fields.FpElem
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
                  "__rsub__", "__neg__"):
         inner = elem.__dict__[name]
@@ -983,7 +1000,20 @@ def test_repeated_constructions_do_no_field_arithmetic(monkeypatch):
             return inner(*args)
 
         monkeypatch.setattr(elem, name, counted)
-    assert h.field.one * h.field.one == 1 and calls      # the wrap counts
+    return runs, checks, calls
+
+
+def test_repeated_constructions_do_no_field_arithmetic(monkeypatch):
+    """Once a cocycle and the modules have been used, a second sigma_module,
+    convolve2, yd_tensor and eta over F₅ sum only plain ints: no FpElem
+    +, - or * runs.  The YD-algebra checks, azumaya_check, H^σ's
+    antipodes, the H* products, χ, φ, ψ, ξ and the Galois decisions run
+    none in their lifted loops (lifted_loop_codes): the F_p operations
+    they make are those of the code around the loops, such as the
+    eliminations."""
+    f = PrimeField(5)
+    runs, checks, calls = guarded_runs(monkeypatch, f, fields.FpElem)
+    assert f.one * f.one == 1 and calls      # the wrap counts
     del calls[:]
     for run in runs:
         run()
@@ -992,6 +1022,27 @@ def test_repeated_constructions_do_no_field_arithmetic(monkeypatch):
         run()
     lifted = lifted_loop_codes()
     assert calls and [c.co_name for c in calls if c in lifted] == []
+
+
+def test_repeated_constructions_do_no_rational_arithmetic(monkeypatch):
+    """The ℚ twin of the F₅ guard: σ₁, σ₁⁻¹ and R₁ carry halves, so the
+    lifted tables of σ₁, of the σ̲ images and of the regular module sit at
+    scales above 1, yet a second sigma_module, convolve2, yd_tensor and eta
+    make no QFraction +, - or *, and the checks make none in their lifted
+    loops: every non-integral value is lifted to ints over its table's
+    common denominator, and only the reduction divides."""
+    runs, checks, calls = guarded_runs(monkeypatch, fields.QQ,
+                                       fields.QFraction)
+    half = fields.QQ.ratio(1, 2)
+    assert half * half == fields.QQ.ratio(1, 4) and calls   # the wrap counts
+    del calls[:]
+    for run in runs:
+        run()
+    assert calls == []
+    for run in checks:
+        run()
+    lifted = lifted_loop_codes()
+    assert [c.co_name for c in calls if c in lifted] == []
 
 
 def test_equal_cocycles_compare_equal_after_one_builds_its_tables():

@@ -7,6 +7,7 @@ agree with it exactly, and the echelon basis must have its span and pivot
 columns.  Solve and kernel are also checked by multiplying back.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -534,13 +535,16 @@ def test_solve_multiply_back_random(n, seed):
        st.integers(0, 10 ** 6))
 def test_bilinear_matches_dense_definition(n0, n1, n2, seed):
     rng = random.Random(seed)
-    field = PrimeField(7)
+    field = rng.choice([PrimeField(7), QQ])
 
     def rand_vec(n):
-        return [field.from_int(rng.choice([0, 0, 1, -2, 3])) for _ in range(n)]
+        return [field.ratio(*rng.choice([(0, 1), (0, 1), (1, 1), (-2, 1),
+                                         (3, 1), (1, 2), (-2, 3)]))
+                for _ in range(n)]
 
     t = Tensor(field, (n0, n1, n2), rand_vec(n0 * n1 * n2))
     kernel = Bilinear(t)
+    scale = kernel.lifted_rows()[1]
 
     def entry(i, j, k):
         return t.data[(i * n1 + j) * n2 + k]
@@ -560,12 +564,23 @@ def test_bilinear_matches_dense_definition(n0, n1, n2, seed):
             assert dense_row(t, i, j) == dense
             assert kernel.row(i, j) == [(k, c) for k, c in enumerate(dense)
                                         if c]
-            lifted = kernel.lifted_rows()[i][j]
-            assert lifted == kernel.row(i, j)
+            lifted = kernel.lifted_rows()[0][i][j]
+            assert [(k, field.reduce(c, scale)) for k, c in lifted] == \
+                kernel.row(i, j)
             assert all(type(c) is int for _, c in lifted)
         terms = kernel.terms(i)
-        assert kernel.lifted_terms()[i] == terms
-        assert kernel.flat_tables()[i] == {j * n2 + k: c for j, k, c in terms}
+        assert [(j, k, field.reduce(c, scale)) for j, k, c in
+                kernel.lifted_terms()[0][i]] == terms
+        assert {key: field.reduce(c, scale) for key, c in
+                kernel.flat_tables()[0][i].items()} == \
+            {j * n2 + k: c for j, k, c in terms}
+    # the scale is the entries' common denominator: 1 over F_p, and over ℚ
+    # the lifted tables of integral data are the sparse tables themselves
+    assert kernel.lifted_terms()[1] == kernel.flat_tables()[1] == scale
+    dens = {Fraction(x).denominator for x in t.data}
+    assert scale == (1 if field.kind == "Fp" else math.lcm(*dens))
+    if scale == 1 and field.kind == "Q" and n0:
+        assert kernel.lifted_rows()[0][0] is kernel.rows(0)
 
 
 def test_tensor_keeps_one_bilinear_and_frees_without_the_collector():

@@ -142,6 +142,19 @@ def failing_checks(h):
     return [c.name for c in verify_hopf_axioms(h).failures()]
 
 
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_deformed_host_reads_its_hosts_copowers(spec):
+    """H^σ is built on H's Δ, so its copower lists, lifted or not, are H's
+    own objects, built once for both, whichever host asks first."""
+    h = sweedler_h4(field_from_spec(spec), verify=False)
+    hs = deform(sigma_t(h, 1))
+    for k in (3, 4, 5):
+        for i in range(h.dim):
+            assert hs.copower(i, k) is h.copower(i, k)
+        assert hs.lifted_copower(k) is h.lifted_copower(k)
+    assert hs.lifted_copower(3)[1] == 1
+
+
 def test_deform_memo_keeps_failing_host(h4):
     s1 = sigma_t(h4, 1)
     bad = Matrix(QQ, 4, 4, [row[:] for row in s1.sigma.data])

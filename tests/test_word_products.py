@@ -652,8 +652,9 @@ def test_product_and_antipode_rows_match_dense(word_host, data):
     for leg, m in enumerate((h.antipode, h.antipode_inv)):
         row = h.antipodes.rows(leg)[i]
         assert row == [(k, c) for k, c in enumerate(m.data[i]) if c]
-        assert h.antipodes.lifted_rows()[leg][i] == [
-            (k, h.field.lift(c)) for k, c in row]
+        lifted, scale = h.antipodes.lifted_rows()
+        assert [(k, h.field.reduce(c, scale)) for k, c in lifted[leg][i]] \
+            == row
     assert h.product(u, []) == h.product([], v) == []
 
 
@@ -701,9 +702,10 @@ def test_formulas_multiply_no_dense_vector(monkeypatch):
 
 
 def test_word_table_forms_each_word_once(word_host, monkeypatch):
-    """h.word_table() gives (e_c e_k)·S⁻¹(e_a) as h.product does, forms
-    each word on its first read only, and a new table starts empty; on H₄
-    verify_yd and bimodule_actions form at most the n³ = 64 words."""
+    """h.word_table() gives (e_c e_k)·S⁻¹(e_a) as h.product does, lifted
+    at the table's scale, forms each word on its first read only, and a
+    new table starts empty; on H₄ verify_yd and bimodule_actions form at
+    most the n³ = 64 words."""
     h = word_host
     hs = range(h.dim)
     sinv = h.antipodes.rows(1)
@@ -717,11 +719,12 @@ def test_word_table_forms_each_word_once(word_host, monkeypatch):
         return inner(self, u, v)
 
     monkeypatch.setattr(HopfAlgebra, "product", counted)
-    words = h.word_table()
+    words, scale = h.word_table()
     for _ in range(2):
-        assert {key: words(*key) for key in want} == want
+        assert {key: [(k, h.field.reduce(c, scale)) for k, c in words(*key)]
+                for key in want} == want
         assert len(calls) == len(want)
-    h.word_table()(0, 0, 0)
+    h.word_table()[0](0, 0, 0)
     assert len(calls) == len(want) + 1
     if h.dim == 4:
         r1 = r_t(h, 1)
