@@ -9,8 +9,8 @@ and h.antipodes (rows(0)[i] is S(e_i), rows(1)[i] S⁻¹(e_i)) read them
 through the tensors' own linalg.Bilinear (Tensor.bilinear), so H^σ, which
 keeps H's comult tensor, reads H's Δ tables.  An element of H built in a formula, such as
 h₄m₁S⁻¹(h₂), is a sparse row as h.mul.row returns; h.product multiplies two,
-and h.word_table() memoizes the words (e_c e_k)·S⁻¹(e_a), lifted, for
-one call; h.lifted_copower(k) is Δ^(k-1) lifted, kept with the copowers.
+and h.word_table() memoizes the words (e_c e_k)·S⁻¹(e_a), lifted, for one
+call; h.copower and h.lifted_copower (Δ^(k-1)) are kept with Δ's tables.
 The axioms read every product of basis vectors from h.mul's sparse rows;
 no dense basis vector is multiplied.  Associativity and the action axioms
 (first_action_mismatch), first_multiplicative_mismatch, comult_algebra_map,
@@ -71,9 +71,6 @@ class HopfAlgebra:
         self.delta = comult.bilinear()
         self.antipodes = Tensor(field, (2, n, n), antipode.entries
                                 + antipode_inv.entries).bilinear()
-        # k → [copower(i, k) for each i], and −k → lifted_copower(k); depends
-        # on Δ alone, so twist._deform gives H^σ, built on H's Δ, this dict
-        self._copower = {}
         self._dual = None       # set by dual_hopf: H*, or a weakref to H on H*
 
     def mul_vec(self, u, v):
@@ -91,63 +88,58 @@ class HopfAlgebra:
         return [(k, c) for k, c in enumerate(acc) if c]
 
     def word_table(self):
-        """(word, scale): a new, empty memo of the words (e_c e_k)·S⁻¹(e_a),
-        lifted.  word(c, k, a) is h.product(h.mul.row(c, k), S⁻¹(e_a)) with
-        its coefficients lifted over scale, the square of h.mul's lifted
-        scale times h.antipodes', which every word's denominators divide;
-        it is formed on first use and kept for the memo's life (callers
-        must not change it).  One memo serves one call of a form that
-        reads such words, where there are at most n³ of them but many more
-        reads."""
-        row, product, sinv = self.mul.row, self.product, self.antipodes.rows(1)
-        lift = self.field.lift
-        scale = (self.mul.lifted_rows()[1] ** 2
-                 * self.antipodes.lifted_rows()[1])
+        """(word, scale): a new, empty memo of the words (e_c e_k)·S⁻¹(e_a).
+        word(c, k, a) is h.product(h.mul.row(c, k), S⁻¹(e_a)) without its
+        zeros, summed from h.mul's and h.antipodes' lifted rows at scale
+        (over F_p, any ints congruent to its coefficients); it is formed on
+        first use and kept for the memo's life (callers must not change
+        it).  One memo serves one call of a form that reads such words,
+        where there are at most n³ of them but many more reads."""
+        rows, sm = self.mul.lifted_rows()
+        (_, sinv), ss = self.antipodes.lifted_rows()
+        nonzero, n = self.field.nonzero, self.dim
         table = {}
 
         def word(c, k, a):
             got = table.get((c, k, a))
             if got is None:
-                w = product(row(c, k), sinv[a])
-                cs, d = lift([v for _, v in w])
-                d = scale // d
-                got = table[c, k, a] = [(k2, v * d)
-                                        for (k2, _), v in zip(w, cs)]
+                acc = [0] * n
+                for t, x in rows[c][k]:
+                    rt = rows[t]
+                    for u, y in sinv[a]:
+                        xy = x * y
+                        for k2, z in rt[u]:
+                            acc[k2] += xy * z
+                got = table[c, k, a] = [(k2, v) for k2, v in enumerate(acc)
+                                        if nonzero(v)]
             return got
-        return word, scale
+        return word, sm * sm * ss
 
     def copower(self, i, k):
-        """Sparse Δ^(k-1)(e_i) as [(index_tuple_of_len_k, coeff)].
-
-        k = 1 is the identity.  Coassociativity makes the expansion order
-        irrelevant; legs are expanded left to right.
-        """
+        """Sparse Δ^(k-1)(e_i) as [(index_tuple_of_len_k, coeff)], kept with
+        Δ's tables; k = 1 is the identity.  Coassociativity makes the
+        expansion order irrelevant; legs are expanded left to right."""
         if k == 1:
             return [((i,), self.field.one)]
-        per_basis = self._copower.get(k)
-        if per_basis is None:
-            prev = [self.copower(i2, k - 1) for i2 in range(self.dim)]
-            per_basis = []
-            for i2 in range(self.dim):
-                terms = []
-                for idx, c in prev[i2]:
-                    for j, k2, c2 in self.delta.terms(idx[-1]):
-                        terms.append((idx[:-1] + (j, k2), c * c2))
-                per_basis.append(terms)
-            self._copower[k] = per_basis
-        return per_basis[i]
+        memo, terms = self.delta.copowers(), self.delta.terms
+        if k not in memo:
+            memo[k] = [[(idx[:-1] + (j, k2), c * c2)
+                        for idx, c in self.copower(i2, k - 1)
+                        for j, k2, c2 in terms(idx[-1])]
+                       for i2 in range(self.dim)]
+        return memo[k][i]
 
     def lifted_copower(self, k):
         """(table, scale): [i] is copower(i, k) with its coefficients lifted
         over one scale, built once per k and kept with the copowers."""
-        got = self._copower.get(-k)
-        if got is None:
+        memo = self.delta.copowers()
+        if -k not in memo:
             terms = [self.copower(i, k) for i in range(self.dim)]
             cs, scale = self.field.lift([w for ts in terms for _, w in ts])
             it = iter(cs)
-            got = self._copower[-k] = ([[(idx, next(it)) for idx, _ in ts]
-                                        for ts in terms], scale)
-        return got
+            memo[-k] = ([[(idx, next(it)) for idx, _ in ts] for ts in terms],
+                        scale)
+        return memo[-k]
 
     def counit_of(self, vec):
         s = self.field.zero

@@ -543,7 +543,8 @@ class Bilinear:
     action, relation parts and the words of χ, φ, ψ and ξ.
     """
     __slots__ = ("field", "shape", "_data", "_zeros", "_twin", "_rows",
-                 "_terms", "_lrows", "_lterms", "_flat", "__weakref__")
+                 "_terms", "_lrows", "_lterms", "_flat", "_copowers",
+                 "__weakref__")
 
     def __init__(self, tensor):
         self.field = tensor.field
@@ -556,6 +557,7 @@ class Bilinear:
         self._lrows = None
         self._lterms = None
         self._flat = None
+        self._copowers = None
 
     def _source(self):
         """The live Bilinear of equal content whose tables this one reads,
@@ -654,6 +656,13 @@ class Bilinear:
                 self._flat = [{j * n2 + k: c for j, k, c in ts}
                               for ts in terms], scale
         return self._flat
+
+    def copowers(self):
+        """HopfAlgebra.copower's memo of Δ^(k-1), shared per content."""
+        if self._copowers is None:
+            twin = self._source()
+            self._copowers = {} if twin is None else twin.copowers()
+        return self._copowers
 
     def apply(self, u, v):
         """Σ u_i v_j t[i,j,:] for dense coordinate vectors u and v: the

@@ -421,11 +421,9 @@ def _deform(c):
                           ss * sa), Sinv,
         _delta_functional(h, lambda a, b: eval2_lifted(inv, b, Sinv[a]),
                           si * sa))
-    deformed = HopfAlgebra(f, n, list(h.basis_names), mult, list(h.unit),
-                           h.comult, list(h.counit), s_mat, s_inv_mat,
-                           name=h.name + "^s")
-    deformed._copower = h._copower      # Δ^(k-1) is Δ's alone
-    return deformed
+    return HopfAlgebra(f, n, list(h.basis_names), mult, list(h.unit),
+                       h.comult, list(h.counit), s_mat, s_inv_mat,
+                       name=h.name + "^s")
 
 
 def is_lazy(c):

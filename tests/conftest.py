@@ -4,32 +4,6 @@ from hopflab.fields import QQ
 from hopflab import catalog as cat
 
 
-# -- dense references ---------------------------------------------------------
-# src/ reads structure tensors as sparse rows only; the tests keep these
-# dense forms to check the sparse routes against.
-
-def dense_row(tensor, i, j):
-    """t[i,j,:] of a 3-tensor as a dense list: a slice of its row-major
-    data."""
-    n1, n2 = tensor.shape[1], tensor.shape[2]
-    start = (i * n1 + j) * n2
-    return tensor.data[start:start + n2]
-
-
-def apply_rowmap(vec, m):
-    """v·M: the image of the coordinate vector vec under the row-as-image
-    matrix m, summed entry by entry."""
-    out = [m.field.zero] * m.cols
-    for r, x in enumerate(vec):
-        if not x:
-            continue
-        row = m.data[r]
-        for c in range(m.cols):
-            if row[c]:
-                out[c] = out[c] + x * row[c]
-    return out
-
-
 @pytest.fixture(scope="session")
 def h4():
     return cat.sweedler_h4(QQ)

@@ -14,6 +14,7 @@ from hopflab.report import CheckReport, VerificationError
 from hopflab.suite import (CRITERIA, SuiteContext,
                            criterion_10_section3_witnesses,
                            criterion_13_galois_stability)
+from reference import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,6 @@ def test_criterion_13_decides_each_galois_map_once(monkeypatch):
     """Thm 3.12's membership of σ̲I reads the Galois maps that Prop 3.10's
     loop decided for I: one bimodule_actions and one galois_maps call for
     each of the 3 algebras and their 3 σ̲ images, and one for I∧I."""
-    from test_yd import count_calls
     maps = count_calls(monkeypatch, "galois_maps", "hopflab.galois")
     actions = count_calls(monkeypatch, "bimodule_actions", "hopflab.galois")
     ctx = SuiteContext(QQ, suite.T_DEFAULT, 0)
@@ -89,7 +89,6 @@ def test_criteria_13_and_14_decide_each_comodule_galois_once(monkeypatch):
     that criterion 13 made on End(regular) and σ̲₁End(regular), through
     SuiteContext.galois: one _comodule_galois call for each of the 3
     algebras and their 3 σ̲ images, and none in criterion 14."""
-    from test_yd import count_calls
     calls = count_calls(monkeypatch, "_comodule_galois", "hopflab.galois")
     ctx = SuiteContext(QQ, suite.T_DEFAULT, 0)
     assert criterion_13_galois_stability(ctx).ok
@@ -110,7 +109,6 @@ def test_suite_pass_builds_each_live_content_once(monkeypatch):
     azumaya_check sums F and G lifted: the products of the H-opposites Ā
     of End(regular), σ̲₁(End(regular)) and σ̲₋₁(End(regular)), which were
     read only as sparse rows before (131 lifted tables then)."""
-    from test_yd import count_calls
     from hopflab.fields import PrimeField
     from hopflab.linalg import Bilinear
     built = {"_table": [], "lifted_rows": []}
@@ -231,7 +229,6 @@ def test_braided_squares_build_each_object_once(monkeypatch):
     Φ_{M,N} and M⊗N do not depend on σ, so each is built once per ordered
     pair of each half (σ_t and θ_t) for its three cocycles: 18 of each,
     beside the 54 Φ_{σ̲M,σ̲N} and σ̲M⊗σ̲N."""
-    from test_yd import count_calls
     from hopflab.hopf import dual_hopf
     sigmas = count_calls(monkeypatch, "sigma_module")
     etas = count_calls(monkeypatch, "eta")

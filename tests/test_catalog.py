@@ -7,7 +7,7 @@ from hopflab.fields import QQ, FieldError, PrimeField
 from hopflab.linalg import mat_mul
 from hopflab import catalog as cat
 from hopflab.report import VerificationError
-from conftest import dense_row
+from reference import dense_row
 
 
 def test_h4_multiplication_table(h4):

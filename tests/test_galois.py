@@ -3,20 +3,18 @@ witnesses and Galois/Miyashita-Ulbrich machinery."""
 
 import random
 from collections.abc import Iterator
-from functools import partial
 
 import pytest
 
 import hopflab.galois as galois
 from hopflab.fields import QQ, PrimeField, field_from_spec
 from hopflab.hopf import first_multiplicative_mismatch
-from hopflab.linalg import (Bilinear, Matrix, Tensor, in_span, mat_mul, rank,
-                            same_span, solve)
-from hopflab.report import CheckReport, VerificationError, first_mismatch
-from hopflab.twist import deform, eps_eps, eval2, two_cocycle
+from hopflab.linalg import Matrix
+from hopflab.report import CheckReport, VerificationError
+from hopflab.twist import deform, eps_eps, two_cocycle
 from hopflab.quasitriangular import cqt_structure, deform_cqt
-from hopflab.yd import (YdAlgebra, YdModule, agreed_tensor, braided_product,
-                        eta, quantum_commutative, sigma_algebra, verify_yd,
+from hopflab.yd import (YdAlgebra, YdModule, braided_product, eta,
+                        quantum_commutative, sigma_algebra, verify_yd,
                         verify_yd_algebra)
 from hopflab.galois import (BimoduleActions, BraidedHopf, bimodule_actions,
                             build_hr, chi_maps, coinvariants,
@@ -25,14 +23,12 @@ from hopflab.galois import (BimoduleActions, BraidedHopf, bimodule_actions,
                             unit_object, verify_bimodule, verify_braided_hopf,
                             verify_sigma_coinvariants, verify_sigma_wedge,
                             verify_unit_deformation, wedge)
-from hopflab.catalog import (cqt_c2, dim1_hopf, end_regular,
+from hopflab.catalog import (dim1_hopf, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
                              sweedler_h4, trivial_module)
-from conftest import apply_rowmap, dense_row
-from test_hopf import one_entry_changes, one_matrix_changes, report_rows
-from test_linalg import _matrix_kernel_basis, _matrix_solve, columns_as_rows
-from test_yd import trivial_algebra
+import reference as ref
+from reference import changed, changes, report_rows, trivial_algebra
 
 
 @pytest.fixture(scope="module")
@@ -86,38 +82,6 @@ def test_bimodule_regular_passes(bh1, mreg):
     assert b.left_hr.shape == (4, 4, 4)
 
 
-def dense_bimodule_checks(bh, b):
-    """verify_bimodule's checks as actions on dense basis vectors through
-    Bilinear.apply/apply_basis, the reference the sparse-row checks must
-    match."""
-    rep = CheckReport()
-    h, mod = bh.host, b.module
-    star = partial(dense_row, bh.underlying.mult)
-    left, right = b.left, b.right
-    e, hs, ms = mod.basis_vec, range(h.dim), range(mod.dim)
-
-    bad = first_mismatch((ms,), lambda p: (left.apply(h.unit, e(p)), e(p)))
-    if bad is None:
-        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
-            left.apply(star(i, j), e(p)),
-            left.apply_basis(i, left.apply_basis(j, e(p)))))
-    rep.add("left_action_for_star", bad is None, bad,
-            "(h⋆l)−▷m = h−▷(l−▷m)")
-    bad = first_mismatch((ms,), lambda p: (right.apply(h.unit, e(p)), e(p)))
-    if bad is None:
-        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
-            right.apply(star(i, j), e(p)),
-            right.apply_basis(j, right.apply_basis(i, e(p)))))
-    rep.add("right_action_for_star", bad is None, bad,
-            "m◁−(h⋆l) = (m◁−h)◁−l")
-    bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
-        right.apply_basis(j, left.apply_basis(i, e(p))),
-        left.apply_basis(i, right.apply_basis(j, e(p)))))
-    rep.add("bimodule_commutation", bad is None, bad,
-            "(h−▷m)◁−l = h−▷(m◁−l)")
-    return rep
-
-
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_bimodule_checks_match_dense_actions(side, spec):
@@ -127,61 +91,32 @@ def test_bimodule_checks_match_dense_actions(side, spec):
     bh = build_hr(r_t(h4, 1))
     b = bimodule_actions(bh, unit_object(h4).module)
     assert report_rows(verify_bimodule(bh, b)) == \
-        report_rows(dense_bimodule_checks(bh, b))
+        report_rows(ref.bimodule_checks(bh, b))
     failing = set()
-    for t in one_entry_changes(getattr(b, side + "_hr")):
+    for t in changes(getattr(b, side + "_hr")):
         tensors = {"left_hr": b.left_hr, "right_hr": b.right_hr,
                    side + "_hr": t}
         bad = BimoduleActions(b.module, act2=b.act2, **tensors)
         rows = report_rows(verify_bimodule(bh, bad))
-        assert rows == report_rows(dense_bimodule_checks(bh, bad))
+        assert rows == report_rows(ref.bimodule_checks(bh, bad))
         failing |= {r[0] for r in rows if r[1] == "fail"}
     assert failing == {side + "_action_for_star", "bimodule_commutation"}
-
-
-def closure_braided_antipode(bh):
-    """braided_antipode as verify_braided_hopf wrote it before
-    hopf.first_antipode_mismatch, with ⋆ applied to dense basis vectors:
-    the reference."""
-    h, alg, e = bh.host, bh.underlying, bh.host.basis_vec
-    zero, n = h.field.zero, h.dim
-
-    def antipode(i):
-        left = [zero] * n
-        right = [zero] * n
-        for a, b, c in h.delta.terms(i):
-            left_v = alg.mul_vec(bh.braided_antipode.data[a], e(b))
-            for k, cv in enumerate(left_v):
-                if cv:
-                    left[k] = left[k] + c * cv
-            right_v = alg.mul_vec(e(a), bh.braided_antipode.data[b])
-            for k, cv in enumerate(right_v):
-                if cv:
-                    right[k] = right[k] + c * cv
-        want = [h.counit[i] * x for x in h.unit]
-        return (left, right), (want, want)
-
-    rep = CheckReport()
-    bad = first_mismatch((range(n),), antipode)
-    rep.add("braided_antipode", bad is None, bad,
-            "⋆∘(S_R⊗id)∘Δ = ηε = ⋆∘(id⊗S_R)∘Δ")
-    return rep
 
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 def test_braided_antipode_matches_closure(spec):
     """On every ±1 one-entry change of S_R in 𝓗_{R_1}, braided_antipode
-    gives the replaced closure's report tuple and the YD-algebra checks of
+    gives the reference's report tuple and the YD-algebra checks of
     (𝓗_R, ⋆) are unchanged."""
     bh = build_hr(r_t(sweedler_h4(field_from_spec(spec)), 1))
     base = report_rows(verify_yd_algebra(bh.underlying))
     assert report_rows(verify_braided_hopf(bh)) == \
-        base + report_rows(closure_braided_antipode(bh))
+        base + report_rows(ref.braided_antipode(bh))
     witnesses = set()
-    for s_r in one_matrix_changes(bh.braided_antipode):
+    for s_r in changes(bh.braided_antipode):
         bad = BraidedHopf(bh.cqt, bh.underlying, s_r)
         rows = report_rows(verify_braided_hopf(bad))
-        assert rows == base + report_rows(closure_braided_antipode(bad))
+        assert rows == base + report_rows(ref.braided_antipode(bad))
         witnesses.add(rows[-1][2])
     assert witnesses - {None}
 
@@ -238,14 +173,6 @@ def test_sigma_wedge_and_prop35(s1, r1, unit_obj):
     assert rep.ok, rep.render_text()
 
 
-def closure_multiplicative(src, dst, m):
-    """The (u, v) closure that eta_inv_algebra_map and chi_star_algebra_map
-    wrote before hopf.first_multiplicative_mismatch: the reference."""
-    return first_mismatch((range(m.rows),) * 2, lambda u, v: (
-        apply_rowmap(dense_row(src.mult, u, v), m),
-        dst.mul_vec(m.data[u], m.data[v])))
-
-
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 def test_multiplicative_check_matches_closure(spec):
     """On χ* (σ₁) and on η⁻¹ on I⊗I, and on every ±1 one-entry change of
@@ -265,9 +192,9 @@ def test_multiplicative_check_matches_closure(spec):
         missed = 4 if name == "chi_star" else 0
         assert first_multiplicative_mismatch(src.mul, dst.mul, m) is None
         caught = 0
-        for bad in one_matrix_changes(m):
+        for bad in changes(m):
             got = first_multiplicative_mismatch(src.mul, dst.mul, bad)
-            assert got == closure_multiplicative(src, dst, bad), name
+            assert got == ref.multiplicative_mismatch(src, dst, bad), name
             caught += got is not None
         assert caught == 2 * m.rows * m.cols - missed, name
 
@@ -307,32 +234,6 @@ def test_unit_object_h4(unit_obj):
     assert quantum_commutative(unit_obj) is True
 
 
-def ref_unit_object(host):
-    """I = H* written out: h·p = Σ p₁⟨p₂,h⟩ and the coaction dual to
-    h*·p = Σ h*₂ p S⁻¹(h*₁), as (action, coaction, mult, unit)."""
-    from hopflab.hopf import dual_hopf
-    hd = dual_hopf(host)
-    n = host.dim
-    f = host.field
-    hs = range(n)
-
-    def dual_action(i, j):
-        acc = [f.zero] * n
-        for a, b, c in hd.delta.terms(i):
-            u = hd.mul_vec(dense_row(hd.mult, b, j), hd.antipode_inv.data[a])
-            for q, cv in enumerate(u):
-                if cv:
-                    acc[q] = acc[q] + c * cv
-        return acc
-
-    dual = [[dual_action(i, j) for j in hs] for i in hs]
-    action = Tensor.from_rows(f, (n, n, n), [
-        [[dense_row(host.mult, a, i)[j] for a in hs] for j in hs] for i in hs])
-    coaction = Tensor.from_rows(f, (n, n, n), [
-        [[dual[i][j][q] for i in hs] for q in hs] for j in hs])
-    return action, coaction, list(hd.mult.data), list(hd.unit)
-
-
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 @pytest.mark.parametrize("host_name", ["H4", "kC2", "H4*"])
 def test_unit_object_is_dual_of_adjoint_module(host_name, spec):
@@ -346,7 +247,7 @@ def test_unit_object_is_dual_of_adjoint_module(host_name, spec):
     if host_name == "H4*":
         host = dual_hopf(host)
     uo = unit_object(host)
-    action, coaction, mult, unit = ref_unit_object(host)
+    action, coaction, mult, unit = ref.unit_object_tensors(host)
     assert uo.host is host
     assert uo.module.action == action and uo.module.coaction == coaction
     assert uo.mult.data == mult and uo.unit == unit
@@ -396,50 +297,6 @@ def test_galois_maps_unit_object_bigalois(bh1, unit_obj):
     assert rep.ok, rep.render_text()
 
 
-def dense_beta(b, alg, side):
-    """β_r(v_u⊗v_v) = Σ_i (e_i−▷v_u)v_v ⊗ e_i (side "r") or
-    β_l(v_u⊗v_v) = Σ_i e_i ⊗ v_u(v_v◁−e_i) (side "l") as dense rows, read
-    entry by entry from the action and product tensors."""
-    f = alg.host.field
-    n, m = alg.host.dim, alg.dim
-    act = (b.left_hr if side == "r" else b.right_hr).data
-    mult = alg.mult.data
-    rows = []
-    for u in range(m):
-        for v in range(m):
-            row = [f.zero] * (m * n)
-            for i in range(n):
-                for y in range(m):
-                    for q in range(m):
-                        if side == "r":
-                            row[y * n + i] += (act[(i * m + u) * m + q]
-                                               * mult[(q * m + v) * m + y])
-                        else:
-                            row[i * m + y] += (act[(i * m + v) * m + q]
-                                               * mult[(u * m + q) * m + y])
-            rows.append(row)
-    return rows
-
-
-def dense_comodule_beta(alg):
-    """β(v_u⊗v_v) = Σ v_u(v_v)₀ ⊗ (v_v)₁ as dense rows, read entry by entry
-    from the coaction and product tensors."""
-    f = alg.host.field
-    n, m = alg.host.dim, alg.dim
-    coact, mult = alg.module.coaction.data, alg.mult.data
-    rows = []
-    for u in range(m):
-        for v in range(m):
-            row = [f.zero] * (m * n)
-            for k in range(n):
-                for y in range(m):
-                    for q in range(m):
-                        row[y * n + k] += (coact[(v * m + q) * n + k]
-                                           * mult[(u * m + q) * m + y])
-            rows.append(row)
-    return rows
-
-
 def test_galois_maps_beta_matrices(monkeypatch, bh1, r1, s1, unit_obj):
     """The β rows galois_maps and comodule_galois decide on equal the dense
     references; β_l's column for e_i ⊗ v_y is y·n + i, where the reference
@@ -460,33 +317,12 @@ def test_galois_maps_beta_matrices(monkeypatch, bh1, r1, s1, unit_obj):
         n, m = alg.host.dim, alg.dim
         b = bimodule_actions(bh, alg.module)
         assert galois_maps(bh, b, alg).ok
-        assert seen.pop("beta_r") == dense_beta(b, alg, "r")
+        assert seen.pop("beta_r") == ref.beta(b, alg, "r")
         assert seen.pop("beta_l") == [
             [row[i * m + y] for y in range(m) for i in range(n)]
-            for row in dense_beta(b, alg, "l")]
+            for row in ref.beta(b, alg, "l")]
         comodule_galois(alg)
-        assert seen.pop("beta") == dense_comodule_beta(alg)
-
-
-def dense_relations(alg, xs):
-    """(a·x)⊗b − a⊗(x·b) for x in xs, a = v_p, b = v_r as dense
-    m²-vectors in (x, p, r) order, zero ones left out."""
-    f = alg.host.field
-    m = alg.dim
-    e = alg.module.basis_vec
-    rels = []
-    for x in xs:
-        for p in range(m):
-            ax = alg.mul_vec(e(p), x)
-            for r in range(m):
-                xb = alg.mul_vec(x, e(r))
-                vec = [f.zero] * (m * m)
-                for t in range(m):
-                    vec[t * m + r] += ax[t]
-                    vec[p * m + t] -= xb[t]
-                if any(vec):
-                    rels.append(vec)
-    return rels
+        assert seen.pop("beta") == ref.comodule_beta(alg)
 
 
 def check_relations(alg, xs, beta):
@@ -495,11 +331,10 @@ def check_relations(alg, xs, beta):
     witness."""
     from hopflab.galois import (_beta_quotient_bijective, _relation_parts,
                                 _relations)
-    from hopflab.linalg import sparse_rank
     f = alg.host.field
     target = alg.dim * alg.host.dim
     want = [{i: c for i, c in enumerate(vec) if c}
-            for vec in dense_relations(alg, xs)]
+            for vec in ref.relations(alg, xs)]
     parts = _relation_parts(alg, [[(j, c) for j, c in enumerate(x) if c]
                                   for x in xs])
     assert list(_relations(parts)) == want
@@ -519,7 +354,8 @@ def check_relations(alg, xs, beta):
     assert rep.checks[1].witness == witness
     if witness is not None:
         assert rep.checks[2].detail.startswith(
-            "relation rank %d " % sparse_rank(f, want))
+            "relation rank %d " % len(ref.rref(
+                f, (rel.items() for rel in want), False)))
     return want, witness
 
 
@@ -681,40 +517,6 @@ def test_thm_315_pointwise(r1, s1):
 
 # -- the canonical Subspace ------------------------------------------------------
 
-class RefSubspace:
-    """Subspace as it read its basis before the basis was canonical: a
-    Matrix of basis columns, coordinates from solve, membership from in_span
-    and equality from same_span.  The reference."""
-
-    def __init__(self, sub):
-        self.ambient_dim = sub.ambient_dim
-        self.basis = Matrix(sub.field, sub.ambient_dim, sub.dim,
-                            [[v[i] for v in sub.vectors]
-                             for i in range(sub.ambient_dim)])
-
-    def column_vectors(self):
-        return [self.basis.column(j) for j in range(self.basis.cols)]
-
-    def contains(self, vec):
-        return in_span(self.basis.field, vec,
-                       [list(v) for v in self.column_vectors()],
-                       self.ambient_dim)
-
-    def coordinates(self, vec):
-        sol = solve(self.basis, Matrix(self.basis.field, self.ambient_dim, 1,
-                                       [[x] for x in vec]))
-        if sol is None:
-            return None
-        return [row[0] for row in sol.data]
-
-    def equals(self, other):
-        return (self.ambient_dim == other.ambient_dim
-                and same_span(self.basis.field,
-                              [list(v) for v in self.column_vectors()],
-                              [list(v) for v in other.column_vectors()],
-                              self.ambient_dim))
-
-
 @pytest.fixture(scope="module", params=["Q", "Fp:5"])
 def suite_subspaces(request):
     """Every Subspace criteria 11, 13 and 14 build on a fresh context: both
@@ -743,7 +545,7 @@ def suite_subspaces(request):
 
 
 def test_subspace_matches_reference(suite_subspaces):
-    """coordinates and contains agree with solve and in_span on every
+    """coordinates and contains agree with the reference's on every
     subspace the suite builds (in k⁴ and k¹⁶, of dimension 1 up to the
     whole space), for vectors inside it (its basis vectors and seeded
     combinations of them) and vectors that may leave it (those plus one
@@ -754,7 +556,7 @@ def test_subspace_matches_reference(suite_subspaces):
     rng = random.Random(20)
     seen = set()
     for sub in subs:
-        ref = RefSubspace(sub)
+        column_space = ref.ColumnSpace(sub)
         dim = sub.ambient_dim
 
         def small():
@@ -774,9 +576,10 @@ def test_subspace_matches_reference(suite_subspaces):
             maybe.append(vec)
         maybe += [[small() for _ in range(dim)] for _ in range(3)]
         for vec in inside + maybe:
-            want = ref.coordinates(vec)
+            want = column_space.coordinates(vec)
             assert sub.coordinates(vec) == want
-            assert sub.contains(vec) == ref.contains(vec) == (want is not None)
+            assert sub.contains(vec) == column_space.contains(vec) == \
+                (want is not None)
             seen.add(want is not None)
         for j, v in enumerate(sub.vectors):
             assert sub.coordinates(v) == [f.one if t == j else f.zero
@@ -785,14 +588,15 @@ def test_subspace_matches_reference(suite_subspaces):
 
 
 def test_subspace_equals_matches_reference(suite_subspaces):
-    """equals agrees with same_span on every pair of distinct subspaces the
-    suite builds: equal spans, and only they, have equal bases."""
+    """equals agrees with the reference's on every pair of distinct
+    subspaces the suite builds: equal spans, and only they, have equal
+    bases."""
     _, subs = suite_subspaces
     distinct = list({(s.ambient_dim, str(s.vectors)): s for s in subs}
                     .values())
-    refs = [RefSubspace(s) for s in distinct]
+    refs = [ref.ColumnSpace(s) for s in distinct]
     outcomes = set()
-    for a, ra in zip(subs, [RefSubspace(s) for s in subs]):
+    for a, ra in zip(subs, [ref.ColumnSpace(s) for s in subs]):
         for b, rb in zip(distinct, refs):
             assert a.equals(b) == ra.equals(rb)
             outcomes.add(a.equals(b))
@@ -848,116 +652,13 @@ def test_subspace_basis_ignores_how_equations_are_given(spec):
             twisted.append(out)
         again = Subspace(f, size + 1, twisted)
         assert again.equals(sub) and again.vectors == sub.vectors
-        assert sub.vectors == RefSubspace(sub).column_vectors()
+        assert sub.vectors == ref.ColumnSpace(sub).column_vectors()
         assert sub.equals(Subspace(f, 0, [[]] * dim)) == (sub.dim == dim)
         nontrivial += 0 < sub.dim < dim
     assert nontrivial > 3
 
 
 # -- parity with the Matrix-based Galois layer -------------------------------
-
-class _MatrixSubspace(galois.Subspace):
-    """Subspace as it built its basis before it read dict rows: a dense
-    equation Matrix and the columns of its kernel.  The reference."""
-
-    def __init__(self, field, size, images):
-        dim = len(images)
-        eqs = [[field.zero] * dim for _ in range(size)]
-        for p, image in enumerate(images):
-            for k, c in image:
-                eqs[k][p] = eqs[k][p] + c
-        basis = _matrix_kernel_basis(Matrix(field, size, dim, eqs)).data
-        self.field = field
-        self.ambient_dim = dim
-        self.vectors = [list(v) for v in zip(*basis)]
-        self.rows = [[(k, x) for k, x in enumerate(v) if x]
-                     for v in self.vectors]
-        self.free = [row[-1][0] for row in self.rows]
-
-    def equals(self, other):
-        return (self.ambient_dim == other.ambient_dim
-                and self.vectors == other.vectors)
-
-
-def _dense_kernel_and_preimages(f, beta, n, unit):
-    """_kernel_and_preimages as _mu_action_and_pi read them before βᵀ was
-    built as dict rows: βᵀ as a dense Matrix, the preimages of 1⊗e_k
-    solved against a dense right-hand side, and the kernel and preimages
-    read as the columns of dense Matrices.  The reference."""
-    size, rows = len(beta), len(unit) * n
-    beta_t = Matrix(f, rows, size, [[row.get(c, f.zero) for row in beta]
-                                    for c in range(rows)])
-    rhs = Matrix.zeros(f, rows, n)
-    for k in range(n):
-        for y, u in enumerate(unit):
-            if u:
-                rhs.data[y * n + k][k] = u
-    part = _matrix_solve(beta_t, rhs)
-    if part is None:
-        raise VerificationError("β-preimages of 1⊗h do not exist")
-    return (columns_as_rows(_matrix_kernel_basis(beta_t)),
-            columns_as_rows(part))
-
-
-def _summed_bimodule_actions(bh, mod):
-    """bimodule_actions as it summed its four forms on field elements, with
-    every word and pairing formed again for each (i, p).  The reference."""
-    h = bh.host
-    r = bh.cqt.r
-    if not mod.host.structures_equal(h):
-        raise VerificationError("bimodule_actions: host mismatch")
-    f = h.field
-    m = mod.dim
-    shape = (h.dim, m, m)
-    s_rows, sinv = h.antipodes.rows(0), h.antipodes.rows(1)
-    a2 = galois.act2_tensor(bh.cqt, mod)
-    act2 = Bilinear(a2)
-
-    def left(i, p):
-        acc = [f.zero] * m
-        for a, b, w in h.delta.terms(i):
-            for q0, x in mod.act.row(a, p):
-                for q, k, c0 in mod.coact.terms(q0):
-                    scal = eval2(r, sinv[b], k)
-                    if scal:
-                        acc[q] = acc[q] + w * x * c0 * scal
-        return acc
-
-    def left_expanded(i, p):
-        acc = [f.zero] * m
-        for (a, b, c3, d), w in h.copower(i, 4):
-            for q0, k, c0 in mod.coact.terms(p):
-                scal = eval2(r, sinv[d], h.product(h.mul.row(c3, k), sinv[a]))
-                if not scal:
-                    continue
-                for q, x in mod.act.row(b, q0):
-                    acc[q] = acc[q] + w * c0 * scal * x
-        return acc
-
-    def right(i, p):
-        acc = [f.zero] * m
-        for a, b, w in h.delta.terms(i):
-            for t, y in s_rows[a]:
-                for q0, x in mod.act.row(b, p):
-                    for q, z in act2.row(t, q0):
-                        acc[q] = acc[q] + w * y * x * z
-        return acc
-
-    def right_expanded(i, p):
-        acc = [f.zero] * m
-        for (a, b, c3, d), w in h.copower(i, 4):
-            for q0, k, c0 in mod.coact.terms(p):
-                scal = eval2(r, h.product(h.mul.row(d, k), sinv[b]), a)
-                if not scal:
-                    continue
-                for q, x in mod.act.row(c3, q0):
-                    acc[q] = acc[q] + w * c0 * scal * x
-        return acc
-
-    return galois.BimoduleActions(
-        mod, agreed_tensor("−▷", f, shape, left, left_expanded),
-        agreed_tensor("◁−", f, shape, right, right_expanded), a2)
-
 
 def outcome(fn, *args):
     """fn(*args), or ("raised", message) for a VerificationError."""
@@ -1009,6 +710,13 @@ def remember_shared_steps(mp):
         id(alg), tuple(map(tuple, rows))))
 
 
+def route_through_references(mp):
+    """Route Subspace and the βᵀ path through the references (the
+    bimodule actions are passed in)."""
+    mp.setattr(galois, "Subspace", ref.MatrixSubspace)
+    mp.setattr(galois, "_kernel_and_preimages", ref.kernel_and_preimages)
+
+
 def bimodule_outcome(actions, bh, mod):
     """actions(bh, mod)'s three tensors, or its error."""
     b = outcome(actions, bh, mod)
@@ -1016,26 +724,16 @@ def bimodule_outcome(actions, bh, mod):
         if isinstance(b, BimoduleActions) else b
 
 
-def reference_layer(mp):
-    """Route Subspace and the βᵀ path through the references above (the
-    bimodule actions are passed in)."""
-    mp.setattr(galois, "Subspace", _MatrixSubspace)
-    mp.setattr(galois, "_kernel_and_preimages", _dense_kernel_and_preimages)
-
-
 def corrupted_algebras(alg, rng=None, sample=None):
     """alg with one mult entry raised or lowered by 1: every such change,
     or, for `sample` seeded entries, one seeded change of each."""
     t = alg.mult
     if sample is None:
-        changes = list(one_entry_changes(t))
+        mults = list(changes(t))
     else:
-        changes = []
-        for flat in sorted(rng.sample(range(len(t.data)), sample)):
-            data = list(t.data)
-            data[flat] += rng.choice([t.field.one, -t.field.one])
-            changes.append(Tensor(t.field, t.shape, data))
-    return [YdAlgebra(alg.module, mult, alg.unit) for mult in changes]
+        mults = [changed(t, flat, rng.choice([t.field.one, -t.field.one]))
+                 for flat in sorted(rng.sample(range(len(t.data)), sample))]
+    return [YdAlgebra(alg.module, mult, alg.unit) for mult in mults]
 
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
@@ -1058,15 +756,15 @@ def test_galois_layer_matches_matrix_reference(spec):
                         (regular_galois_algebra(h4), None),
                         (end_regular(r1), 64)):
         b = bimodule_actions(bh, alg.module)
-        b_ref = _summed_bimodule_actions(bh, alg.module)
-        assert bimodule_outcome(bimodule_actions, bh, alg.module) \
-            == bimodule_outcome(_summed_bimodule_actions, bh, alg.module)
+        b_ref = ref.bimodule_actions(bh, alg.module)
+        assert (b.left_hr, b.right_hr, b.act2) == \
+            (b_ref.left_hr, b_ref.right_hr, b_ref.act2)
         for case in [alg] + corrupted_algebras(alg, rng, sample):
             alg_report = verify_yd_algebra(case)
             with pytest.MonkeyPatch.context() as mp:
                 remember_shared_steps(mp)
                 got = galois_outcomes(bh, b, case, alg_report)
-                reference_layer(mp)
+                route_through_references(mp)
                 want = galois_outcomes(bh, b_ref, case, alg_report)
             assert got == want
             statuses.update(row[1] for rows in got[:2] for row in rows)
@@ -1086,12 +784,12 @@ def test_bimodule_actions_match_summed_reference(spec):
     mods = [uo.module, regular_galois_algebra(h4).module,
             end_regular(r_t(h4, 1)).module]
     mods += [YdModule(h4, uo.dim, act, uo.module.coaction)
-             for act in one_entry_changes(uo.module.action)]
+             for act in changes(uo.module.action)]
     mods += [YdModule(h4, uo.dim, uo.module.action, coact)
-             for coact in one_entry_changes(uo.module.coaction)]
+             for coact in changes(uo.module.coaction)]
     raised = set()
     for mod in mods:
         got = bimodule_outcome(bimodule_actions, bh, mod)
-        assert got == bimodule_outcome(_summed_bimodule_actions, bh, mod)
+        assert got == bimodule_outcome(ref.bimodule_actions, bh, mod)
         raised.add(got[0] == "raised")
     assert raised == {True, False}

@@ -329,11 +329,11 @@ def test_deformed_host_document_needs_its_host_file(tmp_path, h4, mreg,
                                                     capsys):
     """σ̲_{∂γ}(regular) lives on H^∂γ ≠ H₄, which its document names "H4^s":
     without --host it is an input error, with H^∂γ's file it passes."""
-    from test_convolution_routes import ref_coboundary
+    from reference import coboundary
     from hopflab.twist import conv_inverse1, deform, two_cocycle
     from hopflab.yd import sigma_module
     gamma = [QQ.from_int(x) for x in (1, -1, 2, 2)]
-    c = two_cocycle(h4, ref_coboundary(h4, gamma, conv_inverse1(h4, gamma)))
+    c = two_cocycle(h4, coboundary(h4, gamma, conv_inverse1(h4, gamma)))
     doc = io_json.yd_module_to_json(sigma_module(c, mreg))
     assert doc["host"] == "H4^s"
     mod = tmp_path / "mod.json"
@@ -586,7 +586,7 @@ def test_one_cocycle_verifier_decides_mu(spec):
     from hopflab.cli import VERIFIERS
     from hopflab.fields import field_from_spec
     from hopflab.twist import LazyOneCocycle, lazy_one_cocycle
-    from test_hopf import one_vector_changes
+    from reference import changes
     field = field_from_spec(spec)
     verify = VERIFIERS["one_cocycle"]
     h4 = cat.sweedler_h4(field)
@@ -596,11 +596,11 @@ def test_one_cocycle_verifier_decides_mu(spec):
         assert [(c.name, c.status, c.detail) for c in rep.checks] == \
             [("one_cocycle_invariants", "pass", "")]
         details = set()
-        for bad in one_vector_changes(mu.mu, field):
+        for bad in changes(mu.mu, field=field):
             rep = verify(LazyOneCocycle(mu.host, bad, mu.mu_inv))
             assert not rep.ok
             details.add(rep.checks[0].detail)
-        for bad in one_vector_changes(mu.mu_inv, field):
+        for bad in changes(mu.mu_inv, field=field):
             rep = verify(LazyOneCocycle(mu.host, mu.mu, bad))
             assert rep.checks[0].detail == \
                 "mu_inv is not the convolution inverse of mu"

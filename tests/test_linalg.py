@@ -1,10 +1,10 @@
 """Exact linear algebra kernel: rank/kernel/solve and the sparse
 structure-tensor kernel Bilinear.
 
-The oracle of the elimination is the dense Gaussian elimination it
-replaced, kept here as a reference: rank, kernel, solve and inverse must
-agree with it exactly, and the echelon basis must have its span and pivot
-columns.  Solve and kernel are also checked by multiplying back.
+The oracle of the elimination is the one Gauss–Jordan of reference.py:
+rank, kernel, solve and inverse must agree with it exactly, and the
+echelon basis must have its span and pivot columns.  Solve and kernel are
+also checked by multiplying back.
 """
 
 import math
@@ -15,16 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopflab.fields import QQ, PrimeField
-from itertools import chain
-
-from hopflab.linalg import (Bilinear, DimensionError, Matrix, Tensor, _rref,
+from hopflab.linalg import (Bilinear, DimensionError, Matrix, Tensor,
                             are_inverse, kernel_basis, mat_inverse, mat_mul,
                             rank, row_space_echelon, solve, sparse_kernel,
                             sparse_rank, sparse_solve, sparse_sum)
 from hopflab.catalog import sweedler_h4, sigma_t
 from hopflab.twist import are_conv_inverse
-from conftest import dense_row
-from test_hopf import one_matrix_changes
+import reference as ref
+from reference import changes, columns_as_rows, dense_row
 
 
 def mat_vec(m, x):
@@ -44,104 +42,6 @@ FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(5)],
                                  ids=["Q", "F5"])
 
 
-# -- dense reference: in-place Gaussian elimination on lists of rows --------
-
-def dense_echelon(rows, ncols, field):
-    """In-place forward elimination; returns list of pivot (row, col)."""
-    pivots = []
-    pr = 0
-    nrows = len(rows)
-    for pc in range(ncols):
-        pivot_row = -1
-        for r in range(pr, nrows):
-            if rows[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row < 0:
-            continue
-        if pivot_row != pr:
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        pivots.append((pr, pc))
-        fp = rows[pr][pc]
-        for r in range(pr + 1, nrows):
-            fr = rows[r][pc]
-            if not fr:
-                continue
-            mlt = field.div(fr, fp)
-            rr = rows[r]
-            rp = rows[pr]
-            for c in range(pc, ncols):
-                if rp[c]:
-                    rr[c] = rr[c] - rp[c] * mlt
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots
-
-
-def dense_rref(rows, ncols, field):
-    """Reduce to reduced row echelon form in place; returns pivot columns."""
-    pivots = dense_echelon(rows, ncols, field)
-    one = field.one
-    for pr, pc in reversed(pivots):
-        fp = rows[pr][pc]
-        if fp != one:
-            inv = field.div(one, fp)
-            row = rows[pr]
-            for c in range(pc, ncols):
-                if row[c]:
-                    row[c] = row[c] * inv
-        for r in range(pr):
-            fr = rows[r][pc]
-            if not fr:
-                continue
-            rr = rows[r]
-            rp = rows[pr]
-            for c in range(pc, ncols):
-                if rp[c]:
-                    rr[c] = rr[c] - rp[c] * fr
-    return [pc for _, pc in pivots]
-
-
-def dense_rank(m):
-    rows = [row[:] for row in m.data]
-    return len(dense_echelon(rows, m.cols, m.field))
-
-
-def dense_kernel_basis(m):
-    field = m.field
-    rows = [row[:] for row in m.data]
-    piv_cols = dense_rref(rows, m.cols, field)
-    free_cols = [c for c in range(m.cols) if c not in set(piv_cols)]
-    basis = []
-    for fc in free_cols:
-        vec = [field.zero] * m.cols
-        vec[fc] = field.one
-        for r, pc in enumerate(piv_cols):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    data = [[basis[j][i] for j in range(len(basis))] for i in range(m.cols)]
-    return Matrix(field, m.cols, len(basis), data)
-
-
-def dense_solve(m, b):
-    field = m.field
-    nc, k = m.cols, b.cols
-    rows = [m.data[r][:] + b.data[r][:] for r in range(m.rows)]
-    piv_cols = dense_rref(rows, nc + k, field)
-    if any(pc >= nc for pc in piv_cols):
-        return None
-    out = Matrix.zeros(field, nc, k)
-    for r, pc in enumerate(piv_cols):
-        for j in range(k):
-            out.data[pc][j] = rows[r][nc + j]
-    return out
-
-
-def dense_inverse(m):
-    return dense_solve(m, Matrix.identity(m.field, m.rows))
-
-
 def random_matrix(rng, field, rows, cols, density):
     """Entries ±1..3 and, over ℚ, halves and thirds, at the given density;
     over ℚ some zeros are Fraction(0) rather than 0."""
@@ -155,7 +55,7 @@ def random_matrix(rng, field, rows, cols, density):
                   [[entry() for _ in range(cols)] for _ in range(rows)])
 
 
-def reference_cases(field, seed):
+def elimination_inputs(field, seed):
     """No rows, all-zero rows, then seeded square, wide, tall sparse and
     rank-deficient matrices (products through a narrow middle, with zero,
     repeated and proportional rows mixed in)."""
@@ -215,7 +115,7 @@ def test_rank_sigma_matrix_cross_checked():
     for _ in range(5):
         order = list(range(m.rows))
         rng.shuffle(order)
-        assert dense_rank(Matrix.from_rows(QQ, [m.data[i] for i in order])) \
+        assert ref.rank(Matrix.from_rows(QQ, [m.data[i] for i in order])) \
             == r
     assert r == 2  # two distinct nonzero row patterns
 
@@ -234,13 +134,13 @@ def test_sparse_rank_equals_rank(field):
     def check(m):
         sparse = sparse_rows(rng, m)
         before = [dict(row) for row in sparse]
-        full = dense_rank(m)
+        full = ref.rank(m)
         assert sparse_rank(field, sparse) == full
         for cap in range(full + 2):
             assert sparse_rank(field, sparse, cap) == min(cap, full)
         assert sparse == before
 
-    for m in reference_cases(field, 9):
+    for m in elimination_inputs(field, 9):
         check(m)
     for _ in range(60):
         rows, cols = rng.randint(1, 10), rng.randint(1, 12)
@@ -263,19 +163,19 @@ def test_elimination_matches_dense_reference(field, seed):
     are not changed."""
     rng = random.Random(seed)
     inconsistent = 0
-    for m in reference_cases(field, seed):
+    for m in elimination_inputs(field, seed):
         before = [row[:] for row in m.data]
-        assert rank(m) == dense_rank(m)
-        assert kernel_basis(m) == dense_kernel_basis(m)
+        assert rank(m) == ref.rank(m)
+        assert kernel_basis(m) == ref.kernel_basis(m)
         x = random_matrix(rng, field, m.cols, rng.randint(1, 3), 0.6)
         consistent = mat_mul(m, x)
         arbitrary = random_matrix(rng, field, m.rows, 2, 0.6)
-        assert solve(m, consistent) == dense_solve(m, consistent)
+        assert solve(m, consistent) == ref.solve(m, consistent)
         assert solve(m, consistent) is not None
-        assert solve(m, arbitrary) == dense_solve(m, arbitrary)
+        assert solve(m, arbitrary) == ref.solve(m, arbitrary)
         inconsistent += solve(m, arbitrary) is None
         if m.rows == m.cols:
-            assert mat_inverse(m) == dense_inverse(m)
+            assert mat_inverse(m) == ref.inverse(m)
         assert m.data == before
     assert inconsistent >= 20
 
@@ -284,62 +184,17 @@ def test_elimination_matches_dense_reference(field, seed):
 def test_row_space_echelon_matches_dense_reference(field):
     """The echelon basis spans the rows' span, has the dense reference's
     pivot columns, and each row leads at its pivot column."""
-    for m in reference_cases(field, 5):
+    for m in elimination_inputs(field, 5):
         vectors = [row[:] for row in m.data]
         ech = row_space_echelon(field, vectors, m.cols)
         assert vectors == m.data
         leads = [next(c for c, x in enumerate(r) if x) for r in ech]
-        assert leads == [pc for _, pc in dense_echelon(
-            [row[:] for row in m.data], m.cols, field)]
+        assert leads == ref.pivot_columns(m)
         both = Matrix(field, len(ech) + m.rows, m.cols, ech + vectors)
-        assert dense_rank(both) == dense_rank(m) == len(ech)
+        assert ref.rank(both) == ref.rank(m) == len(ech)
 
 
 # -- the dict-row kernel and solve ------------------------------------------
-
-def _matrix_kernel_basis(m):
-    """kernel_basis as it was before it read sparse_kernel: a dense column
-    per free column of _rref, built in place.  The reference."""
-    field = m.field
-    zero, one = field.zero, field.one
-    pivots = _rref(field, (enumerate(row) for row in m.data))
-    basis = []
-    for fc in range(m.cols):
-        if fc in pivots:
-            continue
-        vec = [zero] * m.cols
-        vec[fc] = one
-        for pc, row in pivots.items():
-            x = row.get(fc)
-            if x:
-                vec[pc] = -x
-        basis.append(vec)
-    data = [[basis[j][i] for j in range(len(basis))] for i in range(m.cols)]
-    return Matrix(field, m.cols, len(basis), data)
-
-
-def _matrix_solve(m, b):
-    """solve as it was before it read sparse_solve: a dense solution matrix
-    filled from _rref of [m | b].  The reference."""
-    nc = m.cols
-    pivots = _rref(m.field, (chain(enumerate(mr), enumerate(br, nc))
-                             for mr, br in zip(m.data, b.data)))
-    if any(pc >= nc for pc in pivots):
-        return None
-    out = Matrix.zeros(m.field, nc, b.cols)
-    for pc, row in pivots.items():
-        for c, x in row.items():
-            if c >= nc:
-                out.data[pc][c - nc] = x
-    return out
-
-
-def columns_as_rows(mat):
-    """The columns of mat as sparse rows [(index, entry)] of their nonzero
-    entries."""
-    return [[(i, x) for i, x in enumerate(mat.column(j)) if x]
-            for j in range(mat.cols)]
-
 
 @st.composite
 def systems(draw):
@@ -395,7 +250,7 @@ def test_dict_row_kernel_and_solve_match_matrix_reference(system, seed):
     equal those references."""
     field, m, rhs = system
     rng = random.Random(seed)
-    want = _matrix_kernel_basis(m)
+    want = ref.kernel_basis(m)
     got = sparse_kernel(field, dict_rows(rng, m.data), m.cols)
     assert got == columns_as_rows(want)
     for vec in got:         # 1 at its free column, the last index
@@ -403,7 +258,7 @@ def test_dict_row_kernel_and_solve_match_matrix_reference(system, seed):
         assert [i for i, _ in vec] == sorted({i for i, _ in vec})
     assert kernel_basis(m) == want
     for b in rhs:
-        want = _matrix_solve(m, b)
+        want = ref.solve(m, b)
         got = sparse_solve(field, dict_rows(rng, [
             mr + br for mr, br in zip(m.data, b.data)]), m.cols, b.cols)
         if want is None:
@@ -411,7 +266,7 @@ def test_dict_row_kernel_and_solve_match_matrix_reference(system, seed):
         else:
             assert got == columns_as_rows(want)
         assert solve(m, b) == want
-    assert _matrix_solve(m, rhs[0]) is not None
+    assert ref.solve(m, rhs[0]) is not None
 
 
 @FIELDS
@@ -802,10 +657,10 @@ def test_inverse_pairs_fail_after_one_entry_change(field):
     s1 = sigma_t(h4, 1)
     assert are_inverse(h4.antipode, h4.antipode_inv)
     assert are_conv_inverse(h4, s1.sigma, s1.sigma_inv)
-    for bad in one_matrix_changes(h4.antipode_inv):
+    for bad in changes(h4.antipode_inv):
         assert not are_inverse(h4.antipode, bad)
     # a one-sided inverse is not enough: ab = 1 but ba ≠ 1
     row = Matrix(field, 1, 2, [[field.one, field.zero]])
     assert not are_inverse(row, row.transpose())
-    for bad in one_matrix_changes(s1.sigma_inv):
+    for bad in changes(s1.sigma_inv):
         assert not are_conv_inverse(h4, s1.sigma, bad)

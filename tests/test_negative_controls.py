@@ -17,8 +17,8 @@ from hopflab.galois import (BimoduleActions, BraidedHopf, bimodule_actions,
                             build_hr, comodule_galois, galois_maps,
                             mu_action_and_pi, verify_bimodule,
                             verify_braided_hopf, wedge)
-from hopflab.hopf import HopfAlgebra, hopf_map_checks, verify_hopf_axioms
-from hopflab.linalg import Matrix, Tensor
+from hopflab.hopf import hopf_map_checks, verify_hopf_axioms
+from hopflab.linalg import Matrix
 from hopflab.quasitriangular import (CqtStructure, QtStructure, verify_cqt,
                                      verify_qt)
 from hopflab.report import VerificationError
@@ -27,35 +27,7 @@ from hopflab.twist import (DualCocycle, TwoCocycle, dual_cocycle,
 from hopflab.yd import (YdAlgebra, YdMap, YdModule, azumaya_check, is_yd_map,
                         sigma_module, theta_module, verify_theta_braided,
                         verify_yd, verify_yd_algebra)
-
-
-def bump_tensor(t, idx):
-    flat = 0
-    for i, s in zip(idx, t.shape):
-        flat = flat * s + i
-    data = list(t.data)
-    data[flat] = data[flat] + QQ.one
-    return Tensor(t.field, t.shape, data)
-
-
-def bump_matrix(m, i, j):
-    data = [row[:] for row in m.data]
-    data[i][j] = data[i][j] + QQ.one
-    return Matrix(m.field, m.rows, m.cols, data)
-
-
-def bump_vector(v, i):
-    out = list(v)
-    out[i] = out[i] + QQ.one
-    return out
-
-
-def hopf_with(h, **changed):
-    parts = dict(field=h.field, dim=h.dim, basis_names=h.basis_names,
-                 mult=h.mult, unit=h.unit, comult=h.comult, counit=h.counit,
-                 antipode=h.antipode, antipode_inv=h.antipode_inv)
-    parts.update(changed)
-    return HopfAlgebra(**parts)
+from reference import bumped, hopf_with
 
 
 @pytest.fixture(scope="module")
@@ -71,157 +43,157 @@ def fx(h4, r1, s1, mreg, unit_obj):
 def hopf_mult(fx):
     h = fx["h4"]
     return verify_hopf_axioms(
-        hopf_with(h, mult=bump_tensor(h.mult, (0, 0, 0))))
+        hopf_with(h, mult=bumped(h.mult, (0, 0, 0))))
 
 
 def hopf_comult(fx):
     h = fx["h4"]
     return verify_hopf_axioms(
-        hopf_with(h, comult=bump_tensor(h.comult, (2, 2, 0))))
+        hopf_with(h, comult=bumped(h.comult, (2, 2, 0))))
 
 
 def hopf_unit(fx):
     h = fx["h4"]
-    return verify_hopf_axioms(hopf_with(h, unit=bump_vector(h.unit, 0)))
+    return verify_hopf_axioms(hopf_with(h, unit=bumped(h.unit, (0,))))
 
 
 def hopf_counit(fx):
     h = fx["h4"]
-    return verify_hopf_axioms(hopf_with(h, counit=bump_vector(h.counit, 2)))
+    return verify_hopf_axioms(hopf_with(h, counit=bumped(h.counit, (2,))))
 
 
 def map_entry(fx):
     h = fx["h4"]
-    return hopf_map_checks(h, h, bump_matrix(Matrix.identity(QQ, 4), 1, 1))
+    return hopf_map_checks(h, h, bumped(Matrix.identity(QQ, 4), (1, 1)))
 
 
 def map_offdiagonal(fx):
     h = fx["h4"]
-    return hopf_map_checks(h, h, bump_matrix(Matrix.identity(QQ, 4), 2, 3))
+    return hopf_map_checks(h, h, bumped(Matrix.identity(QQ, 4), (2, 3)))
 
 
 def cocycle_entry(fx):
     s = fx["s1"]
     return verify_two_cocycle(
-        TwoCocycle(s.host, bump_matrix(s.sigma, 1, 1), s.sigma_inv))
+        TwoCocycle(s.host, bumped(s.sigma, (1, 1)), s.sigma_inv))
 
 
 def cocycle_inverse_entry(fx):
     s = fx["s1"]
     return verify_two_cocycle(
-        TwoCocycle(s.host, s.sigma, bump_matrix(s.sigma_inv, 2, 3)))
+        TwoCocycle(s.host, s.sigma, bumped(s.sigma_inv, (2, 3))))
 
 
 def dual_cocycle_entry(fx):
     d = fx["theta"]
     return verify_dual_cocycle(
-        DualCocycle(d.host, bump_matrix(d.theta, 1, 1), d.theta_inv))
+        DualCocycle(d.host, bumped(d.theta, (1, 1)), d.theta_inv))
 
 
 def cqt_entry(fx):
     c = fx["r1"]
-    return verify_cqt(CqtStructure(c.host, bump_matrix(c.r, 0, 1), c.r_inv))
+    return verify_cqt(CqtStructure(c.host, bumped(c.r, (0, 1)), c.r_inv))
 
 
 def cqt_diagonal(fx):
     c = fx["r1"]
-    return verify_cqt(CqtStructure(c.host, bump_matrix(c.r, 1, 1), c.r_inv))
+    return verify_cqt(CqtStructure(c.host, bumped(c.r, (1, 1)), c.r_inv))
 
 
 def qt_entry(fx):
     q = fx["qt"]
-    return verify_qt(QtStructure(q.host, bump_matrix(q.rr, 1, 1), q.rr_inv))
+    return verify_qt(QtStructure(q.host, bumped(q.rr, (1, 1)), q.rr_inv))
 
 
 def qt_offdiagonal(fx):
     q = fx["qt"]
-    return verify_qt(QtStructure(q.host, bump_matrix(q.rr, 2, 3), q.rr_inv))
+    return verify_qt(QtStructure(q.host, bumped(q.rr, (2, 3)), q.rr_inv))
 
 
 def theta_braided_entry(fx):
     # θ₁ + e_1⊗e_h is invertible but no dual cocycle.  The square, checked
     # as σ_θ's on I*, reg*, still commutes; η and Φ are no YD maps.
-    d = dual_cocycle(fx["h4"], bump_matrix(fx["theta"].theta, 0, 2))
+    d = dual_cocycle(fx["h4"], bumped(fx["theta"].theta, (0, 2)))
     return verify_theta_braided(d, fx["mreg"], fx["unit_obj"].module)
 
 
 def yd_action(fx):
     mod = fx["mreg"]
     return verify_yd(YdModule(mod.host, mod.dim,
-                              bump_tensor(mod.action, (3, 0, 0)),
+                              bumped(mod.action, (3, 0, 0)),
                               mod.coaction))
 
 
 def yd_coaction(fx):
     mod = fx["mreg"]
     return verify_yd(YdModule(mod.host, mod.dim, mod.action,
-                              bump_tensor(mod.coaction, (3, 0, 3))))
+                              bumped(mod.coaction, (3, 0, 3))))
 
 
 def yd_coaction_counit(fx):
     mod = fx["mreg"]
     return verify_yd(YdModule(mod.host, mod.dim, mod.action,
-                              bump_tensor(mod.coaction, (2, 2, 0))))
+                              bumped(mod.coaction, (2, 2, 0))))
 
 
 def yd_algebra_mult(fx):
     alg = fx["unit_obj"]
     return verify_yd_algebra(
-        YdAlgebra(alg.module, bump_tensor(alg.mult, (2, 2, 0)), alg.unit))
+        YdAlgebra(alg.module, bumped(alg.mult, (2, 2, 0)), alg.unit))
 
 
 def yd_algebra_mult_unit_stage(fx):
     alg = fx["unit_obj"]
     return verify_yd_algebra(
-        YdAlgebra(alg.module, bump_tensor(alg.mult, (1, 2, 3)), alg.unit))
+        YdAlgebra(alg.module, bumped(alg.mult, (1, 2, 3)), alg.unit))
 
 
 def yd_algebra_unit(fx):
     alg = fx["unit_obj"]
     return verify_yd_algebra(
-        YdAlgebra(alg.module, alg.mult, bump_vector(alg.unit, 0)))
+        YdAlgebra(alg.module, alg.mult, bumped(alg.unit, (0,))))
 
 
 def yd_map_entry(fx):
     mod = fx["mreg"]
     ident = Matrix.identity(QQ, mod.dim)
-    return is_yd_map(YdMap(mod, mod, bump_matrix(ident, 3, 2)))
+    return is_yd_map(YdMap(mod, mod, bumped(ident, (3, 2))))
 
 
 def yd_map_first_row(fx):
     mod = fx["mreg"]
     ident = Matrix.identity(QQ, mod.dim)
-    return is_yd_map(YdMap(mod, mod, bump_matrix(ident, 0, 1)))
+    return is_yd_map(YdMap(mod, mod, bumped(ident, (0, 1))))
 
 
 def braided_antipode_entry(fx):
     bh = fx["bh"]
     return verify_braided_hopf(BraidedHopf(
-        bh.cqt, bh.underlying, bump_matrix(bh.braided_antipode, 2, 3)))
+        bh.cqt, bh.underlying, bumped(bh.braided_antipode, (2, 3))))
 
 
 def bimodule_left(fx):
     b = fx["bim"]
     return verify_bimodule(fx["bh"], BimoduleActions(
-        b.module, bump_tensor(b.left_hr, (2, 1, 3)), b.right_hr, b.act2))
+        b.module, bumped(b.left_hr, (2, 1, 3)), b.right_hr, b.act2))
 
 
 def bimodule_left_unit(fx):
     b = fx["bim"]
     return verify_bimodule(fx["bh"], BimoduleActions(
-        b.module, bump_tensor(b.left_hr, (0, 2, 0)), b.right_hr, b.act2))
+        b.module, bumped(b.left_hr, (0, 2, 0)), b.right_hr, b.act2))
 
 
 def bimodule_right(fx):
     b = fx["bim"]
     return verify_bimodule(fx["bh"], BimoduleActions(
-        b.module, b.left_hr, bump_tensor(b.right_hr, (1, 0, 0)), b.act2))
+        b.module, b.left_hr, bumped(b.right_hr, (1, 0, 0)), b.act2))
 
 
 def galois_regular_mult(fx):
     alg = cat.regular_galois_algebra(fx["h4"])
     return comodule_galois(
-        YdAlgebra(alg.module, bump_tensor(alg.mult, (0, 0, 0)), alg.unit))
+        YdAlgebra(alg.module, bumped(alg.mult, (0, 0, 0)), alg.unit))
 
 
 def galois_unit_object_mult(fx):
@@ -229,7 +201,7 @@ def galois_unit_object_mult(fx):
     bim = bimodule_actions(fx["bh"], alg.module)
     verify_bimodule(fx["bh"], bim).require("bimodule_actions")
     return galois_maps(fx["bh"], bim,
-                       YdAlgebra(alg.module, bump_tensor(alg.mult, (0, 1, 1)),
+                       YdAlgebra(alg.module, bumped(alg.mult, (0, 1, 1)),
                                  alg.unit))
 
 
@@ -237,13 +209,13 @@ def mu_pi_mult_keeps_pi(fx):
     # π(A) is still a YD algebra; only A's own checks see the corruption
     e = fx["end"]
     return mu_action_and_pi(
-        YdAlgebra(e.module, bump_tensor(e.mult, (1, 2, 6)), e.unit))[1]
+        YdAlgebra(e.module, bumped(e.mult, (1, 2, 6)), e.unit))[1]
 
 
 def azumaya_mult(fx):
     e = fx["end"]
     return azumaya_check(
-        YdAlgebra(e.module, bump_tensor(e.mult, (7, 13, 15)), e.unit))
+        YdAlgebra(e.module, bumped(e.mult, (7, 13, 15)), e.unit))
 
 
 def azumaya_coaction(fx):
@@ -252,13 +224,13 @@ def azumaya_coaction(fx):
     mod = e.module
     return azumaya_check(YdAlgebra(
         YdModule(mod.host, mod.dim, mod.action,
-                 bump_tensor(mod.coaction, (8, 0, 2))), e.mult, e.unit))
+                 bumped(mod.coaction, (8, 0, 2))), e.mult, e.unit))
 
 
 def mu_pi_mult(fx):
     e = fx["end"]
     return mu_action_and_pi(
-        YdAlgebra(e.module, bump_tensor(e.mult, (1, 6, 0)), e.unit))[1]
+        YdAlgebra(e.module, bumped(e.mult, (1, 6, 0)), e.unit))[1]
 
 
 def mu_pi_coaction(fx):
@@ -266,7 +238,7 @@ def mu_pi_coaction(fx):
     mod = e.module
     return mu_action_and_pi(YdAlgebra(
         YdModule(mod.host, mod.dim, mod.action,
-                 bump_tensor(mod.coaction, (2, 8, 1))), e.mult, e.unit))[1]
+                 bumped(mod.coaction, (2, 8, 1))), e.mult, e.unit))[1]
 
 
 CASES = [
@@ -382,7 +354,7 @@ def test_mu_action_corruption_raises(fx, entry, message):
     e = fx["end"]
     with pytest.raises(VerificationError, match="^%s$" % message):
         mu_action_and_pi(
-            YdAlgebra(e.module, bump_tensor(e.mult, entry), e.unit))
+            YdAlgebra(e.module, bumped(e.mult, entry), e.unit))
 
 
 # Constructions that give an object in two displayed forms raise when the
@@ -391,7 +363,7 @@ def test_mu_action_corruption_raises(fx, entry, message):
 
 def bad_regular_module(fx):
     mod = fx["mreg"]
-    return YdModule(mod.host, mod.dim, bump_tensor(mod.action, (0, 0, 0)),
+    return YdModule(mod.host, mod.dim, bumped(mod.action, (0, 0, 0)),
                     mod.coaction)
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from hopflab.fields import QQ, field_from_spec
 from hopflab.hopf import dual_hopf, verify_hopf_axioms
-from hopflab.linalg import Matrix
-from hopflab.report import CheckReport, VerificationError, first_mismatch
+from hopflab.linalg import Matrix, Tensor
+from hopflab.report import VerificationError
 from hopflab.twist import (are_conv_inverse, coboundary_from,
                            compose_cocycles, conv_inverse1, conv_inverse2,
                            convolve2, deform, deform_dual, dual_cocycle,
@@ -17,10 +17,9 @@ from hopflab.twist import (are_conv_inverse, coboundary_from,
                            verify_dual_cocycle, verify_two_cocycle,
                            DualCocycle, TwoCocycle, hhh_delta, hhh_leg,
                            hhh_mul)
-from hopflab.catalog import (group_algebra_c2, one_cocycle_c2, sigma_t,
-                             sweedler_h4, theta_t)
-from conftest import dense_row
-from test_hopf import one_matrix_changes, report_rows
+from hopflab.catalog import one_cocycle_c2, sigma_t, sweedler_h4, theta_t
+import reference as ref
+from reference import changes, hopf_with, report_rows
 
 
 def h4_character_mu(h4):
@@ -144,14 +143,19 @@ def failing_checks(h):
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 def test_deformed_host_reads_its_hosts_copowers(spec):
-    """H^σ is built on H's Δ, so its copower lists, lifted or not, are H's
-    own objects, built once for both, whichever host asks first."""
+    """H^σ is built on H's Δ, and a host built on an equal Δ tensor reads
+    the same tables, so their copower lists, lifted or not, are H's own
+    objects, built once for all, whichever host asks first."""
     h = sweedler_h4(field_from_spec(spec), verify=False)
     hs = deform(sigma_t(h, 1))
+    twin = hopf_with(h, comult=Tensor(h.field, h.comult.shape,
+                                      list(h.comult.data)))
+    assert twin.comult is not h.comult
     for k in (3, 4, 5):
         for i in range(h.dim):
-            assert hs.copower(i, k) is h.copower(i, k)
-        assert hs.lifted_copower(k) is h.lifted_copower(k)
+            assert hs.copower(i, k) is h.copower(i, k) is twin.copower(i, k)
+        assert hs.lifted_copower(k) is h.lifted_copower(k) \
+            is twin.lifted_copower(k)
     assert hs.lifted_copower(3)[1] == 1
 
 
@@ -229,21 +233,7 @@ def test_character_coboundary_on_h4(h4):
     mu = h4_character_mu(h4)
     mu_inv = conv_inverse1(h4, mu)
     assert mu_inv is not None
-    n = 4
-    sig = Matrix.zeros(QQ, n, n)
-    for i in range(n):
-        for j in range(n):
-            acc = QQ.zero
-            for a, b, ca in h4.delta.terms(i):
-                for c, d, cd in h4.delta.terms(j):
-                    if not (mu[a] and mu[c]):
-                        continue
-                    w = ca * cd * mu[a] * mu[c]
-                    prod = dense_row(h4.mult, b, d)
-                    for k, x in enumerate(prod):
-                        if x and mu_inv[k]:
-                            acc = acc + w * x * mu_inv[k]
-            sig.data[i][j] = acc
+    sig = ref.coboundary(h4, mu, mu_inv)
     c = two_cocycle(h4, sig)
     assert verify_two_cocycle(c).ok
     assert is_lazy(c)
@@ -276,113 +266,6 @@ def test_corrupted_dual_cocycle_detected(h4):
 
 # -- H⊗H⊗H on flat n³ coefficient lists: the reference ------------------------
 
-def flat_hhh_mul(h, a, b):
-    """Product in H⊗H⊗H on flat n³ coefficient lists."""
-    n = h.dim
-    f = h.field
-    out = [f.zero] * (n ** 3)
-    nz_a = [(i, j, k, v) for i in range(n) for j in range(n)
-            for k in range(n) if (v := a[(i * n + j) * n + k])]
-    nz_b = [(i, j, k, v) for i in range(n) for j in range(n)
-            for k in range(n) if (v := b[(i * n + j) * n + k])]
-    for i, j, k, x in nz_a:
-        for p, q, r, y in nz_b:
-            xy = x * y
-            for a1, c1 in h.mul.row(i, p):
-                for a2, c2 in h.mul.row(j, q):
-                    c12 = c1 * c2
-                    for a3, c3 in h.mul.row(k, r):
-                        idx = (a1 * n + a2) * n + a3
-                        out[idx] = out[idx] + xy * c12 * c3
-    return out
-
-
-def flat_embed12(h, m):
-    """m⊗1 in H⊗H⊗H."""
-    n = h.dim
-    out = [h.field.zero] * (n ** 3)
-    for i in range(n):
-        for j in range(n):
-            x = m.data[i][j]
-            if not x:
-                continue
-            for k, u in enumerate(h.unit):
-                if u:
-                    out[(i * n + j) * n + k] = x * u
-    return out
-
-
-def flat_embed23(h, m):
-    """1⊗m in H⊗H⊗H."""
-    n = h.dim
-    out = [h.field.zero] * (n ** 3)
-    for k, u in enumerate(h.unit):
-        if not u:
-            continue
-        for i in range(n):
-            for j in range(n):
-                x = m.data[i][j]
-                if x:
-                    out[(k * n + i) * n + j] = u * x
-    return out
-
-
-def flat_delta_leg1(h, m):
-    """(Δ⊗id)(m) for m ∈ H⊗H."""
-    n = h.dim
-    out = [h.field.zero] * (n ** 3)
-    for i in range(n):
-        for j in range(n):
-            x = m.data[i][j]
-            if not x:
-                continue
-            for a, b, c in h.delta.terms(i):
-                out[(a * n + b) * n + j] = out[(a * n + b) * n + j] + x * c
-    return out
-
-
-def flat_delta_leg2(h, m):
-    """(id⊗Δ)(m) for m ∈ H⊗H."""
-    n = h.dim
-    out = [h.field.zero] * (n ** 3)
-    for i in range(n):
-        for j in range(n):
-            x = m.data[i][j]
-            if not x:
-                continue
-            for a, b, c in h.delta.terms(j):
-                out[(i * n + a) * n + b] = out[(i * n + a) * n + b] + x * c
-    return out
-
-
-def flat_dual_cocycle_checks(d):
-    """dual_pentagon and counit_normalization as verify_dual_cocycle wrote
-    them before twist's sparse H⊗H⊗H arithmetic: the reference."""
-    h = d.host
-    n, f = h.dim, h.field
-    rep = CheckReport()
-    lhs = flat_hhh_mul(h, flat_embed12(h, d.theta),
-                       flat_delta_leg1(h, d.theta))
-    rhs = flat_hhh_mul(h, flat_embed23(h, d.theta),
-                       flat_delta_leg2(h, d.theta))
-    bad = first_mismatch((range(n),) * 3, lambda a, b, c: (
-        lhs[(a * n + b) * n + c], rhs[(a * n + b) * n + c]))
-    rep.add("dual_pentagon", bad is None, bad)
-    left = [f.zero] * n
-    right = [f.zero] * n
-    for i in range(n):
-        for j in range(n):
-            x = d.theta.data[i][j]
-            if not x:
-                continue
-            if h.counit[i]:
-                left[j] = left[j] + h.counit[i] * x
-            if h.counit[j]:
-                right[i] = right[i] + h.counit[j] * x
-    rep.add("counit_normalization", left == h.unit and right == h.unit)
-    return rep
-
-
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 def test_dual_cocycle_matches_flat_reference(spec):
     """On every ±1 one-entry change of θ₁, dual_pentagon and
@@ -391,18 +274,18 @@ def test_dual_cocycle_matches_flat_reference(spec):
     d = theta_t(sweedler_h4(field_from_spec(spec)), 1)
     h, names = d.host, ("dual_pentagon", "counit_normalization")
     assert report_rows(verify_dual_cocycle(d), names) == \
-        report_rows(flat_dual_cocycle_checks(d))
+        report_rows(ref.dual_cocycle_checks(d))
     failing = set()
-    for theta in one_matrix_changes(d.theta):
+    for theta in changes(d.theta):
         bad = DualCocycle(h, theta, d.theta_inv)
         rows = report_rows(verify_dual_cocycle(bad), names)
-        assert rows == report_rows(flat_dual_cocycle_checks(bad))
+        assert rows == report_rows(ref.dual_cocycle_checks(bad))
         failing |= {r[0] for r in rows if r[1] == "fail"}
-        for legs, flat in (((2, 0), (flat_embed12, flat_delta_leg1)),
-                           ((0, 1), (flat_embed23, flat_delta_leg2))):
+        for legs, embed in (((2, 0), ref.embed12), ((0, 1), ref.embed23)):
             sparse = hhh_mul(h, hhh_leg(h, theta, legs[0]),
                              hhh_delta(h, theta, legs[1]))
-            dense = flat_hhh_mul(h, flat[0](h, theta), flat[1](h, theta))
+            dense = ref.hhh_mul(h, embed(h, theta),
+                                ref.delta_leg(h, theta, legs[1]))
             n = h.dim
             assert [sparse.get((a, b, c), h.field.zero) for a in range(n)
                     for b in range(n) for c in range(n)] == dense
@@ -420,14 +303,14 @@ def test_hhh_arithmetic_matches_flat_on_a_non_basis_unit(h4):
         return [sparse.get((a, b, c), QQ.zero) for a in range(n)
                 for b in range(n) for c in range(n)]
 
-    pairs = [(hhh_leg(hd, m, 2), flat_embed12(hd, m)),
-             (hhh_leg(hd, m, 0), flat_embed23(hd, m)),
-             (hhh_delta(hd, m, 0), flat_delta_leg1(hd, m)),
-             (hhh_delta(hd, m, 1), flat_delta_leg2(hd, m))]
+    pairs = [(hhh_leg(hd, m, 2), ref.embed12(hd, m)),
+             (hhh_leg(hd, m, 0), ref.embed23(hd, m)),
+             (hhh_delta(hd, m, 0), ref.delta_leg(hd, m, 0)),
+             (hhh_delta(hd, m, 1), ref.delta_leg(hd, m, 1))]
     for sparse, dense in pairs:
         assert flat(sparse) == dense
     assert flat(hhh_mul(hd, pairs[0][0], pairs[2][0])) == \
-        flat_hhh_mul(hd, pairs[0][1], pairs[2][1])
+        ref.hhh_mul(hd, pairs[0][1], pairs[2][1])
     r13 = hhh_leg(hd, m, 1)
     assert all(r13[(i, t, j)] == m.data[i][j] * hd.unit[t]
                for i in range(n) for j in range(n) for t in (0, 1)

@@ -8,28 +8,25 @@ import pytest
 from hopflab.fields import QQ, field_from_spec
 from hopflab.galois import unit_object
 from hopflab.hopf import dual_hopf
-from hopflab.linalg import (DimensionError, Matrix, Tensor, kernel_basis,
-                            linear_combination, mat_mul, rank,
-                            row_space_echelon, solve)
+from hopflab.linalg import DimensionError, Matrix, Tensor, mat_mul, rank
 from hopflab.twist import deform, eps_eps, two_cocycle, dual_cocycle
-from hopflab.report import CheckReport, VerificationError, first_mismatch
+from hopflab.report import VerificationError
 from hopflab.yd import (YdAlgebra, YdMap, YdModule, _acting_terms,
                         _braid_terms, _matrix, _pushed_product,
                         azumaya_check, braided_product, braided_squares,
                         dual_module, end_algebra, eta,
                         generating_set, h_opposite, is_yd_map,
                         quantum_commutative, random_yd_map, sigma_algebra,
-                        sigma_module, theta_module,
-                        verify_braided_functor, verify_theta_braided,
-                        verify_yd, verify_yd_algebra, yd_hom_basis,
-                        yd_tensor)
+                        sigma_module, theta_module, verify_braided_functor,
+                        verify_theta_braided, verify_yd, verify_yd_algebra,
+                        yd_hom_basis, yd_tensor)
 from hopflab.catalog import (catalog_entries, cqt_c2, end_regular,
                              group_algebra_c2, regular_comodule_module,
                              regular_galois_algebra, r_t, sigma_t,
                              sweedler_h4, theta_t, trivial_module)
-from conftest import apply_rowmap, dense_row
-from test_hopf import (one_entry_changes, one_matrix_changes,
-                       one_vector_changes, report_rows)
+import reference as ref
+from reference import (bumped, changed, changes, count_calls, dense_row,
+                       report_rows, trivial_algebra)
 
 
 def braiding(ma, mb):
@@ -58,13 +55,6 @@ def theta_algebra(d, alg):
     mod = alg.module
     mult = _pushed_product(alg, _acting_terms(mod, mod, theta_inv_terms(d)))
     return YdAlgebra(theta_module(d, mod), mult, list(alg.unit))
-
-
-def trivial_algebra(host):
-    """The ground field as a YD module algebra."""
-    m = trivial_module(host, 1)
-    f = host.field
-    return YdAlgebra(m, Tensor(f, (1, 1, 1), [f.one]), [f.one])
 
 
 @pytest.fixture(scope="module")
@@ -103,21 +93,6 @@ def test_corrupted_action_detected(mreg, h4):
     assert rep.first_failure().witness is not None
 
 
-def dense_module_axioms(mod):
-    """module_axioms as products of dense basis vectors through act_vec and
-    act_basis_vec, the reference the sparse-row check must match."""
-    h, e = mod.host, mod.basis_vec
-    hs, ms = range(h.dim), range(mod.dim)
-    rep = CheckReport()
-    bad = first_mismatch((ms,), lambda p: (mod.act_vec(h.unit, e(p)), e(p)))
-    if bad is None:
-        bad = first_mismatch((hs, hs, ms), lambda i, j, p: (
-            mod.act_vec(dense_row(h.mult, i, j), e(p)),
-            mod.act_basis_vec(i, dense_row(mod.action, j, p))))
-    rep.add("module_axioms", bad is None, bad)
-    return rep
-
-
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 def test_module_axioms_match_dense_products(spec):
     """On every ±1 one-entry change of the regular YD module's action,
@@ -126,94 +101,44 @@ def test_module_axioms_match_dense_products(spec):
     mod = regular_comodule_module(r_t(h4, 1))
     names = ("module_axioms",)
     assert report_rows(verify_yd(mod), names) == \
-        report_rows(dense_module_axioms(mod), names)
+        report_rows(ref.module_axioms(mod), names)
     witnesses = set()
-    for action in one_entry_changes(mod.action):
+    for action in changes(mod.action):
         bad = YdModule(h4, mod.dim, action, mod.coaction)
         rows = report_rows(verify_yd(bad), names)
-        assert rows == report_rows(dense_module_axioms(bad), names)
+        assert rows == report_rows(ref.module_axioms(bad), names)
         witnesses.add(rows[0][2])
     assert witnesses - {None}
-
-
-def closure_comodule_axioms(mod):
-    """comodule_axioms as verify_yd wrote it before
-    hopf.first_coaction_mismatch: the reference."""
-    h, e, ms = mod.host, mod.basis_vec, range(mod.dim)
-    zero, coact = h.field.zero, mod.coact
-    rep = CheckReport()
-
-    def counit(p):
-        acc = [zero] * mod.dim
-        for q, k, c in coact.terms(p):
-            if h.counit[k]:
-                acc[q] = acc[q] + c * h.counit[k]
-        return acc, e(p)
-
-    def coassociativity(p):
-        lhs = {}
-        for q0, k, c in coact.terms(p):
-            for q1, k1, c1 in coact.terms(q0):
-                key = (q1, k1, k)
-                lhs[key] = lhs.get(key, zero) + c * c1
-        rhs = {}
-        for q0, k, c in coact.terms(p):
-            for a, b, c2 in h.delta.terms(k):
-                key = (q0, a, b)
-                rhs[key] = rhs.get(key, zero) + c * c2
-        return lhs, rhs
-
-    bad = first_mismatch((ms,), counit)
-    if bad is None:
-        bad = first_mismatch((ms,), coassociativity)
-    rep.add("comodule_axioms", bad is None, bad)
-    return rep
 
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 def test_comodule_axioms_match_closure(spec):
     """On every ±1 one-entry change of the regular YD module's coaction,
-    comodule_axioms gives the replaced closure's report tuple."""
+    comodule_axioms gives the reference's report tuple."""
     h4 = sweedler_h4(field_from_spec(spec))
     mod = regular_comodule_module(r_t(h4, 1))
     names = ("comodule_axioms",)
     assert report_rows(verify_yd(mod), names) == \
-        report_rows(closure_comodule_axioms(mod))
+        report_rows(ref.comodule_axioms(mod))
     witnesses = set()
-    for coaction in one_entry_changes(mod.coaction):
+    for coaction in changes(mod.coaction):
         bad = YdModule(h4, mod.dim, mod.action, coaction)
         rows = report_rows(verify_yd(bad), names)
-        assert rows == report_rows(closure_comodule_axioms(bad))
+        assert rows == report_rows(ref.comodule_axioms(bad))
         witnesses.add(rows[0][2])
     assert {len(w) for w in witnesses - {None}} == {1, 4}   # both stages
 
 
-def closure_algebra_axioms(alg):
-    """algebra_axioms as verify_yd_algebra wrote it before
-    hopf.first_unit_mismatch and first_action_mismatch: the reference."""
-    f, m = alg.host.field, alg.dim
-    mul, e, ms = alg.mul, alg.module.basis_vec, range(m)
-    unit = [(u, x) for u, x in enumerate(alg.unit) if x]
-
-    def dense(terms):
-        return linear_combination(f, m, terms)
-
-    rep = CheckReport()
-    bad = first_mismatch((ms,), lambda p: (
-        (dense((x, mul.row(u, p)) for u, x in unit),
-         dense((x, mul.row(p, u)) for u, x in unit)),
-        (e(p), e(p))))
-    if bad is None:
-        bad = first_mismatch((ms,) * 3, lambda p, q, r: (
-            dense((c, mul.row(t, r)) for t, c in mul.row(p, q)),
-            dense((c, mul.row(p, t)) for t, c in mul.row(q, r))))
-    rep.add("algebra_axioms", bad is None, bad)
-    return rep
+def sampled_flats(t, rng, zeros):
+    """The flat indices of every nonzero entry of the tensor t, then of
+    `zeros` zero entries drawn by rng."""
+    return [i for i, x in enumerate(t.data) if x] + rng.sample(
+        [i for i, x in enumerate(t.data) if not x], zeros)
 
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 def test_algebra_axioms_match_closure(spec):
-    """algebra_axioms gives the replaced closure's report tuple on every ±1
+    """algebra_axioms gives the reference's report tuple on every ±1
     change of one unit entry of End(regular), and on every ±1 change of its
     64 nonzero mult entries and of 32 seeded zero entries.  All 8192 mult
     changes would take about 45 s per field."""
@@ -221,86 +146,39 @@ def test_algebra_axioms_match_closure(spec):
     f, mult = e.host.field, e.mult
     names = ("algebra_axioms",)
     assert report_rows(verify_yd_algebra(e), names) == \
-        report_rows(closure_algebra_axioms(e))
-    nonzero = [i for i, x in enumerate(mult.data) if x]
-    rng = random.Random(19)
-    flats = nonzero + rng.sample([i for i, x in enumerate(mult.data)
-                                  if not x], 32)
-    changed = [YdAlgebra(e.module, mult, unit)
-               for unit in one_vector_changes(e.unit, f)]
-    for flat in flats:
-        for step in (f.one, -f.one):
-            data = list(mult.data)
-            data[flat] = data[flat] + step
-            changed.append(YdAlgebra(e.module, Tensor(f, mult.shape, data),
-                                     e.unit))
+        report_rows(ref.algebra_axioms(e))
+    flats = sampled_flats(mult, random.Random(19), 32)
+    algebras = [YdAlgebra(e.module, mult, unit)
+                for unit in changes(e.unit, field=f)]
+    algebras += [YdAlgebra(e.module, t, e.unit)
+                 for t in changes(mult, flats=flats)]
     witnesses = set()
-    for bad in changed:
+    for bad in algebras:
         rows = report_rows(verify_yd_algebra(bad), names)
-        assert rows == report_rows(closure_algebra_axioms(bad))
+        assert rows == report_rows(ref.algebra_axioms(bad))
         witnesses.add(rows[0][2])
     assert {len(w) for w in witnesses - {None}} == {1, 3}   # both stages
 
-def closure_module_algebra(alg):
-    """module_algebra as verify_yd_algebra wrote it before the per-(i, p)
-    blocks, with two linear_combination calls per (i, p, q): the
-    reference."""
-    h, f, m = alg.host, alg.host.field, alg.dim
-    mul, act = alg.mul, alg.module.act
-    hs, ms = range(h.dim), range(m)
-
-    def dense(terms):
-        return linear_combination(f, m, terms)
-
-    def module_algebra(i, p, q):
-        rhs = dense((ca * x * y, mul.row(s, t))
-                    for a, b, ca in h.delta.terms(i)
-                    for s, x in act.row(a, p) for t, y in act.row(b, q))
-        return dense((c, act.row(i, t)) for t, c in mul.row(p, q)), rhs
-
-    rep = CheckReport()
-    bad = first_mismatch((hs, ms, ms), module_algebra)
-    if bad is None:
-        bad = first_mismatch((hs,), lambda i: (
-            alg.module.act_basis_vec(i, alg.unit),
-            [h.counit[i] * x for x in alg.unit]))
-    rep.add("module_algebra", bad is None, bad,
-            "h·(ab) = Σ(h1·a)(h2·b), h·1 = ε(h)1")
-    return rep
-
-
-def sampled_entry_changes(t, rng, zeros):
-    """Copies of the tensor t with one entry raised or lowered by 1: every
-    nonzero entry, and `zeros` zero entries drawn by rng."""
-    flats = [i for i, x in enumerate(t.data) if x]
-    flats += rng.sample([i for i, x in enumerate(t.data) if not x], zeros)
-    for flat in flats:
-        for step in (t.field.one, -t.field.one):
-            data = list(t.data)
-            data[flat] = data[flat] + step
-            yield Tensor(t.field, t.shape, data)
-
-
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 def test_module_algebra_matches_closure(spec):
-    """module_algebra gives the replaced closure's report tuple on End(regular)
+    """module_algebra gives the reference's report tuple on End(regular)
     and on every ±1 change of its nonzero mult and action entries and of 16
     seeded zero entries of each.  All 8192 mult and 2048 action changes
     would take about 75 s per field at the rate of these 320."""
     e = end_regular(r_t(sweedler_h4(field_from_spec(spec)), 1))
     names = ("module_algebra",)
     assert report_rows(verify_yd_algebra(e), names) == \
-        report_rows(closure_module_algebra(e))
+        report_rows(ref.module_algebra(e))
     rng = random.Random(20)
-    changed = [YdAlgebra(e.module, mult, e.unit)
-               for mult in sampled_entry_changes(e.mult, rng, 16)]
-    changed += [YdAlgebra(YdModule(e.host, e.dim, action, e.module.coaction),
-                          e.mult, e.unit)
-                for action in sampled_entry_changes(e.module.action, rng, 16)]
+    algebras = [YdAlgebra(e.module, mult, e.unit) for mult in changes(
+        e.mult, flats=sampled_flats(e.mult, rng, 16))]
+    algebras += [YdAlgebra(YdModule(e.host, e.dim, action, e.module.coaction),
+                           e.mult, e.unit) for action in changes(
+        e.module.action, flats=sampled_flats(e.module.action, rng, 16))]
     witnesses = set()
-    for bad in changed:
+    for bad in algebras:
         rows = report_rows(verify_yd_algebra(bad), names)
-        assert rows == report_rows(closure_module_algebra(bad))
+        assert rows == report_rows(ref.module_algebra(bad))
         witnesses.add(rows[0][2])
     assert {len(w) for w in witnesses - {None}} == {3}
 
@@ -420,7 +298,7 @@ def test_braided_squares_raise_the_reference_first_error(h4, mreg):
     with pytest.raises(VerificationError) as want:
         for s in cocycles:
             for a, b in pairs:
-                reference_braided_functor(s, mods[a], mods[b])
+                ref.braided_functor(s, mods[a], mods[b])
     with pytest.raises(VerificationError) as got:
         braided_squares(cocycles, mods, pairs)
     assert str(got.value) == str(want.value) == "braiding: host mismatch"
@@ -449,24 +327,6 @@ def test_eta_invertible_and_yd(mreg, s1):
     source = yd_tensor(sm, sm)
     target = sigma_module(s1, yd_tensor(mreg, mreg))
     assert is_yd_map(YdMap(source, target, em)).ok
-
-
-def reference_braided_functor(s, ma, mb):
-    """The braided square on one pair, every object built for that pair
-    alone: the dense reference that braided_squares must match."""
-    rep = CheckReport()
-    phi = braiding(ma, mb)
-    phi_sigma = braiding(sigma_module(s, ma), sigma_module(s, mb))
-    eta_ab, _ = eta(s, ma, mb)
-    eta_ba, _ = eta(s, mb, ma)
-    lhs = mat_mul(phi_sigma.matrix, eta_ba)
-    rhs = mat_mul(eta_ab, phi.matrix)
-    rep.add("braided_square", lhs == rhs)
-    target = sigma_module(s, phi.source)
-    rep.merge(is_yd_map(YdMap(phi_sigma.source, target, eta_ab)),
-              prefix="eta_")
-    rep.merge(is_yd_map(phi_sigma), prefix="phi_sigma_")
-    return rep
 
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
@@ -502,7 +362,7 @@ def test_braided_squares_match_the_per_pair_reference(spec):
             assert len(got) == len(cocycles)
             for s, reports in zip(cocycles, got):
                 for (a, b), rep in zip(order, reports):
-                    want = reference_braided_functor(s, ms[a], ms[b])
+                    want = ref.braided_functor(s, ms[a], ms[b])
                     assert tuples(rep) == tuples(want), (spec, a, b)
                     failed.update(c.name for c in rep.failures())
     assert failed == {"braided_square", "phi_sigma_h_linear",
@@ -513,25 +373,6 @@ def test_braided_functor_square(mreg, s1, h4, unit_obj):
     assert verify_braided_functor(s1, mreg, mreg).ok
     s2 = sigma_t(h4, 2)
     assert verify_braided_functor(s2, mreg, unit_obj.module).ok
-
-
-def count_calls(monkeypatch, name, owner="hopflab.yd"):
-    """Wrap <owner>.<name> in every hopflab module that binds it; the
-    returned list grows by one per call."""
-    import importlib
-    import sys
-    calls = []
-    inner = getattr(importlib.import_module(owner), name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("hopflab") and \
-                getattr(mod, name, None) is inner:
-            monkeypatch.setattr(mod, name, wrapper)
-    return calls
 
 
 def test_each_sigma_image_is_built_once(monkeypatch, mreg, unit_obj, s1):
@@ -604,44 +445,6 @@ def test_sigma_functoriality_random(mreg, unit_obj, s1):
         assert is_yd_map(YdMap(sm, su, f.matrix)).ok
 
 
-def dense_hom_basis(ma, mb):
-    """yd_hom_basis as written with dense coefficient rows read through
-    dense_row and solved by kernel_basis: the reference."""
-    f = ma.host.field
-    n = ma.host.dim
-    da, db = ma.dim, mb.dim
-    unknowns = da * db
-    rows = []
-    for i in range(n):
-        for p in range(da):
-            arow = ma.act.row(i, p)
-            for t in range(db):
-                coeffs = [f.zero] * unknowns
-                for q, x in arow:
-                    coeffs[q * db + t] = coeffs[q * db + t] + x
-                for t2 in range(db):
-                    c = dense_row(mb.action, i, t2)[t]
-                    if c:
-                        coeffs[p * db + t2] = coeffs[p * db + t2] - c
-                rows.append(coeffs)
-    for p in range(da):
-        for t in range(db):
-            for k in range(n):
-                coeffs = [f.zero] * unknowns
-                for q, k2, c in ma.coact.terms(p):
-                    if k2 == k:
-                        coeffs[q * db + t] = coeffs[q * db + t] + c
-                for q2 in range(db):
-                    c = dense_row(mb.coaction, q2, t)[k]
-                    if c:
-                        coeffs[p * db + q2] = coeffs[p * db + q2] - c
-                rows.append(coeffs)
-    basis = kernel_basis(Matrix(f, len(rows), unknowns, rows))
-    return [Matrix(f, da, db, [[basis.data[p * db + t][j] for t in range(db)]
-                               for p in range(da)])
-            for j in range(basis.cols)]
-
-
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 def test_hom_basis_matches_dense_reference(spec):
     """On every ordered pair of catalog YD modules of different dimensions
@@ -661,7 +464,7 @@ def test_hom_basis_matches_dense_reference(spec):
     dims = set()
     for (_, ma), (_, mb) in pairs:
         basis = yd_hom_basis(ma, mb)
-        assert basis == dense_hom_basis(ma, mb)
+        assert basis == ref.hom_basis(ma, mb)
         dims.add(len(basis))
         for mat in basis:
             assert is_yd_map(YdMap(ma, mb, mat)).ok
@@ -795,31 +598,6 @@ def test_products_are_mu_after_their_structure_map(structure_case, name):
         mat_mul(braiding(mod, mod).matrix, mu)
 
 
-def twist_formula(alg, s, t):
-    """Σ s₀ (s₁·e_t), read off the dense structure tensors."""
-    mod = alg.module
-    m, n = alg.dim, alg.host.dim
-    co, act, mult = mod.coaction.data, mod.action.data, alg.mult.data
-    acc = [alg.host.field.zero] * m
-    for s0 in range(m):
-        for k in range(n):
-            c = co[(s * m + s0) * n + k]
-            for j in range(m):
-                x = act[(k * m + t) * m + j]
-                if c and x:
-                    for y in range(m):
-                        acc[y] = acc[y] + c * x * mult[(s0 * m + j) * m + y]
-    return acc
-
-
-def bumped(t, idx):
-    """A copy of the 3-tensor t with 1 added at idx."""
-    data = list(t.data)
-    flat = (idx[0] * t.shape[1] + idx[1]) * t.shape[2] + idx[2]
-    data[flat] = data[flat] + t.field.one
-    return Tensor(t.field, t.shape, data)
-
-
 def corrupted_end_regular(r1, where):
     """End(regular) with one entry of its product or coaction raised by 1,
     as in the Azumaya negative controls."""
@@ -836,7 +614,7 @@ def assert_opposite_is_twist_table(alg):
     bar = h_opposite(alg)
     ms = range(alg.dim)
     assert [[dense_row(bar.mult, t, s) for t in ms] for s in ms] == \
-        [[twist_formula(alg, s, t) for t in ms] for s in ms]
+        [[ref.opposite_product(alg, s, t) for t in ms] for s in ms]
 
 
 @pytest.mark.parametrize("name", STRUCTURE_ALGEBRAS)
@@ -902,34 +680,6 @@ def test_generating_set_is_pinned(spec):
         [gens for _, gens in cases]
 
 
-def generators_from_scratch(alg):
-    """generating_set's greedy walk with each closure taken from scratch:
-    keep e_j when it is outside the span of all words in the generators
-    kept so far (the empty word 1 included), found by multiplying the
-    span by every generator and re-echelonning until it stops growing."""
-    f, m = alg.host.field, alg.dim
-    e = alg.module.basis_vec
-
-    def words(gens):
-        span = row_space_echelon(f, [alg.unit], m)
-        while True:
-            grown = row_space_echelon(f, span + [
-                alg.mul_vec(u, e(g)) for u in span for g in gens], m)
-            if len(grown) == len(span):
-                return span
-            span = grown
-
-    gens, span = [], words([])
-    for j in range(m):
-        if len(span) == m:
-            break
-        if len(row_space_echelon(f, span + [e(j)], m)) > len(span):
-            gens.append(j)
-            span = words(gens)
-    assert len(span) == m
-    return gens
-
-
 def shifted_matrix_algebra(h):
     """M₃(k) with the trivial YD structure over h, in the basis a = E₁₂ + E₂₃,
     g = E₃₁, E₁₁, E₁₂, E₁₃, E₂₁, E₂₂, E₃₂, E₃₃.  a and g generate it, but
@@ -952,7 +702,7 @@ def shifted_matrix_algebra(h):
     columns = Matrix(f, 9, 9, basis).transpose()
 
     def coords(x):
-        return solve(columns, Matrix(f, 9, 1, [[c] for c in x])).column(0)
+        return ref.solve(columns, Matrix(f, 9, 1, [[c] for c in x])).column(0)
 
     mult = [c for u in basis for v in basis for c in coords(times(u, v))]
     one = [x + y + z for x, y, z in zip(unit(0, 0), unit(1, 1), unit(2, 2))]
@@ -976,9 +726,9 @@ def test_generating_set_matches_closure_from_scratch(spec):
                           h_opposite(alg))]
     m3 = shifted_matrix_algebra(sweedler_h4(field, verify=False))
     assert verify_yd_algebra(m3).ok
-    assert generators_from_scratch(m3) == [0, 1]
+    assert ref.generating_set(m3) == [0, 1]
     for case in cases + [m3]:
-        assert generating_set(case) == generators_from_scratch(case)
+        assert generating_set(case) == ref.generating_set(case)
 
 
 def test_azumaya_ground_field(h4):
@@ -1019,107 +769,6 @@ def test_azumaya_invariance_under_sigma(kc2):
 
 # -- dense references for the Azumaya and YD-algebra certificates ------------
 
-def dense_azumaya(alg):
-    """azumaya_check as written with dense F and G matrices and dense
-    basis-vector products; its reports are the reference."""
-    from hopflab.report import CheckReport, first_mismatch
-    from hopflab.yd import _braid_terms, _matrix
-    rep = CheckReport()
-    mod = alg.module
-    f = alg.host.field
-    m = alg.dim
-    dim = m * m
-    ms = range(m)
-    es = [mod.basis_vec(p) for p in ms]
-    bar = h_opposite(alg)
-    fmat = Matrix(f, dim, dim, [
-        [c for x in ms for c in alg.mul_vec(es[p], dense_row(bar.mult, q, x))]
-        for p in ms for q in ms])
-    gmat = Matrix(f, dim, dim, [
-        [c for x in ms for c in alg.mul_vec(dense_row(bar.mult, x, p), es[q])]
-        for p in ms for q in ms])
-    rank_f = rank(fmat)
-    rank_g = rank(gmat)
-    rep.add("F_bijective", rank_f == dim, None, "rank %d of %d" % (rank_f, dim))
-    rep.add("G_bijective", rank_g == dim, None, "rank %d of %d" % (rank_g, dim))
-
-    def end(flat):
-        return Matrix(f, m, m, [flat[x * m:(x + 1) * m] for x in ms])
-
-    def f_of(u):
-        return end(apply_rowmap(u, fmat))
-
-    def sharp(a, b):
-        return [x * y for x in a for y in b]
-
-    exchange = _matrix(f, _braid_terms(mod, mod), m, m).data
-    gens_a = generating_set(alg)
-    gens_b = generating_set(bar)
-    fa = [f_of(sharp(es[a], alg.unit)) for a in ms]
-    fb = [f_of(sharp(alg.unit, es[b])) for b in ms]
-    families = (
-        ("(i) F(ga#1) = F(g#1)F(a#1)", (gens_a, ms), lambda g, a: (
-            f_of(sharp(dense_row(alg.mult, g, a), alg.unit)),
-            mat_mul(fa[a], fa[g]))),
-        ("(ii) F(1#ḡ∘b̄) = F(1#ḡ)F(1#b̄)", (gens_b, ms), lambda g, b: (
-            f_of(sharp(alg.unit, dense_row(bar.mult, g, b))),
-            mat_mul(fb[b], fb[g]))),
-        ("(iii) F(a#b̄) = F(a#1)F(1#b̄)", (ms, ms), lambda a, b: (
-            end(fmat.data[a * m + b]), mat_mul(fb[b], fa[a]))),
-        ("(iv) F((1#b̄)(g#1)) = F(1#b̄)F(g#1)", (gens_a, ms), lambda g, b: (
-            f_of(exchange[b * m + g]), mat_mul(fa[g], fb[b]))))
-    detail = "checked against %d generators" % (len(gens_a) + len(gens_b))
-    for family, space, sides in families:
-        bad = first_mismatch(space, sides)
-        if bad is not None:
-            detail = family
-            break
-    rep.add("F_algebra_map", bad is None, bad, detail)
-    rep.add("F_unital",
-            f_of(sharp(alg.unit, alg.unit)) == Matrix.identity(f, m))
-    rep.add("is_azumaya", any(alg.unit) and rank_f == dim and rank_g == dim)
-    return rep
-
-
-def dense_algebra_checks(alg):
-    """verify_yd_algebra's algebra_axioms and module_algebra checks as
-    written with dense basis-vector products: the reference."""
-    from hopflab.report import CheckReport, first_mismatch
-    rep = CheckReport()
-    h = alg.host
-    m = alg.dim
-    mod = alg.module
-    e = mod.basis_vec
-    hs, ms = range(h.dim), range(m)
-    bad = first_mismatch((ms,), lambda p: (
-        (alg.mul_vec(alg.unit, e(p)), alg.mul_vec(e(p), alg.unit)),
-        (e(p), e(p))))
-    if bad is None:
-        bad = first_mismatch((ms,) * 3, lambda p, q, r: (
-            alg.mul_vec(dense_row(alg.mult, p, q), e(r)),
-            alg.mul_vec(e(p), dense_row(alg.mult, q, r))))
-    rep.add("algebra_axioms", bad is None, bad)
-
-    def module_algebra(i, p, q):
-        rhs = [h.field.zero] * m
-        for a, b, ca in h.delta.terms(i):
-            w = alg.mul_vec(dense_row(mod.action, a, p),
-                            dense_row(mod.action, b, q))
-            for k in range(m):
-                if w[k]:
-                    rhs[k] = rhs[k] + ca * w[k]
-        return mod.act_basis_vec(i, dense_row(alg.mult, p, q)), rhs
-
-    bad = first_mismatch((hs, ms, ms), module_algebra)
-    if bad is None:
-        bad = first_mismatch((hs,), lambda i: (
-            mod.act_basis_vec(i, alg.unit),
-            [h.counit[i] * x for x in alg.unit]))
-    rep.add("module_algebra", bad is None, bad,
-            "h·(ab) = Σ(h1·a)(h2·b), h·1 = ε(h)1")
-    return rep
-
-
 def one_entry_corruptions(e, rng, per_kind):
     """End(regular) with 1 added to one entry of its unit, mult, action or
     coaction: two fixed entries, the two of tests/test_negative_controls.py
@@ -1128,9 +777,7 @@ def one_entry_corruptions(e, rng, per_kind):
     one = e.host.field.one
 
     def bumped(t, flat):
-        data = list(t.data)
-        data[flat] = data[flat] + one
-        return Tensor(t.field, t.shape, data)
+        return changed(t, flat, one)
 
     def with_module(action, coaction):
         return YdAlgebra(YdModule(mod.host, mod.dim, action, coaction),
@@ -1182,73 +829,33 @@ def test_certificates_match_dense_reference(spec):
     reached = set()
     for alg in algebras:
         rep = azumaya_check(alg)
-        assert rows(rep) == rows(dense_azumaya(alg))
+        assert rows(rep) == ref.azumaya(alg)
         assert rows(verify_yd_algebra(alg),
                     ("algebra_axioms", "module_algebra")) == \
-            rows(dense_algebra_checks(alg))
+            rows(ref.algebra_axioms(alg)) + rows(ref.module_algebra(alg))
         reached |= {c.detail.split()[0] if c.name == "F_algebra_map"
                     else c.name for c in rep.failures()}
     assert {"F_unital", "F_bijective", "G_bijective", "(i)", "(ii)"} <= \
         reached
 
 
-# -- is_yd_map against the closures it replaced --------------------------------
-
-def closure_is_yd_map(f_map):
-    """is_yd_map as it was written on field elements, dense map rows and
-    act_basis_vec, before it summed lifted tables: the reference."""
-    rep = CheckReport()
-    src, dst = f_map.source, f_map.target
-    h = src.host
-    mt = f_map.matrix
-    zero = h.field.zero
-
-    def linear(i, p):
-        lhs = [zero] * dst.dim
-        for q, x in src.act.row(i, p):
-            for t, y in enumerate(mt.data[q]):
-                if y:
-                    lhs[t] = lhs[t] + x * y
-        return lhs, dst.act_basis_vec(i, mt.data[p])
-
-    def colinear(p):
-        lhs = {}
-        for q, k, c in src.coact.terms(p):
-            for t, y in enumerate(mt.data[q]):
-                if y:
-                    key = (t, k)
-                    lhs[key] = lhs.get(key, zero) + c * y
-        rhs = {}
-        for t, y in enumerate(mt.data[p]):
-            if not y:
-                continue
-            for q, k, c in dst.coact.terms(t):
-                key = (q, k)
-                rhs[key] = rhs.get(key, zero) + y * c
-        return lhs, rhs
-
-    bad = first_mismatch((range(h.dim), range(src.dim)), linear)
-    rep.add("h_linear", bad is None, bad)
-    bad = first_mismatch((range(src.dim),), colinear)
-    rep.add("h_colinear", bad is None, bad)
-    return rep
-
+# -- is_yd_map against the reference ------------------------------------------
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
 def test_is_yd_map_matches_closures(spec):
     """On every ±1 one-entry change of the matrices of the braidings
     Φ_{M,M} and Φ_{M,T} (M the regular module, T the 2-dimensional trivial
-    one), h_linear and h_colinear give the replaced closures' report
+    one), h_linear and h_colinear give the references' report
     tuples, witnesses included, and each fails somewhere."""
     h = sweedler_h4(field_from_spec(spec))
     reg = regular_comodule_module(r_t(h, 1))
     failing = set()
     for phi in (braiding(reg, reg), braiding(reg, trivial_module(h, 2))):
         assert report_rows(is_yd_map(phi)) == \
-            report_rows(closure_is_yd_map(phi))
-        for mat in one_matrix_changes(phi.matrix):
+            report_rows(ref.is_yd_map_checks(phi))
+        for mat in changes(phi.matrix):
             bad = YdMap(phi.source, phi.target, mat)
             rows = report_rows(is_yd_map(bad))
-            assert rows == report_rows(closure_is_yd_map(bad))
+            assert rows == report_rows(ref.is_yd_map_checks(bad))
             failing |= {r[0] for r in rows if r[1] == "fail"}
     assert failing == {"h_linear", "h_colinear"}
