@@ -10,9 +10,8 @@ to check: no Bilinear table, lifted table or ``Field.lift``, no
 or elimination.  A reference may build the package's containers
 (``Matrix``, ``Tensor``, ``HopfAlgebra``, ``YdModule``, ``YdAlgebra``, …),
 reproduce report rows with ``CheckReport`` and ``first_mismatch``, and
-take as input an object a test builds with the package (H*, Ā, a
-generating set, a coinvariant subspace); each such input has its own
-differential test.
+take as input an object a test builds with the package (H*, a
+generating set); each such input has its own differential test.
 
 Conventions, those of hopf.py:
 
@@ -35,19 +34,18 @@ and −1/3, so that a changed table has denominators 3, or 6 where it had
 halves.  ``changed(x, flat, step)`` is the one copy that every seeded or
 fixed corruption of the tests is built with.
 
-A tensor's sparse tables, a host's words and H^σ of a cocycle are formed
-once per object while it is among the last ones read (``kept``).
+A tensor's sparse rows are formed once while it is among the last ones
+read (``rows_of``), so a tensor's data must not change once a reference
+has read it.
 """
 
 import importlib
 import importlib.util
 import os
 import sys
-import weakref
-from functools import partial, wraps
 from types import SimpleNamespace
 
-from hopflab.galois import BimoduleActions, BraidedHopf, Subspace
+from hopflab.galois import BimoduleActions, BraidedHopf
 from hopflab.hopf import HopfAlgebra
 from hopflab.linalg import Matrix, Tensor
 from hopflab.report import (CheckReport, VerificationError, first_mismatch,
@@ -64,40 +62,27 @@ def dense_row(t, i, j):
     return t.data[start:start + n2]
 
 
-_READ = {}      # (what, id of an object, args) → (weak reference, build's)
-_KEEP = 32      # entries kept, the most recently read; a host stays among them
+_ROWS = {}      # id(t) → (t, rows_of(t)), the tensors read last first out
+_KEEP = 32      # tensors kept; a host stays among them through a long loop
 
 
-def kept(what, build):
-    """build(t, *args), made once per object t (a tensor or a cocycle) and
-    args while t lives and is among the _KEEP most recently read: the data
-    of t does not change once it is read."""
-    @wraps(build)
-    def read(t, *args):
-        key = (what, id(t)) + args
-        got = _READ.pop(key, None)
-        if got is None or got[0]() is not t:
-            got = (weakref.ref(t, lambda _: _READ.pop(key, None)),
-                   build(t, *args))
-            if len(_READ) >= _KEEP:
-                del _READ[next(iter(_READ))]
-        _READ[key] = got
-        return got[1]
-    return read
-
-
-@partial(kept, "rows")
 def rows_of(t):
     """[i][j] is t[i,j,:] as [(k, c)] over its nonzero entries, k
-    ascending."""
-    n0, n1, n2 = t.shape
-    d = t.data
-    return [[[(k, c) for k, c in enumerate(d[(i * n1 + j) * n2:
-                                             (i * n1 + j + 1) * n2]) if c]
-             for j in range(n1)] for i in range(n0)]
+    ascending.  A reference reads one table's rows once per product, so
+    the rows of the _KEEP tensors read last are kept."""
+    got = _ROWS.pop(id(t), None)
+    if got is None:
+        n0, n1, n2 = t.shape
+        d = t.data
+        got = (t, [[[(k, c) for k, c in enumerate(
+            d[(i * n1 + j) * n2:(i * n1 + j + 1) * n2]) if c]
+            for j in range(n1)] for i in range(n0)])
+        if len(_ROWS) >= _KEEP:
+            del _ROWS[next(iter(_ROWS))]
+    _ROWS[id(t)] = got
+    return got[1]
 
 
-@partial(kept, "terms")
 def terms_of(t):
     """[i] is t[i,:,:] as [(j, k, c)] over its nonzero entries, j-major."""
     return [[(j, k, c) for j, row in enumerate(rows) for k, c in row]
@@ -112,40 +97,23 @@ def basis(field, n):
 
 def copowers(h, k):
     """[i] is Δ^(k−1)(e_i) as [(index tuple of length k, coefficient)]."""
-    return _copowers(h.comult, k)
-
-
-@partial(kept, "copowers")
-def _copowers(comult, k):
-    delta = terms_of(comult)
-    out = [[((i,), comult.field.one)] for i in range(comult.shape[0])]
+    delta = terms_of(h.comult)
+    out = [[((i,), h.field.one)] for i in range(h.dim)]
     for _ in range(k - 1):
         out = [[(idx[:-1] + (j, k2), c * c2) for idx, c in ts
                 for j, k2, c2 in delta[idx[-1]]] for ts in out]
     return out
 
 
-@partial(kept, "words")
-def _words(h):
-    return {}
-
-
 def word(h, c, k, a):
-    """(e_c e_k)·S⁻¹(e_a) as a dense list, formed once per host object."""
-    memo = _words(h)
-    if (c, k, a) not in memo:
-        memo[c, k, a] = times(h.mult, dense_row(h.mult, c, k),
-                              h.antipode_inv.data[a])
-    return memo[c, k, a]
+    """(e_c e_k)·S⁻¹(e_a) as a dense list."""
+    return times(h.mult, dense_row(h.mult, c, k), h.antipode_inv.data[a])
 
 
 def sinv_times(h, c, a):
-    """S⁻¹(e_c)·e_a as a dense list, formed once per host object."""
-    memo = _words(h)
-    if (c, a) not in memo:
-        e = [h.field.one if t == a else h.field.zero for t in range(h.dim)]
-        memo[c, a] = times(h.mult, h.antipode_inv.data[c], e)
-    return memo[c, a]
+    """S⁻¹(e_c)·e_a as a dense list."""
+    e = [h.field.one if t == a else h.field.zero for t in range(h.dim)]
+    return times(h.mult, h.antipode_inv.data[c], e)
 
 
 def times(t, u, v):
@@ -275,6 +243,12 @@ def pivot_columns(m):
     return list(rref(m.field, (enumerate(row) for row in m.data), False))
 
 
+def kernel_vectors(m):
+    """kernel_basis(m)'s columns as dense lists."""
+    k = kernel_basis(m)
+    return [k.column(j) for j in range(k.cols)]
+
+
 def kernel_basis(m):
     """The kernel of m (as acting on columns) as the columns of a Matrix,
     one per free column of m's reduced echelon form, in increasing
@@ -379,9 +353,11 @@ class ColumnSpace:
         return self.span_dim == other.span_dim == self._rank(both)
 
 
-class MatrixSubspace(Subspace):
-    """galois.Subspace with its basis read off a dense equation Matrix:
-    the columns of its kernel."""
+class MatrixSubspace:
+    """galois.Subspace's interface, with its basis read off a dense
+    equation Matrix: the columns of its kernel, 1 at their free column and
+    0 at the other free ones, so a vector's coordinates are its entries
+    there."""
 
     def __init__(self, field, size, images):
         dim = len(images)
@@ -389,13 +365,26 @@ class MatrixSubspace(Subspace):
         for p, image in enumerate(images):
             for k, c in image:
                 eqs[k][p] = eqs[k][p] + c
-        cols = kernel_basis(Matrix(field, size, dim, eqs)).data
         self.field = field
         self.ambient_dim = dim
-        self.vectors = [list(v) for v in zip(*cols)]
+        self.vectors = kernel_vectors(Matrix(field, size, dim, eqs))
         self.rows = [[(k, x) for k, x in enumerate(v) if x]
                      for v in self.vectors]
         self.free = [row[-1][0] for row in self.rows]
+
+    @property
+    def dim(self):
+        return len(self.vectors)
+
+    def coordinates(self, vec):
+        coords = [vec[k] for k in self.free]
+        back = [self.field.zero] * self.ambient_dim
+        for c, v in zip(coords, self.vectors):
+            back = [x + c * y for x, y in zip(back, v)]
+        return coords if back == list(vec) else None
+
+    def contains(self, vec):
+        return self.coordinates(vec) is not None
 
     def equals(self, other):
         return (self.ambient_dim == other.ambient_dim
@@ -824,7 +813,6 @@ def deform_sums(h, sig, inv):
     return mult, s_mat, s_inv_mat
 
 
-@partial(kept, "deformed")
 def deform_host(c):
     """H^σ for the TwoCocycle c, from deform_sums."""
     h = c.host
@@ -1550,23 +1538,16 @@ def comodule_algebra(alg):
     return rep
 
 
-def opposite_product(alg, s, t):
-    """Σ s₀ (s₁·e_t): the product of e_s and e_t in the H-opposite Ā."""
-    mod = alg.module
-    m, n = alg.dim, alg.host.dim
-    co, act, mult = mod.coaction.data, mod.action.data, alg.mult.data
-    acc = [alg.host.field.zero] * m
-    for s0 in range(m):
-        for k in range(n):
-            c = co[(s * m + s0) * n + k]
-            if not c:
-                continue
-            for j in range(m):
-                x = act[(k * m + t) * m + j]
-                if x:
-                    for y in range(m):
-                        acc[y] = acc[y] + c * x * mult[(s0 * m + j) * m + y]
-    return acc
+def opposite_rows(alg):
+    """[t][s] is ē_t∘ē_s = Σ s₀ (s₁·e_t), the product of the H-opposite
+    Ā, as a dense list."""
+    f, ms = alg.host.field, range(alg.dim)
+    act, coact = rows_of(alg.module.action), terms_of(alg.module.coaction)
+    mul = rows_of(alg.mult)
+    return [[combine(f, alg.dim, ((c * x, mul[s0][j])
+                                  for s0, k, c in coact[s]
+                                  for j, x in act[k][t])) for s in ms]
+            for t in ms]
 
 
 def generating_set(alg):
@@ -1597,11 +1578,10 @@ def generating_set(alg):
     return gens
 
 
-def azumaya(alg):
+def azumaya(alg, gens):
     """azumaya_check's report rows, with dense F and G matrices, their
-    ranks and dense products of End(A) matrices.  Ā and the generating
-    sets are the package's."""
-    from hopflab.yd import generating_set as package_generators, h_opposite
+    ranks and dense products of End(A) matrices; gens are the generators
+    of A and of Ā that F's algebra-map families are checked against."""
     rep = CheckReport()
     mod = alg.module
     f = alg.host.field
@@ -1609,8 +1589,8 @@ def azumaya(alg):
     dim = m * m
     ms = range(m)
     es = basis(f, m)
-    bar = h_opposite(alg)
-    mul, brows = rows_of(alg.mult), rows_of(bar.mult)
+    bar, mul = opposite_rows(alg), rows_of(alg.mult)
+    brows = [[[(t, c) for t, c in enumerate(v) if c] for v in r] for r in bar]
     # F(e_p#ē_q)(e_x) = e_p(ē_q∘ē_x) and G(e_p#ē_q)(e_x) = (ē_x∘ē_p)e_q
     fmat = Matrix(f, dim, dim, [
         [c for x in ms for c in combine(f, m, ((c, mul[p][t])
@@ -1635,8 +1615,7 @@ def azumaya(alg):
         return [x * y for x in a for y in b]
 
     exchange = braid_matrix(mod, mod).data
-    gens_a = package_generators(alg)
-    gens_b = package_generators(bar)
+    gens_a, gens_b = gens
     fa = [f_of(sharp(es[a], alg.unit)) for a in ms]
     fb = [f_of(sharp(alg.unit, es[b])) for b in ms]
     families = (
@@ -1644,7 +1623,7 @@ def azumaya(alg):
             f_of(sharp(dense_row(alg.mult, g, a), alg.unit)),
             matrix_product(fa[a], fa[g]))),
         ("(ii) F(1#ḡ∘b̄) = F(1#ḡ)F(1#b̄)", (gens_b, ms), lambda g, b: (
-            f_of(sharp(alg.unit, dense_row(bar.mult, g, b))),
+            f_of(sharp(alg.unit, bar[g][b])),
             matrix_product(fb[b], fb[g]))),
         ("(iii) F(a#b̄) = F(a#1)F(1#b̄)", (ms, ms), lambda a, b: (
             end(fmat.data[a * m + b]), matrix_product(fb[b], fa[a]))),
@@ -2067,37 +2046,39 @@ def relations(alg, xs):
     return rels
 
 
-def mu_action(alg):
-    """π(A)'s Miyashita-Ulbrich action from the dense columns of ker βᵀ
-    and of the β-preimages of 1⊗e_k and dense v_p·a·v_r tables.  Returns
-    the witness of mu_action_well_defined and the action's coordinate
-    rows (None for a vector outside π(A)), or why it is refused.  A₀, β
-    and the centralizer π(A) are the package's."""
-    from hopflab.galois import _comodule_galois, _equalizer
+def mu_actions(alg, units):
+    """For A = alg with each unit of units in turn, π(A)'s
+    Miyashita-Ulbrich action from the dense columns of ker βᵀ and of the
+    β-preimages of 1⊗e_k and dense v_p·a·v_r tables: the witness of
+    mu_action_well_defined and the action's coordinate rows (None for a
+    vector outside π(A)), or why it is refused.  A₀ = {a : ρ(a) = a⊗1}
+    and π(A) = {a : a·x = x·a for x in A₀} are dense kernels, β is
+    comodule_beta, and A/A₀ is Galois when β is onto and its kernel is
+    spanned by the relations; these read A's coaction and product only, so
+    they are formed once for all the units."""
     h = alg.host
     f, n, m = h.field, h.dim, alg.dim
-    gal, sub0, beta_rows = _comodule_galois(alg)
-    if not gal.ok:
-        return "not Galois"
+    coact = alg.module.coaction.data
+    # column p of each equation matrix is v_p's image, which is 0 on A₀
+    # (ρ(v_p) − v_p⊗1 over q·n + k) and on π(A) (v_p·x − x·v_p over t·d + j)
+    sub0 = kernel_vectors(Matrix(f, m * n, m, [
+        [coact[(p * m + q) * n + k] - (h.unit[k] if p == q else f.zero)
+         for p in range(m)] for q in range(m) for k in range(n)]))
+    beta = Matrix(f, m * m, m * n, comodule_beta(alg))
+    rels = relations(alg, sub0)
+    kernel_dim = rank(Matrix(f, len(rels), m * m, rels)) if rels else 0
+    if rank(beta) != m * n or kernel_dim != m * m - m * n or \
+            any(any(apply_rowmap(vec, beta)) for vec in rels):
+        return ["not Galois"] * len(units)
     mrow = rows_of(alg.mult)
-
-    def times_sub(p, left):
-        return [(t, j, c * w) for j, x in enumerate(sub0.rows) for k, c in x
-                for t, w in (mrow[p][k] if left else mrow[k][p])]
-
-    pi_sub = _equalizer(f, sub0.dim, [times_sub(p, True) for p in range(m)],
-                        [times_sub(p, False) for p in range(m)])
+    es = basis(f, m)
+    sides = [(times(alg.mult, es[p], x), times(alg.mult, x, es[p]))
+             for x in sub0 for p in range(m)]
+    pi_vectors = kernel_vectors(Matrix(f, m * len(sub0), m, [
+        [sides[j * m + p][0][t] - sides[j * m + p][1][t] for p in range(m)]
+        for j in range(len(sub0)) for t in range(m)]))
     beta_t = Matrix(f, m * n, m * m,
-                    [[r.get(c, f.zero) for r in beta_rows]
-                     for c in range(m * n)])
-    rhs = Matrix.zeros(f, m * n, n)
-    for k in range(n):
-        for y, u in enumerate(alg.unit):
-            if u:
-                rhs.data[y * n + k][k] = u
-    part = solve(beta_t, rhs)
-    if part is None:
-        return "no preimages"
+                    [[r[c] for r in beta.data] for c in range(m * n)])
     ker = kernel_basis(beta_t)
 
     def dense(terms):
@@ -2107,16 +2088,16 @@ def mu_action(alg):
                 acc[k] = acc[k] + c * w
         return acc
 
-    def triple_table(avs):
+    def triple_table(a):
         out = []
         for p in range(m):
             vas = [(t, c) for t, c in enumerate(
-                dense((c, mrow[p][j]) for j, c in avs)) if c]
+                dense((c, mrow[p][j]) for j, c in enumerate(a) if c)) if c]
             out.append([dense((c, mrow[t][r]) for t, c in vas)
                         for r in range(m)])
         return out
 
-    tables = [triple_table(a) for a in pi_sub.rows]
+    tables = [triple_table(a) for a in pi_vectors]
 
     def act_by(coeffs, a_idx):
         acc = [f.zero] * m
@@ -2132,9 +2113,18 @@ def mu_action(alg):
     zero = [f.zero] * m
     kernel = [ker.column(j) for j in range(ker.cols)]
     witness = next(((j, a) for j, col in enumerate(kernel)
-                    for a in range(pi_sub.dim)
+                    for a in range(len(pi_vectors))
                     if act_by(col, a) != zero), None)
-    coords = coordinates_in(f, pi_sub.vectors)
-    acts = [coords(act_by(part.column(k), a))
-            for k in range(n) for a in range(pi_sub.dim)]
-    return witness, acts
+    coords = coordinates_in(f, pi_vectors)
+    out = []
+    for unit in units:
+        rhs = Matrix.zeros(f, m * n, n)
+        for k in range(n):
+            for y, u in enumerate(unit):
+                if u:
+                    rhs.data[y * n + k][k] = u
+        part = solve(beta_t, rhs)
+        out.append("no preimages" if part is None else (witness, [
+            coords(act_by(part.column(k), a))
+            for k in range(n) for a in range(len(pi_vectors))]))
+    return out

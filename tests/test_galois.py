@@ -418,8 +418,7 @@ def test_relation_rank_stops_at_the_kernel_only_inside_it(monkeypatch):
         rep = CheckReport()
         del made[:]
         galois._beta_quotient_bijective(QQ, beta, 2, parts, rep, "beta")
-        assert [(c.name, c.status, c.witness, c.detail)
-                for c in rep.checks[1:]] == [
+        assert report_rows(rep)[1:] == [
             ("beta_relations_in_kernel", status, witness, ""),
             ("beta_kernel_is_relations", "pass" if rel_rank == 2 else "fail",
              None, "relation rank %d vs kernel dim 2" % rel_rank)]
@@ -571,9 +570,7 @@ def test_subspace_matches_reference(suite_subspaces):
             inside.append(vec)
         maybe = []
         for vec in inside:
-            vec = list(vec)
-            vec[rng.randrange(dim)] += f.one
-            maybe.append(vec)
+            maybe.append(changed(vec, rng.randrange(dim), f.one))
         maybe += [[small() for _ in range(dim)] for _ in range(3)]
         for vec in inside + maybe:
             want = column_space.coordinates(vec)

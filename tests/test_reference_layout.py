@@ -11,7 +11,8 @@ REFERENCE_PREFIXES = ("dense_", "reference_", "closure_", "naive_")
 
 # the routes under test: Bilinear's sparse and lifted tables and
 # Field.lift, the word products and copowers of HopfAlgebra, twist.eval2,
-# and linalg's sums, products and eliminations
+# linalg's sums, products and eliminations, galois's subspaces and yd's
+# H-opposite and generating sets
 ROUTES = {"Bilinear", "bilinear", "lifted_rows", "lifted_terms",
           "flat_tables", "lifted_nonzeros", "lift", "copower",
           "lifted_copower", "copowers", "product", "word_table", "mul_vec",
@@ -19,7 +20,10 @@ ROUTES = {"Bilinear", "bilinear", "lifted_rows", "lifted_terms",
           "eval2_lifted", "linear_combination", "sparse_sum", "mat_mul",
           "are_inverse", "rank", "sparse_rank", "kernel_basis",
           "sparse_kernel", "solve", "sparse_solve", "mat_inverse", "_reduce",
-          "_rref", "row_space_echelon", "same_span", "in_span"}
+          "_rref", "row_space_echelon", "same_span", "in_span",
+          "Subspace", "_equalizer", "_coinvariant_space",
+          "comodule_coinvariants", "_comodule_galois", "h_opposite",
+          "_pushed_product", "generating_set"}
 # the attributes through which a structure reads its tables
 TABLES = {"mul", "delta", "antipodes", "act", "coact", "row", "terms"}
 

@@ -273,12 +273,14 @@ def test_word_table_forms_each_word_once(word_host, monkeypatch):
     lifted at the table's scale, in increasing index order and without
     zeros; it forms each word on its first read only (a later read gives
     that list again), and a new table starts empty.  On H₄ verify_yd and
-    bimodule_actions read at most the n³ = 64 words."""
+    bimodule_actions each open one table and form at most the n³ = 64
+    words: a word is formed on its first read in a table, so each
+    (table, key) pair counts once."""
     h = word_host
     hs = range(h.dim)
-    want = {(c, k, a): [(k2, x) for k2, x in enumerate(ref.times(
-        h.mult, ref.dense_row(h.mult, c, k), h.antipode_inv.data[a])) if x]
-        for c in hs for k in hs for a in hs}
+    want = {(c, k, a): [(k2, x) for k2, x in enumerate(ref.word(h, c, k, a))
+                        if x]
+            for c in hs for k in hs for a in hs}
     words, scale = h.word_table()
     first = {key: words(*key) for key in want}
     assert {key: [(k, h.field.reduce(c, scale)) for k, c in w]
@@ -286,14 +288,16 @@ def test_word_table_forms_each_word_once(word_host, monkeypatch):
     assert all(words(*key) is first[key] for key in want)
     assert h.word_table()[0](0, 0, 0) is not first[0, 0, 0]
     if h.dim == 4:
-        read = []
+        formed, tables = set(), []
         inner = HopfAlgebra.word_table
 
         def recording(self):
             word, sw = inner(self)
+            number = len(tables)
+            tables.append(number)
 
             def counted(*key):
-                read.append(key)
+                formed.add((number, key))
                 return word(*key)
             return counted, sw
 
@@ -302,6 +306,7 @@ def test_word_table_forms_each_word_once(word_host, monkeypatch):
         reg = regular_comodule_module(r1)
         bh = build_hr(r1)
         for run in (lambda: verify_yd(reg), lambda: bimodule_actions(bh, reg)):
-            del read[:]
+            formed.clear()
+            del tables[:]
             run()
-            assert 0 < len(set(read)) <= 64
+            assert len(tables) == 1 and 0 < len(formed) <= 64

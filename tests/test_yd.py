@@ -343,15 +343,10 @@ def test_braided_squares_match_the_per_pair_reference(spec):
     mods = [regular_comodule_module(r_t(h4, 1)), unit_object(h4).module,
             trivial_module(h4, 1)]
     reg = mods[0]
-    data = list(reg.action.data)
-    data[(2 * 4 + 2) * 4 + 0] += f.one
-    bad = YdModule(h4, 4, Tensor(f, reg.action.shape, data), reg.coaction)
+    bad = YdModule(h4, 4, bumped(reg.action, (2, 2, 0)), reg.coaction)
     pairs = [(a, b) for a in range(3) for b in range(3)]
     sigmas = [sigma_t(h4, 2), sigma_t(h4, -1)]
     thetas = [theta_t(h4, -1).sigma, theta_t(h4, 1).sigma]
-
-    def tuples(rep):
-        return [(c.name, c.status, c.witness, c.detail) for c in rep.checks]
 
     failed = set()
     for on in (mods, [bad] + mods[1:]):
@@ -363,7 +358,7 @@ def test_braided_squares_match_the_per_pair_reference(spec):
             for s, reports in zip(cocycles, got):
                 for (a, b), rep in zip(order, reports):
                     want = ref.braided_functor(s, ms[a], ms[b])
-                    assert tuples(rep) == tuples(want), (spec, a, b)
+                    assert report_rows(rep) == report_rows(want), (spec, a, b)
                     failed.update(c.name for c in rep.failures())
     assert failed == {"braided_square", "phi_sigma_h_linear",
                       "phi_sigma_h_colinear"}
@@ -613,8 +608,8 @@ def corrupted_end_regular(r1, where):
 def assert_opposite_is_twist_table(alg):
     bar = h_opposite(alg)
     ms = range(alg.dim)
-    assert [[dense_row(bar.mult, t, s) for t in ms] for s in ms] == \
-        [[ref.opposite_product(alg, s, t) for t in ms] for s in ms]
+    assert [[dense_row(bar.mult, t, s) for s in ms] for t in ms] == \
+        ref.opposite_rows(alg)
 
 
 @pytest.mark.parametrize("name", STRUCTURE_ALGEBRAS)
@@ -776,31 +771,24 @@ def one_entry_corruptions(e, rng, per_kind):
     mod = e.module
     one = e.host.field.one
 
-    def bumped(t, flat):
-        return changed(t, flat, one)
-
     def with_module(action, coaction):
         return YdAlgebra(YdModule(mod.host, mod.dim, action, coaction),
                          e.mult, e.unit)
 
-    unit = list(e.unit)
-    unit[0] = unit[0] + one
-    yield YdAlgebra(mod, e.mult, unit)
-    yield with_module(mod.action, bumped(mod.coaction, 1))        # (0, 0, 1)
-    yield YdAlgebra(mod, bumped(e.mult, (7 * 16 + 13) * 16 + 15), e.unit)
-    yield with_module(mod.action, bumped(mod.coaction, 8 * 64 + 2))
+    yield YdAlgebra(mod, e.mult, changed(e.unit, 0, one))
+    yield with_module(mod.action, bumped(mod.coaction, (0, 0, 1)))
+    yield YdAlgebra(mod, bumped(e.mult, (7, 13, 15)), e.unit)
+    yield with_module(mod.action, bumped(mod.coaction, (8, 0, 2)))
     for _ in range(per_kind):
-        unit = list(e.unit)
-        p = rng.randrange(len(unit))
-        unit[p] = unit[p] + one
-        yield YdAlgebra(mod, e.mult, unit)
-        yield YdAlgebra(mod, bumped(e.mult, rng.randrange(len(e.mult.data))),
-                        e.unit)
-        yield with_module(bumped(mod.action,
-                                 rng.randrange(len(mod.action.data))),
+        yield YdAlgebra(mod, e.mult,
+                        changed(e.unit, rng.randrange(len(e.unit)), one))
+        yield YdAlgebra(mod, changed(e.mult, rng.randrange(len(e.mult.data)),
+                                     one), e.unit)
+        yield with_module(changed(mod.action,
+                                  rng.randrange(len(mod.action.data)), one),
                           mod.coaction)
-        yield with_module(mod.action, bumped(
-            mod.coaction, rng.randrange(len(mod.coaction.data))))
+        yield with_module(mod.action, changed(
+            mod.coaction, rng.randrange(len(mod.coaction.data)), one))
 
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:5"])
@@ -821,18 +809,15 @@ def test_certificates_match_dense_reference(spec):
                 sigma_algebra(sigma_t(h4, -1), e),
                 YdAlgebra(trivial_module(kc2, 2), kc2.mult, kc2.unit)]
     algebras += one_entry_corruptions(e, random.Random(11), 1)
-
-    def rows(rep, names=None):
-        return [(c.name, c.status, c.witness, c.detail) for c in rep.checks
-                if names is None or c.name in names]
-
     reached = set()
     for alg in algebras:
         rep = azumaya_check(alg)
-        assert rows(rep) == ref.azumaya(alg)
-        assert rows(verify_yd_algebra(alg),
-                    ("algebra_axioms", "module_algebra")) == \
-            rows(ref.algebra_axioms(alg)) + rows(ref.module_algebra(alg))
+        assert report_rows(rep) == ref.azumaya(
+            alg, (generating_set(alg), generating_set(h_opposite(alg))))
+        assert report_rows(verify_yd_algebra(alg),
+                           ("algebra_axioms", "module_algebra")) == \
+            report_rows(ref.algebra_axioms(alg)) + \
+            report_rows(ref.module_algebra(alg))
         reached |= {c.detail.split()[0] if c.name == "F_algebra_map"
                     else c.name for c in rep.failures()}
     assert {"F_unital", "F_bijective", "G_bijective", "(i)", "(ii)"} <= \
