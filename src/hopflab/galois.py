@@ -6,10 +6,11 @@ Miyashita-Ulbrich action on centralizers.
 Structures are read through the sparse kernel linalg.Bilinear of their
 tensors, one per Tensor (h.mul, h.delta, mod.act, mod.coact, alg.mul, and
 b.left/b.right for −▷ and ◁−).
-Words in H such as S⁻¹(h₃)h₁ are sparse rows multiplied by h.product, and
-R, σ and σ⁻¹ are paired with them only by twist.eval2, or by
-twist.eval2_lifted where a loop sums lifted values (χ, φ, ψ and ξ read
-their words and pairings from _pairing_tables).  The R-induced
+Words in H such as S⁻¹(h₃)h₁ are sparse rows of lifted sums
+(fields.Field.lift) from h.word_table and h.antipode_words, and R, σ and
+σ⁻¹ are paired with them only by twist.eval2_lifted (χ, φ, ψ and ξ read
+their words and pairings from _pairing_tables); every construction here
+reduces what it builds once.  The R-induced
 action ▷₁ is quasitriangular.yd_from_comodule.  ▷₂, −▷, ◁− and the wedge
 action are each computed in two displayed forms, and report.require_agree
 raises at the first index where they differ.
@@ -43,7 +44,7 @@ from .linalg import (Matrix, Tensor, are_inverse, linear_combination, rank,
 from .quasitriangular import deform_cqt, yd_from_comodule
 from .report import (CheckReport, VerificationError, first_mismatch,
                      require_agree)
-from .twist import deform, eval2, eval2_lifted
+from .twist import deform, eval2_lifted
 from .yd import (YdAlgebra, YdMap, YdModule, agreed_tensor, braided_product,
                  dual_module, eta, is_yd_map, quantum_commutative,
                  reduced_rows, sigma_algebra, sigma_module,
@@ -130,72 +131,86 @@ class BimoduleActions:
 
 
 def act2_tensor(c, mod):
-    """h▷₂m = Σ m₀ R(S(m₁)⊗h); the S⁻¹ form Σ m₀ R(m₁⊗S⁻¹(h)) must agree."""
-    h, rho = c.host, mod.coact.rows
+    """h▷₂m = Σ m₀ R(S(m₁)⊗h); the S⁻¹ form Σ m₀ R(m₁⊗S⁻¹(h)) must agree.
+    Both forms sum lifted values at one scale (yd.reduced_rows)."""
+    h = c.host
+    f, hs, shape = h.field, range(h.dim), (h.dim, mod.dim, mod.dim)
+    (rows, sr), (rho, sc) = c.r.lifted_rows(), mod.coact.lifted_rows()
+    (s_rows, sinv), ss = h.antipodes.lifted_rows()
     # R(S(m₁)⊗e_i) = Σ x R(S(e_k)⊗e_i) over the terms x e_k of m₁
-    r_s = [[eval2(c.r, s, i) for i in range(h.dim)]
-           for s in h.antipodes.rows(0)]
-    sinv = h.antipodes.rows(1)
+    r_s = [[eval2_lifted(rows, s, i) for i in hs] for s in s_rows]
+    scale = sc * sr * ss
     return agreed_tensor(
-        "▷₂", h.field, (h.dim, mod.dim, mod.dim),
-        lambda i, p: [sum((x * r_s[k][i] for k, x in row), h.field.zero)
-                      for row in rho(p)],
-        lambda i, p: [eval2(c.r, row, sinv[i]) for row in rho(p)])
+        "▷₂", f, shape,
+        reduced_rows(f, shape, lambda i, p: [
+            sum(x * r_s[k][i] for k, x in row) for row in rho[p]], scale),
+        reduced_rows(f, shape, lambda i, p: [
+            eval2_lifted(rows, row, sinv[i]) for row in rho[p]], scale))
 
 
 def build_hr(c):
     """𝓗_R: ⋆-product, braided antipode S_R, adjoint coaction and the
     R-induced action; verify_braided_hopf checks the braided antipode
-    identity."""
+    identity.  Each is summed on lifted values (fields.Field.lift), its
+    words from h.antipode_words, and reduced once."""
     h = c.host
     n = h.dim
     f = h.field
-    hs, one = range(n), f.one
-    s_rows, sinv = h.antipodes.rows(0), h.antipodes.rows(1)
+    hs = range(n)
+    (rows, sr), (mul, sm) = c.r.lifted_rows(), h.mul.lifted_rows()
+    (delta, sd), ((s_rows, _), ss) = h.delta.lifted_terms(), \
+        h.antipodes.lifted_rows()
+    (copower3, s3), (copower4, s4) = h.lifted_copower(3), h.lifted_copower(4)
+    (s_words, sw), (sinv_words, _) = h.antipode_words(0), h.antipode_words(1)
 
     def star(i, j):
         # h⋆l = Σ l₂h₂ R(S⁻¹(l₃)l₁ ⊗ h₁), h = e_i, l = e_j
-        acc = [f.zero] * n
-        for (l1, l2, l3), w2 in h.copower(j, 3):
-            u = h.product(sinv[l3], [(l1, one)])
-            for h1, h2, w1 in h.delta.terms(i):
-                scal = eval2(c.r, u, h1)
+        acc = [0] * n
+        for (l1, l2, l3), w2 in copower3[j]:
+            u = sinv_words[l3][l1]
+            for h1, h2, w1 in delta[i]:
+                scal = eval2_lifted(rows, u, h1)
                 if not scal:
                     continue
                 w = w1 * w2 * scal
-                for k, cm in h.mul.row(l2, h2):
-                    acc[k] = acc[k] + w * cm
+                for k, cm in mul[l2][h2]:
+                    acc[k] += w * cm
         return acc
 
-    ss = [sorted(sparse_sum((k, x * y) for t, x in s_rows[i]    # S²(e_i)
-                            for k, y in s_rows[t]).items()) for i in hs]
+    ss2 = [list(sparse_sum((k, x * y) for t, x in s_rows[i]    # S²(e_i)
+                           for k, y in s_rows[t]).items()) for i in hs]
 
     def s_r(i):
         # S_R(h) = Σ S(h₂) R(S²(h₃)S(h₁) ⊗ h₄)
-        acc = [f.zero] * n
-        for (a, b, c3, d), w in h.copower(i, 4):
-            scal = eval2(c.r, h.product(ss[c3], s_rows[a]), d)
+        acc = [0] * n
+        for (a, b, c3, d), w in copower4[i]:
+            scal = sum(x * y * cm * rows[k][d] for t, x in ss2[c3]
+                       for u, y in s_rows[a] for k, cm in mul[t][u])
             if not scal:
                 continue
             for k, cv in s_rows[b]:
-                acc[k] = acc[k] + w * scal * cv
+                acc[k] += w * scal * cv
         return acc
 
     def adjoint(i):
         # ρ(h) = Σ h₂ ⊗ S(h₁)h₃, one row per h₂
-        rows = [[f.zero] * n for _ in hs]
-        for (a, b, c3), w in h.copower(i, 3):
-            row = rows[b]
-            for k, cv in h.product(s_rows[a], [(c3, one)]):
-                row[k] = row[k] + w * cv
-        return rows
+        out = [0] * (n * n)
+        for (a, b, c3), w in copower3[i]:
+            for k, cv in s_words[a][c3]:
+                out[b * n + k] += w * cv
+        return out
 
-    mod = yd_from_comodule(c, Tensor.from_rows(f, (n, n, n),
-                                               [adjoint(i) for i in hs]))
-    star_t = Tensor.from_rows(f, (n, n, n),
-                              [[star(i, j) for j in hs] for i in hs])
+    def tensor(form, scale):
+        return Tensor(f, (n, n, n), f.reduce_vec(
+            [x for i in hs for x in form(i)], scale))
+
+    mod = yd_from_comodule(c, tensor(adjoint, s3 * sw))
+    star_t = tensor(lambda i: [x for j in hs for x in star(i, j)],
+                    s3 * sd * sr * sw * sm)
+    s_r_sums = [x for i in hs for x in s_r(i)]
     return BraidedHopf(c, YdAlgebra(mod, star_t, list(h.unit)),
-                       Matrix(f, n, n, [s_r(i) for i in hs]))
+                       Matrix.from_sums(f, n, n, s_r_sums,
+                                        s4 * ss ** 4 * sm * sr))
 
 
 def verify_braided_hopf(bh):
@@ -510,12 +525,16 @@ def adjoint_module(host):
     """H as a YD module over itself: coaction Δ and the adjoint action
     h·a = Σ h₂ a S⁻¹(h₁)."""
     f, n, hs = host.field, host.dim, range(host.dim)
-    sinv = host.antipodes.rows(1)
-    action = Tensor.from_rows(f, (n, n, n), [[linear_combination(f, n, (
-        (c, host.product(host.mul.row(b, p), sinv[a]))
-        for a, b, c in host.delta.terms(i))) for p in hs] for i in hs])
-    return YdModule(host, n, action, Tensor(f, (n, n, n),
-                                            list(host.comult.data)))
+    (delta, sd), (words, sw) = host.delta.lifted_terms(), host.word_table()
+    flat = [0] * (n * n * n)
+    for i in hs:
+        for p in hs:
+            base = (i * n + p) * n
+            for a, b, c in delta[i]:
+                for k, x in words(b, p, a):         # e_b·e_p·S⁻¹(e_a)
+                    flat[base + k] += c * x
+    return YdModule(host, n, Tensor(f, (n, n, n), f.reduce_vec(flat, sd * sw)),
+                    Tensor(f, (n, n, n), list(host.comult.data)))
 
 
 def unit_object(host):
@@ -538,23 +557,12 @@ def _pairing_tables(s):
     σ⁻¹(S⁻¹(e_b)⊗e_a) as tables [b][a] of unreduced lifted sums."""
     h = s.host
     hs = range(h.dim)
-    mul, sm = h.mul.lifted_rows()
     (_, sinv), sa = h.antipodes.lifted_rows()
     sig, inv = s.sigma.lifted_rows(), s.sigma_inv.lifted_rows()
-    words = []
-    for a in hs:
-        row = []
-        for t in hs:
-            acc = [0] * h.dim
-            for j, y in sinv[a]:
-                for k, c in mul[j][t]:
-                    acc[k] += y * c
-            row.append([(k, c) for k, c in enumerate(acc) if c])
-        words.append(row)
     sig_sinv, inv_sinv = (([[eval2_lifted(rows, sinv[b], a) for a in hs]
                             for b in hs], scale * sa)
                           for rows, scale in (sig, inv))
-    return sig, inv, (words, sa * sm), sig_sinv, inv_sinv
+    return sig, inv, h.antipode_words(1), sig_sinv, inv_sinv
 
 
 def chi_maps(s):

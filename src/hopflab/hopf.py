@@ -7,10 +7,12 @@ Structure tensors follow the index conventions
 and the unit/counit are coordinate (co)vectors of length n.  h.mul, h.delta
 and h.antipodes (rows(0)[i] is S(e_i), rows(1)[i] S⁻¹(e_i)) read them
 through the tensors' own linalg.Bilinear (Tensor.bilinear), so H^σ, which
-keeps H's comult tensor, reads H's Δ tables.  An element of H built in a formula, such as
-h₄m₁S⁻¹(h₂), is a sparse row as h.mul.row returns; h.product multiplies two,
-and h.word_table() memoizes the words (e_c e_k)·S⁻¹(e_a), lifted, for one
-call; h.copower and h.lifted_copower (Δ^(k-1)) are kept with Δ's tables.
+keeps H's comult tensor, reads H's Δ tables.  An element of H built in a
+formula, such as h₄m₁S⁻¹(h₂), is a sparse row of lifted sums
+(fields.Field.lift) summed from h.mul's and h.antipodes' lifted rows:
+h.word_table() memoizes the words (e_c e_k)·S⁻¹(e_a) for one call, and
+h.antipode_words(leg) tabulates S(e_a)·e_t and S⁻¹(e_a)·e_t; h.copower
+and h.lifted_copower (Δ^(k-1)) are kept with Δ's tables.
 The axioms read every product of basis vectors from h.mul's sparse rows;
 no dense basis vector is multiplied.  Associativity and the action axioms
 (first_action_mismatch), first_multiplicative_mismatch, comult_algebra_map,
@@ -76,25 +78,14 @@ class HopfAlgebra:
     def mul_vec(self, u, v):
         return self.mul.apply(u, v)
 
-    def product(self, u, v):
-        """uv as a sparse row, for u and v any [(k, c)] pairs (zeros and
-        repeated k allowed), summed on field elements from h.mul's rows."""
-        acc = [self.field.zero] * self.dim
-        for i, x in u:
-            ri = self.mul.rows(i)
-            for j, y in v:
-                for k, c in ri[j]:
-                    acc[k] = acc[k] + x * y * c
-        return [(k, c) for k, c in enumerate(acc) if c]
-
     def word_table(self):
         """(word, scale): a new, empty memo of the words (e_c e_k)·S⁻¹(e_a).
-        word(c, k, a) is h.product(h.mul.row(c, k), S⁻¹(e_a)) without its
-        zeros, summed from h.mul's and h.antipodes' lifted rows at scale
-        (over F_p, any ints congruent to its coefficients); it is formed on
-        first use and kept for the memo's life (callers must not change
-        it).  One memo serves one call of a form that reads such words,
-        where there are at most n³ of them but many more reads."""
+        word(c, k, a) is (e_c e_k)·S⁻¹(e_a) without its zeros, summed from
+        h.mul's and h.antipodes' lifted rows at scale (over F_p, any ints
+        congruent to its coefficients); it is formed on first use and kept
+        for the memo's life (callers must not change it).  One memo serves
+        one call of a form that reads such words, where there are at most
+        n³ of them but many more reads."""
         rows, sm = self.mul.lifted_rows()
         (_, sinv), ss = self.antipodes.lifted_rows()
         nonzero, n = self.field.nonzero, self.dim
@@ -114,6 +105,22 @@ class HopfAlgebra:
                                         if nonzero(v)]
             return got
         return word, sm * sm * ss
+
+    def antipode_words(self, leg):
+        """(words, scale): words[a][t] is S(e_a)·e_t for leg 0 and
+        S⁻¹(e_a)·e_t for leg 1, as a sparse row without its zeros, summed
+        from h.mul's and h.antipodes' lifted rows at scale."""
+        mul, sm = self.mul.lifted_rows()
+        rows, ss = self.antipodes.lifted_rows()
+        nonzero, hs = self.field.nonzero, range(self.dim)
+
+        def word(srow, t):
+            acc = [0] * self.dim
+            for j, y in srow:
+                for k, c in mul[j][t]:
+                    acc[k] += y * c
+            return [(k, v) for k, v in enumerate(acc) if nonzero(v)]
+        return [[word(srow, t) for t in hs] for srow in rows[leg]], sm * ss
 
     def copower(self, i, k):
         """Sparse Δ^(k-1)(e_i) as [(index_tuple_of_len_k, coeff)], kept with

@@ -535,12 +535,13 @@ class Bilinear:
     t[i,p,q]}.  Over ℚ, integral data has scale 1 and its ``lifted_rows``
     and ``lifted_terms`` are the sparse tables of ``row`` and ``terms``
     themselves, not copies.  They are read by hopf.py's axiom checks,
-    word table and copowers' users; yd.py's verify_yd and
+    word tables and copowers' users; yd.py's verify_yd and
     verify_yd_algebra, is_yd_map, σ̲, the term kernel, yd_tensor,
-    braided_product, generating_set and azumaya_check (A's and Ā's
-    products); twist.py's convolutions, the cocycle identities, S^σ and
-    H* products; and galois.py's −▷, ◁− and ▷₂, Miyashita-Ulbrich
-    action, relation parts and the words of χ, φ, ψ and ξ.
+    braided_product, End(M), generating_set and azumaya_check (A's and
+    Ā's products); twist.py's convolutions, the cocycle checks, S^σ and
+    H* products; quasitriangular.py's CQT checks and ▷₁; and galois.py's
+    𝓗_R, the adjoint module, −▷, ◁− and ▷₂, Miyashita-Ulbrich action,
+    relation parts and χ, φ, ψ and ξ.
     """
     __slots__ = ("field", "shape", "_data", "_zeros", "_twin", "_rows",
                  "_terms", "_lrows", "_lterms", "_flat", "_copowers",

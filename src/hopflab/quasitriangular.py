@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 from .hopf import HopfAlgebra, dual_hopf
 from .linalg import Matrix, Tensor, check_shape
+from .fields import complements
 from .report import CheckReport, VerificationError, first_mismatch
 from .twist import (are_conv_inverse, conv_inverse2, convolve2, counit_legs,
-                    deform, deform_dual, eval2, hh_mul, hhh_delta, hhh_leg,
-                    hhh_mul)
+                    deform, deform_dual, eval2_lifted, first_counit_mismatch,
+                    hh_mul, hhh_delta, hhh_leg, hhh_mul)
 
 
 @dataclass
@@ -58,116 +59,110 @@ def qt_structure(host, rr, rr_inv=None):
 
 
 def verify_cqt(c):
-    """CQT1-CQT4 plus the equivalent forms CQT4' and CQT4''."""
+    """CQT1-CQT4 plus the equivalent forms CQT4' and CQT4''.  Each side is
+    summed on lifted values (fields.Field.lift), the words of CQT4' and
+    CQT4'' from h.antipode_words and h.word_table, and the two sides are
+    put on one scale and compared reduced."""
     h = c.host
     n = h.dim
     f = h.field
-    r = c.r
     every = range(n)
     rep = CheckReport()
-    unit = [(t, x) for t, x in enumerate(h.unit) if x]
+    (rows, sr), (mul, sm) = c.r.lifted_rows(), h.mul.lifted_rows()
+    (delta, sd), (copower3, s3) = h.delta.lifted_terms(), h.lifted_copower(3)
+    red, vec = f.reduce, f.reduce_vec
 
-    bad = first_mismatch((every,), lambda i: (
-        (eval2(r, i, unit), eval2(r, unit, i)),
-        (h.counit[i], h.counit[i])))
+    bad = first_counit_mismatch(h, c.r)
     rep.add("CQT1", bad is None, bad)
 
-    rep.add("invertible", are_conv_inverse(h, r, c.r_inv))
+    rep.add("invertible", are_conv_inverse(h, c.r, c.r_inv))
+
+    kl, kr = complements(sm * sr, sd * sr * sr)
 
     def cqt2(g, x, l):
-        lhs = f.zero
-        for k, cm in h.mul.row(x, l):
-            v = r.data[g][k]
-            if v:
-                lhs = lhs + cm * v
-        rhs = f.zero
-        for a, b, ca in h.delta.terms(g):
-            v1 = r.data[a][l]
+        lhs = sum(cm * rows[g][k] for k, cm in mul[x][l])
+        rhs = 0
+        for a, b, ca in delta[g]:
+            v1 = rows[a][l]
             if v1:
-                v2 = r.data[b][x]
-                if v2:
-                    rhs = rhs + ca * v1 * v2
-        return lhs, rhs
+                rhs += ca * v1 * rows[b][x]
+        return red(lhs * kl, 1), red(rhs * kr, 1)
 
     bad = first_mismatch((every,) * 3, cqt2)
     rep.add("CQT2", bad is None, bad, "R(g⊗hl) = ΣR(g1⊗l)R(g2⊗h)")
 
     def cqt3(g, x, l):
-        lhs = f.zero
-        for k, cm in h.mul.row(x, l):
-            v = r.data[k][g]
-            if v:
-                lhs = lhs + cm * v
-        rhs = f.zero
-        for a, b, ca in h.delta.terms(g):
-            v1 = r.data[x][a]
+        lhs = sum(cm * rows[k][g] for k, cm in mul[x][l])
+        rhs = 0
+        for a, b, ca in delta[g]:
+            v1 = rows[x][a]
             if v1:
-                v2 = r.data[l][b]
-                if v2:
-                    rhs = rhs + ca * v1 * v2
-        return lhs, rhs
+                rhs += ca * v1 * rows[l][b]
+        return red(lhs * kl, 1), red(rhs * kr, 1)
 
     bad = first_mismatch((every,) * 3, cqt3)
     rep.add("CQT3", bad is None, bad, "R(hl⊗g) = ΣR(h⊗g1)R(l⊗g2)")
 
     def cqt4(g, x):
-        lhs = [f.zero] * n
-        rhs = [f.zero] * n
-        for a, b, ca in h.delta.terms(g):
-            for cc, d, cd in h.delta.terms(x):
+        # both sides are at one scale
+        lhs, rhs = [0] * n, [0] * n
+        for a, b, ca in delta[g]:
+            for cc, d, cd in delta[x]:
                 w = ca * cd
-                v = r.data[a][cc]
+                v = rows[a][cc]
                 if v:
-                    for k, cm in h.mul.row(b, d):
-                        lhs[k] = lhs[k] + w * v * cm
-                v2 = r.data[b][d]
+                    for k, cm in mul[b][d]:
+                        lhs[k] += w * v * cm
+                v2 = rows[b][d]
                 if v2:
-                    for k, cm in h.mul.row(cc, a):
-                        rhs[k] = rhs[k] + w * v2 * cm
-        return lhs, rhs
+                    for k, cm in mul[cc][a]:
+                        rhs[k] += w * v2 * cm
+        return vec(lhs, 1), vec(rhs, 1)
 
     bad = first_mismatch((every,) * 2, cqt4)
     rep.add("CQT4", bad is None, bad,
             "ΣR(g1⊗h1)g2h2 = ΣR(g2⊗h2)h1g1")
 
+    s_words, ss = h.antipode_words(0)
+    kp, rp = complements(sd * sr, s3 * sd * sr * ss * sm * sm)
+
     def cqt4_prime(g, x):
-        lhs = [f.zero] * n
-        for a, b, ca in h.delta.terms(g):
-            v = r.data[b][x]
-            if v:
-                lhs[a] = lhs[a] + ca * v
-        rhs = [f.zero] * n
-        for (x1, x2, x3), w in h.copower(x, 3):
-            for a, b, ca in h.delta.terms(g):
-                v = r.data[a][x2]
+        lhs = [0] * n
+        for a, b, ca in delta[g]:
+            lhs[a] += ca * rows[b][x] * kp
+        rhs = [0] * n
+        for (x1, x2, x3), w in copower3[x]:
+            for a, b, ca in delta[g]:
+                v = rows[a][x2]
                 if not v:
                     continue
-                word = h.product(h.product(h.antipodes.rows(0)[x1],
-                                           [(b, f.one)]), [(x3, f.one)])
-                for k, cv in word:
-                    rhs[k] = rhs[k] + w * ca * v * cv
-        return lhs, rhs
+                wv = w * ca * v * rp
+                for t, cw in s_words[x1][b]:        # S(e_x1)·e_b·e_x3
+                    for k, cm in mul[t][x3]:
+                        rhs[k] += wv * cw * cm
+        return vec(lhs, 1), vec(rhs, 1)
 
     bad = first_mismatch((every,) * 2, cqt4_prime)
     rep.add("CQT4'", bad is None, bad,
             "Σg1R(g2⊗h) = ΣR(g1⊗h2)S(h1)g2h3")
 
+    words, sw = h.word_table()
+    kq, rq = complements(sd * sr, s3 * sd * sr * sw)
+
     def cqt4_second(g, x):
-        lhs = [f.zero] * n
-        for a, b, ca in h.delta.terms(x):
-            v = r.data[g][b]
-            if v:
-                lhs[a] = lhs[a] + ca * v
-        rhs = [f.zero] * n
-        for (g1, g2, g3), w in h.copower(g, 3):
-            for a, b, ca in h.delta.terms(x):
-                v = r.data[g2][a]
+        lhs = [0] * n
+        for a, b, ca in delta[x]:
+            lhs[a] += ca * rows[g][b] * kq
+        rhs = [0] * n
+        for (g1, g2, g3), w in copower3[g]:
+            for a, b, ca in delta[x]:
+                v = rows[g2][a]
                 if not v:
                     continue
-                for k, cv in h.product(h.mul.row(g3, b),
-                                       h.antipodes.rows(1)[g1]):
-                    rhs[k] = rhs[k] + w * ca * v * cv
-        return lhs, rhs
+                wv = w * ca * v * rq
+                for k, cv in words(g3, b, g1):      # (e_g3 e_b)·S⁻¹(e_g1)
+                    rhs[k] += wv * cv
+        return vec(lhs, 1), vec(rhs, 1)
 
     bad = first_mismatch((every,) * 2, cqt4_second)
     rep.add("CQT4''", bad is None, bad,
@@ -236,8 +231,9 @@ def yd_from_comodule(c, coaction):
     n = h.dim
     m = coaction.shape[0]
     check_shape("coaction", coaction.shape, (m, m, n))
-    coact, ms = coaction.bilinear().row, range(m)
-    action = Tensor.from_rows(h.field, (n, m, m), [
-        [[eval2(c.r, i, coact(p, q)) for q in ms] for p in ms]
-        for i in range(n)])
+    (coact, sc), (r, sr) = coaction.bilinear().lifted_rows(), \
+        c.r.lifted_rows()
+    action = Tensor(h.field, (n, m, m), h.field.reduce_vec(
+        [eval2_lifted(r, i, row) for i in range(n) for rows in coact
+         for row in rows], sc * sr))
     return _yd.YdModule(h, m, action, coaction)

@@ -3,9 +3,10 @@ deformed Hopf algebras H^σ and H_θ.
 
 A functional on H⊗H is an n×n Matrix f with f.data[i][j] = f(e_i⊗e_j); an
 element of H⊗H is an n×n Matrix of coefficients.  Convolution is
-(f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂) with unit ε⊗ε.  eval2 pairs f with two
-elements of H, each a basis index or a sparse row (hopf.py), such as S(e_i);
-eval2_lifted does the same on lifted values (fields.Field.lift).
+(f*g)(x⊗y) = Σ f(x₁⊗y₁) g(x₂⊗y₂) with unit ε⊗ε.  eval2_lifted pairs f,
+given as its lifted rows (fields.Field.lift), with two elements of H, each
+a basis index or a sparse row of lifted values (hopf.py), such as S(e_i);
+first_counit_mismatch checks f(e_i⊗1) = f(1⊗e_i) = ε(e_i) on them.
 
 H^σ, ∂μ and laziness are convolutions: e_k's coefficient in the product of
 H^σ is σ * m_k * σ⁻¹ for m_k(x⊗y) = e_k's coefficient in xy, S^σ = u * S * v
@@ -60,40 +61,12 @@ from .report import CheckReport, VerificationError, first_mismatch
 
 # -- scalar-functional helpers ---------------------------------------------
 
-def eval2(f, u, v):
-    """f(u⊗v) on field elements, the one place a functional on H⊗H is
-    paired with elements (eval2_lifted is its form on lifted values).
-
-    u and v are basis indices or sparse rows [(k, c)], hopf.py's elements
-    of H: an int i stands for e_i, so f(e_i⊗e_j) is f.data[i][j].
-    """
-    if type(u) is int:
-        row = f.data[u]
-        if type(v) is int:
-            return row[v]
-        acc = f.field.zero
-        for j, y in v:
-            if row[j]:
-                acc = acc + y * row[j]
-        return acc
-    acc = f.field.zero
-    for i, x in u:
-        row = f.data[i]
-        if type(v) is int:
-            if row[v]:
-                acc = acc + x * row[v]
-            continue
-        for j, y in v:
-            if row[j]:
-                acc = acc + x * y * row[j]
-    return acc
-
-
 def eval2_lifted(rows, u, v):
-    """eval2 on lifted values (fields.Field.lift): f(u⊗v) for f given as
-    its lifted rows (Matrix.lifted_rows) and u and v basis indices or
-    sparse rows with lifted coefficients, as an unreduced lifted sum at
-    the product of the scales of f, u and v (a basis index is at 1)."""
+    """f(u⊗v) for f given as its lifted rows (Matrix.lifted_rows) and u
+    and v basis indices or sparse rows with lifted coefficients, as an
+    unreduced lifted sum at the product of the scales of f, u and v (a
+    basis index is at 1): the one place a functional on H⊗H is paired
+    with elements of H."""
     acc = 0
     for i, x in ((u, 1),) if type(u) is int else u:
         row = rows[i]
@@ -105,6 +78,20 @@ def eval2_lifted(rows, u, v):
             if row[j]:
                 acc += x * y * row[j]
     return acc
+
+
+def first_counit_mismatch(h, f):
+    """The first i at which f(e_i⊗1) or f(1⊗e_i) differs from ε(e_i), for
+    f a functional on H⊗H (a cocycle's normalization, CQT1), or None; each
+    value is summed on f's lifted rows and compared reduced."""
+    field = h.field
+    (rows, sf), (unit, su) = f.lifted_rows(), field.lift(h.unit)
+    eps, se = field.lift(h.counit)
+    ones, red = [(t, x) for t, x in enumerate(unit) if x], field.reduce
+    kl, kr = complements(sf * su, se)
+    return first_mismatch((range(h.dim),), lambda i: (
+        (red(eval2_lifted(rows, i, ones) * kl, 1),
+         red(eval2_lifted(rows, ones, i) * kl, 1)), (red(eps[i] * kr, 1),) * 2))
 
 
 def eps_eps(h):
@@ -237,23 +224,22 @@ def verify_two_cocycle(c):
     rep = CheckReport()
     sig, inv = c.sigma, c.sigma_inv
     every = range(h.dim)
-    unit = [(t, x) for t, x in enumerate(h.unit) if x]
+    # Every check sums lifted values (fields.Field.lift) and reduces each
+    # compared value once; the two sides of the cocycle identity and of the
+    # inverse one are at one scale, and the other checks' are put on one
+    # by complementary factors (kl and kr, ka and ke).
+    (sweedler2, sd), (mul, sm) = h.delta.lifted_terms(), h.mul.lifted_rows()
+    (ls, ss), (li, si) = sig.lifted_rows(), inv.lifted_rows()
+    (unit, su), (eps, se) = f.lift(h.unit), f.lift(h.counit)
+    red = f.reduce
 
-    ok = eval2(sig, unit, unit) == f.one
-    bad = first_mismatch((every,), lambda i: (
-        (eval2(sig, i, unit), eval2(sig, unit, i)),
-        (h.counit[i], h.counit[i])))
+    unit = [(t, x) for t, x in enumerate(unit) if x]
+    ok = red(eval2_lifted(ls, unit, unit), su * su * ss) == f.one
+    bad = first_counit_mismatch(h, sig)
     rep.add("normalization", bad is None and ok, bad)
 
     rep.add("convolution_inverse", are_conv_inverse(h, sig, inv))
 
-    # The three identities walk all basis triples (g, h, l) and sum each
-    # side lifted (fields.Field.lift), reducing the two sides once; the
-    # two sides of the cocycle identity and of the inverse one are at one
-    # scale, and the mixed identity's are put on one by kl and kr.
-    (sweedler2, sd), (mul, sm) = h.delta.lifted_terms(), h.mul.lifted_rows()
-    (ls, ss), (li, si) = sig.lifted_rows(), inv.lifted_rows()
-    red = f.reduce
     kl, kr = complements(sd ** 3 * sm * sm * ss * si, sd * si * ss)
 
     def cocycle_identity(g, x, l):
@@ -338,17 +324,20 @@ def verify_two_cocycle(c):
     rep.add("inverse_cocycle_identity", bad is None, bad,
             "σ⁻¹(g1h1⊗l)σ⁻¹(g2⊗h2) = σ⁻¹(g⊗h1l1)σ⁻¹(h2⊗l2)")
 
+    (s_rows, _), sa = h.antipodes.lifted_rows()
+    copower4, s4 = h.lifted_copower(4)
+    ka, ke = complements(s4 * ss * si * sa * sa, se)
+
     def antipode_pairing(x):
-        acc, s_rows = f.zero, h.antipodes.rows(0)
-        for idx, w in h.copower(x, 4):
-            a, b, cc, d = idx
-            s1 = eval2(sig, a, s_rows[b])
+        acc = 0
+        for (a, b, cc, d), w in copower4[x]:
+            s1 = eval2_lifted(ls, a, s_rows[b])
             if not s1:
                 continue
-            s2 = eval2(inv, s_rows[cc], d)
+            s2 = eval2_lifted(li, s_rows[cc], d)
             if s2:
-                acc = acc + w * s1 * s2
-        return acc, h.counit[x]
+                acc += w * s1 * s2
+        return red(acc * ka, 1), red(eps[x] * ke, 1)
 
     bad = first_mismatch((every,), antipode_pairing)
     rep.add("antipode_pairing", bad is None, bad,

@@ -10,9 +10,10 @@ The tensor product M⊗N carries h·(m⊗n) = Σ h₁·m ⊗ h₂·n and
 ρ(m⊗n) = Σ (m₀⊗n₀) ⊗ n₁m₁; basis index of v_p⊗w_q is p·dim(N)+q.
 mod.act, mod.coact and alg.mul are the linalg.Bilinear tables of the
 action, coaction and product tensors (Tensor.bilinear), shared by every
-structure built on the same tensor, and words in H, such as e_c e_k S⁻¹(e_a),
-are h.product's sparse rows (hopf.py); verify_yd's S⁻¹ form reads them
-from one h.word_table() per call.  σ and σ⁻¹ are read from the lifted
+structure built on the same tensor, and words in H are sparse rows of
+lifted sums (hopf.py): verify_yd's S⁻¹ form reads e_c e_k S⁻¹(e_a) from
+one h.word_table() per call, and End(M)'s coaction reads S⁻¹(e_k)e_l
+from h.antipode_words.  σ and σ⁻¹ are read from the lifted
 tables kept on the cocycle (_SigmaTables).  The hot loops here sum lifted
 values (fields.Field.lift) from Bilinear's lifted tables, and a
 construction reduces what it builds once (Field.reduce_vec,
@@ -61,8 +62,7 @@ from .fields import complements, scaled
 from .hopf import (dual_hopf, first_action_mismatch, first_coaction_mismatch,
                    first_unit_mismatch)
 from .linalg import (Matrix, Tensor, _reduce, are_inverse, check_shape,
-                     linear_combination, mat_mul, rank, sparse_kernel,
-                     sparse_rank, sparse_sum)
+                     mat_mul, rank, sparse_kernel, sparse_rank, sparse_sum)
 from .report import (CheckReport, VerificationError, first_block_mismatch,
                      first_lifted_mismatch, first_mismatch, require_agree)
 from .twist import deform, deform_dual
@@ -912,48 +912,50 @@ def end_algebra(mod):
     for p in ms:
         unit[p * m + p] = one
 
-    s_rows, sinv = h.antipodes.rows(0), h.antipodes.rows(1)
-    # s_act[b][r] = S(e_b)·v_r
-    s_act = [[linear_combination(f, m, ((c, mod.act.row(t, r))
-                                        for t, c in s_rows[b])) for r in ms]
+    (act, sa), (coact, sc) = mod.act.lifted_rows(), mod.coact.lifted_terms()
+    (delta, sd), ((s_rows, _), ss) = h.delta.lifted_terms(), \
+        h.antipodes.lifted_rows()
+    words, sw = h.antipode_words(1)
+    # s_act[b][r·m+p]: the coefficient of v_p in S(e_b)·v_r, at ss·sa
+    flat = mod.act.flat_tables()[0]
+    s_act = [[sum(c * flat[t].get(k, 0) for t, c in s_rows[b]) for k in ds]
              for b in range(n)]
 
     def conjugate(i, src):
         # (e_i·E_pq)(v_r) = Σ ca (e_a)·E_pq(S(e_b)·v_r)
         p, q = divmod(src, m)
-        acc = [f.zero] * dim
-        for a, b, ca in h.delta.terms(i):
+        acc = [0] * dim
+        for a, b, ca in delta[i]:
             for r in ms:
-                sv = s_act[b][r]
-                if not sv[p]:
+                sv = s_act[b][r * m + p]
+                if not sv:
                     continue
-                w = ca * sv[p]
-                for q2, x in mod.act.row(a, q):
-                    acc[r * m + q2] = acc[r * m + q2] + w * x
+                w = ca * sv
+                for q2, x in act[a][q]:
+                    acc[r * m + q2] += w * x
         return acc
 
     def dual_coaction(src):
         # Σ f₀(v_r)⊗f₁ = Σ coact[r,p,k]·coact[q,q',l] v_q'⊗S⁻¹(e_k)e_l
         p, q = divmod(src, m)
-        rows = [[f.zero] * n for _ in ds]
+        out = [0] * (dim * n)
         for r in ms:
-            for p2, k, c1 in mod.coact.terms(r):
+            for p2, k, c1 in coact[r]:
                 if p2 != p:
                     continue
-                for q2, l, c2 in mod.coact.terms(q):
-                    w = c1 * c2
-                    row = rows[r * m + q2]
-                    for k2, cv in h.product(sinv[k], [(l, one)]):
-                        row[k2] = row[k2] + w * cv
-        return rows
+                for q2, l, c2 in coact[q]:
+                    w, base = c1 * c2, (r * m + q2) * n
+                    for k2, cv in words[k][l]:
+                        out[base + k2] += w * cv
+        return out
 
     mult = Tensor.from_rows(f, (dim, dim, dim),
                             [[compose(u, v) for v in ds] for u in ds])
-    action = Tensor.from_rows(f, (n, dim, dim),
-                              [[conjugate(i, src) for src in ds]
-                               for i in range(n)])
-    coaction = Tensor.from_rows(f, (dim, dim, n),
-                                [dual_coaction(src) for src in ds])
+    action = Tensor(f, (n, dim, dim), f.reduce_vec(
+        [x for i in range(n) for src in ds for x in conjugate(i, src)],
+        sd * ss * sa * sa))
+    coaction = Tensor(f, (dim, dim, n), f.reduce_vec(
+        [x for src in ds for x in dual_coaction(src)], sc * sc * sw))
     return YdAlgebra(YdModule(h, dim, action, coaction), mult, unit)
 
 
@@ -1088,11 +1090,12 @@ def azumaya_check(alg):
                           for r, t in (divmod(k, m),)
                           for s, v in rows.get(t, ()))
 
-    def agree(lhs, rhs):
-        """Are the two sides, at one scale, equal?"""
-        diff = dict(lhs)
+    def agree(lhs, rhs, kl=1, kr=1):
+        """Are the two sides equal once multiplied by kl and kr, which put
+        them on one scale?"""
+        diff = {k: v * kl for k, v in lhs.items()}
         for k, v in rhs.items():
-            diff[k] = diff.get(k, 0) - v
+            diff[k] = diff.get(k, 0) - v * kr
         return not any(map(f.nonzero, diff.values()))
 
     us, su = f.lift(alg.unit)
@@ -1104,32 +1107,27 @@ def azumaya_check(alg):
     fa = [f_of([(a, q, c) for q, c in unit]) for a in ms]
     fb = [f_of([(p, b, c) for p, c in unit]) for b in ms]
     fa_rows, fb_rows = list(map(by_source, fa)), list(map(by_source, fb))
-    # every right side is at (su·sf)²; each family puts its left side on
-    # that scale by a scaled copy of one table of each side
-    right = (su * sf) ** 2
-    k1, r1 = complements(sa * su * sf, right)
-    k2, r2 = complements(su * sb * sf, right)
-    k3, r3 = complements(sf, right)
-    k4, r4 = complements(sx * sf, right)
-    arow1, fa1, brow2, fb2 = (scaled(arow, k1), scaled(fa, r1),
-                              scaled(brow, k2), scaled(fb, r2))
-    frows3, fb3 = scaled(frows, k3), scaled(fb, r3)
-    exchange4, fa4 = scaled(exchange, k4), scaled(fa, r4)
+    # each family gives its left side's scale; every right side is at
+    # (su·sf)², and agree multiplies each side by its complement
     families = (
-        ("(i) F(ga#1) = F(g#1)F(a#1)", (gens_a, ms), lambda g, a: (
-            f_of([(t, q, c * u) for t, c in arow1[g][a] for q, u in unit]),
-            then(fa1[a], fa_rows[g]))),
-        ("(ii) F(1#ḡ∘b̄) = F(1#ḡ)F(1#b̄)", (gens_b, ms), lambda g, b: (
-            f_of([(p, t, u * c) for p, u in unit for t, c in brow2[g][b]]),
-            then(fb2[b], fb_rows[g]))),
-        ("(iii) F(a#b̄) = F(a#1)F(1#b̄)", (ms, ms), lambda a, b: (
-            frows3[a * m + b], then(fb3[b], fa_rows[a]))),
-        ("(iv) F((1#b̄)(g#1)) = F(1#b̄)F(g#1)", (gens_a, ms), lambda g, b: (
-            f_of(exchange4[b * m + g]), then(fa4[g], fb_rows[b]))))
+        ("(i) F(ga#1) = F(g#1)F(a#1)", (gens_a, ms), sa * su * sf,
+         lambda g, a: (
+             f_of([(t, q, c * u) for t, c in arow[g][a] for q, u in unit]),
+             then(fa[a], fa_rows[g]))),
+        ("(ii) F(1#ḡ∘b̄) = F(1#ḡ)F(1#b̄)", (gens_b, ms), su * sb * sf,
+         lambda g, b: (
+             f_of([(p, t, u * c) for p, u in unit for t, c in brow[g][b]]),
+             then(fb[b], fb_rows[g]))),
+        ("(iii) F(a#b̄) = F(a#1)F(1#b̄)", (ms, ms), sf, lambda a, b: (
+            frows[a * m + b], then(fb[b], fa_rows[a]))),
+        ("(iv) F((1#b̄)(g#1)) = F(1#b̄)F(g#1)", (gens_a, ms), sx * sf,
+         lambda g, b: (f_of(exchange[b * m + g]), then(fa[g], fb_rows[b]))))
     detail = "checked against %d generators" % (len(gens_a) + len(gens_b))
-    for family, space, sides in families:
+    for family, space, scale, sides in families:
+        kl, kr = complements(scale, (su * sf) ** 2)
         # one verdict per index pair, so that the witness is the pair
-        bad = first_mismatch(space, lambda *idx: (agree(*sides(*idx)), True))
+        bad = first_mismatch(space, lambda *idx: (
+            agree(*sides(*idx), kl, kr), True))
         if bad is not None:
             detail = family
             break

@@ -5,9 +5,9 @@ Each reference computes one formula of the package the slow way, on field
 elements, from the structures' own data: a tensor's ``.data``, a Matrix's
 ``.data``, and the unit and counit lists.  None reads a route it is meant
 to check: no Bilinear table, lifted table or ``Field.lift``, no
-``HopfAlgebra.copower``, ``product``, ``word_table`` or ``mul_vec``, no
-``twist.eval2``, and none of linalg's ``linear_combination``, ``mat_mul``
-or elimination.  A reference may build the package's containers
+``HopfAlgebra.copower``, ``word_table``, ``antipode_words`` or
+``mul_vec``, no ``twist.eval2_lifted``, and none of linalg's
+``linear_combination``, ``mat_mul`` or elimination.  A reference may build the package's containers
 (``Matrix``, ``Tensor``, ``HopfAlgebra``, ``YdModule``, ``YdAlgebra``, …),
 reproduce report rows with ``CheckReport`` and ``first_mismatch``, and
 take as input an object a test builds with the package (H*, a

@@ -1,10 +1,12 @@
 """Catalog entries: tabulated values, provenance-level verification at
 load, and characteristic guards."""
 
+import dataclasses
+
 import pytest
 
 from hopflab.fields import QQ, FieldError, PrimeField
-from hopflab.linalg import mat_mul
+from hopflab.linalg import Matrix, mat_mul
 from hopflab import catalog as cat
 from hopflab.report import VerificationError
 from reference import dense_row
@@ -116,7 +118,9 @@ def test_get_entry_builds_only_what_the_entry_is_built_from(monkeypatch):
 def _one_entry_off(obj):
     """obj with one structure constant changed: a host's unit counts 2
     under ε, 1 acts on a module as 2, an algebra's unit is off in its first
-    coordinate, and a functional's value at 1⊗1 is off by one."""
+    coordinate, and a functional's value at 1⊗1 is off by one.  The
+    functional is a new Matrix in a copy of obj: the builder has read the
+    lifted rows of the one it built, so its data must not change."""
     from hopflab.hopf import HopfAlgebra
     from hopflab.yd import YdAlgebra, YdModule
     if isinstance(obj, HopfAlgebra):
@@ -129,8 +133,12 @@ def _one_entry_off(obj):
     else:
         attr = {"TwoCocycle": "sigma", "DualCocycle": "theta",
                 "CqtStructure": "r", "QtStructure": "rr"}
-        mat = getattr(obj, attr[type(obj).__name__])
-        mat.data[0][0] = mat.data[0][0] + obj.host.field.one
+        name = attr[type(obj).__name__]
+        mat = getattr(obj, name)
+        data = [list(row) for row in mat.data]
+        data[0][0] = data[0][0] + obj.host.field.one
+        obj = dataclasses.replace(obj, **{name: Matrix(
+            mat.field, mat.rows, mat.cols, data)})
     return obj
 
 

@@ -4,7 +4,9 @@ convolutions, the M⊗N term kernel and the Miyashita-Ulbrich action; the
 crossed compatibility of verify_yd in both forms and verify_yd_algebra's
 module- and comodule-algebra axioms; azumaya_check's F and G and its
 algebra-map families; H^σ's antipodes S^σ and (S^σ)⁻¹ and the H* product
-of the 1-cocycle checks; and χ, φ, ψ and ξ.
+of the 1-cocycle checks; χ, φ, ψ and ξ; and the words and pairings of H's
+elements in the CQT and cocycle checks, ▷₁, ▷₂, 𝓗_R, H's adjoint module
+and End(M).
 
 Each reference is the loop of reference.py that sums the same formula on
 field elements; the lifted loop must give the same object, the same
@@ -26,17 +28,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopflab import fields, galois, hopf, twist, yd
+from hopflab import fields, galois, hopf, quasitriangular, twist, yd
 from hopflab.fields import PrimeField, RESIDUE_TABLE_BOUND, field_from_spec
 from hopflab.hopf import HopfAlgebra
-from hopflab.galois import (_comodule_galois, chi_maps, mu_action_and_pi,
-                            phi_psi_xi, unit_object)
+from hopflab.galois import (_comodule_galois, act2_tensor, adjoint_module,
+                            build_hr, chi_maps, mu_action_and_pi, phi_psi_xi,
+                            unit_object)
+from hopflab.quasitriangular import (CqtStructure, verify_cqt,
+                                     yd_from_comodule)
 from hopflab.report import VerificationError
 from hopflab.twist import (TwoCocycle, _deform, _dual_product, conv_operator2,
-                           convolve2)
+                           convolve2, verify_two_cocycle)
 from hopflab.yd import (YdAlgebra, YdModule, _braid_terms, _kron, _matrix,
-                        azumaya_check, eta, sigma_algebra, sigma_module,
-                        verify_yd, verify_yd_algebra, yd_tensor)
+                        azumaya_check, end_algebra, eta, sigma_algebra,
+                        sigma_module, verify_yd, verify_yd_algebra, yd_tensor)
 from hopflab.catalog import (end_regular, regular_comodule_module, r_t,
                              sigma_t, sweedler_h4)
 import reference as ref
@@ -347,11 +352,13 @@ def test_sigma_image_over_a_large_prime_matches():
 def test_checks_over_a_large_prime_match():
     """Over F_4099, whose elements are built on lookup, the YD-algebra
     checks and azumaya_check on I and on I with one coaction entry raised
-    by 1, and H^σ's antipodes, the H* products, χ, φ, ψ and ξ for σ₁,
+    by 1, CQT4' and CQT4'' on R₁ and on R₁ with one entry raised by 1,
+    H^σ's antipodes, the H* products, χ, φ, ψ and ξ for σ₁, and ▷₁, ▷₂,
+    𝓗_R, H's adjoint module and End(M) for R₁ and its regular module M,
     equal the field-element loops."""
     f = PrimeField(LARGE)
     h = sweedler_h4(f, verify=False)
-    s = sigma_t(h, 1)
+    s, r1 = sigma_t(h, 1), r_t(h, 1)
     uo = unit_object(h)
     bad = YdAlgebra(YdModule(h, uo.dim, uo.module.action,
                              changed(uo.module.coaction, 0, f.one)),
@@ -366,6 +373,23 @@ def test_checks_over_a_large_prime_match():
         assert got[4:] == ref.azumaya(alg, generators(alg))
         statuses.update(r[1] for r in got)
     assert statuses == {"pass", "fail"}
+    verdicts = []
+    for c in (r1, CqtStructure(h, changed(r1.r, 1, f.one), r1.r_inv)):
+        got = report_rows(verify_cqt(c), ("CQT4'", "CQT4''"))
+        assert got == report_rows(ref.cqt4_forms(c))
+        verdicts.append({r[1] for r in got})
+    assert verdicts == [{"pass"}, {"fail"}]
+    assert verify_two_cocycle(s).ok
+    reg = regular_comodule_module(r1)
+    got = yd_from_comodule(r1, reg.coaction)
+    assert got.structures_equal(ref.yd_from_comodule(r1, reg.coaction))
+    assert all(type(x) is f.elem for x in got.action.data)
+    assert act2_tensor(r1, reg) == ref.act2_tensor(r1, reg)
+    got, want = build_hr(r1), ref.build_hr(r1)
+    assert got.underlying.structures_equal(want.underlying)
+    assert got.braided_antipode == want.braided_antipode
+    assert adjoint_module(h).structures_equal(ref.adjoint_module(h))
+    assert end_algebra(reg).structures_equal(ref.end_algebra(reg))
     got, want = _deform(s), ref.deform_host(s)
     assert (got.antipode, got.antipode_inv) == \
         (want.antipode, want.antipode_inv)
@@ -398,12 +422,20 @@ def code_tree(fn, names=None):
 def lifted_loop_codes():
     """The code of the loops that sum lifted values in the shared axiom
     checks and the YD-algebra, Azumaya, deformation, Section 3 and Galois
-    relation checks."""
+    relation checks, and of the words, pairings and constructions of H's
+    elements: the CQT and cocycle checks, ▷₁, ▷₂, 𝓗_R, H's adjoint module
+    and End(M)."""
     return set().union(
         code_tree(hopf.first_action_mismatch, ("block",)),
         code_tree(hopf.first_coaction_mismatch, ("sides",)),
         code_tree(yd.verify_yd, ("compatibility", "compatibility_sinv")),
         code_tree(HopfAlgebra.word_table, ("word",)),
+        code_tree(HopfAlgebra.antipode_words),
+        code_tree(quasitriangular.verify_cqt),
+        code_tree(quasitriangular.yd_from_comodule),
+        code_tree(galois.act2_tensor), code_tree(galois.build_hr),
+        code_tree(galois.adjoint_module), code_tree(yd.end_algebra),
+        code_tree(twist.verify_two_cocycle),
         code_tree(yd.verify_yd_algebra, ("module_algebra",
                                          "comodule_algebra")),
         code_tree(yd.azumaya_check), code_tree(yd.generating_set, (
@@ -418,12 +450,15 @@ def lifted_loop_codes():
 def guarded_runs(monkeypatch, field, elem):
     """(runs, checks, calls) for the guards: the second sigma_module,
     convolve2, yd_tensor and eta on σ₁ and R₁ over field, and the checks
-    whose lifted loops are lifted_loop_codes, each run once already; from
-    now on every +, - or * of elem, field's scalar class, appends its
-    caller's code to calls."""
+    and constructions whose lifted loops are lifted_loop_codes, each run
+    once already; from now on every +, - or * of elem, field's scalar
+    class, appends its caller's code to calls.  The CQT checks, ▷₁, ▷₂,
+    𝓗_R and End(M) run on R_{1/2} and its regular module, whose values
+    over ℚ are halves (R₁'s are ints)."""
     h = sweedler_h4(field, verify=False)
-    s = sigma_t(h, 1)
-    reg = regular_comodule_module(r_t(h, 1))
+    s, half = sigma_t(h, 1), r_t(h, field.ratio(1, 2))
+    reg, reg_half = regular_comodule_module(r_t(h, 1)), \
+        regular_comodule_module(half)
     uo = unit_object(h)
     end = end_regular(r_t(h, 1))
     runs = [lambda: sigma_module(s, reg),
@@ -433,7 +468,11 @@ def guarded_runs(monkeypatch, field, elem):
     checks = [lambda: verify_yd_algebra(end), lambda: azumaya_check(end),
               lambda: _deform(s), lambda: _dual_product(h, h.counit, h.counit),
               lambda: chi_maps(s), lambda: phi_psi_xi(s, uo),
-              lambda: _comodule_galois(end)]
+              lambda: _comodule_galois(end), lambda: verify_cqt(half),
+              lambda: yd_from_comodule(half, reg.coaction),
+              lambda: act2_tensor(half, reg), lambda: build_hr(half),
+              lambda: adjoint_module(h), lambda: end_algebra(reg_half),
+              lambda: verify_two_cocycle(s)]
     for run in runs + checks:
         run()
     calls = []

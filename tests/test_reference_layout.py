@@ -10,13 +10,13 @@ TESTS = pathlib.Path(__file__).resolve().parent
 REFERENCE_PREFIXES = ("dense_", "reference_", "closure_", "naive_")
 
 # the routes under test: Bilinear's sparse and lifted tables and
-# Field.lift, the word products and copowers of HopfAlgebra, twist.eval2,
-# linalg's sums, products and eliminations, galois's subspaces and yd's
-# H-opposite and generating sets
+# Field.lift, the word tables and copowers of HopfAlgebra,
+# twist.eval2_lifted, linalg's sums, products and eliminations, galois's
+# subspaces and yd's H-opposite and generating sets
 ROUTES = {"Bilinear", "bilinear", "lifted_rows", "lifted_terms",
           "flat_tables", "lifted_nonzeros", "lift", "copower",
-          "lifted_copower", "copowers", "product", "word_table", "mul_vec",
-          "act_vec", "act_basis_vec", "apply", "apply_basis", "eval2",
+          "lifted_copower", "copowers", "word_table", "antipode_words",
+          "mul_vec", "act_vec", "act_basis_vec", "apply", "apply_basis",
           "eval2_lifted", "linear_combination", "sparse_sum", "mat_mul",
           "are_inverse", "rank", "sparse_rank", "kernel_basis",
           "sparse_kernel", "solve", "sparse_solve", "mat_inverse", "_reduce",

@@ -1,6 +1,6 @@
-"""Elements of H as sparse rows: the word product h.product, the word
-table, the S and S⁻¹ tables h.antipodes and twist.eval2 on sparse rows,
-against the dense references of reference.py.
+"""Elements of H as sparse rows: the word table, the antipode words, the S
+and S⁻¹ tables h.antipodes and twist.eval2_lifted on sparse rows, against
+the dense references of reference.py.
 
 The sparse construction must give the reference's object, report or
 error on every ±1 one-entry change of its input, over ℚ and F₅.  A guard
@@ -188,41 +188,26 @@ def word_host(request):
     return sweedler_h4(field_from_spec(request.param[3:].replace("F", "Fp:")))
 
 
-def dense(h, terms):
-    out = [h.field.zero] * h.dim
-    for k, c in terms:
-        out[k] = out[k] + c
-    return out
-
-
-def sparse_terms(h):
-    """[(k, c)] pairs of H: indices may repeat and coefficients be 0."""
-    return st.lists(st.tuples(st.integers(0, h.dim - 1),
-                              st.integers(-3, 3).map(h.field.from_int)),
-                    max_size=6)
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_product_and_antipode_rows_match_dense(word_host, data):
-    """h.product(u, v) is the dense product of u and v as a sparse row, in
-    increasing index order with no zero; h.antipodes holds the rows of S
-    and S⁻¹ and their lifted values."""
+    """h.antipodes holds the rows of S and S⁻¹ and their lifted values, and
+    h.antipode_words(leg)[i][t] is the dense product S(e_i)·e_t (leg 0) or
+    S⁻¹(e_i)·e_t (leg 1) as a sparse row of lifted sums, in increasing
+    index order with no zero."""
     h = word_host
-    u = data.draw(sparse_terms(h))
-    v = data.draw(sparse_terms(h))
-    got = h.product(u, v)
-    assert [k for k, _ in got] == sorted({k for k, _ in got})
-    assert all(c for _, c in got)
-    assert dense(h, got) == ref.times(h.mult, dense(h, u), dense(h, v))
-    i = data.draw(st.integers(0, h.dim - 1))
+    i, t = (data.draw(st.integers(0, h.dim - 1)) for _ in range(2))
+    e_t = [h.field.one if k == t else h.field.zero for k in range(h.dim)]
+    lifted, scale = h.antipodes.lifted_rows()
     for leg, m in enumerate((h.antipode, h.antipode_inv)):
         row = h.antipodes.rows(leg)[i]
         assert row == [(k, c) for k, c in enumerate(m.data[i]) if c]
-        lifted, scale = h.antipodes.lifted_rows()
         assert [(k, h.field.reduce(c, scale)) for k, c in lifted[leg][i]] \
             == row
-    assert h.product(u, []) == h.product([], v) == []
+        words, sw = h.antipode_words(leg)
+        assert [(k, h.field.reduce(c, sw)) for k, c in words[i][t]] == [
+            (k, x) for k, x in enumerate(ref.times(h.mult, m.data[i], e_t))
+            if x]
 
 
 # -- the guard ----------------------------------------------------------------
