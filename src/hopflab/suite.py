@@ -44,11 +44,16 @@ class SuiteContext:
     their σ̲ images) is built on first use and memoized by name and
     parameters, and so is the comodule Galois decision of each test
     algebra and σ̲ image (galois), which criterion 13 reports and criterion
-    14's π(A) reads.  Apart from regular_comodule_module's YD precondition
-    and the σ̲ images, which must pass verify_yd_algebra, nothing here
-    verifies: each criterion checks what it reads.  Memos stay with their
-    context; only the tables of live equal tensors are shared between
-    contexts (linalg.Bilinear).
+    14's π(A) reads.  A family parameter t is keyed by its field value
+    field.from_int(t), so each instance is built once per parameter value:
+    over F₅, σ₋₄ is σ₁.  The builders still receive t itself, and the
+    check names keep it.  The criteria's reports are memoized too
+    (report): run_suite and criterion 15 read one report of each
+    criterion per context.  Apart from regular_comodule_module's YD
+    precondition and the σ̲ images, which must pass verify_yd_algebra,
+    nothing here verifies: each criterion checks what it reads.  Memos stay
+    with their context; only the tables of live equal tensors are shared
+    between contexts (linalg.Bilinear).
     """
 
     # the Galois test algebras, End_regular being End(regular(1))
@@ -69,27 +74,36 @@ class SuiteContext:
             self._memo[key] = build(*args)
         return self._memo[key]
 
+    def report(self, name, criterion):
+        """criterion(self), the report of the criterion called name,
+        computed on first request and kept."""
+        return self._once(("report", name), criterion, self)
+
     def sigma(self, t):
-        return self._once(("sigma", t), cat.sigma_t, self.h4, t)
+        return self._once(("sigma", self.field.from_int(t)), cat.sigma_t,
+                          self.h4, t)
 
     def theta(self, t):
-        return self._once(("theta", t), cat.theta_t, self.h4, t)
+        return self._once(("theta", self.field.from_int(t)), cat.theta_t,
+                          self.h4, t)
 
     def r(self, t):
-        return self._once(("r", t), cat.r_t, self.h4, t)
+        return self._once(("r", self.field.from_int(t)), cat.r_t, self.h4, t)
 
     def qt(self, t):
-        return self._once(("qt", t), cat.qt_t, self.h4, t)
+        return self._once(("qt", self.field.from_int(t)), cat.qt_t, self.h4,
+                          t)
 
     def r_sigma(self, t, s):
         """R_t^{σ_s}."""
-        return self._once(("r_sigma", t, s), deform_cqt, self.r(t),
-                          self.sigma(s))
+        value = self.field.from_int
+        return self._once(("r_sigma", value(t), value(s)), deform_cqt,
+                          self.r(t), self.sigma(s))
 
     def regular(self, t=1):
         """H₄ as a comodule over itself with the R_t-induced action."""
-        return self._once(("regular", t), cat.regular_comodule_module,
-                          self.r(t))
+        return self._once(("regular", self.field.from_int(t)),
+                          cat.regular_comodule_module, self.r(t))
 
     def c2_regular(self):
         """kC₂'s regular comodule with the action of R(g⊗g) = -1."""
@@ -103,7 +117,8 @@ class SuiteContext:
 
     def hr(self, t):
         """𝓗_{R_t}."""
-        return self._once(("hr", t), build_hr, self.r(t))
+        return self._once(("hr", self.field.from_int(t)), build_hr,
+                          self.r(t))
 
     def algebra(self, name):
         return self._once(("algebra", name), self.ALGEBRAS[name], self)
@@ -124,13 +139,17 @@ class SuiteContext:
             out = sigma_algebra(self.sigma(t), self.algebra(name))
             return out, verify_yd_algebra(out).require(
                 "sigma_%s(%s)" % (t, name))
-        return self._once(("sigma_algebra", t, name), build)
+        return self._once(("sigma_algebra", self.field.from_int(t), name),
+                          build)
 
     def galois(self, name, t=None):
         """galois._comodule_galois of algebra(name), or of its σ̲_t image
         when t is given: its report, A₀ and β, decided once per context."""
-        alg = self.algebra(name) if t is None else self.sigma_algebra(t, name)
-        return self._once(("galois", name, t), _comodule_galois, alg)
+        if t is None:
+            alg, key = self.algebra(name), None
+        else:
+            alg, key = self.sigma_algebra(t, name), self.field.from_int(t)
+        return self._once(("galois", name, key), _comodule_galois, alg)
 
 
 def criterion_01_h4_validity(ctx):
@@ -246,13 +265,17 @@ def criterion_06_braided_square(ctx):
 def criterion_07_cor24_action(ctx):
     """σ̲ of an 𝓜^H_R object carries the R^σ-induced action."""
     rep = CheckReport()
+    ss = (1, 2, -1)
+    # σ̲_s of the trivial module does not depend on t
+    trivial = {s: sigma_module(ctx.sigma(s), ctx.trivial()) for s in ss}
     for t in ctx.t_values:
-        for s in (1, 2, -1):
+        for s in ss:
             rs = ctx.r_sigma(t, s)
-            for name, mod in (("regular", ctx.regular(t)),
-                              ("hr", ctx.hr(t).underlying.module),
-                              ("trivial", ctx.trivial())):
-                sm = sigma_module(ctx.sigma(s), mod)
+            for name, sm in (
+                    ("regular", sigma_module(ctx.sigma(s), ctx.regular(t))),
+                    ("hr", sigma_module(ctx.sigma(s),
+                                        ctx.hr(t).underlying.module)),
+                    ("trivial", trivial[s])):
                 ind = yd_from_comodule(rs, sm.coaction)
                 rep.add("cor2_4_R%s_sigma%s_%s" % (t, s, name),
                         ind.action == sm.action)
@@ -426,23 +449,29 @@ def criterion_14_thm315(ctx):
 
 
 def criterion_15_determinism(ctx):
-    """Two runs of the cheap criteria produce byte-identical JSON.
+    """ctx's reports of the cheap criteria 02, 08 and 16 and one run of
+    them on a fresh SuiteContext produce byte-identical JSON.
 
-    Each run builds a fresh SuiteContext on ctx's field object, so its
-    tensors read the tables of the live equal tensors of ctx and of each
-    other (linalg.Bilinear); the reports, σ̲ images and Galois decisions,
-    which a context memoizes, never cross contexts."""
+    ctx's reports are read through its report memo, so the ones run_suite
+    has made are not made again, and criterion 16's, made here first, is
+    the one run_suite reports.  The fresh context is built on ctx's field
+    object, so its tensors read the tables of ctx's live equal tensors
+    (linalg.Bilinear); the reports, σ̲ images and Galois decisions, which
+    a context memoizes, never cross contexts."""
     rep = CheckReport()
 
-    def snapshot():
-        ctx2 = SuiteContext(ctx.field, ctx.t_values, ctx.seed)
+    def snapshot(c):
         parts = CheckReport()
-        parts.merge(criterion_02_cocycle_family(ctx2), prefix="c02_")
-        parts.merge(criterion_08_coboundary_zeta(ctx2), prefix="c08_")
-        parts.merge(extra_randomized_invariants(ctx2), prefix="inv_")
+        parts.merge(c.report("02_cocycle_family",
+                             criterion_02_cocycle_family), prefix="c02_")
+        parts.merge(c.report("08_coboundary_zeta",
+                             criterion_08_coboundary_zeta), prefix="c08_")
+        parts.merge(c.report("16_randomized_invariants",
+                             extra_randomized_invariants), prefix="inv_")
         return json.dumps(parts.to_json(), sort_keys=True)
 
-    rep.add("reports_byte_identical", snapshot() == snapshot())
+    fresh = SuiteContext(ctx.field, ctx.t_values, ctx.seed)
+    rep.add("reports_byte_identical", snapshot(ctx) == snapshot(fresh))
     return rep
 
 
@@ -524,14 +553,15 @@ CRITERIA = [
 
 
 def run_suite(field=QQ, t_values=T_DEFAULT, seed=0, progress=None):
-    """Run every criterion; returns (overall CheckReport, detail dict)."""
+    """Run every criterion on one SuiteContext, through its report memo;
+    returns (overall CheckReport, detail dict)."""
     ctx = SuiteContext(field, t_values, seed)
     overall = CheckReport()
     details = {}
     for name, fn in CRITERIA:
         t0 = time.perf_counter()
         try:
-            rep = fn(ctx)
+            rep = ctx.report(name, fn)
             status = rep.ok
             detail = "%d checks" % len(rep.checks)
             bad = rep.first_failure()

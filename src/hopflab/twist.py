@@ -8,17 +8,19 @@ given as its lifted rows (fields.Field.lift), with two elements of H, each
 a basis index or a sparse row of lifted values (hopf.py), such as S(e_i);
 first_counit_mismatch checks f(e_i⊗1) = f(1⊗e_i) = ε(e_i) on them.
 
-H^σ, ∂μ and laziness are convolutions: e_k's coefficient in the product of
-H^σ is σ * m_k * σ⁻¹ for m_k(x⊗y) = e_k's coefficient in xy, S^σ = u * S * v
-in H*, summed as Σ u(x₁)v(x₃)·S(x₂) over Δ²(x) on S's lifted rows, ∂μ =
-(μ⊗μ) * (μ⁻¹∘m), and σ is lazy iff σ * m_k = m_k * σ for all k.  These
-regroup Δ^k by coassociativity alone, not by σ's cocycle identity, so they
-equal the defining Sweedler sums for any σ and σ⁻¹.  The 1-cocycle routes
-multiply in H* over Δ's lifted terms too, and build no H*.  The
-convolutions, S^σ and the H* products sum lifted values and reduce what
-they build once; a matrix keeps its sums as its lifted rows
-(linalg.Matrix.from_sums), so a convolution of convolutions lifts nothing
-again.
+H^σ's product and laziness are single Sweedler sums on lifted values:
+x·_σ y = Σ σ(x₁⊗y₁) x₂y₂ σ⁻¹(x₃⊗y₃) over h.lifted_copower(3), and σ is
+lazy iff Σ σ(x₁⊗y₁) x₂y₂ = Σ x₁y₁ σ(x₂⊗y₂) for every pair of basis
+elements.  S^σ = u * S * v in H* is summed as Σ u(x₁)v(x₃)·S(x₂) over
+Δ²(x) on S's lifted rows, and ∂μ = (μ⊗μ) * (μ⁻¹∘m) is a convolution.
+H^σ's product and S^σ read Δ² bracketed as (id⊗Δ)Δ, so they equal the
+defining sums by the host's coassociativity alone, not by σ's cocycle
+identity, for any σ and σ⁻¹; every host they are built on (the
+catalog's, a strict JSON load) is coassociative.  The 1-cocycle routes multiply in H* over Δ's
+lifted terms too, and build no H*.  The sums, the convolutions and the
+H* products reduce what they build once; a matrix keeps its sums as its
+lifted rows (linalg.Matrix.from_sums), so a convolution of convolutions
+lifts nothing again; ε⊗ε is built from the lifted counit.
 
 The θ side is the σ side on the dual.  An element of H⊗H is a functional on
 H*⊗H* through the same matrix, and the product of H⊗H is the convolution of
@@ -95,9 +97,10 @@ def first_counit_mismatch(h, f):
 
 
 def eps_eps(h):
-    """The convolution unit ε⊗ε."""
-    return Matrix(h.field, h.dim, h.dim,
-                  [[x * y for y in h.counit] for x in h.counit])
+    """The convolution unit ε⊗ε, summed from the lifted counit."""
+    eps, se = h.field.lift(h.counit)
+    return Matrix.from_sums(h.field, h.dim, h.dim,
+                            [x * y for x in eps for y in eps], se * se)
 
 
 def are_conv_inverse(h, f, g):
@@ -353,14 +356,6 @@ def deform(c):
     return c._deformed
 
 
-def _coordinate_functionals(h):
-    """m_k(x⊗y) = the coefficient of e_k in xy, as n functionals on H⊗H."""
-    n = h.dim
-    t = h.mult.permuted((2, 0, 1)).data     # t[k,i,j] = mult[i,j,k]
-    return [Matrix(h.field, n, n, [t[r:r + n] for r in range(b, b + n * n, n)])
-            for b in range(0, n * n * n, n * n)]
-
-
 def _delta_functional(h, value, scale):
     """The functional e_i ↦ Σ value(i₁, i₂) over Δ(e_i), for value giving
     lifted numbers at scale: (the lifted sums, their scale)."""
@@ -374,13 +369,27 @@ def _deform(c):
     n, f, hs = h.dim, h.field, range(h.dim)
     (sig, ss), (inv, si) = c.sigma.lifted_rows(), c.sigma_inv.lifted_rows()
     (S, Sinv), sa = h.antipodes.lifted_rows()
-    # m^σ = σ * m_k * σ⁻¹ for each coordinate functional m_k
-    twisted = [convolve2(h, convolve2(h, c.sigma, m_k), c.sigma_inv)
-               for m_k in _coordinate_functionals(h)]
-    mult = Tensor.from_rows(f, (n, n, n), [
-        [[t.data[i][j] for t in twisted] for j in hs] for i in hs])
+    (mul, sm), (copower, s3) = h.mul.lifted_rows(), h.lifted_copower(3)
 
-    copower, s3 = h.lifted_copower(3)
+    # e_i ·_σ e_j = Σ σ(i₁⊗j₁) i₂j₂ σ⁻¹(i₃⊗j₃), one sum per (i, j) over
+    # Δ²(e_i) and Δ²(e_j), laid out flat as the tensor's (i·n + j)·n + k
+    sums = []
+    for ci in copower:
+        for cj in copower:
+            acc = [0] * n
+            for (a, b, c3), wi in ci:
+                sig_a, inv_c = sig[a], inv[c3]
+                for (d, e, f3), wj in cj:
+                    w = sig_a[d]
+                    if w:
+                        v = inv_c[f3]
+                        if v:
+                            w *= v * wi * wj
+                            for k, y in mul[b][e]:
+                                acc[k] += w * y
+            sums += acc
+    mult = Tensor(f, (n, n, n),
+                  f.reduce_vec(sums, ss * si * s3 * s3 * sm))
 
     # S^σ = u * S * v and (S^σ)⁻¹ = u' * S⁻¹ * v' in H*: the image of e_x
     # is Σ u(x₁)v(x₃)·S(x₂) over Δ²(e_x), and the same with S⁻¹, summed
@@ -416,11 +425,31 @@ def _deform(c):
 
 
 def is_lazy(c):
-    """Does σ commute with multiplication (σ * m_k = m_k * σ for every k)?
-    Cross-checked against H^σ = H."""
-    h, sig = c.host, c.sigma
-    lazy = all(convolve2(h, sig, m_k) == convolve2(h, m_k, sig)
-               for m_k in _coordinate_functionals(h))
+    """Does σ commute with multiplication, Σ σ(x₁⊗y₁) x₂y₂ =
+    Σ x₁y₁ σ(x₂⊗y₂) for every pair of basis elements x and y?  Both sides
+    are summed on lifted values at one scale and their difference is
+    tested with field.nonzero.  Cross-checked against H^σ = H."""
+    h = c.host
+    n, nonzero = h.dim, h.field.nonzero
+    sig = c.sigma.lifted_rows()[0]
+    delta, mul = h.delta.lifted_terms()[0], h.mul.lifted_rows()[0]
+
+    def commutes(dx, dy):
+        diff = [0] * n
+        for a, b, ca in dx:
+            sig_a, sig_b, mul_a, mul_b = sig[a], sig[b], mul[a], mul[b]
+            for cc, d, cd in dy:
+                w = ca * cd
+                left, right = sig_a[cc], sig_b[d]
+                if left:
+                    for k, y in mul_b[d]:
+                        diff[k] += w * left * y
+                if right:
+                    for k, y in mul_a[cc]:
+                        diff[k] -= w * right * y
+        return not any(map(nonzero, diff))
+
+    lazy = all(commutes(dx, dy) for dx in delta for dy in delta)
     same_mult = deform(c).mult == h.mult
     if lazy != same_mult:
         raise VerificationError(

@@ -13,7 +13,8 @@ from hopflab.fields import QQ
 from hopflab.report import CheckReport, VerificationError
 from hopflab.suite import (CRITERIA, SuiteContext,
                            criterion_10_section3_witnesses,
-                           criterion_13_galois_stability)
+                           criterion_13_galois_stability,
+                           criterion_15_determinism)
 from reference import count_calls
 
 
@@ -32,11 +33,15 @@ def test_criterion(ctx, name, fn):
     assert rep.ok, "criterion %s failed:\n%s" % (name, rep.render_text())
 
 
-# sha256 of `hopflab suite --json --field F --seed 0`, copied from
-# perfbench/reference.json: the report must stay byte-identical.
+# sha256 of `hopflab suite --json --field F --seed 0`: the report must
+# stay byte-identical.  Q and Fp:5 are copied from perfbench/reference.json.
+# Over F₃ and F₇ several default t-values and their sums and differences
+# share a field value, so SuiteContext builds one instance for them.
 SUITE_SHA256 = {
     "Q": "bd46e6e740758990e554c61308dc1da695d6967955a7a404b8784a9f0adb88f3",
+    "Fp:3": "a5a837c65c602726fdef137bc3b20800082e4ba697d0302108e3e68c3f7b923b",
     "Fp:5": "54e3c4f955dd07341818292f611fe20ad9d5fe97b13918339781773723f0bb4f",
+    "Fp:7": "283b27154f66ef42fce1971bc79317ff0db60a5ea755f2306e85244cc976d79a",
 }
 
 
@@ -103,8 +108,10 @@ def test_suite_pass_builds_each_live_content_once(monkeypatch):
     """One seed-0 F₅ pass builds at most 164 sparse tables and 134 lifted
     row tables (484 and 387 before tables were shared per content: most
     tensors of a pass repeat a live tensor's content, as H^σ = H for every
-    lazy σ_t), and makes 75 conv_inverse2 solves (141 before known
-    inverses were passed in).  A table is counted once however many
+    lazy σ_t), and makes 34 conv_inverse2 solves (141 before known
+    inverses were passed in, 75 before SuiteContext keyed t by its field
+    value and criterion 15 ran criteria 02, 08 and 16 on one fresh context
+    instead of two).  A table is counted once however many
     Bilinears read it.  Three of the lifted tables are read since
     azumaya_check sums F and G lifted: the products of the H-opposites Ā
     of End(regular), σ̲₁(End(regular)) and σ̲₋₁(End(regular)), which were
@@ -133,7 +140,7 @@ def test_suite_pass_builds_each_live_content_once(monkeypatch):
 
     assert distinct(built["_table"]) <= 164
     assert distinct(built["lifted_rows"]) <= 134
-    assert len(solves) == 75
+    assert len(solves) == 34
 
 
 @pytest.mark.parametrize("witness", ["chi_maps", "phi_psi_xi"])
@@ -190,7 +197,7 @@ def test_report_status_needs_exactly_one_check():
 def test_each_shared_instance_is_built_once(monkeypatch):
     """On one SuiteContext every criterion takes its instances from the
     context, which builds each (builder, arguments) pair at most once.
-    Criterion 15 is left out: it builds two fresh contexts by design."""
+    Criterion 15 is left out: it builds a fresh context by design."""
     from collections import Counter
     calls = Counter()
     seen = []                   # keeps the arguments alive, so ids stay apart
@@ -220,6 +227,68 @@ def test_each_shared_instance_is_built_once(monkeypatch):
     assert sum(n for key, n in calls.items()
                if key[0] == "deform_cqt") == len(suite.T_DEFAULT) ** 2
     assert {key: n for key, n in calls.items() if n > 1} == {}
+
+
+def test_family_parameters_are_keyed_by_field_value():
+    """Over F₅, t and t + 5 name one instance; over ℚ they do not.  The
+    σ̲ images and Galois decisions are keyed the same way."""
+    from hopflab.fields import PrimeField
+    ctx = SuiteContext(PrimeField(5), suite.T_DEFAULT, 0)
+    assert ctx.sigma(-4) is ctx.sigma(1)
+    assert ctx.theta(7) is ctx.theta(2) and ctx.r(-2) is ctx.r(3)
+    assert ctx.r_sigma(-1, 6) is ctx.r_sigma(4, 1)
+    assert ctx.regular(6) is ctx.regular(1) and ctx.hr(-4) is ctx.hr(1)
+    assert ctx.sigma_algebra(-4, "I") is ctx.sigma_algebra(1, "I")
+    assert ctx.galois("I", 6) is ctx.galois("I", 1)
+    assert ctx.galois("I") is not ctx.galois("I", 1)
+    q = SuiteContext(QQ, suite.T_DEFAULT, 0)
+    assert q.sigma(-4) is not q.sigma(1)
+
+
+def test_suite_pass_runs_criterion_16_once_per_context(monkeypatch):
+    """One run_suite pass builds two SuiteContexts, its own and criterion
+    15's fresh one, and evaluates criterion 16 once on each: criterion 15
+    reads the pass's reports of 02, 08 and 16 through the report memo, and
+    run_suite reports the criterion-16 report that criterion 15 made."""
+    invariants = count_calls(monkeypatch, "extra_randomized_invariants",
+                             "hopflab.suite")
+    monkeypatch.setattr(suite, "CRITERIA", [
+        (name, suite.extra_randomized_invariants
+         if name == "16_randomized_invariants" else fn)
+        for name, fn in CRITERIA])
+    contexts, init = [], SuiteContext.__init__
+
+    def counted_init(self, *args):
+        contexts.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(SuiteContext, "__init__", counted_init)
+    overall, details = suite.run_suite(QQ, suite.T_DEFAULT, 0)
+    assert overall.ok and details["16_randomized_invariants"].ok
+    assert len(contexts) == 2
+    assert [args[0] for args in invariants] == contexts
+
+
+def test_criterion_15_fails_on_a_run_dependent_report(monkeypatch):
+    """Negative control: when criterion 16 adds a check whose name counts
+    its calls, the pass's report and the fresh context's differ, and
+    reports_byte_identical fails, in criterion 15 alone and in run_suite."""
+    inner = suite.extra_randomized_invariants
+    runs = []
+
+    def drifting(ctx):
+        rep = inner(ctx)
+        runs.append(ctx)
+        rep.add("run_%d" % len(runs), True)
+        return rep
+
+    monkeypatch.setattr(suite, "extra_randomized_invariants", drifting)
+    rep = criterion_15_determinism(SuiteContext(QQ, suite.T_DEFAULT, 0))
+    assert [c.name for c in rep.failures()] == ["reports_byte_identical"]
+    assert len(runs) == 2
+    overall, details = suite.run_suite(QQ, suite.T_DEFAULT, 0)
+    assert [c.name for c in overall.failures()] == ["15_determinism"]
+    assert not details["15_determinism"].ok
 
 
 def test_braided_squares_build_each_object_once(monkeypatch):

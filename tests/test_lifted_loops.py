@@ -423,8 +423,8 @@ def lifted_loop_codes():
     """The code of the loops that sum lifted values in the shared axiom
     checks and the YD-algebra, Azumaya, deformation, Section 3 and Galois
     relation checks, and of the words, pairings and constructions of H's
-    elements: the CQT and cocycle checks, ▷₁, ▷₂, 𝓗_R, H's adjoint module
-    and End(M)."""
+    elements: the CQT and cocycle checks, laziness, ▷₁, ▷₂, 𝓗_R, H's
+    adjoint module and End(M)."""
     return set().union(
         code_tree(hopf.first_action_mismatch, ("block",)),
         code_tree(hopf.first_coaction_mismatch, ("sides",)),
@@ -440,7 +440,8 @@ def lifted_loop_codes():
                                          "comodule_algebra")),
         code_tree(yd.azumaya_check), code_tree(yd.generating_set, (
             "products",)),
-        code_tree(twist._deform), code_tree(twist._delta_functional),
+        code_tree(twist._deform), code_tree(twist.is_lazy),
+        code_tree(twist._delta_functional),
         code_tree(twist._dual_product), code_tree(twist.eval2_lifted),
         code_tree(galois._pairing_tables), code_tree(galois.chi_maps),
         code_tree(galois.phi_psi_xi), code_tree(galois._relation_parts),
@@ -472,7 +473,7 @@ def guarded_runs(monkeypatch, field, elem):
               lambda: yd_from_comodule(half, reg.coaction),
               lambda: act2_tensor(half, reg), lambda: build_hr(half),
               lambda: adjoint_module(h), lambda: end_algebra(reg_half),
-              lambda: verify_two_cocycle(s)]
+              lambda: verify_two_cocycle(s), lambda: twist.is_lazy(s)]
     for run in runs + checks:
         run()
     calls = []
